@@ -1,10 +1,9 @@
 """Repo-invariant linter: static CI gates for the invariants tests enforce.
 
-PRs 5-8 added *dynamic* checks for a family of repo invariants -- cache
-snapshots must reset telemetry, webapp mutations must advance the state
-generation so response memos invalidate, scenario runs must be
-deterministic, warm-state pickling must stay confined to the two modules
-built for it.  This module turns them into *static* rules over the Python
+PRs 5-8 added *dynamic* checks for a family of repo invariants -- caches
+must be able to restart their telemetry, webapp mutations must advance the
+state generation so response memos invalidate, scenario runs must be
+deterministic, nothing may deserialize with pickle.  This module turns them into *static* rules over the Python
 AST so CI rejects a violating diff before any scenario runs.
 
 Rule catalogue (ids are what suppressions name):
@@ -17,9 +16,9 @@ Rule catalogue (ids are what suppressions name):
     ``sessions.create``/``sessions.destroy``).  A mutator that does neither
     serves stale memoised responses.
 ``cache-reset-counters``
-    Every class named ``*Cache`` must define ``reset_counters`` -- the
-    warm-snapshot protocol calls it on every shipped cache so per-worker
-    telemetry starts cold.
+    Every class named ``*Cache`` must define ``reset_counters`` -- zeroing
+    the hit/miss telemetry while keeping entries warm is how benchmarks
+    measure one phase's hit rate over an already-warm cache.
 ``determinism``
     No ``time.time`` / ``time.time_ns`` / ``random.random`` /
     ``datetime.now`` / ``datetime.utcnow`` calls inside ``src/repro``:
@@ -29,9 +28,9 @@ Rule catalogue (ids are what suppressions name):
     ``except:`` swallows ``BudgetExceeded`` and ``AccessDenied`` signals
     the engine relies on; name the exception type.
 ``pickle-confinement``
-    ``pickle`` imports are allowed only in the warm-state modules
-    (``browser/compile_cache.py``, ``scenarios/parallel.py``); anywhere
-    else it is an eval-equivalent deserialization surface.
+    No module may import ``pickle`` (``PICKLE_ALLOWED`` is empty): it is an
+    eval-equivalent deserialization surface, and everything that crosses a
+    process boundary here is plain data.
 
 Suppression: append ``# repolint: allow[<rule-id>]`` to the flagged line.
 
@@ -47,8 +46,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-#: Modules allowed to import pickle (warm-state shipping only).
-PICKLE_ALLOWED = ("browser/compile_cache.py", "scenarios/parallel.py")
+#: Modules allowed to import pickle: none.
+PICKLE_ALLOWED: tuple[str, ...] = ()
 
 #: ``module.attribute`` call chains banned by the determinism rule.
 NONDETERMINISTIC_CALLS = {
@@ -188,7 +187,7 @@ class WebappsTouchStateRule(Rule):
 
 
 class CacheResetCountersRule(Rule):
-    """``*Cache`` classes must implement the warm-snapshot telemetry hook."""
+    """``*Cache`` classes must be able to restart their hit/miss telemetry."""
 
     rule_id = "cache-reset-counters"
 
@@ -210,7 +209,8 @@ class CacheResetCountersRule(Rule):
                         path,
                         node,
                         f"cache class {node.name} does not define reset_counters() "
-                        "-- warm-state restore cannot start its telemetry cold",
+                        "-- a measurement cannot restart its hit/miss telemetry "
+                        "over warm entries",
                     )
                 )
         return violations
@@ -256,7 +256,7 @@ class NoBareExceptRule(Rule):
 
 
 class PickleConfinementRule(Rule):
-    """pickle stays inside the warm-state modules built for it."""
+    """No module imports pickle outside ``PICKLE_ALLOWED`` (empty)."""
 
     rule_id = "pickle-confinement"
 
@@ -274,12 +274,13 @@ class PickleConfinementRule(Rule):
                 if node.module and node.module.split(".")[0] == "pickle":
                     imported = "from pickle import ..."
             if imported:
-                allowed = ", ".join(PICKLE_ALLOWED)
+                allowed = ", ".join(PICKLE_ALLOWED) or "none"
                 violations.append(
                     self._violation(
                         path,
                         node,
-                        f"{imported} outside the warm-state modules ({allowed})",
+                        f"{imported}: pickle is an eval-equivalent deserialization "
+                        f"surface (modules allowed to import it: {allowed})",
                     )
                 )
         return violations

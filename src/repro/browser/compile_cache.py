@@ -30,22 +30,11 @@ through the scenario runner, across whole scenarios):
 
 :class:`CompileCaches` bundles the three, which is what one scenario worker
 carries for its whole lifetime.
-
-The stack is also *shippable*: :func:`dump_warm_state` serialises a warmed
-stack (plus the owning runner's nonce secret and warmed-app set) into one
-opaque bytes payload, and :func:`load_warm_state` rebuilds it in another
-process -- so N parallel workers can all start from the one warm-up the
-parent paid, instead of each paying its own cold start.  Restoring resets
-the hit/miss telemetry (per-worker rates then describe per-worker traffic)
-and reserves the policy-token range the snapshot's shared policy instances
-already occupy, so locally built policies in a ``spawn`` worker can never
-collide with shipped ones in the shared decision cache's keys.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -53,7 +42,6 @@ from repro.core.cache import DecisionCache
 from repro.core.config import PageConfiguration
 from repro.core.nonce import NonceMismatch, NonceValidator
 from repro.core.origin import Origin
-from repro.core.policy import reserve_policy_tokens
 from repro.dom.document import Document
 from repro.html.parser import TreeBuilder
 from repro.html.tokenizer import tokenize
@@ -227,8 +215,8 @@ class TemplateCache:
     def reset_counters(self) -> None:
         """Zero the hit/miss counters, keeping every template.
 
-        The warm-snapshot restore path calls this so a worker's hit rate
-        describes the worker's own traffic, not the parent's warm-up.
+        Lets a measurement over an already-warm cache report the hit rate
+        of its own traffic only.
         """
         self.hits = 0
         self.misses = 0
@@ -278,8 +266,7 @@ class CompileCaches:
     #: a warm source goes digest -> CodeObject with no front end at all.
     code: ScriptCodeCache = field(default_factory=ScriptCodeCache)
     #: Static-analysis tier: memoised ScriptReports keyed by the same source
-    #: digest.  Reports are frozen dataclasses of plain values, so this tier
-    #: ships in warm-state snapshots exactly like the others.
+    #: digest.  Reports are frozen dataclasses of plain values.
     reports: ScriptReportCache = field(default_factory=ScriptReportCache)
 
     def policy_for(self, options) -> object:
@@ -312,19 +299,6 @@ class CompileCaches:
             reports=reports,
         )
 
-    def reset_counters(self) -> None:
-        """Zero every layer's hit/miss telemetry, keeping all entries.
-
-        Entries stay warm; only the counters restart.  Called when a shipped
-        snapshot is restored in a worker so its reported rates are the
-        worker's own.
-        """
-        self.templates.reset_counters()
-        self.scripts.reset_counters()
-        self.code.reset_counters()
-        self.reports.reset_counters()
-        self.decisions.reset_counters()
-
     def as_dict(self) -> dict[str, object]:
         """Effectiveness counters of every layer (for benchmark reports)."""
         return {
@@ -335,107 +309,3 @@ class CompileCaches:
             "decisions": self.decisions.info().as_dict(),
         }
 
-
-# -- warm-state shipping -------------------------------------------------------------
-
-#: Schema header stamped on every shipped warm-state payload.  The version
-#: is bumped whenever WarmState's shape (or anything it transitively
-#: pickles) changes incompatibly, so a worker fed a snapshot from another
-#: build fails with a clear message instead of an unpickling traceback.
-WARM_STATE_SCHEMA = 1
-_WARM_STATE_MAGIC = b"REPRO-WARM:"
-
-
-class WarmStateError(RuntimeError):
-    """A shipped warm-state snapshot is stale, truncated or corrupt."""
-
-
-@dataclass
-class WarmState:
-    """One worker's warm start, serialised by the parent and shipped to all.
-
-    Carries the warmed :class:`CompileCaches` stack plus the two pieces of
-    runner state the cache keys depend on:
-
-    * ``nonce_secret`` -- the markup-randomisation secret.  Template-cache
-      keys are body digests, and response bodies embed nonces seeded from
-      this secret; every worker must use the *parent's* secret or its
-      applications would emit different bytes and miss every shipped
-      template.  Sharing one secret across the workers of one run is safe
-      for the same reason the per-runner secret is: nonce values never enter
-      verdicts, digests or the parity report, and page content still cannot
-      compute them.
-    * ``warmed_apps`` -- the applications the parent already pre-warmed, so
-      workers skip the per-app warm-up entirely.
-    """
-
-    caches: CompileCaches
-    nonce_secret: str
-    warmed_apps: tuple[str, ...]
-
-
-def dump_warm_state(
-    caches: CompileCaches, *, nonce_secret: str, warmed_apps=()
-) -> bytes:
-    """Serialise a warmed stack into one shippable payload.
-
-    Everything in the stack is process-portable by construction: parsed DOM
-    templates (plain node trees), script ASTs / code objects, frozen access
-    decisions and the shared policy instances (whose cache tokens are
-    materialised attributes, so they travel with the pickle).
-    """
-    state = WarmState(
-        caches=caches,
-        nonce_secret=nonce_secret,
-        warmed_apps=tuple(warmed_apps),
-    )
-    header = _WARM_STATE_MAGIC + str(WARM_STATE_SCHEMA).encode("ascii") + b"\n"
-    return header + pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def load_warm_state(data: bytes) -> WarmState:
-    """Rebuild a shipped warm state in this process.
-
-    Two restore-side fixups keep the snapshot safe outside its birth
-    process:
-
-    * the policy-token range the shipped policies occupy is reserved, so a
-      policy built locally afterwards (e.g. for a matrix column the parent
-      never warmed) can never draw a token a shipped policy already owns --
-      under ``spawn`` the local counter restarts at zero, and a collision
-      would let the shared decision cache serve one policy's verdicts for
-      another;
-    * the hit/miss telemetry is zeroed (entries stay warm), so per-worker
-      cache rates describe per-worker traffic.
-    """
-    if not data.startswith(_WARM_STATE_MAGIC):
-        raise WarmStateError(
-            "warm-state payload has no schema header -- it was produced by an "
-            "incompatible build (or is not a warm-state snapshot at all); "
-            "re-warm in the parent instead of shipping it"
-        )
-    header, sep, payload = data.partition(b"\n")
-    version_text = header[len(_WARM_STATE_MAGIC):]
-    if not sep or not version_text.isdigit():
-        raise WarmStateError("warm-state payload is truncated inside its schema header")
-    version = int(version_text)
-    if version != WARM_STATE_SCHEMA:
-        raise WarmStateError(
-            f"warm-state schema mismatch: snapshot is v{version}, this build "
-            f"reads v{WARM_STATE_SCHEMA}; re-warm in the parent"
-        )
-    try:
-        state: WarmState = pickle.loads(payload)
-    except Exception as error:
-        raise WarmStateError(
-            f"warm-state payload is truncated or corrupt ({type(error).__name__}: {error})"
-        ) from error
-    if not isinstance(state, WarmState):
-        raise WarmStateError(
-            f"warm-state payload decoded to {type(state).__name__}, expected WarmState"
-        )
-    tokens = [policy.cache_token for policy in state.caches.policies.values()]
-    if tokens:
-        reserve_policy_tokens(max(tokens) + 1)
-    state.caches.reset_counters()
-    return state

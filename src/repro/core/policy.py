@@ -68,23 +68,6 @@ class AccessRequest:
 _POLICY_TOKENS = itertools.count()
 
 
-def reserve_policy_tokens(minimum: int) -> None:
-    """Guarantee future tokens are drawn at or above ``minimum``.
-
-    Needed when policy instances (with their already-materialised tokens)
-    arrive from *another process* -- e.g. a warm compile-cache snapshot
-    shipped to a ``spawn``-started worker, whose own counter restarts at
-    zero.  Without the reservation a locally built policy could draw a token
-    a shipped policy already owns, and a shared decision cache keyed on the
-    token would serve one policy's verdicts for the other.  Tokens skipped
-    by the reservation are simply never issued; uniqueness is all that
-    matters.
-    """
-    global _POLICY_TOKENS
-    current = next(_POLICY_TOKENS)
-    _POLICY_TOKENS = itertools.count(max(current, minimum))
-
-
 class Policy:
     """Interface shared by every browser protection model in the reproduction."""
 

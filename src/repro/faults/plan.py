@@ -218,28 +218,25 @@ class FaultConfig:
         """
         return FaultPlan(self, key=f"{self.seed}|{scenario_key}|{model}")
 
-    def crash_schedule(self, workers: int) -> dict[int, int]:
+    def crash_schedule(self, workers: int, chunks: int) -> tuple[int, ...]:
         """Deterministic worker-crash schedule for an executor pool.
 
-        Maps worker id → 1-based chunk ordinal at which that worker dies
-        mid-chunk.  Empty when the ``worker`` rate is zero.  Respawned
-        workers get fresh ids outside the schedule, which is what bounds
-        the crash cascade.
+        Returns sorted 0-based steal-queue chunk ordinals: whichever worker
+        claims one of those chunks dies mid-chunk.  Keying on the chunk
+        rather than the worker keeps the schedule independent of steal
+        timing.  Empty when the ``worker`` rate is zero.  At most
+        ``workers - 1`` ordinals are drawn: killing every worker of the
+        pool models a cluster outage, not a worker fault, and the
+        supervisor's respawn budget is one replacement per worker.
         """
-        if self.worker <= 0.0 or workers <= 1:
-            return {}
-        schedule: dict[int, int] = {}
-        for worker_id in range(workers):
-            roll = _draw(str(self.seed), f"{SITE_WORKER}:gate", worker_id)
+        if self.worker <= 0.0 or workers <= 1 or chunks <= 0:
+            return ()
+        ordinals: set[int] = set()
+        for slot in range(workers - 1):
+            roll = _draw(str(self.seed), f"{SITE_WORKER}:gate", slot)
             if roll / _DRAW_SPACE < self.worker:
-                ordinal = _draw(str(self.seed), f"{SITE_WORKER}:chunk", worker_id) % 3 + 1
-                schedule[worker_id] = ordinal
-        # Never schedule every worker to die: recovery needs either a
-        # respawn budget or at least one survivor, and killing the whole
-        # pool models a cluster outage, not a worker fault.
-        if len(schedule) >= workers:
-            schedule.pop(max(schedule))
-        return schedule
+                ordinals.add(_draw(str(self.seed), f"{SITE_WORKER}:chunk", slot) % chunks)
+        return tuple(sorted(ordinals))
 
 
 class FaultPlan:

@@ -15,10 +15,10 @@ Failing specs are pinned as JSON entries into the regression corpus
 (``tests/scenarios/corpus/`` by default; ``--corpus DIR`` overrides,
 ``--no-corpus`` disables) which the test suite auto-replays.
 
-Exit status is non-zero when any scenario violates its invariant.  Every
-*suite* run also writes the throughput artifact (``BENCH_scenarios.json``)
-unless ``--bench-out ''`` disables it; ``--replay`` runs a single scenario
-and writes no artifact.
+Exit status is non-zero when any scenario violates its invariant.  A
+*suite* run writes the throughput artifact only when ``--bench-out PATH``
+names one (``benchmarks/results/BENCH_scenarios.json`` is the committed
+artifact's path); ``--replay`` runs a single scenario and writes none.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .generator import ScenarioGenerator
 from .oracle import DifferentialOracle
 from .parallel import run_suite_parallel
 from .runner import ScenarioRunner
-
-DEFAULT_BENCH_OUT = "benchmarks/results/BENCH_scenarios.json"
 
 
 def _parse_args(argv) -> argparse.Namespace:
@@ -71,13 +69,6 @@ def _parse_args(argv) -> argparse.Namespace:
         "(default: 0 = auto, roughly four pulls per worker)",
     )
     parser.add_argument(
-        "--no-warm-ship",
-        action="store_true",
-        help="do not ship the parent's pre-warmed compile-cache snapshot to "
-        "the workers; every worker then warms its own caches from scratch "
-        "(the cold-start benchmark baseline)",
-    )
-    parser.add_argument(
         "--corpus",
         default="",
         metavar="DIR",
@@ -96,13 +87,6 @@ def _parse_args(argv) -> argparse.Namespace:
         help="re-run a single scenario from its replay token instead of a suite",
     )
     parser.add_argument("--spec", action="store_true", help="with --replay: print the scenario spec JSON")
-    parser.add_argument(
-        "--cold",
-        action="store_true",
-        help="disable the per-worker compile caches (templates, script ASTs, "
-        "warm decision cache); every scenario then cold-starts, which is the "
-        "benchmark baseline",
-    )
     parser.add_argument(
         "--ast-walker",
         action="store_true",
@@ -139,19 +123,22 @@ def _parse_args(argv) -> argparse.Namespace:
         "then surface as degraded runs instead of being healed",
     )
     parser.add_argument(
-        "--crash-worker",
+        "--crash-chunk",
         action="append",
+        type=int,
         default=[],
-        metavar="W:N",
-        help="crash worker W at its N-th stolen chunk (1-based; repeatable); "
-        "the supervisor requeues the chunk and respawns a replacement -- the "
-        "merged report stays byte-identical to the serial run",
+        metavar="K",
+        help="crash whichever worker claims steal-queue chunk K (0-based; "
+        "repeatable; needs --workers > 1); the supervisor requeues the chunk "
+        "and respawns a replacement -- the merged report stays "
+        "byte-identical to the serial run",
     )
     parser.add_argument(
         "--bench-out",
-        default=DEFAULT_BENCH_OUT,
-        help="where suite runs write the throughput JSON "
-        f"(default: {DEFAULT_BENCH_OUT}; '' disables; unused with --replay)",
+        default="",
+        metavar="PATH",
+        help="write the suite's throughput JSON to PATH (default: no file; "
+        "unused with --replay)",
     )
     parser.add_argument("--json", action="store_true", help="print the full report as JSON")
     return parser.parse_args(argv)
@@ -170,7 +157,6 @@ def _replay_one(args: argparse.Namespace) -> int:
         print(json.dumps(scenario.to_dict(), indent=2, sort_keys=True))
     runner = ScenarioRunner(
         models=args.matrix,
-        compile_caches=not args.cold,
         script_engine="walker" if args.ast_walker else "vm",
         storage=args.backend,
     )
@@ -192,7 +178,7 @@ def main(argv=None) -> int:
         return _replay_one(args)
 
     faults = None
-    if args.faults > 0.0 or args.crash_worker:
+    if args.faults > 0.0:
         from repro.faults.plan import FaultConfig
 
         seed_text = args.fault_seed
@@ -201,16 +187,6 @@ def main(argv=None) -> int:
             rate=args.faults,
             retries=not args.no_fault_retries,
         )
-    crash_schedule: dict[int, int] | None = None
-    if args.crash_worker:
-        crash_schedule = {}
-        for spec in args.crash_worker:
-            worker_text, _, ordinal_text = spec.partition(":")
-            try:
-                crash_schedule[int(worker_text)] = int(ordinal_text)
-            except ValueError:
-                print(f"bad --crash-worker spec {spec!r} (expected W:N)", file=sys.stderr)
-                return 2
 
     # Suite runs always go through the sharded executor: with --workers 1 the
     # single shard runs in-process (no pool), so the serial and parallel code
@@ -223,13 +199,11 @@ def main(argv=None) -> int:
         workers=args.workers,
         corpus_dir=args.corpus or None,
         persist_failures=not args.no_corpus,
-        compile_caches=not args.cold,
         script_engine="walker" if args.ast_walker else "vm",
         storage=args.backend,
         steal_chunk=args.steal_chunk or None,
-        warm_ship=not args.no_warm_ship,
         faults=faults,
-        crash_schedule=crash_schedule,
+        crash_schedule=args.crash_chunk or None,
     )
     if args.json:
         print(json.dumps(result.as_dict(), indent=2, sort_keys=True))

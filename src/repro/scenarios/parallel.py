@@ -1,20 +1,18 @@
-"""Work-stealing parallel scenario execution with warm-state shipping.
+"""Work-stealing parallel scenario execution.
 
 The serial engine (:func:`repro.scenarios.engine.run_suite`) executes one
 scenario at a time in one process -- fine for a hundred scenarios, a ceiling
 for the ROADMAP's fuzzing-at-scale ambitions.  This module distributes the
-seeded index space over N worker processes and fixes the two defects the
-first sharded executor shipped with:
+seeded index space over N worker processes:
 
-* **N workers no longer pay N cold starts.**  The parent warms *one*
-  compile-cache stack (parsed DOM templates, script ASTs / bytecode,
-  policy-matrix mediation verdicts) via the ordinary
-  :class:`~repro.scenarios.runner.ScenarioRunner` warm-up, serialises it
-  with :func:`~repro.browser.compile_cache.dump_warm_state`, and ships the
-  snapshot to every worker -- which then starts warm, whatever the start
-  method.  ``warm_ship=False`` restores the cold-worker baseline (what the
-  benchmark's cold-start-amortization section measures).
-* **A slow shard no longer stalls the merge.**  Instead of owning a fixed
+* **Every worker builds its own runner, the way a serial run does.**  The
+  config sent to a worker is plain data (seed, apps, models, engine,
+  storage, fault config); the worker constructs a
+  :class:`~repro.scenarios.runner.ScenarioRunner` from it and the runner's
+  compile-cache stack warms lazily on the first scenario of each app.  One
+  construction path serves ``fork``, ``spawn`` and the in-process
+  single-worker run alike.
+* **A slow worker does not stall the merge.**  Instead of owning a fixed
   strided slice, workers *pull* contiguous index chunks from a shared queue
   until it runs dry (work stealing): a worker that lands expensive attack
   scenarios simply takes fewer chunks while its siblings drain the rest.
@@ -34,8 +32,8 @@ releases).  Under ``fork`` workers inherit runtime application / attack
 registrations; under ``spawn`` only import-time registrations exist, and an
 unknown attack name fails loudly in the worker rather than silently
 generating different scenarios (the parent snapshots its attack corpus into
-the shard config).  Everything crossing the process boundary is picklable:
-the config and warm-state bytes going out, plain-dict reports coming back.
+the shard config).  Everything crossing the process boundary is plain
+data: the config and index chunks going out, dict reports coming back.
 Failing specs are pinned into the regression corpus
 (:mod:`repro.scenarios.corpus`) from the parent process only (a single
 writer, so no file races between workers).
@@ -47,6 +45,7 @@ import multiprocessing
 import os
 import time
 import traceback
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from queue import Empty
 
@@ -125,16 +124,7 @@ def resolve_mp_context(name: str | None) -> str:
 
 
 def _build_worker_runner(config: dict) -> ScenarioRunner:
-    """One worker's runner: restored from the shipped warm state, or cold."""
-    warm_state = config.get("warm_state")
-    if warm_state is not None:
-        return ScenarioRunner.from_warm_snapshot(
-            warm_state,
-            models=tuple(config["models"]),
-            script_engine=config.get("script_engine", "vm"),
-            storage=config.get("storage", "dict"),
-            faults=config.get("faults"),
-        )
+    """One worker's runner; its cache stack warms lazily per app."""
     return ScenarioRunner(
         models=tuple(config["models"]),
         compile_caches=config.get("compile_caches", True),
@@ -215,8 +205,8 @@ def _steal_worker(worker_id: int, config: dict, task_queue, result_queue) -> Non
     """One pool worker: pull index chunks until the queue yields a sentinel.
 
     The generator / runner / oracle stack is built **once** and reused for
-    every stolen chunk, so cache warmth (shipped or self-accumulated)
-    spans the worker's whole lifetime.
+    every stolen chunk, so the cache warmth the worker accumulates spans
+    its whole lifetime.
 
     The per-chunk message protocol is what makes the executor *supervisable*:
     a ``claim`` message announces the chunk before any scenario runs, a
@@ -226,26 +216,29 @@ def _steal_worker(worker_id: int, config: dict, task_queue, result_queue) -> Non
     supervision loop requeues precisely those.  Any Python-level failure is
     reported back as an ``error`` entry instead of a silent empty report.
 
-    ``config["crash_schedule"]`` maps a worker id to a 1-based chunk ordinal
-    at which this worker fault-crashes (claim sent, chunk never reported) --
-    the fault plane's ``executor.worker`` site.
+    Queue items are ``(ordinal, indices)``: ``ordinal`` is the chunk's
+    position in :func:`steal_chunks`, or ``None`` for a requeued remainder.
+    Whichever worker claims a chunk whose ordinal is in
+    ``config["crash_chunks"]`` fault-crashes (claim sent, chunk never
+    reported) -- the fault plane's ``executor.worker`` site.  Keying the
+    crash on the chunk rather than on the worker makes the schedule
+    independent of steal timing.
     """
     try:
         start = time.perf_counter()
-        crash_at = (config.get("crash_schedule") or {}).get(worker_id)
+        crash_chunks = frozenset(config["crash_chunks"])
         generator = _build_worker_generator(config)
         runner = _build_worker_runner(config)
         oracle = DifferentialOracle()
-        chunks_claimed = 0
         while True:
-            chunk = task_queue.get()
-            if chunk is None:
+            item = task_queue.get()
+            if item is None:
                 break
-            chunks_claimed += 1
+            ordinal, chunk = item
             result_queue.put(
                 {"type": "claim", "worker": worker_id, "indices": list(chunk)}
             )
-            if crash_at is not None and chunks_claimed == crash_at:
+            if ordinal in crash_chunks:
                 # Injected mid-chunk crash.  Flush the queue feeder first so
                 # the claim above is guaranteed to reach the parent -- the
                 # supervision contract is "claimed but unreported", not
@@ -303,8 +296,6 @@ class ParallelSuiteResult(SuiteResult):
     workers: int = 1
     #: What the caller asked for, before clamping.
     requested_workers: int = 1
-    #: Whether workers started from the parent's shipped warm state.
-    warm_ship: bool = False
     #: Steal-queue chunk size (0 for the single-worker in-process path).
     steal_chunk: int = 0
     #: The pinned multiprocessing start method ("" for in-process runs).
@@ -322,7 +313,6 @@ class ParallelSuiteResult(SuiteResult):
         data = super().as_dict()
         data["workers"] = self.workers
         data["requested_workers"] = self.requested_workers
-        data["warm_ship"] = self.warm_ship
         data["steal_chunk"] = self.steal_chunk
         data["mp_start_method"] = self.mp_start_method
         data["respawns"] = self.respawns
@@ -385,10 +375,10 @@ def _supervise_pool(
     * every scenario index is reported **exactly once** -- a duplicate chunk
       report raises instead of silently double-counting a verdict;
     * a worker that dies between ``claim`` and ``chunk`` has exactly its
-      unreported claimed indices requeued, and a replacement worker is
-      spawned under a fresh id (outside any crash schedule, so an injected
-      cascade is bounded by construction) up to one respawn per original
-      worker;
+      unreported claimed indices requeued (without a chunk ordinal, so a
+      requeued remainder never crashes again and the crash count never
+      exceeds the schedule's length), and a replacement worker is spawned
+      under a fresh id, up to one respawn per original worker;
     * shutdown sentinels are enqueued only once *all* ``count`` indices have
       been reported, so a requeued chunk can never race a sentinel into a
       worker and starve.
@@ -475,7 +465,7 @@ def _supervise_pool(
             if lost is not None:
                 missing = [index for index in lost if index not in reported]
                 if missing:
-                    task_queue.put(missing)
+                    task_queue.put((None, missing))
             if len(reported) >= count:
                 continue  # all work already accounted for; no replacement
             if respawns < max_respawns:
@@ -531,24 +521,21 @@ def run_suite_parallel(
     script_engine: str = "vm",
     storage: str = "dict",
     steal_chunk: int | None = None,
-    warm_ship: bool = True,
     mp_context: str | None = None,
     faults=None,
-    crash_schedule: dict | None = None,
+    crash_schedule: Iterable[int] | None = None,
 ) -> ParallelSuiteResult:
     """Run ``count`` seeded scenarios over a work-stealing worker pool.
 
     The merged result's :meth:`~repro.scenarios.engine.SuiteResult.parity_dict`
     is byte-identical to a serial :func:`~repro.scenarios.engine.run_suite`
-    of the same seed range -- with stealing and warm shipping on, off, or
-    mixed.  Failing specs are pinned into the regression corpus
+    of the same seed range, whatever the worker count, chunk size or start
+    method.  Failing specs are pinned into the regression corpus
     (``corpus_dir``, defaulting to ``tests/scenarios/corpus/``) unless
     ``persist_failures`` is off.
 
     ``steal_chunk`` sets how many consecutive scenario indices one queue
     pull hands a worker (default: auto, ~4 pulls per worker).
-    ``warm_ship=False`` makes every worker warm its own caches from scratch
-    (the PR-5 behaviour, kept as the benchmark's cold-start baseline);
     ``compile_caches=False`` disables the cache stack entirely.
     ``mp_context`` pins the multiprocessing start method (default: ``fork``
     where available, else ``spawn``; see :func:`resolve_mp_context`).
@@ -556,10 +543,11 @@ def run_suite_parallel(
     ``faults`` (a :class:`~repro.faults.plan.FaultConfig` or its dict form)
     arms the fault-injection plane inside every worker; its ``worker`` rate
     derives a deterministic crash schedule unless ``crash_schedule`` pins
-    one explicitly (``{worker_id: 1-based chunk ordinal}``).  Crashed
-    workers are supervised: their claimed chunk is requeued and a
-    replacement is spawned, and the merged parity is still byte-identical
-    to the serial run.  Crash schedules need the pooled path -- with one
+    one explicitly: an iterable of 0-based chunk ordinals (positions in
+    :func:`steal_chunks`), where whichever worker claims a listed chunk
+    dies.  Crashed workers are supervised: their claimed chunk is requeued
+    and a replacement is spawned, and the merged parity is still
+    byte-identical to the serial run.  Crash schedules need the pooled path -- with one
     worker the run is in-process and the schedule is ignored.
     """
     requested = max(1, int(workers))
@@ -571,8 +559,6 @@ def run_suite_parallel(
     # from the identical vocabulary, runtime registrations included.
     generator = ScenarioGenerator(seed=seed, attack_ratio=attack_ratio)
     shard_count = max(1, min(requested, count))
-    if crash_schedule is None and faults is not None:
-        crash_schedule = faults.crash_schedule(shard_count)
     config = {
         "seed": generator.seed,
         "apps": generator.apps,
@@ -583,42 +569,38 @@ def run_suite_parallel(
         "script_engine": script_engine,
         "storage": storage,
         "faults": faults.to_dict() if faults is not None else None,
-        "crash_schedule": dict(crash_schedule) if crash_schedule else None,
     }
 
     start = time.perf_counter()
     respawns = 0
     crashed_workers: list[int] = []
     if shard_count == 1:
-        # One worker needs no pool (and nothing shipped): run the whole range
-        # in-process, through the exact same runner-construction code path
-        # the pooled workers take.
+        # One worker needs no pool: run the whole range in-process, through
+        # the exact same runner-construction code path the pooled workers
+        # take.
         chunk_size = 0
-        shipped = False
         start_method = ""
         reports = [_run_shard(dict(config, shard=0, indices=list(range(count))))]
     else:
         chunk_size = int(steal_chunk) if steal_chunk else default_steal_chunk(count, shard_count)
         if chunk_size < 1:
             raise ValueError("steal_chunk must be positive")
-        shipped = bool(compile_caches and warm_ship)
-        if shipped:
-            # Pay the warm-up exactly once, in the parent: index pages of
-            # every generated app, across the whole policy matrix.
-            warm_runner = ScenarioRunner(
-                models=model_names,
-                compile_caches=True,
-                script_engine=script_engine,
-                storage=storage,
+        chunks = steal_chunks(count, chunk_size)
+        if crash_schedule is None and faults is not None:
+            crash_schedule = faults.crash_schedule(shard_count, len(chunks))
+        crash_chunks = sorted(set(crash_schedule or ()))
+        if crash_chunks and not 0 <= crash_chunks[0] <= crash_chunks[-1] < len(chunks):
+            raise ValueError(
+                f"crash chunk ordinals {crash_chunks} out of range: the steal "
+                f"queue holds chunks 0..{len(chunks) - 1}"
             )
-            warm_runner.warm_for(generator.apps)
-            config["warm_state"] = warm_runner.warm_snapshot()
+        config["crash_chunks"] = crash_chunks
         start_method = resolve_mp_context(mp_context)
         ctx = multiprocessing.get_context(start_method)
         task_queue = ctx.Queue()
         result_queue = ctx.Queue()
-        for chunk in steal_chunks(count, chunk_size):
-            task_queue.put(chunk)
+        for ordinal, chunk in enumerate(chunks):
+            task_queue.put((ordinal, chunk))
         # NB: no shutdown sentinels yet -- the supervision loop enqueues them
         # only after every scenario index has been reported, so a chunk
         # requeued after a worker crash can never lose the race to one.
@@ -652,7 +634,6 @@ def run_suite_parallel(
         attack_ratio=generator.attack_ratio,
         workers=shard_count,
         requested_workers=requested,
-        warm_ship=shipped,
         steal_chunk=chunk_size,
         mp_start_method=start_method,
         respawns=respawns,

@@ -15,11 +15,10 @@ chains, never on the nodes.  Parse *errors* are memoised too -- a scenario
 that replays a syntactically broken payload should not re-lex it a hundred
 times just to rediscover the same :class:`ParseError`.
 
-Both caches are process-portable: entries are plain ASTs / code objects /
-exceptions with no handles on the owning process, so a warmed cache can be
-pickled into a warm-state snapshot and shipped to worker processes (see
+Entries are plain ASTs / code objects / exceptions with no handles on the
+owning process; each worker process warms its own caches (see
 :mod:`repro.browser.compile_cache`).  :meth:`~ScriptAstCache.reset_counters`
-is the restore side's hook for starting per-worker telemetry cold.
+restarts the telemetry while keeping the entries warm.
 """
 
 from __future__ import annotations
@@ -101,9 +100,9 @@ class ScriptAstCache:
     def reset_counters(self) -> None:
         """Zero the hit/miss counters, keeping every entry.
 
-        Part of the warm-snapshot protocol: a worker restoring a shipped
-        cache starts its *telemetry* cold (so per-worker hit rates describe
-        that worker's own traffic) while the entries stay warm.
+        A measurement over an already-warm cache starts its *telemetry*
+        cold (so the hit rate describes the measured traffic only) while
+        the entries stay warm.
         """
         self.hits = 0
         self.misses = 0

@@ -99,6 +99,16 @@ def test_suppression_comment_silences_one_line(bad_tree):
     assert {rule.rule_id for rule in ALL_RULES} - fired == {"determinism"}
 
 
+def test_pickle_is_banned_in_the_compile_cache_module(tmp_path):
+    browser = tmp_path / "browser"
+    browser.mkdir()
+    target = browser / "compile_cache.py"
+    target.write_text("import pickle\n", encoding="utf-8")
+    violations = lint_paths([target])
+    assert [violation.rule for violation in violations] == ["pickle-confinement"]
+    assert "import pickle" in str(violations[0])
+
+
 def test_syntax_error_is_reported_not_raised(tmp_path):
     broken = tmp_path / "broken.py"
     broken.write_text("def nope(:\n", encoding="utf-8")

@@ -350,59 +350,3 @@ class TestBrowserIntegration:
         assert serialize(second.page.document) == serialize(cold.page.document)
         assert warm_browser.caches.templates.hits >= 1
 
-
-class TestWarmStateSchema:
-    """The shipped warm-state snapshot fails loudly instead of unpickling
-    garbage: magic header, version stamp, payload integrity."""
-
-    @staticmethod
-    def _dump():
-        from repro.browser.compile_cache import dump_warm_state
-
-        return dump_warm_state(
-            CompileCaches.build(), nonce_secret="s3cret", warmed_apps=("forum",)
-        )
-
-    def test_round_trip_restores_secret_and_warmed_apps(self):
-        from repro.browser.compile_cache import load_warm_state
-
-        state = load_warm_state(self._dump())
-        assert state.nonce_secret == "s3cret"
-        assert state.warmed_apps == ("forum",)
-        assert state.caches.templates is not None
-
-    def test_payload_without_magic_is_rejected(self):
-        from repro.browser.compile_cache import WarmStateError, load_warm_state
-
-        with pytest.raises(WarmStateError, match="no schema header"):
-            load_warm_state(b"\x80\x04definitely-not-a-snapshot")
-
-    def test_stale_schema_version_is_rejected(self):
-        from repro.browser.compile_cache import WarmStateError, load_warm_state
-
-        data = self._dump()
-        _, _, payload = data.partition(b"\n")
-        with pytest.raises(WarmStateError, match="schema mismatch.*v99"):
-            load_warm_state(b"REPRO-WARM:99\n" + payload)
-
-    def test_truncated_header_is_rejected(self):
-        from repro.browser.compile_cache import WarmStateError, load_warm_state
-
-        with pytest.raises(WarmStateError, match="truncated"):
-            load_warm_state(b"REPRO-WARM:1")
-
-    def test_truncated_payload_is_rejected(self):
-        from repro.browser.compile_cache import WarmStateError, load_warm_state
-
-        data = self._dump()
-        with pytest.raises(WarmStateError, match="truncated or corrupt"):
-            load_warm_state(data[: len(data) // 2])
-
-    def test_wrong_object_type_is_rejected(self):
-        import pickle
-
-        from repro.browser.compile_cache import WarmStateError, load_warm_state
-
-        payload = b"REPRO-WARM:1\n" + pickle.dumps({"not": "a WarmState"})
-        with pytest.raises(WarmStateError, match="expected WarmState"):
-            load_warm_state(payload)

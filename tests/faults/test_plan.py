@@ -111,25 +111,28 @@ class TestConfig:
 
 class TestCrashSchedule:
     def test_zero_worker_rate_schedules_nothing(self):
-        assert FaultConfig.uniform(seed=1, rate=0.5).crash_schedule(4) == {}
+        assert FaultConfig.uniform(seed=1, rate=0.5).crash_schedule(4, 16) == ()
 
-    def test_deterministic_and_bounded(self):
+    def test_deterministic_and_within_the_chunk_count(self):
         config = FaultConfig(seed=13, worker=0.9)
-        schedule = config.crash_schedule(4)
-        assert schedule == config.crash_schedule(4)
+        schedule = config.crash_schedule(4, 16)
+        assert schedule == config.crash_schedule(4, 16)
         assert schedule, "a 0.9 worker rate should schedule at least one crash"
-        assert all(ordinal >= 1 for ordinal in schedule.values())
-        assert all(0 <= worker < 4 for worker in schedule)
+        assert list(schedule) == sorted(set(schedule))
+        assert all(0 <= ordinal < 16 for ordinal in schedule)
 
     def test_never_schedules_the_whole_pool(self):
-        # Even at rate 1.0 one worker must survive (SITE_WORKER models a
-        # worker fault, not a cluster outage).
+        # Even at rate 1.0 at most workers - 1 chunks crash (SITE_WORKER
+        # models a worker fault, not a cluster outage).
         for workers in (2, 3, 5):
-            schedule = FaultConfig(seed=13, worker=1.0).crash_schedule(workers)
-            assert len(schedule) < workers
+            schedule = FaultConfig(seed=13, worker=1.0).crash_schedule(workers, 20)
+            assert 1 <= len(schedule) <= workers - 1
 
     def test_single_worker_pools_are_never_crashed(self):
-        assert FaultConfig(seed=13, worker=1.0).crash_schedule(1) == {}
+        assert FaultConfig(seed=13, worker=1.0).crash_schedule(1, 8) == ()
+
+    def test_empty_queue_is_never_crashed(self):
+        assert FaultConfig(seed=13, worker=1.0).crash_schedule(3, 0) == ()
 
 
 class TestStats:

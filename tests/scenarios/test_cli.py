@@ -38,7 +38,6 @@ class TestSuiteRuns:
                 "--matrix", "sop,none",
                 "--workers", "2",
                 "--corpus", str(corpus),
-                "--bench-out", "",
             ]
         )
         assert rc == 1
@@ -55,37 +54,56 @@ class TestSuiteRuns:
                 "--matrix", "sop,none",
                 "--no-corpus",
                 "--corpus", str(corpus),
-                "--bench-out", "",
             ]
         )
         assert rc == 1
         assert not corpus.exists()
 
     def test_json_report_mode(self, tmp_path, capsys):
-        rc = main(["--seed", "42", "--count", "2", "--json", "--bench-out", ""])
+        rc = main(["--seed", "42", "--count", "2", "--json"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 2
 
-    def test_steal_chunk_and_no_warm_ship_flags(self, capsys):
+    def test_default_run_writes_no_bench_artifact(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["--seed", "42", "--count", "2", "--no-corpus"])
+        assert rc == 0
+        assert "throughput report written" not in capsys.readouterr().out
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_steal_chunk_flag(self, capsys):
         rc = main(
             [
                 "--seed", "42",
                 "--count", "4",
                 "--workers", "2",
                 "--steal-chunk", "1",
-                "--no-warm-ship",
                 "--no-corpus",
                 "--json",
-                "--bench-out", "",
             ]
         )
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["steal_chunk"] == 1
-        assert payload["warm_ship"] is False
         # Four single-index chunks were pulled across the two workers.
         assert sum(shard["chunks_stolen"] for shard in payload["shards"]) == 4
+
+    def test_crash_chunk_flag_recovers(self, capsys):
+        rc = main(
+            [
+                "--seed", "7",
+                "--count", "6",
+                "--workers", "2",
+                "--crash-chunk", "1",
+                "--no-corpus",
+                "--json",
+            ]
+        )
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["respawns"] == 1
+        assert len(payload["crashed_workers"]) == 1
 
 
 class TestReplay:

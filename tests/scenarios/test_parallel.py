@@ -16,9 +16,9 @@ import multiprocessing
 
 import pytest
 
+from repro.faults.plan import FaultConfig
 from repro.scenarios import (
     ScenarioGenerator,
-    ScenarioRunner,
     default_steal_chunk,
     load_corpus,
     partition_indices,
@@ -30,7 +30,8 @@ from repro.scenarios import (
 from repro.scenarios.engine import SuiteResult
 from repro.scenarios.model import canonical_spec_json
 from repro.scenarios.oracle import Verdict
-from repro.scenarios.parallel import _verdict_entries
+from repro.scenarios.parallel import _build_worker_runner, _verdict_entries
+from repro.scenarios.runner import ScenarioRunner
 
 SEED = 42
 ATTACK_RATIO = 0.25
@@ -177,14 +178,13 @@ class TestSerialParallelParity:
         assert len(data["shards"]) == 2
         # The work-stealing executor's knobs are part of the payload.
         assert data["requested_workers"] == 2
-        assert data["warm_ship"] is True
         assert data["steal_chunk"] >= 1
         assert data["mp_start_method"] in multiprocessing.get_all_start_methods()
         json.dumps(data)  # the payload must stay JSON-serialisable
 
 
 class TestWorkStealing:
-    """The steal queue and warm shipping never change the merged report."""
+    """The steal queue and the start method never change the merged report."""
 
     def test_fine_grained_stealing_matches_serial(self):
         """steal_chunk=1 maximises queue contention; parity must survive it."""
@@ -224,22 +224,6 @@ class TestWorkStealing:
             runs[1].parity_dict()
         )
 
-    def test_cold_workers_match_warm_shipped(self):
-        """warm_ship only moves cache warm-up, never outcomes."""
-        warm = run_suite_parallel(
-            seed=SEED, count=12, attack_ratio=ATTACK_RATIO, workers=2,
-            warm_ship=True, persist_failures=False,
-        )
-        cold = run_suite_parallel(
-            seed=SEED, count=12, attack_ratio=ATTACK_RATIO, workers=2,
-            warm_ship=False, persist_failures=False,
-        )
-        assert warm.warm_ship is True
-        assert cold.warm_ship is False
-        assert canonical_spec_json(warm.parity_dict()) == canonical_spec_json(
-            cold.parity_dict()
-        )
-
     def test_empty_suite_is_ok(self):
         result = run_suite_parallel(
             seed=SEED, count=0, attack_ratio=ATTACK_RATIO, workers=4,
@@ -266,9 +250,9 @@ class TestWorkStealing:
     def test_spawn_context_parity(self):
         """Pinning spawn must reproduce the serial report (no fork-only state).
 
-        Under spawn the worker re-imports the package from scratch, so this
-        regresses the old fork-only assumptions: the warm snapshot (and its
-        policy cache tokens) must restore cleanly in a fresh interpreter.
+        Under spawn the worker re-imports the package from scratch and
+        builds its runner from the plain-data config alone, so this
+        regresses any fork-only assumption.
         """
         serial = run_suite(seed=SEED, count=6, attack_ratio=ATTACK_RATIO)
         sharded = run_suite_parallel(
@@ -283,6 +267,88 @@ class TestWorkStealing:
         assert canonical_spec_json(sharded.parity_dict()) == canonical_spec_json(
             serial.parity_dict()
         )
+
+    def test_cacheless_workers_match_serial(self):
+        """``compile_caches=False`` workers reproduce the cached serial report."""
+        serial = run_suite(seed=SEED, count=8, attack_ratio=ATTACK_RATIO)
+        cacheless = run_suite_parallel(
+            seed=SEED,
+            count=8,
+            attack_ratio=ATTACK_RATIO,
+            workers=2,
+            compile_caches=False,
+            persist_failures=False,
+        )
+        assert all(stat["compile_cache"] is None for stat in cacheless.shard_stats)
+        assert canonical_spec_json(cacheless.parity_dict()) == canonical_spec_json(
+            serial.parity_dict()
+        )
+
+
+class TestWorkerRunner:
+    """Workers build their runner from plain data and warm it lazily."""
+
+    def test_worker_config_is_plain_data(self, monkeypatch):
+        """A JSON round trip of the worker config loses nothing a worker needs."""
+        import repro.scenarios.parallel as parallel_mod
+
+        real_run_shard = parallel_mod._run_shard
+        shipped = []
+
+        def round_trip(config):
+            shipped.append(config)
+            return real_run_shard(json.loads(json.dumps(config)))
+
+        monkeypatch.setattr(parallel_mod, "_run_shard", round_trip)
+        faults = FaultConfig.uniform(seed=7, rate=0.2)
+        result = run_suite_parallel(
+            seed=SEED,
+            count=5,
+            attack_ratio=ATTACK_RATIO,
+            workers=1,
+            faults=faults,
+            persist_failures=False,
+        )
+        assert len(shipped) == 1
+        assert not any(isinstance(value, bytes) for value in shipped[0].values())
+        serial = run_suite(seed=SEED, count=5, attack_ratio=ATTACK_RATIO, faults=faults)
+        assert canonical_spec_json(result.parity_dict()) == canonical_spec_json(
+            serial.parity_dict()
+        )
+
+    def test_worker_runner_starts_cold_and_warms_on_first_scenario(self):
+        runner = _build_worker_runner({"models": ("escudo", "sop", "none")})
+        assert runner._warmed_apps == set()
+        assert runner.caches.as_dict()["templates"]["size"] == 0
+        scenario = ScenarioGenerator(seed=SEED, attack_ratio=ATTACK_RATIO).scenario(0)
+        runner.run(scenario)
+        assert runner._warmed_apps == {scenario.app_key}
+        assert runner.caches.as_dict()["templates"]["size"] > 0
+
+    def test_warm_for_is_idempotent_and_inert_without_caches(self):
+        runner = ScenarioRunner()
+        runner.warm_for(("phpbb",))
+        warmed = runner.caches.as_dict()["templates"]["size"]
+        assert warmed > 0
+        runner.warm_for(("phpbb",))
+        assert runner.caches.as_dict()["templates"]["size"] == warmed
+        cacheless = ScenarioRunner(compile_caches=False)
+        cacheless.warm_for(("phpbb",))
+        assert cacheless._warmed_apps == set()
+
+    def test_lazy_warm_up_matches_pre_warmed_runner(self):
+        """Warming up front (``warm_for``) and on demand give the same report."""
+        pre_warmed = ScenarioRunner()
+        pre_warmed.warm_for(ScenarioGenerator(seed=SEED, attack_ratio=ATTACK_RATIO).apps)
+        reports = [
+            run_suite(
+                generator=ScenarioGenerator(seed=SEED, attack_ratio=ATTACK_RATIO),
+                runner=runner,
+                count=10,
+            ).parity_dict()
+            for runner in (ScenarioRunner(), pre_warmed)
+        ]
+        assert canonical_spec_json(reports[0]) == canonical_spec_json(reports[1])
 
 
 class TestVerdictAccounting:
@@ -329,32 +395,6 @@ class TestVerdictAccounting:
             run_suite_parallel(
                 seed=SEED, count=3, attack_ratio=0.0, workers=1, persist_failures=False
             )
-
-
-class TestWarmSnapshot:
-    """The parent's warm state restores byte-compatibly in a fresh runner."""
-
-    def test_round_trip_preserves_entries_and_nonce_secret(self):
-        generator = ScenarioGenerator(seed=SEED, attack_ratio=ATTACK_RATIO)
-        runner = ScenarioRunner()
-        runner.warm_for(generator.apps)
-        snapshot = runner.warm_snapshot()
-        assert isinstance(snapshot, bytes) and snapshot
-
-        restored = ScenarioRunner.from_warm_snapshot(snapshot)
-        assert restored._nonce_secret == runner._nonce_secret
-        layers = restored.caches.as_dict()
-        # The parsed templates travelled; the counters did not (a restored
-        # worker's hit rate must describe its own traffic only).
-        assert layers["templates"]["size"] > 0
-        for layer in ("templates", "scripts", "code", "decisions"):
-            assert layers[layer]["hits"] == 0
-            assert layers[layer]["misses"] == 0
-
-    def test_snapshot_requires_compile_caches(self):
-        runner = ScenarioRunner(compile_caches=False)
-        with pytest.raises(ValueError):
-            runner.warm_snapshot()
 
 
 class TestFailurePersistence:

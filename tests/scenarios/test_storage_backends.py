@@ -81,7 +81,6 @@ class TestCliBackendFlag:
                 "--backend", "sqlite",
                 "--no-corpus",
                 "--corpus", str(tmp_path / "corpus"),
-                "--bench-out", "",
             ]
         )
         assert rc == 0
