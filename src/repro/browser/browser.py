@@ -336,15 +336,13 @@ class Browser:
     def _fetch_subresources(self, page: Page) -> list[str]:
         """Fetch ``img``/``iframe``/``embed`` targets (HTTP-request principals).
 
-        One tree walk collects all subresource tags (grouped per tag so the
-        fetch order of the old per-tag sweeps is preserved).
+        The tag lists are read from the document's load manifest up front
+        (grouped per tag, in document order), so a page served from the
+        template cache issues its requests without walking the DOM.
         """
         fetched: list[str] = []
-        by_tag: dict[str, list] = {tag: [] for tag in SUBRESOURCE_TAGS}
-        for element in page.document.elements():
-            bucket = by_tag.get(element.tag_name)
-            if bucket is not None:
-                bucket.append(element)
+        document = page.document
+        by_tag = {tag: document.get_elements_by_tag_name(tag) for tag in SUBRESOURCE_TAGS}
         for tag in SUBRESOURCE_TAGS:
             for element in by_tag[tag]:
                 src = element.get_attribute("src")
@@ -534,14 +532,6 @@ class Browser:
 
 
 def _page_title(page: Page) -> str:
-    # <title> lives in <head>; scanning just the head subtree avoids a
-    # whole-document walk on every load.  Malformed markup (no head, or a
-    # title stranded outside it) falls back to the full scan.
-    head = page.document.head
-    if head is not None:
-        titles = head.get_elements_by_tag_name("title")
-        if titles:
-            return titles[0].text_content
     titles = page.document.get_elements_by_tag_name("title")
     return titles[0].text_content if titles else ""
 

@@ -18,7 +18,11 @@ through the scenario runner, across whole scenarios):
   per template, so a warm load skips tokenising, tree construction,
   labelling *and* layout.  The pristine trees are never handed out -- every
   consumer gets an aliasing-free clone, so page mutations cannot poison the
-  cache or leak into sibling loads.
+  cache or leak into sibling loads.  Each clone carries a
+  :class:`~repro.dom.document.LoadManifest`: its own node list plus the tag,
+  id and parent indexes it shares with the labelled pristine variant, so the
+  load-time queries (scripts, subresources, ``getElementById``) are computed
+  once per variant and never re-walk a served page.
 * :class:`~repro.scripting.cache.ScriptAstCache` -- the MiniScript front end
   memoised on source digest (re-exported here as part of the stack).
 * A shared :class:`~repro.core.cache.DecisionCache` -- pages constructed
@@ -170,8 +174,10 @@ class TemplateCache:
         The labelling pass runs once per distinct configuration fingerprint;
         every page load gets a fresh clone of the labelled pristine tree
         (security contexts are frozen values, so clones share them safely)
-        and a fresh copy of the stats.  The origin is implied by the template
-        key's URL, so it does not appear in the variant key.
+        and a fresh copy of the stats.  Labelling never changes the tree's
+        shape, so the variant and all its clones share one manifest shape.
+        The origin is implied by the template key's URL, so it does not
+        appear in the variant key.
         """
         variant_key = (configuration.fingerprint(), escudo_enabled, enforce_scoping)
         variant = template.variants.get(variant_key)

@@ -49,8 +49,12 @@ class Element(Node):
                 self._attributes[str(name).lower()] = str(value)
         self._security_context: SecurityContext | None = None
 
-    def _clone_shallow(self) -> "Element":
-        clone = super()._clone_shallow()
+    def _clone_shallow(self, owner, parent) -> "Element":
+        cls = type(self)
+        clone = cls.__new__(cls)
+        clone.parent = parent
+        clone.children = []
+        clone.owner_document = owner
         clone.tag_name = self.tag_name
         clone._attributes = dict(self._attributes)
         # Security contexts are frozen values, so sharing the reference keeps

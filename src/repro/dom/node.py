@@ -35,17 +35,21 @@ class Node:
     # -- structure ----------------------------------------------------------------
 
     def _note_tree_change(self) -> None:
-        """Invalidate the owning document's ``getElementById`` index.
+        """Drop the owning document's load manifest.
 
-        ``owner_document`` is authoritative for attached nodes (adoption
-        re-owns whole subtrees, see :meth:`_adopt`), so invalidation is one
-        attribute check.  Mutations on a detached subtree conservatively
-        invalidate the owning document too -- harmless over-invalidation,
-        and free while the index is unbuilt.
+        This is the manifest's single invalidation point: structural
+        mutations and ``id`` attribute writes call it, and the next
+        manifest query rebuilds the index in one walk.  ``owner_document``
+        is authoritative for attached nodes (adoption re-owns whole
+        subtrees, see :meth:`_adopt`), so invalidation is one attribute
+        check -- which matters because the parser appends through this
+        hook.  Mutations on a detached subtree conservatively invalidate the
+        owning document too -- harmless over-invalidation, and free while
+        the manifest is unbuilt.
         """
         owner = self.owner_document
-        if owner is not None and owner._id_index is not None:  # type: ignore[attr-defined]
-            owner._id_index = None  # type: ignore[attr-defined]
+        if owner is not None and owner._manifest is not None:  # type: ignore[attr-defined]
+            owner._manifest = None  # type: ignore[attr-defined]
 
     def _adopt(self, child: "Node") -> None:
         """Point ``child`` (and, when it moves documents, its whole subtree)
@@ -118,50 +122,23 @@ class Node:
 
     # -- cloning ------------------------------------------------------------------
 
-    def _clone_shallow(self) -> "Node":
-        """A detached copy of this node without its children.
+    def _clone_shallow(self, owner, parent) -> "Node":
+        """A copy of this node without its children, owned by ``owner`` and
+        pointing at ``parent`` (the caller links it into ``parent.children``).
 
         Subclasses copy their own payload (text data, attributes).  The copy
-        bypasses ``__init__``: cloning is the template cache's hot path, and
-        the structural fields are re-established directly.
+        bypasses ``__init__`` and subclasses inline the structural fields
+        instead of chaining through ``super()``: cloning is the template
+        cache's per-page-load hot path (see
+        :meth:`Document.clone <repro.dom.document.Document.clone>`), and the
+        extra call costs as much as the copy itself.
         """
-        clone = type(self).__new__(type(self))
-        clone.parent = None
+        cls = type(self)
+        clone = cls.__new__(cls)
+        clone.parent = parent
         clone.children = []
-        clone.owner_document = None
+        clone.owner_document = owner
         return clone
-
-    def clone(self, *, owner=None) -> "Node":
-        """Deep structural copy of this subtree.
-
-        The clone shares **no mutable state** with the original: child lists,
-        attribute maps and text payloads are fresh objects, so mutating one
-        tree can never leak into the other (the aliasing-free guarantee the
-        HTML template cache relies on).  Immutable values -- strings and
-        frozen :class:`~repro.core.context.SecurityContext` instances -- are
-        shared by reference.  ``owner`` becomes the ``owner_document`` of
-        every node in the copied subtree.
-
-        Iterative (explicit work stack): cloning is the template cache's
-        per-page-load hot path, and a recursive clone pays one Python frame
-        per node per tree level.
-        """
-        copy = self._clone_shallow()
-        copy.owner_document = owner
-        stack = [(self, copy)]
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            source, target = pop()
-            target_children = target.children
-            for child in source.children:
-                child_copy = child._clone_shallow()
-                child_copy.owner_document = owner
-                child_copy.parent = target
-                target_children.append(child_copy)
-                if child.children:
-                    push((child, child_copy))
-        return copy
 
     # -- traversal -------------------------------------------------------------------
 
@@ -242,8 +219,12 @@ class TextNode(Node):
         super().__init__()
         self.data = data
 
-    def _clone_shallow(self) -> "TextNode":
-        clone = super()._clone_shallow()
+    def _clone_shallow(self, owner, parent) -> "TextNode":
+        cls = type(self)
+        clone = cls.__new__(cls)
+        clone.parent = parent
+        clone.children = []
+        clone.owner_document = owner
         clone.data = self.data
         return clone
 
@@ -265,10 +246,8 @@ class CommentNode(Node):
         super().__init__()
         self.data = data
 
-    def _clone_shallow(self) -> "CommentNode":
-        clone = super()._clone_shallow()
-        clone.data = self.data
-        return clone
+    # Same payload as a text node.
+    _clone_shallow = TextNode._clone_shallow
 
     @property
     def text_content(self) -> str:

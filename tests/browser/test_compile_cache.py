@@ -9,11 +9,15 @@ session/state keying.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.browser.compile_cache import CompileCaches, TemplateCache
 from repro.browser.loader import LoaderOptions, load_page
 from repro.core.config import PageConfiguration
+from repro.dom.document import Document
+from repro.dom.node import Node
 from repro.html.serializer import serialize
 from repro.http.messages import HttpRequest, HttpResponse
 from repro.http.network import Network
@@ -350,3 +354,65 @@ class TestBrowserIntegration:
         assert serialize(second.page.document) == serialize(cold.page.document)
         assert warm_browser.caches.templates.hits >= 1
 
+
+
+#: A page whose load exercises every manifest consumer: the title, a script
+#: (which queries by id), an ``img`` subresource and a form submitted by id.
+PRINCIPALS_BODY = (
+    "<html><head><title>principals</title></head><body>"
+    "<script>var form = document.getElementById('f');</script>"
+    '<img src="/pixel.png">'
+    '<form id="f" method="POST" action="/submit"><input name="q" value="1"></form>'
+    "</body></html>"
+)
+
+
+class _PrincipalsApp:
+    def handle_request(self, request: HttpRequest) -> HttpResponse:
+        return HttpResponse(status=200, body=PRINCIPALS_BODY)
+
+
+class TestWarmLoadsDoNotWalkTheDocument:
+    def test_warm_load_and_form_submit_make_no_whole_document_walk(self):
+        from repro.browser.browser import Browser
+
+        network = Network()
+        network.register(ORIGIN, _PrincipalsApp())
+        browser = Browser(network, model="escudo", caches=CompileCaches.build())
+        browser.load(f"{ORIGIN}/")  # fills the template cache
+
+        # Every whole-document sweep -- elements(), a manifest rebuild --
+        # goes through Document.descendants.
+        with mock.patch.object(
+            Node, "descendants", autospec=True, side_effect=Node.descendants
+        ) as walks:
+            loaded = browser.load(f"{ORIGIN}/")
+            response = browser.submit_form(loaded, "f")
+
+        whole_document_walks = [
+            call for call in walks.call_args_list if isinstance(call.args[0], Document)
+        ]
+        assert whole_document_walks == []
+        # The load really did the work the manifest served.
+        assert loaded.subresource_requests == [f"{ORIGIN}/pixel.png"]
+        assert [run.succeeded for run in loaded.page.script_runs] == [True]
+        assert browser.history.entries[-1].title == "principals"
+        assert response.status == 200
+
+
+class TestPageTitle:
+    def test_title_stranded_outside_head_is_found(self):
+        from repro.browser.browser import Browser
+
+        class _StrandedTitleApp:
+            def handle_request(self, request: HttpRequest) -> HttpResponse:
+                return HttpResponse(
+                    status=200,
+                    body="<html><head></head><body><title>stranded</title></body></html>",
+                )
+
+        network = Network()
+        network.register(ORIGIN, _StrandedTitleApp())
+        browser = Browser(network, model="escudo", caches=CompileCaches.build())
+        browser.load(f"{ORIGIN}/")
+        assert browser.history.entries[-1].title == "stranded"
