@@ -3,8 +3,9 @@
 Seeds a phpBB board with ``REPRO_STORAGE_USERS`` users and
 ``REPRO_STORAGE_POSTS`` posts (1M / 100k by default -- the ROADMAP's
 realistic-scale target) on both the dict and SQLite backends, measures
-bulk-seed throughput and p50/p99 page-load latency over the seeded board,
-runs the differential scenario engine on each backend, and writes
+bulk-seed throughput, p50/p99 page-load latency and the mixed
+reply/read/read-after-write p50s over the seeded board, runs the
+differential scenario engine on each backend, and writes
 ``benchmarks/results/BENCH_storage.json``.  The CI ``storage`` job runs a
 scaled-down smoke (10k users) through the same code path and uploads the
 artifact.
@@ -48,6 +49,7 @@ def test_storage_tier_scale(benchmark, report_writer):
         entry = report["backends"][kind]
         assert entry["bulk_seed"]["rows"] == USERS + TOPICS + POSTS
         assert entry["page_load_ms"]["p99_ms"] >= entry["page_load_ms"]["p50_ms"]
+        assert entry["mixed"]["rounds"] == PAGE_LOADS
     assert report["backends"]["sqlite"]["db_bytes"] > 0
     assert report["scenarios"]["dict"]["ok"] and report["scenarios"]["sqlite"]["ok"]
     assert report["scenarios"]["digest_parity"], (
@@ -55,4 +57,5 @@ def test_storage_tier_scale(benchmark, report_writer):
     )
 
     path = write_storage_report(report, RESULTS_DIR / STORAGE_RESULTS_NAME)
-    report_writer("storage_tier", format_storage_report(report) + f"\n[json artifact: {path}]")
+    artifact = path.relative_to(RESULTS_DIR.parent.parent)
+    report_writer("storage_tier", format_storage_report(report) + f"\n[json artifact: {artifact}]")

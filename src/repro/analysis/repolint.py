@@ -11,9 +11,9 @@ Rule catalogue (ids are what suppressions name):
 ``webapps-touch-state``
     Every POST route handler in ``repro.webapps`` must (transitively, via
     module-local ``self.*`` calls) either advance the content generation
-    (``touch_state`` / storage mutators ``insert``/``update``/``delete``/
-    ``bump``) or mutate the session tier (``login``/``logout``/
-    ``sessions.create``/``sessions.destroy``).  A mutator that does neither
+    (storage mutators ``insert``/``update``/``delete``/``bump``) or mutate
+    the session tier (``login``/``logout``/``sessions.create``/
+    ``sessions.destroy``).  A mutator that does neither
     serves stale memoised responses.
 ``cache-reset-counters``
     Every class named ``*Cache`` must define ``reset_counters`` -- zeroing
@@ -65,7 +65,7 @@ STORAGE_MUTATORS = {"insert", "update", "delete", "bump", "seed"}
 SESSION_MUTATORS = {"create", "destroy"}
 
 #: ``self.<name>(...)`` calls that count as state mutation directly.
-SELF_MUTATORS = {"touch_state", "login", "logout"}
+SELF_MUTATORS = {"login", "logout"}
 
 _SUPPRESS_RE = re.compile(r"#\s*repolint:\s*allow\[([a-z0-9-]+)\]")
 
@@ -138,7 +138,7 @@ class WebappsTouchStateRule(Rule):
                         path,
                         method,
                         f"POST handler {class_def.name}.{handler_name} never calls "
-                        "touch_state()/login()/logout() or a storage/session mutator "
+                        "login()/logout() or a storage/session mutator "
                         "-- memoised responses will go stale",
                     )
                 )

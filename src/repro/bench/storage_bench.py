@@ -8,9 +8,12 @@ what the paper's experiments care about at that scale:
 
 * **bulk-seed throughput** (rows/second) per backend;
 * **page-load latency** (p50/p99/mean milliseconds) for the index and
-  topic pages over the seeded board -- the first request after seeding pays
-  the content-view materialisation, so it is reported separately as the
-  warm-up cost;
+  topic pages over the seeded board;
+* **mixed read/write latency** (p50 milliseconds): replies posted through
+  ``POST /posting`` interleaved with loads of the replied-to topic page,
+  both right after the write and again with no write in between -- the
+  write path and the read that follows it must cost about what a plain
+  read costs, however large the board;
 * **scenario throughput** (scenarios/second) of the differential engine on
   each backend, plus the digest-parity bit the storage tier must preserve.
 
@@ -99,16 +102,48 @@ def _page_loads(app, *, topics: int, loads: int) -> dict:
         assert response.status == 200, f"GET {path} -> {response.status}"
         return elapsed
 
-    # The first request after bulk seeding materialises the content view
-    # over every row -- the dominant cold cost, reported separately.
-    warm_ms = load("/")
     samples = sorted(load(paths[n % len(paths)]) for n in range(loads))
     return {
         "loads": loads,
-        "warmup_ms": round(warm_ms, 3),
         "p50_ms": round(_percentile(samples, 0.50), 3),
         "p99_ms": round(_percentile(samples, 0.99), 3),
         "mean_ms": round(sum(samples) / len(samples), 3),
+    }
+
+
+def _mixed(app, *, topics: int, rounds: int) -> dict:
+    """Reply to seeded topics, reading each topic page after every write.
+
+    Each round posts one reply through ``POST /posting`` as a logged-in
+    user, loads that topic's page straight after the write (read after
+    write), and loads it once more with no write in between (read).
+    """
+    from repro.http.messages import HttpRequest
+
+    session = app.sessions.create("bench-writer")
+    cookie = f"{app.session_cookie_name}={session.session_id}"
+
+    def timed(request: HttpRequest) -> float:
+        request.attach_cookie_header(cookie)
+        start = time.perf_counter()
+        response = app.handle_request(request)
+        elapsed = (time.perf_counter() - start) * 1000.0
+        assert response.status < 400, f"{request.method} {request.url} -> {response.status}"
+        return elapsed
+
+    reply, after_write, read = [], [], []
+    for n in range(rounds):
+        topic_id = TOPIC_ID_BASE + n % max(1, topics)
+        page = f"{app.origin}/viewtopic?t={topic_id}"
+        form = {"mode": "reply", "t": str(topic_id), "message": f"mixed reply {n}"}
+        reply.append(timed(HttpRequest(method="POST", url=f"{app.origin}/posting", form=form)))
+        after_write.append(timed(HttpRequest(method="GET", url=page)))
+        read.append(timed(HttpRequest(method="GET", url=page)))
+    return {
+        "rounds": rounds,
+        "reply_p50_ms": round(_percentile(sorted(reply), 0.50), 3),
+        "read_p50_ms": round(_percentile(sorted(read), 0.50), 3),
+        "read_after_write_p50_ms": round(_percentile(sorted(after_write), 0.50), 3),
     }
 
 
@@ -161,6 +196,7 @@ def measure_storage(
             entry = {
                 "bulk_seed": _bulk_seed(app, users=users, topics=topics, posts=posts),
                 "page_load_ms": _page_loads(app, topics=topics, loads=page_loads),
+                "mixed": _mixed(app, topics=topics, rounds=page_loads),
             }
             app.storage.close()
             if kind == "sqlite":
@@ -185,13 +221,13 @@ def format_storage_report(report: dict) -> str:
         f"({config['users']} users, {config['posts']} posts, {config['topics']} topics)"
     ]
     for kind, entry in report["backends"].items():
-        seedinfo = entry["bulk_seed"]
-        pages = entry["page_load_ms"]
+        seedinfo, pages, mixed = entry["bulk_seed"], entry["page_load_ms"], entry["mixed"]
         lines.append(
             f"  {kind:>6}: seeded {seedinfo['rows']} rows in {seedinfo['seconds']}s "
             f"({seedinfo['rows_per_s']} rows/s) | page load "
-            f"p50 {pages['p50_ms']}ms p99 {pages['p99_ms']}ms "
-            f"(warmup {pages['warmup_ms']}ms)"
+            f"p50 {pages['p50_ms']}ms p99 {pages['p99_ms']}ms | mixed p50: "
+            f"reply {mixed['reply_p50_ms']}ms, read {mixed['read_p50_ms']}ms, "
+            f"read after write {mixed['read_after_write_p50_ms']}ms"
         )
     scenarios = report["scenarios"]
     lines.append(

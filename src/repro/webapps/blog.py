@@ -14,6 +14,9 @@ paper's introduction motivates on one page:
 The configuration mirrors Figure 3: the post scope is ``ring=2`` with an ACL
 admitting only ring 0, comments are ``ring=3``, and every AC tag carries a
 markup-randomisation nonce.
+
+Comments are read through the declared ``parent_id`` index; nothing is
+cached between requests.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from repro.core.rings import Ring, RingSet
 from repro.http.messages import HttpResponse
 
 from .framework import RequestContext, WebApplication
-from .storage import CONTENT_SCOPE, StorageBackend, TableSpec
+from .storage import StorageBackend, TableSpec
 from .templates import EscudoPageTemplate, render_template
 
 SESSION_COOKIE = "blog_session"
@@ -35,7 +38,9 @@ SESSION_COOKIE = "blog_session"
 #: (``forum.sql``): articles are top-level entries, comments thread under
 #: them via ``parent_id``.  Separate tables keep each id sequence intact.
 BLOG_POSTS_TABLE = TableSpec("blog_posts", ("post_id", "subject", "body"))
-BLOG_COMMENTS_TABLE = TableSpec("blog_comments", ("comment_id", "parent_id", "author", "body"))
+BLOG_COMMENTS_TABLE = TableSpec(
+    "blog_comments", ("comment_id", "parent_id", "author", "body"), indexes=("parent_id",)
+)
 
 #: Ring assignments for the blog (Figure 3 plus the ad-slot scenario).
 CHROME_RING = 1
@@ -63,64 +68,48 @@ class BlogPost:
     comments: list[Comment] = field(default_factory=list)
 
 
-class BlogState:
-    """The blog's persistent state, viewed over the storage backend.
+def _comment(row: dict) -> Comment:
+    return Comment(comment_id=row["comment_id"], author=row["author"], body=row["body"])
 
-    Articles and comments are materialised from the backend rows and cached
-    per content generation (see :class:`~repro.webapps.phpbb.ForumState`).
-    """
+
+def _article(row: dict, comments: list[Comment]) -> BlogPost:
+    return BlogPost(post_id=row["post_id"], title=row["subject"], body=row["body"],
+                    comments=comments)
+
+
+class BlogState:
+    """Queries over the blog's tables; only :attr:`posts` scans them."""
 
     def __init__(self, storage: StorageBackend) -> None:
         self._storage = storage
         for spec in (BLOG_POSTS_TABLE, BLOG_COMMENTS_TABLE):
             storage.create_table(spec)
-        self._generation: int | None = None
-        self._posts: list[BlogPost] = []
-        self._by_id: dict[int, BlogPost] = {}
-        self._comments_by_id: dict[int, Comment] = {}
-
-    def _materialise(self) -> "BlogState":
-        generation = self._storage.version(CONTENT_SCOPE)
-        if self._generation == generation:
-            return self
-        old_posts, old_comments = self._by_id, self._comments_by_id
-        posts: list[BlogPost] = []
-        by_id: dict[int, BlogPost] = {}
-        for row in self._storage.all("blog_posts"):
-            post = old_posts.get(row["post_id"])
-            if post is None:
-                post = BlogPost(post_id=row["post_id"], title=row["subject"], body=row["body"])
-            else:
-                post.title = row["subject"]
-                post.body = row["body"]
-                post.comments.clear()
-            posts.append(post)
-            by_id[post.post_id] = post
-        comments_by_id: dict[int, Comment] = {}
-        for row in self._storage.all("blog_comments"):
-            comment = old_comments.get(row["comment_id"])
-            if comment is None:
-                comment = Comment(comment_id=row["comment_id"], author=row["author"],
-                                  body=row["body"])
-            else:
-                comment.author = row["author"]
-                comment.body = row["body"]
-            comments_by_id[comment.comment_id] = comment
-            owner = by_id.get(row["parent_id"])
-            if owner is not None:
-                owner.comments.append(comment)
-        self._posts, self._by_id, self._comments_by_id = posts, by_id, comments_by_id
-        self._generation = generation
-        return self
 
     @property
     def posts(self) -> list[BlogPost]:
-        """Every article (with its comments), id order."""
-        return self._materialise()._posts
+        """Every article with its comments, id order (two whole-table reads)."""
+        comments: dict[int, list[Comment]] = {}
+        for row in self._storage.all("blog_comments"):
+            comments.setdefault(row["parent_id"], []).append(_comment(row))
+        return [
+            _article(row, comments.get(row["post_id"], []))
+            for row in self._storage.all("blog_posts")
+        ]
+
+    def post_index(self) -> list[tuple[BlogPost, int]]:
+        """Every article (comments not loaded) with its comment count."""
+        return [
+            (_article(row, []), self._storage.count("blog_comments", parent_id=row["post_id"]))
+            for row in self._storage.all("blog_posts")
+        ]
 
     def post(self, post_id: int) -> BlogPost | None:
-        """Look up a post by id."""
-        return self._materialise()._by_id.get(post_id)
+        """Look up an article by id, with its comments."""
+        row = self._storage.get("blog_posts", post_id)
+        if row is None:
+            return None
+        comments = self._storage.select("blog_comments", parent_id=post_id)
+        return _article(row, [_comment(c) for c in comments])
 
 
 #: The ad network's script: legitimate behaviour is to fill its own slot.
@@ -168,19 +157,16 @@ class Blog(WebApplication):
     def publish(self, title: str, body: str) -> BlogPost:
         """Publish a new article."""
         post_id = self.storage.insert("blog_posts", {"subject": title, "body": body})
-        return self.state.post(post_id)
+        return BlogPost(post_id, title, body)
 
     def add_comment(self, post_id: int, author: str, body: str) -> Comment | None:
         """Attach a reader comment to an article."""
-        if self.state.post(post_id) is None:
+        if self.storage.get("blog_posts", post_id) is None:
             return None
         comment_id = self.storage.insert(
             "blog_comments", {"parent_id": post_id, "author": author, "body": body}
         )
-        for comment in self.state.post(post_id).comments:
-            if comment.comment_id == comment_id:
-                return comment
-        raise RuntimeError(f"comment {comment_id} vanished after insert")
+        return Comment(comment_id, author, body)
 
     def snapshot_content(self) -> dict:
         """Articles and their comments (the scenario oracle's view)."""
@@ -207,9 +193,9 @@ class Blog(WebApplication):
         rows = "".join(
             render_template(
                 '<li><a href="/post?id={{ id }}">{{ title }}</a> ({{ comments }} comments)</li>',
-                {"id": post.post_id, "title": post.title, "comments": len(post.comments)},
+                {"id": post.post_id, "title": post.title, "comments": count},
             )
-            for post in self.state.posts
+            for post, count in self.state.post_index()
         )
         page.add_chrome(f'<ul id="post-list">{rows}</ul>', element_id="posts")
         page.add_chrome(

@@ -129,8 +129,8 @@ class WebApplication:
         # State-digest memo: snapshot_state() is canonically re-dumped and
         # hashed by every oracle check, so the digest is cached until the
         # next state mutation.  Every content-table write bumps the backend's
-        # content version scope (touch_state() maps onto the same counter);
-        # session churn is tracked by the store's own version counter.
+        # content version scope; session churn is tracked by the store's own
+        # version counter.
         self._digest_cache: tuple[tuple[int, int], str] | None = None
         self._snapshot_cache: tuple[tuple[int, int], dict] | None = None
         self._routes: list[Route] = []
@@ -314,22 +314,9 @@ class WebApplication:
 
         Every write to a content table bumps it automatically in the storage
         backend, so a mutator cannot forget to invalidate the digest and
-        response memos; :meth:`touch_state` advances the same counter for
-        state kept outside the backend.
+        response memos.
         """
         return self.storage.version(CONTENT_SCOPE)
-
-    def touch_state(self) -> None:
-        """Note an application-visible state mutation.
-
-        Content-table writes bump the backend's content version on their
-        own; this hook remains for mutators of state held *outside* the
-        storage backend (none of the built-in applications need it any
-        more, but scenario-registered apps may).  Session creation and
-        destruction are tracked separately through the session store's
-        version counter, so login/logout needs no explicit touch.
-        """
-        self.storage.bump(CONTENT_SCOPE)
 
     def state_digest(self) -> str:
         """SHA-256 over the canonical JSON encoding of :meth:`snapshot_state`.

@@ -30,6 +30,10 @@ Construction flags mirror the paper's experimental setup:
   ("we removed the input validation routines to facilitate XSS attacks");
 * ``csrf_protection=False`` (the default) removes secret-token validation
   ("we removed the secret-token validation protection").
+
+Each request queries only what its page renders, through primary-key gets
+and the declared ``topic_id``/``privmsgs_to`` indexes; nothing is cached
+between requests, so a reply costs the same at any board size.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from repro.core.rings import Ring, RingSet
 from repro.http.messages import HttpResponse
 
 from .framework import RequestContext, WebApplication
-from .storage import CONTENT_SCOPE, StorageBackend, TableSpec
+from .storage import StorageBackend, TableSpec
 from .templates import EscudoPageTemplate, render_template
 
 #: Ring assignments from Table 3.
@@ -58,16 +62,19 @@ DATA_COOKIE = "phpbb2mysql_data"
 
 #: Storage schema, modeled on the real phpBB tables (the column names come
 #: from ``phpbb_posts.sql``; the miniature keeps the columns its pages
-#: render).  ``phpbb_users`` mirrors the twisted forum's ``users`` table and
-#: exists for bulk seeding -- login itself stays open, as in the paper's
-#: experimental setup.
+#: render, and ``KEY topic_id`` as the posts index).  ``phpbb_users``
+#: mirrors the twisted forum's ``users`` table and exists for bulk seeding
+#: -- login itself stays open, as in the paper's experimental setup.
 TOPICS_TABLE = TableSpec("phpbb_topics", ("topic_id", "topic_title", "topic_poster"))
 POSTS_TABLE = TableSpec(
-    "phpbb_posts", ("post_id", "topic_id", "post_username", "post_subject", "post_text")
+    "phpbb_posts",
+    ("post_id", "topic_id", "post_username", "post_subject", "post_text"),
+    indexes=("topic_id",),
 )
 PRIVMSGS_TABLE = TableSpec(
     "phpbb_privmsgs",
     ("privmsgs_id", "privmsgs_from", "privmsgs_to", "privmsgs_subject", "privmsgs_text"),
+    indexes=("privmsgs_to",),
 )
 USERS_TABLE = TableSpec("phpbb_users", ("user_id", "username"))
 
@@ -102,96 +109,71 @@ class PrivateMessage:
     body: str
 
 
-class ForumState:
-    """The message board's persistent state, viewed over the storage backend.
+def _post(row: dict) -> Post:
+    return Post(post_id=row["post_id"], author=row["post_username"], body=row["post_text"])
 
-    Handlers, attacks and tests read the same :class:`Topic`/:class:`Post`/
-    :class:`PrivateMessage` objects as before; they are materialised from
-    the backend rows and cached per content generation, so repeated reads
-    between mutations are as cheap as the old in-memory lists and object
-    identity is stable until the next write.
+
+def _topic(row: dict, posts: list[Post]) -> Topic:
+    return Topic(topic_id=row["topic_id"], title=row["topic_title"],
+                 author=row["topic_poster"], posts=posts)
+
+
+def _message(row: dict) -> PrivateMessage:
+    return PrivateMessage(row["privmsgs_id"], row["privmsgs_from"], row["privmsgs_to"],
+                          row["privmsgs_subject"], row["privmsgs_text"])
+
+
+class ForumState:
+    """Queries over the board's tables; every call reads the backend.
+
+    Only the whole-board views behind the oracle's snapshot scan tables.
     """
 
     def __init__(self, storage: StorageBackend) -> None:
         self._storage = storage
         for spec in (TOPICS_TABLE, POSTS_TABLE, PRIVMSGS_TABLE, USERS_TABLE):
             storage.create_table(spec)
-        self._generation: int | None = None
-        self._topics: list[Topic] = []
-        self._by_topic_id: dict[int, Topic] = {}
-        self._posts_by_id: dict[int, Post] = {}
-        self._messages: list[PrivateMessage] = []
-
-    def _materialise(self) -> "ForumState":
-        generation = self._storage.version(CONTENT_SCOPE)
-        if self._generation == generation:
-            return self
-        # Reconcile rather than rebuild: objects are reused by id and updated
-        # in place, so references held across mutations (a handler's topic, a
-        # test's post) stay live -- the semantics of the historical in-memory
-        # lists.
-        old_topics, old_posts = self._by_topic_id, self._posts_by_id
-        topics: list[Topic] = []
-        by_topic_id: dict[int, Topic] = {}
-        for row in self._storage.all("phpbb_topics"):
-            topic = old_topics.get(row["topic_id"])
-            if topic is None:
-                topic = Topic(topic_id=row["topic_id"], title=row["topic_title"],
-                              author=row["topic_poster"])
-            else:
-                topic.title = row["topic_title"]
-                topic.author = row["topic_poster"]
-                topic.posts.clear()
-            topics.append(topic)
-            by_topic_id[topic.topic_id] = topic
-        posts_by_id: dict[int, Post] = {}
-        for row in self._storage.all("phpbb_posts"):
-            post = old_posts.get(row["post_id"])
-            if post is None:
-                post = Post(post_id=row["post_id"], author=row["post_username"],
-                            body=row["post_text"])
-            else:
-                post.author = row["post_username"]
-                post.body = row["post_text"]
-            posts_by_id[post.post_id] = post
-            owner = by_topic_id.get(row["topic_id"])
-            if owner is not None:
-                owner.posts.append(post)
-        self._messages = [
-            PrivateMessage(
-                message_id=row["privmsgs_id"],
-                sender=row["privmsgs_from"],
-                recipient=row["privmsgs_to"],
-                subject=row["privmsgs_subject"],
-                body=row["privmsgs_text"],
-            )
-            for row in self._storage.all("phpbb_privmsgs")
-        ]
-        self._topics, self._by_topic_id, self._posts_by_id = topics, by_topic_id, posts_by_id
-        self._generation = generation
-        return self
 
     @property
     def topics(self) -> list[Topic]:
-        """Every topic (with its posts), id order."""
-        return self._materialise()._topics
+        """Every topic with its posts, id order (two whole-table reads)."""
+        posts: dict[int, list[Post]] = {}
+        for row in self._storage.all("phpbb_posts"):
+            posts.setdefault(row["topic_id"], []).append(_post(row))
+        return [
+            _topic(row, posts.get(row["topic_id"], []))
+            for row in self._storage.all("phpbb_topics")
+        ]
 
     @property
     def private_messages(self) -> list[PrivateMessage]:
-        """Every private message, id order."""
-        return self._materialise()._messages
+        """Every private message, id order (a whole-table read)."""
+        return [_message(row) for row in self._storage.all("phpbb_privmsgs")]
+
+    def topic_index(self) -> list[tuple[Topic, int]]:
+        """Every topic (posts not loaded) with its post count from the index."""
+        return [
+            (_topic(row, []), self._storage.count("phpbb_posts", topic_id=row["topic_id"]))
+            for row in self._storage.all("phpbb_topics")
+        ]
 
     def topic(self, topic_id: int) -> Topic | None:
-        """Look up a topic by id."""
-        return self._materialise()._by_topic_id.get(topic_id)
+        """Look up a topic by id, with its posts."""
+        row = self._storage.get("phpbb_topics", topic_id)
+        if row is None:
+            return None
+        posts = self._storage.select("phpbb_posts", topic_id=topic_id)
+        return _topic(row, [_post(post) for post in posts])
 
     def post(self, post_id: int) -> Post | None:
-        """Look up a post by id across every topic."""
-        return self._materialise()._posts_by_id.get(post_id)
+        """Look up a post by id."""
+        row = self._storage.get("phpbb_posts", post_id)
+        return _post(row) if row is not None else None
 
     def messages_for(self, username: str) -> list[PrivateMessage]:
-        """Private messages addressed to ``username``."""
-        return [m for m in self.private_messages if m.recipient == username]
+        """Private messages addressed to ``username``, id order."""
+        rows = self._storage.select("phpbb_privmsgs", privmsgs_to=username)
+        return [_message(row) for row in rows]
 
 
 class PhpBB(WebApplication):
@@ -246,23 +228,23 @@ class PhpBB(WebApplication):
         topic_id = self.storage.insert(
             "phpbb_topics", {"topic_title": title, "topic_poster": author}
         )
-        self.storage.insert(
+        post_id = self.storage.insert(
             "phpbb_posts",
             {"topic_id": topic_id, "post_username": author,
              "post_subject": title, "post_text": body},
         )
-        return self.state.topic(topic_id)
+        return Topic(topic_id, title, author, [Post(post_id, author, body)])
 
     def add_reply(self, topic_id: int, author: str, body: str) -> Post | None:
         """Append a reply to a topic."""
-        if self.state.topic(topic_id) is None:
+        if self.storage.get("phpbb_topics", topic_id) is None:
             return None
         post_id = self.storage.insert(
             "phpbb_posts",
             {"topic_id": topic_id, "post_username": author,
              "post_subject": "", "post_text": body},
         )
-        return self.state.post(post_id)
+        return Post(post_id, author, body)
 
     def edit_post(self, post_id: int, body: str) -> Post | None:
         """Rewrite a post's body (authorisation is the route handler's job)."""
@@ -277,10 +259,7 @@ class PhpBB(WebApplication):
             {"privmsgs_from": sender, "privmsgs_to": recipient,
              "privmsgs_subject": subject, "privmsgs_text": body},
         )
-        for message in self.state.private_messages:
-            if message.message_id == message_id:
-                return message
-        raise RuntimeError(f"private message {message_id} vanished after insert")
+        return PrivateMessage(message_id, sender, recipient, subject, body)
 
     def snapshot_content(self) -> dict:
         """Topics, posts and private messages (the scenario oracle's view)."""
@@ -364,11 +343,11 @@ class PhpBB(WebApplication):
                 {
                     "id": topic.topic_id,
                     "title": topic.title,
-                    "count": len(topic.posts),
+                    "count": count,
                     "author": topic.author,
                 },
             )
-            for topic in self.state.topics
+            for topic, count in self.state.topic_index()
         )
         page.add_chrome(f'<ul id="topic-list">{rows}</ul>', element_id="topics")
         page.add_chrome(
@@ -459,7 +438,7 @@ class PhpBB(WebApplication):
 
     def api_unread(self, context: RequestContext) -> HttpResponse:
         """Unread private-message count (consumed by the trusted XHR script)."""
-        count = len(self.state.messages_for(context.username or ""))
+        count = self.storage.count("phpbb_privmsgs", privmsgs_to=context.username or "")
         return HttpResponse.text(str(count))
 
     def do_login(self, context: RequestContext) -> HttpResponse:

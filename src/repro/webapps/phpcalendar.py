@@ -20,6 +20,9 @@ Events are therefore isolated from one another and from the application
 chrome: a script smuggled into one event's description runs as a ring-3
 principal and cannot modify other events (ACL limit 2), the chrome (ring 1),
 the session cookie (ring 1) or the XHR API (ring 1).
+
+Events are read by primary key; only the month view scans the (small)
+table.  Nothing is cached between requests.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.core.rings import Ring, RingSet
 from repro.http.messages import HttpResponse
 
 from .framework import RequestContext, WebApplication
-from .storage import CONTENT_SCOPE, StorageBackend, TableSpec
+from .storage import StorageBackend, TableSpec
 from .templates import EscudoPageTemplate, render_template
 
 #: Ring assignments from Table 5.
@@ -62,56 +65,27 @@ class CalendarEvent:
     author: str
 
 
-class CalendarState:
-    """The calendar's persistent state, viewed over the storage backend.
+def _event(row: dict) -> CalendarEvent:
+    return CalendarEvent(row["event_id"], row["event_date"], row["event_title"],
+                         row["event_description"], row["event_author"])
 
-    Event objects are materialised from the backend rows and cached per
-    content generation (see :class:`~repro.webapps.phpbb.ForumState`).
-    """
+
+class CalendarState:
+    """Queries over the events table; every call reads the backend."""
 
     def __init__(self, storage: StorageBackend) -> None:
         self._storage = storage
         storage.create_table(EVENTS_TABLE)
-        self._generation: int | None = None
-        self._events: list[CalendarEvent] = []
-        self._by_id: dict[int, CalendarEvent] = {}
-
-    def _materialise(self) -> "CalendarState":
-        generation = self._storage.version(CONTENT_SCOPE)
-        if self._generation == generation:
-            return self
-        old = self._by_id
-        events: list[CalendarEvent] = []
-        by_id: dict[int, CalendarEvent] = {}
-        for row in self._storage.all("phpc_events"):
-            event = old.get(row["event_id"])
-            if event is None:
-                event = CalendarEvent(
-                    event_id=row["event_id"],
-                    date=row["event_date"],
-                    title=row["event_title"],
-                    description=row["event_description"],
-                    author=row["event_author"],
-                )
-            else:
-                event.date = row["event_date"]
-                event.title = row["event_title"]
-                event.description = row["event_description"]
-                event.author = row["event_author"]
-            events.append(event)
-            by_id[event.event_id] = event
-        self._events, self._by_id = events, by_id
-        self._generation = generation
-        return self
 
     @property
     def events(self) -> list[CalendarEvent]:
-        """Every event, id order."""
-        return self._materialise()._events
+        """Every event, id order (a whole-table read)."""
+        return [_event(row) for row in self._storage.all("phpc_events")]
 
     def event(self, event_id: int) -> CalendarEvent | None:
         """Look up an event by id."""
-        return self._materialise()._by_id.get(event_id)
+        row = self._storage.get("phpc_events", event_id)
+        return _event(row) if row is not None else None
 
     def events_in_month(self, month: str) -> list[CalendarEvent]:
         """Events whose date starts with ``month`` ("YYYY-MM")."""
@@ -166,7 +140,7 @@ class PhpCalendar(WebApplication):
             {"event_date": date, "event_title": title,
              "event_description": description, "event_author": author},
         )
-        return self.state.event(event_id)
+        return CalendarEvent(event_id, date, title, description, author)
 
     def snapshot_content(self) -> dict:
         """Every calendar event (the scenario oracle's view)."""
@@ -296,7 +270,7 @@ class PhpCalendar(WebApplication):
 
     def api_event_count(self, context: RequestContext) -> HttpResponse:
         """Total number of events (consumed by the trusted XHR script)."""
-        return HttpResponse.text(str(len(self.state.events)))
+        return HttpResponse.text(str(self.storage.count("phpc_events")))
 
     def do_login(self, context: RequestContext) -> HttpResponse:
         """Create a session for the supplied user name."""

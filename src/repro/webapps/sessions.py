@@ -30,11 +30,13 @@ from .storage import SESSION_SCOPE, StorageBackend, TableSpec
 #: The session table (modeled on phpBB's ``phpbb_sessions``): an
 #: auto-increment surrogate key, the cookie-visible identifier, the user,
 #: the JSON data blob, and the two row-version columns the response memo
-#: and digest caches key on.
+#: and digest caches key on; cookie lookups and per-user listings probe the
+#: two indexes.
 SESSIONS_TABLE = TableSpec(
     name="sessions",
     columns=("id", "session_id", "username", "data", "version", "epoch"),
     scope=SESSION_SCOPE,
+    indexes=("session_id", "username"),
 )
 
 

@@ -1,33 +1,32 @@
 """Storage backends behind the web framework.
 
-The case-study applications held all of their state in Python dicts, which
-caps realistic scale (the ROADMAP's "millions of users" target was
-unmeasurable) and hides the invalidation machinery inside each app.  This
-module introduces the persistence tier both the dict world and a real
-database share:
-
 * :class:`StorageBackend` -- the interface: named tables of integer-keyed
-  rows, batched inserts for bulk seeding, and **version scopes** (the row-
-  version counters the framework's state-digest and GET-response memos key
-  on).  Every write bumps its table's scope, so a mutator can no longer
-  forget to invalidate -- the storage layer owns invalidation.
-* :class:`DictBackend` -- the in-memory implementation (the default; byte-
-  identical behaviour to the historical dict state).
-* :class:`SqliteBackend` -- SQLite, WAL mode when file-backed.  Table
-  shapes are declared by the applications via :class:`TableSpec` and are
-  modeled on the real schemas: phpBB's ``phpbb_posts`` table
-  (``fleimgruber/gargbot_3000/schema/phpbb_posts.sql``) and the twisted
-  forum's ``posts``/``users`` tables (``Almad/twisted/twisted/forum/
-  forum.sql``).
+  rows, batched inserts for bulk seeding, equality lookups on the primary
+  key or a **declared index**, and **version scopes** (the row-version
+  counters the framework's state-digest and GET-response memos key on).
+  Every write bumps its table's scope, so a mutator can no longer forget
+  to invalidate -- the storage layer owns invalidation.
+* :class:`DictBackend` -- in memory (the default); each declared index is
+  a value -> row-ids bucket map kept in step by every write.
+* :class:`SqliteBackend` -- SQLite, WAL mode when file-backed; each
+  declared index is a ``CREATE INDEX``.
+
+Table shapes, indexes included, are declared via :class:`TableSpec` and
+modeled on phpBB's ``phpbb_posts`` with its ``KEY topic_id``
+(``fleimgruber/gargbot_3000/schema/phpbb_posts.sql``) and the twisted
+forum's ``posts``/``users`` (``Almad/twisted/twisted/forum/forum.sql``).
+``select`` and a filtered ``count`` accept only the primary key or an
+indexed column, so a full scan has to be spelled ``all()``.
 
 Parity contract: both backends implement identical semantics -- auto-
 increment ids that are never reused (phpBB's ``AUTO_INCREMENT``; the
 SQLite side uses ``AUTOINCREMENT`` so ids survive deletes and reopens),
-rows returned in primary-key order, and the same version-scope counters --
-so an application's :meth:`~repro.webapps.framework.WebApplication.
+rows returned in primary-key order, the same ``KeyError`` for an unknown
+or unindexed filter column, and the same version-scope counters -- so an
+application's :meth:`~repro.webapps.framework.WebApplication.
 state_digest` is byte-identical on either backend.  The differential suite
-in ``tests/scenarios/test_storage_backends.py`` locks this in across the
-seeded scenario matrix.
+in ``tests/scenarios/test_storage_backends.py`` and the state-machine test
+in ``tests/webapps/test_storage_parity.py`` lock this in.
 """
 
 from __future__ import annotations
@@ -66,12 +65,14 @@ class TableSpec:
     """Declared shape of one logical table.
 
     ``columns`` lists every column, the integer primary key first; ``scope``
-    names the version counter writes to this table bump.
+    names the version counter writes to this table bump; ``indexes`` names
+    the value columns lookups may filter on (besides the primary key).
     """
 
     name: str
     columns: tuple[str, ...]
     scope: str = CONTENT_SCOPE
+    indexes: tuple[str, ...] = ()
 
     @property
     def id_column(self) -> str:
@@ -80,6 +81,30 @@ class TableSpec:
     @property
     def value_columns(self) -> tuple[str, ...]:
         return self.columns[1:]
+
+    def check_writable(self, fields) -> None:
+        """Raise ``KeyError`` unless every name is an updatable value column."""
+        for column in fields:
+            if column == self.id_column:
+                raise KeyError(f"primary key {column!r} of table {self.name!r} is read-only")
+            if column not in self.value_columns:
+                raise KeyError(f"unknown column {column!r} in table {self.name!r}")
+
+    def lookup(self, equals: dict) -> tuple[str, object]:
+        """The single ``column=value`` filter of a lookup, checked.
+
+        The column must be the primary key or a declared index.
+        """
+        if len(equals) != 1:
+            raise ValueError(f"a lookup on {self.name!r} takes one column=value filter; "
+                             "use all() to scan")
+        ((column, value),) = equals.items()
+        if column not in self.columns:
+            raise KeyError(f"unknown column {column!r} in table {self.name!r}")
+        if column != self.id_column and column not in self.indexes:
+            raise KeyError(f"column {column!r} of table {self.name!r} is not indexed; "
+                           f"lookups may filter on {(self.id_column,) + self.indexes}")
+        return column, value
 
 
 class StorageBackend:
@@ -127,7 +152,7 @@ class StorageBackend:
     # -- schema -----------------------------------------------------------------
 
     def create_table(self, spec: TableSpec) -> None:
-        """Register ``spec`` and create its table if it does not exist."""
+        """Register ``spec`` and create its table (and indexes) if missing."""
         existing = self._specs.get(spec.name)
         if existing is not None:
             if existing != spec:
@@ -163,11 +188,15 @@ class StorageBackend:
         raise NotImplementedError
 
     def all(self, table: str) -> list[dict]:
-        """Every row, in primary-key order."""
+        """Every row, in primary-key order (the one full-scan primitive)."""
         raise NotImplementedError
 
     def select(self, table: str, **equals) -> list[dict]:
-        """Rows matching every ``column=value`` filter, primary-key order."""
+        """Rows whose one ``column=value`` filter matches, primary-key order.
+
+        The column must be the primary key or a declared index
+        (:meth:`TableSpec.lookup`).
+        """
         raise NotImplementedError
 
     def update(self, table: str, row_id: int, **fields) -> bool:
@@ -178,7 +207,8 @@ class StorageBackend:
         """Delete one row; True (and a scope bump) if it existed."""
         raise NotImplementedError
 
-    def count(self, table: str) -> int:
+    def count(self, table: str, **equals) -> int:
+        """Number of rows, or of rows matching one indexed ``column=value``."""
         raise NotImplementedError
 
     def version(self, scope: str) -> int:
@@ -186,7 +216,7 @@ class StorageBackend:
         raise NotImplementedError
 
     def bump(self, scope: str) -> int:
-        """Manually advance a version scope (``touch_state()`` maps here)."""
+        """Advance a version scope (every successful write calls this)."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -196,8 +226,8 @@ class StorageBackend:
 class DictBackend(StorageBackend):
     """The in-memory backend: tables are dicts of row dicts.
 
-    Insertion order equals primary-key order (ids are monotonic), so
-    :meth:`all` is a plain iteration.
+    Reads sort ids, so rows come back in primary-key order even after
+    explicit out-of-order ids (a linear pass when already in order).
     """
 
     kind = "dict"
@@ -205,13 +235,16 @@ class DictBackend(StorageBackend):
     def __init__(self) -> None:
         super().__init__()
         self._tables: dict[str, dict[int, dict]] = {}
+        #: table -> indexed column -> value -> ids of the rows holding it.
+        self._indexes: dict[str, dict[str, dict[object, set[int]]]] = {}
         #: Monotonic next-id per table -- never reused, even after deletes,
-        #: matching SQLite ``AUTOINCREMENT`` (and the historical counters).
+        #: matching SQLite ``AUTOINCREMENT``.
         self._next_id: dict[str, int] = {}
         self._versions: dict[str, int] = {}
 
     def _ensure_table(self, spec: TableSpec) -> None:
         self._tables[spec.name] = {}
+        self._indexes[spec.name] = {column: {} for column in spec.indexes}
         self._next_id[spec.name] = 1
 
     def _store_row(self, spec: TableSpec, row: dict) -> int:
@@ -219,12 +252,33 @@ class DictBackend(StorageBackend):
         if row_id is None:
             row_id = self._next_id[spec.name]
         row_id = int(row_id)
+        table = self._tables[spec.name]
+        if row_id in table:
+            # SQLite rejects a duplicate primary key; so does this backend.
+            raise ValueError(f"duplicate id {row_id} in table {spec.name!r}")
         self._next_id[spec.name] = max(self._next_id[spec.name], row_id + 1)
         stored = {spec.id_column: row_id}
         for column in spec.value_columns:
             stored[column] = row.get(column)
-        self._tables[spec.name][row_id] = stored
+        table[row_id] = stored
+        for column, buckets in self._indexes[spec.name].items():
+            buckets.setdefault(stored[column], set()).add(row_id)
         return row_id
+
+    def _unindex(self, table: str, row_id: int, row: dict, columns) -> None:
+        buckets = self._indexes[table]
+        for column in columns:
+            bucket = buckets[column][row[column]]
+            bucket.discard(row_id)
+            if not bucket:
+                del buckets[column][row[column]]
+
+    def _matching_ids(self, spec: TableSpec, equals: dict):
+        """Ids of the rows matching the lookup, in no particular order."""
+        column, value = spec.lookup(equals)
+        if column == spec.id_column:
+            return [value] if value in self._tables[spec.name] else []
+        return self._indexes[spec.name][column].get(value, ())
 
     def insert(self, table: str, row: dict) -> int:
         self._write_gate(table)
@@ -249,39 +303,44 @@ class DictBackend(StorageBackend):
         return dict(row) if row is not None else None
 
     def all(self, table: str) -> list[dict]:
-        return [dict(row) for row in self._tables[self.spec(table).name].values()]
+        rows = self._tables[self.spec(table).name]
+        return [dict(rows[row_id]) for row_id in sorted(rows)]
 
     def select(self, table: str, **equals) -> list[dict]:
-        rows = self._tables[self.spec(table).name].values()
-        return [
-            dict(row)
-            for row in rows
-            if all(row.get(column) == value for column, value in equals.items())
-        ]
+        spec = self.spec(table)
+        rows = self._tables[spec.name]
+        return [dict(rows[row_id]) for row_id in sorted(self._matching_ids(spec, equals))]
 
     def update(self, table: str, row_id: int, **fields) -> bool:
         self._write_gate(table)
         spec = self.spec(table)
+        spec.check_writable(fields)
         row = self._tables[spec.name].get(row_id)
         if row is None:
             return False
-        for column, value in fields.items():
-            if column not in spec.columns:
-                raise KeyError(f"unknown column {column!r} in table {table!r}")
-            row[column] = value
+        moved = [column for column in spec.indexes if column in fields]
+        self._unindex(spec.name, row_id, row, moved)
+        row.update(fields)
+        for column in moved:
+            self._indexes[spec.name][column].setdefault(row[column], set()).add(row_id)
         self.bump(spec.scope)
         return True
 
     def delete(self, table: str, row_id: int) -> bool:
         self._write_gate(table)
         spec = self.spec(table)
-        if self._tables[spec.name].pop(row_id, None) is None:
+        row = self._tables[spec.name].pop(row_id, None)
+        if row is None:
             return False
+        self._unindex(spec.name, row_id, row, spec.indexes)
         self.bump(spec.scope)
         return True
 
-    def count(self, table: str) -> int:
-        return len(self._tables[self.spec(table).name])
+    def count(self, table: str, **equals) -> int:
+        spec = self.spec(table)
+        if not equals:
+            return len(self._tables[spec.name])
+        return len(self._matching_ids(spec, equals))
 
     def version(self, scope: str) -> int:
         return self._versions.get(scope, 0)
@@ -328,6 +387,10 @@ class SqliteBackend(StorageBackend):
             + [f'"{column}"' for column in spec.value_columns]
         )
         self._conn.execute(f"CREATE TABLE IF NOT EXISTS {spec.name} ({columns})")
+        for column in spec.indexes:
+            self._conn.execute(
+                f'CREATE INDEX IF NOT EXISTS {spec.name}_{column} ON {spec.name} ("{column}")'
+            )
         self._conn.commit()
 
     def _insert_sql(self, spec: TableSpec, with_id: bool) -> tuple[str, tuple[str, ...]]:
@@ -336,11 +399,22 @@ class SqliteBackend(StorageBackend):
         quoted = ", ".join(f'"{column}"' for column in columns)
         return f"INSERT INTO {spec.name} ({quoted}) VALUES ({placeholders})", columns
 
+    @staticmethod
+    def _where(spec: TableSpec, equals: dict) -> tuple[str, tuple]:
+        # ``IS`` rather than ``=`` so a ``None`` filter matches NULL, as the
+        # dict backend's equality does; SQLite probes an index for both.
+        column, value = spec.lookup(equals)
+        return f' WHERE "{column}" IS ?', (value,)
+
     def insert(self, table: str, row: dict) -> int:
         self._write_gate(table)
         spec = self.spec(table)
         sql, columns = self._insert_sql(spec, spec.id_column in row and row[spec.id_column] is not None)
-        cursor = self._conn.execute(sql, tuple(row.get(column) for column in columns))
+        try:
+            cursor = self._conn.execute(sql, tuple(row.get(column) for column in columns))
+        except sqlite3.IntegrityError as error:
+            self._conn.rollback()
+            raise ValueError(f"duplicate id {row[spec.id_column]} in table {table!r}") from error
         self._conn.commit()
         self.bump(spec.scope)
         return int(cursor.lastrowid)
@@ -376,22 +450,16 @@ class SqliteBackend(StorageBackend):
 
     def select(self, table: str, **equals) -> list[dict]:
         spec = self.spec(table)
-        for column in equals:
-            if column not in spec.columns:
-                raise KeyError(f"unknown column {column!r} in table {table!r}")
-        where = " AND ".join(f'"{column}" = ?' for column in equals) or "1=1"
+        where, params = self._where(spec, equals)
         rows = self._conn.execute(
-            f"SELECT * FROM {spec.name} WHERE {where} ORDER BY {spec.id_column}",
-            tuple(equals.values()),
+            f"SELECT * FROM {spec.name}{where} ORDER BY {spec.id_column}", params
         )
         return [dict(row) for row in rows]
 
     def update(self, table: str, row_id: int, **fields) -> bool:
         self._write_gate(table)
         spec = self.spec(table)
-        for column in fields:
-            if column not in spec.columns:
-                raise KeyError(f"unknown column {column!r} in table {table!r}")
+        spec.check_writable(fields)
         assignments = ", ".join(f'"{column}" = ?' for column in fields)
         cursor = self._conn.execute(
             f"UPDATE {spec.name} SET {assignments} WHERE {spec.id_column} = ?",
@@ -415,9 +483,10 @@ class SqliteBackend(StorageBackend):
         self.bump(spec.scope)
         return True
 
-    def count(self, table: str) -> int:
+    def count(self, table: str, **equals) -> int:
         spec = self.spec(table)
-        return self._conn.execute(f"SELECT COUNT(*) FROM {spec.name}").fetchone()[0]
+        where, params = self._where(spec, equals) if equals else ("", ())
+        return self._conn.execute(f"SELECT COUNT(*) FROM {spec.name}{where}", params).fetchone()[0]
 
     def version(self, scope: str) -> int:
         return self._versions.get(scope, 0)

@@ -25,7 +25,7 @@ class Widget:
         self.route("POST", "/widget", self.create_widget)
 
     def create_widget(self, request):
-        return "ok"  # mutates nothing: missing touch_state/storage write
+        return "ok"  # mutates nothing: missing storage/session write
 
 
 class WidgetCache:

@@ -29,7 +29,11 @@ class TestStorageWorkload:
             pages = entry["page_load_ms"]
             assert pages["loads"] == 10
             assert pages["p99_ms"] >= pages["p50_ms"] > 0
-            assert pages["warmup_ms"] > 0
+            assert "warmup_ms" not in pages
+            mixed = entry["mixed"]
+            assert mixed["rounds"] == 10
+            for metric in ("reply_p50_ms", "read_p50_ms", "read_after_write_p50_ms"):
+                assert mixed[metric] > 0
         assert report["backends"]["sqlite"]["db_bytes"] > 0
         scenarios = report["scenarios"]
         assert scenarios["dict"]["ok"] and scenarios["sqlite"]["ok"]
@@ -43,3 +47,4 @@ class TestStorageWorkload:
         text = format_storage_report(report)
         assert "digest parity OK" in text
         assert "rows/s" in text
+        assert "read after write" in text

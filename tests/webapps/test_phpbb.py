@@ -74,9 +74,9 @@ class TestForumBehaviour:
 
     def test_create_topic_and_reply(self, forum):
         topic = forum.create_topic("carol", "New thread", "first!")
-        assert forum.state.topic(topic.topic_id) is topic
+        assert forum.state.topic(topic.topic_id) == topic
         reply = forum.add_reply(topic.topic_id, "dave", "second!")
-        assert reply in topic.posts
+        assert forum.state.topic(topic.topic_id).posts == topic.posts + [reply]
         assert forum.add_reply(999, "dave", "lost") is None
 
     def test_index_lists_topics(self, browser_on_forum):

@@ -71,7 +71,7 @@ class TestCalendarBehaviour:
 
     def test_create_event(self, calendar):
         event = calendar.create_event("carol", "2010-04-22", "Standup", "daily sync")
-        assert calendar.state.event(event.event_id) is event
+        assert calendar.state.event(event.event_id) == event
 
     def test_event_count_api(self, calendar):
         response = calendar.handle_request(

@@ -25,7 +25,7 @@ from repro.webapps.storage import (
     make_backend,
 )
 
-SPEC = TableSpec("posts", ("post_id", "subject", "body"))
+SPEC = TableSpec("posts", ("post_id", "subject", "body"), indexes=("subject",))
 OTHER = TableSpec("visits", ("visit_id", "who"), scope=SESSION_SCOPE)
 
 
@@ -104,6 +104,35 @@ class TestSchema:
         row_id = backend.insert("posts", {"subject": "s", "body": ""})
         with pytest.raises(KeyError, match="unknown column"):
             backend.update("posts", row_id, bogus="x")
+        with pytest.raises(KeyError, match="unknown column"):
+            backend.select("posts", bogus="x")
+        with pytest.raises(KeyError, match="unknown column"):
+            backend.count("posts", bogus="x")
+
+    def test_lookups_accept_only_the_key_and_declared_indexes(self, backend):
+        row_id = backend.insert("posts", {"subject": "s", "body": "b"})
+        with pytest.raises(KeyError, match="not indexed"):
+            backend.select("posts", body="b")
+        with pytest.raises(KeyError, match="not indexed"):
+            backend.count("posts", body="b")
+        with pytest.raises(ValueError, match="use all"):
+            backend.select("posts")
+        with pytest.raises(ValueError, match="one column=value filter"):
+            backend.select("posts", post_id=row_id, subject="s")
+        assert backend.select("posts", post_id=row_id) == [backend.get("posts", row_id)]
+        assert backend.select("posts", post_id=999) == []
+        assert backend.count("posts", subject="s") == 1
+
+    def test_primary_key_is_not_updatable(self, backend):
+        row_id = backend.insert("posts", {"subject": "s", "body": ""})
+        with pytest.raises(KeyError, match="read-only"):
+            backend.update("posts", row_id, post_id=99)
+
+    def test_duplicate_explicit_id_is_rejected(self, backend):
+        backend.insert("posts", {"post_id": 3, "subject": "s", "body": ""})
+        with pytest.raises(ValueError, match="duplicate id 3"):
+            backend.insert("posts", {"post_id": 3, "subject": "t", "body": ""})
+        assert backend.select("posts", subject="s") == [backend.get("posts", 3)]
 
 
 class TestVersionScopes:
@@ -139,7 +168,7 @@ class TestVersionScopes:
         assert backend.version(SESSION_SCOPE) == 1
         assert backend.version(CONTENT_SCOPE) == 1
 
-    def test_manual_bump_maps_touch_state(self, backend):
+    def test_manual_bump_advances_the_scope(self, backend):
         assert backend.bump(CONTENT_SCOPE) == 1
         assert backend.bump(CONTENT_SCOPE) == 2
         assert backend.version(CONTENT_SCOPE) == 2

@@ -1,10 +1,8 @@
 """State-invalidation audit: every POST action keeps the digest honest.
 
-Historically each mutating handler had to remember to call
-``touch_state()``; a forgotten call meant the oracle compared stale
-digests.  The storage tier made invalidation structural (every backend
-write bumps a version scope), and this property test locks the invariant
-in: for **every registered POST route** of every built-in application, on
+Invalidation is structural: every backend write bumps a version scope,
+so no handler has to remember to invalidate anything.  This property test
+locks the invariant in: for **every registered POST route** of every built-in application, on
 **both backends**, the cached ``state_digest()`` must equal a digest
 recomputed from scratch after the action -- whether or not the action
 mutated anything.
@@ -94,14 +92,3 @@ def test_every_post_action_keeps_the_digest_honest(app_cls, backend):
 
     assert mutated, f"no POST action of {app_cls.__name__} mutated state; audit form too weak"
 
-
-@pytest.mark.parametrize("backend", BACKEND_KINDS)
-def test_touch_state_still_advances_the_generation(backend):
-    """Scenario-registered apps with out-of-backend state keep their hook."""
-    app = Blog(storage=backend)
-    generation = app._state_generation
-    digest = app.state_digest()
-    app.touch_state()
-    assert app._state_generation == generation + 1
-    assert app.state_digest() == digest  # content unchanged, token advanced
-    app.storage.close()
