@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """The bytecode tier, step by step: compile, cache, execute, verify parity.
 
-Script execution is tiered: source text hits the AST cache (lex + parse
-memoised on digest), the code cache (constant folding + bytecode lowering,
-same key), and finally the dispatch-loop VM with monomorphic inline caches
-on member-access sites. The AST walker stays available as the reference
-engine -- ``--ast-walker`` on the scenario CLI, ``script_engine="walker"``
-in the API -- and this demo shows the two agreeing observation for
-observation:
+Script execution is tiered: source text hits the script cache, whose one
+entry per digest holds the parsed program and the bytecode lowered from it
+(constant folding + lowering), and the bytecode runs on the dispatch-loop
+VM with monomorphic inline caches on member-access sites. The AST walker
+stays available as the reference engine -- ``--ast-walker`` on the
+scenario CLI, ``script_engine="walker"`` in the API -- and this demo shows
+the two agreeing observation for observation:
 
 1. compile a script-heavy source and disassemble a slice of the bytecode;
 2. run it on both engines -- same value, and the VM reports its
@@ -27,7 +27,7 @@ from __future__ import annotations
 from repro.scenarios.engine import run_suite
 from repro.scenarios.model import canonical_spec_json
 from repro.scenarios.runner import ScenarioRunner
-from repro.scripting.cache import ScriptAstCache, ScriptCodeCache
+from repro.scripting.cache import ScriptCache
 from repro.scripting.errors import RuntimeScriptError
 from repro.scripting.interpreter import HostObject, Interpreter
 from repro.scripting.vm import VirtualMachine
@@ -60,10 +60,9 @@ class GuardedSensor(HostObject):
 
 
 def main() -> None:
-    # 1. source -> AST cache -> code cache (both keyed on the SHA-256 digest).
-    ast_cache = ScriptAstCache()
-    code_cache = ScriptCodeCache()
-    code = code_cache.code_for(SOURCE, parse=ast_cache.parse)
+    # 1. source -> script cache entry (keyed on the SHA-256 digest) -> bytecode.
+    cache = ScriptCache()
+    code = cache.code_for(SOURCE)
     listing = code.disassemble().splitlines()
     print("bytecode (first 12 instructions):")
     for line in listing[:12]:
@@ -71,17 +70,18 @@ def main() -> None:
     print(f"  ... {len(listing)} instructions, {len(code.constants)} pooled constants")
 
     # 2. both engines, one answer; the VM also reports cache effectiveness.
-    walker = Interpreter().run(ast_cache.parse(SOURCE))
+    walker = Interpreter().run(cache.parse(SOURCE))
     vm = VirtualMachine()
     compiled = vm.run(code)
     assert walker.value == compiled.value, "engines must agree"
     print(f"\nwalker value: {walker.value}  VM value: {compiled.value}")
     print(f"VM inline-cache hit rate: {vm.ic_hit_rate * 100.0:.1f}% "
           f"({vm.ic_hits} hits / {vm.ic_misses} misses)")
+    assert len(cache) == 1, "program and bytecode share one cache entry"
 
     # 3. a warm inline cache never skips mediation: revoke and re-run.
     sensor = GuardedSensor()
-    probe = code_cache.code_for("sensor.reading;")
+    probe = cache.code_for("sensor.reading;")
     assert VirtualMachine({"sensor": sensor}).run(probe).value == 42.0
     sensor.allowed = False
     denied = VirtualMachine({"sensor": sensor}).run(probe)

@@ -5,8 +5,8 @@ analyzer.  Browsers created with a screen install ``screen.record`` as the
 monitor's per-decision observer and wrap every script execution (document
 scripts, inline handlers, timers, listeners, async XHR completions) in
 ``screen.attribute(digest)``, so each mediation decision lands on the digest
-of the script that caused it.  Each digest's report comes from the memoised
-:class:`~repro.scripting.cache.ScriptReportCache` tier.
+of the script that caused it.  Each digest's report comes from the
+:class:`~repro.scripting.cache.ScriptCache` entry of its source.
 
 :meth:`StaticScreen.verify` then enforces, per script::
 
@@ -34,7 +34,7 @@ from repro.scripting.analysis import (
     DOM_WRITE,
     XHR_USE,
 )
-from repro.scripting.cache import ScriptReportCache
+from repro.scripting.cache import ScriptCache
 
 #: ``object_label`` of the USE decision guarding the DOM native API.
 _DOM_API_LABEL = "DOM API (native-api)"
@@ -109,10 +109,10 @@ class _ScriptRecord:
 class StaticScreen:
     """Per-suite accumulator pairing static reports with dynamic audits."""
 
-    def __init__(self, reports: ScriptReportCache | None = None) -> None:
-        #: Memoised analysis tier; shared with warm-state snapshots when the
-        #: caller passes ``CompileCaches.reports``.
-        self.reports = reports if reports is not None else ScriptReportCache()
+    def __init__(self, scripts: ScriptCache | None = None) -> None:
+        #: Where reports are memoised; the scenario runner passes its stack's
+        #: ``CompileCaches.scripts``, so execution and analysis share entries.
+        self.scripts = scripts if scripts is not None else ScriptCache()
         #: digest -> dynamic record, for every script ever screened.
         self._records: dict[str, _ScriptRecord] = {}
         #: Stack of digests for the executions currently on the call stack
@@ -127,16 +127,12 @@ class StaticScreen:
 
     # -- attribution -------------------------------------------------------------------
 
-    def observe_script(self, source: str, *, parse=None) -> str:
+    def observe_script(self, source: str) -> str:
         """Analyze ``source`` (memoised) and register its digest.
 
-        ``parse`` lets the caller share its AST-cache tier with the
-        analyzer.  Returns the digest to pass to :meth:`attribute`.
+        Returns the digest to pass to :meth:`attribute`.
         """
-        if parse is None:
-            report = self.reports.report_for(source)
-        else:
-            report = self.reports.report_for(source, parse=parse)
+        report = self.scripts.report_for(source)
         record = self._records.get(report.digest)
         if record is None:
             excerpt = " ".join(source.split())[:120]
@@ -245,5 +241,5 @@ class StaticScreen:
     def as_dict(self) -> dict[str, object]:
         """JSON-friendly summary for benchmark reports."""
         stats = self.false_positive_stats()
-        stats["report_cache"] = self.reports.as_dict()
+        stats["report_cache"] = self.scripts.as_dict()["reports"]
         return stats

@@ -6,8 +6,8 @@ tier:
 * **cold throughput** -- scripts analyzed per second with no memoisation,
   over a corpus mixing every attack family's payloads, the webapps' own
   head/chrome scripts and synthetic variants;
-* **memoised throughput** -- the same corpus served through the
-  :class:`~repro.scripting.cache.ScriptReportCache` tier, with its hit
+* **memoised throughput** -- the same corpus served through
+  :meth:`~repro.scripting.cache.ScriptCache.report_for`, with its hit
   rate (re-serving a script must cost a digest, not a dataflow fixpoint);
 * **screened-suite overhead** -- wall-clock of a scenario suite with the
   soundness screen attached vs. detached, plus the digest-parity bit
@@ -27,7 +27,7 @@ from pathlib import Path
 from repro.scenarios.generator import ScenarioGenerator
 from repro.scenarios.runner import ScenarioRunner
 from repro.scripting.analysis import analyze_source, script_digest
-from repro.scripting.cache import ScriptReportCache
+from repro.scripting.cache import ScriptCache
 
 from .reporting import format_table
 
@@ -105,19 +105,20 @@ def _measure_cold(corpus: list[str], repeats: int) -> dict:
 
 
 def _measure_memoised(corpus: list[str], repeats: int) -> dict:
-    cache = ScriptReportCache(maxsize=max(len(corpus) * 2, 64))
+    cache = ScriptCache(maxsize=max(len(corpus) * 2, 64))
     start = time.perf_counter()
     for _ in range(repeats):
         for source in corpus:
             cache.report_for(source)
     elapsed = time.perf_counter() - start
     analyzed = repeats * len(corpus)
+    counters = cache.as_dict()["reports"]
     return {
         "analyzed": analyzed,
         "seconds": round(elapsed, 6),
         "scripts_per_second": round(analyzed / elapsed, 1) if elapsed else 0.0,
-        "hit_rate": cache.hit_rate,
-        "cache": cache.as_dict(),
+        "hit_rate": counters["hit_rate"],
+        "cache": counters,
     }
 
 
@@ -140,7 +141,7 @@ def measure_analysis(*, variants: int = 20, repeats: int = 5, scenario_count: in
 
     scenarios = ScenarioGenerator(seed="42", attack_ratio=0.5).generate(scenario_count)
     # Steady-state comparison: one long-lived runner per mode (that is how
-    # the suite actually runs -- the report tier memoises analysis after
+    # the suite actually runs -- the script cache memoises analysis after
     # the first sighting), a warmup round each, then best-of-three timed
     # rounds; minima because the suite is short enough that scheduler
     # noise would otherwise dominate the ratio.
@@ -169,7 +170,7 @@ def measure_analysis(*, variants: int = 20, repeats: int = 5, scenario_count: in
             "overhead_pct": round(overhead_pct, 2),
             "digest_parity": plain_digests == screened_digests,
             "soundness": soundness,
-            "report_cache": screened_runner.caches.reports.as_dict()
+            "report_cache": screened_runner.caches.as_dict()["reports"]
             if screened_runner.caches is not None
             else None,
         },

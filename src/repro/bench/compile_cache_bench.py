@@ -9,7 +9,7 @@ certificate that the caches change nothing but speed:
   (``page_compile_speedup``; the serialized DOM, ring histogram and render
   statistics must be identical).
 * **Script front end** -- the same source executed repeatedly, cold parse
-  per run vs the shared AST cache (``script_ast_speedup``).
+  per run vs the shared script cache (``script_ast_speedup``).
 * **Script execution** -- a script-heavy payload on a warm front end, AST
   walker vs the bytecode VM with shared inline caches
   (``script_vm_speedup``; identical completion values required).
@@ -44,7 +44,7 @@ from repro.core.policy import EscudoPolicy
 from repro.html.serializer import serialize
 from repro.scenarios.engine import run_suite
 from repro.scenarios.model import canonical_spec_json
-from repro.scripting.cache import ScriptAstCache, ScriptCodeCache
+from repro.scripting.cache import ScriptCache
 from repro.scripting.interpreter import Interpreter
 from repro.scripting.vm import VirtualMachine
 
@@ -144,13 +144,13 @@ def _measure_page_compile(loads: int) -> dict:
 
 
 def _measure_script_ast(runs: int) -> dict:
-    """The same source executed repeatedly, cold front end vs AST cache."""
+    """The same source executed repeatedly, cold front end vs the script cache."""
     start = time.perf_counter()
     for _ in range(runs):
         cold_result = Interpreter().run(SCRIPT_SOURCE)
     cold_s = time.perf_counter() - start
 
-    cache = ScriptAstCache()
+    cache = ScriptCache()
     start = time.perf_counter()
     for _ in range(runs):
         warm_result = Interpreter().run(cache.parse(SCRIPT_SOURCE))
@@ -164,7 +164,7 @@ def _measure_script_ast(runs: int) -> dict:
         "warm_runs_per_second": runs / warm_s if warm_s > 0 else 0.0,
         "speedup": cold_s / warm_s if warm_s > 0 else 0.0,
         "parity": (warm_result.value == cold_result.value and not warm_result.failed),
-        "ast_hit_rate": cache.hit_rate,
+        "ast_hit_rate": cache.as_dict()["scripts"]["hit_rate"],
     }
 
 
@@ -175,15 +175,14 @@ def _measure_script_vm(runs: int, rounds: int = 3) -> dict:
     AST, the VM executes the cached :class:`CodeObject`), so the measured
     difference is pure execution -- the tier this PR adds.  Each run builds
     a fresh engine, like one page-load principal; the compiled code (and its
-    inline caches) is shared through the code cache, like one worker's
+    inline caches) is shared through the script cache, like one worker's
     cache stack.  Per-engine times are best-of-``rounds`` (the minimum-time
     estimator -- scheduler noise only ever slows a round down), applied to
     walker and VM alike.
     """
-    ast_cache = ScriptAstCache()
-    program = ast_cache.parse(VM_SCRIPT_SOURCE)
-    code_cache = ScriptCodeCache()
-    code = code_cache.code_for(VM_SCRIPT_SOURCE, parse=ast_cache.parse)
+    cache = ScriptCache()
+    program = cache.parse(VM_SCRIPT_SOURCE)
+    code = cache.code_for(VM_SCRIPT_SOURCE)
     rounds = max(1, rounds)
 
     # Warm-up (also primes the shared inline caches, untimed).

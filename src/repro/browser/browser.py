@@ -171,8 +171,7 @@ class Browser:
             self,
             page,
             max_steps=self.max_script_steps,
-            ast_cache=self.caches.scripts if self.caches is not None else None,
-            code_cache=self.caches.code if self.caches is not None else None,
+            scripts=self.caches.scripts if self.caches is not None else None,
             engine=self.script_engine,
             screen=self.static_screen,
         )

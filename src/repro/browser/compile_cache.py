@@ -23,8 +23,9 @@ through the scenario runner, across whole scenarios):
   id and parent indexes it shares with the labelled pristine variant, so the
   load-time queries (scripts, subresources, ``getElementById``) are computed
   once per variant and never re-walk a served page.
-* :class:`~repro.scripting.cache.ScriptAstCache` -- the MiniScript front end
-  memoised on source digest (re-exported here as part of the stack).
+* :class:`~repro.scripting.cache.ScriptCache` -- one entry per script
+  source digest holding its parsed program, its bytecode and its static
+  analysis report, each built on first use from the entry's own program.
 * A shared :class:`~repro.core.cache.DecisionCache` -- pages constructed
   through the stack share one decision cache, so mediation verdicts survive
   page (and scenario) boundaries.  Correctness is inherited from the
@@ -32,8 +33,9 @@ through the scenario runner, across whole scenarios):
   token, and any policy swap or in-place relabel bumps the generation,
   dropping every entry.
 
-:class:`CompileCaches` bundles the three, which is what one scenario worker
-carries for its whole lifetime.
+:class:`CompileCaches` holds the template, script and decision caches plus
+the shared policy instances: what one scenario worker carries for its whole
+lifetime.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from repro.core.origin import Origin
 from repro.dom.document import Document
 from repro.html.parser import TreeBuilder
 from repro.html.tokenizer import tokenize
-from repro.scripting.cache import ScriptAstCache, ScriptCodeCache, ScriptReportCache
+from repro.scripting.cache import ScriptCache
 
 from .labeler import LabelingStats, PageLabeler, document_uses_escudo
 from .renderer import Renderer, RenderStats
@@ -258,22 +260,16 @@ def _copy_labeling_stats(stats: LabelingStats) -> LabelingStats:
 
 @dataclass
 class CompileCaches:
-    """The per-worker cache stack: templates + script ASTs + bytecode + decisions."""
+    """The per-worker cache stack: templates + scripts + decisions + policies."""
 
     templates: TemplateCache
-    scripts: ScriptAstCache
+    scripts: ScriptCache
     decisions: DecisionCache
     #: Shared policy instances, one per protection model.  Policies are pure
     #: functions over frozen contexts, but their decision-cache token is per
     #: *instance*; sharing the instance is what lets verdicts cached by one
     #: page serve every later page enforcing the same model.
     policies: dict = field(default_factory=dict)
-    #: Compiled-bytecode tier below the AST cache (used by the VM engine);
-    #: a warm source goes digest -> CodeObject with no front end at all.
-    code: ScriptCodeCache = field(default_factory=ScriptCodeCache)
-    #: Static-analysis tier: memoised ScriptReports keyed by the same source
-    #: digest.  Reports are frozen dataclasses of plain values.
-    reports: ScriptReportCache = field(default_factory=ScriptReportCache)
 
     def policy_for(self, options) -> object:
         """The stack's shared policy instance for ``options.model``."""
@@ -284,34 +280,22 @@ class CompileCaches:
         return policy
 
     @classmethod
-    def build(
-        cls,
-        *,
-        template_size: int = DEFAULT_TEMPLATE_CACHE_SIZE,
-        ast_size: int | None = None,
-        code_size: int | None = None,
-        report_size: int | None = None,
-        decision_size: int = DEFAULT_SHARED_DECISION_CACHE_SIZE,
-    ) -> "CompileCaches":
-        """A fresh stack with the default (or overridden) capacities."""
-        scripts = ScriptAstCache(ast_size) if ast_size is not None else ScriptAstCache()
-        code = ScriptCodeCache(code_size) if code_size is not None else ScriptCodeCache()
-        reports = ScriptReportCache(report_size) if report_size is not None else ScriptReportCache()
+    def build(cls) -> "CompileCaches":
+        """A fresh stack with the default capacities."""
         return cls(
-            templates=TemplateCache(template_size),
-            scripts=scripts,
-            decisions=DecisionCache(decision_size),
-            code=code,
-            reports=reports,
+            templates=TemplateCache(),
+            scripts=ScriptCache(),
+            decisions=DecisionCache(DEFAULT_SHARED_DECISION_CACHE_SIZE),
         )
 
     def as_dict(self) -> dict[str, object]:
-        """Effectiveness counters of every layer (for benchmark reports)."""
+        """Effectiveness counters of every layer (for benchmark reports).
+
+        ``scripts``, ``code`` and ``reports`` are the script cache's
+        front-end, bytecode and report lookups.
+        """
         return {
             "templates": self.templates.as_dict(),
-            "scripts": self.scripts.as_dict(),
-            "code": self.code.as_dict(),
-            "reports": self.reports.as_dict(),
+            **self.scripts.as_dict(),
             "decisions": self.decisions.info().as_dict(),
         }
-

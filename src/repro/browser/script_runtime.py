@@ -31,7 +31,7 @@ from typing import Callable
 from repro.core.context import SecurityContext
 from repro.dom.dom_api import DomApi, ElementHandle
 from repro.dom.element import Element
-from repro.scripting.cache import ScriptAstCache, ScriptCodeCache
+from repro.scripting.cache import ScriptCache
 from repro.scripting.errors import RuntimeScriptError, ScriptError
 from repro.scripting.interpreter import (
     ExecutionResult,
@@ -40,7 +40,6 @@ from repro.scripting.interpreter import (
     NativeConstructor,
     NativeFunction,
 )
-from repro.scripting.parser import parse_script
 from repro.scripting.vm import VirtualMachine
 
 from .page import Page, RegisteredListener, ScriptRun
@@ -488,8 +487,7 @@ class ScriptRuntime:
         page: Page,
         *,
         max_steps: int = 500_000,
-        ast_cache: ScriptAstCache | None = None,
-        code_cache: ScriptCodeCache | None = None,
+        scripts: ScriptCache | None = None,
         engine: str = "vm",
         screen=None,
     ) -> None:
@@ -498,13 +496,10 @@ class ScriptRuntime:
         self.browser = browser
         self.page = page
         self.max_steps = max_steps
-        #: Optional shared front-end cache: repeated executions of the same
+        #: Optional shared script cache: repeated executions of the same
         #: source (re-loaded pages, replayed handlers, re-armed timers) skip
-        #: lexing and parsing entirely.
-        self.ast_cache = ast_cache
-        #: Optional shared back-end cache: memoises the compiled bytecode one
-        #: tier below the AST cache (only consulted by the ``vm`` engine).
-        self.code_cache = code_cache
+        #: lexing, parsing and bytecode lowering entirely.
+        self.scripts = scripts
         #: ``"vm"`` (bytecode, default) or ``"walker"`` (the reference AST
         #: interpreter, kept selectable for differential parity runs).
         self.engine = engine
@@ -559,8 +554,7 @@ class ScriptRuntime:
         """Analyze ``source`` (memoised) and bind its digest for attribution."""
         if self.screen is None:
             return
-        parse = self.ast_cache.parse if self.ast_cache is not None else None
-        environment.digest = self.screen.observe_script(source, parse=parse)
+        environment.digest = self.screen.observe_script(source)
 
     # -- helpers --------------------------------------------------------------------------------
 
@@ -571,29 +565,24 @@ class ScriptRuntime:
         return VirtualMachine(max_steps=self.max_steps)
 
     def _run_source(self, interpreter, source: str) -> ExecutionResult:
-        """Run ``source`` through whatever compile tiers are configured.
+        """Run ``source``, through the script cache when there is one.
 
-        The cached paths are observably identical to ``interpreter.run(source)``:
-        a (possibly memoised) front-end error yields the same failed
-        :class:`ExecutionResult` a cold parse would, and cached bytecode
-        re-executes through the same mediated host calls.
+        The cached path is observably identical to ``interpreter.run(source)``
+        (the no-cache reference): a (possibly memoised) front-end error
+        yields the same failed :class:`ExecutionResult` a cold parse would,
+        and cached bytecode or ASTs re-execute through the same mediated
+        host calls.
         """
-        if self.engine == "vm" and self.code_cache is not None:
-            # Full tiering: source digest -> bytecode (which itself fronts
-            # through the AST cache on a code-cache miss).
-            parse = self.ast_cache.parse if self.ast_cache is not None else parse_script
-            try:
-                code = self.code_cache.code_for(source, parse=parse)
-            except ScriptError as error:
-                return ExecutionResult(error=error, completed=False)
-            return interpreter.run(code)
-        if self.ast_cache is None:
+        if self.scripts is None:
             return interpreter.run(source)
         try:
-            program = self.ast_cache.parse(source)
+            if self.engine == "vm":
+                compiled = self.scripts.code_for(source)
+            else:
+                compiled = self.scripts.parse(source)
         except ScriptError as error:
             return ExecutionResult(error=error, completed=False)
-        return interpreter.run(program)
+        return interpreter.run(compiled)
 
     def _script_source(self, script_element: Element) -> str:
         """Inline source, or the fetched body of a ``src`` script."""

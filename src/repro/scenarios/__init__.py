@@ -43,7 +43,6 @@ from .oracle import DifferentialOracle, Verdict
 from .parallel import (
     ParallelSuiteResult,
     default_steal_chunk,
-    partition_indices,
     resolve_mp_context,
     run_suite_parallel,
     steal_chunks,
@@ -73,7 +72,6 @@ __all__ = [
     "default_steal_chunk",
     "load_corpus",
     "make_step",
-    "partition_indices",
     "resolve_models",
     "resolve_mp_context",
     "run_suite",

@@ -141,7 +141,20 @@ def _parse_args(argv) -> argparse.Namespace:
         "unused with --replay)",
     )
     parser.add_argument("--json", action="store_true", help="print the full report as JSON")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.count < 1:
+        parser.error("--count must be at least 1")
+    if args.workers < 1:
+        parser.error("--workers must be at least 1")
+    if args.steal_chunk < 0:
+        parser.error("--steal-chunk must be 0 (auto) or positive")
+    if not 0.0 <= args.attack_ratio <= 1.0:
+        parser.error("--attack-ratio must be in [0, 1]")
+    if not 0.0 <= args.faults <= 1.0:
+        parser.error("--faults must be in [0, 1]")
+    if args.crash_chunk and args.workers < 2:
+        parser.error("--crash-chunk needs --workers > 1")
+    return args
 
 
 def _replay_one(args: argparse.Namespace) -> int:

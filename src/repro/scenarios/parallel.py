@@ -70,20 +70,6 @@ _SUPERVISE_POLL_S = 0.25
 CRASH_EXIT_CODE = 3
 
 
-def partition_indices(count: int, shards: int) -> list[list[int]]:
-    """Strided partition of ``range(count)`` into ``shards`` balanced slices.
-
-    Kept for callers that want a *static* assignment (striding spreads the
-    expensive seeded attack scenarios evenly); the executor itself now uses
-    :func:`steal_chunks` and lets workers balance dynamically.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if shards < 1:
-        raise ValueError("need at least one shard")
-    return [list(range(shard, count, shards)) for shard in range(shards)]
-
-
 def steal_chunks(count: int, chunk_size: int) -> list[list[int]]:
     """Contiguous chunks of ``range(count)``, the work-stealing queue's units.
 

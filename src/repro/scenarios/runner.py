@@ -90,7 +90,7 @@ class ScenarioRunner:
 
     One runner is one *worker*: by default it carries a
     :class:`~repro.browser.compile_cache.CompileCaches` stack -- the HTML
-    template cache, the script AST cache and a shared decision cache -- for
+    template cache, the script cache and a shared decision cache -- for
     its whole lifetime, so compilation and cold-start mediation work is paid
     once and amortised across every scenario the worker executes.  Verdicts
     are unaffected: templates and ASTs are served as aliasing-free clones /
@@ -139,15 +139,15 @@ class ScenarioRunner:
         else:
             self.caches = compile_caches
         #: Optional soundness screen: when enabled every browser the runner
-        #: builds analyzes each executed script (memoised through the cache
-        #: stack's report tier) and attributes monitor decisions to it, so
+        #: builds analyzes each executed script (memoised in the cache
+        #: stack's script cache) and attributes monitor decisions to it, so
         #: ``self.screen.verify()`` checks the static-vs-dynamic contract
         #: over everything this runner executed.
         if static_screen:
             from repro.analysis.soundness import StaticScreen
 
-            reports = self.caches.reports if self.caches is not None else None
-            self.screen: "StaticScreen | None" = StaticScreen(reports)
+            scripts = self.caches.scripts if self.caches is not None else None
+            self.screen: "StaticScreen | None" = StaticScreen(scripts)
         else:
             self.screen = None
         #: Applications whose index pages already pre-warmed the stack.

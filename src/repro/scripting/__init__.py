@@ -7,14 +7,7 @@ from .analysis import (
     analyze_source,
     script_digest,
 )
-from .cache import (
-    DEFAULT_AST_CACHE_SIZE,
-    DEFAULT_CODE_CACHE_SIZE,
-    DEFAULT_REPORT_CACHE_SIZE,
-    ScriptAstCache,
-    ScriptCodeCache,
-    ScriptReportCache,
-)
+from .cache import DEFAULT_SCRIPT_CACHE_SIZE, ScriptCache
 from .compiler import CodeObject, compile_function, compile_program, fold_program
 from .errors import BudgetExceeded, LexError, ParseError, RuntimeScriptError, ScriptError
 from .interpreter import (
@@ -35,9 +28,7 @@ __all__ = [
     "BudgetExceeded",
     "CodeObject",
     "CompiledFunction",
-    "DEFAULT_AST_CACHE_SIZE",
-    "DEFAULT_CODE_CACHE_SIZE",
-    "DEFAULT_REPORT_CACHE_SIZE",
+    "DEFAULT_SCRIPT_CACHE_SIZE",
     "Environment",
     "ExecutionResult",
     "HostObject",
@@ -47,12 +38,10 @@ __all__ = [
     "NativeFunction",
     "ParseError",
     "RuntimeScriptError",
-    "ScriptAstCache",
-    "ScriptCodeCache",
+    "ScriptCache",
     "ScriptError",
     "ScriptFunction",
     "ScriptReport",
-    "ScriptReportCache",
     "ScriptToken",
     "TokenType",
     "VirtualMachine",

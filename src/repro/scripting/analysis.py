@@ -35,8 +35,8 @@ Pipeline, per program:
    functions as event handlers (parameters gain the ``event`` taint).
 
 The emitted :class:`ScriptReport` is immutable and process-portable, which
-lets :class:`repro.scripting.cache.ScriptReportCache` memoise it as a third
-compile-cache tier next to the AST and bytecode caches.
+lets :class:`repro.scripting.cache.ScriptCache` memoise it in the same
+per-source entry as the parsed program and the bytecode.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def script_digest(source: str) -> str:
 class ScriptReport:
     """Everything the static pass proves about one script."""
 
-    #: Source digest (the report/AST/code cache key).
+    #: Source digest (the script cache key).
     digest: str
     #: Over-approximated set of mediated sink categories (:data:`ALL_SINKS`).
     sinks: frozenset[str]
@@ -990,26 +990,29 @@ def analyze_program(program: ast.Program, *, digest: str = "") -> ScriptReport:
     return ScriptAnalyzer(program).analyze(digest=digest)
 
 
-def analyze_source(source: str, *, parse=parse_script) -> ScriptReport:
-    """Parse + analyze ``source``; front-end failures yield an error report.
+def error_report(digest: str, error: ScriptError) -> ScriptReport:
+    """The report of a source the front end rejects.
 
     A script that does not parse executes nothing, so its (empty) sink set
-    is exact, not an approximation.  ``parse`` may be a bound
-    :meth:`~repro.scripting.cache.ScriptAstCache.parse` to share the AST
-    tier with the execution pipeline.
+    is exact, not an approximation.
     """
+    return ScriptReport(
+        digest=digest,
+        sinks=frozenset(),
+        flows=frozenset(),
+        dead_statements=(),
+        unreachable_branches=(),
+        step_bound=0,
+        functions=0,
+        error=str(error),
+    )
+
+
+def analyze_source(source: str) -> ScriptReport:
+    """Parse + analyze ``source``; front-end failures yield an error report."""
     digest = script_digest(source)
     try:
-        program = parse(source)
+        program = parse_script(source)
     except ScriptError as error:
-        return ScriptReport(
-            digest=digest,
-            sinks=frozenset(),
-            flows=frozenset(),
-            dead_statements=(),
-            unreachable_branches=(),
-            step_bound=0,
-            functions=0,
-            error=str(error),
-        )
+        return error_report(digest, error)
     return analyze_program(program, digest=digest)

@@ -1,24 +1,39 @@
-"""Script compilation cache: memoised lexer + parser output.
+"""Script compilation cache: one entry per source digest.
 
 The scenario engine executes the same script sources over and over -- every
 page load of an application re-runs its head scripts, every replayed attack
 re-injects the same payload, every timer re-registers the same callbacks --
-and the MiniScript front end (lexing + recursive-descent parsing) dominates
-script execution cost for these short programs.
+so everything derived from a source is memoised on the SHA-256 of its text.
 
-:class:`ScriptAstCache` memoises the front end keyed on the SHA-256 of the
-source text.  Sharing one parsed :class:`~repro.scripting.ast_nodes.Program`
-between executions is safe because the interpreter treats the AST as
-read-only (exactly like a real engine sharing bytecode between realms): all
-execution state lives in :class:`~repro.scripting.interpreter.Environment`
-chains, never on the nodes.  Parse *errors* are memoised too -- a scenario
-that replays a syntactically broken payload should not re-lex it a hundred
-times just to rediscover the same :class:`ParseError`.
+:class:`ScriptCache` is one bounded LRU.  Each entry holds the three results
+a source can need, each filled the first time it is asked for:
 
-Entries are plain ASTs / code objects / exceptions with no handles on the
-owning process; each worker process warms its own caches (see
-:mod:`repro.browser.compile_cache`).  :meth:`~ScriptAstCache.reset_counters`
-restarts the telemetry while keeping the entries warm.
+* the front-end result -- a parsed :class:`~repro.scripting.ast_nodes.Program`
+  or the memoised :class:`ScriptError` (the AST walker runs it);
+* the bytecode -- a :class:`~repro.scripting.compiler.CodeObject` or the
+  memoised compile error (the VM runs it);
+* the :class:`~repro.scripting.analysis.ScriptReport` -- what the static
+  analyzer proves about the source (the soundness screen reads it).
+
+Bytecode and report are built from the entry's own program, so a source is
+lexed and parsed at most once per entry whichever result is asked for first.
+Sharing one program or code object between executions -- and between
+principals -- is safe because all execution state lives in
+:class:`~repro.scripting.interpreter.Environment` chains, never on the
+nodes.  The code object's inline caches are the one mutable part, and they
+only memoise which dispatch-ladder branch a site took (keyed on the
+receiver's class); every hit still performs the fully mediated
+``js_get``/``js_set``/``js_call``, so cached code cannot leak one
+principal's verdicts to another.  A hit on a memoised error raises a fresh
+copy (see :func:`_fresh_error`), so callers cannot tell a hit from a cold
+parse, and a replayed broken payload costs one digest.
+
+The hit/miss counters are kept per result, under the names
+:meth:`repro.browser.compile_cache.CompileCaches.as_dict` reports:
+``scripts`` counts front-end lookups (direct, or made to build bytecode or
+a report), ``code`` bytecode lookups and ``reports`` report lookups.
+:meth:`~ScriptCache.reset_counters` restarts them while keeping the entries
+warm.  Each worker process warms its own cache.
 """
 
 from __future__ import annotations
@@ -27,17 +42,16 @@ import hashlib
 from collections import OrderedDict
 
 from . import ast_nodes as ast
+from .analysis import ScriptReport, analyze_program, error_report
+from .compiler import CodeObject, compile_program
 from .errors import ScriptError
 from .parser import parse_script
 
 #: Default number of distinct sources retained.
-DEFAULT_AST_CACHE_SIZE = 512
+DEFAULT_SCRIPT_CACHE_SIZE = 512
 
-#: Default number of distinct compiled code objects retained.
-DEFAULT_CODE_CACHE_SIZE = 512
-
-#: Default number of distinct static-analysis reports retained.
-DEFAULT_REPORT_CACHE_SIZE = 512
+#: The per-result counters, named as the compile-cache stack reports them.
+TIERS = ("scripts", "code", "reports")
 
 
 def _fresh_error(error: ScriptError) -> ScriptError:
@@ -53,244 +67,146 @@ def _fresh_error(error: ScriptError) -> ScriptError:
     return copy
 
 
-class ScriptAstCache:
-    """Bounded LRU of parsed programs keyed by source digest."""
+class _Entry:
+    """Everything derived from one source; each slot is filled on first use."""
 
-    def __init__(self, maxsize: int = DEFAULT_AST_CACHE_SIZE) -> None:
+    __slots__ = ("digest", "program", "code", "report")
+
+    def __init__(self, digest: str) -> None:
+        self.digest = digest
+        self.program: "ast.Program | ScriptError | None" = None
+        self.code: "CodeObject | ScriptError | None" = None
+        self.report: ScriptReport | None = None
+
+
+class ScriptCache:
+    """Bounded LRU of per-source compile results keyed by source digest."""
+
+    def __init__(self, maxsize: int = DEFAULT_SCRIPT_CACHE_SIZE) -> None:
         if maxsize <= 0:
-            raise ValueError("AST cache maxsize must be positive")
+            raise ValueError("script cache maxsize must be positive")
         self.maxsize = maxsize
-        self._entries: "OrderedDict[str, ast.Program | ScriptError]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
+        #: The last source digested and its digest.  A screened execution
+        #: asks for the report and then the code of the same string object;
+        #: the second lookup reuses the digest instead of re-hashing.
+        self._last_source: str | None = None
+        self._last_digest = ""
+        self.hits = dict.fromkeys(TIERS, 0)
+        self.misses = dict.fromkeys(TIERS, 0)
+
+    # -- lookups -----------------------------------------------------------------------
 
     def parse(self, source: str) -> ast.Program:
         """Parse ``source``, serving repeats from the cache.
 
         Raises exactly what :func:`~repro.scripting.parser.parse_script`
-        raises for the same source -- a cached :class:`ParseError` is
-        re-raised, so callers cannot tell a hit from a cold parse.
+        raises for the same source.
         """
-        key = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        entries = self._entries
-        cached = entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            entries.move_to_end(key)
-            if isinstance(cached, ScriptError):
-                raise _fresh_error(cached)
-            return cached
-        self.misses += 1
-        try:
-            program = parse_script(source)
-        except ScriptError as error:
-            self._store(key, error)
-            raise
-        self._store(key, program)
-        return program
+        return self._program(self._entry(source), source)
 
-    def _store(self, key: str, value: "ast.Program | ScriptError") -> None:
-        entries = self._entries
-        if len(entries) >= self.maxsize:
-            entries.popitem(last=False)
-        entries[key] = value
-
-    # -- introspection ---------------------------------------------------------------
-
-    def reset_counters(self) -> None:
-        """Zero the hit/miss counters, keeping every entry.
-
-        A measurement over an already-warm cache starts its *telemetry*
-        cold (so the hit rate describes the measured traffic only) while
-        the entries stay warm.
-        """
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of parses served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> dict[str, object]:
-        """Counters for benchmark reports."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "size": len(self._entries),
-            "maxsize": self.maxsize,
-        }
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-class ScriptReportCache:
-    """Bounded LRU of :class:`~repro.scripting.analysis.ScriptReport` values.
-
-    Third compile-cache tier, alongside the AST and bytecode caches: where
-    those memoise *how to run* a source, this memoises what the static
-    analyzer *proves about* it.  A report depends only on the source text,
-    so the same digest keying applies, and reports are frozen dataclasses of
-    plain values -- fully process-portable, so a warmed report cache ships
-    in warm-state snapshots exactly like the other tiers.
-
-    Unlike the sibling caches this one never raises: a source that fails
-    the front end still gets a (memoised) report with ``error`` set and an
-    empty sink set, which is exact -- a script that does not parse executes
-    nothing.
-    """
-
-    def __init__(self, maxsize: int = DEFAULT_REPORT_CACHE_SIZE) -> None:
-        if maxsize <= 0:
-            raise ValueError("report cache maxsize must be positive")
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[str, object]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def report_for(self, source: str, *, parse=parse_script):
-        """Analyze ``source``, serving repeats from the cache.
-
-        ``parse`` is the front end used on a miss -- pass a bound
-        :meth:`ScriptAstCache.parse` to share the AST tier with execution,
-        so a screened run parses each distinct source once for all three
-        consumers (analysis, walker, compiler).
-        """
-        from .analysis import analyze_source
-
-        key = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        entries = self._entries
-        cached = entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            entries.move_to_end(key)
-            return cached
-        self.misses += 1
-        report = analyze_source(source, parse=parse)
-        self._store(key, report)
-        return report
-
-    def _store(self, key: str, value) -> None:
-        entries = self._entries
-        if len(entries) >= self.maxsize:
-            entries.popitem(last=False)
-        entries[key] = value
-
-    # -- introspection ---------------------------------------------------------------
-
-    def reset_counters(self) -> None:
-        """Zero the hit/miss counters, keeping every entry (see
-        :meth:`ScriptAstCache.reset_counters`)."""
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of analyses served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> dict[str, object]:
-        """Counters for benchmark reports."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "size": len(self._entries),
-            "maxsize": self.maxsize,
-        }
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-class ScriptCodeCache:
-    """Bounded LRU of compiled :class:`CodeObject` keyed by source digest.
-
-    Sibling of :class:`ScriptAstCache` one tier further down: where the AST
-    cache memoises the front end (lex + parse), this memoises the *back*
-    end (constant folding + bytecode lowering), so a warm execution goes
-    straight from source text to the VM dispatch loop.  Sharing one
-    :class:`~repro.scripting.compiler.CodeObject` between executions -- and
-    between principals -- is safe for the same reason sharing the AST is:
-    all execution state lives in environment chains.  The embedded inline
-    caches are the one mutable part, and they only memoise which dispatch
-    ladder branch a site took (keyed on the receiver's class); every hit
-    still performs the fully mediated ``js_get``/``js_set``/``js_call``, so
-    cached code cannot leak one principal's verdicts to another.
-
-    Front-end errors are memoised here too (as fresh copies on every hit,
-    see :func:`_fresh_error`) so a replayed broken payload costs one digest.
-    """
-
-    def __init__(self, maxsize: int = DEFAULT_CODE_CACHE_SIZE) -> None:
-        if maxsize <= 0:
-            raise ValueError("code cache maxsize must be positive")
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[str, object]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def code_for(self, source: str, *, parse=parse_script):
+    def code_for(self, source: str) -> CodeObject:
         """Compile ``source`` to bytecode, serving repeats from the cache.
 
-        ``parse`` is the front end to use on a miss -- pass a bound
-        :meth:`ScriptAstCache.parse` to stack the two tiers (an AST-cache
-        hit then feeds only the lowering pass).  Raises exactly what the
-        front end or compiler raises for the same source.
+        Raises exactly what the front end or compiler raises for the same
+        source.
         """
-        from .compiler import compile_program
-
-        key = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        entries = self._entries
-        cached = entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            entries.move_to_end(key)
-            if isinstance(cached, ScriptError):
-                raise _fresh_error(cached)
-            return cached
-        self.misses += 1
-        try:
-            code = compile_program(parse(source))
-        except ScriptError as error:
-            self._store(key, error)
-            raise
-        self._store(key, code)
+        entry = self._entry(source)
+        code = entry.code
+        if code is None:
+            self.misses["code"] += 1
+            try:
+                code = compile_program(self._program(entry, source))
+            except ScriptError as error:
+                entry.code = error
+                raise
+            entry.code = code
+            return code
+        self.hits["code"] += 1
+        if isinstance(code, ScriptError):
+            raise _fresh_error(code)
         return code
 
-    def _store(self, key: str, value) -> None:
+    def report_for(self, source: str) -> ScriptReport:
+        """Analyze ``source``, serving repeats from the cache.
+
+        Never raises: a source the front end rejects gets a report with
+        ``error`` set and an empty sink set, which is exact -- a script that
+        does not parse executes nothing.
+        """
+        entry = self._entry(source)
+        report = entry.report
+        if report is None:
+            self.misses["reports"] += 1
+            try:
+                program = self._program(entry, source)
+            except ScriptError as error:
+                report = error_report(entry.digest, error)
+            else:
+                report = analyze_program(program, digest=entry.digest)
+            entry.report = report
+        else:
+            self.hits["reports"] += 1
+        return report
+
+    def _entry(self, source: str) -> _Entry:
+        if source is self._last_source:
+            digest = self._last_digest
+        else:
+            digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
+            self._last_source, self._last_digest = source, digest
         entries = self._entries
-        if len(entries) >= self.maxsize:
-            entries.popitem(last=False)
-        entries[key] = value
+        entry = entries.get(digest)
+        if entry is None:
+            if len(entries) >= self.maxsize:
+                entries.popitem(last=False)
+            entry = entries[digest] = _Entry(digest)
+        else:
+            entries.move_to_end(digest)
+        return entry
+
+    def _program(self, entry: _Entry, source: str) -> ast.Program:
+        program = entry.program
+        if program is None:
+            self.misses["scripts"] += 1
+            try:
+                program = parse_script(source)
+            except ScriptError as error:
+                entry.program = error
+                raise
+            entry.program = program
+            return program
+        self.hits["scripts"] += 1
+        if isinstance(program, ScriptError):
+            raise _fresh_error(program)
+        return program
 
     # -- introspection ---------------------------------------------------------------
 
     def reset_counters(self) -> None:
-        """Zero the hit/miss counters, keeping every entry (see
-        :meth:`ScriptAstCache.reset_counters`)."""
-        self.hits = 0
-        self.misses = 0
+        """Zero every hit/miss counter, keeping every entry.
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of compilations served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        A measurement over an already-warm cache starts its *telemetry*
+        cold (so the hit rates describe the measured traffic only) while
+        the entries stay warm.
+        """
+        self.hits = dict.fromkeys(TIERS, 0)
+        self.misses = dict.fromkeys(TIERS, 0)
 
-    def as_dict(self) -> dict[str, object]:
-        """Counters for benchmark reports."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "size": len(self._entries),
-            "maxsize": self.maxsize,
-        }
+    def as_dict(self) -> dict[str, dict[str, object]]:
+        """Counters per result (``scripts``/``code``/``reports``) for reports."""
+        size = len(self._entries)
+        payload = {}
+        for tier in TIERS:
+            hits, misses = self.hits[tier], self.misses[tier]
+            payload[tier] = {
+                "hits": hits,
+                "misses": misses,
+                "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+                "size": size,
+                "maxsize": self.maxsize,
+            }
+        return payload
 
     def __len__(self) -> int:
         return len(self._entries)

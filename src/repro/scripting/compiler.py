@@ -2,7 +2,7 @@
 
 The tree walker (:mod:`repro.scripting.interpreter`) re-dispatches on node
 types for every executed node; with the front end memoised by
-:class:`~repro.scripting.cache.ScriptAstCache` that dispatch became the
+:class:`~repro.scripting.cache.ScriptCache` that dispatch became the
 dominant per-run cost.  This module lowers a (cached, shared, read-only)
 AST once into a compact :class:`CodeObject` -- a flat instruction list plus
 a constant pool -- which :class:`~repro.scripting.vm.VirtualMachine`

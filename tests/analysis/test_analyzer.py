@@ -2,7 +2,7 @@
 
 Each test pins one analyzer behaviour on a hand-written MiniScript program:
 sink prediction per construct, taint flows, interprocedural propagation,
-handler escape, dead/unreachable code, and the report-cache tier.
+handler escape, dead/unreachable code, and the script cache's reports.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.scripting.analysis import (
     analyze_source,
     script_digest,
 )
-from repro.scripting.cache import ScriptReportCache
+from repro.scripting.cache import ScriptCache
 
 
 def sinks(source: str) -> frozenset[str]:
@@ -295,57 +295,63 @@ def test_benign_attribute_write_has_no_markers():
     assert report.markers == frozenset()
 
 
-# -- the report cache tier ---------------------------------------------------------------
+# -- reports through the script cache ------------------------------------------------
 
 
 def test_report_cache_miss_then_hit():
-    cache = ScriptReportCache()
+    cache = ScriptCache()
     source = "var c = document.cookie;"
     first = cache.report_for(source)
     second = cache.report_for(source)
     assert first is second
-    assert cache.misses == 1
-    assert cache.hits == 1
-    assert cache.hit_rate == 0.5
+    assert first == analyze_source(source)
+    assert cache.misses["reports"] == 1
+    assert cache.hits["reports"] == 1
+    assert cache.as_dict()["reports"]["hit_rate"] == 0.5
     assert len(cache) == 1
 
 
 def test_report_cache_memoises_parse_errors():
-    cache = ScriptReportCache()
+    cache = ScriptCache()
     source = "var = = nope;"
     first = cache.report_for(source)
     second = cache.report_for(source)
     assert first is second
     assert first.error is not None
+    assert first == analyze_source(source)
 
 
 def test_report_cache_evicts_least_recently_used():
-    cache = ScriptReportCache(maxsize=2)
+    cache = ScriptCache(maxsize=2)
     a, b, c = "var a = 1;", "var b = 2;", "var c = 3;"
     cache.report_for(a)
     cache.report_for(b)
     cache.report_for(a)  # refresh a; b is now the LRU entry
     cache.report_for(c)
     assert len(cache) == 2
-    hits_before = cache.hits
+    hits_before = cache.hits["reports"]
     cache.report_for(b)  # evicted: must be a miss
-    assert cache.hits == hits_before
+    assert cache.hits["reports"] == hits_before
 
 
 def test_report_cache_reset_counters_keeps_entries():
-    cache = ScriptReportCache()
+    cache = ScriptCache()
     cache.report_for("var a = 1;")
     cache.report_for("var a = 1;")
     cache.reset_counters()
-    assert cache.hits == 0
-    assert cache.misses == 0
+    assert cache.hits == {"scripts": 0, "code": 0, "reports": 0}
+    assert cache.misses == {"scripts": 0, "code": 0, "reports": 0}
     assert len(cache) == 1
 
 
 def test_report_cache_as_dict_shape():
-    cache = ScriptReportCache()
+    cache = ScriptCache()
     cache.report_for("var a = 1;")
     payload = cache.as_dict()
-    assert payload["size"] == 1
-    assert payload["misses"] == 1
-    assert payload["maxsize"] == 512
+    assert set(payload) == {"scripts", "code", "reports"}
+    for counters in payload.values():
+        assert set(counters) == {"hits", "misses", "hit_rate", "size", "maxsize"}
+    reports = payload["reports"]
+    assert reports["size"] == 1
+    assert reports["misses"] == 1
+    assert reports["maxsize"] == 512

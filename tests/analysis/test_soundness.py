@@ -61,12 +61,12 @@ def test_pinned_corpus_is_sound(engine, storage):
 
 
 def test_screen_report_cache_is_exercised():
-    """The screen memoises reports through the shared cache stack's tier."""
+    """The screen memoises reports in the shared cache stack's script cache."""
     runner = ScenarioRunner(static_screen=True)
     for scenario in _suite(6):
         runner.run(scenario)
     assert runner.caches is not None
-    counters = runner.caches.reports.as_dict()
+    counters = runner.caches.as_dict()["reports"]
     assert counters["misses"] > 0
     # Scenarios re-serve the same head/chrome scripts: the tier must hit.
     assert counters["hits"] > counters["misses"]

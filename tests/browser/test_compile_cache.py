@@ -1,7 +1,8 @@
 """The compile-cache stack: warm loads must be observably identical to cold.
 
-Covers the three layers (HTML templates, script ASTs, the shared decision
-cache) through the loader and the full browser, plus the correctness edges:
+Covers the three layers (HTML templates, the script cache, the shared
+decision cache) through the loader and the full browser, plus the
+correctness edges:
 clone isolation between pages, nonce-mismatch replay, generation
 invalidation on relabels, parse-error memoisation, and the response memo's
 session/state keying.
@@ -9,6 +10,7 @@ session/state keying.
 
 from __future__ import annotations
 
+import hashlib
 from unittest import mock
 
 import pytest
@@ -21,7 +23,7 @@ from repro.dom.node import Node
 from repro.html.serializer import serialize
 from repro.http.messages import HttpRequest, HttpResponse
 from repro.http.network import Network
-from repro.scripting.cache import ScriptAstCache, ScriptCodeCache
+from repro.scripting.cache import ScriptCache
 from repro.scripting.compiler import CodeObject
 from repro.scripting.errors import ParseError
 from repro.scripting.interpreter import Interpreter
@@ -190,33 +192,34 @@ class TestSharedDecisionCache:
         assert caches.decisions.generation == generation + 1
 
 
-class TestScriptAstCache:
+class TestScriptCacheParse:
     def test_repeat_parses_hit_and_programs_are_shared(self):
-        cache = ScriptAstCache()
+        cache = ScriptCache()
         first = cache.parse("var x = 1; x + 1;")
         second = cache.parse("var x = 1; x + 1;")
         assert first is second
-        assert cache.hits == 1 and cache.misses == 1
+        assert cache.hits["scripts"] == 1 and cache.misses["scripts"] == 1
         result = Interpreter().run(first)
         again = Interpreter().run(first)
         assert result.value == again.value == 2.0
 
     def test_parse_errors_are_memoised_and_replayed(self):
-        cache = ScriptAstCache()
+        cache = ScriptCache()
         with pytest.raises(ParseError):
             cache.parse("var = ;")
         with pytest.raises(ParseError):
             cache.parse("var = ;")
-        assert cache.hits == 1 and cache.misses == 1
+        assert cache.hits["scripts"] == 1 and cache.misses["scripts"] == 1
 
     def test_lru_bound_evicts_oldest(self):
-        cache = ScriptAstCache(maxsize=2)
+        cache = ScriptCache(maxsize=2)
         cache.parse("1;")
         cache.parse("2;")
         cache.parse("1;")  # refresh
         cache.parse("3;")  # evicts "2;"
         cache.parse("2;")
-        assert cache.misses == 4  # "2;" was re-parsed after eviction
+        assert cache.misses["scripts"] == 4  # "2;" was re-parsed after eviction
+        assert len(cache) == 2
 
 
 class TestCachedErrorsAreFresh:
@@ -234,21 +237,21 @@ class TestCachedErrorsAreFresh:
             raiser()
         return info.value
 
-    def test_ast_cache_hits_raise_fresh_copies(self):
-        cache = ScriptAstCache()
+    def test_parse_hits_raise_fresh_copies(self):
+        cache = ScriptCache()
         first = self._trap(lambda: cache.parse(self.BROKEN))
         second = self._trap(lambda: cache.parse(self.BROKEN))
         third = self._trap(lambda: cache.parse(self.BROKEN))
-        assert cache.hits == 2
+        assert cache.hits["scripts"] == 2
         assert second is not first and third is not second
         assert second.message == first.message
         assert second.line == first.line and second.column == first.column
 
-    def test_code_cache_hits_raise_fresh_copies(self):
-        cache = ScriptCodeCache()
+    def test_code_hits_raise_fresh_copies(self):
+        cache = ScriptCache()
         first = self._trap(lambda: cache.code_for(self.BROKEN))
         second = self._trap(lambda: cache.code_for(self.BROKEN))
-        assert cache.hits == 1
+        assert cache.hits["code"] == 1
         assert second is not first
         assert (second.message, second.line, second.column) == (
             first.message,
@@ -257,15 +260,18 @@ class TestCachedErrorsAreFresh:
         )
 
     def test_cached_entry_traceback_does_not_accumulate(self):
-        cache = ScriptAstCache()
+        cache = ScriptCache()
         with pytest.raises(ParseError):
-            cache.parse(self.BROKEN)
+            cache.code_for(self.BROKEN)
         entry = next(iter(cache._entries.values()))  # noqa: SLF001
-        frames_before = _traceback_depth(entry)
+        memoised = (entry.program, entry.code)
+        frames_before = [_traceback_depth(error) for error in memoised]
         for _ in range(5):
             with pytest.raises(ParseError):
                 cache.parse(self.BROKEN)
-        assert _traceback_depth(entry) == frames_before
+            with pytest.raises(ParseError):
+                cache.code_for(self.BROKEN)
+        assert [_traceback_depth(error) for error in memoised] == frames_before
 
 
 def _traceback_depth(error: BaseException) -> int:
@@ -277,38 +283,113 @@ def _traceback_depth(error: BaseException) -> int:
     return depth
 
 
-class TestScriptCodeCache:
+class TestScriptCacheCode:
     def test_repeat_compiles_hit_and_code_is_shared(self):
-        cache = ScriptCodeCache()
+        cache = ScriptCache()
         first = cache.code_for("var x = 1; x + 1;")
         second = cache.code_for("var x = 1; x + 1;")
         assert isinstance(first, CodeObject)
         assert first is second
-        assert cache.hits == 1 and cache.misses == 1
+        assert cache.hits["code"] == 1 and cache.misses["code"] == 1
         assert VirtualMachine().run(first).value == 2.0
         assert VirtualMachine().run(first).value == 2.0
 
-    def test_stacks_on_the_ast_cache(self):
-        ast_cache = ScriptAstCache()
-        code_cache = ScriptCodeCache()
-        code_cache.code_for("1 + 1;", parse=ast_cache.parse)
-        # A code-cache hit must not even consult the front end again.
-        code_cache.code_for("1 + 1;", parse=ast_cache.parse)
-        assert ast_cache.misses == 1 and ast_cache.hits == 0
-        assert code_cache.hits == 1
+    def test_code_is_lowered_from_the_entry_program(self):
+        cache = ScriptCache()
+        cache.code_for("1 + 1;")
+        # A code hit must not even consult the front end again.
+        cache.code_for("1 + 1;")
+        assert cache.misses["scripts"] == 1 and cache.hits["scripts"] == 0
+        assert cache.hits["code"] == 1
+        # The program parsed for the bytecode serves a later parse.
+        cache.parse("1 + 1;")
+        assert cache.hits["scripts"] == 1
 
     def test_lru_bound_evicts_oldest(self):
-        cache = ScriptCodeCache(maxsize=2)
+        cache = ScriptCache(maxsize=2)
         cache.code_for("1;")
         cache.code_for("2;")
         cache.code_for("1;")  # refresh
         cache.code_for("3;")  # evicts "2;"
         cache.code_for("2;")
-        assert cache.misses == 4
+        assert cache.misses["code"] == 4
 
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
-            ScriptCodeCache(0)
+            ScriptCache(0)
+
+
+class TestOneEntryPerSource:
+    SOURCE = "var c = document.cookie; c;"
+
+    def test_program_code_and_report_share_one_entry(self):
+        cache = ScriptCache()
+        program = cache.parse(self.SOURCE)
+        code = cache.code_for(self.SOURCE)
+        report = cache.report_for(self.SOURCE)
+        assert len(cache) == 1
+        assert cache.parse(self.SOURCE) is program
+        assert cache.code_for(self.SOURCE) is code
+        assert cache.report_for(self.SOURCE) is report
+        assert report.digest == hashlib.sha256(self.SOURCE.encode("utf-8")).hexdigest()
+        # Code and report were built from the one parsed program.
+        assert cache.misses["scripts"] == 1
+
+    def test_reset_counters_keeps_entries(self):
+        cache = ScriptCache()
+        cache.code_for(self.SOURCE)
+        cache.reset_counters()
+        assert cache.hits == cache.misses == {"scripts": 0, "code": 0, "reports": 0}
+        cache.code_for(self.SOURCE)
+        assert cache.hits["code"] == 1 and cache.misses["code"] == 0
+
+    def test_stack_reports_every_result_under_its_own_key(self):
+        caches = CompileCaches.build()
+        caches.scripts.code_for(self.SOURCE)
+        caches.scripts.report_for(self.SOURCE)
+        payload = caches.as_dict()
+        assert set(payload) == {"templates", "scripts", "code", "reports", "decisions"}
+        # The report was analysed from the program the bytecode lowered.
+        assert (payload["scripts"]["hits"], payload["scripts"]["misses"]) == (1, 1)
+        assert (payload["code"]["hits"], payload["code"]["misses"]) == (0, 1)
+        assert (payload["reports"]["hits"], payload["reports"]["misses"]) == (0, 1)
+
+    def test_screened_warm_execution_digests_its_source_once(self):
+        from repro.analysis.soundness import StaticScreen
+        from repro.browser.browser import Browser
+
+        caches = CompileCaches.build()
+        network = Network()
+        network.register(ORIGIN, _CountingApp())
+        browser = Browser(
+            network,
+            model="escudo",
+            caches=caches,
+            static_screen=StaticScreen(caches.scripts),
+        )
+        loaded = browser.load(f"{ORIGIN}/")
+        browser.run_script(loaded, self.SOURCE)  # fills program, code and report
+        # An equal but distinct string, so the digest cannot be reused by
+        # object identity from the cold run.
+        warm_source = self.SOURCE[:1] + self.SOURCE[1:]
+        assert warm_source is not self.SOURCE
+
+        payload = self.SOURCE.encode("utf-8")
+        real_sha256 = hashlib.sha256
+        digests = []
+
+        def counting_sha256(data=b"", *args, **kwargs):
+            if data == payload:
+                digests.append(data)
+            return real_sha256(data, *args, **kwargs)
+
+        caches.scripts.reset_counters()
+        with mock.patch("hashlib.sha256", counting_sha256):
+            run = browser.run_script(loaded, warm_source)
+        assert run.succeeded
+        assert len(digests) == 1
+        assert caches.scripts.hits == {"scripts": 0, "code": 1, "reports": 1}
+        assert caches.scripts.misses == {"scripts": 0, "code": 0, "reports": 0}
 
 
 class TestTemplateCacheBounds:
@@ -322,8 +403,6 @@ class TestTemplateCacheBounds:
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             TemplateCache(0)
-        with pytest.raises(ValueError):
-            ScriptAstCache(0)
 
 
 class _CountingApp:

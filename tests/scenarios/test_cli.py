@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.scenarios.__main__ import main
 
 
@@ -104,6 +106,31 @@ class TestSuiteRuns:
         payload = json.loads(capsys.readouterr().out)
         assert payload["respawns"] == 1
         assert len(payload["crashed_workers"]) == 1
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize(
+        ("flags", "named"),
+        [
+            (["--count", "-5"], "--count"),
+            (["--count", "0"], "--count"),
+            (["--workers", "0"], "--workers"),
+            (["--steal-chunk", "-1"], "--steal-chunk"),
+            (["--attack-ratio", "2"], "--attack-ratio"),
+            (["--attack-ratio", "-0.1"], "--attack-ratio"),
+            (["--faults", "1.5"], "--faults"),
+            (["--faults", "-0.5"], "--faults"),
+            (["--crash-chunk", "0"], "--crash-chunk"),
+        ],
+    )
+    def test_out_of_range_input_is_a_usage_error(self, flags, named, capsys):
+        # A one-scenario base run, so an accepted value would finish quickly.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--seed", "42", "--count", "1", "--no-corpus", *flags])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
 
 
 class TestReplay:

@@ -4,7 +4,7 @@ The acceptance property for the parallel executor is *byte-identical
 merging*: a sharded run of a seed range must produce exactly the report a
 serial run of the same range produces -- every verdict, every aggregate
 counter.  These tests lock that in at 2 workers over 50 scenarios, exercise
-the partitioner, and drive the failure path end to end (a run with the
+the steal-queue chunking, and drive the failure path end to end (a run with the
 protected column removed must pin its failing specs into the regression
 corpus, deduplicated, and the pinned entries must replay).
 """
@@ -21,7 +21,6 @@ from repro.scenarios import (
     ScenarioGenerator,
     default_steal_chunk,
     load_corpus,
-    partition_indices,
     resolve_mp_context,
     run_suite,
     run_suite_parallel,
@@ -35,25 +34,6 @@ from repro.scenarios.runner import ScenarioRunner
 
 SEED = 42
 ATTACK_RATIO = 0.25
-
-
-class TestPartitioning:
-    def test_partition_covers_index_space_exactly_once(self):
-        for count in (0, 1, 7, 50, 101):
-            for shards in (1, 2, 3, 4, 8):
-                parts = partition_indices(count, shards)
-                assert len(parts) == shards
-                merged = sorted(index for part in parts for index in part)
-                assert merged == list(range(count))
-
-    def test_partition_is_balanced(self):
-        parts = partition_indices(103, 4)
-        sizes = [len(part) for part in parts]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_partition_is_strided(self):
-        # Striding spreads seeded attack scenarios evenly across workers.
-        assert partition_indices(8, 3) == [[0, 3, 6], [1, 4, 7], [2, 5]]
 
 
 class TestStealScheduling:
