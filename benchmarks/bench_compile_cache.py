@@ -1,7 +1,7 @@
 """Compile-cache speedups: cold vs warm pipelines on identical workloads.
 
-Runs the five compile-cache workloads (page compilation, script front end,
-bytecode-VM script execution, warm-start mediation, end-to-end scenarios),
+Runs the four compile-cache workloads (page compilation, script front end,
+bytecode-VM script execution, end-to-end scenarios),
 certifies that every cached pipeline is observably identical to its cold
 twin, asserts the committed speedup floors, and writes
 ``benchmarks/results/BENCH_compile_cache.json`` for the CI ``perf-smoke``
@@ -9,7 +9,6 @@ job.
 
 Floors asserted here (and re-asserted by CI on every push):
 
-* warm-start mediation ≥ 3x over fresh per-page decision caches;
 * bytecode VM ≥ 3x over the AST walker on the script-heavy payload;
 * page compilation and the script front end ≥ 2x warm over cold;
 * scenario throughput at one worker, warm worker at steady state, ≥ 2x the
@@ -37,7 +36,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 PAGE_LOADS = 60
 SCRIPT_RUNS = 300
 SCRIPT_VM_RUNS = 200
-MEDIATION_PAGES = 60
 SCENARIO_SEED = 42
 SCENARIO_COUNT = 25
 ATTACK_RATIO = 0.25
@@ -50,7 +48,6 @@ def test_compile_cache_speedups(benchmark, report_writer):
             page_loads=PAGE_LOADS,
             script_runs=SCRIPT_RUNS,
             script_vm_runs=SCRIPT_VM_RUNS,
-            mediation_pages=MEDIATION_PAGES,
             scenario_seed=SCENARIO_SEED,
             scenario_count=SCENARIO_COUNT,
             attack_ratio=ATTACK_RATIO,
@@ -65,13 +62,9 @@ def test_compile_cache_speedups(benchmark, report_writer):
     assert payload["page_compile"]["parity"]
     assert payload["script_ast"]["parity"]
     assert payload["script_vm"]["parity"]
-    assert payload["warm_mediation"]["parity"]
     assert payload["scenarios"]["cold_ok"] and payload["scenarios"]["warm_ok"]
 
     # Committed speedup floors.
-    assert payload["mediation_warm_speedup"] >= 3.0, (
-        f"warm-start mediation speedup {payload['mediation_warm_speedup']:.2f}x < 3x"
-    )
     assert payload["page_compile_speedup"] >= 2.0, (
         f"page compile speedup {payload['page_compile_speedup']:.2f}x < 2x"
     )

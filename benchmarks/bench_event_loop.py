@@ -6,10 +6,7 @@ callbacks, deferred XHR completions), writes
 and asserts the structural claims that must hold on any hardware:
 
 * every workload makes progress (positive throughput);
-* the mediated-timer workload's decision cache is hot -- repeated timer
-  callbacks by the same principal are the repeated-access pattern the cache
-  memoises, so the hit rate must be high even though every access is still
-  individually recorded;
+* every mediated timer callback records exactly one decision;
 * every queued async XHR completes exactly once when the loop drains.
 """
 
@@ -48,11 +45,6 @@ def test_event_loop_throughput(benchmark, report_writer):
     mediated = payload["mediated_timers"]
     assert mediated["mediations"] == TIMER_COUNT, "every timer callback mediates once"
     assert payload["mediations_per_second"] > 0
-    # Two distinct target contexts over thousands of callbacks: everything
-    # after the first pair of lookups is a decision-cache hit.
-    assert payload["cache_hit_rate"] > 0.9, (
-        f"deferred repeated mediation must be cache-hot, got {payload['cache_hit_rate']:.3f}"
-    )
 
     xhrs = payload["deferred_xhrs"]
     assert xhrs["completions"] == XHR_COUNT, "each queued send drains exactly once"

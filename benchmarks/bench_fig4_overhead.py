@@ -30,7 +30,7 @@ from repro.bench.timing import parse_and_render
 
 WORKLOADS = all_workloads()
 
-#: JSON artifact with the mediation-pipeline numbers (throughput, hit rate).
+#: JSON artifact with the mediation-pipeline numbers (per-access throughput).
 MEDIATION_ARTIFACT = Path(__file__).parent / "results" / "BENCH_mediation.json"
 
 
@@ -69,31 +69,19 @@ def test_fig4_summary_table(benchmark, report_writer):
 
 
 def test_mediation_throughput(report_writer):
-    """Mediation pipeline: warm decision cache vs. uncached monitor.
+    """Mediation pipeline: the per-access cost of the reference monitor.
 
     A repeated-access workload (>=10k authorizations over 96 distinct request
-    keys -- the shape of traversal sweeps and event dispatch) must run at
-    least 2x faster through a warm cache than through the uncached monitor,
-    with identical verdicts.  Writes the ``BENCH_mediation.json`` artifact.
+    keys -- the shape of traversal sweeps and event dispatch), every request
+    decided by the policy.  Writes the ``BENCH_mediation.json`` artifact.
     """
-    comparison = measure_mediation(MEDIATION_SPEC)
-    report_writer("mediation_throughput", format_mediation_report(comparison))
+    sample = measure_mediation(MEDIATION_SPEC)
+    report_writer("mediation_throughput", format_mediation_report(sample))
     MEDIATION_ARTIFACT.parent.mkdir(exist_ok=True)
-    MEDIATION_ARTIFACT.write_text(
-        json.dumps(comparison.as_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    MEDIATION_ARTIFACT.write_text(json.dumps(sample.as_dict(), indent=2) + "\n", encoding="utf-8")
 
-    assert comparison.spec.total_requests >= 10_000
-    assert comparison.cached.total == comparison.uncached.total == comparison.spec.total_requests
-    # The cache must change nothing but speed.
-    assert comparison.verdicts_identical
+    assert sample.spec.total_requests >= 10_000
+    assert sample.total == sample.spec.total_requests
     # The stream deliberately mixes allow and deny verdicts.
-    assert comparison.cached.allowed > 0 and comparison.cached.denied > 0
-    # Warm cache: every timed request is a hit, and throughput at least
-    # doubles (locally ~3x; the bound leaves headroom for noisy CI boxes).
-    assert comparison.cached.cache_hit_rate > 0.99
-    assert comparison.speedup >= 2.0, (
-        f"warm-cache mediation speedup {comparison.speedup:.2f}x below the 2x floor "
-        f"({comparison.cached.mediations_per_second:,.0f}/s cached vs "
-        f"{comparison.uncached.mediations_per_second:,.0f}/s uncached)"
-    )
+    assert sample.allowed > 0 and sample.denied > 0
+    assert sample.mediations_per_second > 0

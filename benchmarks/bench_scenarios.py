@@ -3,8 +3,8 @@
 Runs the differential scenario workload end to end (generation, per-model
 execution, oracle classification), asserts the paper's differential claim
 holds at fuzzing scale, and writes the throughput artifact
-``benchmarks/results/BENCH_scenarios.json`` (scenarios/s, mediations/s,
-decision-cache hit rate) that the CI ``scenarios`` job uploads.
+``benchmarks/results/BENCH_scenarios.json`` (scenarios/s, mediations/s)
+that the CI ``scenarios`` job uploads.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ the two agreeing observation for observation:
 2. run it on both engines -- same value, and the VM reports its
    inline-cache hit rate;
 3. show that an IC hit still *mediates*: flipping a host object's policy
-   denies the very next access through a warm cache;
+   denies the very next access through a warm inline cache;
 4. replay a seeded scenario suite under both engines and compare the
    canonical reports byte for byte (the ``--ast-walker`` differential).
 
@@ -86,7 +86,7 @@ def main() -> None:
     sensor.allowed = False
     denied = VirtualMachine({"sensor": sensor}).run(probe)
     print(f"\nafter revocation (same compiled code, warm IC): {denied.error}")
-    assert denied.failed, "the warm cache must still mediate"
+    assert denied.failed, "the warm inline cache must still mediate"
 
     # 4. the --ast-walker differential, as a library call: byte-identical
     #    canonical reports from the same seeded suite under both engines.

@@ -47,9 +47,8 @@ def _set_xhr_policy(env: AttackEnvironment, policy: ResourcePolicy) -> None:
     """Relabel the loaded page's XMLHttpRequest API object mid-session.
 
     Stands in for a server-pushed ``X-Escudo-Api-Policy`` update landing
-    while deferred work is queued; :meth:`Page.set_api_policy` bumps the
-    decision-cache generation so no verdict predating the privilege change
-    survives it.
+    while deferred work is queued; every later use of the API is decided
+    against the new policy.
     """
     if env.loaded is None:
         return

@@ -1,6 +1,6 @@
 """Compile-cache workloads: cold vs warm pipelines on identical inputs.
 
-Five measurements, each pairing the baseline pipeline with the cached /
+Four measurements, each pairing the baseline pipeline with the cached /
 compiled stack on the *same* deterministic workload, plus a parity
 certificate that the caches change nothing but speed:
 
@@ -13,11 +13,6 @@ certificate that the caches change nothing but speed:
 * **Script execution** -- a script-heavy payload on a warm front end, AST
   walker vs the bytecode VM with shared inline caches
   (``script_vm_speedup``; identical completion values required).
-* **Warm-start mediation** -- per-page *fresh* reference monitors performing
-  the repeated-access sweep of the mediation benchmark, each with its own
-  decision cache (the cold-start reality the scenario engine used to pay)
-  vs monitors sharing one pre-warmed decision cache and policy instance
-  (``mediation_warm_speedup``; per-request verdicts must be identical).
 * **Scenario throughput** -- the full differential suite at one worker:
   cold runner, a fresh warm worker's first pass (``scenario_speedup``), and
   the same worker re-running the identical range at steady state
@@ -39,16 +34,12 @@ from pathlib import Path
 
 from repro.browser.compile_cache import CompileCaches
 from repro.browser.loader import LoaderOptions, load_page
-from repro.core.monitor import ReferenceMonitor
-from repro.core.policy import EscudoPolicy
 from repro.html.serializer import serialize
 from repro.scenarios.engine import run_suite
 from repro.scenarios.model import canonical_spec_json
 from repro.scripting.cache import ScriptCache
 from repro.scripting.interpreter import Interpreter
 from repro.scripting.vm import VirtualMachine
-
-from .workloads import MediationSpec, build_mediation_requests
 
 #: Artifact name uploaded by the CI ``perf-smoke`` job.
 COMPILE_CACHE_RESULTS_NAME = "BENCH_compile_cache.json"
@@ -228,68 +219,6 @@ def _measure_script_vm(runs: int, rounds: int = 3) -> dict:
     }
 
 
-def _measure_warm_mediation(pages: int, spec: MediationSpec | None = None) -> dict:
-    """Per-page fresh monitors: private cold caches vs one pre-warmed cache.
-
-    Each simulated page gets a brand-new :class:`ReferenceMonitor` -- the
-    scenario engine's reality -- and mediates the repeated-access sweep once.
-    Cold-start monitors own a fresh decision cache and policy, so every page
-    re-evaluates every distinct request; warm-start monitors share the
-    stack's pre-warmed cache and policy instance, so every request is a
-    lookup.  Verdicts are compared per request.
-    """
-    spec = spec or MediationSpec()
-    # One pass over every distinct (principal, target, operation) triple per
-    # page: a page load decides each distinct request about once, which is
-    # the least cache-friendly shape (repeats only help the warm variant
-    # further).
-    requests = build_mediation_requests(
-        MediationSpec(
-            name=spec.name,
-            principal_rings=spec.principal_rings,
-            distinct_targets=spec.distinct_targets,
-            operations=spec.operations,
-            total_requests=spec.distinct_keys,
-        )
-    )
-
-    cold_verdicts: list[bool] = []
-    start = time.perf_counter()
-    for _ in range(pages):
-        monitor = ReferenceMonitor(EscudoPolicy(), cache=True)
-        cold_verdicts = [monitor.authorize(p, t, op).allowed for p, t, op in requests]
-    cold_s = time.perf_counter() - start
-
-    caches = CompileCaches.build()
-    shared_policy = EscudoPolicy()
-    # Pre-warm: one untimed monitor fills the shared cache (the stack's
-    # policy-matrix seeding, condensed).
-    seed_monitor = ReferenceMonitor(shared_policy, cache=caches.decisions)
-    seed_monitor.warm(requests[0][0], [t for _, t, _ in requests], requests[0][2])
-    for principal, target, operation in requests:
-        seed_monitor.authorize(principal, target, operation)
-
-    warm_verdicts: list[bool] = []
-    start = time.perf_counter()
-    for _ in range(pages):
-        monitor = ReferenceMonitor(shared_policy, cache=caches.decisions)
-        warm_verdicts = [monitor.authorize(p, t, op).allowed for p, t, op in requests]
-    warm_s = time.perf_counter() - start
-
-    mediations = pages * len(requests)
-    return {
-        "pages": pages,
-        "requests_per_page": len(requests),
-        "cold_s": cold_s,
-        "warm_s": warm_s,
-        "cold_mediations_per_second": mediations / cold_s if cold_s > 0 else 0.0,
-        "warm_mediations_per_second": mediations / warm_s if warm_s > 0 else 0.0,
-        "speedup": cold_s / warm_s if warm_s > 0 else 0.0,
-        "parity": warm_verdicts == cold_verdicts,
-        "shared_cache_hit_rate": caches.decisions.hit_rate,
-    }
-
-
 def _measure_scenarios(seed, count: int, attack_ratio: float, rounds: int = 3) -> dict:
     """The full differential suite: cold runner, first warm pass, steady state.
 
@@ -301,7 +230,7 @@ def _measure_scenarios(seed, count: int, attack_ratio: float, rounds: int = 3) -
       paying every compile miss while it fills;
     * **steady state** -- the *same* worker re-running the identical range
       (the regression-replay / corpus-re-execution reality the per-worker
-      stack exists for): templates, ASTs and decisions are already resident.
+      stack exists for): templates and scripts are already resident.
 
     Cold and steady-state throughputs are best-of-``rounds`` (the
     minimum-time estimator -- scheduler noise on shared hardware only ever
@@ -348,8 +277,6 @@ def _measure_scenarios(seed, count: int, attack_ratio: float, rounds: int = 3) -
         ),
         "cold_ok": all(suite.ok for suite in cold_runs),
         "warm_ok": warm.ok and all(suite.ok for suite in steady_runs),
-        "warm_cache_hit_rate": warm.cache_hit_rate,
-        "steady_cache_hit_rate": steady.cache_hit_rate,
         # Byte-identical semantic reports: verdicts, digests, mediation and
         # denial counts must not depend on the caches (cold or warm, first
         # pass or steady state).
@@ -368,18 +295,16 @@ def measure_compile_cache(
     page_loads: int = 60,
     script_runs: int = 300,
     script_vm_runs: int = 200,
-    mediation_pages: int = 60,
     scenario_seed: int | str = 42,
     scenario_count: int = 25,
     attack_ratio: float = 0.25,
     scenario_rounds: int = 3,
     seed_baseline_path: Path | str | None = None,
 ) -> dict:
-    """Run the five workloads and build the artifact payload."""
+    """Run the four workloads and build the artifact payload."""
     page_compile = _measure_page_compile(page_loads)
     script_ast = _measure_script_ast(script_runs)
     script_vm = _measure_script_vm(script_vm_runs)
-    warm_mediation = _measure_warm_mediation(mediation_pages)
     scenarios = _measure_scenarios(
         scenario_seed, scenario_count, attack_ratio, rounds=scenario_rounds
     )
@@ -388,13 +313,11 @@ def measure_compile_cache(
         "page_compile": page_compile,
         "script_ast": script_ast,
         "script_vm": script_vm,
-        "warm_mediation": warm_mediation,
         "scenarios": scenarios,
         # Headline fields for dashboard consumers and the CI floor checks.
         "page_compile_speedup": page_compile["speedup"],
         "script_ast_speedup": script_ast["speedup"],
         "script_vm_speedup": script_vm["speedup"],
-        "mediation_warm_speedup": warm_mediation["speedup"],
         "scenario_speedup": scenarios["speedup"],
         "scenario_steady_speedup": scenarios["steady_speedup"],
         # Headline throughput: the warm worker at steady state (the pinned
@@ -405,7 +328,6 @@ def measure_compile_cache(
             and page_compile["parity"]
             and script_ast["parity"]
             and script_vm["parity"]
-            and warm_mediation["parity"]
         ),
     }
 
@@ -437,7 +359,6 @@ def format_compile_cache_report(payload: dict) -> str:
     page = payload["page_compile"]
     script = payload["script_ast"]
     vm = payload["script_vm"]
-    mediation = payload["warm_mediation"]
     scenarios = payload["scenarios"]
     lines = [
         "compile caches (cold vs warm):",
@@ -449,14 +370,10 @@ def format_compile_cache_report(payload: dict) -> str:
         f"  script execution: {vm['walker_scripts_per_second']:,.0f} walker -> "
         f"{vm['vm_scripts_per_second']:,.0f} VM scripts/s ({vm['speedup']:.2f}x, "
         f"IC hit rate {vm['ic_hit_rate'] * 100.0:.1f}%)",
-        f"  warm-start mediation: {mediation['cold_mediations_per_second']:,.0f} -> "
-        f"{mediation['warm_mediations_per_second']:,.0f} mediations/s "
-        f"({mediation['speedup']:.2f}x over fresh per-page caches)",
         f"  scenarios (1 worker): {scenarios['cold_scenarios_per_second']:,.1f} cold -> "
         f"{scenarios['warm_scenarios_per_second']:,.1f} first warm pass -> "
         f"{scenarios['steady_scenarios_per_second']:,.1f} steady scenarios/s "
-        f"({scenarios['speedup']:.2f}x / {scenarios['steady_speedup']:.2f}x, "
-        f"decision-cache hit rate {scenarios['warm_cache_hit_rate'] * 100.0:.1f}%)",
+        f"({scenarios['speedup']:.2f}x / {scenarios['steady_speedup']:.2f}x)",
         f"  verdict parity with caches enabled: {payload['verdict_parity']}",
     ]
     if "speedup_vs_seed" in payload:

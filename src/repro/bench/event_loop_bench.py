@@ -7,10 +7,7 @@ Three measurements, all on the deterministic virtual-clock loop:
   deferred behaviour pays.
 * **Mediated deferred load** -- a loaded page schedules thousands of timer
   callbacks that each perform a mediated access, the loop drains, and the
-  payload reports ``mediations_per_second`` together with the decision
-  cache's hit rate.  Repeated timer callbacks by the same principal are
-  exactly the workload the cache was built for, so the hit rate here is the
-  cache's win on task-phase mediation.
+  payload reports ``mediations_per_second``.
 * **Deferred XHR completions** -- async ``send()``s queued and drained
   through the loop against the in-process network
   (``xhr_completions_per_second``).
@@ -100,13 +97,11 @@ def _mediated_timers(count: int) -> dict:
     loop.drain()
     elapsed = time.perf_counter() - start
     mediations = monitor.stats.total - before
-    info = monitor.cache_info()
     return {
         "timers": count,
         "mediations": mediations,
         "duration_s": elapsed,
         "mediations_per_second": mediations / elapsed if elapsed > 0 else 0.0,
-        "cache_hit_rate": info.hit_rate if info is not None else 0.0,
     }
 
 
@@ -150,7 +145,6 @@ def measure_event_loop(
         "deferred_xhrs": xhrs,
         "tasks_per_second": scheduling["tasks_per_second"],
         "mediations_per_second": mediated["mediations_per_second"],
-        "cache_hit_rate": mediated["cache_hit_rate"],
     }
 
 
@@ -165,8 +159,7 @@ def format_event_loop_report(payload: dict) -> str:
             f"  scheduling: {scheduling['tasks_per_second']:,.0f} tasks/s "
             f"({scheduling['tasks']} no-op macrotasks)",
             f"  mediated timers: {mediated['mediations_per_second']:,.0f} mediations/s "
-            f"over {mediated['timers']} deferred callbacks | "
-            f"cache hit rate {mediated['cache_hit_rate'] * 100.0:.1f}%",
+            f"over {mediated['timers']} deferred callbacks",
             f"  deferred XHRs: {xhrs['xhr_completions_per_second']:,.0f} completions/s "
             f"({xhrs['completions']} queued sends drained)",
         ]

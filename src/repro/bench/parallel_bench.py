@@ -9,7 +9,6 @@ lands in ``benchmarks/results/BENCH_parallel_scenarios.json``:
 * ``scenarios_per_second`` per worker count plus ``speedup_vs_serial``,
 * ``per_worker_chunks_stolen`` -- how many queue pulls each worker won
   (the work-stealing balance evidence),
-* ``per_worker_cache_hit_rate`` (each shard's decision-cache traffic),
 * ``scheduling_efficiency`` -- busy worker-seconds over available
   worker-seconds, ``sum(shard duration) / (workers * wall clock)``.  A
   straggler under static sharding leaves siblings idle at the tail and
@@ -100,9 +99,6 @@ def measure_parallel_scenarios(
                     stat["chunks_stolen"] for stat in suite.shard_stats
                 ],
                 "per_worker_scenarios": [stat["scenarios"] for stat in suite.shard_stats],
-                "per_worker_cache_hit_rate": [
-                    stat["cache_hit_rate"] for stat in suite.shard_stats
-                ],
                 "per_worker_scenarios_per_second": [
                     stat["scenarios_per_second"] for stat in suite.shard_stats
                 ],
@@ -141,7 +137,6 @@ def measure_parallel_scenarios(
             "ok": serial.ok,
             "duration_s": serial.duration_s,
             "scenarios_per_second": serial.scenarios_per_second,
-            "cache_hit_rate": serial.cache_hit_rate,
         },
         "workers": rows,
         "efficiency": efficiency,
@@ -156,14 +151,13 @@ def format_parallel_report(payload: dict) -> str:
         f"  serial baseline: {payload['serial']['scenarios_per_second']:,.1f} scenarios/s",
     ]
     for row in payload["workers"]:
-        hit_rates = ", ".join(f"{rate * 100.0:.1f}%" for rate in row["per_worker_cache_hit_rate"])
         steals = "/".join(str(n) for n in row["per_worker_chunks_stolen"])
         lines.append(
             f"  workers={row['workers']}: {row['scenarios_per_second']:,.1f} scenarios/s "
             f"({row['speedup_vs_serial']:.2f}x serial, "
             f"sched eff {row['scheduling_efficiency'] * 100.0:.0f}%) | "
             f"parity={'ok' if row['parity_with_serial'] else 'BROKEN'} | "
-            f"chunks stolen: {steals} | per-worker cache hit rate: {hit_rates}"
+            f"chunks stolen: {steals}"
         )
     eff = payload.get("efficiency")
     if eff:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .timing import MediationComparison, OverheadRow, average_overhead
+from .timing import MediationSample, OverheadRow, average_overhead
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], *, title: str = "") -> str:
@@ -48,7 +48,6 @@ def format_figure4(rows: list[OverheadRow]) -> str:
             f"{row.with_escudo.minimum_ms:.3f}",
             f"{row.overhead_percent:+.2f}%",
             f"{row.mediations_per_second:,.0f}",
-            f"{row.cache_hit_rate * 100.0:.1f}%",
         )
         for row in rows
     ]
@@ -57,41 +56,31 @@ def format_figure4(rows: list[OverheadRow]) -> str:
         ("scenario", "elements", "AC tags",
          f"without ESCUDO (ms, best of {repetitions})",
          f"with ESCUDO (ms, best of {repetitions})",
-         "overhead", "mediations/s", "cache hits"),
+         "overhead", "mediations/s"),
         table_rows,
         title="Figure 4: parse + render time per scenario",
     )
     return table + f"\naverage overhead: {average_overhead(rows):+.2f}% (paper: ~5.09%)"
 
 
-def format_mediation_report(comparison: MediationComparison) -> str:
-    """The mediation-pipeline summary: cached vs. uncached monitor."""
-    rows = [
-        (
-            sample.variant,
-            sample.total,
-            f"{sample.duration_s * 1000.0:.1f}",
-            f"{sample.mediations_per_second:,.0f}",
-            sample.allowed,
-            sample.denied,
-            f"{sample.cache_hit_rate * 100.0:.1f}%",
-        )
-        for sample in (comparison.uncached, comparison.cached)
-    ]
-    table = format_table(
-        ("monitor", "mediations", "time (ms)", "mediations/s", "allowed", "denied", "cache hits"),
-        rows,
+def format_mediation_report(sample: MediationSample) -> str:
+    """The mediation-pipeline summary: per-access cost of the monitor."""
+    return format_table(
+        ("mediations", "time (ms)", "mediations/s", "allowed", "denied"),
+        [
+            (
+                sample.total,
+                f"{sample.duration_s * 1000.0:.1f}",
+                f"{sample.mediations_per_second:,.0f}",
+                sample.allowed,
+                sample.denied,
+            )
+        ],
         title=(
-            f"Mediation throughput ({comparison.spec.name}: "
-            f"{comparison.spec.total_requests} authorizations, "
-            f"{comparison.spec.distinct_keys} distinct keys)"
+            f"Mediation throughput ({sample.spec.name}: "
+            f"{sample.spec.total_requests} authorizations, "
+            f"{sample.spec.distinct_keys} distinct keys)"
         ),
-    )
-    parity = "yes" if comparison.verdicts_identical else "NO -- CACHE BUG"
-    return (
-        table
-        + f"\nwarm-cache speedup: {comparison.speedup:.2f}x"
-        + f"\nverdicts identical with/without cache: {parity}"
     )
 
 

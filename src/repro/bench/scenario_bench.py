@@ -4,8 +4,8 @@ Where the mediation benchmark isolates the reference monitor, this workload
 measures the whole stack end to end: N seeded multi-user scenarios, each
 executed under the full policy matrix (every page load runs the parse →
 label → render → script pipeline and every access is mediated).  The
-headline figures are **scenarios/second** and **mediations/second**, plus
-the aggregate decision-cache hit rate; they land in
+headline figures are **scenarios/second** and **mediations/second**; they
+land in
 ``benchmarks/results/BENCH_scenarios.json`` so CI can track regressions.
 """
 

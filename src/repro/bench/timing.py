@@ -17,7 +17,7 @@ from typing import Callable
 from repro.browser.loader import LoaderOptions, load_page
 from repro.core.monitor import ReferenceMonitor
 
-from .workloads import MEDIATION_SPEC, MediationRequest, MediationSpec, Workload, build_mediation_requests
+from .workloads import MEDIATION_SPEC, MediationSpec, Workload, build_mediation_requests
 
 
 @dataclass
@@ -54,8 +54,6 @@ class OverheadRow:
     mediations: int = 0
     #: Throughput of that sweep through the reference monitor.
     mediations_per_second: float = 0.0
-    #: Decision-cache hit rate observed over the sweep (0.0 when cache off).
-    cache_hit_rate: float = 0.0
 
     @property
     def overhead_percent(self) -> float:
@@ -119,7 +117,7 @@ def measure_workload(workload: Workload, *, repetitions: int = 30, render: bool 
     without = TimingSample.from_durations(baseline_durations)
     with_escudo = TimingSample.from_durations(escudo_durations)
     sample_page = parse_and_render(workload, escudo=True, render=render)
-    mediations, rate, mediation_hit_rate = measure_page_mediation(sample_page)
+    mediations, rate = measure_page_mediation(sample_page)
     return OverheadRow(
         scenario=workload.name,
         without_escudo=without,
@@ -128,19 +126,17 @@ def measure_workload(workload: Workload, *, repetitions: int = 30, render: bool 
         ac_tags=sample_page.labeling.ac_tags,
         mediations=mediations,
         mediations_per_second=rate,
-        cache_hit_rate=mediation_hit_rate,
     )
 
 
-def measure_page_mediation(page, *, passes: int = 3) -> tuple[int, float, float]:
+def measure_page_mediation(page, *, passes: int = 3) -> tuple[int, float]:
     """Exercise the mediated DOM read sweep on a loaded page.
 
     Loading alone performs no authorizations (labelling is not an access);
     the mediation figures of the Figure-4 table come from the access pattern
     scripts actually exhibit -- repeated ``read`` sweeps over every element
     -- driven through the batched DOM facade.  Returns the number of
-    mediated accesses, their throughput (mediations/second) and the
-    decision-cache hit rate over the sweeps.
+    mediated accesses and their throughput (mediations/second).
     """
     from repro.core.decision import Operation
     from repro.dom.dom_api import DomApi
@@ -152,17 +148,13 @@ def measure_page_mediation(page, *, passes: int = 3) -> tuple[int, float, float]
     api = DomApi(page.document, page.monitor, principal)
     elements = list(page.document.elements())
     before_total = page.monitor.stats.total
-    cache = page.monitor.cache
-    if cache is not None:
-        cache.reset_counters()
     start = time.perf_counter()
     for _ in range(passes):
         api.authorize_sweep(elements, Operation.READ)
     duration = time.perf_counter() - start
     mediations = page.monitor.stats.total - before_total
     rate = mediations / duration if duration > 0 else 0.0
-    hit_rate = cache.hit_rate if cache is not None else 0.0
-    return mediations, rate, hit_rate
+    return mediations, rate
 
 
 def measure_all(workloads: list[Workload], *, repetitions: int = 30, render: bool = True) -> list[OverheadRow]:
@@ -177,19 +169,18 @@ def average_overhead(rows: list[OverheadRow]) -> float:
     return statistics.fmean(row.overhead_percent for row in rows)
 
 
-# -- mediation throughput (cached vs. uncached monitor) -----------------------------------
+# -- mediation throughput ------------------------------------------------------------------
 
 
 @dataclass
 class MediationSample:
-    """Throughput summary of one monitor variant over one request stream."""
+    """Reference-monitor throughput over one mediation request stream."""
 
-    variant: str
+    spec: MediationSpec
     total: int
     duration_s: float
     allowed: int
     denied: int
-    cache_hit_rate: float = 0.0
 
     @property
     def mediations_per_second(self) -> float:
@@ -199,106 +190,37 @@ class MediationSample:
     def as_dict(self) -> dict[str, object]:
         """Serialise for the ``BENCH_mediation.json`` artifact."""
         return {
-            "variant": self.variant,
+            "workload": self.spec.name,
+            "total_requests": self.spec.total_requests,
+            "distinct_keys": self.spec.distinct_keys,
             "total": self.total,
             "duration_s": self.duration_s,
             "mediations_per_second": self.mediations_per_second,
             "allowed": self.allowed,
             "denied": self.denied,
-            "cache_hit_rate": self.cache_hit_rate,
         }
 
 
-@dataclass
-class MediationComparison:
-    """Cached vs. uncached mediation over the identical request stream."""
+def measure_mediation(spec: MediationSpec = MEDIATION_SPEC) -> MediationSample:
+    """Measure the per-access cost of mediation: the policy decides every request.
 
-    spec: MediationSpec
-    cached: MediationSample
-    uncached: MediationSample
-    verdicts_identical: bool = True
-
-    @property
-    def speedup(self) -> float:
-        """Warm-cache throughput relative to the uncached monitor."""
-        baseline = self.uncached.mediations_per_second
-        return self.cached.mediations_per_second / baseline if baseline > 0 else 0.0
-
-    def as_dict(self) -> dict[str, object]:
-        """Serialise for the ``BENCH_mediation.json`` artifact."""
-        return {
-            "workload": self.spec.name,
-            "total_requests": self.spec.total_requests,
-            "distinct_keys": self.spec.distinct_keys,
-            "cached": self.cached.as_dict(),
-            "uncached": self.uncached.as_dict(),
-            "speedup": self.speedup,
-            "verdicts_identical": self.verdicts_identical,
-        }
-
-
-def _run_requests(monitor: ReferenceMonitor, requests: list[MediationRequest]) -> float:
-    """Mediate every request on ``monitor``; return the wall-clock seconds."""
+    One untimed pass over the stream warms the interpreter and CPU caches;
+    the timed pass then mediates the same stream on a fresh monitor.
+    """
+    requests = build_mediation_requests(spec)
+    warmup = ReferenceMonitor()
+    for principal, target, operation in requests:
+        warmup.authorize(principal, target, operation)
+    monitor = ReferenceMonitor()
     authorize = monitor.authorize
     start = time.perf_counter()
     for principal, target, operation in requests:
         authorize(principal, target, operation)
-    return time.perf_counter() - start
-
-
-def measure_mediation(
-    spec: MediationSpec = MEDIATION_SPEC,
-    *,
-    chunk: int = 1_000,
-) -> MediationComparison:
-    """Measure mediation throughput with and without the decision cache.
-
-    Both monitors enforce the same policy over the *same* request stream in
-    the same run.  The cached monitor is fully warmed first (one untimed pass
-    over the stream, which also warms the CPU caches for both variants); the
-    timed passes then interleave ``chunk``-sized slices of the stream between
-    the two monitors so machine-load drift hits both variants equally.  The
-    per-request verdicts are compared to certify the cache changes nothing
-    but speed.
-    """
-    requests = build_mediation_requests(spec)
-    cached_monitor = ReferenceMonitor(cache=True)
-    uncached_monitor = ReferenceMonitor(cache=False)
-
-    # Warm pass: populates the decision cache and certifies verdict parity.
-    warm_verdicts = [cached_monitor.authorize(p, t, op).allowed for p, t, op in requests]
-    parity_verdicts = [uncached_monitor.authorize(p, t, op).allowed for p, t, op in requests]
-    verdicts_identical = warm_verdicts == parity_verdicts
-
-    for monitor in (cached_monitor, uncached_monitor):
-        monitor.stats.reset()
-        monitor.audit.clear()
-    assert cached_monitor.cache is not None
-    cached_monitor.cache.reset_counters()
-
-    cached_s = 0.0
-    uncached_s = 0.0
-    for offset in range(0, len(requests), chunk):
-        piece = requests[offset : offset + chunk]
-        uncached_s += _run_requests(uncached_monitor, piece)
-        cached_s += _run_requests(cached_monitor, piece)
-
-    cached = MediationSample(
-        variant="cached",
-        total=cached_monitor.stats.total,
-        duration_s=cached_s,
-        allowed=cached_monitor.stats.allowed,
-        denied=cached_monitor.stats.denied,
-        cache_hit_rate=cached_monitor.cache.hit_rate,
-    )
-    uncached = MediationSample(
-        variant="uncached",
-        total=uncached_monitor.stats.total,
-        duration_s=uncached_s,
-        allowed=uncached_monitor.stats.allowed,
-        denied=uncached_monitor.stats.denied,
-        cache_hit_rate=0.0,
-    )
-    return MediationComparison(
-        spec=spec, cached=cached, uncached=uncached, verdicts_identical=verdicts_identical
+    duration = time.perf_counter() - start
+    return MediationSample(
+        spec=spec,
+        total=monitor.stats.total,
+        duration_s=duration,
+        allowed=monitor.stats.allowed,
+        denied=monitor.stats.denied,
     )

@@ -192,8 +192,7 @@ def workload_by_name(name: str) -> Workload:
 # isolates the reference monitor itself.  It models what the browser actually
 # does on a busy page -- repeated accesses by a handful of script principals
 # over a bounded set of object contexts (traversal sweeps, event dispatch,
-# cookie attachment hit the same contexts again and again) -- which is
-# exactly the access pattern the DecisionCache exists to absorb.
+# cookie attachment hit the same contexts again and again).
 
 
 @dataclass(frozen=True)

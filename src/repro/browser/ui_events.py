@@ -103,11 +103,9 @@ class UiEventLayer:
 
         event = Event(event_type=event_type, target=element, detail=detail or {})
 
-        # Batch step: pre-label the whole propagation path and warm the
-        # monitor's decision cache in one grouped pass, so the per-element
-        # ``use`` checks during dispatch are cache hits.  Warming records
-        # nothing -- elements the event never reaches (stopPropagation) still
-        # produce no audited access.
+        # Label the whole propagation path up front; each element is still
+        # mediated only when dispatch reaches it, so elements the event never
+        # reaches (stopPropagation) produce no audited access.
         labeled_targets: dict[int, SecurityContext] = {}
         for candidate in self.page.dispatcher.propagation_path(element):
             context = candidate.security_context
@@ -115,7 +113,6 @@ class UiEventLayer:
                 labeled_targets[id(candidate)] = context.with_label(
                     f"<{candidate.tag_name}> (event target)"
                 )
-        self.page.monitor.warm(principal, labeled_targets.values(), Operation.USE)
 
         def deliverable(candidate: Element) -> bool:
             target_context = labeled_targets.get(id(candidate))

@@ -269,9 +269,8 @@ class XmlHttpRequest(HostObject):
         self._pending = None
 
         # Mediation: the principal must be allowed to *use* the XHR API
-        # object.  The fast-path predicate is fully recorded like
-        # authorize(); repeated completions by the same principal are
-        # decision-cache hits.
+        # object, decided against the API's policy at completion time.  The
+        # boolean predicate is fully recorded like authorize().
         api_context = self._page.api_context("XMLHttpRequest")
         if not self._page.monitor.allows(
             self._principal,

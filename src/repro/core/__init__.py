@@ -7,7 +7,6 @@ and tested on its own; the substrate packages (:mod:`repro.browser`,
 """
 
 from .acl import Acl, parse_acl_attributes
-from .cache import CacheInfo, DecisionCache
 from .config import (
     AC_TAG_NAME,
     API_POLICY_HEADER,
@@ -88,10 +87,8 @@ __all__ = [
     "Acl",
     "AcTagLabel",
     "AuditLog",
-    "CacheInfo",
     "ConfigurationError",
     "ContextTracker",
-    "DecisionCache",
     "EscudoError",
     "EscudoPolicy",
     "EscudoReferenceMonitor",

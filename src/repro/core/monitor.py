@@ -13,18 +13,16 @@ The monitor is policy-agnostic: it is constructed with either the
 :class:`~repro.core.sop.SameOriginPolicy` baseline, which is how the
 benchmarks compare the two models on identical workloads.
 
-Because every access funnels through here, the monitor is also the system's
-hottest path.  Mediation is organised as a pipeline::
+Mediation is a short pipeline::
 
-    principal -> coerce contexts -> DecisionCache -> policy rules -> decision -> stats + audit
+    principal -> coerce contexts -> policy rules -> decision -> stats + audit
 
-Security contexts are frozen values, so a policy verdict for a
-``(principal, target, operation)`` triple can be memoised in a
-:class:`~repro.core.cache.DecisionCache`; on the overwhelmingly common allow
-path a warm cache reduces mediation to one dict lookup plus bookkeeping.
-:meth:`ReferenceMonitor.authorize_all` additionally batches sweeps (cookie
-attachment, event propagation paths, DOM traversals): the principal is
-coerced once and each *distinct* target context is decided once.
+The policy decides every access; no verdict is remembered between calls, so
+a relabel (ACL, ring or nonce change) or a policy swap takes effect on the
+very next request.  :meth:`ReferenceMonitor.authorize_all` mediates sweeps
+(cookie attachment, event propagation paths, DOM traversals): the principal
+is coerced once, each *distinct* target context is decided once per call,
+and every target records its own decision.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .cache import CacheInfo, DecisionCache
 from .context import SecurityContext
 from .decision import AccessDecision, Operation, Rule, RuleOutcome, Verdict
 from .errors import AccessDenied
@@ -166,8 +163,8 @@ class ReferenceMonitor:
     ----------
     policy:
         The protection model to enforce.  Defaults to the full ESCUDO policy.
-        Swapping it later (``monitor.policy = other``) invalidates the
-        decision cache.
+        Swapping it later (``monitor.policy = other``) takes effect on the
+        next request.
     strict:
         When true, denials raise :class:`~repro.core.errors.AccessDenied`
         instead of only returning a denying decision.  The browser substrate
@@ -176,13 +173,6 @@ class ReferenceMonitor:
         strict mode is handy in unit tests.
     audit_capacity:
         Size of the in-memory audit log.
-    cache:
-        ``True`` (default) enables the :class:`DecisionCache` fast path,
-        ``False`` disables it (every request re-evaluates the policy -- the
-        baseline the mediation benchmark compares against), or pass a
-        pre-built :class:`DecisionCache` to share/inspect one.
-    cache_size:
-        Capacity of the decision cache when one is built internally.
     """
 
     def __init__(
@@ -191,11 +181,9 @@ class ReferenceMonitor:
         *,
         strict: bool = False,
         audit_capacity: int = 10_000,
-        cache: DecisionCache | bool = True,
-        cache_size: int = 4096,
     ) -> None:
-        self._policy = policy if policy is not None else EscudoPolicy()
-        self._policy_token = self._policy.cache_token
+        #: The protection model currently enforced.
+        self.policy: Policy = policy if policy is not None else EscudoPolicy()
         self.strict = strict
         self.stats = MonitorStats()
         self.audit = AuditLog(audit_capacity)
@@ -203,26 +191,6 @@ class ReferenceMonitor:
         #: after stats/audit bookkeeping.  The static-analysis screen uses
         #: it to attribute every mediation to the script being executed.
         self.observer = None
-        if cache is True:
-            self.cache: DecisionCache | None = DecisionCache(cache_size)
-        elif cache is False:
-            self.cache = None
-        else:
-            self.cache = cache
-
-    # -- policy management --------------------------------------------------------
-
-    @property
-    def policy(self) -> Policy:
-        """The protection model currently enforced."""
-        return self._policy
-
-    @policy.setter
-    def policy(self, policy: Policy) -> None:
-        """Swap the enforced policy; cached verdicts are invalidated."""
-        self._policy = policy
-        self._policy_token = policy.cache_token
-        self.invalidate_cache()
 
     # -- main entry points --------------------------------------------------------
 
@@ -244,7 +212,7 @@ class ReferenceMonitor:
         op = operation if isinstance(operation, Operation) else Operation.from_text(operation)
         principal_ctx = _coerce_context(principal)
         target_ctx = _coerce_context(target)
-        decision = self._decide(
+        decision = self._evaluate(
             principal_ctx,
             target_ctx,
             op,
@@ -263,12 +231,11 @@ class ReferenceMonitor:
         principal_label: str = "",
         object_label: str = "",
     ) -> bool:
-        """Fast-path predicate: mediate one access and return the verdict.
+        """Boolean form of :meth:`authorize`.
 
-        Identical bookkeeping to :meth:`authorize` (the access is still
-        recorded in stats and audit); only the return type differs.  Call
-        sites that branch on allow/deny read better with a boolean, and on a
-        warm cache the whole call is a dict lookup plus counters.
+        Identical bookkeeping (the access is still recorded in stats and
+        audit); only the return type differs, for call sites that branch on
+        allow/deny.
         """
         return self.authorize(
             principal,
@@ -288,11 +255,10 @@ class ReferenceMonitor:
     ) -> list[AccessDecision]:
         """Mediate the same operation by one principal over many targets.
 
-        This is a true batch call: the principal's context and label are
-        coerced exactly once, and targets sharing a security context hit the
-        policy (or the cache) once per *distinct* context rather than once
-        per target.  Every target still produces -- and records -- its own
-        decision, preserving complete mediation of the sweep.
+        The principal's context and label are coerced exactly once, and the
+        policy decides each *distinct* target context (and label) once per
+        call.  Every target still records its own decision, preserving
+        complete mediation of the sweep.
         """
         op = operation if isinstance(operation, Operation) else Operation.from_text(operation)
         principal_ctx = _coerce_context(principal)
@@ -306,69 +272,13 @@ class ReferenceMonitor:
             memo_key = (target_ctx, target_lbl)
             decision = batch_memo.get(memo_key)
             if decision is None:
-                decision = self._decide(principal_ctx, target_ctx, op, principal_lbl, target_lbl)
+                decision = self._evaluate(principal_ctx, target_ctx, op, principal_lbl, target_lbl)
                 batch_memo[memo_key] = decision
             self._record(decision)
             decisions.append(decision)
         return decisions
 
-    def warm(
-        self,
-        principal,
-        targets: Iterable,
-        operation: Operation | str,
-        *,
-        principal_label: str = "",
-    ) -> int:
-        """Precompute verdicts for a sweep without recording any access.
-
-        Traversal helpers (``getElementsByTagName`` walks, selector sweeps)
-        call this so that the per-element accesses that follow are all cache
-        hits.  Nothing is added to stats or the audit log -- warming is not
-        an access -- so complete-mediation accounting is unchanged.  Returns
-        the number of distinct decisions ensured in the cache (0 when the
-        cache is disabled).
-        """
-        if self.cache is None:
-            return 0
-        op = operation if isinstance(operation, Operation) else Operation.from_text(operation)
-        principal_ctx = _coerce_context(principal)
-        principal_lbl = _label_with_context(principal, principal_ctx, principal_label)
-        seen: set[tuple[SecurityContext, str]] = set()
-        for target in targets:
-            target_ctx = _coerce_context(target)
-            target_lbl = _label_with_context(target, target_ctx, "")
-            memo_key = (target_ctx, target_lbl)
-            if memo_key in seen:
-                continue
-            seen.add(memo_key)
-            self._decide(principal_ctx, target_ctx, op, principal_lbl, target_lbl)
-        return len(seen)
-
     # -- decision pipeline ---------------------------------------------------------
-
-    def _decide(
-        self,
-        principal_ctx: SecurityContext,
-        target_ctx: SecurityContext,
-        operation: Operation,
-        principal_label: str,
-        object_label: str,
-    ) -> AccessDecision:
-        """Produce the decision for fully-coerced inputs, via the cache."""
-        cache = self.cache
-        if cache is None:
-            return self._evaluate(principal_ctx, target_ctx, operation, principal_label, object_label)
-        # The policy token makes sharing one cache between monitors with
-        # different policies safe: verdicts can never cross policies.
-        key = (self._policy_token, principal_ctx, target_ctx, operation, principal_label, object_label)
-        decision = cache.get(key)
-        if decision is None:
-            decision = self._evaluate(
-                principal_ctx, target_ctx, operation, principal_label, object_label
-            )
-            cache.put(key, decision)
-        return decision
 
     def _evaluate(
         self,
@@ -378,7 +288,7 @@ class ReferenceMonitor:
         principal_label: str,
         object_label: str,
     ) -> AccessDecision:
-        """Run the policy rules (the slow path / cache filler)."""
+        """Run the policy rules on fully-coerced inputs."""
         request = AccessRequest(
             principal=principal_ctx,
             target=target_ctx,
@@ -386,7 +296,7 @@ class ReferenceMonitor:
             principal_label=principal_label,
             object_label=object_label,
         )
-        return self._policy.evaluate(request)
+        return self.policy.evaluate(request)
 
     # -- special denials ------------------------------------------------------------
 
@@ -405,8 +315,7 @@ class ReferenceMonitor:
         Used when a script attempts to modify ``ring``/ACL/nonce attributes
         through the DOM API: the request never reaches the three-rule policy,
         it is categorically refused (Section 5, "a principal increasing
-        privilege").  Tamper denials are never cached: they are rare, and the
-        reason string is call-site specific.
+        privilege"), and the reason string is call-site specific.
         """
         op = operation if isinstance(operation, Operation) else Operation.from_text(operation)
         decision = AccessDecision(
@@ -415,7 +324,7 @@ class ReferenceMonitor:
             principal_label=_label_of(principal, principal_label),
             object_label=_label_of(target, object_label),
             outcomes=(RuleOutcome(Rule.TAMPER, False, reason),),
-            policy=self._policy.name,
+            policy=self.policy.name,
         )
         self._record(decision)
         return decision
@@ -431,29 +340,14 @@ class ReferenceMonitor:
             raise AccessDenied(decision)
 
     def reset(self) -> None:
-        """Clear statistics, audit log and cached verdicts (new page load)."""
+        """Clear statistics and the audit log (new page load)."""
         self.stats.reset()
         self.audit.clear()
-        self.invalidate_cache()
-
-    def invalidate_cache(self) -> None:
-        """Drop every cached verdict (bumps the cache generation).
-
-        Called automatically on :meth:`reset` and policy swap; browser code
-        calls it whenever live objects are relabelled in place (ACL, ring or
-        nonce changes), so no stale verdict can outlive a privilege change.
-        """
-        if self.cache is not None:
-            self.cache.invalidate()
-
-    def cache_info(self) -> CacheInfo | None:
-        """Snapshot of cache effectiveness, or ``None`` when caching is off."""
-        return self.cache.info() if self.cache is not None else None
 
     @property
     def model_name(self) -> str:
         """Name of the enforced policy (``"escudo"`` or ``"same-origin"``)."""
-        return self._policy.name
+        return self.policy.name
 
 
 #: Backwards-friendly alias matching the paper's terminology.

@@ -24,7 +24,6 @@ state, which makes them easy to property-test (see
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -62,54 +61,15 @@ class AccessRequest:
         return self.object_label or self.target.label
 
 
-#: Monotonic source of per-policy-instance cache tokens (never reused, so a
-#: decision cache shared by monitors with different policies can never serve
-#: one policy's verdict for another -- even across instance lifetimes).
-_POLICY_TOKENS = itertools.count()
-
-
 class Policy:
     """Interface shared by every browser protection model in the reproduction."""
 
     #: Short machine-readable name recorded in every decision.
     name: str = "abstract"
 
-    @property
-    def cache_token(self) -> int:
-        """Unique, stable identity of this policy instance for cache keys.
-
-        Two policy objects never share a token (a fresh one is drawn from a
-        process-wide counter on first use), so decisions cached under one
-        policy -- including ablation variants that share a ``name`` -- can
-        never be returned for another.
-        """
-        token = self.__dict__.get("_cache_token")
-        if token is None:
-            token = next(_POLICY_TOKENS)
-            self.__dict__["_cache_token"] = token
-        return token
-
     def evaluate(self, request: AccessRequest) -> AccessDecision:
         """Evaluate one access request and return a decision."""
         raise NotImplementedError
-
-    def permits(
-        self, principal: SecurityContext, target: SecurityContext, operation: Operation
-    ) -> bool:
-        """Cheap verdict check: the allow/deny answer without the explanation.
-
-        :meth:`evaluate` materialises per-rule :class:`RuleOutcome` tuples
-        with human-readable detail strings -- the *explanation* of a
-        decision, needed for audits and denial reports.  The verdict alone is
-        much cheaper; subclasses override this with an allocation-free rule
-        walk.  It exists for policy-level queries that need no audit trail
-        (capability introspection, what-if checks); the reference monitor's
-        own fast path is the decision cache, which memoises the fully
-        explained decision instead.  ``permits`` and ``evaluate`` must always
-        agree -- the cache-correctness tests certify the parity.
-        """
-        request = AccessRequest(principal=principal, target=target, operation=operation)
-        return self.evaluate(request).allowed
 
     # Convenience wrapper used pervasively in tests and examples.
     def check(
@@ -171,22 +131,6 @@ class EscudoPolicy(Policy):
             outcomes=tuple(outcomes),
             policy=self.name,
         )
-
-    def permits(
-        self, principal: SecurityContext, target: SecurityContext, operation: Operation
-    ) -> bool:
-        """Allocation-free verdict: the three rules without their explanations."""
-        if self.enforce_origin_rule and not principal.trusted:
-            if not principal.origin.same_origin_as(target.origin):
-                return False
-        ring = principal.ring
-        if self.enforce_ring_rule and not ring.is_at_least_as_privileged_as(target.ring):
-            return False
-        if self.enforce_acl_rule and not ring.is_at_least_as_privileged_as(
-            target.acl.limit_for(operation)
-        ):
-            return False
-        return True
 
 
 def _origin_outcome(principal: SecurityContext, target: SecurityContext) -> RuleOutcome:

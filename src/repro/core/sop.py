@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .context import SecurityContext
-from .decision import AccessDecision, Operation, Rule, RuleOutcome, Verdict
+from .decision import AccessDecision, Rule, RuleOutcome, Verdict
 from .policy import AccessRequest, Policy
 
 
@@ -39,12 +39,6 @@ class SameOriginPolicy(Policy):
             outcomes=(outcome,),
             policy=self.name,
         )
-
-    def permits(
-        self, principal: SecurityContext, target: SecurityContext, operation: Operation
-    ) -> bool:
-        """Allocation-free verdict: the lone origin rule, no explanation."""
-        return principal.trusted or principal.origin.same_origin_as(target.origin)
 
 
 def _origin_only_outcome(principal: SecurityContext, target: SecurityContext) -> RuleOutcome:

@@ -203,7 +203,7 @@ class ElementHandle:
         return self._api.wrap(found) if found is not None else None
 
     def query_selector_all(self, selector: str) -> list["ElementHandle"]:
-        """All matching descendants (the sweep pre-warms the decision cache)."""
+        """All matching descendants (each later read is mediated on its own)."""
         return self._api.wrap_all(query_selector_all(self._element, selector))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -319,19 +319,6 @@ class DomApi:
             verdicts.append(decision.allowed)
         return verdicts
 
-    def warm_read_cache(self, elements: list[Element]) -> int:
-        """Precompute read verdicts for a traversal sweep (no access recorded).
-
-        Called by the traversal entry points so the per-element reads that
-        typically follow a ``getElementsByTagName``/selector walk are all
-        decision-cache hits.  Returns the number of distinct verdicts warmed.
-        """
-        if not elements or self.monitor.cache is None:
-            return 0
-        # warm() dedups distinct contexts itself; just stream the targets.
-        targets = (self._decision_target(element) for element in elements)
-        return self.monitor.warm(self.principal, targets, Operation.READ)
-
     def record_tamper_attempt(self, element: Element, attribute: str, *, operation: Operation) -> None:
         """Log an attempt to touch ESCUDO configuration attributes."""
         decision = self.monitor.deny_tampering(
@@ -400,14 +387,7 @@ class DomApi:
         return ElementHandle(element, self)
 
     def wrap_all(self, elements: list[Element]) -> list[ElementHandle]:
-        """Wrap a traversal sweep's results, pre-warming the decision cache.
-
-        Bulk lookups are almost always followed by per-element reads; warming
-        the read verdicts here (one batch over the distinct contexts) turns
-        that walk into pure cache hits without recording any access the
-        script has not actually performed.
-        """
-        self.warm_read_cache(elements)
+        """Wrap a traversal sweep's results for script consumption."""
         return [ElementHandle(element, self) for element in elements]
 
     def get_element_by_id(self, element_id: str) -> ElementHandle | None:

@@ -41,8 +41,6 @@ class SuiteResult:
     duration_s: float = 0.0
     mediations: int = 0
     denied: int = 0
-    cache_hits: int = 0
-    cache_lookups: int = 0
     pages_loaded: int = 0
     #: Event-loop macrotasks executed across the whole suite.  Part of the
     #: parity report: shards must reproduce the exact task schedule.
@@ -81,11 +79,6 @@ class SuiteResult:
         """Reference-monitor throughput summed over every page of every run."""
         return self.mediations / self.duration_s if self.duration_s > 0 else 0.0
 
-    @property
-    def cache_hit_rate(self) -> float:
-        """Decision-cache hit rate aggregated over the whole suite."""
-        return self.cache_hits / self.cache_lookups if self.cache_lookups else 0.0
-
     def parity_dict(self) -> dict:
         """The timing-free canonical report.
 
@@ -94,12 +87,7 @@ class SuiteResult:
         once JSON-encoded -- to the serial run of the same range.  Wall-clock
         fields (``duration_s`` and the derived throughputs) are excluded;
         everything semantic, including every verdict and the aggregate
-        mediation counters, is in.  Decision-cache hit counters are
-        *performance* telemetry, not semantics: with the per-worker warm
-        compile caches they legitimately depend on how scenarios are sharded
-        (what an earlier scenario warmed), so they live in :meth:`as_dict`
-        only -- verdicts, digests, mediation and denial counts must still
-        match byte for byte.
+        mediation counters, is in.
         """
         return {
             "seed": self.seed,
@@ -132,7 +120,6 @@ class SuiteResult:
             "mediations": self.mediations,
             "mediations_per_second": self.mediations_per_second,
             "denied": self.denied,
-            "cache_hit_rate": self.cache_hit_rate,
             "pages_loaded": self.pages_loaded,
             "tasks_run": self.tasks_run,
             "faults": self.faults,
@@ -147,7 +134,6 @@ class SuiteResult:
             f"failures: {len(self.failures)}",
             f"  {self.scenarios_per_second:,.1f} scenarios/s | "
             f"{self.mediations_per_second:,.0f} mediations/s | "
-            f"cache hit rate {self.cache_hit_rate * 100.0:.1f}% | "
             f"{self.pages_loaded} pages in {self.duration_s:.2f}s",
         ]
         for verdict in self.failures:
@@ -235,8 +221,6 @@ def run_suite(
         for run in runs.values():
             result.mediations += run.mediations
             result.denied += run.denied
-            result.cache_hits += run.cache_hits
-            result.cache_lookups += run.cache_lookups
             result.pages_loaded += run.pages_loaded
             result.tasks_run += run.tasks_run
             if run.faults:

@@ -20,8 +20,8 @@ seeded index space over N worker processes:
   not: scenario ``i`` of seed ``s`` is the same scenario in every process
   (the generator keys an isolated ``random.Random`` on ``(seed, index)``),
   caches never change outcomes (templates are served as aliasing-free
-  clones, decisions are value-keyed with generation invalidation), and the
-  merge re-sorts verdicts into scenario-index order -- so
+  clones, and every access is decided by the policy), and the merge
+  re-sorts verdicts into scenario-index order -- so
   :meth:`~repro.scenarios.engine.SuiteResult.parity_dict` of a parallel run
   equals the serial run's, byte for byte, on every run.
 
@@ -177,8 +177,6 @@ def _run_shard(config: dict) -> dict:
         "failures": suite.failure_specs,
         "mediations": suite.mediations,
         "denied": suite.denied,
-        "cache_hits": suite.cache_hits,
-        "cache_lookups": suite.cache_lookups,
         "pages_loaded": suite.pages_loaded,
         "tasks_run": suite.tasks_run,
         "faults": suite.faults,
@@ -244,8 +242,6 @@ def _steal_worker(worker_id: int, config: dict, task_queue, result_queue) -> Non
                     "failures": suite.failure_specs,
                     "mediations": suite.mediations,
                     "denied": suite.denied,
-                    "cache_hits": suite.cache_hits,
-                    "cache_lookups": suite.cache_lookups,
                     "pages_loaded": suite.pages_loaded,
                     "tasks_run": suite.tasks_run,
                     "faults": suite.faults,
@@ -339,8 +335,6 @@ def _empty_worker_report(worker_id: int) -> dict:
         "failures": [],
         "mediations": 0,
         "denied": 0,
-        "cache_hits": 0,
-        "cache_lookups": 0,
         "pages_loaded": 0,
         "tasks_run": 0,
         "faults": {},
@@ -405,14 +399,7 @@ def _supervise_pool(
             report["scenarios"] += len(message["indices"])
             report["verdicts"].extend(message["verdicts"])
             report["failures"].extend(message["failures"])
-            for counter in (
-                "mediations",
-                "denied",
-                "cache_hits",
-                "cache_lookups",
-                "pages_loaded",
-                "tasks_run",
-            ):
+            for counter in ("mediations", "denied", "pages_loaded", "tasks_run"):
                 report[counter] += message[counter]
             if message.get("faults"):
                 merge_fault_stats(report["faults"], message["faults"])
@@ -660,8 +647,6 @@ def run_suite_parallel(
     for report in reports:
         result.mediations += report["mediations"]
         result.denied += report["denied"]
-        result.cache_hits += report["cache_hits"]
-        result.cache_lookups += report["cache_lookups"]
         result.pages_loaded += report["pages_loaded"]
         result.tasks_run += report["tasks_run"]
         if report.get("faults"):
@@ -675,11 +660,6 @@ def run_suite_parallel(
                 "duration_s": shard_duration,
                 "scenarios_per_second": (
                     report["scenarios"] / shard_duration if shard_duration > 0 else 0.0
-                ),
-                "cache_hit_rate": (
-                    report["cache_hits"] / report["cache_lookups"]
-                    if report["cache_lookups"]
-                    else 0.0
                 ),
                 "mediations": report["mediations"],
                 "denied": report["denied"],

@@ -17,8 +17,8 @@ Each run collects everything the differential oracle needs:
   victim's browser from the moment the attack was planted, each carrying the
   policy rule that produced it (so a blocked attack can be traced to a
   specific decision in the audit log);
-* aggregate mediation statistics (total mediations, denials, decision-cache
-  hits) for the throughput benchmark.
+* aggregate mediation statistics (total mediations, denials) for the
+  throughput benchmark.
 """
 
 from __future__ import annotations
@@ -65,8 +65,6 @@ class ScenarioRun:
     snapshot: dict
     mediations: int = 0
     denied: int = 0
-    cache_hits: int = 0
-    cache_lookups: int = 0
     pages_loaded: int = 0
     #: Event-loop macrotasks executed across every page of the run (timers,
     #: queued XHR completions, event dispatches) -- part of the parity
@@ -79,23 +77,17 @@ class ScenarioRun:
     #: Reporting only -- deliberately outside every parity comparison.
     faults: dict = field(default_factory=dict)
 
-    @property
-    def cache_hit_rate(self) -> float:
-        """Decision-cache hit rate aggregated over every page of the run."""
-        return self.cache_hits / self.cache_lookups if self.cache_lookups else 0.0
-
 
 class ScenarioRunner:
     """Executes scenarios under a policy matrix.
 
     One runner is one *worker*: by default it carries a
     :class:`~repro.browser.compile_cache.CompileCaches` stack -- the HTML
-    template cache, the script cache and a shared decision cache -- for
-    its whole lifetime, so compilation and cold-start mediation work is paid
-    once and amortised across every scenario the worker executes.  Verdicts
-    are unaffected: templates and ASTs are served as aliasing-free clones /
-    read-only trees, and the decision cache is value-keyed with generation
-    invalidation on policy swaps and relabels.  ``compile_caches=False``
+    template cache and the script cache -- for its whole lifetime, so
+    compilation work is paid once and amortised across every scenario the
+    worker executes.  Verdicts are unaffected: templates and ASTs are served
+    as aliasing-free clones / read-only trees, and every page's reference
+    monitor decides each access against the policy.  ``compile_caches=False``
     restores the cold per-scenario pipeline (the benchmark baseline).
 
     With the stack enabled, applications are built with a markup-
@@ -200,9 +192,8 @@ class ScenarioRunner:
         """Seed the cache stack from the policy matrix for ``app_key``.
 
         Loads each column's index page once in a throwaway environment: the
-        template, AST and decision caches then already hold the application's
-        login page, head scripts and the common mediation verdicts before the
-        first scenario runs.  Nothing from the throwaway environments leaks
+        template and script caches then already hold the application's login
+        page and head scripts before the first scenario runs.  Nothing from the throwaway environments leaks
         into scenario runs -- only cache entries, which are value-keyed.
         """
         if self.caches is None or app_key in self._warmed_apps:
@@ -238,19 +229,12 @@ class ScenarioRunner:
         self, scenario: Scenario, spec: ModelSpec, attack: Attack | None
     ) -> ScenarioRun:
         self._warm_start(scenario.app_key)
-        caches = self.caches
-        if caches is not None:
-            # The decision cache is shared across pages and scenarios, so
-            # per-run hit accounting is a counter delta over the run, not a
-            # sum of per-page snapshots (which would multi-count the shared
-            # counters once per page).
-            cache_before = caches.decisions.info()
         env = build_environment(
             scenario.app_key,
             spec.browser_model,
             escudo_app=spec.escudo_app,
             app_kwargs=self._app_kwargs(scenario.app_key, spec),
-            caches=caches,
+            caches=self.caches,
             script_engine=self.script_engine,
             static_screen=self.screen,
         )
@@ -309,15 +293,6 @@ class ScenarioRunner:
                 run.mediations += tab.page.monitor.stats.total
                 run.denied += tab.page.monitor.stats.denied
                 run.tasks_run += tab.page.event_loop.stats.tasks_run
-                if caches is None:
-                    info = tab.page.monitor.cache_info()
-                    if info is not None:
-                        run.cache_hits += info.hits
-                        run.cache_lookups += info.lookups
-        if caches is not None:
-            cache_after = caches.decisions.info()
-            run.cache_hits = cache_after.hits - cache_before.hits
-            run.cache_lookups = cache_after.lookups - cache_before.lookups
         if plan is not None:
             run.faults = plan.stats.as_dict()
         return run

@@ -14,8 +14,8 @@ read, write and method call on a host object still goes through
 ``js_get`` / ``js_set`` / ``js_call``, where the reference monitor lives.
 The inline caches only memoise *which dispatch ladder branch* a site took
 last time (keyed on the receiver's Python class); a hit still performs the
-full mediated host call, so verdicts, audit records and decision-cache
-counters are bit-identical with and without warm caches.
+full mediated host call, so verdicts and audit records are bit-identical
+with and without warm caches.
 """
 
 from __future__ import annotations

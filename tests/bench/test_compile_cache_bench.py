@@ -23,7 +23,6 @@ def test_measure_compile_cache_payload_schema(tmp_path):
     payload = measure_compile_cache(
         page_loads=4,
         script_runs=10,
-        mediation_pages=4,
         scenario_seed=7,
         scenario_count=2,
         attack_ratio=0.0,
@@ -33,8 +32,6 @@ def test_measure_compile_cache_payload_schema(tmp_path):
     # Section structure and workload sizes.
     assert payload["page_compile"]["loads"] == 4
     assert payload["script_ast"]["runs"] == 10
-    assert payload["warm_mediation"]["pages"] == 4
-    assert payload["warm_mediation"]["requests_per_page"] > 0
     assert payload["scenarios"]["count"] == 2
     assert payload["scenarios"]["rounds"] == 1
     assert len(payload["scenarios"]["cold_rounds"]) == 1
@@ -44,7 +41,6 @@ def test_measure_compile_cache_payload_schema(tmp_path):
     for key in (
         "page_compile_speedup",
         "script_ast_speedup",
-        "mediation_warm_speedup",
         "scenario_speedup",
     ):
         assert payload[key] > 0
@@ -54,7 +50,6 @@ def test_measure_compile_cache_payload_schema(tmp_path):
     assert payload["verdict_parity"] is True
     assert payload["page_compile"]["parity"] is True
     assert payload["script_ast"]["parity"] is True
-    assert payload["warm_mediation"]["parity"] is True
     assert payload["scenarios"]["cold_ok"] and payload["scenarios"]["warm_ok"]
 
     # Headline keys mirror the nested sections for dashboard consumers (the
@@ -62,13 +57,12 @@ def test_measure_compile_cache_payload_schema(tmp_path):
     assert payload["scenarios_per_second"] == payload["scenarios"]["steady_scenarios_per_second"]
     assert payload["scenario_steady_speedup"] == payload["scenarios"]["steady_speedup"]
     assert payload["page_compile_speedup"] == payload["page_compile"]["speedup"]
-    assert payload["mediation_warm_speedup"] == payload["warm_mediation"]["speedup"]
 
     # No baseline path given => no seed-relative fields.
     assert "speedup_vs_seed" not in payload
 
     report = format_compile_cache_report(payload)
-    assert "page compile" in report and "warm-start mediation" in report
+    assert "page compile" in report and "scenarios (1 worker)" in report
 
     path = write_compile_cache_report(payload, tmp_path / "BENCH_compile_cache.json")
     assert json.loads(path.read_text(encoding="utf-8")) == payload
@@ -80,7 +74,6 @@ def test_seed_baseline_comparison(tmp_path):
     payload = measure_compile_cache(
         page_loads=2,
         script_runs=4,
-        mediation_pages=2,
         scenario_seed=7,
         scenario_count=1,
         attack_ratio=0.0,
@@ -96,7 +89,6 @@ def test_missing_or_malformed_baseline_is_ignored(tmp_path):
     missing = measure_compile_cache(
         page_loads=2,
         script_runs=4,
-        mediation_pages=2,
         scenario_seed=7,
         scenario_count=1,
         attack_ratio=0.0,
@@ -110,7 +102,6 @@ def test_missing_or_malformed_baseline_is_ignored(tmp_path):
     payload = measure_compile_cache(
         page_loads=2,
         script_runs=4,
-        mediation_pages=2,
         scenario_seed=7,
         scenario_count=1,
         attack_ratio=0.0,

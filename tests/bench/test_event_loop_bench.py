@@ -22,12 +22,10 @@ def test_measure_event_loop_payload_schema(tmp_path):
     assert payload["scheduling"]["tasks"] == 50
     assert payload["scheduling"]["tasks_per_second"] > 0
     assert payload["mediated_timers"]["mediations"] == 30
-    assert payload["mediated_timers"]["cache_hit_rate"] > 0.5
     assert payload["deferred_xhrs"]["completions"] == 4
     # Headline keys mirror the nested sections for dashboard consumers.
     assert payload["tasks_per_second"] == payload["scheduling"]["tasks_per_second"]
     assert payload["mediations_per_second"] == payload["mediated_timers"]["mediations_per_second"]
-    assert payload["cache_hit_rate"] == payload["mediated_timers"]["cache_hit_rate"]
 
     report = format_event_loop_report(payload)
     assert "tasks/s" in report and "mediations/s" in report

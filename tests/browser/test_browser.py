@@ -5,11 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.browser.browser import Browser, make_browser
+from repro.core.acl import Acl
+from repro.core.config import ResourcePolicy
 from repro.core.origin import Origin
 from repro.core.rings import Ring
+from repro.http.messages import HttpResponse
 from repro.http.network import Network
 
-from .conftest import ORIGIN_TEXT, ForumServer
+from .conftest import ORIGIN_TEXT, ForumServer, forum_configuration
 
 ORIGIN = Origin.parse(ORIGIN_TEXT)
 
@@ -219,6 +222,75 @@ class TestScriptCookieAccess:
         loaded = browser.load(forum_url)
         run = browser.run_script(loaded, "document.cookie;", ring=0)
         assert "secret" not in (run.result.value or "")
+
+    @staticmethod
+    def _browser_relabelling_prefs(initial_ring: int, relabelled_ring: int) -> Browser:
+        """A forum whose pages set ``prefs`` at ``initial_ring`` and whose
+        ``/api/relabel`` response re-sends it labelled ``relabelled_ring``."""
+        server = ForumServer()
+        original = server.handle_request
+
+        def with_prefs_cookie(request):
+            if request.url.path == "/api/relabel":
+                response = HttpResponse.text("ok")
+                ring = relabelled_ring
+            else:
+                response = original(request)
+                if request.url.path != "/viewtopic":
+                    return response
+                ring = initial_ring
+            response.set_cookie("prefs", "dark")
+            configuration = forum_configuration()
+            configuration.cookie_policies["prefs"] = ResourcePolicy(
+                ring=Ring(ring), acl=Acl.uniform(ring)
+            )
+            response.apply_escudo_headers(configuration)
+            return response
+
+        server.handle_request = with_prefs_cookie
+        network = Network()
+        network.register(ORIGIN_TEXT, server)
+        return Browser(network)
+
+    @staticmethod
+    def _relabel(browser: Browser, loaded) -> None:
+        relabel = browser.run_script(
+            loaded,
+            "var xhr = new XMLHttpRequest(); xhr.open('GET', '/api/relabel'); xhr.send();",
+            ring=1,
+        )
+        assert relabel.succeeded
+
+    def test_cookie_relabelled_by_a_later_response_is_unreadable_on_the_next_read(self, forum_url):
+        """A later ``X-Escudo-Cookie-Policy`` promoting a cookie above the
+        reader takes effect on the reader's very next ``document.cookie``."""
+        browser = self._browser_relabelling_prefs(3, 1)
+        loaded = browser.load(forum_url)
+        before = browser.run_script(loaded, "document.cookie;", ring=3)
+        assert "prefs=dark" in (before.result.value or "")
+
+        self._relabel(browser, loaded)
+        assert browser.cookie_jar.get(ORIGIN, "prefs").ring == Ring(1)
+
+        after = browser.run_script(loaded, "document.cookie;", ring=3)
+        assert after.succeeded
+        assert "prefs" not in (after.result.value or "")
+
+    def test_cookie_relabelled_down_by_a_later_response_is_readable_on_the_next_read(
+        self, forum_url
+    ):
+        """The reverse relabel grants access on the very next read too."""
+        browser = self._browser_relabelling_prefs(1, 3)
+        loaded = browser.load(forum_url)
+        before = browser.run_script(loaded, "document.cookie;", ring=3)
+        assert before.succeeded
+        assert "prefs" not in (before.result.value or "")
+
+        self._relabel(browser, loaded)
+        assert browser.cookie_jar.get(ORIGIN, "prefs").ring == Ring(3)
+
+        after = browser.run_script(loaded, "document.cookie;", ring=3)
+        assert "prefs=dark" in (after.result.value or "")
 
 
 class TestBrowserState:

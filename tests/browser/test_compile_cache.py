@@ -1,11 +1,9 @@
 """The compile-cache stack: warm loads must be observably identical to cold.
 
-Covers the three layers (HTML templates, the script cache, the shared
-decision cache) through the loader and the full browser, plus the
-correctness edges:
-clone isolation between pages, nonce-mismatch replay, generation
-invalidation on relabels, parse-error memoisation, and the response memo's
-session/state keying.
+Covers both layers (HTML templates and the script cache) through the loader
+and the full browser, plus the correctness edges: clone isolation between
+pages, nonce-mismatch replay, per-page mediation, parse-error memoisation,
+and the response memo's session/state keying.
 """
 
 from __future__ import annotations
@@ -17,7 +15,8 @@ import pytest
 
 from repro.browser.compile_cache import CompileCaches, TemplateCache
 from repro.browser.loader import LoaderOptions, load_page
-from repro.core.config import PageConfiguration
+from repro.core.config import PageConfiguration, ResourcePolicy
+from repro.core.rings import RingSet
 from repro.dom.document import Document
 from repro.dom.node import Node
 from repro.html.serializer import serialize
@@ -142,54 +141,76 @@ class TestCloneIsolationAcrossLoads:
         assert all(id(node) not in first_nodes for node in second.document.descendants())
 
 
-class TestSharedDecisionCache:
-    def test_monitors_share_verdicts_across_pages(self):
+class TestPerPageMediation:
+    def test_pages_loaded_through_one_stack_each_record_their_own_decision(self):
         caches = CompileCaches.build()
         options = LoaderOptions()
-        first = load_page(ESCUDO_BODY, PAGE_URL, options=options, caches=caches)
-        chrome = first.document.get_element_by_id("chrome")
-        content = first.document.get_element_by_id("content")
-        first.monitor.allows(
-            first.principal_context_for(content), first.principal_context_for(chrome), "read"
-        )
-        lookups_before = caches.decisions.info().lookups
-        hits_before = caches.decisions.info().hits
+        pages = [load_page(ESCUDO_BODY, PAGE_URL, options=options, caches=caches) for _ in range(2)]
+        assert pages[0].monitor is not pages[1].monitor
+        verdicts = []
+        for page in pages:
+            chrome = page.document.get_element_by_id("chrome")
+            content = page.document.get_element_by_id("content")
+            verdicts.append(
+                page.monitor.allows(
+                    page.principal_context_for(content), page.principal_context_for(chrome), "read"
+                )
+            )
+        assert verdicts[0] == verdicts[1]
+        for page in pages:
+            assert page.monitor.stats.total == 1
+            assert len(page.monitor.audit) == 1
 
-        second = load_page(ESCUDO_BODY, PAGE_URL, options=options, caches=caches)
-        chrome2 = second.document.get_element_by_id("chrome")
-        content2 = second.document.get_element_by_id("content")
-        allowed = second.monitor.allows(
-            second.principal_context_for(content2), second.principal_context_for(chrome2), "read"
-        )
-        info = caches.decisions.info()
-        assert info.lookups == lookups_before + 1
-        assert info.hits == hits_before + 1, "the second page must reuse the first's verdict"
-        # Both monitors still record their own stats (complete mediation).
-        assert first.monitor.stats.total == 1 and second.monitor.stats.total == 1
-        assert isinstance(allowed, bool)
-
-    def test_policy_swap_invalidates_the_shared_cache(self):
+    def test_pages_under_different_models_decide_by_their_own_policy(self):
         caches = CompileCaches.build()
-        options = LoaderOptions()
-        page = load_page(ESCUDO_BODY, PAGE_URL, options=options, caches=caches)
-        chrome = page.document.get_element_by_id("chrome")
-        content = page.document.get_element_by_id("content")
-        page.monitor.allows(
-            page.principal_context_for(content), page.principal_context_for(chrome), "read"
-        )
-        generation = caches.decisions.generation
-        page.monitor.policy = LoaderOptions(model="sop").build_policy()
-        assert caches.decisions.generation == generation + 1
-        assert len(caches.decisions) == 0
+        verdicts = {}
+        for model in ("escudo", "sop"):
+            options = LoaderOptions(model=model)
+            page = load_page(ESCUDO_BODY, PAGE_URL, options=options, caches=caches)
+            chrome = page.document.get_element_by_id("chrome")
+            content = page.document.get_element_by_id("content")
+            verdicts[model] = page.monitor.allows(
+                page.principal_context_for(content), page.principal_context_for(chrome), "write"
+            )
+        assert caches.templates.hits == 1  # one template served both models
+        assert verdicts == {"escudo": False, "sop": True}
 
-    def test_api_relabel_invalidates_the_shared_cache(self):
+    def test_api_relabel_on_one_page_leaves_the_other_page_alone(self):
+        headers = PageConfiguration(
+            rings=RingSet(3), api_policies={"XMLHttpRequest": ResourcePolicy.uniform(3)}
+        ).to_headers()
         caches = CompileCaches.build()
-        page = load_page(ESCUDO_BODY, PAGE_URL, options=LoaderOptions(), caches=caches)
-        from repro.core.config import ResourcePolicy
+        pages = [
+            load_page(
+                ESCUDO_BODY,
+                PAGE_URL,
+                configuration=PageConfiguration.from_headers(headers),
+                options=LoaderOptions(),
+                caches=caches,
+            )
+            for _ in range(2)
+        ]
 
-        generation = caches.decisions.generation
-        page.set_api_policy("XMLHttpRequest", ResourcePolicy.uniform(2))
-        assert caches.decisions.generation == generation + 1
+        def may_use_xhr(page):
+            content = page.document.get_element_by_id("content")
+            return page.monitor.allows(
+                page.principal_context_for(content), page.api_context("XMLHttpRequest"), "use"
+            )
+
+        assert [may_use_xhr(page) for page in pages] == [True, True]
+        pages[0].set_api_policy("XMLHttpRequest", ResourcePolicy.uniform(1))
+        assert [may_use_xhr(page) for page in pages] == [False, True]
+
+
+class TestPerfbenchContract:
+    def test_perfbench_reads_a_ratio_for_every_cache_tier(self):
+        """``perfbench/run.py --trace 1`` indexes these blocks of ``as_dict()``."""
+        from perfbench import layers
+
+        caches = CompileCaches.build()
+        ratios = layers.cache_ratios(caches.as_dict(), caches.as_dict())
+        assert set(ratios) == set(layers.CACHE_TIERS)
+        assert all(ratio == 0.0 for ratio in ratios.values())
 
 
 class TestScriptCacheParse:

@@ -142,8 +142,6 @@ class TestSerialParallelParity:
         assert sum(stat["scenarios"] for stat in parallel.shard_stats) == 20
         assert sum(stat["mediations"] for stat in parallel.shard_stats) == parallel.mediations
         assert sum(stat["denied"] for stat in parallel.shard_stats) == parallel.denied
-        for stat in parallel.shard_stats:
-            assert 0.0 <= stat["cache_hit_rate"] <= 1.0
 
     def test_as_dict_extends_the_serial_schema(self):
         parallel = run_suite_parallel(
@@ -151,7 +149,7 @@ class TestSerialParallelParity:
         )
         data = parallel.as_dict()
         # The serial BENCH_scenarios.json keys survive...
-        for key in ("seed", "count", "models", "ok", "scenarios_per_second", "cache_hit_rate"):
+        for key in ("seed", "count", "models", "ok", "scenarios_per_second", "mediations"):
             assert key in data
         # ...and the sharded run contributes its worker statistics.
         assert data["workers"] == 2
