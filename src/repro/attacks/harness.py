@@ -108,7 +108,13 @@ def registered_attacks() -> "list[Attack]":
 
 @dataclass
 class AttackEnvironment:
-    """Everything an attack definition gets to inspect and manipulate."""
+    """Everything an attack definition gets to inspect and manipulate.
+
+    The environment owns what it holds: :meth:`close` (or leaving a
+    ``with`` block) closes the victim's browser and every browser
+    registered in :attr:`browsers`, closes the application and drops the
+    network's logs, so reference counting frees the whole run.
+    """
 
     model: str
     network: Network
@@ -119,6 +125,23 @@ class AttackEnvironment:
     victim_session_id: str | None = None
     loaded: LoadedPage | None = None
     extra: dict = field(default_factory=dict)
+    #: Browsers of the session's actors by name, closed with the
+    #: environment (the victim's ``browser`` is closed either way).
+    browsers: dict[str, Browser] = field(default_factory=dict)
+
+    def close(self) -> None:
+        """Close every browser, close the application, drop the network logs."""
+        # Closing is idempotent, so the victim's browser may be listed too.
+        for browser in (self.browser, *self.browsers.values()):
+            browser.close()
+        self.app.close()
+        self.network.clear_log()
+
+    def __enter__(self) -> "AttackEnvironment":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     @property
     def target_origin(self) -> str:
@@ -290,10 +313,12 @@ class Attack:
 
     def run(self, model: str, *, escudo_app: bool = True, script_engine: str = "vm") -> AttackResult:
         """Execute the attack end-to-end under ``model`` and classify it."""
-        env = build_environment(self.app_key, model, escudo_app=escudo_app, script_engine=script_engine)
-        if self.requires_login:
-            login_victim(env)
-        return self.execute_in(env)
+        with build_environment(
+            self.app_key, model, escudo_app=escudo_app, script_engine=script_engine
+        ) as env:
+            if self.requires_login:
+                login_victim(env)
+            return self.execute_in(env)
 
     def execute_in(self, env: AttackEnvironment) -> AttackResult:
         """Run plant + victim action against a pre-built environment.
@@ -364,16 +389,17 @@ def quick_blog_demo() -> str:
     )
     lines = []
     for model in ("escudo", "sop"):
-        env = build_environment("blog", model)
-        env.app.add_comment(1, "mallory", payload)
-        loaded = visit(env, "/post?id=1")
-        post_body = loaded.page.document.get_element_by_id("post-body")
-        banner = loaded.page.document.get_element_by_id("blog-banner")
-        defaced = "DEFACED" in (post_body.text_content if post_body else "")
-        banner_owned = "Owned" in (banner.text_content if banner else "")
+        with build_environment("blog", model) as env:
+            env.app.add_comment(1, "mallory", payload)
+            loaded = visit(env, "/post?id=1")
+            post_body = loaded.page.document.get_element_by_id("post-body")
+            banner = loaded.page.document.get_element_by_id("blog-banner")
+            defaced = "DEFACED" in (post_body.text_content if post_body else "")
+            banner_owned = "Owned" in (banner.text_content if banner else "")
+            denied = loaded.page.monitor.stats.denied
         verdict = "attack SUCCEEDED" if (defaced or banner_owned) else "attack NEUTRALIZED"
         lines.append(
             f"[{model:>6}] malicious comment vs. blog post: {verdict} "
-            f"(denied accesses: {loaded.page.monitor.stats.denied})"
+            f"(denied accesses: {denied})"
         )
     return "\n".join(lines)

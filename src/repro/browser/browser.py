@@ -59,6 +59,11 @@ class LoadedPage:
     response: HttpResponse
     subresource_requests: list[str] = field(default_factory=list)
 
+    def close(self) -> None:
+        """Close the page's script environments, then the page itself."""
+        self.runtime.close()
+        self.page.close()
+
 
 class Browser:
     """One browser instance (profile): cookie jar, history, protection model."""
@@ -124,6 +129,17 @@ class Browser:
         doubles as the browser's tab strip.
         """
         return self.loaded
+
+    def close(self) -> None:
+        """Close every open tab.
+
+        A page, its scripts and this browser reference one another, so
+        only closing breaks the cycles and lets reference counting free
+        them.  The browser has no tabs afterwards.
+        """
+        for loaded in self.loaded:
+            loaded.close()
+        self.loaded.clear()
 
     def tab(self, index: int = -1) -> LoadedPage:
         """One open tab by index (``-1`` is the most recent)."""

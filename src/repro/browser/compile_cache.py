@@ -21,7 +21,12 @@ the scenario runner, across whole scenarios):
   :class:`~repro.dom.document.LoadManifest`: its own node list plus the tag,
   id and parent indexes it shares with the labelled pristine variant, so the
   load-time queries (scripts, subresources, ``getElementById``) are computed
-  once per variant and never re-walk a served page.
+  once per variant and never re-walk a served page.  Evicting a template
+  releases its pristine tree and every labelled variant
+  (:meth:`~repro.dom.document.Document.release`), so an evicted entry is
+  freed by reference counting at once instead of waiting, as a cyclic DOM
+  tree, for a full collection; clones already served are independent trees
+  and are never touched.
 * :class:`~repro.scripting.cache.ScriptCache` -- one entry per script
   source digest holding its parsed program, its bytecode and its static
   analysis report, each built on first use from the entry's own program.
@@ -87,6 +92,13 @@ class CachedTemplate:
         #: viewport width -> pristine render statistics.
         self.render_cache: dict[float, RenderStats] = {}
 
+    def release(self) -> None:
+        """Release the pristine tree and every labelled variant (eviction)."""
+        self.document.release()
+        for labeled, _stats in self.variants.values():
+            labeled.release()
+        self.variants.clear()
+
     def make_validator(self, *, replay: bool) -> NonceValidator:
         """A fresh per-page validator.
 
@@ -146,7 +158,7 @@ class TemplateCache:
             ),
         )
         if len(entries) >= self.maxsize:
-            entries.popitem(last=False)
+            entries.popitem(last=False)[1].release()
         entries[key] = cached
         return cached
 

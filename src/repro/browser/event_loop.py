@@ -280,6 +280,23 @@ class EventLoop:
         """
         return self.advance(0.0)
 
+    def close(self) -> None:
+        """Drop every queued task and microtask, callbacks included.
+
+        Page teardown: a queued callback closes over its page's objects
+        (an XHR completion over the XHR that holds the task), so the tasks
+        are emptied as well as unqueued.  The counters stay readable; the
+        loop must not be run again.
+        """
+        for entry in self._heap:
+            task = entry[3]
+            task.cancelled = True
+            task.callback = None
+        self._heap.clear()
+        self._pending.clear()
+        self._microtasks.clear()
+        self.task_interceptor = None
+
     # -- internals ------------------------------------------------------------------
 
     def _execute(self, task: ScheduledTask) -> None:

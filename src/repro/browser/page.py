@@ -158,6 +158,19 @@ class Page:
             if listener.element is element and listener.event_type == event_type
         ]
 
+    # -- teardown ------------------------------------------------------------------------------------
+
+    def close(self) -> None:
+        """End the page: drop its queued work and listeners, release its DOM.
+
+        The monitor's and the event loop's counters stay readable, which is
+        all a finished scenario run reads; nothing else may be used after.
+        """
+        self.event_loop.close()
+        self.listeners.clear()
+        self.dispatcher.clear()
+        self.document.release()
+
     # -- summaries -----------------------------------------------------------------------------------
 
     def ring_histogram(self) -> dict[int, int]:

@@ -20,6 +20,11 @@ in an environment built by :class:`ScriptRuntime`.  The environment exposes:
 Because the bindings are built per principal, two scripts on the same page
 in different rings see the *same* DOM but with different privileges -- the
 heart of the ESCUDO model.
+
+Every environment closes over its page (bindings, bound methods, queued
+callbacks), so each one sits in a reference cycle.  The runtime keeps the
+environments it created and :meth:`ScriptRuntime.close` closes them all,
+which lets reference counting free a closed page.
 """
 
 from __future__ import annotations
@@ -377,6 +382,7 @@ class _PrincipalEnvironment:
         #: listeners and async XHR completions -- lands on the right script.
         self.digest: str | None = None
         self._install_globals()
+        runtime.environments.append(self)
 
     # -- environment ------------------------------------------------------------------
 
@@ -402,6 +408,15 @@ class _PrincipalEnvironment:
                 "XMLHttpRequest",
             ),
         )
+
+    def close(self) -> None:
+        """Drop the globals, the bindings and the DOM facade.
+
+        Each of them links back to this environment (bound methods, the
+        bindings' ``_runtime``), so they form its reference cycles.
+        """
+        self.interpreter.globals.values.clear()
+        self.document_binding = self.window = self.dom_api = None
 
     def mediation_scope(self):
         """Context manager attributing monitor decisions to this script.
@@ -513,6 +528,8 @@ class ScriptRuntime:
         # more than the cached ``use`` checks it gates.  Frozen value, so
         # sharing is safe across environments.
         self.dom_api_object = page.dom_api_context()
+        #: Every principal environment built on this page, closed with it.
+        self.environments: list[_PrincipalEnvironment] = []
 
     # -- execution entry points ----------------------------------------------------------
 
@@ -555,6 +572,12 @@ class ScriptRuntime:
         if self.screen is None:
             return
         environment.digest = self.screen.observe_script(source)
+
+    def close(self) -> None:
+        """Close every environment this runtime built (page teardown)."""
+        for environment in self.environments:
+            environment.close()
+        self.environments.clear()
 
     # -- helpers --------------------------------------------------------------------------------
 

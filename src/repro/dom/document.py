@@ -10,6 +10,14 @@ the tree's nodes, and :meth:`Document.clone` hands every copy its own node
 list plus the original's shared shape indexes, so a page served from the
 template cache answers its load-time queries (scripts, subresources, ids)
 without walking the DOM.
+
+A document's tree is one big reference cycle (every node points back at
+its ``parent`` and ``owner_document``), so only the cyclic garbage
+collector could free it.  :meth:`Document.release` is the owner's way out:
+it cuts those back-links in one pass over the manifest's node list, after
+which reference counting frees the whole tree the moment its last holder
+drops it.  Pages release their documents when they close, and the template
+cache releases the pristine trees of every template it evicts.
 """
 
 from __future__ import annotations
@@ -159,6 +167,25 @@ class Document(Node):
             append(node_copy)
         copy._manifest = LoadManifest(copies, manifest.shape)
         return copy
+
+    # -- teardown ------------------------------------------------------------------
+
+    def release(self) -> None:
+        """Cut every ``parent`` and ``owner_document`` back-link of the tree.
+
+        Ends the document's life: afterwards reference counting alone frees
+        the tree (child lists only point downwards), and the document must
+        not be used again.  One pass over the load manifest's node list, or
+        a tree walk when a mutation dropped the manifest.  Clones already
+        made from this document are independent trees and are untouched.
+        """
+        manifest = self._manifest
+        nodes = manifest.nodes if manifest is not None else (self, *self.descendants())
+        for node in nodes:
+            node.parent = None
+            node.owner_document = None
+        # The manifest's node list holds the document itself.
+        self._manifest = None
 
     # -- identity ------------------------------------------------------------------
 

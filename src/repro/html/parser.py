@@ -183,6 +183,8 @@ def parse_fragment(
         document.remove_child(child)
         if owner is not None:
             _reown(child, owner)
+    # The emptied scratch document still owns itself; cut that cycle too.
+    document.release()
     return children
 
 

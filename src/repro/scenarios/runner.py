@@ -19,10 +19,24 @@ Each run collects everything the differential oracle needs:
   specific decision in the audit log);
 * aggregate mediation statistics (total mediations, denials) for the
   throughput benchmark.
+
+Run lifetime.  Almost everything a run builds sits in a reference cycle:
+DOM nodes point at their parents and documents, script environments close
+over their pages, queued event-loop callbacks over the XHRs that hold them,
+applications over their bound-method routes.  Left alone, only CPython's
+cyclic collector could free a run, and its full collections would keep
+re-walking the tens of thousands of long-lived objects the compile caches
+hold.  So every run closes its environment when it ends (browsers, tabs,
+script environments, event loops, documents, the application and its
+storage), reference counting frees the run at once, and the collector is
+paused for the run's duration: it would find nothing to free.  This module
+is the one place that touches :mod:`gc`; it never forces a collection and
+never changes the thresholds.
 """
 
 from __future__ import annotations
 
+import gc
 import secrets
 from dataclasses import dataclass, field
 
@@ -200,15 +214,15 @@ class ScenarioRunner:
             return
         self._warmed_apps.add(app_key)
         for spec in self.specs:
-            env = build_environment(
+            with build_environment(
                 app_key,
                 spec.browser_model,
                 escudo_app=spec.escudo_app,
                 app_kwargs=self._app_kwargs(app_key, spec),
                 caches=self.caches,
                 script_engine=self.script_engine,
-            )
-            env.browser.load(f"{env.app.origin}/")
+            ) as env:
+                env.browser.load(f"{env.app.origin}/")
 
     # -- matrix execution --------------------------------------------------------------
 
@@ -228,17 +242,37 @@ class ScenarioRunner:
     def _run_with(
         self, scenario: Scenario, spec: ModelSpec, attack: Attack | None
     ) -> ScenarioRun:
-        self._warm_start(scenario.app_key)
-        env = build_environment(
-            scenario.app_key,
-            spec.browser_model,
-            escudo_app=spec.escudo_app,
-            app_kwargs=self._app_kwargs(scenario.app_key, spec),
-            caches=self.caches,
-            script_engine=self.script_engine,
-            static_screen=self.screen,
-        )
+        """Run one column with the cyclic collector paused.
+
+        The environment is closed once the run is assembled, also when a
+        step raises, and the collector is re-enabled only if it was enabled
+        on entry (see the module docstring).
+        """
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self._warm_start(scenario.app_key)
+            env = build_environment(
+                scenario.app_key,
+                spec.browser_model,
+                escudo_app=spec.escudo_app,
+                app_kwargs=self._app_kwargs(scenario.app_key, spec),
+                caches=self.caches,
+                script_engine=self.script_engine,
+                static_screen=self.screen,
+            )
+            with env:
+                return self._drive(scenario, spec, attack, env)
+        finally:
+            if collecting:
+                gc.enable()
+
+    def _drive(
+        self, scenario: Scenario, spec: ModelSpec, attack: Attack | None, env: AttackEnvironment
+    ) -> ScenarioRun:
+        """Drive the steps in ``env`` and assemble the run (the caller closes ``env``)."""
         env.victim = scenario.victim.name
+        env.browsers[scenario.victim.name] = env.browser
         # Every actor's browser seeds its pages' event loops with the
         # scenario's interleave key, so task orderings are part of the spec:
         # the same scenario replays the same schedule under every model.
@@ -254,8 +288,6 @@ class ScenarioRunner:
             env.app.storage.fault_plan = plan
             env.browser.fault_plan = plan
             env.extra["fault_plan"] = plan
-        browsers: dict[str, Browser] = {scenario.victim.name: env.browser}
-
         attack_result: AttackResult | None = None
         attack_denials: list[DenialRecord] = []
         plant_baseline: dict[int, int] = {}
@@ -277,7 +309,7 @@ class ScenarioRunner:
                 attack_result = attack.classify(env)
                 attack_denials = self._denials_since(env.browser, plant_baseline)
             else:
-                self._execute(step, scenario, env, browsers, spec.browser_model)
+                self._execute(step, scenario, env, spec.browser_model)
 
         run = ScenarioRun(
             scenario=scenario.name,
@@ -287,7 +319,7 @@ class ScenarioRunner:
             attack_result=attack_result,
             attack_denials=attack_denials,
         )
-        for browser in browsers.values():
+        for browser in env.browsers.values():
             for tab in browser.tabs:
                 run.pages_loaded += 1
                 run.mediations += tab.page.monitor.stats.total
@@ -304,10 +336,9 @@ class ScenarioRunner:
         step: Step,
         scenario: Scenario,
         env: AttackEnvironment,
-        browsers: dict[str, Browser],
         browser_model: str,
     ) -> None:
-        browser = browsers.get(step.actor)
+        browser = env.browsers.get(step.actor)
         if browser is None:
             browser = Browser(
                 env.network,
@@ -318,7 +349,7 @@ class ScenarioRunner:
                 static_screen=self.screen,
             )
             browser.fault_plan = env.extra.get("fault_plan")
-            browsers[step.actor] = browser
+            env.browsers[step.actor] = browser
         origin = env.app.origin
         action = step.action
         if step.tab != -1 and action not in TAB_ACTIONS:

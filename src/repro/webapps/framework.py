@@ -334,6 +334,21 @@ class WebApplication:
         self._digest_cache = (token, digest)
         return digest
 
+    # -- teardown -----------------------------------------------------------------------------------
+
+    def close(self) -> None:
+        """Close the sessions and the storage backend, drop the GET memo
+        and the routes.
+
+        The route table holds bound-method handlers, so the application
+        sits in a reference cycle until this drops it.  The application
+        serves no request afterwards.
+        """
+        self.sessions.close()
+        self.storage.close()
+        self._response_cache.clear()
+        self._routes.clear()
+
     # -- misc ---------------------------------------------------------------------------------------
 
     def nonce_generator(self):

@@ -167,6 +167,11 @@ class SessionStore:
         self._live.pop(session_id, None)
         self._backend.delete("sessions", session._row_id)
 
+    def close(self) -> None:
+        """Drop the live-session cache: every cached session links back to
+        the store, so the cache is a reference cycle until dropped."""
+        self._live.clear()
+
     def sessions_for(self, username: str) -> list[Session]:
         """Every live session belonging to ``username``, creation order."""
         return [

@@ -8,7 +8,9 @@ and the response memo's session/state keying.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import weakref
 from unittest import mock
 
 import pytest
@@ -424,6 +426,36 @@ class TestTemplateCacheBounds:
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             TemplateCache(0)
+
+    def test_eviction_releases_the_pristine_trees(self):
+        options = LoaderOptions(model="escudo")
+        caches = CompileCaches(templates=TemplateCache(maxsize=2), scripts=ScriptCache())
+        served = load_page(ESCUDO_BODY, PAGE_URL, options=options, caches=caches)
+        template = caches.templates.entry(ESCUDO_BODY, PAGE_URL)
+        ((labeled, _stats),) = template.variants.values()
+        pristine_ref, labeled_ref = weakref.ref(template.document), weakref.ref(labeled)
+        del template, labeled
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for i in range(2):
+                caches.templates.entry(f"<html><body><p>{i}</p></body></html>", PAGE_URL)
+            assert pristine_ref() is None
+            assert labeled_ref() is None
+        finally:
+            if collecting:
+                gc.enable()
+
+        # A page served before the eviction is an independent tree.
+        cold = load_page(ESCUDO_BODY, PAGE_URL, options=options)
+        document = served.document
+        assert serialize(document) == serialize(cold.document)
+        content = document.get_element_by_id("content")
+        assert content is not None and content.text_content == "content"
+        assert [p.id for p in document.get_elements_by_tag_name("p")] == ["chrome", "content"]
+        content.append_child(document.create_text_node(" more"))
+        assert document.get_element_by_id("content").text_content == "content more"
+        assert "content more" in serialize(document)
 
 
 class _CountingApp:

@@ -8,11 +8,14 @@ less would mean the storage layer leaks into application-visible state.
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.scenarios.engine import run_suite
 from repro.scenarios.generator import ScenarioGenerator
 from repro.scenarios.runner import ScenarioRunner
+from repro.webapps import framework
 
 SEED = "storage-differential"
 COUNT = 18
@@ -67,6 +70,25 @@ class TestRunnerWiring:
         assert {m: r.digest for m, r in runs_dict.items()} == {
             m: r.digest for m, r in runs_sql.items()
         }
+
+    def test_each_run_closes_its_sqlite_connection(self, monkeypatch):
+        # Each application opens one connection; the run must close it when
+        # it ends instead of leaving it open until a garbage collection.
+        backends = []
+        make_backend = framework.make_backend
+
+        def recording(storage):
+            backend = make_backend(storage)
+            backends.append(backend)
+            return backend
+
+        monkeypatch.setattr(framework, "make_backend", recording)
+        scenario = ScenarioGenerator(seed=SEED).scenario(0)
+        ScenarioRunner(storage="sqlite").run(scenario)
+        assert backends and all(backend.kind == "sqlite" for backend in backends)
+        for backend in backends:
+            with pytest.raises(sqlite3.ProgrammingError):
+                backend.all("sessions")
 
 
 class TestCliBackendFlag:
