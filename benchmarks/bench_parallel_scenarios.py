@@ -6,8 +6,7 @@ writes ``benchmarks/results/BENCH_parallel_scenarios.json`` (scenarios/s,
 speedup vs serial, per-worker steal counts, scheduling
 efficiency) which the CI ``parallel-scenarios`` job uploads.
 
-One floor is asserted here (and re-checked by the CI gate step from the
-JSON artifact): **scheduling efficiency >= 0.8 at 4 workers** on the
+One floor is asserted here: **scheduling efficiency >= 0.8 at 4 workers** on the
 dedicated efficiency run -- busy worker-seconds over available
 worker-seconds, the hardware-independent measure of straggler/idle loss
 that work stealing exists to fix (raw speedup stays informational: it is
@@ -55,9 +54,8 @@ def test_parallel_scenario_throughput(benchmark, report_writer):
         assert len(row["per_worker_chunks_stolen"]) == row["effective_workers"]
         assert sum(row["per_worker_scenarios"]) == COUNT
         assert row["scenarios_per_second"] > 0
-        if row["effective_workers"] > 1:
-            # Every scheduled chunk was pulled by someone.
-            assert sum(row["per_worker_chunks_stolen"]) == -(-COUNT // row["steal_chunk"])
+        # Every scheduled chunk was pulled by someone, at every worker count.
+        assert sum(row["per_worker_chunks_stolen"]) == -(-COUNT // row["steal_chunk"])
 
     eff = payload["efficiency"]
     assert eff["ok"], "the efficiency run found failures"

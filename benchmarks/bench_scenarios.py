@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.bench import SCENARIO_RESULTS_NAME, measure_scenarios, write_scenario_report
+from repro.bench import SCENARIO_RESULTS_NAME, write_scenario_report
+from repro.scenarios import run_suite_parallel
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -24,7 +25,9 @@ ATTACK_RATIO = 0.25
 def test_scenario_engine_throughput(benchmark, report_writer):
     """Time the whole engine and certify the differential invariant."""
     suite = benchmark.pedantic(
-        lambda: measure_scenarios(seed=SEED, count=COUNT, attack_ratio=ATTACK_RATIO),
+        lambda: run_suite_parallel(
+            seed=SEED, count=COUNT, attack_ratio=ATTACK_RATIO, workers=1, persist_failures=False
+        ),
         rounds=1,
         iterations=1,
     )

@@ -219,7 +219,7 @@ def _measure_script_vm(runs: int, rounds: int = 3) -> dict:
     }
 
 
-def _measure_scenarios(seed, count: int, attack_ratio: float, rounds: int = 3) -> dict:
+def _measure_suite(seed, count: int, attack_ratio: float, rounds: int = 3) -> dict:
     """The full differential suite: cold runner, first warm pass, steady state.
 
     Three throughputs over the identical seed range at one worker:
@@ -305,7 +305,7 @@ def measure_compile_cache(
     page_compile = _measure_page_compile(page_loads)
     script_ast = _measure_script_ast(script_runs)
     script_vm = _measure_script_vm(script_vm_runs)
-    scenarios = _measure_scenarios(
+    scenarios = _measure_suite(
         scenario_seed, scenario_count, attack_ratio, rounds=scenario_rounds
     )
 

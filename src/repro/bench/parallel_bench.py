@@ -106,7 +106,7 @@ def measure_parallel_scenarios(
         )
 
     # Dedicated efficiency run: big enough to amortise pool startup, floor
-    # asserted by the bench test and the CI gate.
+    # asserted by the bench test.
     eff = run_suite_parallel(
         seed=seed,
         count=efficiency_count,

@@ -4,12 +4,13 @@ Examples::
 
     # the acceptance run: a 200-schedule chaos matrix, the passivity
     # property, the throughput-vs-rate sweep and the <5% overhead gate,
-    # all written to benchmarks/results/BENCH_faults.json
-    python -m repro.faults
+    # written to the committed artifact
+    python -m repro.faults --bench-out benchmarks/results/BENCH_faults.json
 
-    # a quick smoke matrix (still checks every property)
+    # a quick smoke matrix (still checks every property; writes no file)
     python -m repro.faults --count 6 --schedules 2 --overhead-repeats 1
 
+The report file is written only when ``--bench-out PATH`` names one.
 Exit status is non-zero when any property fails: an attack succeeding
 under escudo with faults armed (fail-open), a benign scenario missing its
 fault-free digest with retries on (divergence), a non-identical
@@ -31,9 +32,6 @@ from repro.bench.faults_bench import (
     write_faults_report,
 )
 from repro.scenarios.chaos import check_passivity, run_chaos_matrix
-
-DEFAULT_BENCH_OUT = "benchmarks/results/BENCH_faults.json"
-
 
 def _parse_args(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
@@ -80,8 +78,9 @@ def _parse_args(argv) -> argparse.Namespace:
     )
     parser.add_argument(
         "--bench-out",
-        default=DEFAULT_BENCH_OUT,
-        help=f"artifact path (default: {DEFAULT_BENCH_OUT}; '' disables)",
+        default="",
+        metavar="PATH",
+        help="write the fault report JSON to PATH (default: no file)",
     )
     parser.add_argument("--json", action="store_true", help="print the report as JSON")
     return parser.parse_args(argv)

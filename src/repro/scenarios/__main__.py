@@ -201,9 +201,9 @@ def main(argv=None) -> int:
             retries=not args.no_fault_retries,
         )
 
-    # Suite runs always go through the sharded executor: with --workers 1 the
-    # single shard runs in-process (no pool), so the serial and parallel code
-    # paths -- and their merged reports -- are one and the same.
+    # Suite runs always go through the sharded executor: with --workers 1 its
+    # one worker loop runs in-process (no pool) over the same steal chunks,
+    # so every worker count shares one code path and one merged report.
     result = run_suite_parallel(
         seed=args.seed,
         count=args.count,

@@ -9,9 +9,12 @@ seeded index space over N worker processes:
   config sent to a worker is plain data (seed, apps, models, engine,
   storage, fault config); the worker constructs a
   :class:`~repro.scenarios.runner.ScenarioRunner` from it and the runner's
-  compile-cache stack warms lazily on the first scenario of each app.  One
-  construction path serves ``fork``, ``spawn`` and the in-process
-  single-worker run alike.
+  compile-cache stack warms lazily on the first scenario of each app.
+* **One worker loop for every worker count.**  A one-worker run calls the
+  pool's worker loop in-process over in-memory queues -- no process
+  started, nothing pickled -- and its messages go through the same fold
+  as a pool's, so ``fork``, ``spawn`` and the single-worker run share
+  one construction path, one chunking and one merge.
 * **A slow worker does not stall the merge.**  Instead of owning a fixed
   strided slice, workers *pull* contiguous index chunks from a shared queue
   until it runs dry (work stealing): a worker that lands expensive attack
@@ -33,7 +36,7 @@ registrations; under ``spawn`` only import-time registrations exist, and an
 unknown attack name fails loudly in the worker rather than silently
 generating different scenarios (the parent snapshots its attack corpus into
 the shard config).  Everything crossing the process boundary is plain
-data: the config and index chunks going out, dict reports coming back.
+data: the config and index chunks going out, dict messages coming back.
 Failing specs are pinned into the regression corpus
 (:mod:`repro.scenarios.corpus`) from the parent process only (a single
 writer, so no file races between workers).
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import queue
 import time
 import traceback
 from collections.abc import Iterable
@@ -152,39 +156,6 @@ def _verdict_entries(shard: int, indices: list[int], suite: SuiteResult) -> list
     ]
 
 
-def _run_shard(config: dict) -> dict:
-    """Execute one fixed slice in-process (the single-worker fast path).
-
-    Builds a private generator / runner / oracle from the config snapshot and
-    delegates to :func:`~repro.scenarios.engine.run_suite` over the shard's
-    indices -- the serial engine's loop *is* the shard loop, so the two can
-    never drift apart.
-    """
-    indices = list(config["indices"])
-    runner = _build_worker_runner(config)
-    suite = run_suite(
-        generator=_build_worker_generator(config),
-        runner=runner,
-        oracle=DifferentialOracle(),
-        indices=indices,
-    )
-    return {
-        "shard": config["shard"],
-        "scenarios": len(suite.verdicts),
-        "duration_s": suite.duration_s,
-        "chunks_stolen": 1 if indices else 0,
-        "verdicts": _verdict_entries(config["shard"], indices, suite),
-        "failures": suite.failure_specs,
-        "mediations": suite.mediations,
-        "denied": suite.denied,
-        "pages_loaded": suite.pages_loaded,
-        "tasks_run": suite.tasks_run,
-        "faults": suite.faults,
-        "crashed": False,
-        "compile_cache": runner.caches.as_dict() if runner.caches is not None else None,
-    }
-
-
 def _steal_worker(worker_id: int, config: dict, task_queue, result_queue) -> None:
     """One pool worker: pull index chunks until the queue yields a sentinel.
 
@@ -198,7 +169,10 @@ def _steal_worker(worker_id: int, config: dict, task_queue, result_queue) -> Non
     closes the worker.  A worker that dies between ``claim`` and ``chunk``
     leaves the parent an exact record of which indices are lost -- the
     supervision loop requeues precisely those.  Any Python-level failure is
-    reported back as an ``error`` entry instead of a silent empty report.
+    reported back as an ``error`` entry instead of a silent empty report;
+    an interrupt is not caught, so Ctrl-C on an in-process run stays a
+    :class:`KeyboardInterrupt` (in a pool it kills the worker, which the
+    supervisor handles as a crash).
 
     Queue items are ``(ordinal, indices)``: ``ordinal`` is the chunk's
     position in :func:`steal_chunks`, or ``None`` for a requeued remainder.
@@ -257,7 +231,7 @@ def _steal_worker(worker_id: int, config: dict, task_queue, result_queue) -> Non
                 ),
             }
         )
-    except BaseException as exc:  # pragma: no cover - exercised via fault injection
+    except Exception as exc:  # pragma: no cover - exercised via fault injection
         result_queue.put(
             {
                 "type": "error",
@@ -278,7 +252,8 @@ class ParallelSuiteResult(SuiteResult):
     workers: int = 1
     #: What the caller asked for, before clamping.
     requested_workers: int = 1
-    #: Steal-queue chunk size (0 for the single-worker in-process path).
+    #: Steal-queue chunk size: how many scenario indices one queue pull
+    #: hands a worker, at every worker count.
     steal_chunk: int = 0
     #: The pinned multiprocessing start method ("" for in-process runs).
     mp_start_method: str = ""
@@ -326,27 +301,111 @@ class ParallelSuiteResult(SuiteResult):
         return "\n".join(lines)
 
 
-def _empty_worker_report(worker_id: int) -> dict:
-    return {
-        "shard": worker_id,
-        "scenarios": 0,
-        "chunks_stolen": 0,
-        "verdicts": [],
-        "failures": [],
-        "mediations": 0,
-        "denied": 0,
-        "pages_loaded": 0,
-        "tasks_run": 0,
-        "faults": {},
-        "duration_s": 0.0,
-        "compile_cache": None,
-        "crashed": False,
-    }
+class _MessageFold:
+    """The one fold of worker messages into a :class:`ParallelSuiteResult`.
+
+    Every message a worker loop sends -- in-process or from a pool -- goes
+    through :meth:`__call__`.  A ``chunk`` message is added into the result
+    and into its worker's ``shard_stats`` entry at once; a ``done`` message
+    sets the worker's duration and cache counters.  The fold also owns the
+    claimed/reported bookkeeping the supervisor needs to requeue exactly
+    what a crashed worker lost, and the exactly-once check.
+    """
+
+    def __init__(self, result: ParallelSuiteResult) -> None:
+        self.result = result
+        self._entries: list[dict] = []
+        self._claimed: dict[int, list[int]] = {}
+        self.reported: set[int] = set()
+        self._stats: dict[int, dict] = {}
+
+    def add_worker(self, worker: int) -> None:
+        """Open the ``shard_stats`` entry of a worker about to start."""
+        stat = {
+            "shard": worker,
+            "scenarios": 0,
+            "chunks_stolen": 0,
+            "duration_s": 0.0,
+            "scenarios_per_second": 0.0,
+            "mediations": 0,
+            "denied": 0,
+            "crashed": False,
+            "compile_cache": None,
+        }
+        self._stats[worker] = stat
+        self.result.shard_stats.append(stat)
+
+    def __call__(self, message: dict) -> None:
+        kind = message.get("type")
+        worker = message.get("worker")
+        if kind == "error":
+            raise RuntimeError(
+                f"shard {worker} failed: {message['error']}\n"
+                + message.get("traceback", "")
+            )
+        if kind == "claim":
+            self._claimed[worker] = list(message["indices"])
+            return
+        if kind == "chunk":
+            for index in message["indices"]:
+                if index in self.reported:
+                    raise RuntimeError(
+                        f"exactly-once violation: scenario index {index} "
+                        f"reported twice (second report from worker {worker})"
+                    )
+                self.reported.add(index)
+            self._claimed.pop(worker, None)
+            result, stat = self.result, self._stats[worker]
+            self._entries.extend(message["verdicts"])
+            result.failure_specs.extend(message["failures"])
+            result.mediations += message["mediations"]
+            result.denied += message["denied"]
+            result.pages_loaded += message["pages_loaded"]
+            result.tasks_run += message["tasks_run"]
+            if message.get("faults"):
+                merge_fault_stats(result.faults, message["faults"])
+            stat["chunks_stolen"] += 1
+            stat["scenarios"] += len(message["indices"])
+            stat["mediations"] += message["mediations"]
+            stat["denied"] += message["denied"]
+            return
+        if kind == "done":
+            stat = self._stats[worker]
+            duration = message["duration_s"]
+            stat["duration_s"] = duration
+            stat["scenarios_per_second"] = stat["scenarios"] / duration if duration > 0 else 0.0
+            stat["compile_cache"] = message.get("compile_cache")
+            return
+        raise RuntimeError(f"unknown worker message: {message!r}")
+
+    def crashed(self, worker: int) -> list[int]:
+        """Record a dead worker; returns its claimed but unreported indices."""
+        self._stats[worker]["crashed"] = True
+        self.result.crashed_workers.append(worker)
+        lost = self._claimed.pop(worker, ())
+        return [index for index in lost if index not in self.reported]
+
+    def finish(self) -> None:
+        """Put the folded verdicts into scenario-index order and check them.
+
+        Stealing makes the chunk->worker assignment timing-dependent, but
+        the sorted union is the same on every run.
+        """
+        result = self.result
+        merged = sorted(self._entries, key=lambda entry: entry["index"])
+        if [entry["index"] for entry in merged] != list(range(result.count)):
+            raise RuntimeError(
+                f"merge integrity violation: expected scenario indices "
+                f"0..{result.count - 1}, got {len(merged)} verdict(s)"
+            )
+        result.verdicts = [Verdict(**entry["verdict"]) for entry in merged]
+        result.indices = [entry["index"] for entry in merged]
+        result.failure_specs.sort(key=lambda failure: failure["index"])
 
 
 def _supervise_pool(
-    ctx, config: dict, task_queue, result_queue, active: dict, count: int
-) -> tuple[list[dict], int, list[int]]:
+    ctx, config: dict, task_queue, result_queue, active: dict, fold: _MessageFold
+) -> None:
     """Drive the worker pool to completion, recovering from worker crashes.
 
     The supervision contract, built on the worker's claim/chunk/done
@@ -362,60 +421,22 @@ def _supervise_pool(
     * shutdown sentinels are enqueued only once *all* ``count`` indices have
       been reported, so a requeued chunk can never race a sentinel into a
       worker and starve.
-
-    Returns ``(per-worker reports, respawns, crashed worker ids)``.
     """
+    result = fold.result
+    count = result.count
     max_respawns = len(active)
-    reports: dict[int, dict] = {wid: _empty_worker_report(wid) for wid in active}
-    claimed: dict[int, list[int]] = {}
-    reported: set[int] = set()
-    crashed: list[int] = []
-    respawns = 0
     next_worker_id = max(active) + 1
     sentinels_sent = False
 
     def handle(message: dict) -> None:
-        kind = message.get("type")
-        worker = message.get("worker")
-        if kind == "error":
-            raise RuntimeError(
-                f"shard {worker} failed: {message['error']}\n"
-                + message.get("traceback", "")
-            )
-        if kind == "claim":
-            claimed[worker] = list(message["indices"])
-            return
-        if kind == "chunk":
-            for index in message["indices"]:
-                if index in reported:
-                    raise RuntimeError(
-                        f"exactly-once violation: scenario index {index} "
-                        f"reported twice (second report from worker {worker})"
-                    )
-                reported.add(index)
-            claimed.pop(worker, None)
-            report = reports[worker]
-            report["chunks_stolen"] += 1
-            report["scenarios"] += len(message["indices"])
-            report["verdicts"].extend(message["verdicts"])
-            report["failures"].extend(message["failures"])
-            for counter in ("mediations", "denied", "pages_loaded", "tasks_run"):
-                report[counter] += message[counter]
-            if message.get("faults"):
-                merge_fault_stats(report["faults"], message["faults"])
-            return
-        if kind == "done":
-            report = reports[worker]
-            report["duration_s"] = message["duration_s"]
-            report["compile_cache"] = message.get("compile_cache")
-            process = active.pop(worker, None)
+        fold(message)
+        if message["type"] == "done":
+            process = active.pop(message["worker"], None)
             if process is not None:
                 process.join()
-            return
-        raise RuntimeError(f"unknown worker message: {message!r}")
 
     def reap_dead() -> None:
-        nonlocal respawns, next_worker_id
+        nonlocal next_worker_id
         dead = [wid for wid, proc in active.items() if proc.exitcode is not None]
         if not dead:
             return
@@ -432,20 +453,16 @@ def _supervise_pool(
             if process is None:
                 continue  # its 'done' arrived in the drain above
             process.join()
-            reports[wid]["crashed"] = True
-            crashed.append(wid)
-            lost = claimed.pop(wid, None)
-            if lost is not None:
-                missing = [index for index in lost if index not in reported]
-                if missing:
-                    task_queue.put((None, missing))
-            if len(reported) >= count:
+            missing = fold.crashed(wid)
+            if missing:
+                task_queue.put((None, missing))
+            if len(fold.reported) >= count:
                 continue  # all work already accounted for; no replacement
-            if respawns < max_respawns:
-                respawns += 1
+            if result.respawns < max_respawns:
+                result.respawns += 1
                 replacement_id = next_worker_id
                 next_worker_id += 1
-                reports[replacement_id] = _empty_worker_report(replacement_id)
+                fold.add_worker(replacement_id)
                 replacement = ctx.Process(
                     target=_steal_worker,
                     args=(replacement_id, config, task_queue, result_queue),
@@ -453,15 +470,16 @@ def _supervise_pool(
                 )
                 replacement.start()
                 active[replacement_id] = replacement
-        if len(reported) < count and not active:
+        if len(fold.reported) < count and not active:
             raise RuntimeError(
-                f"all parallel workers died with {count - len(reported)} "
+                f"all parallel workers died with {count - len(fold.reported)} "
                 f"scenario(s) unreported and the respawn budget "
-                f"({max_respawns}) exhausted; crashed workers: {crashed}"
+                f"({max_respawns}) exhausted; crashed workers: "
+                f"{result.crashed_workers}"
             )
 
     while True:
-        if not sentinels_sent and len(reported) == count:
+        if not sentinels_sent and len(fold.reported) == count:
             for _ in range(len(active)):
                 task_queue.put(None)  # one shutdown sentinel per live worker
             sentinels_sent = True
@@ -473,12 +491,6 @@ def _supervise_pool(
             reap_dead()
             continue
         handle(message)
-
-    return (
-        sorted(reports.values(), key=lambda report: report["shard"]),
-        respawns,
-        crashed,
-    )
 
 
 def run_suite_parallel(
@@ -508,7 +520,9 @@ def run_suite_parallel(
     ``persist_failures`` is off.
 
     ``steal_chunk`` sets how many consecutive scenario indices one queue
-    pull hands a worker (default: auto, ~4 pulls per worker).
+    pull hands a worker (default: auto, ~4 pulls per worker).  With one
+    effective worker the same worker loop runs in-process over the same
+    chunks; no process is started.
     ``compile_caches=False`` disables the cache stack entirely.
     ``mp_context`` pins the multiprocessing start method (default: ``fork``
     where available, else ``spawn``; see :func:`resolve_mp_context`).
@@ -520,8 +534,9 @@ def run_suite_parallel(
     :func:`steal_chunks`), where whichever worker claims a listed chunk
     dies.  Crashed workers are supervised: their claimed chunk is requeued
     and a replacement is spawned, and the merged parity is still
-    byte-identical to the serial run.  Crash schedules need the pooled path -- with one
-    worker the run is in-process and the schedule is ignored.
+    byte-identical to the serial run.  A crash schedule needs a pool: with
+    one worker a non-empty schedule raises :class:`ValueError`, because an
+    in-process crash would kill the caller.
     """
     requested = max(1, int(workers))
     if isinstance(faults, dict):
@@ -532,6 +547,21 @@ def run_suite_parallel(
     # from the identical vocabulary, runtime registrations included.
     generator = ScenarioGenerator(seed=seed, attack_ratio=attack_ratio)
     shard_count = max(1, min(requested, count))
+    chunk_size = int(steal_chunk) if steal_chunk else default_steal_chunk(count, shard_count)
+    chunks = steal_chunks(count, chunk_size)
+    if crash_schedule is None and faults is not None:
+        crash_schedule = faults.crash_schedule(shard_count, len(chunks))
+    crash_chunks = sorted(set(crash_schedule or ()))
+    if crash_chunks and not 0 <= crash_chunks[0] <= crash_chunks[-1] < len(chunks):
+        raise ValueError(
+            f"crash chunk ordinals {crash_chunks} out of range: the steal "
+            f"queue holds chunks 0..{len(chunks) - 1}"
+        )
+    if crash_chunks and shard_count == 1:
+        raise ValueError(
+            "a crash schedule needs at least two workers: a one-worker run "
+            "is in-process, where an injected crash would kill the caller"
+        )
     config = {
         "seed": generator.seed,
         "apps": generator.apps,
@@ -542,64 +572,8 @@ def run_suite_parallel(
         "script_engine": script_engine,
         "storage": storage,
         "faults": faults.to_dict() if faults is not None else None,
+        "crash_chunks": crash_chunks,
     }
-
-    start = time.perf_counter()
-    respawns = 0
-    crashed_workers: list[int] = []
-    if shard_count == 1:
-        # One worker needs no pool: run the whole range in-process, through
-        # the exact same runner-construction code path the pooled workers
-        # take.
-        chunk_size = 0
-        start_method = ""
-        reports = [_run_shard(dict(config, shard=0, indices=list(range(count))))]
-    else:
-        chunk_size = int(steal_chunk) if steal_chunk else default_steal_chunk(count, shard_count)
-        if chunk_size < 1:
-            raise ValueError("steal_chunk must be positive")
-        chunks = steal_chunks(count, chunk_size)
-        if crash_schedule is None and faults is not None:
-            crash_schedule = faults.crash_schedule(shard_count, len(chunks))
-        crash_chunks = sorted(set(crash_schedule or ()))
-        if crash_chunks and not 0 <= crash_chunks[0] <= crash_chunks[-1] < len(chunks):
-            raise ValueError(
-                f"crash chunk ordinals {crash_chunks} out of range: the steal "
-                f"queue holds chunks 0..{len(chunks) - 1}"
-            )
-        config["crash_chunks"] = crash_chunks
-        start_method = resolve_mp_context(mp_context)
-        ctx = multiprocessing.get_context(start_method)
-        task_queue = ctx.Queue()
-        result_queue = ctx.Queue()
-        for ordinal, chunk in enumerate(chunks):
-            task_queue.put((ordinal, chunk))
-        # NB: no shutdown sentinels yet -- the supervision loop enqueues them
-        # only after every scenario index has been reported, so a chunk
-        # requeued after a worker crash can never lose the race to one.
-        active = {
-            worker_id: ctx.Process(
-                target=_steal_worker,
-                args=(worker_id, config, task_queue, result_queue),
-                daemon=True,
-            )
-            for worker_id in range(shard_count)
-        }
-        for process in active.values():
-            process.start()
-        try:
-            reports, respawns, crashed_workers = _supervise_pool(
-                ctx, config, task_queue, result_queue, active, count
-            )
-        finally:
-            # Normal path: every worker has already exited.  Error path: reap
-            # whatever is still draining the task queue.
-            for process in active.values():
-                if process.is_alive():
-                    process.terminate()
-                process.join()
-    duration = time.perf_counter() - start
-
     result = ParallelSuiteResult(
         seed=generator.seed,
         count=count,
@@ -608,65 +582,51 @@ def run_suite_parallel(
         workers=shard_count,
         requested_workers=requested,
         steal_chunk=chunk_size,
-        mp_start_method=start_method,
-        respawns=respawns,
-        crashed_workers=crashed_workers,
     )
-    result.duration_s = duration
+    fold = _MessageFold(result)
 
-    # Deterministic merge: shards in shard order for the stats, verdicts
-    # re-interleaved into scenario-index order (the serial execution order)
-    # -- stealing makes the chunk->worker assignment timing-dependent, but
-    # the sorted union is the same on every run.
-    reports.sort(key=lambda report: report["shard"])
-    merged = sorted(
-        (entry for report in reports for entry in report["verdicts"]),
-        key=lambda entry: entry["index"],
-    )
-    if [entry["index"] for entry in merged] != list(range(count)):
-        raise RuntimeError(
-            f"merge integrity violation: expected scenario indices 0..{count - 1}, "
-            f"got {len(merged)} verdict(s)"
-        )
-    for entry in merged:
-        data = entry["verdict"]
-        result.verdicts.append(
-            Verdict(
-                scenario=data["scenario"],
-                kind=data["kind"],
-                ok=data["ok"],
-                reason=data["reason"],
-                replay=data.get("replay", ""),
+    start = time.perf_counter()
+    if shard_count == 1:
+        # The pool's worker loop, called in-process: no process, no pickling.
+        tasks, messages = queue.SimpleQueue(), queue.SimpleQueue()
+        for item in enumerate(chunks):
+            tasks.put(item)
+        tasks.put(None)
+        fold.add_worker(0)
+        _steal_worker(0, config, tasks, messages)
+        while not messages.empty():
+            fold(messages.get())
+    else:
+        result.mp_start_method = resolve_mp_context(mp_context)
+        ctx = multiprocessing.get_context(result.mp_start_method)
+        task_queue = ctx.Queue()
+        result_queue = ctx.Queue()
+        for item in enumerate(chunks):
+            task_queue.put(item)
+        # NB: no shutdown sentinels yet -- the supervision loop enqueues them
+        # only after every scenario index has been reported, so a chunk
+        # requeued after a worker crash can never lose the race to one.
+        active = {}
+        for worker_id in range(shard_count):
+            fold.add_worker(worker_id)
+            active[worker_id] = ctx.Process(
+                target=_steal_worker,
+                args=(worker_id, config, task_queue, result_queue),
+                daemon=True,
             )
-        )
-    result.indices = [entry["index"] for entry in merged]
-    result.failure_specs = sorted(
-        (failure for report in reports for failure in report["failures"]),
-        key=lambda failure: failure["index"],
-    )
-    for report in reports:
-        result.mediations += report["mediations"]
-        result.denied += report["denied"]
-        result.pages_loaded += report["pages_loaded"]
-        result.tasks_run += report["tasks_run"]
-        if report.get("faults"):
-            merge_fault_stats(result.faults, report["faults"])
-        shard_duration = report["duration_s"]
-        result.shard_stats.append(
-            {
-                "shard": report["shard"],
-                "scenarios": report["scenarios"],
-                "chunks_stolen": report["chunks_stolen"],
-                "duration_s": shard_duration,
-                "scenarios_per_second": (
-                    report["scenarios"] / shard_duration if shard_duration > 0 else 0.0
-                ),
-                "mediations": report["mediations"],
-                "denied": report["denied"],
-                "crashed": report.get("crashed", False),
-                "compile_cache": report.get("compile_cache"),
-            }
-        )
+        for process in active.values():
+            process.start()
+        try:
+            _supervise_pool(ctx, config, task_queue, result_queue, active, fold)
+        finally:
+            # Normal path: every worker has already exited.  Error path: reap
+            # whatever is still draining the task queue.
+            for process in active.values():
+                if process.is_alive():
+                    process.terminate()
+                process.join()
+    result.duration_s = time.perf_counter() - start
+    fold.finish()
 
     if persist_failures:
         for failure in result.failure_specs:

@@ -91,6 +91,22 @@ class TestSuiteRuns:
         # Four single-index chunks were pulled across the two workers.
         assert sum(shard["chunks_stolen"] for shard in payload["shards"]) == 4
 
+    def test_steal_chunk_flag_with_one_worker(self, capsys):
+        rc = main(
+            [
+                "--seed", "42",
+                "--count", "4",
+                "--workers", "1",
+                "--steal-chunk", "2",
+                "--no-corpus",
+                "--json",
+            ]
+        )
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["steal_chunk"] == 2
+        assert payload["shards"][0]["chunks_stolen"] == 2
+
     def test_crash_chunk_flag_recovers(self, capsys):
         rc = main(
             [

@@ -127,6 +127,8 @@ class TestSerialParallelParity:
         assert parallel.parity_dict() == serial.parity_dict()
         assert parallel.workers == 1
         assert len(parallel.shard_stats) == 1
+        chunks = steal_chunks(12, parallel.steal_chunk)
+        assert sum(stat["chunks_stolen"] for stat in parallel.shard_stats) == len(chunks)
 
     def test_more_workers_than_scenarios_collapses_shards(self):
         parallel = run_suite_parallel(
@@ -270,14 +272,14 @@ class TestWorkerRunner:
         """A JSON round trip of the worker config loses nothing a worker needs."""
         import repro.scenarios.parallel as parallel_mod
 
-        real_run_shard = parallel_mod._run_shard
+        real_worker = parallel_mod._steal_worker
         shipped = []
 
-        def round_trip(config):
+        def round_trip(worker_id, config, task_queue, result_queue):
             shipped.append(config)
-            return real_run_shard(json.loads(json.dumps(config)))
+            real_worker(worker_id, json.loads(json.dumps(config)), task_queue, result_queue)
 
-        monkeypatch.setattr(parallel_mod, "_run_shard", round_trip)
+        monkeypatch.setattr(parallel_mod, "_steal_worker", round_trip)
         faults = FaultConfig.uniform(seed=7, rate=0.2)
         result = run_suite_parallel(
             seed=SEED,
@@ -356,7 +358,11 @@ class TestVerdictAccounting:
             _verdict_entries(1, [2, 3], self._suite([3, 2]))
 
     def test_in_process_shard_mismatch_propagates(self, monkeypatch):
-        """The single-worker path goes through the same loud check."""
+        """The single-worker run goes through the same loud check.
+
+        ``steal_chunk=3`` puts the whole range in one chunk, so the dropped
+        verdict is the chunk's last.
+        """
         import repro.scenarios.parallel as parallel_mod
 
         real_run_suite = parallel_mod.run_suite
@@ -371,8 +377,54 @@ class TestVerdictAccounting:
         monkeypatch.setattr(parallel_mod, "run_suite", drop_last)
         with pytest.raises(RuntimeError, match=r"shard 0: 2 verdict\(s\) for 3"):
             run_suite_parallel(
-                seed=SEED, count=3, attack_ratio=0.0, workers=1, persist_failures=False
+                seed=SEED,
+                count=3,
+                attack_ratio=0.0,
+                workers=1,
+                steal_chunk=3,
+                persist_failures=False,
             )
+
+
+class TestOneWorkerRun:
+    """One worker runs the pool's worker loop in-process, under the same checks."""
+
+    def test_negative_steal_chunk_is_rejected(self):
+        with pytest.raises(ValueError):
+            run_suite_parallel(seed=SEED, count=5, workers=1, steal_chunk=-3)
+
+    def test_out_of_range_crash_schedule_is_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            run_suite_parallel(seed=SEED, count=5, workers=1, crash_schedule=(99,))
+
+    def test_crash_schedule_needs_a_pool(self):
+        with pytest.raises(ValueError, match="at least two workers"):
+            run_suite_parallel(seed=SEED, count=5, workers=1, crash_schedule=(0,))
+
+    def test_steal_chunk_is_honoured_and_reported(self):
+        result = run_suite_parallel(
+            seed=SEED,
+            count=5,
+            attack_ratio=ATTACK_RATIO,
+            workers=1,
+            steal_chunk=2,
+            persist_failures=False,
+        )
+        assert result.steal_chunk == 2
+        assert result.shard_stats[0]["chunks_stolen"] == 3
+        assert result.mp_start_method == ""
+        serial = run_suite(seed=SEED, count=5, attack_ratio=ATTACK_RATIO)
+        assert result.parity_dict() == serial.parity_dict()
+
+    def test_interrupt_stays_an_interrupt(self, monkeypatch):
+        import repro.scenarios.parallel as parallel_mod
+
+        def interrupted(**kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(parallel_mod, "run_suite", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_suite_parallel(seed=SEED, count=2, workers=1, persist_failures=False)
 
 
 class TestFailurePersistence:
