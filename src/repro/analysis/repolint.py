@@ -31,6 +31,10 @@ Rule catalogue (ids are what suppressions name):
     No module may import ``pickle`` (``PICKLE_ALLOWED`` is empty): it is an
     eval-equivalent deserialization surface, and everything that crosses a
     process boundary here is plain data.
+``host-members``
+    A ``HostObject`` subclass may not define ``js_get`` / ``js_set`` /
+    ``js_call``: scripts reach host objects only through the member tables
+    of :mod:`repro.scripting.host_members`, which the mediation census walks.
 
 Suppression: append ``# repolint: allow[<rule-id>]`` to the flagged line.
 
@@ -341,6 +345,33 @@ class BoundedRetryRule(Rule):
         ]
 
 
+#: The dispatch methods only ``HostObject`` itself may define.
+HOST_DISPATCH_METHODS = frozenset({"js_get", "js_set", "js_call"})
+
+
+class HostMembersRule(Rule):
+    """Host objects dispatch only through their member table."""
+
+    rule_id = "host-members"
+
+    def check(self, tree: ast.Module, path: Path) -> list[Violation]:
+        hosts = {"HostObject"}  # grows with the module's own subclasses
+        violations: list[Violation] = []
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if not any(getattr(base, "attr", getattr(base, "id", None)) in hosts for base in node.bases):
+                continue
+            hosts.add(node.name)
+            violations += [
+                self._violation(path, item, f"{node.name}.{item.name} bypasses the member table: "
+                                "declare the member in repro.scripting.host_members instead")
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and item.name in HOST_DISPATCH_METHODS
+            ]
+        return violations
+
+
 #: Default rule set, in report order.
 ALL_RULES: tuple[Rule, ...] = (
     WebappsTouchStateRule(),
@@ -349,6 +380,7 @@ ALL_RULES: tuple[Rule, ...] = (
     NoBareExceptRule(),
     PickleConfinementRule(),
     BoundedRetryRule(),
+    HostMembersRule(),
 )
 
 

@@ -12,10 +12,15 @@ in an environment built by :class:`ScriptRuntime`.  The environment exposes:
   which the XSS experiments use to detect exfiltration), ``setTimeout`` /
   ``clearTimeout`` (real deferred semantics: callbacks are queued on the
   page's deterministic event loop and run when it is advanced or drained,
-  under the principal that registered them);
+  under the principal that registered them); every Window member is a
+  global too;
 * ``console.log``;
 * ``XMLHttpRequest`` -- the mediated native API from
   :mod:`repro.browser.xhr`.
+
+The member tables of :mod:`repro.scripting.host_members` are the single
+declaration of what each binding exposes; the classes here hold only the
+handlers the tables name.
 
 Because the bindings are built per principal, two scripts on the same page
 in different rings see the *same* DOM but with different privileges -- the
@@ -31,19 +36,20 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable
+from operator import attrgetter
 
 from repro.core.context import SecurityContext
 from repro.dom.dom_api import DomApi, ElementHandle
 from repro.dom.element import Element
 from repro.scripting.cache import ScriptCache
 from repro.scripting.errors import RuntimeScriptError, ScriptError
+from repro.scripting.host_members import CONSOLE, DOCUMENT, ELEMENT, LOCATION, WINDOW, WINDOW_GLOBALS
 from repro.scripting.interpreter import (
     ExecutionResult,
     HostObject,
     Interpreter,
     NativeConstructor,
-    NativeFunction,
+    _to_string,
 )
 from repro.scripting.vm import VirtualMachine
 
@@ -51,10 +57,17 @@ from .page import Page, RegisteredListener, ScriptRun
 from .xhr import XmlHttpRequest
 
 
+def _navigate(binding: HostObject, target) -> None:
+    """Handler of every navigation member: the attempt is recorded, not performed."""
+    environment = binding._runtime
+    environment.runtime.observations.navigations.append((environment.principal.label, str(target)))
+
+
 class ElementBinding(HostObject):
     """Script-visible element wrapper (delegates to the mediated handle)."""
 
-    host_name = "Element"
+    host_name = ELEMENT
+    read_noun = write_noun = "element"
 
     def __init__(self, handle: ElementHandle, runtime: "_PrincipalEnvironment") -> None:
         self._handle = handle
@@ -62,59 +75,53 @@ class ElementBinding(HostObject):
 
     # -- reads -----------------------------------------------------------------------
 
-    def js_get(self, name: str):
-        handle = self._handle
-        if name == "innerHTML":
-            value = handle.inner_html
-            return value if value is not None else None
-        if name == "textContent" or name == "innerText":
-            return handle.text_content
-        if name == "tagName":
-            return handle.tag_name.upper()
-        if name == "id":
-            return handle.id
-        if name == "getAttribute":
-            return NativeFunction(lambda attr: handle.get_attribute(str(attr)), "getAttribute")
-        if name == "setAttribute":
-            return NativeFunction(
-                lambda attr, value: handle.set_attribute(str(attr), str(value)), "setAttribute"
-            )
-        if name == "appendChild":
-            return NativeFunction(self._append_child, "appendChild")
-        if name == "removeChild":
-            return NativeFunction(self._remove_child, "removeChild")
-        if name == "addEventListener":
-            return NativeFunction(self._add_event_listener, "addEventListener")
-        if name == "querySelector":
-            return NativeFunction(self._query_selector, "querySelector")
-        if name == "querySelectorAll":
-            return NativeFunction(self._query_selector_all, "querySelectorAll")
-        if name == "value":
-            return handle.get_attribute("value")
-        raise RuntimeScriptError(f"element has no property {name!r}")
+    _get_inner_html = attrgetter("_handle.inner_html")
+    _get_text_content = _get_inner_text = attrgetter("_handle.text_content")
+    _get_id = attrgetter("_handle.id")
+
+    def _get_tag_name(self):
+        return self._handle.tag_name.upper()
+
+    def _get_value(self):
+        return self._handle.get_attribute("value")
+
+    def _get_attribute(self, attr):
+        return self._handle.get_attribute(str(attr))
+
+    def _query_selector(self, selector):
+        found = self._handle.query_selector(str(selector))
+        return ElementBinding(found, self._runtime) if found is not None else None
+
+    def _query_selector_all(self, selector):
+        return [ElementBinding(h, self._runtime) for h in self._handle.query_selector_all(str(selector))]
 
     # -- writes ------------------------------------------------------------------------
 
-    def js_set(self, name: str, value) -> None:
-        handle = self._handle
-        if name == "innerHTML":
-            handle.set_inner_html(str(value) if value is not None else "")
-            return
-        if name == "textContent" or name == "innerText":
-            handle.set_text_content(str(value) if value is not None else "")
-            return
-        if name == "value":
-            handle.set_attribute("value", str(value))
-            return
-        if name.startswith("on") and callable(value):
-            self._add_event_listener(name[2:], value)
-            return
-        if name == "id" or name == "className":
-            handle.set_attribute("id" if name == "id" else "class", str(value))
-            return
-        raise RuntimeScriptError(f"element property {name!r} is not writable")
+    def _set_inner_html(self, value) -> None:
+        self._handle.set_inner_html(str(value) if value is not None else "")
 
-    # -- helpers --------------------------------------------------------------------------
+    def _set_text_content(self, value) -> None:
+        self._handle.set_text_content(str(value) if value is not None else "")
+
+    _set_inner_text = _set_text_content
+
+    def _set_value(self, value) -> None:
+        self._handle.set_attribute("value", str(value))
+
+    def _set_id(self, value) -> None:
+        self._handle.set_attribute("id", str(value))
+
+    def _set_class_name(self, value) -> None:
+        self._handle.set_attribute("class", str(value))
+
+    def _set_on_prefix(self, name: str, value) -> None:
+        """``on<type> = callback``: register the callback as a listener."""
+        if not callable(value):
+            raise self.not_writable(name)
+        self._add_event_listener(name[2:], value)
+
+    def _set_attribute(self, attr, value) -> bool:
+        return self._handle.set_attribute(str(attr), str(value))
 
     def _append_child(self, child) -> bool:
         if isinstance(child, ElementBinding):
@@ -127,64 +134,18 @@ class ElementBinding(HostObject):
         raise RuntimeScriptError("removeChild expects an element")
 
     def _add_event_listener(self, event_type, callback) -> bool:
-        return self._runtime.register_listener(
-            self._handle.unwrap_for_browser(), str(event_type), callback
-        )
-
-    def _query_selector(self, selector):
-        found = self._handle.query_selector(str(selector))
-        return ElementBinding(found, self._runtime) if found is not None else None
-
-    def _query_selector_all(self, selector):
-        return [ElementBinding(h, self._runtime) for h in self._handle.query_selector_all(str(selector))]
+        return self._handle.add_event_listener(str(event_type), callback)
 
 
 class DocumentBinding(HostObject):
     """The ``document`` global."""
 
-    host_name = "Document"
+    host_name = DOCUMENT
+    read_noun = write_noun = "document"
 
     def __init__(self, dom_api: DomApi, runtime: "_PrincipalEnvironment") -> None:
         self._api = dom_api
         self._runtime = runtime
-
-    def js_get(self, name: str):
-        if name == "getElementById":
-            return NativeFunction(self._get_element_by_id, "getElementById")
-        if name == "querySelector":
-            return NativeFunction(self._query_selector, "querySelector")
-        if name == "querySelectorAll":
-            return NativeFunction(self._query_selector_all, "querySelectorAll")
-        if name == "getElementsByTagName":
-            return NativeFunction(self._get_elements_by_tag_name, "getElementsByTagName")
-        if name == "createElement":
-            return NativeFunction(self._create_element, "createElement")
-        if name == "write":
-            return NativeFunction(self._write, "write")
-        if name == "body":
-            body = self._api.body
-            return ElementBinding(body, self._runtime) if body is not None else None
-        if name == "head":
-            head = self._api.head
-            return ElementBinding(head, self._runtime) if head is not None else None
-        if name == "title":
-            return self._api.title
-        if name == "cookie":
-            return self._runtime.read_cookies()
-        if name == "location":
-            return self._runtime.window.js_get("location")
-        raise RuntimeScriptError(f"document has no property {name!r}")
-
-    def js_set(self, name: str, value) -> None:
-        if name == "cookie":
-            self._runtime.write_cookie(str(value))
-            return
-        if name == "location":
-            self._runtime.window.js_get("location").js_set("href", value)
-            return
-        raise RuntimeScriptError(f"document property {name!r} is not writable")
-
-    # -- helpers ---------------------------------------------------------------------------
 
     def _wrap(self, handle: ElementHandle | None):
         return ElementBinding(handle, self._runtime) if handle is not None else None
@@ -204,6 +165,25 @@ class DocumentBinding(HostObject):
     def _create_element(self, tag_name):
         return self._wrap(self._api.create_element(str(tag_name)))
 
+    def _get_body(self):
+        return self._wrap(self._api.body)
+
+    def _get_head(self):
+        return self._wrap(self._api.head)
+
+    _get_title = attrgetter("_api.title")
+    _get_location = attrgetter("_runtime.window.location")
+
+    def _get_cookie(self):
+        env = self._runtime
+        return env.runtime.browser.read_cookie_string(env.page, env.principal)
+
+    def _set_cookie(self, value) -> None:
+        env = self._runtime
+        env.runtime.browser.write_cookie_string(env.page, env.principal, str(value))
+
+    _set_location = _navigate
+
     def _write(self, markup) -> bool:
         """``document.write``: append markup to the body (mediated)."""
         body = self._api.body
@@ -218,63 +198,46 @@ class DocumentBinding(HostObject):
 class LocationBinding(HostObject):
     """``window.location``: navigation attempts are recorded, not performed."""
 
-    host_name = "Location"
+    host_name = LOCATION
+    read_noun = write_noun = "location"
 
     def __init__(self, runtime: "_PrincipalEnvironment") -> None:
         self._runtime = runtime
 
-    def js_get(self, name: str):
-        url = self._runtime.page.url
-        if name == "href":
-            return str(url)
-        if name == "host":
-            return url.host
-        if name == "pathname":
-            return url.path
-        if name == "protocol":
-            return url.scheme + ":"
-        if name == "search":
-            return f"?{url.query}" if url.query else ""
-        if name == "assign" or name == "replace":
-            return NativeFunction(lambda target: self.js_set("href", target), name)
-        raise RuntimeScriptError(f"location has no property {name!r}")
+    _get_host = attrgetter("_runtime.page.url.host")
+    _get_pathname = attrgetter("_runtime.page.url.path")
 
-    def js_set(self, name: str, value) -> None:
-        if name == "href":
-            self._runtime.record_navigation(str(value))
-            return
-        raise RuntimeScriptError(f"location property {name!r} is not writable")
+    def _get_href(self):
+        return str(self._runtime.page.url)
+
+    def _get_protocol(self):
+        return self._runtime.page.url.scheme + ":"
+
+    def _get_search(self):
+        query = self._runtime.page.url.query
+        return f"?{query}" if query else ""
+
+    _set_href = _assign = _replace = _navigate
 
 
 class WindowBinding(HostObject):
     """The ``window`` global."""
 
-    host_name = "Window"
+    host_name = WINDOW
+    read_noun = write_noun = "window"
 
     def __init__(self, runtime: "_PrincipalEnvironment") -> None:
         self._runtime = runtime
-        self._location = LocationBinding(runtime)
+        self.location = LocationBinding(runtime)
 
-    def js_get(self, name: str):
-        if name == "alert":
-            return NativeFunction(self._runtime.record_alert, "alert")
-        if name == "location":
-            return self._location
-        if name == "setTimeout":
-            return NativeFunction(self._set_timeout, "setTimeout")
-        if name == "clearTimeout":
-            return NativeFunction(self._clear_timeout, "clearTimeout")
-        if name == "document":
-            return self._runtime.document_binding
-        if name == "console":
-            return self._runtime.console_binding
-        raise RuntimeScriptError(f"window has no property {name!r}")
+    _get_location = attrgetter("location")
+    _get_document = attrgetter("_runtime.document_binding")
+    _get_console = attrgetter("_runtime.console_binding")
 
-    def js_set(self, name: str, value) -> None:
-        if name == "location":
-            self._location.js_set("href", value)
-            return
-        raise RuntimeScriptError(f"window property {name!r} is not writable")
+    _set_location = _navigate
+
+    def _alert(self, *parts) -> None:
+        self._runtime.runtime.observations.alerts.append(" ".join(_to_string(p) for p in parts))
 
     def _set_timeout(self, callback, delay=0.0):
         """``setTimeout``: queue the callback on the page's event loop.
@@ -325,20 +288,16 @@ class WindowBinding(HostObject):
 class ConsoleBinding(HostObject):
     """``console.log`` (collected per runtime for tests and examples)."""
 
-    host_name = "Console"
+    host_name = CONSOLE
+    read_noun = "console"
 
     def __init__(self, sink: list[str]) -> None:
         self._sink = sink
 
-    def js_get(self, name: str):
-        if name in ("log", "info", "warn", "error"):
-            return NativeFunction(self._log, name)
-        raise RuntimeScriptError(f"console has no property {name!r}")
-
     def _log(self, *parts) -> None:
-        from repro.scripting.interpreter import _to_string
-
         self._sink.append(" ".join(_to_string(part) for part in parts))
+
+    _info = _warn = _error = _log
 
 
 @dataclass
@@ -388,13 +347,9 @@ class _PrincipalEnvironment:
 
     def _install_globals(self) -> None:
         interpreter = self.interpreter
-        interpreter.globals.define("document", self.document_binding)
+        for member in WINDOW_GLOBALS:
+            interpreter.globals.define(member.name, self.window.js_get(member.name))
         interpreter.globals.define("window", self.window)
-        interpreter.globals.define("console", self.console_binding)
-        interpreter.globals.define("alert", NativeFunction(self.record_alert, "alert"))
-        interpreter.globals.define("location", self.window.js_get("location"))
-        interpreter.globals.define("setTimeout", self.window.js_get("setTimeout"))
-        interpreter.globals.define("clearTimeout", self.window.js_get("clearTimeout"))
         interpreter.globals.define(
             "XMLHttpRequest",
             NativeConstructor(
@@ -429,32 +384,7 @@ class _PrincipalEnvironment:
             return nullcontext()
         return screen.attribute(self.digest)
 
-    # -- cookies -----------------------------------------------------------------------
-
-    def read_cookies(self) -> str:
-        """``document.cookie`` getter for this principal."""
-        return self.runtime.browser.read_cookie_string(self.page, self.principal)
-
-    def write_cookie(self, cookie_string: str) -> bool:
-        """``document.cookie`` setter for this principal."""
-        return self.runtime.browser.write_cookie_string(self.page, self.principal, cookie_string)
-
-    # -- observations ---------------------------------------------------------------------
-
-    def record_alert(self, *parts) -> None:
-        from repro.scripting.interpreter import _to_string
-
-        self.runtime.observations.alerts.append(" ".join(_to_string(p) for p in parts))
-
-    def record_navigation(self, target: str) -> None:
-        self.runtime.observations.navigations.append((self.principal.label, target))
-
     # -- listeners & callbacks ---------------------------------------------------------------
-
-    def register_listener(self, element: Element, event_type: str, callback) -> bool:
-        """Register ``callback`` (a script function) for later dispatch."""
-        handle = self.dom_api.wrap(element)
-        return handle.add_event_listener(event_type, callback)
 
     def _register_raw_listener(self, element: Element, event_type: str, callback) -> None:
         """Hook invoked by the DOM API once the ``write`` check passed."""

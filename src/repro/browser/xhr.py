@@ -19,10 +19,15 @@ log.
 
 Requests that are allowed go through the browser's common request path, so
 cookie attachment is mediated exactly like for form submissions and links.
+
+The ``XMLHttpRequest`` table of :mod:`repro.scripting.host_members` is the
+single declaration of the members a script sees; this class holds only the
+handlers it names.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable
 
 from repro.core.context import SecurityContext
@@ -35,7 +40,8 @@ from repro.faults.plan import (
 )
 from repro.http.headers import Headers
 from repro.scripting.errors import RuntimeScriptError
-from repro.scripting.interpreter import HostObject, NativeFunction
+from repro.scripting.host_members import XHR
+from repro.scripting.interpreter import HostObject
 
 from .event_loop import XHR_COMPLETION_LATENCY_MS, ScheduledTask
 from .page import Page
@@ -44,7 +50,7 @@ from .page import Page
 class XmlHttpRequest(HostObject):
     """Script-visible XHR object bound to one principal on one page."""
 
-    host_name = "XMLHttpRequest"
+    host_name = XHR
 
     def __init__(
         self,
@@ -84,42 +90,19 @@ class XmlHttpRequest(HostObject):
         self._send_generation = 0
         self._delivered_generation = 0
 
-    # -- script-facing protocol ------------------------------------------------------
+    # -- script-facing state -------------------------------------------------------
 
-    #: Method properties (wrapped lazily per access; the dynamic fields are
-    #: answered directly so a property read does not build every wrapper).
-    _METHODS = {
-        "open": "_open",
-        "send": "_send",
-        "setRequestHeader": "_set_request_header",
-        "getResponseHeader": "_get_response_header",
-        "abort": "_abort",
-    }
+    _get_status = attrgetter("status")
+    _get_response_text = attrgetter("response_text")
+    _get_ready_state = attrgetter("ready_state")
+    _get_onload = attrgetter("_onload")
+    _get_onreadystatechange = attrgetter("_onreadystatechange")
 
-    def js_get(self, name: str):
-        if name == "status":
-            return self.status
-        if name == "responseText":
-            return self.response_text
-        if name == "readyState":
-            return self.ready_state
-        if name == "onload":
-            return self._onload
-        if name == "onreadystatechange":
-            return self._onreadystatechange
-        method = self._METHODS.get(name)
-        if method is None:
-            raise RuntimeScriptError(f"XMLHttpRequest has no property {name!r}")
-        return NativeFunction(getattr(self, method), name)
+    def _set_onload(self, value) -> None:
+        self._onload = value
 
-    def js_set(self, name: str, value) -> None:
-        if name == "onload":
-            self._onload = value
-            return
-        if name == "onreadystatechange":
-            self._onreadystatechange = value
-            return
-        raise RuntimeScriptError(f"XMLHttpRequest property {name!r} is not writable")
+    def _set_onreadystatechange(self, value) -> None:
+        self._onreadystatechange = value
 
     # -- behaviour ----------------------------------------------------------------------
 

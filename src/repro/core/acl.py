@@ -148,20 +148,20 @@ class Acl:
         return f"r<={self.read.level} w<={self.write.level} x<={self.use.level}"
 
 
+#: The ACL attribute names an AC tag accepts: the short and the long forms.
+ACL_ATTRIBUTES = frozenset({"r", "w", "x", "read", "write", "use"})
+
+
 def parse_acl_attributes(attributes: Mapping[str, str], *, rings: RingSet | None = None) -> Acl | None:
     """Extract an ACL from an AC tag's attribute mapping.
 
-    Returns ``None`` when none of the ACL attributes (``r``, ``w``, ``x``)
+    Returns ``None`` when none of the ACL attributes (:data:`ACL_ATTRIBUTES`)
     are present, so the caller can distinguish "no ACL specified" (which, per
     the paper, defaults to the most restrictive ACL for unlabelled content,
     or to the ring's own level for convenience constructors) from an explicit
     specification.
     """
-    relevant = {
-        key: value
-        for key, value in attributes.items()
-        if key.lower() in {"r", "w", "x", "read", "write", "use"}
-    }
+    relevant = {key: value for key, value in attributes.items() if key.lower() in ACL_ATTRIBUTES}
     if not relevant:
         return None
     return Acl.from_mapping(relevant, rings=rings)

@@ -4,8 +4,9 @@ Web applications communicate their ESCUDO configuration to the browser in
 two ways (Section 4.1):
 
 * **AC tags** -- ``div`` elements carrying a ``ring`` attribute (plus
-  optional ``r``/``w``/``x`` ACL attributes and a ``nonce``) label the DOM
-  content inside their scope.
+  optional ``r``/``w``/``x`` ACL attributes, or their long forms
+  ``read``/``write``/``use``, and a ``nonce``) label the DOM content inside
+  their scope.
 * **Optional HTTP response headers** -- ring/ACL mappings for cookies and
   native code APIs such as ``XMLHttpRequest``, and the total number of rings
   the page uses.
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
 
-from .acl import Acl, parse_acl_attributes
+from .acl import ACL_ATTRIBUTES, Acl, parse_acl_attributes
 from .errors import ConfigurationError
 from .nonce import NONCE_ATTRIBUTE
 from .rings import DEFAULT_RING_COUNT, Ring, RingSet
@@ -48,7 +49,7 @@ COOKIE_POLICY_HEADER = "X-Escudo-Cookie-Policy"
 API_POLICY_HEADER = "X-Escudo-Api-Policy"
 
 #: All ESCUDO attribute names an AC tag may carry (used by tamper protection).
-PROTECTED_ATTRIBUTES = frozenset({RING_ATTRIBUTE, "r", "w", "x", NONCE_ATTRIBUTE})
+PROTECTED_ATTRIBUTES = frozenset({RING_ATTRIBUTE, NONCE_ATTRIBUTE}) | ACL_ATTRIBUTES
 
 
 @dataclass(frozen=True)
@@ -104,12 +105,14 @@ def _fast_acl(lowered: Mapping[str, str], universe: RingSet) -> Acl | None:
     """Fast path for the overwhelmingly common ACL spelling: ``r=N w=N x=N``.
 
     Labelling runs this once per AC tag on every page load (the cost Figure 4
-    measures), so plain integer values skip the general, lenient parser.
-    Returns ``None`` when the attributes are absent or need the slow path.
+    measures), so short names with plain ASCII-digit values skip the general,
+    lenient parser.  Returns ``None`` whenever the general parser
+    (:func:`~repro.core.acl.parse_acl_attributes`) must decide: no short
+    name, any long name, or any other value.
     """
     if "r" not in lowered and "w" not in lowered and "x" not in lowered:
-        if any(key in lowered for key in ("read", "write", "use")):
-            return Acl.from_mapping(lowered, rings=universe)
+        return None
+    if "read" in lowered or "write" in lowered or "use" in lowered:
         return None
     highest = universe.highest_level
     limits = []
@@ -119,8 +122,8 @@ def _fast_acl(lowered: Mapping[str, str], universe: RingSet) -> Acl | None:
             limits.append(0)
             continue
         text = raw.strip() if isinstance(raw, str) else str(raw)
-        if not text.isdigit():
-            return Acl.from_mapping(lowered, rings=universe)
+        if not (text.isascii() and text.isdigit()):
+            return None
         limits.append(min(int(text), highest))
     return Acl(read=Ring(limits[0]), write=Ring(limits[1]), use=Ring(limits[2]))
 

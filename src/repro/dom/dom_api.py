@@ -22,10 +22,10 @@ it lets attack scripts run to completion so the harness can observe that
 they had no effect.
 
 Anti-tampering (Section 5): the ESCUDO configuration attributes (``ring``,
-``r``, ``w``, ``x``, ``nonce``) are never readable or writable through the
-facade, regardless of ring, and newly created elements are labelled under
-the scoping rule so a principal can never mint content more privileged than
-the insertion point allows.
+``nonce`` and the ACL names ``r``/``w``/``x``/``read``/``write``/``use``) are
+never readable or writable through the facade, regardless of ring, and newly
+created elements are labelled under the scoping rule so a principal can never
+mint content more privileged than the insertion point allows.
 """
 
 from __future__ import annotations
@@ -78,15 +78,6 @@ class ElementHandle:
     def tag_name(self) -> str:
         """Tag name (always readable: it is needed to even address the node)."""
         return self._element.tag_name
-
-    @property
-    def exists(self) -> bool:
-        """Always true; present so scripts can null-check lookups uniformly."""
-        return True
-
-    def unwrap_for_browser(self) -> Element:
-        """Internal escape hatch for browser code (not exposed to scripts)."""
-        return self._element
 
     # -- reads ----------------------------------------------------------------------
 

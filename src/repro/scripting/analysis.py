@@ -25,10 +25,13 @@ Pipeline, per program:
    explicit successor edges; ``break``/``continue``/``return`` terminate
    blocks, constant-test branches prune never-taken edges);
 3. reaching-definition tag propagation: a worklist dataflow over each CFG
-   whose abstract state maps variables to finite *tag sets* (object kinds
-   like ``obj:element``, callable kinds like ``call:elem-write``, and taint
-   marks like ``cookie``).  Join is pointwise union, the lattice is finite,
-   so the fixpoint terminates;
+   whose abstract state maps variables to finite *tag sets* (host objects
+   like ``obj:Element``, bound methods like ``call:Element.setAttribute``,
+   and taint marks like ``cookie``).  Join is pointwise union, the lattice
+   is finite, so the fixpoint terminates.  What a member access does --
+   its sinks, result, flows and escaping callbacks -- is read from the
+   member tables of :mod:`repro.scripting.host_members`, the same tables
+   the runtime dispatches through;
 4. an interprocedural outer fixpoint: call sites merge argument tags into
    callee parameter slots, returns feed back summaries, and values escaping
    into host callbacks (timers, listeners, ``xhr.onload``) mark their
@@ -45,106 +48,54 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 
+from repro.core.config import PROTECTED_ATTRIBUTES
+
 from . import ast_nodes as ast
 from .errors import ScriptError
-from .parser import parse_script
-
-# -- sink categories (what the reference monitor can record) ---------------------------
-
-#: Mediated element read (``innerHTML`` / ``getAttribute`` / ...).
-DOM_READ = "dom_read"
-#: Mediated element write (``innerHTML =`` / ``setAttribute`` / ``appendChild`` / ...).
-DOM_WRITE = "dom_write"
-#: ``use`` check on the DOM API native object (runs before element ops).
-DOM_USE = "dom_use"
-#: ``document.cookie`` read (one decision per readable cookie).
-COOKIE_READ = "cookie_read"
-#: ``document.cookie`` assignment.
-COOKIE_WRITE = "cookie_write"
-#: Cookie *use* sweep when a mediated request attaches cookies.
-COOKIE_USE = "cookie_use"
-#: ``use`` check on the XMLHttpRequest native object at completion time.
-XHR_USE = "xhr_use"
-
-#: Every category the monitor can attribute to a script.
-ALL_SINKS = frozenset(
-    {DOM_READ, DOM_WRITE, DOM_USE, COOKIE_READ, COOKIE_WRITE, COOKIE_USE, XHR_USE}
+from .host_members import (  # the sink categories are re-exported from here
+    ALL_SINKS,
+    CALL,
+    CALLABLES,
+    CONSTRUCTOR_PREFIX,
+    COOKIE_READ,
+    COOKIE_USE,
+    COOKIE_WRITE,
+    DOM_READ,
+    DOM_USE,
+    DOM_WRITE,
+    GET,
+    GLOBAL_VALUES,
+    OBJECT_PREFIX,
+    SET,
+    SET_ATTRIBUTE,
+    SET_PREFIX,
+    SOURCE_EVENT,
+    TABLES,
+    TAINTS,
+    XHR_USE,
+    Member,
+    reachable,
 )
-
-# -- taint sources ----------------------------------------------------------------------
-
-#: Value derived from ``document.cookie``.
-SOURCE_COOKIE = "cookie"
-#: Value derived from the DOM (lookups, attribute/text reads).
-SOURCE_DOM = "dom"
-#: Value derived from an XHR response (``responseText`` / ``status`` / headers).
-SOURCE_XHR = "xhr_response"
-#: Value derived from an event-handler parameter or the ``event`` global.
-SOURCE_EVENT = "event"
-
-#: Every taint mark the analysis tracks.
-TAINTS = frozenset({SOURCE_COOKIE, SOURCE_DOM, SOURCE_XHR, SOURCE_EVENT})
-
-# -- abstract object / callable kinds ---------------------------------------------------
-
-_DOC = "obj:document"
-_WIN = "obj:window"
-_ELEM = "obj:element"
-_XHR = "obj:xhr"
-_LOC = "obj:location"
-_CONSOLE = "obj:console"
-_UNKNOWN = "obj:unknown"
-_CTOR_XHR = "ctor:xhr"
-
-_CALL_ELEM_READ = "call:elem-read"      # bound getAttribute
-_CALL_ELEM_WRITE = "call:elem-write"    # setAttribute/appendChild/removeChild/addEventListener
-_CALL_LOOKUP = "call:lookup"            # getElementById / querySelector / createElement / ...
-_CALL_DOC_WRITE = "call:doc-write"      # document.write
-_CALL_XHR_ARM = "call:xhr-arm"          # xhr.open / xhr.setRequestHeader
-_CALL_XHR_SEND = "call:xhr-send"        # xhr.send
-_CALL_XHR_READ = "call:xhr-read"        # xhr.getResponseHeader
-_CALL_TIMER = "call:timer"              # setTimeout
+from .parser import parse_script
 
 _FUNC_PREFIX = "func:"
 
+#: Objects whose calls arm a request: method arguments on such a receiver
+#: pour their taint into the receiver variable.
+_ARMING_OBJECTS = frozenset(
+    OBJECT_PREFIX + host for host, members in TABLES.items() if any(m.arms for m in members)
+)
+
 # -- escalation markers (syntactic, advisory) -------------------------------------------
 
-#: ESCUDO configuration attributes of an AC tag; a script rewriting one is
-#: attempting the Section-5 self-escalation (tamper protection denies it).
-PROTECTED_ATTRIBUTES = frozenset({"ring", "r", "w", "x", "acl", "nonce"})
-#: ``setAttribute('<protected attribute>', ...)`` appears in the program.
+#: ``setAttribute('<protected attribute>', ...)`` appears in the program: the
+#: Section-5 self-escalation attempt (tamper protection denies it).
 MARKER_TAMPER = "tamper-attempt"
 #: A string literal embeds markup claiming its own ring assignment -- the
 #: mint-a-privileged-child vector (``innerHTML = '<div ring="0" ...>'``).
 MARKER_PRIVILEGED_MARKUP = "privileged-markup"
 
 _PRIVILEGED_MARKUP_RE = re.compile(r"\bring\s*=")
-
-# -- host member tables (mirrors repro.browser.script_runtime bindings) -----------------
-
-_ELEM_READ_PROPS = frozenset({"innerHTML", "textContent", "innerText", "id", "value"})
-_ELEM_WRITE_PROPS = frozenset({"innerHTML", "textContent", "innerText", "value", "id", "className"})
-_ELEM_WRITE_METHODS = frozenset({"setAttribute", "appendChild", "removeChild", "addEventListener"})
-_ELEM_LOOKUP_METHODS = frozenset({"querySelector", "querySelectorAll"})
-_DOC_LOOKUP_METHODS = frozenset(
-    {"getElementById", "querySelector", "querySelectorAll", "getElementsByTagName", "createElement"}
-)
-_XHR_TAINT_PROPS = frozenset({"responseText", "status", "readyState"})
-_XHR_ARM_METHODS = frozenset({"open", "setRequestHeader"})
-
-#: Abstract values of the globals every principal environment installs.
-_GLOBAL_TAGS: dict[str, frozenset[str]] = {
-    "document": frozenset({_DOC}),
-    "window": frozenset({_WIN}),
-    "location": frozenset({_LOC}),
-    "console": frozenset({_CONSOLE}),
-    "alert": frozenset(),
-    "setTimeout": frozenset({_CALL_TIMER}),
-    "clearTimeout": frozenset(),
-    "XMLHttpRequest": frozenset({_CTOR_XHR}),
-    # Bound by execute_handler(): a plain payload dict derived from the event.
-    "event": frozenset({SOURCE_EVENT}),
-}
 
 
 def script_digest(source: str) -> str:
@@ -229,13 +180,6 @@ class ControlFlowGraph:
         successors = self.blocks[src].successors
         if dst not in successors:
             successors.append(dst)
-
-    def predecessors(self) -> dict[int, list[int]]:
-        preds: dict[int, list[int]] = {block.index: [] for block in self.blocks}
-        for block in self.blocks:
-            for succ in block.successors:
-                preds[succ].append(block.index)
-        return preds
 
 
 def _constant_truth(node) -> bool | None:
@@ -415,32 +359,17 @@ class _FunctionInfo:
         self.cfg: ControlFlowGraph | None = None
 
 
-def _walk(node):
-    """Yield ``node`` and every AST node reachable below it."""
+def _walk(node, *, into_functions: bool = False):
+    """Yield ``node`` and every AST node below it (function bodies only on request)."""
     stack = [node]
     while stack:
         current = stack.pop()
         if isinstance(current, ast.Node):
             yield current
-            for attr in vars(current).values():
-                if isinstance(current, (ast.FunctionDeclaration, ast.FunctionExpression)) and attr is getattr(current, "body", None):
-                    continue
-                stack.append(attr)
-        elif isinstance(current, list):
-            stack.extend(current)
-        elif isinstance(current, tuple):
-            stack.extend(current)
-
-
-def _walk_all(node):
-    """Like :func:`_walk` but descends into function bodies too."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, ast.Node):
-            yield current
-            for attr in vars(current).values():
-                stack.append(attr)
+            body = None
+            if not into_functions and isinstance(current, (ast.FunctionDeclaration, ast.FunctionExpression)):
+                body = current.body
+            stack.extend(attr for attr in vars(current).values() if attr is not body)
         elif isinstance(current, (list, tuple)):
             stack.extend(current)
 
@@ -457,17 +386,20 @@ class ScriptAnalyzer:
         self.flows: set[tuple[str, str]] = set()
         self.dead: set[int] = set()
         self.unreachable: set[int] = set()
-        #: id(node) -> _FunctionInfo for every function in the program.
+        #: id(node) -> _FunctionInfo for every function in the program, and
+        #: the same infos indexed by their ``fid``.
         self._functions: dict[int, _FunctionInfo] = {}
+        self._by_fid: list[_FunctionInfo] = []
         #: Declaration name -> info (later declarations shadow earlier ones,
         #: matching the interpreter's sequential ``define``).
         self._declared: dict[str, _FunctionInfo] = {}
         #: Flow-insensitive union of every assignment, program-wide: the
         #: sound stand-in for closure capture across function boundaries.
         self._ambient: dict[str, set[str]] = {}
-        #: Taints ever passed into xhr.open()/setRequestHeader() -- joined
-        #: into the flows recorded at any send() (aliased sends included).
-        self._xhr_taint: set[str] = set()
+        #: Host -> taints ever passed to its arming calls (xhr.open() /
+        #: setRequestHeader()) -- joined into the flows of any later flowing
+        #: call on that host (aliased sends included).
+        self._armed: dict[str, set[str]] = {}
         self._changed = False
 
     # -- entry point -------------------------------------------------------------------
@@ -516,31 +448,30 @@ class ScriptAnalyzer:
         soundness obligation so over-reporting is free.
         """
         markers: set[str] = set()
-        for node in _walk_all(self.program):
+        for node in _walk(self.program, into_functions=True):
             if isinstance(node, ast.StringLiteral):
                 if _PRIVILEGED_MARKUP_RE.search(node.value):
                     markers.add(MARKER_PRIVILEGED_MARKUP)
             elif isinstance(node, ast.Call) and isinstance(node.callee, ast.MemberAccess):
                 name = self._member_name(node.callee)
-                if name == "setAttribute" and node.arguments:
+                if name == SET_ATTRIBUTE and node.arguments:
                     first = node.arguments[0]
-                    if isinstance(first, ast.StringLiteral) and first.value in PROTECTED_ATTRIBUTES:
+                    if isinstance(first, ast.StringLiteral) and first.value.lower() in PROTECTED_ATTRIBUTES:
                         markers.add(MARKER_TAMPER)
         return markers
 
     # -- discovery & reachability ------------------------------------------------------
 
     def _discover_functions(self) -> None:
-        for node in _walk_all(self.program):
-            if isinstance(node, ast.FunctionDeclaration):
+        for node in _walk(self.program, into_functions=True):
+            if isinstance(node, (ast.FunctionDeclaration, ast.FunctionExpression)):
+                declaration = isinstance(node, ast.FunctionDeclaration)
                 info = _FunctionInfo(len(self._functions), node.name, node.parameters,
-                                     node.body, node.line, declaration=True)
+                                     node.body, node.line, declaration=declaration)
                 self._functions[id(node)] = info
-                self._declared[node.name] = info
-            elif isinstance(node, ast.FunctionExpression):
-                info = _FunctionInfo(len(self._functions), node.name, node.parameters,
-                                     node.body, node.line, declaration=False)
-                self._functions[id(node)] = info
+                self._by_fid.append(info)
+                if declaration:
+                    self._declared[node.name] = info
 
     def _compute_reachability(self) -> None:
         """Reachable region = top level + referenced declarations (fixpoint).
@@ -601,7 +532,7 @@ class ScriptAnalyzer:
     # -- dataflow ----------------------------------------------------------------------
 
     def _top_level_env(self) -> dict[str, set[str]]:
-        env = {name: set(tags) for name, tags in _GLOBAL_TAGS.items()}
+        env = {name: set(tags) for name, tags in GLOBAL_VALUES.items()}
         for name, info in self._declared.items():
             if info.reachable:
                 env[name] = {_FUNC_PREFIX + str(info.fid)}
@@ -693,17 +624,10 @@ class ScriptAnalyzer:
             self._changed = True
 
     def _flow(self, taints, sink: str) -> None:
-        for taint in taints & TAINTS:
-            pair = (taint, sink)
-            if pair not in self.flows:
-                self.flows.add(pair)
-                self._changed = True
+        self._merge(self.flows, {(taint, sink) for taint in taints & TAINTS})
 
     def _sink(self, *categories: str) -> None:
-        for category in categories:
-            if category not in self.sinks:
-                self.sinks.add(category)
-                self._changed = True
+        self._merge(self.sinks, set(categories))
 
     def _eval(self, node, env) -> set[str]:
         if node is None or isinstance(node, (ast.NumberLiteral, ast.StringLiteral,
@@ -712,15 +636,9 @@ class ScriptAnalyzer:
         if isinstance(node, ast.Identifier):
             return self._lookup(node.name, env)
         if isinstance(node, ast.ArrayLiteral):
-            tags: set[str] = set()
-            for element in node.elements:
-                tags |= self._eval(element, env)
-            return tags
+            return set().union(*(self._eval(element, env) for element in node.elements))
         if isinstance(node, ast.ObjectLiteral):
-            tags = set()
-            for _, value in node.entries:
-                tags |= self._eval(value, env)
-            return tags
+            return set().union(*(self._eval(value, env) for _, value in node.entries))
         if isinstance(node, ast.FunctionExpression):
             info = self._functions[id(node)]
             return {_FUNC_PREFIX + str(info.fid)}
@@ -775,104 +693,46 @@ class ScriptAnalyzer:
             return node.index.value
         return None
 
-    def _member_read(self, node: ast.MemberAccess, target_tags: set[str], env) -> set[str]:
+    def _members(self, node: ast.MemberAccess, target_tags: set[str], kinds, env) -> list[Member]:
+        """Table entries of every host object the receiver may be."""
         name = self._member_name(node)
         if node.computed and node.index is not None:
             self._eval(node.index, env)
-        result: set[str] = set()
-        taints = target_tags & TAINTS
+        members: list[Member] = []
+        for tag in target_tags:
+            if tag.startswith(OBJECT_PREFIX):
+                members += reachable(tag[len(OBJECT_PREFIX):], name, kinds)
+        return members
 
-        if _DOC in target_tags:
-            if name == "cookie":
-                self._sink(COOKIE_READ)
-                result |= {SOURCE_COOKIE}
-            elif name in _DOC_LOOKUP_METHODS:
-                result |= {_CALL_LOOKUP}
-            elif name == "write":
-                result |= {_CALL_DOC_WRITE}
-            elif name in ("body", "head"):
-                result |= {_ELEM, SOURCE_DOM}
-            elif name == "location":
-                result |= {_LOC}
-            elif name == "title":
-                pass
-            elif name is None:
-                self._sink(COOKIE_READ)
-                result |= {_ELEM, _LOC, _CALL_LOOKUP, _CALL_DOC_WRITE, SOURCE_COOKIE, SOURCE_DOM}
-        if _ELEM in target_tags:
-            if name in _ELEM_READ_PROPS:
-                self._sink(DOM_READ, DOM_USE)
-                result |= {SOURCE_DOM}
-            elif name == "tagName":
-                result |= {SOURCE_DOM}
-            elif name == "getAttribute":
-                result |= {_CALL_ELEM_READ}
-            elif name in _ELEM_WRITE_METHODS:
-                result |= {_CALL_ELEM_WRITE}
-            elif name in _ELEM_LOOKUP_METHODS:
-                result |= {_CALL_LOOKUP}
-            elif name is None:
-                self._sink(DOM_READ, DOM_USE)
-                result |= {SOURCE_DOM, _CALL_ELEM_READ, _CALL_ELEM_WRITE, _CALL_LOOKUP}
-        if _XHR in target_tags:
-            if name in _XHR_TAINT_PROPS:
-                result |= {SOURCE_XHR}
-            elif name in _XHR_ARM_METHODS:
-                result |= {_CALL_XHR_ARM}
-            elif name == "send":
-                result |= {_CALL_XHR_SEND}
-            elif name == "getResponseHeader":
-                result |= {_CALL_XHR_READ}
-            elif name is None:
-                result |= {SOURCE_XHR, _CALL_XHR_ARM, _CALL_XHR_SEND, _CALL_XHR_READ}
-        if _WIN in target_tags:
-            if name == "document":
-                result |= {_DOC}
-            elif name == "location":
-                result |= {_LOC}
-            elif name == "setTimeout":
-                result |= {_CALL_TIMER}
-            elif name == "console":
-                result |= {_CONSOLE}
-            elif name is None:
-                result |= {_DOC, _LOC, _CALL_TIMER, _CONSOLE}
-        if _UNKNOWN in target_tags:
-            # Could be any host object: the read itself may mediate.
-            self._sink(DOM_READ, DOM_USE, COOKIE_READ)
-            result |= {_UNKNOWN, SOURCE_DOM, SOURCE_COOKIE, SOURCE_XHR}
-
-        return result | taints
+    def _member_read(self, node: ast.MemberAccess, target_tags: set[str], env) -> set[str]:
+        result = target_tags & TAINTS
+        for member in self._members(node, target_tags, (GET, CALL), env):
+            if member.kind == GET:
+                self._sink(*member.sinks)
+            result |= member.value
+        return result
 
     def _member_write(self, node: ast.MemberAccess, target_tags: set[str],
                       value_tags: set[str], env) -> None:
-        name = self._member_name(node)
-        if node.computed and node.index is not None:
-            self._eval(node.index, env)
         taints = (value_tags | target_tags) & TAINTS
-
-        if _ELEM in target_tags:
-            if name in _ELEM_WRITE_PROPS or name is None:
-                self._sink(DOM_WRITE, DOM_USE)
-                self._flow(taints, DOM_WRITE)
-            if name is None or (name is not None and name.startswith("on")):
-                self._sink(DOM_WRITE, DOM_USE)
-                self._escape_handlers(value_tags)
-        if _DOC in target_tags:
-            if name == "cookie" or name is None:
-                self._sink(COOKIE_WRITE)
-                self._flow(taints, COOKIE_WRITE)
-        if _XHR in target_tags:
-            self._escape_handlers(value_tags)
-        if _UNKNOWN in target_tags:
-            self._sink(DOM_WRITE, DOM_USE, COOKIE_WRITE)
-            self._flow(taints, DOM_WRITE)
-            self._flow(taints, COOKIE_WRITE)
-            self._escape_handlers(value_tags)
+        for member in self._members(node, target_tags, (SET, SET_PREFIX), env):
+            self._apply(member, taints, [value_tags])
         # Weak update: a member write on a local container must make the
         # container's variable carry what was stored in it.
         if isinstance(node.target, ast.Identifier):
             merged = self._lookup(node.target.name, env) | value_tags
             self._assign(node.target.name, merged, env)
+
+    def _apply(self, member: Member, taints: set[str], values: list[set[str]]) -> None:
+        """A write to, or a call of, ``member`` with the given value taints."""
+        self._sink(*member.sinks)
+        if member.flow is not None:
+            self._flow(taints | self._armed.get(member.host, set()), member.flow)
+        if member.escapes:
+            for tags in values:
+                self._escape_handlers(tags)
+        if member.arms:
+            self._merge(self._armed.setdefault(member.host, set()), taints)
 
     # -- call semantics ----------------------------------------------------------------
 
@@ -883,10 +743,10 @@ class ScriptAnalyzer:
             receiver_tags = self._eval(callee.target, env)
             member_tags = self._member_read(callee, receiver_tags, env)
             result = self._invoke_value(member_tags, arg_tags, receiver_taints=receiver_tags & TAINTS)
-            # Method calls on armed XHR objects accumulate taint onto the
+            # Method calls on request objects accumulate taint onto the
             # receiver variable so a later bare ``x.send()`` still reports
             # the flow.
-            if _XHR in receiver_tags and isinstance(callee.target, ast.Identifier):
+            if receiver_tags & _ARMING_OBJECTS and isinstance(callee.target, ast.Identifier):
                 poured: set[str] = set()
                 for tags in arg_tags:
                     poured |= tags & TAINTS
@@ -900,10 +760,9 @@ class ScriptAnalyzer:
     def _new(self, node: ast.NewExpression, env) -> set[str]:
         arg_tags = [self._eval(argument, env) for argument in node.arguments]
         ctor_tags = self._lookup(node.constructor, env)
-        result: set[str] = set()
-        if _CTOR_XHR in ctor_tags:
-            result |= {_XHR}
-        result |= self._invoke_value(ctor_tags - {_CTOR_XHR}, arg_tags, receiver_taints=set())
+        hosts = {tag for tag in ctor_tags if tag.startswith(CONSTRUCTOR_PREFIX)}
+        result = {OBJECT_PREFIX + tag[len(CONSTRUCTOR_PREFIX):] for tag in hosts}
+        result |= self._invoke_value(ctor_tags - hosts, arg_tags, receiver_taints=set())
         return result
 
     def _invoke_value(self, callee_tags: set[str], arg_tags: list[set[str]],
@@ -915,9 +774,7 @@ class ScriptAnalyzer:
 
         for tag in callee_tags:
             if tag.startswith(_FUNC_PREFIX):
-                info = self._function_by_fid(int(tag[len(_FUNC_PREFIX):]))
-                if info is None:
-                    continue
+                info = self._by_fid[int(tag[len(_FUNC_PREFIX):])]
                 if not info.reachable:
                     info.reachable = True
                     self._changed = True
@@ -925,38 +782,10 @@ class ScriptAnalyzer:
                     if index < len(info.param_tags):
                         self._merge(info.param_tags[index], tags)
                 result |= info.return_tags
-
-        if _CALL_ELEM_READ in callee_tags:
-            self._sink(DOM_READ, DOM_USE)
-            result |= {SOURCE_DOM}
-        if _CALL_ELEM_WRITE in callee_tags:
-            self._sink(DOM_WRITE, DOM_USE)
-            self._flow(all_arg_taints | receiver_taints, DOM_WRITE)
-            for tags in arg_tags:
-                self._escape_handlers(tags)
-        if _CALL_LOOKUP in callee_tags:
-            result |= {_ELEM, SOURCE_DOM}
-        if _CALL_DOC_WRITE in callee_tags:
-            self._sink(DOM_READ, DOM_WRITE, DOM_USE)
-            self._flow(all_arg_taints, DOM_WRITE)
-        if _CALL_XHR_ARM in callee_tags:
-            self._merge(self._xhr_taint, all_arg_taints)
-        if _CALL_XHR_SEND in callee_tags:
-            self._sink(XHR_USE, COOKIE_USE)
-            self._flow(all_arg_taints | receiver_taints | self._xhr_taint, XHR_USE)
-        if _CALL_XHR_READ in callee_tags:
-            result |= {SOURCE_XHR}
-        if _CALL_TIMER in callee_tags:
-            for tags in arg_tags:
-                self._escape_handlers(tags)
-        if _UNKNOWN in callee_tags:
-            # Could be any aliased native method: assume the worst.
-            self._sink(*ALL_SINKS)
-            self._flow(all_arg_taints, DOM_WRITE)
-            self._flow(all_arg_taints, XHR_USE)
-            for tags in arg_tags:
-                self._escape_handlers(tags)
-            result |= {_UNKNOWN}
+            member = CALLABLES.get(tag)
+            if member is not None:
+                self._apply(member, all_arg_taints | receiver_taints, arg_tags)
+                result |= member.result
 
         if not result and not (callee_tags - TAINTS):
             # Plain native helpers (String, JSON.parse, array/string methods)
@@ -967,19 +796,11 @@ class ScriptAnalyzer:
     def _escape_handlers(self, tags: set[str]) -> None:
         for tag in tags:
             if tag.startswith(_FUNC_PREFIX):
-                info = self._function_by_fid(int(tag[len(_FUNC_PREFIX):]))
-                if info is None:
-                    continue
+                info = self._by_fid[int(tag[len(_FUNC_PREFIX):])]
                 if not info.handler or not info.reachable:
                     info.handler = True
                     info.reachable = True
                     self._changed = True
-
-    def _function_by_fid(self, fid: int) -> _FunctionInfo | None:
-        for info in self._functions.values():
-            if info.fid == fid:
-                return info
-        return None
 
 
 # -- module entry points ----------------------------------------------------------------

@@ -11,9 +11,11 @@ Host interoperability
 The browser exposes its mediated APIs to scripts as *host objects*
 (subclasses of :class:`HostObject`).  Property reads, writes and method
 calls on host objects are forwarded to ``js_get`` / ``js_set`` / ``js_call``,
-which is where the DOM facade, cookie access and ``XMLHttpRequest`` perform
-their reference-monitor checks.  The interpreter itself knows nothing about
-ESCUDO -- exactly like a real JavaScript engine.
+which dispatch through the host's member table
+(:mod:`repro.scripting.host_members`) to the handler methods where the DOM
+facade, cookie access and ``XMLHttpRequest`` perform their reference-monitor
+checks.  The interpreter itself knows nothing about ESCUDO -- exactly like a
+real JavaScript engine.
 
 Execution budget
 ----------------
@@ -25,34 +27,74 @@ into a script error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+import math
+from dataclasses import dataclass
+from functools import cache
+from types import MethodType
 from typing import Any, Callable, Iterable, Optional
 
 from . import ast_nodes as ast
 from .errors import BudgetExceeded, RuntimeScriptError, ScriptError
+from .host_members import CALL, GET, JSON, MATH, SET, SET_PREFIX, TABLES
 from .parser import parse_script
 
 
 class HostObject:
-    """Base class for objects the browser exposes into the script world."""
+    """Base class for objects the browser exposes into the script world.
 
-    #: Name reported by ``typeof`` and error messages.
+    A subclass exposes exactly the members its ``host_name`` table in
+    :mod:`repro.scripting.host_members` declares, each through the handler
+    the table names; a declared member without a handler fails at import.
+    """
+
+    #: Name reported by ``typeof``, error messages and the member table.
     host_name = "HostObject"
+    #: How the unknown-member and read-only errors name the host (default
+    #: ``host_name``).
+    read_noun = write_noun = ""
+    #: ``(kind, member name)`` -> handler, resolved once per class.
+    handlers: dict[tuple[str, str], Callable] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.handlers = {(m.kind, m.name): getattr(cls, m.handler) for m in TABLES.get(cls.host_name, ())}
 
     def js_get(self, name: str):
-        """Read a property; subclasses override."""
-        raise RuntimeScriptError(f"{self.host_name} has no property {name!r}")
+        """Read a member; a method reads as a :class:`NativeFunction`."""
+        getter = self.handlers.get((GET, name))
+        if getter is not None:
+            return getter(self)
+        method = self.handlers.get((CALL, name))
+        if method is not None:
+            return NativeFunction(MethodType(method, self), name)
+        raise RuntimeScriptError(f"{self.read_noun or self.host_name} has no property {name!r}")
 
     def js_set(self, name: str, value) -> None:
-        """Write a property; subclasses override."""
-        raise RuntimeScriptError(f"{self.host_name} property {name!r} is not writable")
+        """Write a member (an exact one first, then a prefix one)."""
+        setter = self.handlers.get((SET, name))
+        if setter is not None:
+            setter(self, value)
+            return
+        for (kind, prefix), setter in self.handlers.items():
+            if kind == SET_PREFIX and name.startswith(prefix):
+                setter(self, name, value)
+                return
+        raise self.not_writable(name)
 
     def js_call(self, name: str, args: list):
-        """Invoke a method; the default resolves the property and calls it."""
+        """Invoke a method: a declared one directly, otherwise the read value."""
+        method = self.handlers.get((CALL, name))
+        if method is not None:
+            return method(self, *args)
         member = self.js_get(name)
         if callable(member):
             return member(*args)
         raise RuntimeScriptError(f"{self.host_name}.{name} is not a function")
+
+    def not_writable(self, name: str) -> RuntimeScriptError:
+        """The error a write to ``name`` raises when no member takes it."""
+        return RuntimeScriptError(f"{self.write_noun or self.host_name} property {name!r} is not writable")
 
 
 class NativeFunction:
@@ -148,15 +190,6 @@ class Environment:
         while root.parent is not None:
             root = root.parent
         root.values[name] = value
-
-    def has(self, name: str) -> bool:
-        """Whether the name resolves in this or any outer scope."""
-        env: Optional[Environment] = self
-        while env is not None:
-            if name in env.values:
-                return True
-            env = env.parent
-        return False
 
 
 @dataclass
@@ -351,7 +384,7 @@ class Interpreter:
             return self._assign(node, env)
         if isinstance(node, ast.MemberAccess):
             target = self._evaluate(node.target, env)
-            return self._get_member(target, self._member_name(node, env), node.line)
+            return _get_member(target, self._member_name(node, env), node.line)
         if isinstance(node, ast.Call):
             return self._call(node, env)
         if isinstance(node, ast.NewExpression):
@@ -431,8 +464,6 @@ class Interpreter:
         if node.operator != "=":
             current = self._evaluate(node.target, env)
             base_operator = node.operator[0]
-            combined = ast.Binary(operator=base_operator, left=ast.NullLiteral(), right=ast.NullLiteral())
-            # Re-use the binary evaluation logic by computing directly:
             if base_operator == "+":
                 value = (current + value) if not (isinstance(current, str) or isinstance(value, str)) \
                     else _to_string(current) + _to_string(value)
@@ -442,7 +473,6 @@ class Interpreter:
                 value = _to_number(current) * _to_number(value)
             elif base_operator == "/":
                 value = _to_number(current) / _to_number(value)
-            del combined
         target = node.target
         if isinstance(target, ast.Identifier):
             env.assign(target.name, value)
@@ -450,47 +480,9 @@ class Interpreter:
         if isinstance(target, ast.MemberAccess):
             obj = self._evaluate(target.target, env)
             name = self._member_name(target, env)
-            self._set_member(obj, name, value, target.line)
+            _set_member(obj, name, value, target.line)
             return value
         raise RuntimeScriptError("invalid assignment target", node.line)
-
-    # -- member protocol ---------------------------------------------------------------------
-
-    def _get_member(self, target, name: str, line: int):
-        if isinstance(target, HostObject):
-            return target.js_get(name)
-        if isinstance(target, dict):
-            return target.get(name)
-        if isinstance(target, list):
-            return _array_member(target, name, line)
-        if isinstance(target, str):
-            return _string_member(target, name, line)
-        if isinstance(target, (int, float)) and not isinstance(target, bool):
-            if name == "toString":
-                return NativeFunction(lambda: _to_string(target), "toString")
-        if target is None:
-            raise RuntimeScriptError(f"cannot read property {name!r} of null", line)
-        raise RuntimeScriptError(f"cannot read property {name!r} of {_typeof(target)}", line)
-
-    def _set_member(self, target, name: str, value, line: int) -> None:
-        if isinstance(target, HostObject):
-            target.js_set(name, value)
-            return
-        if isinstance(target, dict):
-            target[name] = value
-            return
-        if isinstance(target, list):
-            try:
-                index = int(float(name))
-            except ValueError:
-                raise RuntimeScriptError(f"invalid array index {name!r}", line) from None
-            while len(target) <= index:
-                target.append(None)
-            target[index] = value
-            return
-        if target is None:
-            raise RuntimeScriptError(f"cannot set property {name!r} of null", line)
-        raise RuntimeScriptError(f"cannot set property {name!r} on {_typeof(target)}", line)
 
     # -- calls ------------------------------------------------------------------------------------
 
@@ -502,7 +494,7 @@ class Interpreter:
             name = self._member_name(callee, env)
             if isinstance(target, HostObject):
                 return target.js_call(name, args)
-            member = self._get_member(target, name, callee.line)
+            member = _get_member(target, name, callee.line)
             return self._call_value(member, args, this_value=target)
         function = self._evaluate(callee, env)
         return self._call_value(function, args)
@@ -528,6 +520,49 @@ class Interpreter:
         except _ReturnSignal as signal:
             return signal.value
         return None
+
+
+# -- member protocol ---------------------------------------------------------------------------
+
+
+def _get_member(target, name: str, line: int):
+    """Read member ``name`` of any script value (the walker's and the VM's protocol)."""
+    if isinstance(target, HostObject):
+        return target.js_get(name)
+    if isinstance(target, dict):
+        return target.get(name)
+    if isinstance(target, list):
+        return _array_member(target, name, line)
+    if isinstance(target, str):
+        return _string_member(target, name, line)
+    if isinstance(target, (int, float)) and not isinstance(target, bool):
+        if name == "toString":
+            return NativeFunction(lambda: _to_string(target), "toString")
+    if target is None:
+        raise RuntimeScriptError(f"cannot read property {name!r} of null", line)
+    raise RuntimeScriptError(f"cannot read property {name!r} of {_typeof(target)}", line)
+
+
+def _set_member(target, name: str, value, line: int) -> None:
+    """Write member ``name`` of any script value."""
+    if isinstance(target, HostObject):
+        target.js_set(name, value)
+        return
+    if isinstance(target, dict):
+        target[name] = value
+        return
+    if isinstance(target, list):
+        try:
+            index = int(float(name))
+        except ValueError:
+            raise RuntimeScriptError(f"invalid array index {name!r}", line) from None
+        while len(target) <= index:
+            target.append(None)
+        target[index] = value
+        return
+    if target is None:
+        raise RuntimeScriptError(f"cannot set property {name!r} of null", line)
+    raise RuntimeScriptError(f"cannot set property {name!r} on {_typeof(target)}", line)
 
 
 # -- value semantics helpers -------------------------------------------------------------------
@@ -684,9 +719,7 @@ def _string_member(target: str, name: str, line: int):
     return target[index] if 0 <= index < len(target) else None
 
 
-_STDLIB: dict[str, Any] | None = None
-
-
+@cache
 def _standard_library() -> dict[str, Any]:
     """Globals available to every script regardless of the host environment.
 
@@ -695,12 +728,7 @@ def _standard_library() -> dict[str, Any]:
     refuse writes), and interpreters copy the *bindings* into their own
     global environment, so sharing the values is unobservable.
     """
-    global _STDLIB
-    if _STDLIB is not None:
-        return _STDLIB
-    import math
-
-    _STDLIB = {
+    return {
         "parseInt": NativeFunction(lambda value, base=10: float(int(_to_string(value).strip() or "0", int(base))), "parseInt"),
         "parseFloat": NativeFunction(lambda value: _to_number(value), "parseFloat"),
         "String": NativeFunction(_to_string, "String"),
@@ -712,47 +740,54 @@ def _standard_library() -> dict[str, Any]:
         "Infinity": math.inf,
         "NaN": math.nan,
     }
-    return _STDLIB
 
 
 class _MathHost(HostObject):
     """The ``Math`` global."""
 
-    host_name = "Math"
+    host_name = MATH
 
-    def js_get(self, name: str):
-        import math
+    def _floor(self, v):
+        return float(math.floor(_to_number(v)))
 
-        members = {
-            "floor": NativeFunction(lambda v: float(math.floor(_to_number(v))), "floor"),
-            "ceil": NativeFunction(lambda v: float(math.ceil(_to_number(v))), "ceil"),
-            "round": NativeFunction(lambda v: float(round(_to_number(v))), "round"),
-            "abs": NativeFunction(lambda v: abs(_to_number(v)), "abs"),
-            "max": NativeFunction(lambda *vs: max(_to_number(v) for v in vs), "max"),
-            "min": NativeFunction(lambda *vs: min(_to_number(v) for v in vs), "min"),
-            "pow": NativeFunction(lambda a, b: _to_number(a) ** _to_number(b), "pow"),
-            "sqrt": NativeFunction(lambda v: math.sqrt(_to_number(v)), "sqrt"),
-            "PI": math.pi,
-            "E": math.e,
-        }
-        if name not in members:
-            raise RuntimeScriptError(f"Math has no property {name!r}")
-        return members[name]
+    def _ceil(self, v):
+        return float(math.ceil(_to_number(v)))
+
+    def _round(self, v):
+        return float(round(_to_number(v)))
+
+    def _abs(self, v):
+        return abs(_to_number(v))
+
+    def _max(self, *vs):
+        return max(_to_number(v) for v in vs)
+
+    def _min(self, *vs):
+        return min(_to_number(v) for v in vs)
+
+    def _pow(self, a, b):
+        return _to_number(a) ** _to_number(b)
+
+    def _sqrt(self, v):
+        return math.sqrt(_to_number(v))
+
+    def _get_pi(self):
+        return math.pi
+
+    def _get_e(self):
+        return math.e
 
 
 class _JsonHost(HostObject):
     """A small ``JSON`` global (stringify/parse of plain data)."""
 
-    host_name = "JSON"
+    host_name = JSON
 
-    def js_get(self, name: str):
-        import json
+    def _stringify(self, value):
+        return json.dumps(_plain(value))
 
-        if name == "stringify":
-            return NativeFunction(lambda value: json.dumps(_plain(value)), "stringify")
-        if name == "parse":
-            return NativeFunction(lambda text: json.loads(_to_string(text)), "parse")
-        raise RuntimeScriptError(f"JSON has no property {name!r}")
+    def _parse(self, text):
+        return json.loads(_to_string(text))
 
 
 def _plain(value):

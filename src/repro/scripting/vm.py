@@ -106,8 +106,10 @@ from .interpreter import (
     _BreakSignal,
     _compare,
     _ContinueSignal,
+    _get_member,
     _loose_equal,
     _ReturnSignal,
+    _set_member,
     _standard_library,
     _string_member,
     _to_number,
@@ -125,6 +127,19 @@ _IC_HOST = 0
 _IC_DICT = 1
 _IC_LIST = 2
 _IC_STR = 3
+
+
+def _prime(ic: list, slot: int, target, *, reads: bool) -> None:
+    """Record at ``ic[slot:slot + 2]`` which dispatch branch ``target`` takes
+    (reads cache hosts, dicts, lists and strings; writes hosts and dicts)."""
+    if isinstance(target, HostObject):
+        ic[slot], ic[slot + 1] = target.__class__, _IC_HOST
+    elif isinstance(target, dict):
+        ic[slot], ic[slot + 1] = dict, _IC_DICT
+    elif reads and isinstance(target, list):
+        ic[slot], ic[slot + 1] = list, _IC_LIST
+    elif reads and isinstance(target, str):
+        ic[slot], ic[slot + 1] = str, _IC_STR
 
 
 @dataclass
@@ -396,7 +411,7 @@ class VirtualMachine:
                                     else:
                                         member = _string_member(target, name, lines[pc - 1])
                                     self._steps = steps
-                                    value = self._call_member(member, call_args, target)
+                                    value = self._call_value(member, call_args, target)
                                     steps = self._steps
                                     push(value)
                             else:
@@ -411,7 +426,7 @@ class VirtualMachine:
                                 else:
                                     member = self._member_slow(target, name, lines[pc - 1], arg, 2)
                                     self._steps = steps
-                                    value = self._call_member(member, call_args, target)
+                                    value = self._call_value(member, call_args, target)
                                     steps = self._steps
                                     push(value)
                         elif op == CALL_FUNCTION:
@@ -683,7 +698,7 @@ class VirtualMachine:
                             else:
                                 member = self._member_slow(target, name, lines[pc - 1], None, 0)
                                 self._steps = steps
-                                value = self._call_member(member, call_args, target)
+                                value = self._call_value(member, call_args, target)
                                 steps = self._steps
                                 push(value)
                         elif op == DEFINE_NAME:
@@ -863,70 +878,14 @@ class VirtualMachine:
         del handlers[:]
         return target_pc, env, depth
 
-    # -- slow paths (the walker's ladders, verbatim, plus IC priming) ------------------
+    # -- slow paths (the walker's member protocol plus IC priming) ---------------------
 
     def _member_slow(self, target, name: str, line: int, ic: list | None, slot: int):
-        if isinstance(target, HostObject):
-            if ic is not None:
-                ic[slot] = target.__class__
-                ic[slot + 1] = _IC_HOST
-            return target.js_get(name)
-        if isinstance(target, dict):
-            if ic is not None:
-                ic[slot] = dict
-                ic[slot + 1] = _IC_DICT
-            return target.get(name)
-        if isinstance(target, list):
-            if ic is not None:
-                ic[slot] = list
-                ic[slot + 1] = _IC_LIST
-            return _array_member(target, name, line)
-        if isinstance(target, str):
-            if ic is not None:
-                ic[slot] = str
-                ic[slot + 1] = _IC_STR
-            return _string_member(target, name, line)
-        if isinstance(target, (int, float)) and not isinstance(target, bool):
-            if name == "toString":
-                return NativeFunction(lambda: _to_string(target), "toString")
-        if target is None:
-            raise RuntimeScriptError(f"cannot read property {name!r} of null", line)
-        raise RuntimeScriptError(f"cannot read property {name!r} of {_typeof(target)}", line)
+        if ic is not None:
+            _prime(ic, slot, target, reads=True)
+        return _get_member(target, name, line)
 
     def _set_member_slow(self, target, name: str, value, line: int, ic: list | None, slot: int) -> None:
-        if isinstance(target, HostObject):
-            if ic is not None:
-                ic[slot] = target.__class__
-                ic[slot + 1] = _IC_HOST
-            target.js_set(name, value)
-            return
-        if isinstance(target, dict):
-            if ic is not None:
-                ic[slot] = dict
-                ic[slot + 1] = _IC_DICT
-            target[name] = value
-            return
-        if isinstance(target, list):
-            try:
-                index = int(float(name))
-            except ValueError:
-                raise RuntimeScriptError(f"invalid array index {name!r}", line) from None
-            while len(target) <= index:
-                target.append(None)
-            target[index] = value
-            return
-        if target is None:
-            raise RuntimeScriptError(f"cannot set property {name!r} of null", line)
-        raise RuntimeScriptError(f"cannot set property {name!r} on {_typeof(target)}", line)
-
-    def _call_member(self, member, args: list, this_value):
-        """Dispatch a non-host method call (the walker's ``_call_value``)."""
-        if isinstance(member, CompiledFunction):
-            return self._invoke(member, args, this_value)
-        if isinstance(member, ScriptFunction):
-            return self._call_value(member, args, this_value)
-        if isinstance(member, NativeFunction):
-            return member(*args)
-        if callable(member):
-            return member(*args)
-        raise RuntimeScriptError(f"{_to_string(member)} is not a function")
+        if ic is not None:
+            _prime(ic, slot, target, reads=False)
+        _set_member(target, name, value, line)

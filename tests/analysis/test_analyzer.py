@@ -270,10 +270,11 @@ def test_report_is_hashable_and_frozen():
 # -- escalation markers ------------------------------------------------------------------
 
 
-def test_protected_setattribute_raises_tamper_marker():
+@pytest.mark.parametrize("attribute", ["ring", "read", "RING"])
+def test_protected_setattribute_raises_tamper_marker(attribute):
     report = analyze_source(
         "var scope = document.getElementById('post-scope-1');"
-        "if (scope != null) { scope.setAttribute('ring', '0'); }"
+        f"if (scope != null) {{ scope.setAttribute('{attribute}', '0'); }}"
     )
     assert MARKER_TAMPER in report.markers
 

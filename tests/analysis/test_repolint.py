@@ -19,6 +19,8 @@ _BAD_WEBAPP = '''\
 import pickle
 import time
 
+from repro.scripting.interpreter import HostObject
+
 
 class Widget:
     def register(self):
@@ -41,6 +43,11 @@ class WidgetCache:
             attempts += 1
             if self.lookup(key) is not None:
                 return attempts
+
+
+class WidgetBinding(HostObject):
+    def js_get(self, name):  # bypasses the member table
+        return getattr(self, name)
 '''
 
 
@@ -115,3 +122,22 @@ def test_syntax_error_is_reported_not_raised(tmp_path):
     violations = lint_paths([broken])
     assert len(violations) == 1
     assert violations[0].rule == "syntax"
+
+
+def test_host_members_rule_flags_only_host_subclasses(tmp_path):
+    target = tmp_path / "hosts.py"
+    target.write_text(
+        "from repro.scripting import interpreter\n"
+        "class Base(interpreter.HostObject):\n"
+        "    def js_set(self, name, value):\n"
+        "        pass\n"
+        "class Derived(Base):\n"
+        "    def js_call(self, name, args):\n"
+        "        pass\n"
+        "class Plain:\n"
+        "    def js_get(self, name):\n"
+        "        pass\n",
+        encoding="utf-8",
+    )
+    violations = lint_paths([target])
+    assert [(v.rule, v.line) for v in violations] == [("host-members", 3), ("host-members", 6)]

@@ -27,6 +27,7 @@ def test_measure_compile_cache_payload_schema(tmp_path):
         scenario_count=2,
         attack_ratio=0.0,
         scenario_rounds=1,
+        script_vm_runs=4,
     )
 
     # Section structure and workload sizes.
@@ -78,6 +79,7 @@ def test_seed_baseline_comparison(tmp_path):
         scenario_count=1,
         attack_ratio=0.0,
         scenario_rounds=1,
+        script_vm_runs=4,
         seed_baseline_path=baseline,
     )
     assert payload["scenarios_per_second_seed"] == 1.0
@@ -93,6 +95,7 @@ def test_missing_or_malformed_baseline_is_ignored(tmp_path):
         scenario_count=1,
         attack_ratio=0.0,
         scenario_rounds=1,
+        script_vm_runs=4,
         seed_baseline_path=tmp_path / "nope.json",
     )
     assert "speedup_vs_seed" not in missing
@@ -106,6 +109,7 @@ def test_missing_or_malformed_baseline_is_ignored(tmp_path):
         scenario_count=1,
         attack_ratio=0.0,
         scenario_rounds=1,
+        script_vm_runs=4,
         seed_baseline_path=malformed,
     )
     assert "speedup_vs_seed" not in payload

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.acl import parse_acl_attributes
 from repro.core.config import (
     API_POLICY_HEADER,
     COOKIE_POLICY_HEADER,
@@ -66,10 +69,30 @@ class TestAcTagExtraction:
         assert label.is_labelled
 
 
+_ACL_NAMES = ("r", "w", "x", "read", "write", "use")
+_ACL_VALUES = st.one_of(
+    st.integers(min_value=0, max_value=9).map(str),  # digits, in and out of range
+    st.integers(min_value=0, max_value=9).map(lambda n: f" {n} "),  # padded
+    st.integers(min_value=10, max_value=10**6).map(str),  # far out of range
+    st.sampled_from(["", "-1", "+1", "1.5", "abc", "٣", "１", "²", "0x1", "1 2"]),  # junk
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(_ACL_NAMES), _ACL_VALUES, max_size=6))
+def test_fast_acl_path_agrees_with_the_general_parser(attributes):
+    """Short, long and mixed ACL names parse the same on both paths."""
+    assert extract_ac_label(attributes).acl == parse_acl_attributes(attributes)
+
+
 class TestIsAcTag:
     def test_div_with_ring_is_ac_tag(self):
         assert is_ac_tag("div", {"ring": "2"})
         assert is_ac_tag("DIV", {"nonce": "x"})
+
+    def test_long_acl_names_make_an_ac_tag(self):
+        assert is_ac_tag("div", {"read": "2"})
+        assert is_ac_tag("div", {"USE": "1"})
 
     def test_div_without_escudo_attributes_is_not(self):
         assert not is_ac_tag("div", {"class": "post"})

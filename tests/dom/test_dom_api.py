@@ -19,7 +19,7 @@ PAGE = (
     "<html><head><title>Forum</title></head><body>"
     '<div id="chrome"><h1 id="banner">Forum</h1></div>'
     '<div id="posts">'
-    '<div class="post" id="post-1" ring="3"><p id="body-1">untrusted text</p></div>'
+    '<div class="post" id="post-1" ring="3" read="2"><p id="body-1">untrusted text</p></div>'
     "</div>"
     "</body></html>"
 )
@@ -127,14 +127,14 @@ class TestMediatedWrites:
 
 
 class TestTamperProtection:
-    @pytest.mark.parametrize("attribute", ["ring", "r", "w", "x", "nonce"])
+    @pytest.mark.parametrize("attribute", ["ring", "r", "w", "x", "nonce", "read", "write", "use"])
     def test_escudo_attributes_are_never_readable(self, attribute):
         api = api_for(0)
         handle = api.get_element_by_id("post-1")
         assert handle.get_attribute(attribute) is None
         assert api.monitor.stats.denied_by_rule.get("tamper-protection", 0) >= 1
 
-    @pytest.mark.parametrize("attribute", ["ring", "r", "w", "x", "nonce"])
+    @pytest.mark.parametrize("attribute", ["ring", "r", "w", "x", "nonce", "read", "write", "use"])
     def test_escudo_attributes_are_never_writable(self, attribute):
         api = api_for(0)
         handle = api.get_element_by_id("post-1")
