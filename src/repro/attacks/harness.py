@@ -11,6 +11,10 @@ The harness encapsulates the shared choreography:
 3. *plant* the attack (post the malicious content, or publish the lure page);
 4. have the victim browse the relevant page;
 5. classify the outcome with the attack's own success predicate.
+
+The applications and the attack corpus are fixed at import:
+:data:`APPLICATIONS` maps each application key to its class, and
+:func:`registered_attacks` concatenates the category modules' attacks.
 """
 
 from __future__ import annotations
@@ -28,63 +32,18 @@ from repro.webapps.phpcalendar import PhpCalendar
 
 from .attacker import AttackerSite
 
-#: The built-in application keys (kept for backwards compatibility; the live
-#: set is :func:`app_keys`, which reflects runtime registrations too).
-APP_KEYS = ("phpbb", "phpcalendar", "blog")
-
-#: Factory registry: app key -> callable(**kwargs) -> WebApplication.
-#: Scenario-driven applications plug in here via :func:`register_application`
-#: instead of editing this module.
-_APP_FACTORIES: dict[str, Callable[..., WebApplication]] = {
+#: The target applications by key.
+APPLICATIONS: dict[str, type[WebApplication]] = {
     "phpbb": PhpBB,
     "phpcalendar": PhpCalendar,
     "blog": Blog,
 }
 
-
-def register_application(key: str, factory: Callable[..., WebApplication], *, replace: bool = False) -> None:
-    """Register an application factory under ``key``.
-
-    ``factory`` must accept the harness keyword flags (``escudo_enabled``,
-    ``input_validation``, ``csrf_protection``) the way the built-in
-    applications do.  Re-registering an existing key requires ``replace=True``
-    so accidental shadowing of the paper's case studies fails loudly.
-    """
-    if not key:
-        raise ValueError("application key must be non-empty")
-    if key in _APP_FACTORIES and not replace:
-        raise ValueError(f"application key {key!r} is already registered (pass replace=True to override)")
-    _APP_FACTORIES[key] = factory
-
-
-def unregister_application(key: str) -> None:
-    """Remove a registered application (built-ins included -- use with care)."""
-    _APP_FACTORIES.pop(key, None)
-
-
-def app_keys() -> tuple[str, ...]:
-    """Every currently registered application key, registration order."""
-    return tuple(_APP_FACTORIES)
-
-
-#: Attack-corpus registry: callables returning lists of :class:`Attack`.
-#: Scenario-driven corpora plug in here via :func:`register_attack_factory`.
-_ATTACK_FACTORIES: list[Callable[[], "list[Attack]"]] = []
-
-
-def register_attack_factory(factory: Callable[[], "list[Attack]"]) -> None:
-    """Add a corpus factory whose attacks :func:`registered_attacks` includes."""
-    _ATTACK_FACTORIES.append(factory)
-
-
-def unregister_attack_factory(factory: Callable[[], "list[Attack]"]) -> None:
-    """Remove a previously registered corpus factory."""
-    if factory in _ATTACK_FACTORIES:
-        _ATTACK_FACTORIES.remove(factory)
+APP_KEYS = tuple(APPLICATIONS)
 
 
 def registered_attacks() -> "list[Attack]":
-    """The full attack corpus: built-in modules plus runtime registrations.
+    """The full attack corpus, every category module in order.
 
     Imported lazily to avoid a cycle (the corpus modules import this one).
     """
@@ -94,16 +53,13 @@ def registered_attacks() -> "list[Attack]":
     from .toctou import all_toctou_attacks
     from .xss import all_xss_attacks
 
-    corpus = (
+    return (
         all_xss_attacks()
         + all_csrf_attacks()
         + all_node_splitting_attacks()
         + all_privilege_escalation_attacks()
         + all_toctou_attacks()
     )
-    for factory in _ATTACK_FACTORIES:
-        corpus.extend(factory())
-    return corpus
 
 
 @dataclass
@@ -207,9 +163,9 @@ def make_application(app_key: str, *, escudo_enabled: bool = True, **kwargs) -> 
     """
     kwargs.setdefault("input_validation", False)
     kwargs.setdefault("csrf_protection", False)
-    factory = _APP_FACTORIES.get(app_key)
+    factory = APPLICATIONS.get(app_key)
     if factory is None:
-        raise ValueError(f"unknown application key {app_key!r}; expected one of {app_keys()}")
+        raise ValueError(f"unknown application key {app_key!r}; expected one of {APP_KEYS}")
     return factory(escudo_enabled=escudo_enabled, **kwargs)
 
 

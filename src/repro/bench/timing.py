@@ -79,7 +79,7 @@ def time_callable(fn: Callable[[], object], repetitions: int) -> TimingSample:
     return TimingSample.from_durations(durations)
 
 
-def parse_and_render(workload: Workload, *, escudo: bool, render: bool = True):
+def parse_and_render(workload: Workload, *, escudo: bool):
     """Run the loader pipeline once on a workload variant and return the page.
 
     The comparison mirrors the paper's: the *same* ESCUDO-configured page is
@@ -90,14 +90,14 @@ def parse_and_render(workload: Workload, *, escudo: bool, render: bool = True):
     security-context tracking -- not the cost of the extra markup bytes.
     """
     if escudo:
-        options = LoaderOptions(model="escudo", render=render)
+        options = LoaderOptions(model="escudo")
         return load_page(workload.escudo_html, workload.url,
                          configuration=workload.configuration, options=options)
-    options = LoaderOptions(model="sop", render=render)
+    options = LoaderOptions(model="sop")
     return load_page(workload.escudo_html, workload.url, configuration=None, options=options)
 
 
-def measure_workload(workload: Workload, *, repetitions: int = 30, render: bool = True) -> OverheadRow:
+def measure_workload(workload: Workload, *, repetitions: int = 30) -> OverheadRow:
     """Measure one scenario with and without ESCUDO (Figure 4's comparison).
 
     The two variants are timed *interleaved* (baseline, ESCUDO, baseline,
@@ -109,14 +109,14 @@ def measure_workload(workload: Workload, *, repetitions: int = 30, render: bool 
     escudo_durations: list[float] = []
     for _ in range(repetitions):
         start = time.perf_counter()
-        parse_and_render(workload, escudo=False, render=render)
+        parse_and_render(workload, escudo=False)
         baseline_durations.append(time.perf_counter() - start)
         start = time.perf_counter()
-        parse_and_render(workload, escudo=True, render=render)
+        parse_and_render(workload, escudo=True)
         escudo_durations.append(time.perf_counter() - start)
     without = TimingSample.from_durations(baseline_durations)
     with_escudo = TimingSample.from_durations(escudo_durations)
-    sample_page = parse_and_render(workload, escudo=True, render=render)
+    sample_page = parse_and_render(workload, escudo=True)
     mediations, rate = measure_page_mediation(sample_page)
     return OverheadRow(
         scenario=workload.name,
@@ -157,9 +157,9 @@ def measure_page_mediation(page, *, passes: int = 3) -> tuple[int, float]:
     return mediations, rate
 
 
-def measure_all(workloads: list[Workload], *, repetitions: int = 30, render: bool = True) -> list[OverheadRow]:
+def measure_all(workloads: list[Workload], *, repetitions: int = 30) -> list[OverheadRow]:
     """Measure every scenario."""
-    return [measure_workload(w, repetitions=repetitions, render=render) for w in workloads]
+    return [measure_workload(w, repetitions=repetitions) for w in workloads]
 
 
 def average_overhead(rows: list[OverheadRow]) -> float:

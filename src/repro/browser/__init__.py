@@ -1,6 +1,6 @@
 """Browser substrate: the Lobo-prototype equivalent of the reproduction."""
 
-from .browser import Browser, LoadedPage, make_browser
+from .browser import Browser, LoadedPage
 from .compile_cache import CachedTemplate, CompileCaches, TemplateCache
 from .history import BrowserHistory, HistoryEntry
 from .labeler import LabelingStats, PageLabeler, document_uses_escudo
@@ -35,6 +35,5 @@ __all__ = [
     "XmlHttpRequest",
     "document_uses_escudo",
     "load_page",
-    "make_browser",
     "render_document",
 ]

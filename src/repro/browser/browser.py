@@ -73,7 +73,6 @@ class Browser:
         network: Network,
         *,
         model: str = "escudo",
-        run_scripts: bool = True,
         fetch_subresources: bool = True,
         max_script_steps: int = 500_000,
         enforce_scoping: bool = True,
@@ -88,7 +87,6 @@ class Browser:
             raise ValueError(f"unknown script engine {script_engine!r}")
         self.network = network
         self.model = "sop" if model in ("sop", "same-origin") else "escudo"
-        self.run_scripts = run_scripts
         self.fetch_subresources = fetch_subresources
         self.max_script_steps = max_script_steps
         # Disabling the scoping rule is exclusively for the ablation
@@ -197,8 +195,7 @@ class Browser:
 
         if self.fetch_subresources:
             loaded.subresource_requests = self._fetch_subresources(page)
-        if self.run_scripts:
-            runtime.run_document_scripts()
+        runtime.run_document_scripts()
         # Settle the load's time-zero horizon: immediate tasks (zero-delay
         # timers, synchronously-drained dispatches) complete before load()
         # returns, while positively-delayed timers and queued async XHR
@@ -526,10 +523,5 @@ def _page_title(page: Page) -> str:
     return titles[0].text_content if titles else ""
 
 
-def make_browser(network: Network, model: str = "escudo", **kwargs) -> Browser:
-    """Convenience factory mirroring the examples' usage."""
-    return Browser(network, model=model, **kwargs)
-
-
 #: Convenience re-export so callers can build an Origin without importing core.
-__all__ = ["Browser", "LoadedPage", "Origin", "make_browser"]
+__all__ = ["Browser", "LoadedPage", "Origin"]

@@ -13,8 +13,8 @@ the scenario runner, across whole scenarios):
   unmatched terminator is ignored in both modes), so one entry serves both
   pipelines and the loader replays or withholds the mismatch records per
   page.  Labelled variants (per
-  configuration fingerprint) and render statistics (per viewport) are cached
-  per template, so a warm load skips tokenising, tree construction,
+  configuration fingerprint) and the render statistics are cached per
+  template, so a warm load skips tokenising, tree construction,
   labelling *and* layout.  The pristine trees are never handed out -- every
   consumer gets an aliasing-free clone, so page mutations cannot poison the
   cache or leak into sibling loads.  Each clone carries a
@@ -67,7 +67,7 @@ class CachedTemplate:
         "ignored_end_tags",
         "mismatches",
         "variants",
-        "render_cache",
+        "rendering",
     )
 
     def __init__(
@@ -89,8 +89,8 @@ class CachedTemplate:
         #: (config fingerprint, escudo_enabled, enforce_scoping) ->
         #: (pristine labelled tree, labelling stats).
         self.variants: dict[tuple, tuple[Document, LabelingStats]] = {}
-        #: viewport width -> pristine render statistics.
-        self.render_cache: dict[float, RenderStats] = {}
+        #: Render statistics of the pristine tree, computed on first use.
+        self.rendering: RenderStats | None = None
 
     def release(self) -> None:
         """Release the pristine tree and every labelled variant (eviction)."""
@@ -197,19 +197,17 @@ class TemplateCache:
         pristine, stats = variant
         return pristine.clone(), _copy_labeling_stats(stats)
 
-    def render_stats(
-        self, template: CachedTemplate, *, viewport_width: float
-    ) -> RenderStats:
-        """Render statistics for ``template`` at ``viewport_width``.
+    def render_stats(self, template: CachedTemplate) -> RenderStats:
+        """Render statistics for ``template`` at the default viewport.
 
-        The synthetic renderer is a pure function of tree structure and
-        viewport (labels do not affect layout), so the stats are computed on
-        the pristine tree once per viewport and copied per page.
+        The synthetic renderer is a pure function of tree structure (labels
+        do not affect layout), so the stats are computed on the pristine
+        tree once and copied per page.
         """
-        stats = template.render_cache.get(viewport_width)
+        stats = template.rendering
         if stats is None:
-            _, stats = Renderer(viewport_width=viewport_width).render(template.document)
-            template.render_cache[viewport_width] = stats
+            _, stats = Renderer().render(template.document)
+            template.rendering = stats
         return RenderStats(
             boxes=stats.boxes,
             text_runs=stats.text_runs,

@@ -72,16 +72,7 @@ class EventLoopStats:
 
     tasks_run: int = 0
     timers_fired: int = 0
-    microtasks_run: int = 0
     cancelled: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "tasks_run": self.tasks_run,
-            "timers_fired": self.timers_fired,
-            "microtasks_run": self.microtasks_run,
-            "cancelled": self.cancelled,
-        }
 
 
 def _mix(key: int, seq: int) -> int:
@@ -208,11 +199,6 @@ class EventLoop:
             heapq.heappop(self._heap)
         return self._heap[0][3].due if self._heap else None
 
-    def pending_tasks(self) -> list[ScheduledTask]:
-        """Live macrotasks in execution order (without running them)."""
-        live = [entry for entry in self._heap if not entry[3].cancelled]
-        return [task for _, _, _, task in sorted(live)]
-
     # -- execution ------------------------------------------------------------------
 
     def run_task(self, task: ScheduledTask | int) -> bool:
@@ -316,6 +302,5 @@ class EventLoop:
                     f"microtask queue did not drain within {self.task_budget} steps"
                 )
             callback = self._microtasks.popleft()
-            self.stats.microtasks_run += 1
             callback()
             guard += 1

@@ -25,7 +25,7 @@ from .compile_cache import CompileCaches
 from .event_loop import EventLoop
 from .labeler import PageLabeler, document_uses_escudo
 from .page import Page
-from .renderer import Renderer, RenderStats
+from .renderer import Renderer
 
 
 @dataclass
@@ -35,13 +35,12 @@ class LoaderOptions:
     ``model`` selects the protection model ("escudo" or "sop").  With the
     SOP model, the ESCUDO-specific stages (AC-tag labelling, nonce checks)
     are skipped entirely, which is what the overhead benchmark's baseline
-    ("Without Escudo" in Figure 4) requires.
-    ``render`` can be switched off for parse-only measurements.
+    ("Without Escudo" in Figure 4) requires.  ``enforce_scoping=False``
+    disables the scoping rule for the ablation benchmark.  Every page is
+    rendered at the renderer's default viewport.
     """
 
     model: str = "escudo"
-    render: bool = True
-    viewport_width: float = 1024.0
     enforce_scoping: bool = True
 
     def build_policy(self) -> Policy:
@@ -79,7 +78,7 @@ def load_page(
         omitted, a legacy (no-ESCUDO-headers) configuration is assumed; AC
         tags in the body can still switch the page into ESCUDO mode.
     options:
-        Pipeline options (protection model, rendering on/off).
+        Pipeline options (protection model, scoping rule).
     monitor:
         Reference monitor to attach to the page.  A fresh one (with the
         model chosen by ``options``) is created when omitted.
@@ -168,10 +167,7 @@ def _compile_cold(body: str, page_url: Url, config: PageConfiguration, opts: Loa
     labeling_stats = labeler.label_document(document)
 
     # 4. Render.
-    if opts.render:
-        _, render_stats = Renderer(viewport_width=opts.viewport_width).render(document)
-    else:
-        render_stats = RenderStats()
+    _, render_stats = Renderer().render(document)
     return (
         document,
         config,
@@ -204,18 +200,12 @@ def _compile_cached(
         escudo_enabled=escudo_enabled,
         enforce_scoping=opts.enforce_scoping,
     )
-    if opts.render:
-        render_stats = caches.templates.render_stats(
-            template, viewport_width=opts.viewport_width
-        )
-    else:
-        render_stats = RenderStats()
     return (
         document,
         config,
         escudo_enabled,
         labeling_stats,
-        render_stats,
+        caches.templates.render_stats(template),
         template.make_validator(replay=bool(opts.escudo_bookkeeping)),
         template.ignored_end_tags,
     )

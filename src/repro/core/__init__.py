@@ -34,7 +34,7 @@ from .errors import (
     TamperingError,
     UnknownOperationError,
 )
-from .monitor import AuditLog, EscudoReferenceMonitor, MonitorStats, ReferenceMonitor
+from .monitor import AuditLog, MonitorStats, ReferenceMonitor
 from .nonce import NONCE_ATTRIBUTE, NonceGenerator, NonceMismatch, NonceValidator
 from .objects import (
     BROWSER_STATE_OBJECTS,
@@ -91,7 +91,6 @@ __all__ = [
     "ContextTracker",
     "EscudoError",
     "EscudoPolicy",
-    "EscudoReferenceMonitor",
     "MonitorStats",
     "NonceError",
     "NonceGenerator",

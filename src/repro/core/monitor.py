@@ -50,12 +50,10 @@ class MonitorStats:
     allowed: int = 0
     denied: int = 0
     denied_by_rule: Counter = field(default_factory=Counter)
-    by_operation: Counter = field(default_factory=Counter)
 
     def record(self, decision: AccessDecision) -> None:
         """Fold one decision into the counters."""
         self.total += 1
-        self.by_operation[decision.operation.value] += 1
         if decision.allowed:
             self.allowed += 1
         else:
@@ -70,7 +68,6 @@ class MonitorStats:
         self.allowed = 0
         self.denied = 0
         self.denied_by_rule.clear()
-        self.by_operation.clear()
 
 
 class AuditLog:
@@ -349,6 +346,3 @@ class ReferenceMonitor:
         """Name of the enforced policy (``"escudo"`` or ``"same-origin"``)."""
         return self.policy.name
 
-
-#: Backwards-friendly alias matching the paper's terminology.
-EscudoReferenceMonitor = ReferenceMonitor

@@ -1,7 +1,7 @@
 """DOM substrate: the tree, traversal, events and the mediated DOM API."""
 
 from .document import Document
-from .dom_api import DomApi, DomApiStats, ElementHandle
+from .dom_api import DomApi, ElementHandle
 from .element import RAW_TEXT_ELEMENTS, VOID_ELEMENTS, Element
 from .events import SUPPORTED_EVENT_TYPES, Event, EventDispatcher, nodes_with_inline_handlers
 from .node import CommentNode, Node, NodeType, TextNode
@@ -21,7 +21,6 @@ __all__ = [
     "CommentNode",
     "Document",
     "DomApi",
-    "DomApiStats",
     "Element",
     "ElementHandle",
     "Event",

@@ -46,25 +46,6 @@ from .node import TextNode
 from .traversal import query_selector, query_selector_all
 
 
-@dataclass
-class DomApiStats:
-    """Counters the overhead benchmark reads from a script run."""
-
-    reads: int = 0
-    writes: int = 0
-    denied: int = 0
-    created_elements: int = 0
-
-    def note(self, decision: AccessDecision) -> None:
-        """Fold one mediation result into the counters."""
-        if decision.operation is Operation.READ:
-            self.reads += 1
-        elif decision.operation is Operation.WRITE:
-            self.writes += 1
-        if decision.denied:
-            self.denied += 1
-
-
 class ElementHandle:
     """Script-visible wrapper around one DOM element."""
 
@@ -218,7 +199,6 @@ class DomApi:
         self.monitor = monitor
         self.principal = principal
         self.api_object = api_object
-        self.stats = DomApiStats()
         self.last_denial: AccessDecision | None = None
         self._listener_registry = listener_registry
         self._default_new_element_acl = default_new_element_acl
@@ -273,7 +253,6 @@ class DomApi:
         )
         if api_decision.denied:
             self.last_denial = api_decision
-            self.stats.note(api_decision)
             return False
         return True
 
@@ -282,7 +261,6 @@ class DomApi:
         if not self._use_api_allowed():
             return False
         decision = self.monitor.authorize(self.principal, self._decision_target(element), operation)
-        self.stats.note(decision)
         if decision.denied:
             self.last_denial = decision
             return False
@@ -304,7 +282,6 @@ class DomApi:
         decisions = self.monitor.authorize_all(self.principal, targets, operation)
         verdicts: list[bool] = []
         for decision in decisions:
-            self.stats.note(decision)
             if decision.denied:
                 self.last_denial = decision
             verdicts.append(decision.allowed)
@@ -320,7 +297,6 @@ class DomApi:
             reason=f"attribute {attribute!r} holds ESCUDO configuration",
             object_label=f"<{element.tag_name}>",
         )
-        self.stats.note(decision)
         self.last_denial = decision
 
     def register_listener(self, element: Element, event_type: str, listener: Callable) -> None:
@@ -401,9 +377,7 @@ class DomApi:
 
     def create_element(self, tag_name: str) -> ElementHandle:
         """``document.createElement`` -- the element is labelled on insertion."""
-        element = self.document.create_element(tag_name)
-        self.stats.created_elements += 1
-        return self.wrap(element)
+        return self.wrap(self.document.create_element(tag_name))
 
     @property
     def body(self) -> ElementHandle | None:

@@ -28,6 +28,8 @@ import json
 import sys
 from pathlib import Path
 
+from repro.faults.plan import FaultConfig
+
 from .generator import ScenarioGenerator
 from .oracle import DifferentialOracle
 from .parallel import run_suite_parallel
@@ -157,6 +159,18 @@ def _parse_args(argv) -> argparse.Namespace:
     return args
 
 
+def _fault_config(args: argparse.Namespace) -> "FaultConfig | None":
+    """The fault plane the flags arm (``None`` without ``--faults``)."""
+    if args.faults <= 0.0:
+        return None
+    seed_text = args.fault_seed
+    return FaultConfig.uniform(
+        seed=int(seed_text) if seed_text.lstrip("-").isdigit() else seed_text,
+        rate=args.faults,
+        retries=not args.no_fault_retries,
+    )
+
+
 def _replay_one(args: argparse.Namespace) -> int:
     from .generator import parse_replay_token
 
@@ -168,20 +182,26 @@ def _replay_one(args: argparse.Namespace) -> int:
     report = (lambda *a, **kw: print(*a, file=sys.stderr, **kw)) if args.spec else print
     if args.spec:
         print(json.dumps(scenario.to_dict(), indent=2, sort_keys=True))
+    faults = _fault_config(args)
     runner = ScenarioRunner(
         models=args.matrix,
         script_engine="walker" if args.ast_walker else "vm",
         storage=args.backend,
+        faults=faults,
     )
     runs = runner.run(scenario)
     verdict = DifferentialOracle().classify(scenario, runs)
     status = "ok" if verdict.ok else "FAIL"
     report(f"[{status}] {scenario.name} ({scenario.kind}): {verdict.reason}")
     for model, run in runs.items():
-        report(
+        line = (
             f"  {model:>6}: digest {run.digest[:12]} | {run.mediations} mediations "
             f"({run.denied} denied) | {run.pages_loaded} pages"
         )
+        if faults is not None:
+            injected = sum(run.faults.get("injected", {}).values())
+            line += f" | {injected} faults injected"
+        report(line)
     return 0 if verdict.ok else 1
 
 
@@ -189,17 +209,6 @@ def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     if args.replay:
         return _replay_one(args)
-
-    faults = None
-    if args.faults > 0.0:
-        from repro.faults.plan import FaultConfig
-
-        seed_text = args.fault_seed
-        faults = FaultConfig.uniform(
-            seed=int(seed_text) if seed_text.lstrip("-").isdigit() else seed_text,
-            rate=args.faults,
-            retries=not args.no_fault_retries,
-        )
 
     # Suite runs always go through the sharded executor: with --workers 1 its
     # one worker loop runs in-process (no pool) over the same steal chunks,
@@ -215,7 +224,7 @@ def main(argv=None) -> int:
         script_engine="walker" if args.ast_walker else "vm",
         storage=args.backend,
         steal_chunk=args.steal_chunk or None,
-        faults=faults,
+        faults=_fault_config(args),
         crash_schedule=args.crash_chunk or None,
     )
     if args.json:

@@ -3,14 +3,14 @@
 Every scenario is generated from an isolated ``random.Random`` instance
 keyed by ``(suite seed, scenario index)``, so scenario ``i`` of seed ``s``
 is always the same scenario -- independent of how many scenarios were
-generated before it, which attacks are registered, or the order tests run
-in.  A failing fuzz case therefore shrinks to a two-number replay token
-(``"<seed>:<index>"``) that reproduces it forever.
+generated before it or the order tests run in.  A failing fuzz case
+therefore shrinks to a two-number replay token (``"<seed>:<index>"``) that
+reproduces it forever.
 
 A replay token pins the scenario *relative to the generator configuration*:
-the same seed, index, ``attack_ratio``, application set and registered
-attack corpus always regenerate the same scenario.  Changing any of those
-(e.g. a different ``--attack-ratio``, or registering extra attacks) shifts
+the same seed, index, ``attack_ratio``, application set and attack corpus
+always regenerate the same scenario.  Changing any of those (e.g. a
+different ``--attack-ratio``, or adding an attack to the corpus) shifts
 what a token maps to -- to pin a scenario *permanently*, serialise it with
 ``Scenario.to_dict()`` (the CLI's ``--replay <token> --spec``) and replay
 the dict.
@@ -43,9 +43,9 @@ regression corpus both depend on this; it is locked in by
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.attacks.harness import Attack, app_keys, registered_attacks
+from repro.attacks.harness import APP_KEYS, Attack, registered_attacks
 
 from .model import (
     ROLE_ATTACKER,
@@ -112,23 +112,16 @@ class ScenarioGenerator:
     #: Step budget for the benign portion of a scenario.
     min_steps: int = 3
     max_steps: int = 7
-    _attack_names: tuple[str, ...] = field(default=(), repr=False)
-
-    #: Applications the generator has a step vocabulary for.
-    KNOWN_APPS = ("phpbb", "phpcalendar", "blog")
 
     def __post_init__(self) -> None:
         if not self.apps:
-            self.apps = tuple(key for key in self.KNOWN_APPS if key in app_keys())
-        unknown = [key for key in self.apps if key not in self.KNOWN_APPS]
+            self.apps = APP_KEYS
+        unknown = [key for key in self.apps if key not in APP_KEYS]
         if unknown:
             raise ValueError(
                 f"no generator vocabulary for application(s) {unknown}; the seeded "
-                f"generator covers {self.KNOWN_APPS}. Registered custom apps can "
-                "still be driven with hand-written Scenario specs."
+                f"generator covers {APP_KEYS}."
             )
-        if not self._attack_names:
-            self._attack_names = tuple(sorted(attack_corpus()))
 
     # -- public API -----------------------------------------------------------------------
 
@@ -140,7 +133,7 @@ class ScenarioGenerator:
         """Scenario ``index`` of this seed (stable under replay)."""
         rng = self._rng(index)
         gate = rng.random()  # always drawn, so benign() consumes the same stream
-        if self._attack_names and gate < self.attack_ratio:
+        if gate < self.attack_ratio:
             return self._attack_scenario(rng, index)
         return self._benign_scenario(rng, index)
 
@@ -194,7 +187,8 @@ class ScenarioGenerator:
         )
 
     def _attack_scenario(self, rng: random.Random, index: int) -> Scenario:
-        attack = attack_by_name(rng.choice(self._attack_names))
+        corpus = attack_corpus()
+        attack = corpus[rng.choice(sorted(corpus))]
         victim = Actor(name="victim", role=ROLE_VICTIM)
         attacker = Actor(name="mallory", role=ROLE_ATTACKER)
         bystanders = [

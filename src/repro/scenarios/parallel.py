@@ -31,12 +31,8 @@ seeded index space over N worker processes:
 Worker processes are plain :class:`multiprocessing.Process` instances on an
 explicitly pinned context (``fork`` where the platform offers it, else
 ``spawn`` -- never the platform default, which has changed across Python
-releases).  Under ``fork`` workers inherit runtime application / attack
-registrations; under ``spawn`` only import-time registrations exist, and an
-unknown attack name fails loudly in the worker rather than silently
-generating different scenarios (the parent snapshots its attack corpus into
-the shard config).  Everything crossing the process boundary is plain
-data: the config and index chunks going out, dict messages coming back.
+releases).  Everything crossing the process boundary is plain data: the
+config and index chunks going out, dict messages coming back.
 Failing specs are pinned into the regression corpus
 (:mod:`repro.scenarios.corpus`) from the parent process only (a single
 writer, so no file races between workers).
@@ -99,9 +95,8 @@ def resolve_mp_context(name: str | None) -> str:
     """The pinned start method: an explicit ``name``, else fork-if-available.
 
     The *platform default* is deliberately never used -- it has changed
-    across Python releases (``fork`` -> ``forkserver``/``spawn``), and the
-    executor's registry semantics (runtime registrations survive only under
-    ``fork``) must not silently flip with an interpreter upgrade.
+    across Python releases (``fork`` -> ``forkserver``/``spawn``), and how
+    workers start must not silently flip with an interpreter upgrade.
     """
     if name:
         if name not in multiprocessing.get_all_start_methods():
@@ -129,7 +124,6 @@ def _build_worker_generator(config: dict) -> ScenarioGenerator:
         seed=config["seed"],
         apps=tuple(config["apps"]),
         attack_ratio=config["attack_ratio"],
-        _attack_names=tuple(config["attack_names"]),
     )
 
 
@@ -542,9 +536,8 @@ def run_suite_parallel(
     if isinstance(faults, dict):
         faults = FaultConfig.from_dict(faults)
     model_names = tuple(spec.name for spec in resolve_models(models))
-    # The parent-side generator is only a configuration snapshot: its apps
-    # and attack-name tuple travel to the workers so every process generates
-    # from the identical vocabulary, runtime registrations included.
+    # The parent-side generator is only a configuration snapshot: its
+    # validated app tuple travels to the workers with the seed and ratio.
     generator = ScenarioGenerator(seed=seed, attack_ratio=attack_ratio)
     shard_count = max(1, min(requested, count))
     chunk_size = int(steal_chunk) if steal_chunk else default_steal_chunk(count, shard_count)
@@ -566,7 +559,6 @@ def run_suite_parallel(
         "seed": generator.seed,
         "apps": generator.apps,
         "attack_ratio": generator.attack_ratio,
-        "attack_names": generator._attack_names,
         "models": model_names,
         "compile_caches": compile_caches,
         "script_engine": script_engine,

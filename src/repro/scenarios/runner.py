@@ -44,6 +44,7 @@ from repro.attacks.harness import Attack, AttackEnvironment, AttackResult, build
 from repro.browser.browser import Browser, LoadedPage
 from repro.browser.compile_cache import CompileCaches
 from repro.faults.plan import FaultConfig, FaultPlan
+from repro.webapps.framework import snapshot_digest
 
 from .generator import attack_by_name
 from .model import TAB_ACTIONS, ModelSpec, Scenario, Step, resolve_models
@@ -183,7 +184,7 @@ class ScenarioRunner:
         for app_key in app_keys:
             self._warm_start(app_key)
 
-    def _app_kwargs(self, app_key: str, spec: ModelSpec) -> dict | None:
+    def _app_kwargs(self, app_key: str, spec: ModelSpec) -> dict:
         """Application construction flags for one matrix column.
 
         The worker-deterministic nonce seed makes unchanged pages
@@ -192,15 +193,11 @@ class ScenarioRunner:
         top of it.  The seed embeds the runner's random secret so nonce
         sequences stay unpredictable to attack payloads.
         """
-        kwargs: dict = {}
+        kwargs: dict = {"storage": self.storage}
         if self.caches is not None:
             kwargs["nonce_seed"] = f"scenario:{self._nonce_secret}:{app_key}:{spec.name}"
             kwargs["response_cache"] = True
-        if self.storage != "dict":
-            # Only forwarded when non-default so externally registered app
-            # factories that predate the storage tier keep working.
-            kwargs["storage"] = self.storage
-        return kwargs or None
+        return kwargs
 
     def _warm_start(self, app_key: str) -> None:
         """Seed the cache stack from the policy matrix for ``app_key``.
@@ -311,11 +308,12 @@ class ScenarioRunner:
             else:
                 self._execute(step, scenario, env, spec.browser_model)
 
+        snapshot = env.app.snapshot_state()
         run = ScenarioRun(
             scenario=scenario.name,
             model=spec.name,
-            digest=env.app.state_digest(),
-            snapshot=env.app.snapshot_state(),
+            digest=snapshot_digest(snapshot),
+            snapshot=snapshot,
             attack_result=attack_result,
             attack_denials=attack_denials,
         )

@@ -66,6 +66,12 @@ class RequestContext:
 Handler = Callable[[RequestContext], HttpResponse]
 
 
+def snapshot_digest(snapshot: dict) -> str:
+    """SHA-256 over the canonical JSON encoding of a state snapshot."""
+    canonical = json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 def _copy_response(response: HttpResponse) -> HttpResponse:
     """Independent copy of a response (fresh header map, shared body string)."""
     from repro.http.headers import Headers
@@ -126,13 +132,6 @@ class WebApplication:
         # and every subclass's content tables live in it.
         self.storage = make_backend(storage)
         self.sessions = SessionStore(seed=f"{origin}-sessions", backend=self.storage)
-        # State-digest memo: snapshot_state() is canonically re-dumped and
-        # hashed by every oracle check, so the digest is cached until the
-        # next state mutation.  Every content-table write bumps the backend's
-        # content version scope; session churn is tracked by the store's own
-        # version counter.
-        self._digest_cache: tuple[tuple[int, int], str] | None = None
-        self._snapshot_cache: tuple[tuple[int, int], dict] | None = None
         self._routes: list[Route] = []
         self.register_routes()
 
@@ -286,11 +285,7 @@ class WebApplication:
         session table (identifiers are deterministic per store seed, so they
         are comparable across runs too).
         """
-        token = (self._state_generation, self.sessions.version)
-        cached = self._snapshot_cache
-        if cached is not None and cached[0] == token:
-            return cached[1]
-        snapshot = {
+        return {
             "app": self.name,
             "origin": self.origin,
             "sessions": sorted(
@@ -298,11 +293,6 @@ class WebApplication:
             ),
             "content": self.snapshot_content(),
         }
-        # The memoised snapshot is shared between callers (the runner's
-        # per-model record and the digest below); it is treated as
-        # read-only everywhere, and any state mutation changes the token.
-        self._snapshot_cache = (token, snapshot)
-        return snapshot
 
     def snapshot_content(self) -> dict:
         """Application-specific state; subclasses override."""
@@ -313,26 +303,13 @@ class WebApplication:
         """The content-version counter (a row version in the SQLite tier).
 
         Every write to a content table bumps it automatically in the storage
-        backend, so a mutator cannot forget to invalidate the digest and
-        response memos.
+        backend, so a mutator cannot forget to invalidate the response memo.
         """
         return self.storage.version(CONTENT_SCOPE)
 
     def state_digest(self) -> str:
-        """SHA-256 over the canonical JSON encoding of :meth:`snapshot_state`.
-
-        Cached until the next state mutation: the differential oracle
-        digests every run (and the runner digests per model column), but the
-        state only changes when a handler actually mutates it.
-        """
-        token = (self._state_generation, self.sessions.version)
-        cached = self._digest_cache
-        if cached is not None and cached[0] == token:
-            return cached[1]
-        canonical = json.dumps(self.snapshot_state(), sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(canonical.encode()).hexdigest()
-        self._digest_cache = (token, digest)
-        return digest
+        """SHA-256 over the canonical JSON encoding of :meth:`snapshot_state`."""
+        return snapshot_digest(self.snapshot_state())
 
     # -- teardown -----------------------------------------------------------------------------------
 

@@ -30,8 +30,7 @@ from .storage import SESSION_SCOPE, StorageBackend, TableSpec
 #: The session table (modeled on phpBB's ``phpbb_sessions``): an
 #: auto-increment surrogate key, the cookie-visible identifier, the user,
 #: the JSON data blob, and the two row-version columns the response memo
-#: and digest caches key on; cookie lookups and per-user listings probe the
-#: two indexes.
+#: keys on; cookie lookups and per-user listings probe the two indexes.
 SESSIONS_TABLE = TableSpec(
     name="sessions",
     columns=("id", "session_id", "username", "data", "version", "epoch"),
@@ -100,10 +99,9 @@ class SessionStore:
         """Monotonic mutation counter over the session table.
 
         Bumped whenever the table changes -- create, **destroy**, and every
-        session-data write.  The application's state-digest cache and
-        GET-response memo key on it (directly and through each session's
-        ``epoch``), so logout invalidates exactly like login and data
-        writes do.
+        session-data write.  The application's GET-response memo keys on it
+        through each session's ``epoch``, so logout invalidates exactly like
+        login and data writes do.
         """
         return self._backend.version(SESSION_SCOPE)
 
@@ -125,8 +123,8 @@ class SessionStore:
         """Write a session's data and version columns through to the backend.
 
         This is the data-write notification path: the backend bumps the
-        session scope, so the store version -- and through it the
-        application state digest and every memo key -- reflects the write.
+        session scope, so the store version -- and through it every memo
+        key -- reflects the write.
         """
         self._backend.update(
             "sessions",

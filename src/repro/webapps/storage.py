@@ -3,7 +3,7 @@
 * :class:`StorageBackend` -- the interface: named tables of integer-keyed
   rows, batched inserts for bulk seeding, equality lookups on the primary
   key or a **declared index**, and **version scopes** (the row-version
-  counters the framework's state-digest and GET-response memos key on).
+  counters the framework's GET-response memo keys on).
   Every write bumps its table's scope, so a mutator can no longer forget
   to invalidate -- the storage layer owns invalidation.
 * :class:`DictBackend` -- in memory (the default); each declared index is
@@ -356,8 +356,8 @@ class SqliteBackend(StorageBackend):
 
     One connection per backend instance, owned exclusively by its
     application -- version counters are therefore mirrored in memory and
-    written through, so the hot-path reads (`state_digest` tokens, GET memo
-    keys) never touch the database.
+    written through, so the hot-path reads (GET memo keys) never touch the
+    database.
     """
 
     kind = "sqlite"

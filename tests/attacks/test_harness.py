@@ -7,19 +7,13 @@ import pytest
 from repro.attacks.harness import (
     APP_KEYS,
     Attack,
-    app_keys,
     build_environment,
     defense_effectiveness_matrix,
     login_victim,
     make_application,
     quick_blog_demo,
-    register_application,
-    register_attack_factory,
-    registered_attacks,
     run_attacks,
     summarize,
-    unregister_application,
-    unregister_attack_factory,
     visit,
     visit_attacker,
 )
@@ -50,58 +44,6 @@ class TestApplicationFactory:
         app = make_application("phpbb", escudo_enabled=False, input_validation=True)
         assert not app.escudo_enabled
         assert app.input_validation
-
-
-class TestRegistration:
-    """Scenario-driven applications and attacks plug in without module edits."""
-
-    def test_builtin_keys_are_registered(self):
-        assert set(APP_KEYS) <= set(app_keys())
-
-    def test_register_and_build_a_custom_application(self):
-        class Wiki(Blog):  # a stand-in "new" application
-            pass
-
-        register_application("wiki", Wiki)
-        try:
-            assert "wiki" in app_keys()
-            app = make_application("wiki")
-            assert isinstance(app, Wiki)
-            assert app.input_validation is False  # harness flags still applied
-            env = build_environment("wiki", "escudo")
-            assert env.app is not None
-        finally:
-            unregister_application("wiki")
-        assert "wiki" not in app_keys()
-
-    def test_reregistering_requires_replace(self):
-        with pytest.raises(ValueError):
-            register_application("phpbb", PhpBB)
-        register_application("phpbb", PhpBB, replace=True)  # restores the builtin
-
-    def test_empty_key_is_rejected(self):
-        with pytest.raises(ValueError):
-            register_application("", PhpBB)
-
-    def test_attack_factories_extend_the_corpus(self):
-        extra = Attack(
-            name="wiki-noop",
-            app_key="phpbb",
-            category="xss",
-            description="registered corpus entry",
-            plant=lambda env: None,
-            victim_action=lambda env: None,
-            succeeded=lambda env: False,
-        )
-        factory = lambda: [extra]  # noqa: E731
-        baseline = {a.name for a in registered_attacks()}
-        register_attack_factory(factory)
-        try:
-            names = {a.name for a in registered_attacks()}
-            assert names == baseline | {"wiki-noop"}
-        finally:
-            unregister_attack_factory(factory)
-        assert {a.name for a in registered_attacks()} == baseline
 
 
 class TestScenarioChoreography:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.browser.browser import Browser, make_browser
+from repro.browser.browser import Browser
 from repro.core.acl import Acl
 from repro.core.config import ResourcePolicy
 from repro.core.origin import Origin
@@ -47,11 +47,6 @@ class TestNavigation:
     def test_unknown_model_is_rejected(self):
         with pytest.raises(ValueError):
             Browser(Network(), model="capability")
-
-    def test_make_browser_factory(self, forum_network):
-        network, _ = forum_network
-        assert make_browser(network, "sop").model == "sop"
-        assert make_browser(network).model == "escudo"
 
     def test_subresources_are_fetched_as_their_element_principals(self, forum_network, forum_url):
         network, server = forum_network

@@ -54,10 +54,6 @@ class TestEscudoPipeline:
         assert not page.escudo_enabled
         assert page.document.get_element_by_id("x").security_context.ring == Ring(0)
 
-    def test_render_can_be_skipped(self):
-        page = load_page(FORUM_BODY, URL, options=LoaderOptions(render=False))
-        assert page.rendering.boxes == 0
-
     def test_explicit_monitor_is_used(self):
         from repro.core.monitor import ReferenceMonitor
 

@@ -125,13 +125,6 @@ class TestMonitorBookkeeping:
         assert ReferenceMonitor(EscudoPolicy()).model_name == "escudo"
         assert ReferenceMonitor(SameOriginPolicy()).model_name == "same-origin"
 
-    def test_by_operation_counter(self, origin):
-        monitor = ReferenceMonitor()
-        monitor.authorize(make_context(origin, 0), make_context(origin, 0), "read")
-        monitor.authorize(make_context(origin, 0), make_context(origin, 0), "write")
-        monitor.authorize(make_context(origin, 0), make_context(origin, 0), "write")
-        assert monitor.stats.by_operation["write"] == 2
-
 
 class TestAuditLog:
     def test_capacity_evicts_oldest(self, origin):

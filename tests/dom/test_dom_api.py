@@ -50,15 +50,15 @@ class TestMediatedReads:
         api = api_for(1)
         handle = api.get_element_by_id("body-1")
         assert handle.text_content == "untrusted text"
-        assert api.stats.reads >= 1
-        assert api.stats.denied == 0
+        assert api.monitor.stats.allowed >= 1
+        assert api.monitor.stats.denied == 0
 
     def test_unprivileged_principal_cannot_read_chrome(self):
         api = api_for(3)
         banner = api.get_element_by_id("banner")
         assert banner.text_content is None
         assert banner.get_attribute("id") is None
-        assert api.stats.denied >= 1
+        assert api.monitor.stats.denied >= 1
         assert api.last_denial is not None and api.last_denial.denied
 
     def test_inner_html_is_mediated(self):
@@ -90,7 +90,7 @@ class TestMediatedWrites:
         handle = api.get_element_by_id("banner")
         assert handle.set_text_content("Owned!") is False
         assert api.document.get_element_by_id("banner").text_content == "Forum"
-        assert api.stats.denied >= 1
+        assert api.monitor.stats.denied >= 1
 
     def test_acl_rule_restricts_same_ring_writes(self):
         # post-1 is ring 3 but its ACL says only rings <= 2 may write (message
@@ -223,11 +223,13 @@ class TestFacadeQueries:
         assert api.head.tag_name == "head"
         assert api.title == "Forum"
 
-    def test_create_element_counts(self):
+    def test_create_element_makes_a_detached_element_of_the_document(self):
         api = api_for(1)
-        api.create_element("div")
-        api.create_element("span")
-        assert api.stats.created_elements == 2
+        handle = api.create_element("span")
+        assert handle.tag_name == "span"
+        assert handle._element.owner_document is api.document
+        assert handle._element.parent is None
+        assert api.monitor.stats.total == 0
 
     def test_add_event_listener_routes_through_registry(self):
         registered = []

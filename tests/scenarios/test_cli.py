@@ -162,3 +162,18 @@ class TestReplay:
         rc = main(["--replay", "42:0"])
         assert rc == 0
         assert "[ok]" in capsys.readouterr().out
+
+    def test_replay_arms_the_fault_plane_from_the_flags(self, capsys):
+        rc = main(["--replay", "42:3", "--faults", "0.3"])
+        assert rc == 0
+        model_lines = capsys.readouterr().out.splitlines()[1:]
+        assert len(model_lines) == 3
+        for line in model_lines:
+            injected = line.rpartition("|")[2].split()
+            assert injected[1:] == ["faults", "injected"], line
+            assert int(injected[0]) > 0, line
+
+    def test_replay_without_faults_injects_none(self, capsys):
+        rc = main(["--replay", "42:3"])
+        assert rc == 0
+        assert "faults injected" not in capsys.readouterr().out

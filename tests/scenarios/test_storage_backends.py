@@ -8,6 +8,8 @@ less would mean the storage layer leaks into application-visible state.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sqlite3
 
 import pytest
@@ -55,13 +57,11 @@ class TestRunnerWiring:
         kwargs = runner._app_kwargs(scenario.app_key, runner.specs[0])
         assert kwargs == {"storage": "sqlite"}
 
-    def test_dict_runner_omits_the_storage_kwarg(self):
-        # Externally registered app factories may predate the storage tier;
-        # the default backend must not be forced on them.
+    def test_dict_runner_forwards_the_storage_kwarg(self):
         runner = ScenarioRunner(storage="dict", compile_caches=False)
-        assert runner._app_kwargs("phpbb", runner.specs[0]) is None
+        assert runner._app_kwargs("phpbb", runner.specs[0]) == {"storage": "dict"}
         cached = ScenarioRunner(storage="dict", compile_caches=True)
-        assert "storage" not in cached._app_kwargs("phpbb", cached.specs[0])
+        assert cached._app_kwargs("phpbb", cached.specs[0])["storage"] == "dict"
 
     def test_single_replay_matches_across_backends(self):
         scenario = ScenarioGenerator(seed=SEED, attack_ratio=0.5).scenario(3)
@@ -89,6 +89,25 @@ class TestRunnerWiring:
         for backend in backends:
             with pytest.raises(sqlite3.ProgrammingError):
                 backend.all("sessions")
+
+
+class TestRunDigest:
+    """A run's digest is the canonical SHA-256 of the snapshot it records."""
+
+    @pytest.mark.parametrize("storage", ["dict", "sqlite"])
+    @pytest.mark.parametrize("kind", ["benign", "attack"])
+    def test_run_digest_is_the_digest_of_its_snapshot(self, storage, kind):
+        if kind == "benign":
+            scenario = ScenarioGenerator(seed=SEED).benign(0)
+        else:
+            scenario = ScenarioGenerator(seed=SEED, attack_ratio=1.0).scenario(0)
+        assert scenario.kind == kind
+        runs = ScenarioRunner(storage=storage).run(scenario)
+        assert len(runs) == 3
+        for run in runs.values():
+            canonical = json.dumps(run.snapshot, sort_keys=True, separators=(",", ":"))
+            assert run.digest == hashlib.sha256(canonical.encode()).hexdigest()
+            assert set(run.snapshot) == {"app", "origin", "sessions", "content"}
 
 
 class TestCliBackendFlag:

@@ -1,10 +1,11 @@
-"""State-digest memoisation and the opt-in GET response cache.
+"""State digests and the opt-in GET response cache.
 
-The differential oracle digests application state constantly; the digest
-(and the snapshot it hashes) must be cached *exactly* until the next state
-mutation.  Every mutator of every built-in application is exercised here --
-a mutator that forgets to advance the generation would let the oracle
-compare stale state and mask a real divergence.
+The differential oracle digests application state once per run, so the
+digest must follow every state mutation.  Every mutator of every built-in
+application is exercised here: a digest that missed a mutation would let
+the oracle compare stale state and mask a real divergence.  The GET memo
+keys on the content generation and the session versions, so a mutator
+that forgot to advance them would serve a stale page.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ class TestDigestMemo:
     def test_repeated_digests_are_cached_and_equal(self):
         app = PhpBB()
         assert app.state_digest() == app.state_digest()
-        first_snapshot = app.snapshot_state()
-        assert app.snapshot_state() is first_snapshot  # memoised until mutation
 
     def test_every_phpbb_mutator_invalidates(self):
         app = PhpBB()
@@ -65,8 +64,7 @@ class TestDigestMemo:
         app.sessions.destroy(session.session_id)
         d2 = app.state_digest()
         # Same snapshot content as before login (ids are never reused, and
-        # the destroyed session is gone), so the digest matches d0 again --
-        # computed fresh, not served stale.
+        # the destroyed session is gone), so the digest matches d0 again.
         assert d2 == d0
 
     def test_handler_driven_mutations_invalidate(self):
@@ -136,8 +134,7 @@ class TestResponseCache:
         entries_before = set(app._response_cache)
         _get(app, "/", sid=session.session_id)
         assert set(app._response_cache) != entries_before
-        # Digest token moved with the store version -- recomputed, and equal
-        # because session data is not part of the visible snapshot.
+        # Equal: session data is not part of the visible snapshot.
         assert app.state_digest() == digest_before
 
     def test_caller_mutation_cannot_poison_the_memo(self):
