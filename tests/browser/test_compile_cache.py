@@ -17,6 +17,7 @@ import pytest
 
 from repro.browser.compile_cache import CompileCaches, TemplateCache
 from repro.browser.loader import LoaderOptions, load_page
+from repro.browser.renderer import Renderer
 from repro.core.config import PageConfiguration, ResourcePolicy
 from repro.core.rings import RingSet
 from repro.dom.document import Document
@@ -413,6 +414,24 @@ class TestOneEntryPerSource:
         assert len(digests) == 1
         assert caches.scripts.hits == {"scripts": 0, "code": 1, "reports": 1}
         assert caches.scripts.misses == {"scripts": 0, "code": 0, "reports": 0}
+
+
+class TestTemplateRenderStats:
+    def test_render_stats_are_computed_once_per_template(self):
+        cache = TemplateCache()
+        template = cache.entry(ESCUDO_BODY, PAGE_URL)
+        with mock.patch(
+            "repro.browser.compile_cache.Renderer.render",
+            autospec=True,
+            side_effect=Renderer.render,
+        ) as render:
+            first = cache.render_stats(template)
+            second = cache.render_stats(template)
+        assert render.call_count == 1
+        assert first == second == template.rendering
+        # Every caller gets its own copy of the template's one slot.
+        assert first is not second and first is not template.rendering
+        assert first == load_page(ESCUDO_BODY, PAGE_URL).rendering
 
 
 class TestTemplateCacheBounds:

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.scenarios.__main__ import main
+from repro.faults.plan import FaultConfig
+from repro.scenarios.__main__ import _fault_config, _parse_args, main
 
 
 class TestSuiteRuns:
@@ -177,3 +178,12 @@ class TestReplay:
         rc = main(["--replay", "42:3"])
         assert rc == 0
         assert "faults injected" not in capsys.readouterr().out
+
+    def test_fault_flags_build_the_plane_both_paths_arm(self):
+        assert _fault_config(_parse_args(["--replay", "42:3"])) is None
+        args = _parse_args(
+            ["--replay", "42:3", "--faults", "0.3", "--fault-seed", "7", "--no-fault-retries"]
+        )
+        assert _fault_config(args) == FaultConfig.uniform(seed=7, rate=0.3, retries=False)
+        args = _parse_args(["--faults", "0.1", "--fault-seed", "nightly"])
+        assert _fault_config(args) == FaultConfig.uniform(seed="nightly", rate=0.1)
