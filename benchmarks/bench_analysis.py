@@ -16,7 +16,7 @@ from repro.bench import (
     ANALYSIS_RESULTS_NAME,
     format_analysis_report,
     measure_analysis,
-    write_analysis_report,
+    write_json_report,
 )
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -54,5 +54,5 @@ def test_static_analysis_tier(benchmark, report_writer):
         f"suite (ceiling {OVERHEAD_CEILING_PCT}%)"
     )
 
-    path = write_analysis_report(report, RESULTS_DIR / ANALYSIS_RESULTS_NAME)
+    path = write_json_report(report, RESULTS_DIR / ANALYSIS_RESULTS_NAME)
     report_writer("static_analysis", format_analysis_report(report) + f"\n[json artifact: {path}]")

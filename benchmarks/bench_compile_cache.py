@@ -1,15 +1,13 @@
 """Compile-cache speedups: cold vs warm pipelines on identical workloads.
 
-Runs the four compile-cache workloads (page compilation, script front end,
-bytecode-VM script execution, end-to-end scenarios),
-certifies that every cached pipeline is observably identical to its cold
-twin, asserts the committed speedup floors, and writes
+Runs the three compile-cache workloads (page compilation, script front end,
+end-to-end scenarios), certifies that every cached pipeline is observably
+identical to its cold twin, asserts the committed speedup floors, and writes
 ``benchmarks/results/BENCH_compile_cache.json`` for the CI ``perf-smoke``
 job.
 
 Floors asserted here (and re-asserted by CI on every push):
 
-* bytecode VM ≥ 3x over the AST walker on the script-heavy payload;
 * page compilation and the script front end ≥ 2x warm over cold;
 * scenario throughput at one worker, warm worker at steady state, ≥ 2x the
   pinned PR-3 baseline (``BENCH_scenarios_seed.json``) -- the artifact this
@@ -27,7 +25,7 @@ from repro.bench import (
     SEED_SCENARIOS_NAME,
     format_compile_cache_report,
     measure_compile_cache,
-    write_compile_cache_report,
+    write_json_report,
 )
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -35,7 +33,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: Fixed workload sizes so runs are comparable across commits.
 PAGE_LOADS = 60
 SCRIPT_RUNS = 300
-SCRIPT_VM_RUNS = 200
 SCENARIO_SEED = 42
 SCENARIO_COUNT = 25
 ATTACK_RATIO = 0.25
@@ -47,7 +44,6 @@ def test_compile_cache_speedups(benchmark, report_writer):
         lambda: measure_compile_cache(
             page_loads=PAGE_LOADS,
             script_runs=SCRIPT_RUNS,
-            script_vm_runs=SCRIPT_VM_RUNS,
             scenario_seed=SCENARIO_SEED,
             scenario_count=SCENARIO_COUNT,
             attack_ratio=ATTACK_RATIO,
@@ -61,7 +57,6 @@ def test_compile_cache_speedups(benchmark, report_writer):
     assert payload["verdict_parity"], "caches changed observable behaviour"
     assert payload["page_compile"]["parity"]
     assert payload["script_ast"]["parity"]
-    assert payload["script_vm"]["parity"]
     assert payload["scenarios"]["cold_ok"] and payload["scenarios"]["warm_ok"]
 
     # Committed speedup floors.
@@ -70,9 +65,6 @@ def test_compile_cache_speedups(benchmark, report_writer):
     )
     assert payload["script_ast_speedup"] >= 2.0, (
         f"script front-end speedup {payload['script_ast_speedup']:.2f}x < 2x"
-    )
-    assert payload["script_vm_speedup"] >= 3.0, (
-        f"bytecode VM speedup {payload['script_vm_speedup']:.2f}x < 3x over the walker"
     )
     assert payload["scenario_speedup"] > 1.0, (
         f"the first warm pass ({payload['scenario_speedup']:.2f}x) must already "
@@ -93,7 +85,7 @@ def test_compile_cache_speedups(benchmark, report_writer):
         "least one measure"
     )
 
-    path = write_compile_cache_report(payload, RESULTS_DIR / COMPILE_CACHE_RESULTS_NAME)
+    path = write_json_report(payload, RESULTS_DIR / COMPILE_CACHE_RESULTS_NAME)
     report_writer(
         "compile_cache", format_compile_cache_report(payload) + f"\n[json artifact: {path}]"
     )

@@ -18,7 +18,7 @@ from repro.bench import (
     EVENT_LOOP_RESULTS_NAME,
     format_event_loop_report,
     measure_event_loop,
-    write_event_loop_report,
+    write_json_report,
 )
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -50,5 +50,5 @@ def test_event_loop_throughput(benchmark, report_writer):
     assert xhrs["completions"] == XHR_COUNT, "each queued send drains exactly once"
     assert xhrs["xhr_completions_per_second"] > 0
 
-    path = write_event_loop_report(payload, RESULTS_DIR / EVENT_LOOP_RESULTS_NAME)
+    path = write_json_report(payload, RESULTS_DIR / EVENT_LOOP_RESULTS_NAME)
     report_writer("event_loop", format_event_loop_report(payload) + f"\n[json artifact: {path}]")

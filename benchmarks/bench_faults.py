@@ -17,8 +17,8 @@ from repro.bench.faults_bench import (
     build_faults_report,
     measure_disabled_overhead,
     measure_throughput_vs_rate,
-    write_faults_report,
 )
+from repro.bench.reporting import write_json_report
 from repro.scenarios.chaos import check_passivity, run_chaos_matrix
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -63,7 +63,7 @@ def test_fault_plane_chaos_and_overhead(benchmark, report_writer):
         throughput=throughput,
         overhead=overhead,
     )
-    path = write_faults_report(payload, RESULTS_DIR / FAULTS_RESULTS_NAME)
+    path = write_json_report(payload, RESULTS_DIR / FAULTS_RESULTS_NAME)
     report_writer(
         "fault_plane",
         (

@@ -22,7 +22,7 @@ from repro.bench import (
     SCHEDULING_EFFICIENCY_FLOOR,
     format_parallel_report,
     measure_parallel_scenarios,
-    write_parallel_report,
+    write_json_report,
 )
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -64,7 +64,7 @@ def test_parallel_scenario_throughput(benchmark, report_writer):
         f"{eff['workers']} workers fell below the {SCHEDULING_EFFICIENCY_FLOOR} floor"
     )
 
-    path = write_parallel_report(payload, RESULTS_DIR / PARALLEL_RESULTS_NAME)
+    path = write_json_report(payload, RESULTS_DIR / PARALLEL_RESULTS_NAME)
     report_writer(
         "parallel_scenarios", format_parallel_report(payload) + f"\n[json artifact: {path}]"
     )

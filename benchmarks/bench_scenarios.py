@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.bench import SCENARIO_RESULTS_NAME, write_scenario_report
+from repro.bench import write_json_report
 from repro.scenarios import run_suite_parallel
 
-RESULTS_DIR = Path(__file__).parent / "results"
+RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_scenarios.json"
 
 #: Fixed workload so runs are comparable across commits.
 SEED = 42
@@ -36,5 +36,5 @@ def test_scenario_engine_throughput(benchmark, report_writer):
     assert suite.attack_count > 0, "the fixed seed must exercise attack injection"
     assert suite.mediations > 0, "scenario execution must be mediated"
 
-    path = write_scenario_report(suite, RESULTS_DIR / SCENARIO_RESULTS_NAME)
+    path = write_json_report(suite.as_dict(), RESULTS_PATH)
     report_writer("scenario_throughput", suite.summary() + f"\n[json artifact: {path}]")

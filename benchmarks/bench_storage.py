@@ -20,7 +20,7 @@ from repro.bench import (
     STORAGE_RESULTS_NAME,
     format_storage_report,
     measure_storage,
-    write_storage_report,
+    write_json_report,
 )
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -56,6 +56,6 @@ def test_storage_tier_scale(benchmark, report_writer):
         "SQLite and dict backends diverged on scenario digests"
     )
 
-    path = write_storage_report(report, RESULTS_DIR / STORAGE_RESULTS_NAME)
+    path = write_json_report(report, RESULTS_DIR / STORAGE_RESULTS_NAME)
     artifact = path.relative_to(RESULTS_DIR.parent.parent)
     report_writer("storage_tier", format_storage_report(report) + f"\n[json artifact: {artifact}]")

@@ -80,7 +80,6 @@ class AttackEnvironment:
     victim: str = "victim"
     victim_session_id: str | None = None
     loaded: LoadedPage | None = None
-    extra: dict = field(default_factory=dict)
     #: Browsers of the session's actors by name, closed with the
     #: environment (the victim's ``browser`` is closed either way).
     browsers: dict[str, Browser] = field(default_factory=dict)
@@ -176,7 +175,6 @@ def build_environment(
     escudo_app: bool = True,
     app_kwargs: dict | None = None,
     caches=None,
-    script_engine: str = "vm",
     static_screen=None,
 ) -> AttackEnvironment:
     """Create a fresh network, application, attacker site and victim browser.
@@ -185,9 +183,7 @@ def build_environment(
     :class:`~repro.browser.compile_cache.CompileCaches` stack the victim
     browser reuses (the scenario runner shares one per worker); the
     environment itself -- application state, network, cookie jars -- stays
-    share-nothing either way.  ``script_engine`` selects the bytecode VM
-    (default) or the reference AST walker for the victim browser.
-    ``static_screen`` attaches a soundness screen
+    share-nothing either way.  ``static_screen`` attaches a soundness screen
     (:class:`~repro.analysis.soundness.StaticScreen`) to the victim browser
     so every mediation decision is attributed to its causing script.
     """
@@ -196,13 +192,7 @@ def build_environment(
     network = Network()
     network.register(app.origin, app)
     network.register(attacker.origin, attacker)
-    browser = Browser(
-        network,
-        model=model,
-        caches=caches,
-        script_engine=script_engine,
-        static_screen=static_screen,
-    )
+    browser = Browser(network, model=model, caches=caches, static_screen=static_screen)
     return AttackEnvironment(model=model, network=network, app=app, attacker=attacker, browser=browser)
 
 
@@ -267,11 +257,9 @@ class Attack:
     succeeded: Callable[[AttackEnvironment], bool]
     requires_login: bool = True
 
-    def run(self, model: str, *, escudo_app: bool = True, script_engine: str = "vm") -> AttackResult:
+    def run(self, model: str, *, escudo_app: bool = True) -> AttackResult:
         """Execute the attack end-to-end under ``model`` and classify it."""
-        with build_environment(
-            self.app_key, model, escudo_app=escudo_app, script_engine=script_engine
-        ) as env:
+        with build_environment(self.app_key, model, escudo_app=escudo_app) as env:
             if self.requires_login:
                 login_victim(env)
             return self.execute_in(env)
@@ -300,21 +288,14 @@ class Attack:
         )
 
 
-def run_attacks(
-    attacks: list[Attack], model: str, *, escudo_app: bool = True, script_engine: str = "vm"
-) -> list[AttackResult]:
+def run_attacks(attacks: list[Attack], model: str, *, escudo_app: bool = True) -> list[AttackResult]:
     """Run a list of attacks under one protection model."""
-    return [attack.run(model, escudo_app=escudo_app, script_engine=script_engine) for attack in attacks]
+    return [attack.run(model, escudo_app=escudo_app) for attack in attacks]
 
 
-def defense_effectiveness_matrix(
-    attacks: list[Attack], *, script_engine: str = "vm"
-) -> dict[str, list[AttackResult]]:
+def defense_effectiveness_matrix(attacks: list[Attack]) -> dict[str, list[AttackResult]]:
     """Run every attack under both models (the Section 6.4 experiment)."""
-    return {
-        "escudo": run_attacks(attacks, "escudo", script_engine=script_engine),
-        "sop": run_attacks(attacks, "sop", script_engine=script_engine),
-    }
+    return {"escudo": run_attacks(attacks, "escudo"), "sop": run_attacks(attacks, "sop")}
 
 
 def summarize(results: list[AttackResult]) -> dict[str, int]:

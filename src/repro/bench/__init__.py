@@ -4,20 +4,17 @@ from .analysis_bench import (
     ANALYSIS_RESULTS_NAME,
     format_analysis_report,
     measure_analysis,
-    write_analysis_report,
 )
 from .compile_cache_bench import (
     COMPILE_CACHE_RESULTS_NAME,
     SEED_SCENARIOS_NAME,
     format_compile_cache_report,
     measure_compile_cache,
-    write_compile_cache_report,
 )
 from .event_loop_bench import (
     EVENT_LOOP_RESULTS_NAME,
     format_event_loop_report,
     measure_event_loop,
-    write_event_loop_report,
 )
 from .parallel_bench import (
     PARALLEL_RESULTS_NAME,
@@ -25,17 +22,11 @@ from .parallel_bench import (
     format_parallel_report,
     measure_parallel_scenarios,
     scheduling_efficiency,
-    write_parallel_report,
-)
-from .scenario_bench import (
-    SCENARIO_RESULTS_NAME,
-    write_scenario_report,
 )
 from .storage_bench import (
     STORAGE_RESULTS_NAME,
     format_storage_report,
     measure_storage,
-    write_storage_report,
 )
 from .reporting import (
     format_defense_matrix,
@@ -43,6 +34,7 @@ from .reporting import (
     format_mediation_report,
     format_policy_table,
     format_table,
+    write_json_report,
 )
 from .timing import (
     MediationSample,
@@ -79,7 +71,6 @@ __all__ = [
     "PARALLEL_RESULTS_NAME",
     "SCHEDULING_EFFICIENCY_FLOOR",
     "SCENARIOS",
-    "SCENARIO_RESULTS_NAME",
     "SEED_SCENARIOS_NAME",
     "STORAGE_RESULTS_NAME",
     "ScenarioSpec",
@@ -112,10 +103,5 @@ __all__ = [
     "parse_and_render",
     "time_callable",
     "workload_by_name",
-    "write_analysis_report",
-    "write_compile_cache_report",
-    "write_event_loop_report",
-    "write_parallel_report",
-    "write_scenario_report",
-    "write_storage_report",
+    "write_json_report",
 ]

@@ -19,10 +19,8 @@ CI ``static-analysis`` job regenerates it and uploads it.
 
 from __future__ import annotations
 
-import json
 import re
 import time
-from pathlib import Path
 
 from repro.scenarios.generator import ScenarioGenerator
 from repro.scenarios.runner import ScenarioRunner
@@ -205,10 +203,3 @@ def format_analysis_report(report: dict) -> str:
         f"0 false negatives (verified)",
     ]
     return "\n".join(lines)
-
-
-def write_analysis_report(report: dict, target: Path) -> Path:
-    """Persist the JSON artifact; returns the path written."""
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return target

@@ -1,6 +1,6 @@
 """Compile-cache workloads: cold vs warm pipelines on identical inputs.
 
-Four measurements, each pairing the baseline pipeline with the cached /
+Three measurements, each pairing the baseline pipeline with the cached /
 compiled stack on the *same* deterministic workload, plus a parity
 certificate that the caches change nothing but speed:
 
@@ -10,9 +10,6 @@ certificate that the caches change nothing but speed:
   statistics must be identical).
 * **Script front end** -- the same source executed repeatedly, cold parse
   per run vs the shared script cache (``script_ast_speedup``).
-* **Script execution** -- a script-heavy payload on a warm front end, AST
-  walker vs the bytecode VM with shared inline caches
-  (``script_vm_speedup``; identical completion values required).
 * **Scenario throughput** -- the full differential suite at one worker:
   cold runner, a fresh warm worker's first pass (``scenario_speedup``), and
   the same worker re-running the identical range at steady state
@@ -39,7 +36,6 @@ from repro.scenarios.engine import run_suite
 from repro.scenarios.model import canonical_spec_json
 from repro.scripting.cache import ScriptCache
 from repro.scripting.interpreter import Interpreter
-from repro.scripting.vm import VirtualMachine
 
 #: Artifact name uploaded by the CI ``perf-smoke`` job.
 COMPILE_CACHE_RESULTS_NAME = "BENCH_compile_cache.json"
@@ -70,35 +66,6 @@ SCRIPT_SOURCE = (
     "for (var i = 0; i < 5; i = i + 1) { total = total + i; }"
     "total;"
 )
-
-#: A script-heavy scenario payload in the shape of real page scripts: loops
-#: over object rows, member reads, method calls, string building.  This is
-#: the workload class where execution (not the front end) dominates, i.e.
-#: where the bytecode VM and its inline caches earn their keep.
-VM_SCRIPT_SOURCE = """
-var rows = [];
-for (var i = 0; i < 30; i = i + 1) {
-    rows.push({id: i, weight: i % 7, label: 'row-' + i});
-}
-var score = 0;
-var labels = '';
-for (var i = 0; i < rows.length; i = i + 1) {
-    var row = rows[i];
-    for (var j = 0; j < 16; j = j + 1) {
-        score = score + row.weight * j % 7;
-    }
-    if (row.id % 3 == 0) {
-        labels = labels + row.label + '|';
-    }
-}
-var parts = labels.split('|');
-var total = 0;
-for (var i = 0; i < parts.length; i = i + 1) {
-    total = total + parts[i].length;
-}
-score + total;
-"""
-
 
 def _measure_page_compile(loads: int) -> dict:
     """The same body through the load pipeline, cold vs template-served."""
@@ -156,66 +123,6 @@ def _measure_script_ast(runs: int) -> dict:
         "speedup": cold_s / warm_s if warm_s > 0 else 0.0,
         "parity": (warm_result.value == cold_result.value and not warm_result.failed),
         "ast_hit_rate": cache.as_dict()["scripts"]["hit_rate"],
-    }
-
-
-def _measure_script_vm(runs: int, rounds: int = 3) -> dict:
-    """Script execution on a script-heavy payload: AST walker vs bytecode VM.
-
-    Both engines run with a warm front end (the walker executes the cached
-    AST, the VM executes the cached :class:`CodeObject`), so the measured
-    difference is pure execution -- the tier this PR adds.  Each run builds
-    a fresh engine, like one page-load principal; the compiled code (and its
-    inline caches) is shared through the script cache, like one worker's
-    cache stack.  Per-engine times are best-of-``rounds`` (the minimum-time
-    estimator -- scheduler noise only ever slows a round down), applied to
-    walker and VM alike.
-    """
-    cache = ScriptCache()
-    program = cache.parse(VM_SCRIPT_SOURCE)
-    code = cache.code_for(VM_SCRIPT_SOURCE)
-    rounds = max(1, rounds)
-
-    # Warm-up (also primes the shared inline caches, untimed).
-    walker_result = Interpreter().run(program)
-    vm_result = VirtualMachine().run(code)
-
-    walker_s = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for _ in range(runs):
-            walker_result = Interpreter().run(program)
-        walker_s = min(walker_s, time.perf_counter() - start)
-
-    vm_s = float("inf")
-    ic_hits = 0
-    ic_misses = 0
-    for _ in range(rounds):
-        ic_hits = 0
-        ic_misses = 0
-        start = time.perf_counter()
-        for _ in range(runs):
-            vm = VirtualMachine()
-            vm_result = vm.run(code)
-            ic_hits += vm.ic_hits
-            ic_misses += vm.ic_misses
-        vm_s = min(vm_s, time.perf_counter() - start)
-
-    ic_total = ic_hits + ic_misses
-    return {
-        "runs": runs,
-        "rounds": rounds,
-        "walker_s": walker_s,
-        "vm_s": vm_s,
-        "walker_scripts_per_second": runs / walker_s if walker_s > 0 else 0.0,
-        "vm_scripts_per_second": runs / vm_s if vm_s > 0 else 0.0,
-        "speedup": walker_s / vm_s if vm_s > 0 else 0.0,
-        "ic_hit_rate": ic_hits / ic_total if ic_total else 0.0,
-        "parity": (
-            vm_result.value == walker_result.value
-            and not vm_result.failed
-            and not walker_result.failed
-        ),
     }
 
 
@@ -294,17 +201,15 @@ def measure_compile_cache(
     *,
     page_loads: int = 60,
     script_runs: int = 300,
-    script_vm_runs: int = 200,
     scenario_seed: int | str = 42,
     scenario_count: int = 25,
     attack_ratio: float = 0.25,
     scenario_rounds: int = 3,
     seed_baseline_path: Path | str | None = None,
 ) -> dict:
-    """Run the four workloads and build the artifact payload."""
+    """Run the three workloads and build the artifact payload."""
     page_compile = _measure_page_compile(page_loads)
     script_ast = _measure_script_ast(script_runs)
-    script_vm = _measure_script_vm(script_vm_runs)
     scenarios = _measure_suite(
         scenario_seed, scenario_count, attack_ratio, rounds=scenario_rounds
     )
@@ -312,12 +217,10 @@ def measure_compile_cache(
     payload = {
         "page_compile": page_compile,
         "script_ast": script_ast,
-        "script_vm": script_vm,
         "scenarios": scenarios,
         # Headline fields for dashboard consumers and the CI floor checks.
         "page_compile_speedup": page_compile["speedup"],
         "script_ast_speedup": script_ast["speedup"],
-        "script_vm_speedup": script_vm["speedup"],
         "scenario_speedup": scenarios["speedup"],
         "scenario_steady_speedup": scenarios["steady_speedup"],
         # Headline throughput: the warm worker at steady state (the pinned
@@ -327,7 +230,6 @@ def measure_compile_cache(
             scenarios["verdict_parity"]
             and page_compile["parity"]
             and script_ast["parity"]
-            and script_vm["parity"]
         ),
     }
 
@@ -358,7 +260,6 @@ def format_compile_cache_report(payload: dict) -> str:
     """Human-readable summary of the compile-cache workloads."""
     page = payload["page_compile"]
     script = payload["script_ast"]
-    vm = payload["script_vm"]
     scenarios = payload["scenarios"]
     lines = [
         "compile caches (cold vs warm):",
@@ -367,9 +268,6 @@ def format_compile_cache_report(payload: dict) -> str:
         f"({page['speedup']:.2f}x, template hit rate {page['template_hit_rate'] * 100.0:.1f}%)",
         f"  script front end: {script['cold_runs_per_second']:,.0f} -> "
         f"{script['warm_runs_per_second']:,.0f} runs/s ({script['speedup']:.2f}x)",
-        f"  script execution: {vm['walker_scripts_per_second']:,.0f} walker -> "
-        f"{vm['vm_scripts_per_second']:,.0f} VM scripts/s ({vm['speedup']:.2f}x, "
-        f"IC hit rate {vm['ic_hit_rate'] * 100.0:.1f}%)",
         f"  scenarios (1 worker): {scenarios['cold_scenarios_per_second']:,.1f} cold -> "
         f"{scenarios['warm_scenarios_per_second']:,.1f} first warm pass -> "
         f"{scenarios['steady_scenarios_per_second']:,.1f} steady scenarios/s "
@@ -383,11 +281,3 @@ def format_compile_cache_report(payload: dict) -> str:
             f"({payload['speedup_vs_seed']:.2f}x)"
         )
     return "\n".join(lines)
-
-
-def write_compile_cache_report(payload: dict, path: Path | str) -> Path:
-    """Serialise the payload as the JSON artifact at ``path``."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return target

@@ -18,9 +18,7 @@ uploaded by the CI ``event-loop`` job.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.browser.browser import Browser
 from repro.browser.event_loop import EventLoop
@@ -164,11 +162,3 @@ def format_event_loop_report(payload: dict) -> str:
             f"({xhrs['completions']} queued sends drained)",
         ]
     )
-
-
-def write_event_loop_report(payload: dict, path: Path | str) -> Path:
-    """Serialise the payload as the JSON artifact at ``path``."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return target

@@ -20,8 +20,6 @@ write through here.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 
 from repro.faults.plan import FaultConfig
 from repro.scenarios.engine import run_suite
@@ -124,13 +122,3 @@ def build_faults_report(
         "throughput_vs_rate": throughput,
         "overhead": overhead,
     }
-
-
-def write_faults_report(payload: dict, path: Path | str) -> Path:
-    """Serialise the fault-plane artifact at ``path`` (the single producer)."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return target

@@ -23,9 +23,7 @@ plus the host's CPU count, since raw speedup is meaningless without it.
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 
 from repro.scenarios.engine import run_suite
 from repro.scenarios.parallel import run_suite_parallel
@@ -167,11 +165,3 @@ def format_parallel_report(payload: dict) -> str:
             f"{eff['scheduling_efficiency'] * 100.0:.0f}% (floor {eff['floor'] * 100.0:.0f}%)"
         )
     return "\n".join(lines)
-
-
-def write_parallel_report(payload: dict, path: Path | str) -> Path:
-    """Serialise the sweep payload as the JSON artifact at ``path``."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return target

@@ -7,9 +7,23 @@ the data source for ``EXPERIMENTS.md``.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from .timing import MediationSample, OverheadRow, average_overhead
+
+
+def write_json_report(payload: dict, path: Path | str) -> Path:
+    """Write ``payload`` as the JSON artifact at ``path`` and return the path.
+
+    The one writer of every ``BENCH_*.json``: two-space indent, sorted keys
+    and a trailing newline, so a regenerated artifact diffs cleanly.
+    """
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return target
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], *, title: str = "") -> str:

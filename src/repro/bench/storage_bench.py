@@ -23,12 +23,10 @@ CI ``storage`` job regenerates a scaled-down smoke version and uploads it.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import tempfile
 import time
-from pathlib import Path
 
 from repro.scenarios.engine import run_suite
 
@@ -236,11 +234,3 @@ def format_storage_report(report: dict) -> str:
         f"digest parity {'OK' if scenarios['digest_parity'] else 'BROKEN'}"
     )
     return "\n".join(lines)
-
-
-def write_storage_report(report: dict, path: Path | str) -> Path:
-    """Serialise the workload report as the JSON artifact at ``path``."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return target

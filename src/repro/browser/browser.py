@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.acl import Acl
+from repro.core.config import PageConfiguration
 from repro.core.context import SecurityContext
 from repro.core.decision import Operation
 from repro.core.origin import Origin
@@ -78,13 +79,10 @@ class Browser:
         enforce_scoping: bool = True,
         interleave_seed: int | None = None,
         caches: CompileCaches | None = None,
-        script_engine: str = "vm",
         static_screen=None,
     ) -> None:
         if model not in ("escudo", "sop", "same-origin"):
             raise ValueError(f"unknown protection model {model!r}")
-        if script_engine not in ("vm", "walker"):
-            raise ValueError(f"unknown script engine {script_engine!r}")
         self.network = network
         self.model = "sop" if model in ("sop", "same-origin") else "escudo"
         self.fetch_subresources = fetch_subresources
@@ -101,9 +99,6 @@ class Browser:
         # may share one stack; warm loads are observably identical to cold
         # ones.
         self.caches = caches
-        # "vm" (bytecode + inline caches, default) or "walker" (reference
-        # AST interpreter, selectable for differential parity runs).
-        self.script_engine = script_engine
         # Optional StaticScreen (repro.analysis.soundness): every loaded
         # page's monitor reports its decisions to the screen, and every
         # executed script is statically analyzed, so the soundness oracle
@@ -112,9 +107,6 @@ class Browser:
         self.cookie_jar = CookieJar()
         self.history = BrowserHistory()
         self.loaded: list[LoadedPage] = []
-        #: Fault plane for this browser's pages: armed by the scenario
-        #: runner.  ``None`` keeps every path below on its plain branch.
-        self.fault_plan = None
 
     # -- tabs -------------------------------------------------------------------------
 
@@ -150,16 +142,13 @@ class Browser:
     def load(self, url: Url | str, *, method: str = "GET", form: dict[str, str] | None = None) -> LoadedPage:
         """Navigate to ``url`` as the user and return the loaded page."""
         target = url if isinstance(url, Url) else Url.parse(url)
-        response = self._navigate(target, method=method, form=form)
+        response, configuration = self._navigate(target, method=method, form=form)
         final_url = target
         redirects = 0
         while response.is_redirect and redirects < MAX_REDIRECTS:
             final_url = final_url.resolve(response.headers.get("Location", "/"))
-            response = self._navigate(final_url, method="GET", form=None)
+            response, configuration = self._navigate(final_url, method="GET", form=None)
             redirects += 1
-
-        configuration = response.escudo_configuration()
-        self.cookie_jar.store_from_response(final_url.origin, response.set_cookie_values, configuration)
 
         options = LoaderOptions(model=self.model, enforce_scoping=self.enforce_scoping)
         page = load_page(
@@ -172,7 +161,8 @@ class Browser:
         )
         self.history.record_visit(final_url, title=_page_title(page))
 
-        if self.fault_plan is not None and self.fault_plan.wants(SITE_XHR):
+        plan = self.network.fault_plan
+        if plan is not None and plan.wants(SITE_XHR):
             # Arm the XHR-completion fault site on this page's loop before
             # any script can send an XHR.  Zero-rate plans skip the hook --
             # a per-posted-task call that could never fire -- which is part
@@ -186,7 +176,6 @@ class Browser:
             page,
             max_steps=self.max_script_steps,
             scripts=self.caches.scripts if self.caches is not None else None,
-            engine=self.script_engine,
             screen=self.static_screen,
         )
         events = UiEventLayer(page, runtime)
@@ -205,12 +194,15 @@ class Browser:
         page.event_loop.settle()
         return loaded
 
-    def _navigate(self, url: Url, *, method: str, form: dict[str, str] | None) -> HttpResponse:
+    def _navigate(
+        self, url: Url, *, method: str, form: dict[str, str] | None
+    ) -> tuple[HttpResponse, PageConfiguration]:
         """User-initiated fetch: all eligible cookies are attached.
 
         The user (browser chrome) is a trusted principal in both models, so
         this mirrors how real browsers attach cookies on address-bar
-        navigations.
+        navigations.  Each hop's cookies are stored here, once, and its
+        parsed ESCUDO configuration is returned with the response.
         """
         request = HttpRequest(method=method, url=url, form=form or {}, initiator="user")
         cookies = self.cookie_jar.cookies_for(url.origin, url.path)
@@ -220,7 +212,7 @@ class Browser:
         response = self._dispatch(request)
         configuration = response.escudo_configuration()
         self.cookie_jar.store_from_response(url.origin, response.set_cookie_values, configuration)
-        return response
+        return response, configuration
 
     def _dispatch(self, request: HttpRequest) -> HttpResponse:
         """Dispatch with bounded retry against injected network faults.
@@ -258,7 +250,7 @@ class Browser:
         """
         if task.kind != "xhr":
             return
-        plan = self.fault_plan
+        plan = self.network.fault_plan
         if plan is None:
             return
         kind = plan.decide(SITE_XHR)

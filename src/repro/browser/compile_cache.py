@@ -28,8 +28,8 @@ the scenario runner, across whole scenarios):
   tree, for a full collection; clones already served are independent trees
   and are never touched.
 * :class:`~repro.scripting.cache.ScriptCache` -- one entry per script
-  source digest holding its parsed program, its bytecode and its static
-  analysis report, each built on first use from the entry's own program.
+  source digest holding its parsed program and its static analysis report,
+  the report built on first use from the entry's own program.
 
 Nothing here caches a mediation verdict: every page gets its own reference
 monitor, and the policy decides every access.  :class:`CompileCaches` holds
@@ -271,12 +271,13 @@ class CompileCaches:
     def as_dict(self) -> dict[str, object]:
         """Effectiveness counters of every layer (for benchmark reports).
 
-        ``scripts``, ``code`` and ``reports`` are the script cache's
-        front-end, bytecode and report lookups.
+        ``scripts`` and ``reports`` are the script cache's front-end and
+        report lookups.
         """
         return {
             "templates": self.templates.as_dict(),
             **self.scripts.as_dict(),
-            # Always zero; perfbench reads it until the benchmark PR (ROADMAP item 1) retires the key.
+            # Always zero; perfbench reads both until its next contract change retires the keys.
+            "code": {"hits": 0, "misses": 0},
             "decisions": {"hits": 0, "misses": 0},
         }

@@ -51,7 +51,6 @@ from repro.scripting.interpreter import (
     NativeConstructor,
     _to_string,
 )
-from repro.scripting.vm import VirtualMachine
 
 from .page import Page, RegisteredListener, ScriptRun
 from .xhr import XmlHttpRequest
@@ -320,7 +319,7 @@ class _PrincipalEnvironment:
         self.runtime = runtime
         self.page = runtime.page
         self.principal = principal
-        self.interpreter = runtime.make_engine()
+        self.interpreter = Interpreter(max_steps=runtime.max_steps)
         self.dom_api = DomApi(
             self.page.document,
             self.page.monitor,
@@ -433,21 +432,15 @@ class ScriptRuntime:
         *,
         max_steps: int = 500_000,
         scripts: ScriptCache | None = None,
-        engine: str = "vm",
         screen=None,
     ) -> None:
-        if engine not in ("vm", "walker"):
-            raise ValueError(f"unknown script engine {engine!r} (expected 'vm' or 'walker')")
         self.browser = browser
         self.page = page
         self.max_steps = max_steps
         #: Optional shared script cache: repeated executions of the same
         #: source (re-loaded pages, replayed handlers, re-armed timers) skip
-        #: lexing, parsing and bytecode lowering entirely.
+        #: lexing and parsing entirely.
         self.scripts = scripts
-        #: ``"vm"`` (bytecode, default) or ``"walker"`` (the reference AST
-        #: interpreter, kept selectable for differential parity runs).
-        self.engine = engine
         #: Optional :class:`~repro.analysis.soundness.StaticScreen` -- when
         #: set, every executed source is statically analyzed (memoised) and
         #: every monitor decision is attributed to the causing script.
@@ -511,31 +504,21 @@ class ScriptRuntime:
 
     # -- helpers --------------------------------------------------------------------------------
 
-    def make_engine(self):
-        """Build one principal's execution engine (VM unless ``--ast-walker``)."""
-        if self.engine == "walker":
-            return Interpreter(max_steps=self.max_steps)
-        return VirtualMachine(max_steps=self.max_steps)
-
-    def _run_source(self, interpreter, source: str) -> ExecutionResult:
+    def _run_source(self, interpreter: Interpreter, source: str) -> ExecutionResult:
         """Run ``source``, through the script cache when there is one.
 
         The cached path is observably identical to ``interpreter.run(source)``
         (the no-cache reference): a (possibly memoised) front-end error
         yields the same failed :class:`ExecutionResult` a cold parse would,
-        and cached bytecode or ASTs re-execute through the same mediated
-        host calls.
+        and cached programs re-execute through the same mediated host calls.
         """
         if self.scripts is None:
             return interpreter.run(source)
         try:
-            if self.engine == "vm":
-                compiled = self.scripts.code_for(source)
-            else:
-                compiled = self.scripts.parse(source)
+            program = self.scripts.parse(source)
         except ScriptError as error:
             return ExecutionResult(error=error, completed=False)
-        return interpreter.run(compiled)
+        return interpreter.run(program)
 
     def _script_source(self, script_element: Element) -> str:
         """Inline source, or the fetched body of a ``src`` script."""

@@ -194,7 +194,7 @@ class XmlHttpRequest(HostObject):
         return task
 
     def _fault_plan(self):
-        return getattr(self._browser, "fault_plan", None)
+        return self._browser.network.fault_plan
 
     def _schedule_retry(self, payload: str, generation: int, attempt: int) -> None:
         """Capped exponential virtual-clock backoff for a lost async completion."""

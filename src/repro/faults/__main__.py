@@ -29,8 +29,8 @@ from repro.bench.faults_bench import (
     build_faults_report,
     measure_disabled_overhead,
     measure_throughput_vs_rate,
-    write_faults_report,
 )
+from repro.bench.reporting import write_json_report
 from repro.scenarios.chaos import check_passivity, run_chaos_matrix
 
 def _parse_args(argv) -> argparse.Namespace:
@@ -143,7 +143,7 @@ def main(argv=None) -> int:
             print(f"  DIVERGED {entry}")
 
     if args.bench_out:
-        path = write_faults_report(payload, Path(args.bench_out))
+        path = write_json_report(payload, Path(args.bench_out))
         print(f"[fault report written to {path}]", file=sys.stderr if args.json else sys.stdout)
     return 0 if payload["ok"] else 1
 

@@ -32,7 +32,7 @@ from repro.faults.plan import FaultConfig
 
 from .generator import ScenarioGenerator
 from .oracle import DifferentialOracle
-from .parallel import run_suite_parallel
+from .parallel import default_steal_chunk, run_suite_parallel, steal_chunks
 from .runner import ScenarioRunner
 
 
@@ -89,13 +89,6 @@ def _parse_args(argv) -> argparse.Namespace:
         help="re-run a single scenario from its replay token instead of a suite",
     )
     parser.add_argument("--spec", action="store_true", help="with --replay: print the scenario spec JSON")
-    parser.add_argument(
-        "--ast-walker",
-        action="store_true",
-        help="execute scripts with the reference AST-walking interpreter "
-        "instead of the bytecode VM (differential parity runs: the report "
-        "must be byte-identical either way)",
-    )
     parser.add_argument(
         "--backend",
         choices=("dict", "sqlite"),
@@ -154,9 +147,34 @@ def _parse_args(argv) -> argparse.Namespace:
         parser.error("--attack-ratio must be in [0, 1]")
     if not 0.0 <= args.faults <= 1.0:
         parser.error("--faults must be in [0, 1]")
-    if args.crash_chunk and args.workers < 2:
-        parser.error("--crash-chunk needs --workers > 1")
+    if args.crash_chunk:
+        _check_crash_chunks(parser, args)
     return args
+
+
+def _check_crash_chunks(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Reject a crash schedule the pool cannot honour, before any scenario runs.
+
+    The run uses ``min(workers, count)`` workers, and a crash needs a pool of
+    two or more; every ordinal must name a chunk of the steal queue.  Each
+    case is a usage error: one line on stderr, exit status 2.
+    """
+    workers = min(args.workers, args.count)
+    if workers < 2:
+        parser.exit(
+            2,
+            f"{parser.prog}: error: --crash-chunk needs two workers, but --workers "
+            f"{args.workers} --count {args.count} runs one worker\n",
+        )
+    chunk_size = args.steal_chunk or default_steal_chunk(args.count, workers)
+    chunks = len(steal_chunks(args.count, chunk_size))
+    bad = sorted(k for k in set(args.crash_chunk) if not 0 <= k < chunks)
+    if bad:
+        parser.exit(
+            2,
+            f"{parser.prog}: error: --crash-chunk {', '.join(map(str, bad))} out of "
+            f"range: the steal queue holds chunks 0..{chunks - 1}\n",
+        )
 
 
 def _fault_config(args: argparse.Namespace) -> "FaultConfig | None":
@@ -185,7 +203,6 @@ def _replay_one(args: argparse.Namespace) -> int:
     faults = _fault_config(args)
     runner = ScenarioRunner(
         models=args.matrix,
-        script_engine="walker" if args.ast_walker else "vm",
         storage=args.backend,
         faults=faults,
     )
@@ -221,7 +238,6 @@ def main(argv=None) -> int:
         workers=args.workers,
         corpus_dir=args.corpus or None,
         persist_failures=not args.no_corpus,
-        script_engine="walker" if args.ast_walker else "vm",
         storage=args.backend,
         steal_chunk=args.steal_chunk or None,
         faults=_fault_config(args),
@@ -233,11 +249,11 @@ def main(argv=None) -> int:
         print(result.summary())
 
     if args.bench_out:
-        # One producer for the artifact: the bench layer's writer, so the CLI
-        # and benchmarks/bench_scenarios.py emit an identical schema.
-        from repro.bench.scenario_bench import write_scenario_report
+        # The bench layer's one JSON writer, so the CLI and
+        # benchmarks/bench_scenarios.py emit an identical artifact.
+        from repro.bench.reporting import write_json_report
 
-        path = write_scenario_report(result, Path(args.bench_out))
+        path = write_json_report(result.as_dict(), Path(args.bench_out))
         # With --json, stdout must stay a single parseable JSON document.
         print(
             f"[throughput report written to {path}]",

@@ -112,10 +112,9 @@ def _build_worker_runner(config: dict) -> ScenarioRunner:
     """One worker's runner; its cache stack warms lazily per app."""
     return ScenarioRunner(
         models=tuple(config["models"]),
-        compile_caches=config.get("compile_caches", True),
-        script_engine=config.get("script_engine", "vm"),
-        storage=config.get("storage", "dict"),
-        faults=config.get("faults"),
+        compile_caches=config["compile_caches"],
+        storage=config["storage"],
+        faults=config["faults"],
     )
 
 
@@ -497,7 +496,6 @@ def run_suite_parallel(
     corpus_dir=None,
     persist_failures: bool = True,
     compile_caches: bool = True,
-    script_engine: str = "vm",
     storage: str = "dict",
     steal_chunk: int | None = None,
     mp_context: str | None = None,
@@ -561,7 +559,6 @@ def run_suite_parallel(
         "attack_ratio": generator.attack_ratio,
         "models": model_names,
         "compile_caches": compile_caches,
-        "script_engine": script_engine,
         "storage": storage,
         "faults": faults.to_dict() if faults is not None else None,
         "crash_chunks": crash_chunks,

@@ -120,31 +120,19 @@ class ScenarioRunner:
         self,
         models=("escudo", "sop", "none"),
         *,
-        compile_caches: "bool | CompileCaches" = True,
-        script_engine: str = "vm",
+        compile_caches: bool = True,
         storage: str = "dict",
         static_screen: bool = False,
         faults: "FaultConfig | dict | None" = None,
     ) -> None:
         self.specs = resolve_models(models)
-        if script_engine not in ("vm", "walker"):
-            raise ValueError(f"unknown script engine {script_engine!r}")
         if storage not in ("dict", "sqlite") and not storage.startswith("sqlite:"):
             raise ValueError(f"unknown storage backend {storage!r}")
         #: Storage backend kind every application in the matrix is built on
         #: (``dict`` or ``sqlite``).  Verdict-neutral by the differential
         #: suite: both backends produce byte-identical digests.
         self.storage = storage
-        #: Execution engine for every browser this worker builds: the
-        #: bytecode VM by default, or the reference AST walker
-        #: (``--ast-walker``) for differential parity runs.
-        self.script_engine = script_engine
-        if compile_caches is True:
-            self.caches: CompileCaches | None = CompileCaches.build()
-        elif compile_caches is False:
-            self.caches = None
-        else:
-            self.caches = compile_caches
+        self.caches: CompileCaches | None = CompileCaches.build() if compile_caches else None
         #: Optional soundness screen: when enabled every browser the runner
         #: builds analyzes each executed script (memoised in the cache
         #: stack's script cache) and attributes monitor decisions to it, so
@@ -217,7 +205,6 @@ class ScenarioRunner:
                 escudo_app=spec.escudo_app,
                 app_kwargs=self._app_kwargs(app_key, spec),
                 caches=self.caches,
-                script_engine=self.script_engine,
             ) as env:
                 env.browser.load(f"{env.app.origin}/")
 
@@ -255,7 +242,6 @@ class ScenarioRunner:
                 escudo_app=spec.escudo_app,
                 app_kwargs=self._app_kwargs(scenario.app_key, spec),
                 caches=self.caches,
-                script_engine=self.script_engine,
                 static_screen=self.screen,
             )
             with env:
@@ -278,13 +264,12 @@ class ScenarioRunner:
         if self.faults is not None:
             # Arm the plane *after* build_environment: application seeding
             # is setup, not traffic, and must never be faulted.  One plan
-            # instance per (scenario, model) run, shared by the network,
-            # the app's storage tier and every actor's browser.
+            # instance per (scenario, model) run, shared by the network and
+            # the app's storage tier; every actor's browser dispatches
+            # through that network and reads the plan from it.
             plan = self.faults.plan_for(scenario.name, spec.name)
             env.network.fault_plan = plan
             env.app.storage.fault_plan = plan
-            env.browser.fault_plan = plan
-            env.extra["fault_plan"] = plan
         attack_result: AttackResult | None = None
         attack_denials: list[DenialRecord] = []
         plant_baseline: dict[int, int] = {}
@@ -343,10 +328,8 @@ class ScenarioRunner:
                 model=browser_model,
                 interleave_seed=scenario.interleave or None,
                 caches=self.caches,
-                script_engine=self.script_engine,
                 static_screen=self.screen,
             )
-            browser.fault_plan = env.extra.get("fault_plan")
             env.browsers[step.actor] = browser
         origin = env.app.origin
         action = step.action

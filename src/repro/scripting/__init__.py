@@ -8,7 +8,6 @@ from .analysis import (
     script_digest,
 )
 from .cache import DEFAULT_SCRIPT_CACHE_SIZE, ScriptCache
-from .compiler import CodeObject, compile_function, compile_program, fold_program
 from .errors import BudgetExceeded, LexError, ParseError, RuntimeScriptError, ScriptError
 from .interpreter import (
     Environment,
@@ -21,13 +20,10 @@ from .interpreter import (
 )
 from .lexer import ScriptToken, TokenType, tokenize_script
 from .parser import parse_script
-from .vm import CompiledFunction, VirtualMachine
 
 __all__ = [
     "ALL_SINKS",
     "BudgetExceeded",
-    "CodeObject",
-    "CompiledFunction",
     "DEFAULT_SCRIPT_CACHE_SIZE",
     "Environment",
     "ExecutionResult",
@@ -44,12 +40,8 @@ __all__ = [
     "ScriptReport",
     "ScriptToken",
     "TokenType",
-    "VirtualMachine",
     "analyze_program",
     "analyze_source",
-    "compile_function",
-    "compile_program",
-    "fold_program",
     "parse_script",
     "script_digest",
     "tokenize_script",

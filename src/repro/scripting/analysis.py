@@ -39,7 +39,7 @@ Pipeline, per program:
 
 The emitted :class:`ScriptReport` is immutable and process-portable, which
 lets :class:`repro.scripting.cache.ScriptCache` memoise it in the same
-per-source entry as the parsed program and the bytecode.
+per-source entry as the parsed program.
 """
 
 from __future__ import annotations

@@ -5,33 +5,27 @@ page load of an application re-runs its head scripts, every replayed attack
 re-injects the same payload, every timer re-registers the same callbacks --
 so everything derived from a source is memoised on the SHA-256 of its text.
 
-:class:`ScriptCache` is one bounded LRU.  Each entry holds the three results
+:class:`ScriptCache` is one bounded LRU.  Each entry holds the two results
 a source can need, each filled the first time it is asked for:
 
 * the front-end result -- a parsed :class:`~repro.scripting.ast_nodes.Program`
-  or the memoised :class:`ScriptError` (the AST walker runs it);
-* the bytecode -- a :class:`~repro.scripting.compiler.CodeObject` or the
-  memoised compile error (the VM runs it);
+  or the memoised :class:`ScriptError` (the interpreter runs it);
 * the :class:`~repro.scripting.analysis.ScriptReport` -- what the static
   analyzer proves about the source (the soundness screen reads it).
 
-Bytecode and report are built from the entry's own program, so a source is
-lexed and parsed at most once per entry whichever result is asked for first.
-Sharing one program or code object between executions -- and between
-principals -- is safe because all execution state lives in
+The report is built from the entry's own program, so a source is lexed and
+parsed at most once per entry whichever result is asked for first.
+Sharing one program between executions -- and between principals -- is
+safe because all execution state lives in
 :class:`~repro.scripting.interpreter.Environment` chains, never on the
-nodes.  The code object's inline caches are the one mutable part, and they
-only memoise which dispatch-ladder branch a site took (keyed on the
-receiver's class); every hit still performs the fully mediated
-``js_get``/``js_set``/``js_call``, so cached code cannot leak one
-principal's verdicts to another.  A hit on a memoised error raises a fresh
-copy (see :func:`_fresh_error`), so callers cannot tell a hit from a cold
-parse, and a replayed broken payload costs one digest.
+nodes.  A hit on a memoised error raises a fresh copy (see
+:func:`_fresh_error`), so callers cannot tell a hit from a cold parse, and
+a replayed broken payload costs one digest.
 
 The hit/miss counters are kept per result, under the names
 :meth:`repro.browser.compile_cache.CompileCaches.as_dict` reports:
-``scripts`` counts front-end lookups (direct, or made to build bytecode or
-a report), ``code`` bytecode lookups and ``reports`` report lookups.
+``scripts`` counts front-end lookups (direct, or made to build a report)
+and ``reports`` report lookups.
 :meth:`~ScriptCache.reset_counters` restarts them while keeping the entries
 warm.  Each worker process warms its own cache.
 """
@@ -43,7 +37,6 @@ from collections import OrderedDict
 
 from . import ast_nodes as ast
 from .analysis import ScriptReport, analyze_program, error_report
-from .compiler import CodeObject, compile_program
 from .errors import ScriptError
 from .parser import parse_script
 
@@ -51,7 +44,7 @@ from .parser import parse_script
 DEFAULT_SCRIPT_CACHE_SIZE = 512
 
 #: The per-result counters, named as the compile-cache stack reports them.
-TIERS = ("scripts", "code", "reports")
+TIERS = ("scripts", "reports")
 
 
 def _fresh_error(error: ScriptError) -> ScriptError:
@@ -70,12 +63,11 @@ def _fresh_error(error: ScriptError) -> ScriptError:
 class _Entry:
     """Everything derived from one source; each slot is filled on first use."""
 
-    __slots__ = ("digest", "program", "code", "report")
+    __slots__ = ("digest", "program", "report")
 
     def __init__(self, digest: str) -> None:
         self.digest = digest
         self.program: "ast.Program | ScriptError | None" = None
-        self.code: "CodeObject | ScriptError | None" = None
         self.report: ScriptReport | None = None
 
 
@@ -88,7 +80,7 @@ class ScriptCache:
         self.maxsize = maxsize
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         #: The last source digested and its digest.  A screened execution
-        #: asks for the report and then the code of the same string object;
+        #: asks for the report and then the program of the same string object;
         #: the second lookup reuses the digest instead of re-hashing.
         self._last_source: str | None = None
         self._last_digest = ""
@@ -104,28 +96,6 @@ class ScriptCache:
         raises for the same source.
         """
         return self._program(self._entry(source), source)
-
-    def code_for(self, source: str) -> CodeObject:
-        """Compile ``source`` to bytecode, serving repeats from the cache.
-
-        Raises exactly what the front end or compiler raises for the same
-        source.
-        """
-        entry = self._entry(source)
-        code = entry.code
-        if code is None:
-            self.misses["code"] += 1
-            try:
-                code = compile_program(self._program(entry, source))
-            except ScriptError as error:
-                entry.code = error
-                raise
-            entry.code = code
-            return code
-        self.hits["code"] += 1
-        if isinstance(code, ScriptError):
-            raise _fresh_error(code)
-        return code
 
     def report_for(self, source: str) -> ScriptReport:
         """Analyze ``source``, serving repeats from the cache.
@@ -194,7 +164,7 @@ class ScriptCache:
         self.misses = dict.fromkeys(TIERS, 0)
 
     def as_dict(self) -> dict[str, dict[str, object]]:
-        """Counters per result (``scripts``/``code``/``reports``) for reports."""
+        """Counters per result (``scripts``/``reports``) for reports."""
         size = len(self._entries)
         payload = {}
         for tier in TIERS:

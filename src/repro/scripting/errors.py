@@ -6,9 +6,9 @@ from __future__ import annotations
 class ScriptError(Exception):
     """Base class for every MiniScript error.
 
-    ``line`` is a property so that late position stamping -- the walker's
-    node wrappers and the VM's line table attach positions after the error
-    is raised -- re-renders the displayed message to include it.
+    ``line`` is a property so that late position stamping -- the
+    interpreter's node wrappers attach positions after the error is raised
+    -- re-renders the displayed message to include it.
     """
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None) -> None:

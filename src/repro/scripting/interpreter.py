@@ -526,7 +526,7 @@ class Interpreter:
 
 
 def _get_member(target, name: str, line: int):
-    """Read member ``name`` of any script value (the walker's and the VM's protocol)."""
+    """Read member ``name`` of any script value (the interpreter's member protocol)."""
     if isinstance(target, HostObject):
         return target.js_get(name)
     if isinstance(target, dict):

@@ -340,8 +340,8 @@ def test_report_cache_reset_counters_keeps_entries():
     cache.report_for("var a = 1;")
     cache.report_for("var a = 1;")
     cache.reset_counters()
-    assert cache.hits == {"scripts": 0, "code": 0, "reports": 0}
-    assert cache.misses == {"scripts": 0, "code": 0, "reports": 0}
+    assert cache.hits == {"scripts": 0, "reports": 0}
+    assert cache.misses == {"scripts": 0, "reports": 0}
     assert len(cache) == 1
 
 
@@ -349,7 +349,7 @@ def test_report_cache_as_dict_shape():
     cache = ScriptCache()
     cache.report_for("var a = 1;")
     payload = cache.as_dict()
-    assert set(payload) == {"scripts", "code", "reports"}
+    assert set(payload) == {"scripts", "reports"}
     for counters in payload.values():
         assert set(counters) == {"hits", "misses", "hit_rate", "size", "maxsize"}
     reports = payload["reports"]

@@ -3,10 +3,11 @@
 A seeded generator composes MiniScript programs from templates covering
 every mediated surface (cookie reads/writes, element lookups and property
 traffic, XHR in both modes, timers, listeners, helper functions, loops and
-dead code).  Each program runs on a real screened page under both engines;
-the :class:`StaticScreen` then checks the soundness contract -- every
-audited access category must have been statically predicted.  A false
-negative fails the suite loudly; the false-positive rate is merely reported.
+dead code).  Each program runs on a real screened page, cold and through a
+warm compile-cache stack; the :class:`StaticScreen` then checks the
+soundness contract -- every audited access category must have been
+statically predicted.  A false negative fails the suite loudly; the
+false-positive rate is merely reported.
 
 Scripts are self-contained (each ``run_script`` call gets a fresh script
 environment), so templates only reference variables minted earlier in the
@@ -21,6 +22,7 @@ import pytest
 
 from repro.analysis.soundness import StaticScreen
 from repro.attacks.harness import build_environment, visit
+from repro.browser.compile_cache import CompileCaches
 
 SEED_COUNT = 60
 _ELEMENT_IDS = ("whoami", "unread-count", "post-body-1", "no-such-node")
@@ -122,10 +124,11 @@ def corpus():
     return scripts
 
 
-@pytest.mark.parametrize("engine", ["vm", "walker"])
-def test_fuzz_corpus_has_no_false_negatives(engine, corpus):
-    screen = StaticScreen()
-    env = build_environment("phpbb", "escudo", static_screen=screen, script_engine=engine)
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_fuzz_corpus_has_no_false_negatives(warm, corpus):
+    caches = CompileCaches.build() if warm else None
+    screen = StaticScreen(caches.scripts if warm else None)
+    env = build_environment("phpbb", "escudo", caches=caches, static_screen=screen)
     loaded = visit(env, "/viewtopic?t=1")
     for index, source in enumerate(corpus):
         env.browser.run_script(loaded, source, description=f"fuzz seed {index}")
@@ -135,22 +138,8 @@ def test_fuzz_corpus_has_no_false_negatives(engine, corpus):
     assert stats["scripts"] >= SEED_COUNT
     assert stats["false_positive_rate"] < 1.0
     print(
-        f"\n[fuzz/{engine}] scripts={stats['scripts']} "
+        f"\n[fuzz/{'warm' if warm else 'cold'}] scripts={stats['scripts']} "
         f"predicted={stats['predicted_sinks']} observed={stats['observed_sinks']} "
         f"fp_rate={stats['false_positive_rate']:.3f} exact={stats['exact_scripts']}"
     )
 
-
-def test_engines_agree_on_observed_accesses(corpus):
-    """The two engines must audit identical access sets per script."""
-    observed = {}
-    for engine in ("vm", "walker"):
-        screen = StaticScreen()
-        env = build_environment("phpbb", "escudo", static_screen=screen, script_engine=engine)
-        loaded = visit(env, "/viewtopic?t=1")
-        for index, source in enumerate(corpus):
-            env.browser.run_script(loaded, source, description=f"fuzz seed {index}")
-        observed[engine] = {
-            digest: frozenset(record.observed) for digest, record in screen._records.items()
-        }
-    assert observed["vm"] == observed["walker"]

@@ -1,8 +1,9 @@
 """End-to-end soundness oracle: static predictions cover every audited access.
 
 A screened :class:`ScenarioRunner` executes a generated scenario suite and
-the pinned regression corpus under every (engine, storage backend)
-configuration.  ``StaticScreen.verify()`` then enforces the contract::
+the pinned regression corpus under both storage backends, with the warm
+compile-cache stack and with the cold pipeline (``compile_caches=False``,
+where every script is parsed per run and the screen keeps its own cache).  ``StaticScreen.verify()`` then enforces the contract::
 
     dynamically audited access categories  ⊆  statically predicted sinks
 
@@ -19,21 +20,18 @@ from repro.scenarios import load_corpus
 from repro.scenarios.generator import ScenarioGenerator
 from repro.scenarios.runner import ScenarioRunner
 
-_CONFIGS = [
-    ("vm", "dict"),
-    ("vm", "sqlite"),
-    ("walker", "dict"),
-    ("walker", "sqlite"),
-]
+_BACKENDS = ["dict", "sqlite"]
+_CACHES = pytest.mark.parametrize("compile_caches", [True, False], ids=["warm", "cold"])
 
 
 def _suite(count: int = 20):
     return ScenarioGenerator(seed="42", attack_ratio=0.5).generate(count)
 
 
-@pytest.mark.parametrize("engine,storage", _CONFIGS, ids=["-".join(c) for c in _CONFIGS])
-def test_generated_suite_is_sound(engine, storage):
-    runner = ScenarioRunner(script_engine=engine, storage=storage, static_screen=True)
+@_CACHES
+@pytest.mark.parametrize("storage", _BACKENDS)
+def test_generated_suite_is_sound(storage, compile_caches):
+    runner = ScenarioRunner(storage=storage, compile_caches=compile_caches, static_screen=True)
     for scenario in _suite():
         runner.run(scenario)
     stats = runner.screen.verify()  # raises on any false negative
@@ -44,15 +42,16 @@ def test_generated_suite_is_sound(engine, storage):
     assert not runner.screen.unclassified
 
 
-@pytest.mark.parametrize("engine,storage", _CONFIGS, ids=["-".join(c) for c in _CONFIGS])
-def test_pinned_corpus_is_sound(engine, storage):
+@_CACHES
+@pytest.mark.parametrize("storage", _BACKENDS)
+def test_pinned_corpus_is_sound(storage, compile_caches):
     entries = load_corpus()
     assert entries
     for _, entry in entries:
         runner = ScenarioRunner(
             models=entry.models,
-            script_engine=engine,
             storage=storage,
+            compile_caches=compile_caches,
             static_screen=True,
         )
         runner.run(entry.scenario())

@@ -15,7 +15,7 @@ import json
 from repro.bench import (
     format_compile_cache_report,
     measure_compile_cache,
-    write_compile_cache_report,
+    write_json_report,
 )
 
 
@@ -27,7 +27,6 @@ def test_measure_compile_cache_payload_schema(tmp_path):
         scenario_count=2,
         attack_ratio=0.0,
         scenario_rounds=1,
-        script_vm_runs=4,
     )
 
     # Section structure and workload sizes.
@@ -65,7 +64,7 @@ def test_measure_compile_cache_payload_schema(tmp_path):
     report = format_compile_cache_report(payload)
     assert "page compile" in report and "scenarios (1 worker)" in report
 
-    path = write_compile_cache_report(payload, tmp_path / "BENCH_compile_cache.json")
+    path = write_json_report(payload, tmp_path / "BENCH_compile_cache.json")
     assert json.loads(path.read_text(encoding="utf-8")) == payload
 
 
@@ -79,7 +78,6 @@ def test_seed_baseline_comparison(tmp_path):
         scenario_count=1,
         attack_ratio=0.0,
         scenario_rounds=1,
-        script_vm_runs=4,
         seed_baseline_path=baseline,
     )
     assert payload["scenarios_per_second_seed"] == 1.0
@@ -95,7 +93,6 @@ def test_missing_or_malformed_baseline_is_ignored(tmp_path):
         scenario_count=1,
         attack_ratio=0.0,
         scenario_rounds=1,
-        script_vm_runs=4,
         seed_baseline_path=tmp_path / "nope.json",
     )
     assert "speedup_vs_seed" not in missing
@@ -109,7 +106,6 @@ def test_missing_or_malformed_baseline_is_ignored(tmp_path):
         scenario_count=1,
         attack_ratio=0.0,
         scenario_rounds=1,
-        script_vm_runs=4,
         seed_baseline_path=malformed,
     )
     assert "speedup_vs_seed" not in payload

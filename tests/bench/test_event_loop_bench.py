@@ -12,7 +12,7 @@ import json
 from repro.bench import (
     format_event_loop_report,
     measure_event_loop,
-    write_event_loop_report,
+    write_json_report,
 )
 
 
@@ -30,5 +30,5 @@ def test_measure_event_loop_payload_schema(tmp_path):
     report = format_event_loop_report(payload)
     assert "tasks/s" in report and "mediations/s" in report
 
-    path = write_event_loop_report(payload, tmp_path / "BENCH_event_loop.json")
+    path = write_json_report(payload, tmp_path / "BENCH_event_loop.json")
     assert json.loads(path.read_text(encoding="utf-8")) == payload

@@ -4,11 +4,8 @@ from __future__ import annotations
 
 import json
 
-from repro.bench.storage_bench import (
-    format_storage_report,
-    measure_storage,
-    write_storage_report,
-)
+from repro.bench.reporting import write_json_report
+from repro.bench.storage_bench import format_storage_report, measure_storage
 
 
 def small_report() -> dict:
@@ -42,7 +39,7 @@ class TestStorageWorkload:
 
     def test_report_round_trips_as_json(self, tmp_path):
         report = small_report()
-        path = write_storage_report(report, tmp_path / "BENCH_storage.json")
+        path = write_json_report(report, tmp_path / "BENCH_storage.json")
         assert json.loads(path.read_text(encoding="utf-8")) == report
         text = format_storage_report(report)
         assert "digest parity OK" in text

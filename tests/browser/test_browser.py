@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.browser.browser import Browser
@@ -9,6 +11,7 @@ from repro.core.acl import Acl
 from repro.core.config import ResourcePolicy
 from repro.core.origin import Origin
 from repro.core.rings import Ring
+from repro.http.cookies import CookieJar
 from repro.http.messages import HttpResponse
 from repro.http.network import Network
 
@@ -35,6 +38,27 @@ class TestNavigation:
         assert cookie is not None
         assert cookie.ring == Ring(1), "cookie labelled from X-Escudo-Cookie-Policy"
         assert len(browser.history) == 1
+
+    @pytest.mark.parametrize(("path", "hops"), [("/viewtopic?t=1", 1), ("/go", 2)])
+    def test_load_stores_and_parses_each_response_once(self, forum_network, path, hops):
+        network, _ = forum_network
+        browser = Browser(network, fetch_subresources=False)
+        store = mock.patch.object(
+            CookieJar, "store_from_response", autospec=True, side_effect=CookieJar.store_from_response
+        )
+        parse = mock.patch.object(
+            HttpResponse,
+            "escudo_configuration",
+            autospec=True,
+            side_effect=HttpResponse.escudo_configuration,
+        )
+        with store as stored, parse as parsed:
+            browser.load(f"{ORIGIN_TEXT}{path}")
+        assert stored.call_count == hops
+        assert parsed.call_count == hops
+        cookie = browser.cookie_jar.get(ORIGIN, "sid")
+        assert cookie is not None and cookie.value == "victim-session"
+        assert cookie.ring == Ring(1), "cookie labelled from X-Escudo-Cookie-Policy"
 
     def test_redirects_are_followed(self, forum_network):
         network, server = forum_network

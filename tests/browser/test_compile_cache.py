@@ -26,10 +26,8 @@ from repro.html.serializer import serialize
 from repro.http.messages import HttpRequest, HttpResponse
 from repro.http.network import Network
 from repro.scripting.cache import ScriptCache
-from repro.scripting.compiler import CodeObject
 from repro.scripting.errors import ParseError
 from repro.scripting.interpreter import Interpreter
-from repro.scripting.vm import VirtualMachine
 
 ORIGIN = "http://cache.example.com"
 PAGE_URL = f"{ORIGIN}/page"
@@ -245,6 +243,10 @@ class TestScriptCacheParse:
         assert cache.misses["scripts"] == 4  # "2;" was re-parsed after eviction
         assert len(cache) == 2
 
+    def test_rejects_nonpositive_size(self):
+        with pytest.raises(ValueError):
+            ScriptCache(0)
+
 
 class TestCachedErrorsAreFresh:
     """Regression: cache hits must re-raise *copies* of memoised errors.
@@ -271,31 +273,17 @@ class TestCachedErrorsAreFresh:
         assert second.message == first.message
         assert second.line == first.line and second.column == first.column
 
-    def test_code_hits_raise_fresh_copies(self):
-        cache = ScriptCache()
-        first = self._trap(lambda: cache.code_for(self.BROKEN))
-        second = self._trap(lambda: cache.code_for(self.BROKEN))
-        assert cache.hits["code"] == 1
-        assert second is not first
-        assert (second.message, second.line, second.column) == (
-            first.message,
-            first.line,
-            first.column,
-        )
-
     def test_cached_entry_traceback_does_not_accumulate(self):
         cache = ScriptCache()
         with pytest.raises(ParseError):
-            cache.code_for(self.BROKEN)
+            cache.parse(self.BROKEN)
         entry = next(iter(cache._entries.values()))  # noqa: SLF001
-        memoised = (entry.program, entry.code)
-        frames_before = [_traceback_depth(error) for error in memoised]
+        memoised = entry.program
+        frames_before = _traceback_depth(memoised)
         for _ in range(5):
             with pytest.raises(ParseError):
                 cache.parse(self.BROKEN)
-            with pytest.raises(ParseError):
-                cache.code_for(self.BROKEN)
-        assert [_traceback_depth(error) for error in memoised] == frames_before
+        assert _traceback_depth(memoised) == frames_before
 
 
 def _traceback_depth(error: BaseException) -> int:
@@ -307,76 +295,39 @@ def _traceback_depth(error: BaseException) -> int:
     return depth
 
 
-class TestScriptCacheCode:
-    def test_repeat_compiles_hit_and_code_is_shared(self):
-        cache = ScriptCache()
-        first = cache.code_for("var x = 1; x + 1;")
-        second = cache.code_for("var x = 1; x + 1;")
-        assert isinstance(first, CodeObject)
-        assert first is second
-        assert cache.hits["code"] == 1 and cache.misses["code"] == 1
-        assert VirtualMachine().run(first).value == 2.0
-        assert VirtualMachine().run(first).value == 2.0
-
-    def test_code_is_lowered_from_the_entry_program(self):
-        cache = ScriptCache()
-        cache.code_for("1 + 1;")
-        # A code hit must not even consult the front end again.
-        cache.code_for("1 + 1;")
-        assert cache.misses["scripts"] == 1 and cache.hits["scripts"] == 0
-        assert cache.hits["code"] == 1
-        # The program parsed for the bytecode serves a later parse.
-        cache.parse("1 + 1;")
-        assert cache.hits["scripts"] == 1
-
-    def test_lru_bound_evicts_oldest(self):
-        cache = ScriptCache(maxsize=2)
-        cache.code_for("1;")
-        cache.code_for("2;")
-        cache.code_for("1;")  # refresh
-        cache.code_for("3;")  # evicts "2;"
-        cache.code_for("2;")
-        assert cache.misses["code"] == 4
-
-    def test_rejects_nonpositive_size(self):
-        with pytest.raises(ValueError):
-            ScriptCache(0)
-
-
 class TestOneEntryPerSource:
     SOURCE = "var c = document.cookie; c;"
 
-    def test_program_code_and_report_share_one_entry(self):
+    def test_program_and_report_share_one_entry(self):
         cache = ScriptCache()
         program = cache.parse(self.SOURCE)
-        code = cache.code_for(self.SOURCE)
         report = cache.report_for(self.SOURCE)
         assert len(cache) == 1
         assert cache.parse(self.SOURCE) is program
-        assert cache.code_for(self.SOURCE) is code
         assert cache.report_for(self.SOURCE) is report
         assert report.digest == hashlib.sha256(self.SOURCE.encode("utf-8")).hexdigest()
-        # Code and report were built from the one parsed program.
+        # The report was built from the one parsed program.
         assert cache.misses["scripts"] == 1
 
     def test_reset_counters_keeps_entries(self):
         cache = ScriptCache()
-        cache.code_for(self.SOURCE)
+        cache.parse(self.SOURCE)
         cache.reset_counters()
-        assert cache.hits == cache.misses == {"scripts": 0, "code": 0, "reports": 0}
-        cache.code_for(self.SOURCE)
-        assert cache.hits["code"] == 1 and cache.misses["code"] == 0
+        assert cache.hits == cache.misses == {"scripts": 0, "reports": 0}
+        cache.parse(self.SOURCE)
+        assert cache.hits["scripts"] == 1 and cache.misses["scripts"] == 0
 
     def test_stack_reports_every_result_under_its_own_key(self):
         caches = CompileCaches.build()
-        caches.scripts.code_for(self.SOURCE)
+        caches.scripts.parse(self.SOURCE)
         caches.scripts.report_for(self.SOURCE)
         payload = caches.as_dict()
         assert set(payload) == {"templates", "scripts", "code", "reports", "decisions"}
-        # The report was analysed from the program the bytecode lowered.
+        # The report was analysed from the program the parse cached.
         assert (payload["scripts"]["hits"], payload["scripts"]["misses"]) == (1, 1)
-        assert (payload["code"]["hits"], payload["code"]["misses"]) == (0, 1)
         assert (payload["reports"]["hits"], payload["reports"]["misses"]) == (0, 1)
+        # perfbench still reads a ``code`` block; nothing counts into it.
+        assert payload["code"] == {"hits": 0, "misses": 0}
 
     def test_screened_warm_execution_digests_its_source_once(self):
         from repro.analysis.soundness import StaticScreen
@@ -392,7 +343,7 @@ class TestOneEntryPerSource:
             static_screen=StaticScreen(caches.scripts),
         )
         loaded = browser.load(f"{ORIGIN}/")
-        browser.run_script(loaded, self.SOURCE)  # fills program, code and report
+        browser.run_script(loaded, self.SOURCE)  # fills program and report
         # An equal but distinct string, so the digest cannot be reused by
         # object identity from the cold run.
         warm_source = self.SOURCE[:1] + self.SOURCE[1:]
@@ -412,8 +363,8 @@ class TestOneEntryPerSource:
             run = browser.run_script(loaded, warm_source)
         assert run.succeeded
         assert len(digests) == 1
-        assert caches.scripts.hits == {"scripts": 0, "code": 1, "reports": 1}
-        assert caches.scripts.misses == {"scripts": 0, "code": 0, "reports": 0}
+        assert caches.scripts.hits == {"scripts": 1, "reports": 1}
+        assert caches.scripts.misses == {"scripts": 0, "reports": 0}
 
 
 class TestTemplateRenderStats:

@@ -31,7 +31,7 @@ def faulted_forum(forum_network, forum_url):
 def arm(browser, loaded, config: FaultConfig) -> FaultPlan:
     """Arm ``config`` on an already-loaded page (as the runner does pre-load)."""
     plan = config.plan_for("test", "escudo")
-    browser.fault_plan = plan
+    browser.network.fault_plan = plan
     if plan.wants(SITE_XHR):
         loaded.page.event_loop.task_interceptor = browser._xhr_task_interceptor
     return plan
@@ -57,7 +57,7 @@ class ScriptedPlan(FaultPlan):
 
 def arm_scripted(browser, loaded, kinds, *, retries: bool = True) -> ScriptedPlan:
     plan = ScriptedPlan(kinds, retries=retries)
-    browser.fault_plan = plan
+    browser.network.fault_plan = plan
     loaded.page.event_loop.task_interceptor = browser._xhr_task_interceptor
     return plan
 
@@ -150,6 +150,6 @@ class TestRealScheduleIntegration:
     def test_zero_rate_plan_never_installs_the_interceptor(self, forum_network, forum_url):
         network, _ = forum_network
         browser = Browser(network)
-        browser.fault_plan = FaultConfig.empty().plan_for("test", "escudo")
+        browser.network.fault_plan = FaultConfig.empty().plan_for("test", "escudo")
         loaded = browser.load(forum_url)
         assert loaded.page.event_loop.task_interceptor is None

@@ -149,6 +149,34 @@ class TestRejectedInput:
         assert named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        ("flags", "named"),
+        [
+            (["--count", "1", "--workers", "2", "--crash-chunk", "0"], "--count 1 runs one worker"),
+            (["--count", "3", "--workers", "2", "--crash-chunk", "5"], "chunks 0..2"),
+            (["--count", "3", "--workers", "2", "--crash-chunk", "-1"], "chunks 0..2"),
+            (
+                ["--count", "10", "--workers", "2", "--steal-chunk", "2", "--crash-chunk", "5"],
+                "chunks 0..4",
+            ),
+        ],
+        ids=["clamped-to-one-worker", "chunk-out-of-range", "negative-chunk", "sized-by-steal-chunk"],
+    )
+    def test_unhonourable_crash_schedule_is_a_usage_error(self, flags, named, capsys):
+        # Rejected before any scenario runs: nothing reaches stdout.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--seed", "42", "--no-corpus", *flags])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "--crash-chunk" in lines[0] and named in lines[0]
+
+    def test_the_last_chunk_of_the_queue_is_accepted(self):
+        args = _parse_args(["--count", "3", "--workers", "2", "--crash-chunk", "2"])
+        assert args.crash_chunk == [2]
+
 
 class TestReplay:
     def test_replay_spec_emits_clean_json_on_stdout(self, capsys):

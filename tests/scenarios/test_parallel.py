@@ -297,7 +297,14 @@ class TestWorkerRunner:
         )
 
     def test_worker_runner_starts_cold_and_warms_on_first_scenario(self):
-        runner = _build_worker_runner({"models": ("escudo", "sop", "none")})
+        runner = _build_worker_runner(
+            {
+                "models": ("escudo", "sop", "none"),
+                "compile_caches": True,
+                "storage": "dict",
+                "faults": None,
+            }
+        )
         assert runner._warmed_apps == set()
         assert runner.caches.as_dict()["templates"]["size"] == 0
         scenario = ScenarioGenerator(seed=SEED, attack_ratio=ATTACK_RATIO).scenario(0)

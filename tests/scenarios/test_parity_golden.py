@@ -4,9 +4,9 @@ The SHA-256 of the canonical ``run_suite(seed=42, count=40).parity_dict()``
 JSON is fixed here.  Every verdict, digest, mediation and denial count of
 the suite feeds the hash, so a change that alters a single mediation (a
 stale DOM index serving the wrong element, a script that no longer runs)
-fails tier-1 directly.  The pipelines that must agree byte for byte -- VM
-and walker engines, dict and SQLite storage, warm and cold compile caches
--- are each pinned to the same digest.
+fails tier-1 directly.  The pipelines that must agree byte for byte --
+dict and SQLite storage, warm and cold compile caches -- are each pinned to
+the same digest.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ def _parity_sha256(**options) -> str:
     "options",
     [
         {},
-        {"script_engine": "walker"},
         {"storage": "sqlite"},
         {"compile_caches": False},
     ],
-    ids=["default", "walker", "sqlite", "cold-caches"],
+    ids=["default", "sqlite", "cold-caches"],
 )
 def test_suite_parity_digest_matches_golden(options):
     assert _parity_sha256(**options) == GOLDEN_PARITY_SHA256

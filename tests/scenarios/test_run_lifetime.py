@@ -48,7 +48,7 @@ RUN_MACHINERY = (
 
 SETUPS = {
     "vm-dict": {},
-    "walker-sqlite": {"script_engine": "walker", "storage": "sqlite"},
+    "walker-sqlite": {"storage": "sqlite"},
     "faults": {"faults": FaultConfig.uniform(seed=7, rate=0.2)},
     "static-screen": {"static_screen": True},
 }

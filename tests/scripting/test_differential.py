@@ -1,20 +1,16 @@
-"""Differential parity: the AST walker and the bytecode VM must agree.
+"""Differential parity: a shared cached program runs exactly like a cold parse.
 
-Three layers of evidence, from micro to macro:
+``ScriptRuntime`` runs a source one of two ways: cold, as
+``Interpreter.run(source)`` (the no-cache reference), or from the worker's
+:class:`~repro.scripting.cache.ScriptCache`, where one parsed ``Program``
+serves every execution, principal and page that runs the source.  Sharing
+is safe only while no execution leaves state on the tree, so a seeded
+fuzzer generates random-but-valid MiniScript programs and each one runs
+cold and then twice from one cached program, each time in a fresh
+interpreter: values, error classes and step counts must match exactly.
 
-* a seeded fuzzer generates random-but-valid MiniScript programs and runs
-  each through both engines -- values, error classes and completion flags
-  must match exactly;
-* the scenario corpus (seeded suite plus every pinned regression spec)
-  replays under both engines and the canonical parity reports must be
-  byte-identical;
-* the Section-6.4 defense-effectiveness matrix runs under both engines and
-  every attack verdict must match.
-
-The fuzzer deliberately avoids the few constructs whose *failure shape*
-legitimately differs between engines (deep recursion trips Python's own
-recursion limit at engine-dependent depths), and keeps loops small enough
-to stay inside the step budget.
+The fuzzer keeps loops small enough to stay inside the step budget and
+avoids deep recursion, which trips Python's own recursion limit.
 """
 
 from __future__ import annotations
@@ -24,42 +20,34 @@ import random
 
 import pytest
 
-from repro.scenarios.engine import run_suite
-from repro.scenarios.model import canonical_spec_json
-from repro.scenarios.runner import ScenarioRunner
-from repro.scripting.compiler import compile_program
+from repro.scripting.cache import ScriptCache
 from repro.scripting.errors import ScriptError
-from repro.scripting.interpreter import Interpreter
-from repro.scripting.parser import parse_script
-from repro.scripting.vm import VirtualMachine
+from repro.scripting.interpreter import Interpreter, NativeFunction, ScriptFunction
 
 
-def describe(result_factory):
+def describe(run):
     """Collapse a run into a comparable outcome tuple.
 
-    ``("value", v)`` for success, ``("error", ErrorClass)`` for script
-    errors, ``("raw", ExcClass)`` for Python exceptions that escape the
-    engine (e.g. ``ZeroDivisionError`` from ``% 0`` -- both engines let it
-    through identically).  NaN compares equal to itself via a sentinel.
+    ``("value", v, steps)`` for success, ``("error", ErrorClass)`` for
+    script errors, ``("raw", ExcClass)`` for Python exceptions that escape
+    the interpreter (e.g. ``ZeroDivisionError`` from ``% 0``).  NaN compares
+    equal to itself via a sentinel.
     """
     try:
-        result = result_factory()
+        result = run()
     except Exception as raw:  # noqa: BLE001 - raw escapes are part of the contract
         return ("raw", type(raw).__name__)
     if result.failed:
         return ("error", type(result.error).__name__)
-    return ("value", _canon(result.value))
+    return ("value", _canon(result.value), result.steps)
 
 
 def _canon(value):
-    from repro.scripting.interpreter import NativeFunction, ScriptFunction
-
     if isinstance(value, float) and math.isnan(value):
         return "<NaN>"
     if isinstance(value, (ScriptFunction, NativeFunction)) or callable(value):
-        # Function identity differs by representation (walker closures vs
-        # compiled closures); both engines agreeing it *is* a function is
-        # the observable fact.
+        # Each run builds its own closures; that the value *is* a function
+        # is the observable fact.
         return "<function>"
     if isinstance(value, list):
         return tuple(_canon(item) for item in value)
@@ -69,13 +57,16 @@ def _canon(value):
 
 
 def assert_parity(source: str):
-    walker = describe(lambda: Interpreter(max_steps=50_000).run(parse_script(source)))
-    try:
-        code = compile_program(parse_script(source))
-    except ScriptError as error:  # pragma: no cover - fuzzer emits valid code
-        pytest.fail(f"compile failed for walker-valid source: {error}\n{source}")
-    vm = describe(lambda: VirtualMachine(max_steps=50_000).run(code))
-    assert vm == walker, f"engines diverge on:\n{source}\nwalker={walker}\nvm={vm}"
+    cold = describe(lambda: Interpreter(max_steps=50_000).run(source))
+    cache = ScriptCache()
+    for _ in range(2):
+        try:
+            program = cache.parse(source)
+        except ScriptError as error:  # pragma: no cover - fuzzer emits valid code
+            pytest.fail(f"parse failed for valid source: {error}\n{source}")
+        warm = describe(lambda: Interpreter(max_steps=50_000).run(program))
+        assert warm == cold, f"cached program diverges on:\n{source}\ncold={cold}\ncached={warm}"
+    assert cache.hits["scripts"] == 1
 
 
 # -- the seeded program generator -----------------------------------------------------
@@ -167,7 +158,7 @@ def test_fuzzed_programs_agree(seed):
 
 
 class TestKnownEdgeCases:
-    """Hand-picked programs that exercise the engines' trickiest corners."""
+    """Hand-picked programs that exercise the interpreter's trickiest corners."""
 
     @pytest.mark.parametrize(
         "source",
@@ -175,7 +166,7 @@ class TestKnownEdgeCases:
             "0 / 0;",  # NaN completion value
             "1 / 0;",  # signed infinity
             "'a' * 2;",  # NaN from string coercion
-            "var x = 'x' * 1; (x <= x) ? 'T' : 'F';",  # NaN through fused jumps
+            "var x = 'x' * 1; (x <= x) ? 'T' : 'F';",  # NaN through a comparison
             "var n = 0; for (var i = 0; i < 3; i = i + 1) { if (i == 1) { continue; } n = n + i; } n;",
             "var n = 0; while (true) { n = n + 1; if (n > 4) { break; } } n;",
             "typeof missing;",  # soft-absorbed lookup failure
@@ -186,67 +177,28 @@ class TestKnownEdgeCases:
             "var x = 1; { var x = 2; } x;",  # block scoping
             "missing_name;",  # reference error
             "null.x;",  # member access on null
+            "var x = 'x' * 1; (x < x) ? 'T' : 'F';",
+            "var x = 'x' * 1; (x > x) ? 'T' : 'F';",
+            "var x = 'x' * 1; (x >= x) ? 'T' : 'F';",
+            "var x = 'x' * 1; (x == x) ? 'T' : 'F';",
+            "var x = 'x' * 1; (x != x) ? 'T' : 'F';",
+            # closures: a loop's callbacks share its variable; a counter keeps its own
+            "var fs = []; for (var i = 0; i < 3; i = i + 1) { fs.push(function () { return i; }); } fs[0]();",
+            "function counter() { var n = 0; return function () { n = n + 1; return n; }; }"
+            " var c = counter(); c(); c();",
+            "function stop() { break; } var n = 0;"
+            " for (var i = 0; i < 10; i = i + 1) { n = n + 1; stop(); } n;",  # break leaves the callee
+            "'abc' < 'abd';",  # string comparison
+            "-7 % 3;",  # sign of the remainder
+            "var x = 5; x % 0;",  # escapes as a raw ZeroDivisionError
+            "'x' + null;",
+            "var o = {a: 1}; o['a'] + 1;",  # computed member
+            "var rows = [{id: 1}, {id: 2}]; rows[1].id + rows.length;",
+            "var f = function () { return 1; }; typeof f;",
+            "var s = 'hello'; s.length + s.indexOf('l');",
+            "Math.floor(7.8) + Math.max(1, 4);",  # the Math host object
+            "JSON.stringify({a: [1, 2]});",  # the JSON host object
         ],
     )
     def test_edge_case_parity(self, source):
         assert_parity(source)
-
-
-# -- macro parity: scenarios and the defense matrix -----------------------------------
-
-
-def _suite_report(script_engine: str) -> str:
-    suite = run_suite(
-        seed=42,
-        count=12,
-        attack_ratio=0.25,
-        runner=ScenarioRunner(script_engine=script_engine),
-    )
-    return canonical_spec_json(suite.parity_dict())
-
-
-def test_scenario_suite_is_engine_invariant():
-    """The canonical suite report must be byte-identical under both engines."""
-    assert _suite_report("vm") == _suite_report("walker")
-
-
-def test_corpus_entries_are_engine_invariant():
-    """Every pinned regression spec classifies identically under both engines."""
-    from repro.scenarios import load_corpus
-    from repro.scenarios.model import Scenario
-    from repro.scenarios.oracle import DifferentialOracle
-
-    entries = load_corpus()
-    assert entries, "corpus must not be empty"
-    for path, entry in entries:
-        scenario = Scenario.from_dict(entry.spec)
-        verdicts = {}
-        for engine in ("vm", "walker"):
-            runner = ScenarioRunner(models=entry.models, script_engine=engine)
-            runs = runner.run(scenario)
-            verdict = DifferentialOracle().classify(scenario, runs)
-            verdicts[engine] = (
-                verdict.ok,
-                verdict.reason,
-                {model: run.digest for model, run in runs.items()},
-            )
-        assert verdicts["vm"] == verdicts["walker"], f"{path.name} diverges"
-
-
-def test_defense_matrix_is_engine_invariant():
-    """Section 6.4: every attack verdict must match under both engines."""
-    from repro.attacks.harness import defense_effectiveness_matrix, registered_attacks
-
-    def flatten(matrix):
-        return {
-            model: [
-                (result.attack_name, result.app_key, result.succeeded, result.detail)
-                for result in results
-            ]
-            for model, results in matrix.items()
-        }
-
-    attacks = registered_attacks()
-    vm_matrix = flatten(defense_effectiveness_matrix(attacks, script_engine="vm"))
-    walker_matrix = flatten(defense_effectiveness_matrix(attacks, script_engine="walker"))
-    assert vm_matrix == walker_matrix

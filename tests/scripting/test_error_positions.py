@@ -1,30 +1,23 @@
-"""Every ScriptError carries a source position, identically under both engines.
+"""Every ScriptError carries a source position.
 
 The lexer and parser have always stamped line/column; this suite pins the
-newer guarantee that *runtime* failures are stamped too -- by the walker's
-node-level wrappers and by the VM's bytecode line table -- and that the two
-engines agree on the failing line for the same program.
+newer guarantee that *runtime* failures are stamped too, by the
+interpreter's node-level wrappers.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.scripting.compiler import compile_program
+from repro.scripting.cache import ScriptCache
 from repro.scripting.errors import LexError, ParseError, RuntimeScriptError, ScriptError
 from repro.scripting.interpreter import Interpreter
 from repro.scripting.parser import parse_script
-from repro.scripting.vm import VirtualMachine
-
-ENGINES = ("vm", "walker")
 
 
-def error_under(engine: str, source: str) -> ScriptError:
-    if engine == "walker":
-        result = Interpreter(max_steps=50_000).run(parse_script(source))
-    else:
-        result = VirtualMachine(max_steps=50_000).run(compile_program(parse_script(source)))
-    assert result.failed, f"expected {source!r} to fail under {engine}"
+def error_of(source: str) -> ScriptError:
+    result = Interpreter(max_steps=50_000).run(parse_script(source))
+    assert result.failed, f"expected {source!r} to fail"
     assert isinstance(result.error, ScriptError)
     return result.error
 
@@ -38,25 +31,28 @@ _RUNTIME_CASES = {
 }
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("case", sorted(_RUNTIME_CASES), ids=sorted(_RUNTIME_CASES))
-def test_runtime_errors_carry_the_failing_line(engine, case):
+def test_runtime_errors_carry_the_failing_line(case):
     source, expected_line = _RUNTIME_CASES[case]
-    error = error_under(engine, source)
+    error = error_of(source)
     assert isinstance(error, RuntimeScriptError)
-    assert error.line == expected_line, (
-        f"{case} under {engine}: expected line {expected_line}, got {error.line}"
-    )
+    assert error.line == expected_line, f"{case}: expected line {expected_line}, got {error.line}"
 
 
 @pytest.mark.parametrize("case", sorted(_RUNTIME_CASES), ids=sorted(_RUNTIME_CASES))
-def test_engines_agree_on_error_positions(case):
-    source, _ = _RUNTIME_CASES[case]
-    assert error_under("vm", source).line == error_under("walker", source).line
+def test_every_run_of_a_shared_program_stamps_its_own_error(case):
+    # The script cache hands one program to every execution: each run's
+    # error must carry the line, whatever an earlier run stamped.
+    source, expected_line = _RUNTIME_CASES[case]
+    program = ScriptCache().parse(source)
+    first, second = (Interpreter(max_steps=50_000).run(program).error for _ in range(2))
+    assert first is not second
+    assert isinstance(second, RuntimeScriptError)
+    assert first.line == second.line == expected_line
 
 
 def test_error_message_renders_position():
-    error = error_under("vm", "var a = 1;\nmissingName;")
+    error = error_of("var a = 1;\nmissingName;")
     assert "line 2" in str(error)
 
 

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.scripting.cache import ScriptCache
 from repro.scripting.errors import BudgetExceeded, RuntimeScriptError
 from repro.scripting.interpreter import (
     HostObject,
@@ -260,3 +261,139 @@ class TestErrorsAndBudget:
         result = run("var total = 0; for (var i = 0; i < 10; i += 1) { total += i; }")
         assert result.steps > 10
         assert not result.failed
+
+    def test_empty_and_counting_loops_hit_budget(self):
+        assert isinstance(run("for (;;) { }", max_steps=2_000).error, BudgetExceeded)
+        result = run("var n = 0; while (true) { n = n + 1; }", max_steps=3_000)
+        assert isinstance(result.error, BudgetExceeded)
+
+
+class TestCompletionAndCoercion:
+    """Completion values, coercions and loop exits every script relies on."""
+
+    def test_binary_operators_on_a_variable_and_a_literal(self):
+        assert value_of("var x = 5; x + 2;") == 7.0
+        assert value_of("var x = 5; x - 2;") == 3.0
+        assert value_of("var x = 5; x * 2;") == 10.0
+        assert value_of("var x = 5; x % 2;") == 1.0
+        assert value_of("'n=' + 1;") == "n=1"
+        assert value_of("'ring ' + 3;") == "ring 3"
+        assert value_of("1 + '2';") == "12"
+        assert value_of("1 == '1';") is True
+
+    def test_modulo_by_zero_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            Interpreter().run("var x = 5; x % 0;")
+
+    def test_short_circuit_never_evaluates_the_decided_arm(self):
+        assert value_of("false && missing;") is False
+        assert value_of("true || missing;") is True
+
+    def test_comparison_driven_loops_and_branches(self):
+        assert value_of("var n = 0; for (var i = 0; i < 5; i = i + 1) { n = n + 1; } n;") == 5.0
+        assert value_of("var i = 10; while (i > 3) { i = i - 2; } i;") == 2.0
+        assert value_of("var x = 1; if (x >= 1) { x = 7; } x;") == 7.0
+        assert value_of("var a = 'q'; (a == 'q') ? 1 : 2;") == 1.0
+
+    def test_program_completion_value(self):
+        # The last expression statement wins; a write in statement position
+        # publishes its value, and a declaration or call of a void function
+        # completes with null.
+        assert value_of("var x = 1; x = 5;") == 5.0
+        assert value_of("var x = 1; x = 5; var y = 2;") is None
+        assert value_of("function f() { var z = 9; z = 3; } f();") is None
+
+    def test_break_in_a_callee_exits_the_callers_innermost_loop(self):
+        source = (
+            "function stop() { break; }"
+            "var n = 0;"
+            "for (var i = 0; i < 10; i = i + 1) { n = n + 1; stop(); }"
+            "n;"
+        )
+        assert value_of(source) == 1.0
+
+
+class _Recorder(HostObject):
+    """A mediating host object: every access goes through js_get/js_set/js_call."""
+
+    host_name = "Recorder"
+
+    def __init__(self, deny: bool = False) -> None:
+        self.deny = deny
+        self.log: list[tuple] = []
+        self.fields: dict = {"x": 1.0}
+
+    def js_get(self, name: str):
+        self.log.append(("get", name))
+        if self.deny:
+            raise RuntimeScriptError(f"access to {name!r} denied")
+        if name in self.fields:
+            return self.fields[name]
+        raise RuntimeScriptError(f"Recorder has no property {name!r}")
+
+    def js_set(self, name: str, value) -> None:
+        self.log.append(("set", name, value))
+        if self.deny:
+            raise RuntimeScriptError(f"write to {name!r} denied")
+        self.fields[name] = value
+
+    def js_call(self, name: str, args: list):
+        self.log.append(("call", name, tuple(args)))
+        if self.deny:
+            raise RuntimeScriptError(f"call to {name!r} denied")
+        if name == "double":
+            return args[0] * 2
+        raise RuntimeScriptError(f"Recorder.{name} is not a function")
+
+
+class TestSharedProgramMediation:
+    """One cached program serves many runs; each access still reaches the host."""
+
+    def test_every_member_read_reaches_the_host(self):
+        recorder = _Recorder()
+        result = run(
+            "var total = 0; for (var i = 0; i < 10; i = i + 1) { total = total + r.x; } total;",
+            {"r": recorder},
+        )
+        assert result.value == 10.0
+        assert recorder.log == [("get", "x")] * 10
+
+    def test_every_method_call_reaches_the_host(self):
+        recorder = _Recorder()
+        source = "var total = 0; for (var i = 0; i < 5; i = i + 1) { total = total + r.double(i); } total;"
+        assert value_of(source, {"r": recorder}) == 20.0
+        assert recorder.log == [("call", "double", (float(i),)) for i in range(5)]
+
+    def test_new_routes_writes_and_reads_through_the_host(self):
+        built = []
+
+        def factory():
+            built.append(_Recorder())
+            return built[-1]
+
+        source = "var r = new Recorder(); r.x = 5; r.x;"
+        assert value_of(source, {"Recorder": NativeConstructor(factory, "Recorder")}) == 5.0
+        assert built[0].log == [("set", "x", 5.0), ("get", "x")]
+
+    def test_a_revoked_access_denies_the_next_run_of_a_shared_program(self):
+        recorder = _Recorder()
+        program = ScriptCache().parse("r.x;")
+        assert not Interpreter({"r": recorder}).run(program).failed
+        recorder.deny = True
+        result = Interpreter({"r": recorder}).run(program)
+        assert result.failed
+        assert "denied" in str(result.error)
+
+    def test_one_program_serves_different_receiver_kinds(self):
+        program = ScriptCache().parse("obj.x;")
+        assert Interpreter({"obj": _Recorder()}).run(program).value == 1.0
+        assert Interpreter({"obj": {"x": 9.0}}).run(program).value == 9.0
+        assert Interpreter({"obj": _Recorder()}).run(program).value == 1.0
+
+    def test_one_program_keeps_each_interpreters_globals_apart(self):
+        program = ScriptCache().parse("var n = base + 1; n;")
+        first = Interpreter({"base": 1.0})
+        second = Interpreter({"base": 10.0})
+        assert first.run(program).value == 2.0
+        assert second.run(program).value == 11.0
+        assert first.run(program).value == 2.0
