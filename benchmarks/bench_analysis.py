@@ -55,4 +55,5 @@ def test_static_analysis_tier(benchmark, report_writer):
     )
 
     path = write_json_report(report, RESULTS_DIR / ANALYSIS_RESULTS_NAME)
-    report_writer("static_analysis", format_analysis_report(report) + f"\n[json artifact: {path}]")
+    artifact = path.relative_to(RESULTS_DIR.parent.parent)
+    report_writer("static_analysis", format_analysis_report(report) + f"\n[json artifact: {artifact}]")

@@ -86,6 +86,7 @@ def test_compile_cache_speedups(benchmark, report_writer):
     )
 
     path = write_json_report(payload, RESULTS_DIR / COMPILE_CACHE_RESULTS_NAME)
+    artifact = path.relative_to(RESULTS_DIR.parent.parent)
     report_writer(
-        "compile_cache", format_compile_cache_report(payload) + f"\n[json artifact: {path}]"
+        "compile_cache", format_compile_cache_report(payload) + f"\n[json artifact: {artifact}]"
     )

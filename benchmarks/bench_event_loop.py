@@ -51,4 +51,5 @@ def test_event_loop_throughput(benchmark, report_writer):
     assert xhrs["xhr_completions_per_second"] > 0
 
     path = write_json_report(payload, RESULTS_DIR / EVENT_LOOP_RESULTS_NAME)
-    report_writer("event_loop", format_event_loop_report(payload) + f"\n[json artifact: {path}]")
+    artifact = path.relative_to(RESULTS_DIR.parent.parent)
+    report_writer("event_loop", format_event_loop_report(payload) + f"\n[json artifact: {artifact}]")

@@ -64,12 +64,13 @@ def test_fault_plane_chaos_and_overhead(benchmark, report_writer):
         overhead=overhead,
     )
     path = write_json_report(payload, RESULTS_DIR / FAULTS_RESULTS_NAME)
+    artifact = path.relative_to(RESULTS_DIR.parent.parent)
     report_writer(
         "fault_plane",
         (
             f"chaos: {chaos.runs_faulted} fault runs, 0 fail-open, 0 diverged, "
             f"{chaos.degraded} degraded (retries off) | passivity: ok | "
             f"overhead: {overhead['overhead_percent']:+.2f}% "
-            f"(gate < {OVERHEAD_GATE_PERCENT}%)\n[json artifact: {path}]"
+            f"(gate < {OVERHEAD_GATE_PERCENT}%)\n[json artifact: {artifact}]"
         ),
     )

@@ -65,6 +65,7 @@ def test_parallel_scenario_throughput(benchmark, report_writer):
     )
 
     path = write_json_report(payload, RESULTS_DIR / PARALLEL_RESULTS_NAME)
+    artifact = path.relative_to(RESULTS_DIR.parent.parent)
     report_writer(
-        "parallel_scenarios", format_parallel_report(payload) + f"\n[json artifact: {path}]"
+        "parallel_scenarios", format_parallel_report(payload) + f"\n[json artifact: {artifact}]"
     )

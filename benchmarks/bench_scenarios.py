@@ -37,4 +37,5 @@ def test_scenario_engine_throughput(benchmark, report_writer):
     assert suite.mediations > 0, "scenario execution must be mediated"
 
     path = write_json_report(suite.as_dict(), RESULTS_PATH)
-    report_writer("scenario_throughput", suite.summary() + f"\n[json artifact: {path}]")
+    artifact = path.relative_to(RESULTS_PATH.parents[2])
+    report_writer("scenario_throughput", suite.summary() + f"\n[json artifact: {artifact}]")

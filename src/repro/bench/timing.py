@@ -135,7 +135,7 @@ def measure_page_mediation(page, *, passes: int = 3) -> tuple[int, float]:
     Loading alone performs no authorizations (labelling is not an access);
     the mediation figures of the Figure-4 table come from the access pattern
     scripts actually exhibit -- repeated ``read`` sweeps over every element
-    -- driven through the batched DOM facade.  Returns the number of
+    -- driven through the DOM mediator's batch sweep.  Returns the number of
     mediated accesses and their throughput (mediations/second).
     """
     from repro.core.decision import Operation
@@ -145,7 +145,7 @@ def measure_page_mediation(page, *, passes: int = 3) -> tuple[int, float]:
     principal = (
         page.principal_context_for(body) if body is not None else page.browser_principal()
     )
-    api = DomApi(page.document, page.monitor, principal)
+    api = DomApi(page.monitor, principal)
     elements = list(page.document.elements())
     before_total = page.monitor.stats.total
     start = time.perf_counter()

@@ -5,7 +5,7 @@ from .compile_cache import CachedTemplate, CompileCaches, TemplateCache
 from .history import BrowserHistory, HistoryEntry
 from .labeler import LabelingStats, PageLabeler, document_uses_escudo
 from .loader import LoaderOptions, load_page
-from .page import Page, RegisteredListener, ScriptRun
+from .page import Page, ScriptRun
 from .renderer import LayoutBox, Renderer, RenderStats, render_document
 from .script_runtime import RuntimeObservations, ScriptRuntime
 from .ui_events import UiEventLayer, UiEventResult
@@ -24,7 +24,6 @@ __all__ = [
     "LoaderOptions",
     "Page",
     "PageLabeler",
-    "RegisteredListener",
     "RenderStats",
     "Renderer",
     "RuntimeObservations",

@@ -4,14 +4,13 @@ The paper treats each web page as a "system" with its own independent set of
 rings.  :class:`Page` bundles everything belonging to that system: the
 parsed and labelled DOM, the page's ESCUDO configuration, its reference
 monitor (each page gets its own, so audit trails and statistics are
-per-system), the native-API contexts, registered event listeners and the
-results of scripts that have run.
+per-system), the native-API contexts, the event dispatcher holding every
+script-registered listener and the results of scripts that have run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.core.config import PageConfiguration
 from repro.core.context import SecurityContext
@@ -29,16 +28,6 @@ from repro.scripting.interpreter import ExecutionResult
 from .event_loop import EventLoop
 from .labeler import LabelingStats
 from .renderer import RenderStats
-
-
-@dataclass
-class RegisteredListener:
-    """A script-registered event listener plus the principal that registered it."""
-
-    element: Element
-    event_type: str
-    callback: Callable
-    principal: SecurityContext
 
 
 @dataclass
@@ -69,7 +58,6 @@ class Page:
     nonce_validator: NonceValidator = field(default_factory=NonceValidator)
     ignored_end_tags: int = 0
     dispatcher: EventDispatcher = field(default_factory=EventDispatcher)
-    listeners: list[RegisteredListener] = field(default_factory=list)
     script_runs: list[ScriptRun] = field(default_factory=list)
     #: Per-page task scheduler: timers, queued XHR completions, dispatches.
     event_loop: EventLoop = field(default_factory=EventLoop)
@@ -143,21 +131,6 @@ class Page:
             return self.api_context("DOM API")
         return None
 
-    # -- listeners ---------------------------------------------------------------------------------
-
-    def register_listener(self, listener: RegisteredListener) -> None:
-        """Record a script-registered listener and hook it into the dispatcher."""
-        self.listeners.append(listener)
-        self.dispatcher.add_listener(listener.element, listener.event_type, listener.callback)
-
-    def listeners_on(self, element: Element, event_type: str) -> list[RegisteredListener]:
-        """Registered listeners for a specific element and event type."""
-        return [
-            listener
-            for listener in self.listeners
-            if listener.element is element and listener.event_type == event_type
-        ]
-
     # -- teardown ------------------------------------------------------------------------------------
 
     def close(self) -> None:
@@ -167,7 +140,6 @@ class Page:
         all a finished scenario run reads; nothing else may be used after.
         """
         self.event_loop.close()
-        self.listeners.clear()
         self.dispatcher.clear()
         self.document.release()
 

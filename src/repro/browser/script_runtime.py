@@ -4,10 +4,13 @@ Every script principal on a page -- a ``<script>`` element, an inline UI
 event handler, a callback registered with ``addEventListener`` -- executes
 in an environment built by :class:`ScriptRuntime`.  The environment exposes:
 
-* ``document`` -- a :class:`DocumentBinding` over the mediated DOM API
-  (:class:`~repro.dom.dom_api.DomApi`) bound to *that principal's* security
-  context, plus ``document.cookie`` whose reads and writes are mediated
-  against each cookie's ring/ACL;
+* ``document`` -- a :class:`DocumentBinding` whose lookups hand out
+  :class:`ElementBinding` objects; each element handler asks the
+  environment's :class:`~repro.dom.dom_api.DomApi`, bound to *that
+  principal's* security context, before it touches the element (the same
+  way :class:`~repro.browser.xhr.XmlHttpRequest` mediates its own ``send``),
+  plus ``document.cookie`` whose reads and writes are mediated against each
+  cookie's ring/ACL;
 * ``window`` -- ``alert``, ``location`` (navigation attempts are recorded,
   which the XSS experiments use to detect exfiltration), ``setTimeout`` /
   ``clearTimeout`` (real deferred semantics: callbacks are queued on the
@@ -38,9 +41,15 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import attrgetter
 
+from repro.core.config import PROTECTED_ATTRIBUTES
 from repro.core.context import SecurityContext
-from repro.dom.dom_api import DomApi, ElementHandle
+from repro.core.decision import Operation
+from repro.dom.dom_api import DomApi
 from repro.dom.element import Element
+from repro.dom.node import TextNode
+from repro.dom.traversal import query_selector, query_selector_all
+from repro.html.parser import parse_fragment
+from repro.html.serializer import serialize_children
 from repro.scripting.cache import ScriptCache
 from repro.scripting.errors import RuntimeScriptError, ScriptError
 from repro.scripting.host_members import CONSOLE, DOCUMENT, ELEMENT, LOCATION, WINDOW, WINDOW_GLOBALS
@@ -52,7 +61,7 @@ from repro.scripting.interpreter import (
     _to_string,
 )
 
-from .page import Page, RegisteredListener, ScriptRun
+from .page import Page, ScriptRun
 from .xhr import XmlHttpRequest
 
 
@@ -63,55 +72,87 @@ def _navigate(binding: HostObject, target) -> None:
 
 
 class ElementBinding(HostObject):
-    """Script-visible element wrapper (delegates to the mediated handle)."""
+    """Script-visible element: every handler is mediated for its principal.
+
+    A handler runs the tamper check (attribute members only), then the
+    principal's :meth:`~repro.dom.dom_api.DomApi.authorize`, and only then
+    acts on the element.  A denied read yields ``null``; a denied write
+    yields ``false`` and leaves the tree untouched.
+    """
 
     host_name = ELEMENT
     read_noun = write_noun = "element"
 
-    def __init__(self, handle: ElementHandle, runtime: "_PrincipalEnvironment") -> None:
-        self._handle = handle
+    def __init__(self, element: Element, runtime: "_PrincipalEnvironment") -> None:
+        self._element = element
         self._runtime = runtime
+
+    def _allowed(self, operation: Operation) -> bool:
+        return self._runtime.dom_api.authorize(self._element, operation)
 
     # -- reads -----------------------------------------------------------------------
 
-    _get_inner_html = attrgetter("_handle.inner_html")
-    _get_text_content = _get_inner_text = attrgetter("_handle.text_content")
-    _get_id = attrgetter("_handle.id")
+    def _get_inner_html(self):
+        return serialize_children(self._element) if self._allowed(Operation.READ) else None
+
+    def _get_text_content(self):
+        return self._element.text_content if self._allowed(Operation.READ) else None
+
+    _get_inner_text = _get_text_content
 
     def _get_tag_name(self):
-        return self._handle.tag_name.upper()
+        return self._element.tag_name.upper()
+
+    def _get_id(self):
+        return self._get_attribute("id")
 
     def _get_value(self):
-        return self._handle.get_attribute("value")
+        return self._get_attribute("value")
 
     def _get_attribute(self, attr):
-        return self._handle.get_attribute(str(attr))
+        name = str(attr)
+        if name.lower() in PROTECTED_ATTRIBUTES:
+            self._runtime.dom_api.record_tamper_attempt(self._element, name, operation=Operation.READ)
+            return None
+        return self._element.get_attribute(name) if self._allowed(Operation.READ) else None
 
     def _query_selector(self, selector):
-        found = self._handle.query_selector(str(selector))
-        return ElementBinding(found, self._runtime) if found is not None else None
+        return self._runtime.wrap(query_selector(self._element, str(selector)))
 
     def _query_selector_all(self, selector):
-        return [ElementBinding(h, self._runtime) for h in self._handle.query_selector_all(str(selector))]
+        return self._runtime.wrap_all(query_selector_all(self._element, str(selector)))
 
     # -- writes ------------------------------------------------------------------------
 
-    def _set_inner_html(self, value) -> None:
-        self._handle.set_inner_html(str(value) if value is not None else "")
+    def _set_inner_html(self, value) -> bool:
+        """Replace the children with parsed markup, labelled under the scoping rule.
+
+        Nothing inside the fragment can exceed the privilege of this
+        element's ring, no matter what ``ring`` attributes the markup claims.
+        """
+        if not self._allowed(Operation.WRITE):
+            return False
+        element = self._element
+        markup = str(value) if value is not None else ""
+        element.replace_children(parse_fragment(markup, owner=element.owner_document))
+        for child in element.element_children():
+            self._runtime.dom_api.label_created_subtree(child, parent=element)
+        return True
 
     def _set_text_content(self, value) -> None:
-        self._handle.set_text_content(str(value) if value is not None else "")
+        if self._allowed(Operation.WRITE):
+            self._element.replace_children([TextNode(str(value) if value is not None else "")])
 
     _set_inner_text = _set_text_content
 
     def _set_value(self, value) -> None:
-        self._handle.set_attribute("value", str(value))
+        self._set_attribute("value", value)
 
     def _set_id(self, value) -> None:
-        self._handle.set_attribute("id", str(value))
+        self._set_attribute("id", value)
 
     def _set_class_name(self, value) -> None:
-        self._handle.set_attribute("class", str(value))
+        self._set_attribute("class", value)
 
     def _set_on_prefix(self, name: str, value) -> None:
         """``on<type> = callback``: register the callback as a listener."""
@@ -120,57 +161,80 @@ class ElementBinding(HostObject):
         self._add_event_listener(name[2:], value)
 
     def _set_attribute(self, attr, value) -> bool:
-        return self._handle.set_attribute(str(attr), str(value))
+        name = str(attr)
+        if name.lower() in PROTECTED_ATTRIBUTES:
+            self._runtime.dom_api.record_tamper_attempt(self._element, name, operation=Operation.WRITE)
+            return False
+        if not self._allowed(Operation.WRITE):
+            return False
+        self._element.set_attribute(name, str(value))
+        return True
 
     def _append_child(self, child) -> bool:
-        if isinstance(child, ElementBinding):
-            return self._handle.append_child(child._handle)
-        raise RuntimeScriptError("appendChild expects an element")
+        if not isinstance(child, ElementBinding):
+            raise RuntimeScriptError("appendChild expects an element")
+        if not self._allowed(Operation.WRITE):
+            return False
+        self._element.append_child(child._element)
+        self._runtime.dom_api.label_created_subtree(child._element, parent=self._element)
+        return True
 
     def _remove_child(self, child) -> bool:
-        if isinstance(child, ElementBinding):
-            return self._handle.remove_child(child._handle)
-        raise RuntimeScriptError("removeChild expects an element")
+        if not isinstance(child, ElementBinding):
+            raise RuntimeScriptError("removeChild expects an element")
+        if not self._allowed(Operation.WRITE):
+            return False
+        try:
+            self._element.remove_child(child._element)
+        except ValueError:
+            return False
+        return True
 
     def _add_event_listener(self, event_type, callback) -> bool:
-        return self._handle.add_event_listener(str(event_type), callback)
+        """Register ``callback`` (a ``write``); it later runs under this principal."""
+        if not self._allowed(Operation.WRITE):
+            return False
+        self._runtime.add_listener(self._element, str(event_type), callback)
+        return True
 
 
 class DocumentBinding(HostObject):
-    """The ``document`` global."""
+    """The ``document`` global: lookups hand out mediated element bindings."""
 
     host_name = DOCUMENT
     read_noun = write_noun = "document"
 
-    def __init__(self, dom_api: DomApi, runtime: "_PrincipalEnvironment") -> None:
-        self._api = dom_api
+    def __init__(self, runtime: "_PrincipalEnvironment") -> None:
         self._runtime = runtime
-
-    def _wrap(self, handle: ElementHandle | None):
-        return ElementBinding(handle, self._runtime) if handle is not None else None
+        self._document = runtime.page.document
 
     def _get_element_by_id(self, element_id):
-        return self._wrap(self._api.get_element_by_id(str(element_id)))
+        return self._runtime.wrap(self._document.get_element_by_id(str(element_id)))
 
     def _query_selector(self, selector):
-        return self._wrap(self._api.query_selector(str(selector)))
+        return self._runtime.wrap(query_selector(self._document, str(selector)))
 
     def _query_selector_all(self, selector):
-        return [self._wrap(h) for h in self._api.query_selector_all(str(selector))]
+        return self._runtime.wrap_all(query_selector_all(self._document, str(selector)))
 
     def _get_elements_by_tag_name(self, tag_name):
-        return [self._wrap(h) for h in self._api.get_elements_by_tag_name(str(tag_name))]
+        return self._runtime.wrap_all(self._document.get_elements_by_tag_name(str(tag_name)))
 
     def _create_element(self, tag_name):
-        return self._wrap(self._api.create_element(str(tag_name)))
+        """The new element is detached; it is labelled when inserted."""
+        return self._runtime.wrap(self._document.create_element(str(tag_name)))
 
     def _get_body(self):
-        return self._wrap(self._api.body)
+        return self._runtime.wrap(self._document.body)
 
     def _get_head(self):
-        return self._wrap(self._api.head)
+        return self._runtime.wrap(self._document.head)
 
-    _get_title = attrgetter("_api.title")
+    def _get_title(self):
+        """Unmediated: the title is page chrome."""
+        titles = self._document.get_elements_by_tag_name("title")
+        return titles[0].text_content if titles else ""
+
     _get_location = attrgetter("_runtime.window.location")
 
     def _get_cookie(self):
@@ -184,14 +248,14 @@ class DocumentBinding(HostObject):
     _set_location = _navigate
 
     def _write(self, markup) -> bool:
-        """``document.write``: append markup to the body (mediated)."""
-        body = self._api.body
+        """``document.write``: append markup to the body (a read, then a write)."""
+        body = self._get_body()
         if body is None:
             return False
-        current = body.inner_html
+        current = body._get_inner_html()
         if current is None:
             return False
-        return body.set_inner_html(current + str(markup))
+        return body._set_inner_html(current + str(markup))
 
 
 class LocationBinding(HostObject):
@@ -320,14 +384,8 @@ class _PrincipalEnvironment:
         self.page = runtime.page
         self.principal = principal
         self.interpreter = Interpreter(max_steps=runtime.max_steps)
-        self.dom_api = DomApi(
-            self.page.document,
-            self.page.monitor,
-            principal,
-            api_object=runtime.dom_api_object,
-            listener_registry=self._register_raw_listener,
-        )
-        self.document_binding = DocumentBinding(self.dom_api, self)
+        self.dom_api = DomApi(self.page.monitor, principal, api_object=runtime.dom_api_object)
+        self.document_binding = DocumentBinding(self)
         self.console_binding = ConsoleBinding(runtime.observations.console)
         self.window = WindowBinding(self)
         #: Timer ids this environment registered -- the only ones its
@@ -364,13 +422,13 @@ class _PrincipalEnvironment:
         )
 
     def close(self) -> None:
-        """Drop the globals, the bindings and the DOM facade.
+        """Drop the globals and the bindings.
 
         Each of them links back to this environment (bound methods, the
         bindings' ``_runtime``), so they form its reference cycles.
         """
         self.interpreter.globals.values.clear()
-        self.document_binding = self.window = self.dom_api = None
+        self.document_binding = self.window = None
 
     def mediation_scope(self):
         """Context manager attributing monitor decisions to this script.
@@ -385,9 +443,19 @@ class _PrincipalEnvironment:
 
     # -- listeners & callbacks ---------------------------------------------------------------
 
-    def _register_raw_listener(self, element: Element, event_type: str, callback) -> None:
-        """Hook invoked by the DOM API once the ``write`` check passed."""
-        principal = self.principal
+    def wrap(self, element: Element | None) -> ElementBinding | None:
+        """The binding through which this principal's script sees ``element``."""
+        return ElementBinding(element, self) if element is not None else None
+
+    def wrap_all(self, elements: list[Element]) -> list[ElementBinding]:
+        """Bindings for a lookup's results (each later access is mediated)."""
+        return [ElementBinding(element, self) for element in elements]
+
+    def add_listener(self, element: Element, event_type: str, callback) -> None:
+        """Hook ``callback`` into the page's dispatcher; it runs in this environment.
+
+        Called by the element binding once the ``write`` check passed.
+        """
         environment = self
 
         def dispatcher_callback(event) -> None:
@@ -397,14 +465,7 @@ class _PrincipalEnvironment:
             }
             environment.invoke(callback, [payload])
 
-        self.page.register_listener(
-            RegisteredListener(
-                element=element,
-                event_type=event_type,
-                callback=dispatcher_callback,
-                principal=principal,
-            )
-        )
+        self.page.dispatcher.add_listener(element, event_type, dispatcher_callback)
 
     def invoke(self, callback, args: list):
         """Invoke a script function (or native callable) in this environment.
@@ -446,7 +507,7 @@ class ScriptRuntime:
         #: every monitor decision is attributed to the causing script.
         self.screen = screen
         self.observations = RuntimeObservations()
-        # Resolved once per runtime: every principal's DOM facade shares the
+        # Resolved once per runtime: every principal's DOM mediator shares the
         # same API object context, and building it per script execution costs
         # more than the cached ``use`` checks it gates.  Frozen value, so
         # sharing is safe across environments.

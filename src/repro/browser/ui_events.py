@@ -131,7 +131,7 @@ class UiEventLayer:
 
         delivered_elements = self.page.dispatcher.dispatch(event, deliverable=deliverable)
         result.listeners_run = sum(
-            len(self.page.listeners_on(el, event_type)) for el in delivered_elements
+            len(self.page.dispatcher.listeners_for(el, event_type)) for el in delivered_elements
         )
 
         # Inline handlers on the delivered elements.

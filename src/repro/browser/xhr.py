@@ -168,9 +168,12 @@ class XmlHttpRequest(HostObject):
         # Synchronous path: re-post in place when the plane keeps losing the
         # completion.  Bounded; the burst cap guarantees convergence well
         # inside the cap when retries are armed.
-        for _attempt in range(XHR_RETRY_ATTEMPTS):
+        for attempt in range(XHR_RETRY_ATTEMPTS):
             if not task.cancelled:
                 self._pending = None
+                if attempt:
+                    # A re-posted completion survived: the send recovered.
+                    self._fault_plan().stats.note_recovery()
                 loop.run_task(task)
                 return
             plan = self._fault_plan()

@@ -1,7 +1,7 @@
-"""DOM substrate: the tree, traversal, events and the mediated DOM API."""
+"""DOM substrate: the tree, traversal, events and the per-principal DOM mediator."""
 
 from .document import Document
-from .dom_api import DomApi, ElementHandle
+from .dom_api import DomApi
 from .element import RAW_TEXT_ELEMENTS, VOID_ELEMENTS, Element
 from .events import SUPPORTED_EVENT_TYPES, Event, EventDispatcher, nodes_with_inline_handlers
 from .node import CommentNode, Node, NodeType, TextNode
@@ -22,7 +22,6 @@ __all__ = [
     "Document",
     "DomApi",
     "Element",
-    "ElementHandle",
     "Event",
     "EventDispatcher",
     "Node",

@@ -9,8 +9,9 @@ Each element therefore carries a security context, assigned exactly once by
 the labelling engine (:mod:`repro.browser.labeler`) when the page is parsed
 or when a script legitimately creates the element.  The raw attribute
 dictionary here is *not* reachable from page scripts -- scripts only see the
-mediated facade in :mod:`repro.dom.dom_api` -- so storing the context on the
-element does not expose it to tampering.
+element bindings of :mod:`repro.browser.script_runtime`, which ask the
+principal's :class:`~repro.dom.dom_api.DomApi` before every access -- so
+storing the context on the element does not expose it to tampering.
 """
 
 from __future__ import annotations
@@ -66,11 +67,11 @@ class Element(Node):
     # -- attributes (unmediated; browser-internal use only) -------------------------
 
     def get_attribute(self, name: str) -> str | None:
-        """Raw attribute read (browser-internal; scripts go through the facade)."""
+        """Raw attribute read (browser-internal; scripts go through the bindings)."""
         return self._attributes.get(name.lower())
 
     def set_attribute(self, name: str, value: str) -> None:
-        """Raw attribute write (browser-internal; scripts go through the facade)."""
+        """Raw attribute write (browser-internal; scripts go through the bindings)."""
         lowered = name.lower()
         self._attributes[lowered] = str(value)
         if lowered == "id":

@@ -3,8 +3,9 @@
 The browser represents a parsed page as a tree of nodes: elements, text,
 comments and the document root.  This module provides the structural layer
 -- parent/child links, insertion and removal, tree traversal -- with no
-security semantics.  Mediation lives one layer up, in
-:mod:`repro.dom.dom_api`, which is the only surface scripts can reach.
+security semantics.  Scripts reach the tree only through the element and
+``document`` bindings of :mod:`repro.browser.script_runtime`, which mediate
+every access through :class:`~repro.dom.dom_api.DomApi`.
 """
 
 from __future__ import annotations

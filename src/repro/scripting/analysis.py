@@ -10,7 +10,7 @@ those sinks.  The soundness contract (checked end-to-end by
 
     dynamically audited access categories  ⊆  statically predicted sinks
 
-for every script the scenario corpus executes, under both engines.  The
+for every script the scenario corpus executes.  The
 analysis errs exclusively toward over-prediction: an access the analyzer
 cannot rule out is predicted (a reported false positive), while a missed
 access (false negative) is a mediation-bypass bug and fails the suite.

@@ -13,7 +13,7 @@ The browser exposes its mediated APIs to scripts as *host objects*
 calls on host objects are forwarded to ``js_get`` / ``js_set`` / ``js_call``,
 which dispatch through the host's member table
 (:mod:`repro.scripting.host_members`) to the handler methods where the DOM
-facade, cookie access and ``XMLHttpRequest`` perform their reference-monitor
+bindings, cookie access and ``XMLHttpRequest`` perform their reference-monitor
 checks.  The interpreter itself knows nothing about ESCUDO -- exactly like a
 real JavaScript engine.
 
@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
+from operator import ge, gt, le, lt
 from types import MethodType
 from typing import Any, Callable, Iterable, Optional
 
@@ -430,49 +432,25 @@ class Interpreter:
             return left if _truthy(left) else self._evaluate(node.right, env)
         left = self._evaluate(node.left, env)
         right = self._evaluate(node.right, env)
-        if operator == "+":
-            if isinstance(left, str) or isinstance(right, str):
-                return _to_string(left) + _to_string(right)
-            return _to_number(left) + _to_number(right)
-        if operator == "-":
-            return _to_number(left) - _to_number(right)
-        if operator == "*":
-            return _to_number(left) * _to_number(right)
-        if operator == "/":
-            right_number = _to_number(right)
-            if right_number == 0:
-                return float("inf") if _to_number(left) > 0 else float("-inf") if _to_number(left) < 0 else float("nan")
-            return _to_number(left) / right_number
-        if operator == "%":
-            return _to_number(left) % _to_number(right)
+        if operator in _ARITHMETIC:
+            return _arithmetic(operator, left, right)
         if operator in ("==", "==="):
             return _loose_equal(left, right)
         if operator in ("!=", "!=="):
             return not _loose_equal(left, right)
-        if operator == "<":
-            return _compare(left, right) < 0
-        if operator == ">":
-            return _compare(left, right) > 0
-        if operator == "<=":
-            return _compare(left, right) <= 0
-        if operator == ">=":
-            return _compare(left, right) >= 0
+        relation = _RELATIONAL.get(operator)
+        if relation is not None:
+            # Strings compare by code point; anything else numerically, so
+            # every comparison with NaN is false.
+            if not (isinstance(left, str) and isinstance(right, str)):
+                left, right = _to_number(left), _to_number(right)
+            return relation(left, right)
         raise RuntimeScriptError(f"unknown operator {operator}", node.line)
 
     def _assign(self, node: ast.Assignment, env: Environment):
         value = self._evaluate(node.value, env)
         if node.operator != "=":
-            current = self._evaluate(node.target, env)
-            base_operator = node.operator[0]
-            if base_operator == "+":
-                value = (current + value) if not (isinstance(current, str) or isinstance(value, str)) \
-                    else _to_string(current) + _to_string(value)
-            elif base_operator == "-":
-                value = _to_number(current) - _to_number(value)
-            elif base_operator == "*":
-                value = _to_number(current) * _to_number(value)
-            elif base_operator == "/":
-                value = _to_number(current) / _to_number(value)
+            value = _arithmetic(node.operator[0], self._evaluate(node.target, env), value)
         target = node.target
         if isinstance(target, ast.Identifier):
             env.assign(target.name, value)
@@ -554,8 +532,10 @@ def _set_member(target, name: str, value, line: int) -> None:
     if isinstance(target, list):
         try:
             index = int(float(name))
-        except ValueError:
-            raise RuntimeScriptError(f"invalid array index {name!r}", line) from None
+        except (ValueError, OverflowError):
+            index = -1
+        if index < 0:
+            raise RuntimeScriptError(f"invalid array index {name!r}", line)
         while len(target) <= index:
             target.append(None)
         target[index] = value
@@ -603,6 +583,8 @@ def _to_string(value) -> str:
     if isinstance(value, float):
         if value != value:  # NaN
             return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
         if value == int(value) and abs(value) < 1e15:
             return str(int(value))
         return str(value)
@@ -646,15 +628,44 @@ def _loose_equal(left, right) -> bool:
     return left == right
 
 
-def _compare(left, right) -> int:
-    if isinstance(left, str) and isinstance(right, str):
-        return (left > right) - (left < right)
-    left_number, right_number = _to_number(left), _to_number(right)
-    return (left_number > right_number) - (left_number < right_number)
+_RELATIONAL = {"<": lt, ">": gt, "<=": le, ">=": ge}
+_ARITHMETIC = frozenset("+-*/%")
+
+
+def _arithmetic(symbol: str, left, right):
+    """``left <symbol> right`` for ``+ - * / %``, with JavaScript's number semantics."""
+    if symbol == "+" and (isinstance(left, str) or isinstance(right, str)):
+        return _to_string(left) + _to_string(right)
+    left, right = _to_number(left), _to_number(right)
+    if symbol == "+":
+        return left + right
+    if symbol == "-":
+        return left - right
+    if symbol == "*":
+        return left * right
+    if symbol == "/":
+        if right == 0:
+            return math.inf if left > 0 else -math.inf if left < 0 else math.nan
+        return left / right
+    # ``%`` truncates (the sign follows the dividend); no finite remainder
+    # exists for a zero divisor or an infinite dividend.
+    if right == 0 or math.isinf(left):
+        return math.nan
+    return math.fmod(left, right)
+
+
+def _to_integer(value) -> int:
+    """A numeric argument as an integer index: NaN is 0, infinities clamp."""
+    number = _to_number(value)
+    if number != number:
+        return 0
+    if math.isinf(number):
+        return sys.maxsize if number > 0 else -sys.maxsize
+    return int(number)
 
 
 def _to_property_key(value) -> str:
-    if isinstance(value, float) and value == int(value):
+    if isinstance(value, float) and math.isfinite(value) and value == int(value):
         return str(int(value))
     return _to_string(value)
 
@@ -673,9 +684,7 @@ def _array_member(target: list, name: str, line: int):
             lambda item: float(target.index(item)) if item in target else -1.0, "indexOf"
         )
     if name == "slice":
-        return NativeFunction(
-            lambda start=0, end=None: target[int(start): int(end) if end is not None else None], "slice"
-        )
+        return NativeFunction(lambda start=0, end=None: target[_slice(start, end)], "slice")
     try:
         index = int(name)
     except ValueError:
@@ -690,14 +699,8 @@ def _string_member(target: str, name: str, line: int):
         return float(len(target))
     if name == "indexOf":
         return NativeFunction(lambda needle: float(target.find(_to_string(needle))), "indexOf")
-    if name == "substring":
-        return NativeFunction(
-            lambda start, end=None: target[int(start): int(end) if end is not None else None], "substring"
-        )
-    if name == "slice":
-        return NativeFunction(
-            lambda start, end=None: target[int(start): int(end) if end is not None else None], "slice"
-        )
+    if name in ("substring", "slice"):
+        return NativeFunction(lambda start, end=None: target[_slice(start, end)], name)
     if name == "toUpperCase":
         return NativeFunction(lambda: target.upper(), "toUpperCase")
     if name == "toLowerCase":
@@ -707,7 +710,9 @@ def _string_member(target: str, name: str, line: int):
     if name == "replace":
         return NativeFunction(lambda old, new: target.replace(_to_string(old), _to_string(new), 1), "replace")
     if name == "charAt":
-        return NativeFunction(lambda i: target[int(i)] if 0 <= int(i) < len(target) else "", "charAt")
+        return NativeFunction(
+            lambda i: target[_to_integer(i)] if 0 <= _to_integer(i) < len(target) else "", "charAt"
+        )
     if name == "trim":
         return NativeFunction(lambda: target.strip(), "trim")
     if name == "concat":
@@ -717,6 +722,35 @@ def _string_member(target: str, name: str, line: int):
     except ValueError:
         raise RuntimeScriptError(f"string has no property {name!r}", line) from None
     return target[index] if 0 <= index < len(target) else None
+
+
+def _slice(start, end) -> slice:
+    return slice(_to_integer(start), _to_integer(end) if end is not None else None)
+
+
+_DIGIT_VALUES = {digit: value for value, digit in enumerate("0123456789abcdefghijklmnopqrstuvwxyz")}
+_DIGIT_VALUES.update({digit.upper(): value for digit, value in _DIGIT_VALUES.items()})
+
+
+def _parse_int(value, radix=None) -> float:
+    """``parseInt``: the longest run of leading digits, NaN when there is none."""
+    text = _to_string(value).strip()
+    sign = 1.0
+    if text[:1] in ("+", "-"):
+        sign, text = (-1.0 if text[0] == "-" else 1.0), text[1:]
+    base = _to_integer(radix)
+    if base in (0, 16) and text[:2] in ("0x", "0X"):
+        base, text = 16, text[2:]
+    base = base or 10
+    if not 2 <= base <= 36:
+        return math.nan
+    result, digits = 0.0, 0
+    for character in text:
+        digit = _DIGIT_VALUES.get(character, base)
+        if digit >= base:
+            break
+        result, digits = result * base + digit, digits + 1
+    return sign * result if digits else math.nan
 
 
 @cache
@@ -729,7 +763,7 @@ def _standard_library() -> dict[str, Any]:
     global environment, so sharing the values is unobservable.
     """
     return {
-        "parseInt": NativeFunction(lambda value, base=10: float(int(_to_string(value).strip() or "0", int(base))), "parseInt"),
+        "parseInt": NativeFunction(_parse_int, "parseInt"),
         "parseFloat": NativeFunction(lambda value: _to_number(value), "parseFloat"),
         "String": NativeFunction(_to_string, "String"),
         "Number": NativeFunction(_to_number, "Number"),
@@ -748,28 +782,42 @@ class _MathHost(HostObject):
     host_name = MATH
 
     def _floor(self, v):
-        return float(math.floor(_to_number(v)))
+        return _integral(math.floor, v)
 
     def _ceil(self, v):
-        return float(math.ceil(_to_number(v)))
+        return _integral(math.ceil, v)
 
     def _round(self, v):
-        return float(round(_to_number(v)))
+        return _integral(_round_half_up, v)
 
     def _abs(self, v):
         return abs(_to_number(v))
 
     def _max(self, *vs):
-        return max(_to_number(v) for v in vs)
+        numbers = [_to_number(v) for v in vs]
+        return math.nan if any(n != n for n in numbers) else max(numbers, default=-math.inf)
 
     def _min(self, *vs):
-        return min(_to_number(v) for v in vs)
+        numbers = [_to_number(v) for v in vs]
+        return math.nan if any(n != n for n in numbers) else min(numbers, default=math.inf)
 
     def _pow(self, a, b):
-        return _to_number(a) ** _to_number(b)
+        base, exponent = _to_number(a), _to_number(b)
+        if exponent != exponent or (abs(base) == 1 and math.isinf(exponent)):
+            return math.nan
+        odd = exponent.is_integer() and exponent % 2 == 1
+        try:
+            return math.pow(base, exponent)
+        except OverflowError:
+            return -math.inf if base < 0 and odd else math.inf
+        except ValueError:
+            if base == 0:  # a zero base to a negative power
+                return math.copysign(math.inf, base) if odd else math.inf
+            return math.nan  # a negative base to a non-integer power
 
     def _sqrt(self, v):
-        return math.sqrt(_to_number(v))
+        number = _to_number(v)
+        return math.sqrt(number) if number >= 0 else math.nan
 
     def _get_pi(self):
         return math.pi
@@ -784,10 +832,28 @@ class _JsonHost(HostObject):
     host_name = JSON
 
     def _stringify(self, value):
-        return json.dumps(_plain(value))
+        try:
+            return json.dumps(_plain(value), separators=(",", ":"))
+        except (TypeError, ValueError, RecursionError) as error:  # functions, cycles
+            raise RuntimeScriptError(f"JSON.stringify: {error}") from None
 
     def _parse(self, text):
-        return json.loads(_to_string(text))
+        try:
+            return json.loads(_to_string(text))
+        except ValueError as error:
+            raise RuntimeScriptError(f"JSON.parse: {error}") from None
+
+
+def _integral(rounding: Callable[[float], int], value) -> float:
+    """``rounding`` of a finite number; NaN and the infinities pass through."""
+    number = _to_number(value)
+    return float(rounding(number)) if math.isfinite(number) else number
+
+
+def _round_half_up(number: float) -> int:
+    """Halves round toward +Infinity: 2.5 gives 3 and -2.5 gives -2."""
+    floor = math.floor(number)
+    return floor + (number - floor >= 0.5)
 
 
 def _plain(value):
@@ -796,8 +862,11 @@ def _plain(value):
         return [_plain(item) for item in value]
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
-    if isinstance(value, float) and value == int(value):
-        return int(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            return None
+        if value == int(value):
+            return int(value)
     if isinstance(value, HostObject):
         return str(value)
     return value

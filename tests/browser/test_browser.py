@@ -14,6 +14,7 @@ from repro.core.rings import Ring
 from repro.http.cookies import CookieJar
 from repro.http.messages import HttpResponse
 from repro.http.network import Network
+from repro.webapps.blog import COMMENT_RING, Blog
 
 from .conftest import ORIGIN_TEXT, ForumServer, forum_configuration
 
@@ -347,3 +348,15 @@ class TestAdhocScripts:
             ring=1,
         )
         assert loaded.page.document.get_element_by_id("banner").text_content == "Updated by admin"
+
+
+class TestHostileScriptContent:
+    def test_a_comment_script_computing_infinity_does_not_crash_the_load(self):
+        blog = Blog(input_validation=False)
+        blog.add_comment(1, "mallory", '<script>var x = "" + 1/0;</script>')
+        network = Network()
+        network.register(blog.origin, blog)
+        loaded = Browser(network).load(f"{blog.origin}/post?id=1")
+        comment_runs = [run for run in loaded.page.script_runs if run.principal.ring == Ring(COMMENT_RING)]
+        assert len(comment_runs) == 1
+        assert comment_runs[0].succeeded

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.browser.loader import load_page
-from repro.browser.page import RegisteredListener
 from repro.core.rings import Ring
 from repro.dom.events import Event
 
@@ -67,17 +66,22 @@ class TestListeners:
         loaded = page()
         banner = loaded.document.get_element_by_id("banner")
         calls = []
-        listener = RegisteredListener(
-            element=banner,
-            event_type="click",
-            callback=lambda event: calls.append(event.event_type),
-            principal=loaded.browser_principal(),
-        )
-        loaded.register_listener(listener)
-        assert loaded.listeners_on(banner, "click") == [listener]
-        assert loaded.listeners_on(banner, "mouseover") == []
+
+        def listener(event):
+            calls.append(event.event_type)
+
+        loaded.dispatcher.add_listener(banner, "click", listener)
+        assert loaded.dispatcher.listeners_for(banner, "click") == [listener]
+        assert loaded.dispatcher.listeners_for(banner, "mouseover") == []
         loaded.dispatcher.dispatch(Event(event_type="click", target=banner))
         assert calls == ["click"]
+
+    def test_close_drops_every_listener(self):
+        loaded = page()
+        banner = loaded.document.get_element_by_id("banner")
+        loaded.dispatcher.add_listener(banner, "click", lambda event: None)
+        loaded.close()
+        assert loaded.dispatcher.listeners_for(banner, "click") == []
 
 
 class TestSummaries:

@@ -151,6 +151,6 @@ class TestRegisteredListeners:
             ring=1,
         )
         target = loaded.page.document.get_element_by_id("refresh")
-        assert len(loaded.page.listeners_on(target, "click")) == 2
+        assert len(loaded.page.dispatcher.listeners_for(target, "click")) == 2
         result = browser.fire_event(loaded, "refresh", "click")
         assert result.listeners_run == 2

@@ -147,6 +147,19 @@ class TestRealScheduleIntegration:
         assert xhr.js_get("status") == 200
         assert plan.stats.total_injected > 0
 
+    @pytest.mark.parametrize("asynchronous", [False, True], ids=["sync", "async"])
+    def test_a_recovered_send_counts_one_recovery_in_either_mode(self, faulted_forum, asynchronous):
+        # Seed 8 loses the first two completions; the third re-post survives.
+        browser, _, loaded = faulted_forum
+        plan = arm(browser, loaded, FaultConfig(seed=8, xhr=1.0))
+        xhr = make_xhr(browser, loaded, ring=1)
+        xhr.js_call("open", ["GET", "/api/unread", asynchronous])
+        xhr.js_call("send", [])
+        loaded.page.event_loop.drain()
+        assert xhr.js_get("status") == 200
+        assert plan.stats.retries.get(SITE_XHR) == 2
+        assert plan.stats.recoveries == 1
+
     def test_zero_rate_plan_never_installs_the_interceptor(self, forum_network, forum_url):
         network, _ = forum_network
         browser = Browser(network)

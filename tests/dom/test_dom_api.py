@@ -1,17 +1,27 @@
-"""Tests for the mediated DOM API facade (the `document` object scripts see)."""
+"""Tests for DOM mediation: the ``document`` and element bindings scripts see.
+
+Each test runs a script as one principal through
+:class:`~repro.browser.script_runtime.ScriptRuntime`; the element handlers
+consult that principal's :class:`~repro.dom.dom_api.DomApi` before acting.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.browser.page import Page
+from repro.browser.script_runtime import ScriptRuntime
 from repro.core.acl import Acl
+from repro.core.config import PageConfiguration, ResourcePolicy
 from repro.core.context import SecurityContext
+from repro.core.decision import Operation
 from repro.core.monitor import ReferenceMonitor
 from repro.core.origin import Origin
 from repro.core.rings import Ring
-from repro.dom.dom_api import DomApi, ElementHandle
 from repro.html.parser import parse_document
+from repro.http.url import Url
 
+URL = "http://forum.example.com/viewtopic"
 ORIGIN = Origin.parse("http://forum.example.com")
 OTHER_ORIGIN = Origin.parse("http://evil.example.net")
 
@@ -29,217 +39,205 @@ def make_context(ring: int, *, acl: Acl | None = None, origin: Origin = ORIGIN, 
     return SecurityContext(origin=origin, ring=Ring(ring), acl=acl or Acl.uniform(ring), label=label)
 
 
-def labelled_page():
-    """Parse the fixture page and label it: chrome at ring 1, posts at ring 3."""
-    document = parse_document(PAGE, url="http://forum.example.com/viewtopic")
+def labelled_page(*, dom_api_ring: int | None = None) -> Page:
+    """The fixture page, labelled by hand: chrome at ring 1, posts at ring 3."""
+    document = parse_document(PAGE, url=URL)
     for element in document.elements():
         if element.id in ("post-1", "body-1"):
             element.assign_security_context(make_context(3, acl=Acl.uniform(2), label=element.id))
         else:
             element.assign_security_context(make_context(1, label=element.tag_name))
-    return document
+    configuration = PageConfiguration()
+    if dom_api_ring is not None:
+        configuration.api_policies["DOM API"] = ResourcePolicy.uniform(dom_api_ring)
+    return Page(url=Url.parse(URL), document=document, configuration=configuration,
+                monitor=ReferenceMonitor(), escudo_enabled=True)
 
 
-def api_for(ring: int, **kwargs) -> DomApi:
-    document = kwargs.pop("document", None) or labelled_page()
-    return DomApi(document, ReferenceMonitor(), make_context(ring, label=f"script-ring-{ring}"), **kwargs)
+def run(page: Page, ring: int, source: str, *, origin: Origin = ORIGIN):
+    """Run ``source`` as a ring-``ring`` principal; the last statement's value."""
+    principal = make_context(ring, origin=origin, label=f"script-ring-{ring}")
+    result = ScriptRuntime(None, page).execute(source, principal).result
+    assert not result.failed, result.error
+    return result.value
+
+
+def element(page: Page, element_id: str):
+    return page.document.get_element_by_id(element_id)
 
 
 class TestMediatedReads:
     def test_privileged_principal_reads_untrusted_content(self):
-        api = api_for(1)
-        handle = api.get_element_by_id("body-1")
-        assert handle.text_content == "untrusted text"
-        assert api.monitor.stats.allowed >= 1
-        assert api.monitor.stats.denied == 0
+        page = labelled_page()
+        assert run(page, 1, "document.getElementById('body-1').textContent") == "untrusted text"
+        assert page.monitor.stats.allowed >= 1
+        assert page.monitor.stats.denied == 0
 
     def test_unprivileged_principal_cannot_read_chrome(self):
-        api = api_for(3)
-        banner = api.get_element_by_id("banner")
-        assert banner.text_content is None
-        assert banner.get_attribute("id") is None
-        assert api.monitor.stats.denied >= 1
-        assert api.last_denial is not None and api.last_denial.denied
+        page = labelled_page()
+        banner = "var banner = document.getElementById('banner');"
+        assert run(page, 3, banner + "banner.textContent") is None
+        assert run(page, 3, banner + "banner.getAttribute('id')") is None
+        assert page.monitor.stats.denied >= 1
+        last = page.monitor.audit.denials()[-1]
+        assert last.denied and last.operation is Operation.READ
 
     def test_inner_html_is_mediated(self):
-        api = api_for(1)
-        assert "untrusted text" in api.get_element_by_id("post-1").inner_html
-        weak_api = api_for(3)
-        assert weak_api.get_element_by_id("chrome").inner_html is None
+        assert "untrusted text" in run(labelled_page(), 1, "document.getElementById('post-1').innerHTML")
+        assert run(labelled_page(), 3, "document.getElementById('chrome').innerHTML") is None
 
     def test_cross_origin_read_is_denied_even_from_ring_zero(self):
-        document = labelled_page()
-        api = DomApi(document, ReferenceMonitor(), make_context(0, origin=OTHER_ORIGIN))
-        assert api.get_element_by_id("body-1").text_content is None
+        page = labelled_page()
+        assert run(page, 0, "document.getElementById('body-1').textContent", origin=OTHER_ORIGIN) is None
 
     def test_missing_element_lookup_returns_none(self):
-        api = api_for(0)
-        assert api.get_element_by_id("does-not-exist") is None
-        assert api.query_selector("#does-not-exist") is None
+        page = labelled_page()
+        assert run(page, 0, "document.getElementById('does-not-exist')") is None
+        assert run(page, 0, "document.querySelector('#does-not-exist')") is None
 
 
 class TestMediatedWrites:
     def test_privileged_write_modifies_tree(self):
-        api = api_for(1)
-        handle = api.get_element_by_id("banner")
-        assert handle.set_text_content("Updated") is True
-        assert api.document.get_element_by_id("banner").text_content == "Updated"
+        page = labelled_page()
+        run(page, 1, "document.getElementById('banner').textContent = 'Updated';")
+        assert element(page, "banner").text_content == "Updated"
 
     def test_unprivileged_write_is_neutralised(self):
-        api = api_for(3)
-        handle = api.get_element_by_id("banner")
-        assert handle.set_text_content("Owned!") is False
-        assert api.document.get_element_by_id("banner").text_content == "Forum"
-        assert api.monitor.stats.denied >= 1
+        page = labelled_page()
+        run(page, 3, "document.getElementById('banner').textContent = 'Owned!';")
+        assert element(page, "banner").text_content == "Forum"
+        assert page.monitor.stats.denied >= 1
 
     def test_acl_rule_restricts_same_ring_writes(self):
         # post-1 is ring 3 but its ACL says only rings <= 2 may write (message
         # isolation from the phpBB case study): a ring-3 principal may not.
-        api = api_for(3)
-        handle = api.get_element_by_id("body-1")
-        assert handle.set_text_content("defaced") is False
-        api2 = api_for(2)
-        assert api2.get_element_by_id("body-1").set_text_content("moderated") is True
+        page = labelled_page()
+        run(page, 3, "document.getElementById('body-1').textContent = 'defaced';")
+        assert element(page, "body-1").text_content == "untrusted text"
+        run(page, 2, "document.getElementById('body-1').textContent = 'moderated';")
+        assert element(page, "body-1").text_content == "moderated"
 
     def test_set_attribute_mediated(self):
-        api = api_for(3)
-        assert api.get_element_by_id("banner").set_attribute("class", "owned") is False
-        api = api_for(1)
-        assert api.get_element_by_id("banner").set_attribute("class", "fresh") is True
-        assert api.document.get_element_by_id("banner").get_attribute("class") == "fresh"
+        page = labelled_page()
+        assert run(page, 3, "document.getElementById('banner').setAttribute('class', 'owned')") is False
+        assert run(page, 1, "document.getElementById('banner').setAttribute('class', 'fresh')") is True
+        assert element(page, "banner").get_attribute("class") == "fresh"
 
     def test_append_and_remove_child(self):
-        api = api_for(1)
-        posts = api.get_element_by_id("posts")
-        new_child = api.create_element("p")
-        assert posts.append_child(new_child) is True
-        assert len(api.document.get_element_by_id("posts").element_children()) == 2
-
-        weak = api_for(3, document=api.document)
-        target = weak.get_element_by_id("posts")
-        assert target.remove_child(weak.get_element_by_id("post-1")) is False
+        page = labelled_page()
+        assert run(page, 1, "document.getElementById('posts').appendChild(document.createElement('p'))") is True
+        assert len(element(page, "posts").element_children()) == 2
+        assert run(page, 3, "document.getElementById('posts')"
+                            ".removeChild(document.getElementById('post-1'))") is False
+        assert element(page, "post-1").parent is element(page, "posts")
 
     def test_remove_child_of_non_child_returns_false(self):
-        api = api_for(0)
-        posts = api.get_element_by_id("posts")
-        stranger = api.create_element("p")
-        assert posts.remove_child(stranger) is False
+        page = labelled_page()
+        assert run(page, 0, "document.getElementById('posts').removeChild(document.createElement('p'))") is False
+
+
+PROTECTED = ["ring", "r", "w", "x", "nonce", "read", "write", "use"]
 
 
 class TestTamperProtection:
-    @pytest.mark.parametrize("attribute", ["ring", "r", "w", "x", "nonce", "read", "write", "use"])
+    @pytest.mark.parametrize("attribute", PROTECTED)
     def test_escudo_attributes_are_never_readable(self, attribute):
-        api = api_for(0)
-        handle = api.get_element_by_id("post-1")
-        assert handle.get_attribute(attribute) is None
-        assert api.monitor.stats.denied_by_rule.get("tamper-protection", 0) >= 1
+        page = labelled_page()
+        assert run(page, 0, f"document.getElementById('post-1').getAttribute('{attribute}')") is None
+        assert page.monitor.stats.denied_by_rule.get("tamper-protection", 0) >= 1
 
-    @pytest.mark.parametrize("attribute", ["ring", "r", "w", "x", "nonce", "read", "write", "use"])
+    @pytest.mark.parametrize("attribute", PROTECTED)
     def test_escudo_attributes_are_never_writable(self, attribute):
-        api = api_for(0)
-        handle = api.get_element_by_id("post-1")
-        assert handle.set_attribute(attribute, "0") is False
-        raw = api.document.get_element_by_id("post-1")
-        assert raw.get_attribute("ring") == "3", "raw configuration untouched"
+        page = labelled_page()
+        assert run(page, 0, f"document.getElementById('post-1').setAttribute('{attribute}', '0')") is False
+        assert element(page, "post-1").get_attribute("ring") == "3", "raw configuration untouched"
+        assert page.monitor.audit.denials()[-1].operation is Operation.WRITE
 
     def test_setattribute_privilege_escalation_attempt_fails_even_for_ring_zero(self):
         """The paper's Section 5 scenario: remapping an AC tag via setAttribute."""
-        api = api_for(0)
-        assert api.get_element_by_id("post-1").set_attribute("ring", "0") is False
+        page = labelled_page()
+        assert run(page, 0, "document.getElementById('post-1').setAttribute('ring', '0')") is False
 
 
 class TestDynamicContentLabelling:
     def test_created_elements_inherit_insertion_point_privileges(self):
-        api = api_for(1)
-        handle = api.create_element("span")
-        api.get_element_by_id("chrome").append_child(handle)
-        created = api.document.get_elements_by_tag_name("span")[0]
+        page = labelled_page()
+        run(page, 1, "document.getElementById('chrome').appendChild(document.createElement('span'));")
+        created = page.document.get_elements_by_tag_name("span")[0]
         assert created.security_context is not None
         assert created.security_context.ring == Ring(1)
 
     def test_scoping_rule_clamps_claimed_ring_on_inner_html(self):
-        api = api_for(1)
-        posts = api.get_element_by_id("post-1")
         # post-1 is ring 3; even though the injected markup claims ring 0 the
         # children must come out at ring 3 (scoping rule).
-        weak_api = api_for(2, document=api.document)
-        target = weak_api.get_element_by_id("post-1")
-        assert target.set_inner_html('<div ring="0"><script>attack()</script></div>') is True
-        injected = api.document.get_element_by_id("post-1").element_children()[0]
+        page = labelled_page()
+        run(page, 2, "document.getElementById('post-1').innerHTML = "
+                     "'<div ring=\"0\"><script>attack()</script></div>';")
+        injected = element(page, "post-1").element_children()[0]
         assert injected.security_context.ring == Ring(3)
 
     def test_created_principal_cannot_exceed_its_creator(self):
         # A ring-3 script writing into a ring-3 region cannot mint ring-0 content.
-        document = labelled_page()
-        api = DomApi(document, ReferenceMonitor(), make_context(3, label="user-script"))
+        page = labelled_page()
         # Give the script a region it can write (ring 3, permissive acl).
-        region = document.get_element_by_id("posts")
+        region = element(page, "posts")
         region.assign_security_context(make_context(3, acl=Acl.uniform(3)), browser_authority=True)
-        handle = api.wrap(region)
-        assert handle.set_inner_html('<div ring="0">boost</div>') is True
+        run(page, 3, "document.getElementById('posts').innerHTML = '<div ring=\"0\">boost</div>';")
         injected = region.element_children()[0]
+        assert injected.text_content == "boost"
         assert injected.security_context.ring == Ring(3)
-
-    def test_explicit_default_acl_for_new_elements(self):
-        api = api_for(1, default_new_element_acl=Acl.uniform(0))
-        container = api.get_element_by_id("chrome")
-        child = api.create_element("span")
-        container.append_child(child)
-        created = api.document.get_element_by_id("chrome").get_elements_by_tag_name("span")[0]
-        assert created.security_context.acl == Acl.uniform(0)
 
 
 class TestNativeApiGate:
     def test_api_object_use_check_denies_everything_for_weak_principals(self):
-        api_object = make_context(1, label="DOM API")
-        api = api_for(3, api_object=api_object)
-        handle = api.get_element_by_id("body-1")
-        assert handle.text_content is None
-        assert api.last_denial is not None
+        page = labelled_page(dom_api_ring=1)
+        assert run(page, 3, "document.getElementById('body-1').textContent") is None
+        last = page.monitor.audit.denials()[-1]
+        assert last.operation is Operation.USE and "DOM API" in last.object_label
 
     def test_api_object_use_check_passes_for_privileged_principals(self):
-        api_object = make_context(1, label="DOM API")
-        api = api_for(1, api_object=api_object)
-        assert api.get_element_by_id("body-1").text_content == "untrusted text"
+        page = labelled_page(dom_api_ring=1)
+        assert run(page, 1, "document.getElementById('body-1').textContent") == "untrusted text"
 
 
-class TestFacadeQueries:
+class TestDocumentQueries:
     def test_query_selector_and_all(self):
-        api = api_for(1)
-        assert isinstance(api.query_selector(".post"), ElementHandle)
-        assert len(api.query_selector_all("div")) == 3
-        assert [h.tag_name for h in api.get_elements_by_tag_name("p")] == ["p"]
+        page = labelled_page()
+        assert run(page, 1, "typeof document.querySelector('.post')") == "object"
+        assert run(page, 1, "document.querySelector('.post').id") == "post-1"
+        assert run(page, 1, "document.querySelectorAll('div').length") == 3
+        assert run(page, 1, "document.getElementsByTagName('p')[0].tagName") == "P"
+        assert page.monitor.stats.denied == 0
 
     def test_element_scoped_query(self):
-        api = api_for(1)
-        posts = api.get_element_by_id("posts")
-        assert posts.query_selector("p").tag_name == "p"
-        assert posts.query_selector("h1") is None
-        assert len(posts.query_selector_all(".post")) == 1
+        page = labelled_page()
+        posts = "var posts = document.getElementById('posts');"
+        assert run(page, 1, posts + "posts.querySelector('p').tagName") == "P"
+        assert run(page, 1, posts + "posts.querySelector('h1')") is None
+        assert run(page, 1, posts + "posts.querySelectorAll('.post').length") == 1
 
     def test_body_head_title(self):
-        api = api_for(1)
-        assert api.body.tag_name == "body"
-        assert api.head.tag_name == "head"
-        assert api.title == "Forum"
+        page = labelled_page()
+        assert run(page, 1, "document.body.tagName") == "BODY"
+        assert run(page, 1, "document.head.tagName") == "HEAD"
+        assert run(page, 1, "document.title") == "Forum"
 
     def test_create_element_makes_a_detached_element_of_the_document(self):
-        api = api_for(1)
-        handle = api.create_element("span")
-        assert handle.tag_name == "span"
-        assert handle._element.owner_document is api.document
-        assert handle._element.parent is None
-        assert api.monitor.stats.total == 0
+        page = labelled_page()
+        created = run(page, 1, "document.createElement('span')")
+        assert created.js_get("tagName") == "SPAN"
+        assert created._element.owner_document is page.document
+        assert created._element.parent is None
+        assert page.monitor.stats.total == 0
 
-    def test_add_event_listener_routes_through_registry(self):
-        registered = []
-        api = api_for(1, listener_registry=lambda el, etype, fn: registered.append((el.id, etype)))
-        handle = api.get_element_by_id("banner")
-        assert handle.add_event_listener("click", lambda event: None) is True
-        assert registered == [("banner", "click")]
+    def test_add_event_listener_lands_in_the_page_dispatcher(self):
+        page = labelled_page()
+        assert run(page, 1, "document.getElementById('banner')"
+                            ".addEventListener('click', function (event) { })") is True
+        assert len(page.dispatcher.listeners_for(element(page, "banner"), "click")) == 1
 
     def test_add_event_listener_denied_for_weak_principal(self):
-        registered = []
-        api = api_for(3, listener_registry=lambda el, etype, fn: registered.append(el.id))
-        assert api.get_element_by_id("banner").add_event_listener("click", lambda e: None) is False
-        assert registered == []
+        page = labelled_page()
+        assert run(page, 3, "document.getElementById('banner')"
+                            ".addEventListener('click', function (event) { })") is False
+        assert page.dispatcher.listeners_for(element(page, "banner"), "click") == []

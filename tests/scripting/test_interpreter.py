@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -281,9 +282,8 @@ class TestCompletionAndCoercion:
         assert value_of("1 + '2';") == "12"
         assert value_of("1 == '1';") is True
 
-    def test_modulo_by_zero_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            Interpreter().run("var x = 5; x % 0;")
+    def test_modulo_by_zero_is_nan(self):
+        assert math.isnan(value_of("var x = 5; x % 0;"))
 
     def test_short_circuit_never_evaluates_the_decided_arm(self):
         assert value_of("false && missing;") is False
@@ -311,6 +311,84 @@ class TestCompletionAndCoercion:
             "n;"
         )
         assert value_of(source) == 1.0
+
+
+#: Programs whose JavaScript value the interpreter once got wrong or crashed
+#: on (an OverflowError, ZeroDivisionError or ValueError escaped ``run``).
+JAVASCRIPT_VALUES = [
+    ('"" + 1/0;', "Infinity"),
+    ('"" + -1/0;', "-Infinity"),
+    ('Infinity + "";', "Infinity"),
+    ('var o = {}; o[1/0] = 1; o["Infinity"];', 1.0),
+    ('var o = {}; o[-1/0] = 2; o["-Infinity"];', 2.0),
+    ("JSON.stringify(1/0);", "null"),
+    ('Math.floor(1/0) + "";', "Infinity"),
+    ("7 % 0;", math.nan),
+    ("var x = 4; x /= 0; x;", math.inf),
+    ("Math.pow(0, -1);", math.inf),
+    ("Math.round(0/0);", math.nan),
+    ("Math.ceil(0/0);", math.nan),
+    ("Math.sqrt(-1);", math.nan),
+    ("Math.max();", -math.inf),
+    ('parseInt("abc");', math.nan),
+    ('parseInt("12px");', 12.0),
+    ('parseInt("10", 99);', math.nan),
+    ("0/0 <= 1;", False),
+    ("0/0 >= 1;", False),
+    ("-7 % 3;", -1.0),
+    ("JSON.stringify({a: [1, 2]});", '{"a":[1,2]}'),
+    ("Math.round(2.5);", 3.0),
+]
+
+#: The operands the seeded test combines: finite, non-finite, non-numeric.
+OPERANDS = ["1", "-7", "2.5", "1/0", "0/0", '"abc"', '"12px"', "null"]
+
+#: Operator and builtin uses, each filled with operands ``a`` and ``b``.
+TEMPLATES = [
+    *(f"({{a}}) {op} ({{b}});" for op in ("+", "-", "*", "/", "%", "<", ">", "<=", ">=", "==", "!=")),
+    *(f"var x = {{a}}; x {op}= {{b}}; x;" for op in "+-*/"),
+    "-({a});", "!({a});", "typeof ({a});",
+    *(f"Math.{name}({{a}});" for name in ("floor", "ceil", "round", "abs", "sqrt", "min")),
+    "Math.pow({a}, {b});", "Math.max({a}, {b});", "Math.max();",
+    "parseInt({a});", "parseInt({a}, {b});", "parseFloat({a});",
+    "String({a});", "Number({a});", "isNaN({a});",
+    "JSON.stringify([{a}, {b}]);", "JSON.parse({a});",
+    "var o = {{}}; o[{a}] = {b}; o[{a}];",
+    "var list = []; list[{a}] = {b}; list;",
+    '"abcdef".charAt({a});', '"abcdef".slice({a}, {b});', '"abcdef".substring({a});',
+    "[1, 2, 3].slice({a}, {b});",
+]
+
+
+class TestJavaScriptNumberSemantics:
+    """Script content cannot crash the engine: builtins return JavaScript's values."""
+
+    @pytest.mark.parametrize(("source", "expected"), JAVASCRIPT_VALUES, ids=[s for s, _ in JAVASCRIPT_VALUES])
+    def test_javascript_value(self, source, expected):
+        value = value_of(source)
+        if isinstance(expected, float) and math.isnan(expected):
+            assert math.isnan(value)
+        else:
+            assert value == expected
+
+    def test_bad_json_text_is_a_script_error(self):
+        result = run('JSON.parse("{");')
+        assert result.failed
+        assert isinstance(result.error, RuntimeScriptError)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_no_python_exception_escapes_run(self, seed):
+        rng = random.Random(seed)
+
+        def operand():
+            if rng.random() < 0.3:  # one level of nesting
+                return f"({rng.choice(OPERANDS)} {rng.choice('+-*/%')} {rng.choice(OPERANDS)})"
+            return rng.choice(OPERANDS)
+
+        for _ in range(400):
+            source = rng.choice(TEMPLATES).format(a=operand(), b=operand())
+            result = Interpreter().run(source)  # raises if anything escapes
+            assert result.completed or isinstance(result.error, RuntimeScriptError), source
 
 
 class _Recorder(HostObject):
