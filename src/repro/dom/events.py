@@ -63,30 +63,32 @@ Listener = Callable[[Event], None]
 class EventDispatcher:
     """Registers listeners on elements and bubbles events to them.
 
-    Listener registration is keyed by element identity.  The dispatcher is
+    Listener registration is keyed by the element itself (identity hash), so
+    the dispatcher holds every element that carries a listener: a detached
+    one stays alive and its ``id()`` is never handed to a new element.  It is
     intentionally unaware of ESCUDO; the browser's UI event layer decides
     *whether* an event may be delivered to a given element before calling
     :meth:`dispatch`.
     """
 
     def __init__(self) -> None:
-        self._listeners: dict[int, dict[str, list[Listener]]] = {}
+        self._listeners: dict[Element, dict[str, list[Listener]]] = {}
 
     def add_listener(self, element: Element, event_type: str, listener: Listener) -> None:
         """Register ``listener`` for ``event_type`` events on ``element``."""
-        per_element = self._listeners.setdefault(id(element), {})
+        per_element = self._listeners.setdefault(element, {})
         per_element.setdefault(event_type, []).append(listener)
 
     def remove_listener(self, element: Element, event_type: str, listener: Listener) -> None:
         """Remove a previously registered listener (no error if absent)."""
-        per_element = self._listeners.get(id(element), {})
+        per_element = self._listeners.get(element, {})
         listeners = per_element.get(event_type, [])
         if listener in listeners:
             listeners.remove(listener)
 
     def listeners_for(self, element: Element, event_type: str) -> list[Listener]:
         """Listeners registered directly on ``element`` for ``event_type``."""
-        return list(self._listeners.get(id(element), {}).get(event_type, []))
+        return list(self._listeners.get(element, {}).get(event_type, []))
 
     def propagation_path(self, target: Element) -> list[Element]:
         """The target followed by its element ancestors (bubble order)."""

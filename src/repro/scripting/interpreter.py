@@ -738,7 +738,8 @@ def _parse_int(value, radix=None) -> float:
     sign = 1.0
     if text[:1] in ("+", "-"):
         sign, text = (-1.0 if text[0] == "-" else 1.0), text[1:]
-    base = _to_integer(radix)
+    number = _to_number(radix)
+    base = int(number) % 2**32 if math.isfinite(number) else 0  # ToUint32; ToInt32 agrees on 2-36
     if base in (0, 16) and text[:2] in ("0x", "0X"):
         base, text = 16, text[2:]
     base = base or 10

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 from repro.browser.loader import load_page
+from repro.browser.script_runtime import ScriptRuntime
 from repro.core.rings import Ring
-from repro.dom.events import Event
 
 from .conftest import FORUM_BODY, forum_configuration
 
@@ -62,19 +65,30 @@ class TestNativeApiContexts:
 
 
 class TestListeners:
-    def test_register_listener_hooks_into_dispatcher(self):
+    def test_script_listener_keeps_its_detached_element_alive(self):
+        # The dispatcher is the page's only listener store, so it must hold
+        # the element: a freed element's id() could be reused by a new one,
+        # which would then inherit the listener.
         loaded = page()
-        banner = loaded.document.get_element_by_id("banner")
-        calls = []
-
-        def listener(event):
-            calls.append(event.event_type)
-
-        loaded.dispatcher.add_listener(banner, "click", listener)
-        assert loaded.dispatcher.listeners_for(banner, "click") == [listener]
-        assert loaded.dispatcher.listeners_for(banner, "mouseover") == []
-        loaded.dispatcher.dispatch(Event(event_type="click", target=banner))
-        assert calls == ["click"]
+        runtime = ScriptRuntime(None, loaded)
+        principal = loaded.browser_principal()
+        runtime.execute(
+            'var box = document.createElement("span"); box.setAttribute("id", "box");'
+            "document.body.appendChild(box); box = null;",
+            principal,
+        )
+        alive = weakref.ref(loaded.document.get_element_by_id("box"))
+        runtime.execute(
+            'var box = document.getElementById("box");'
+            'box.addEventListener("click", function (event) { return 1; });'
+            "document.body.removeChild(box); box = null;",
+            principal,
+        )
+        del runtime
+        gc.collect()
+        assert alive() is not None
+        assert alive().parent is None
+        assert len(loaded.dispatcher.listeners_for(alive(), "click")) == 1
 
     def test_close_drops_every_listener(self):
         loaded = page()

@@ -333,6 +333,10 @@ JAVASCRIPT_VALUES = [
     ('parseInt("abc");', math.nan),
     ('parseInt("12px");', 12.0),
     ('parseInt("10", 99);', math.nan),
+    ('parseInt("10", 1/0);', 10.0),
+    ('parseInt("10", 0/0);', 10.0),
+    ('parseInt("10", 4294967298);', 2.0),
+    ('parseInt("10", -4294967294);', 2.0),
     ("0/0 <= 1;", False),
     ("0/0 >= 1;", False),
     ("-7 % 3;", -1.0),
