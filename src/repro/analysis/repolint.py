@@ -35,6 +35,13 @@ Rule catalogue (ids are what suppressions name):
     A ``HostObject`` subclass may not define ``js_get`` / ``js_set`` /
     ``js_call``: scripts reach host objects only through the member tables
     of :mod:`repro.scripting.host_members`, which the mediation census walks.
+``dom-slots``
+    A class deriving from :class:`repro.dom.node.Node` must declare
+    ``__slots__``: the template cache keeps thousands of DOM nodes alive for
+    a whole run, and one class without slots gives every instance a
+    ``__dict__`` again.  Bases are resolved through the module's imports, so
+    other classes that happen to be called ``Node`` (the script AST's) are
+    out of scope.
 
 Suppression: append ``# repolint: allow[<rule-id>]`` to the flagged line.
 
@@ -372,6 +379,105 @@ class HostMembersRule(Rule):
         return violations
 
 
+#: The DOM node classes, by the modules that define or re-export them.
+DOM_NODE_MODULES = frozenset({"repro.dom", "repro.dom.node", "repro.dom.element", "repro.dom.document"})
+DOM_NODE_CLASSES = frozenset({"Node", "TextNode", "CommentNode", "Element", "Document"})
+
+
+def _module_name(path: Path) -> str:
+    """Dotted module name of a file under a ``repro`` package ("" elsewhere)."""
+    parts = path.with_suffix("").parts
+    if "repro" not in parts:
+        return ""
+    dotted = list(parts[parts.index("repro"):])
+    if dotted[-1] == "__init__":
+        dotted.pop()
+    return ".".join(dotted)
+
+
+def _imported_names(tree: ast.Module, path: Path) -> dict[str, str]:
+    """Local name -> dotted name of what the module's imports bind to it."""
+    module = _module_name(path)
+    package = module.split(".") if path.stem == "__init__" else module.split(".")[:-1]
+    names: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    names[alias.asname] = alias.name
+                else:
+                    head = alias.name.split(".")[0]
+                    names[head] = head
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level:
+                base = package[: len(package) - node.level + 1] if module else []
+                source = ".".join([*base, *([source] if source else [])])
+            for alias in node.names:
+                names[alias.asname or alias.name] = f"{source}.{alias.name}"
+    return names
+
+
+def _dotted(node: ast.AST) -> str | None:
+    """``a.b.C`` as a string, or ``None`` for anything but a name chain."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+class DomSlotsRule(Rule):
+    """DOM node classes declare ``__slots__``."""
+
+    rule_id = "dom-slots"
+
+    @staticmethod
+    def _is_dom_class(qualified: str) -> bool:
+        module, _, name = qualified.rpartition(".")
+        return module in DOM_NODE_MODULES and name in DOM_NODE_CLASSES
+
+    @staticmethod
+    def _declares_slots(node: ast.ClassDef) -> bool:
+        for item in node.body:
+            targets = item.targets if isinstance(item, ast.Assign) else [getattr(item, "target", None)]
+            if any(isinstance(t, ast.Name) and t.id == "__slots__" for t in targets):
+                return True
+        return False
+
+    def check(self, tree: ast.Module, path: Path) -> list[Violation]:
+        imported = _imported_names(tree, path)
+        module = _module_name(path)
+        local_dom: set[str] = set()  # the module's own DOM node classes
+        violations: list[Violation] = []
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            is_dom = self._is_dom_class(f"{module}.{node.name}")
+            for base in node.bases:
+                dotted = _dotted(base)
+                if dotted is None:
+                    continue
+                head, _, rest = dotted.partition(".")
+                if head in local_dom and not rest:
+                    is_dom = True
+                    continue
+                qualified = imported.get(head, head) + (f".{rest}" if rest else "")
+                is_dom = is_dom or self._is_dom_class(qualified)
+            if not is_dom:
+                continue
+            local_dom.add(node.name)
+            if not self._declares_slots(node):
+                violations.append(
+                    self._violation(path, node, f"DOM node class {node.name} does not declare "
+                                    "__slots__: every instance would carry a __dict__")
+                )
+        return violations
+
+
 #: Default rule set, in report order.
 ALL_RULES: tuple[Rule, ...] = (
     WebappsTouchStateRule(),
@@ -381,6 +487,7 @@ ALL_RULES: tuple[Rule, ...] = (
     PickleConfinementRule(),
     BoundedRetryRule(),
     HostMembersRule(),
+    DomSlotsRule(),
 )
 
 

@@ -6,27 +6,29 @@ module amortises that repeated *compilation* across page loads (and, through
 the scenario runner, across whole scenarios):
 
 * :class:`TemplateCache` -- keyed on ``(SHA-256 of the response body, page
-  URL)``, it stores the parsed DOM once and serves subsequent loads a deep
-  :meth:`~repro.dom.document.Document.clone`.  Whether nonce bookkeeping is
-  on is deliberately *not* part of the key: the parse always runs with a
-  recording validator and produces the identical tree either way (an
-  unmatched terminator is ignored in both modes), so one entry serves both
-  pipelines and the loader replays or withholds the mismatch records per
-  page.  Labelled variants (per
-  configuration fingerprint) and the render statistics are cached per
-  template, so a warm load skips tokenising, tree construction,
-  labelling *and* layout.  The pristine trees are never handed out -- every
+  URL)``, it parses a body once and serves every load a deep
+  :meth:`~repro.dom.document.Document.clone` of a labelled tree.  Whether
+  nonce bookkeeping is on is deliberately *not* part of the key: the parse
+  always runs with a recording validator and produces the identical tree
+  either way (an unmatched terminator is ignored in both modes), so one
+  entry serves both pipelines and the loader replays or withholds the
+  mismatch records per page.  The render statistics come from the parse
+  itself (layout does not read labels), and each labelled variant (per
+  configuration fingerprint) is one tree, so a warm load skips tokenising,
+  tree construction, labelling *and* layout.  The first variant labels the
+  miss's parse in place; a later variant of the same body re-parses the
+  body and keeps that tree, so an entry holds exactly one tree per variant
+  and no unlabelled copy.  The cached trees are never handed out -- every
   consumer gets an aliasing-free clone, so page mutations cannot poison the
   cache or leak into sibling loads.  Each clone carries a
   :class:`~repro.dom.document.LoadManifest`: its own node list plus the tag,
-  id and parent indexes it shares with the labelled pristine variant, so the
-  load-time queries (scripts, subresources, ``getElementById``) are computed
-  once per variant and never re-walk a served page.  Evicting a template
-  releases its pristine tree and every labelled variant
-  (:meth:`~repro.dom.document.Document.release`), so an evicted entry is
-  freed by reference counting at once instead of waiting, as a cyclic DOM
-  tree, for a full collection; clones already served are independent trees
-  and are never touched.
+  id and parent indexes it shares with its variant tree, so the load-time
+  queries (scripts, subresources, ``getElementById``) are computed once per
+  variant and never re-walk a served page.  Evicting a template releases
+  every variant tree (:meth:`~repro.dom.document.Document.release`), so an
+  evicted entry is freed by reference counting at once instead of waiting,
+  as a cyclic DOM tree, for a full collection; clones already served are
+  independent trees and are never touched.
 * :class:`~repro.scripting.cache.ScriptCache` -- one entry per script
   source digest holding its parsed program and its static analysis report,
   the report built on first use from the entry's own program.
@@ -62,39 +64,50 @@ class CachedTemplate:
     """One parsed response body plus its derived, reusable artifacts."""
 
     __slots__ = (
-        "document",
+        "url",
         "uses_escudo",
         "ignored_end_tags",
         "mismatches",
-        "variants",
         "rendering",
+        "variants",
+        "_pending",
     )
 
     def __init__(
         self,
+        url: str,
         document: Document,
         *,
         uses_escudo: bool,
         ignored_end_tags: int,
         mismatches: tuple[tuple[str | None, str | None, str], ...],
+        rendering: RenderStats,
     ) -> None:
-        #: The pristine unlabelled tree.  Never handed out -- consumers get
-        #: clones, labelled variants are cloned *from* it exactly once.
-        self.document = document
+        self.url = url
         self.uses_escudo = uses_escudo
         self.ignored_end_tags = ignored_end_tags
-        #: Nonce mismatches recorded during the one real parse, replayed
-        #: into a fresh validator for every served page.
+        #: Nonce mismatches recorded during the parse, replayed into a fresh
+        #: validator for every served page.
         self.mismatches = mismatches
+        #: Render statistics of the parse, copied per page.
+        self.rendering = rendering
         #: (config fingerprint, escudo_enabled, enforce_scoping) ->
-        #: (pristine labelled tree, labelling stats).
+        #: (labelled tree, labelling stats).  Never handed out -- consumers
+        #: get clones.
         self.variants: dict[tuple, tuple[Document, LabelingStats]] = {}
-        #: Render statistics of the pristine tree, computed on first use.
-        self.rendering: RenderStats | None = None
+        #: The miss's parse until the first variant labels it in place.
+        self._pending: Document | None = document
+
+    def claim_parse(self) -> Document | None:
+        """Hand the unlabelled parse to the first variant (``None`` afterwards)."""
+        document, self._pending = self._pending, None
+        return document
 
     def release(self) -> None:
-        """Release the pristine tree and every labelled variant (eviction)."""
-        self.document.release()
+        """Release every tree the entry holds (eviction)."""
+        document = self.claim_parse()
+        if document is not None:
+            document.release()
         for labeled, _stats in self.variants.values():
             labeled.release()
         self.variants.clear()
@@ -113,6 +126,13 @@ class CachedTemplate:
                     NonceMismatch(expected=expected, found=found, context=context)
                 )
         return validator
+
+
+def _parse(body: str, url: str) -> TreeBuilder:
+    """Parse ``body`` with a recording validator (the cache's one parse mode)."""
+    builder = TreeBuilder(url=url, nonce_validator=NonceValidator())
+    builder.build(tokenize(body))
+    return builder
 
 
 class TemplateCache:
@@ -146,16 +166,18 @@ class TemplateCache:
             entries.move_to_end(key)
             return cached
         self.misses += 1
-        validator = NonceValidator()
-        builder = TreeBuilder(url=url, nonce_validator=validator)
-        document = builder.build(tokenize(body))
+        builder = _parse(body, url)
+        document = builder.document
+        _, rendering = Renderer().render(document)
         cached = CachedTemplate(
+            url,
             document,
             uses_escudo=document_uses_escudo(document),
             ignored_end_tags=builder.ignored_end_tags,
             mismatches=tuple(
-                (m.expected, m.found, m.context) for m in validator.mismatches
+                (m.expected, m.found, m.context) for m in builder.nonce_validator.mismatches
             ),
+            rendering=rendering,
         )
         if len(entries) >= self.maxsize:
             entries.popitem(last=False)[1].release()
@@ -166,6 +188,7 @@ class TemplateCache:
         self,
         template: CachedTemplate,
         *,
+        body: str,
         origin: Origin,
         configuration: PageConfiguration,
         escudo_enabled: bool,
@@ -173,18 +196,22 @@ class TemplateCache:
     ) -> tuple[Document, LabelingStats]:
         """A labelled clone of ``template`` plus its labelling statistics.
 
-        The labelling pass runs once per distinct configuration fingerprint;
-        every page load gets a fresh clone of the labelled pristine tree
-        (security contexts are frozen values, so clones share them safely)
-        and a fresh copy of the stats.  Labelling never changes the tree's
-        shape, so the variant and all its clones share one manifest shape.
-        The origin is implied by the template key's URL, so it does not
-        appear in the variant key.
+        The labelling pass runs once per distinct configuration fingerprint:
+        the first variant labels the miss's parse in place, and a later one
+        re-parses ``body`` (the body the template was looked up by) and
+        labels that tree.  Every page load gets a fresh clone of the variant
+        tree (security contexts are frozen values, so clones share them
+        safely) and a fresh copy of the stats.  Labelling never changes the
+        tree's shape, so the variant and all its clones share one manifest
+        shape.  The origin is implied by the template key's URL, so it does
+        not appear in the variant key.
         """
         variant_key = (configuration.fingerprint(), escudo_enabled, enforce_scoping)
         variant = template.variants.get(variant_key)
         if variant is None:
-            labeled = template.document.clone()
+            labeled = template.claim_parse()
+            if labeled is None:
+                labeled = _parse(body, template.url).document
             labeler = PageLabeler(
                 origin,
                 configuration,
@@ -194,20 +221,16 @@ class TemplateCache:
             stats = labeler.label_document(labeled)
             variant = (labeled, stats)
             template.variants[variant_key] = variant
-        pristine, stats = variant
-        return pristine.clone(), _copy_labeling_stats(stats)
+        labeled, stats = variant
+        return labeled.clone(), _copy_labeling_stats(stats)
 
     def render_stats(self, template: CachedTemplate) -> RenderStats:
-        """Render statistics for ``template`` at the default viewport.
+        """A copy of ``template``'s render statistics (default viewport).
 
         The synthetic renderer is a pure function of tree structure (labels
-        do not affect layout), so the stats are computed on the pristine
-        tree once and copied per page.
+        do not affect layout), so the stats are computed once, on the parse.
         """
         stats = template.rendering
-        if stats is None:
-            _, stats = Renderer().render(template.document)
-            template.rendering = stats
         return RenderStats(
             boxes=stats.boxes,
             text_runs=stats.text_runs,

@@ -195,6 +195,7 @@ def _compile_cached(
         config = _upgraded_for_ac_tags(config)
     document, labeling_stats = caches.templates.labeled_tree(
         template,
+        body=body,
         origin=page_url.origin,
         configuration=config,
         escudo_enabled=escudo_enabled,

@@ -17,7 +17,7 @@ collector could free it.  :meth:`Document.release` is the owner's way out:
 it cuts those back-links in one pass over the manifest's node list, after
 which reference counting frees the whole tree the moment its last holder
 drops it.  Pages release their documents when they close, and the template
-cache releases the pristine trees of every template it evicts.
+cache releases every tree of a template it evicts.
 """
 
 from __future__ import annotations
@@ -115,6 +115,8 @@ class LoadManifest:
 
 class Document(Node):
     """Root node of a parsed web page."""
+
+    __slots__ = ("url", "doctype", "_manifest")
 
     node_type = NodeType.DOCUMENT
 

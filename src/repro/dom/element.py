@@ -16,6 +16,7 @@ storing the context on the element does not expose it to tampering.
 
 from __future__ import annotations
 
+from sys import intern
 from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.core.config import RING_ATTRIBUTE, extract_ac_label, is_ac_tag
@@ -39,15 +40,20 @@ RAW_TEXT_ELEMENTS = frozenset({"script", "style", "title", "textarea"})
 class Element(Node):
     """One HTML element with attributes, children and a security context."""
 
+    __slots__ = ("tag_name", "_attributes", "_security_context")
+
     node_type = NodeType.ELEMENT
 
     def __init__(self, tag_name: str, attributes: Mapping[str, str] | None = None) -> None:
         super().__init__()
-        self.tag_name = tag_name.lower()
+        # Names and values are interned: every parse of a page template
+        # (and every clone of one) then shares one copy of ``"div"``,
+        # ``"ring"`` or a column's repeated nonce.
+        self.tag_name = intern(tag_name.lower())
         self._attributes: dict[str, str] = {}
         if attributes:
             for name, value in attributes.items():
-                self._attributes[str(name).lower()] = str(value)
+                self._attributes[intern(str(name).lower())] = intern(str(value))
         self._security_context: SecurityContext | None = None
 
     def _clone_shallow(self, owner, parent) -> "Element":

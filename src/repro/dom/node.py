@@ -24,7 +24,15 @@ class NodeType(enum.IntEnum):
 
 
 class Node:
-    """Base class for every node in the document tree."""
+    """Base class for every node in the document tree.
+
+    Every node class declares ``__slots__``: a page template keeps thousands
+    of nodes alive for the whole run, and a per-instance ``__dict__`` would
+    be most of each node's footprint.  ``__weakref__`` stays so callers can
+    watch a node's lifetime.
+    """
+
+    __slots__ = ("parent", "children", "owner_document", "__weakref__")
 
     node_type: NodeType = NodeType.ELEMENT
 
@@ -214,6 +222,8 @@ class Node:
 class TextNode(Node):
     """A run of character data."""
 
+    __slots__ = ("data",)
+
     node_type = NodeType.TEXT
 
     def __init__(self, data: str = "") -> None:
@@ -240,6 +250,8 @@ class TextNode(Node):
 
 class CommentNode(Node):
     """An HTML comment (``<!-- ... -->``)."""
+
+    __slots__ = ("data",)
 
     node_type = NodeType.COMMENT
 

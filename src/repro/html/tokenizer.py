@@ -11,11 +11,15 @@ single-quoted or double-quoted.  Raw-text elements (``script``, ``style``,
 ``title``, ``textarea``) switch the tokenizer into a mode that swallows
 everything up to the matching end tag, so markup-looking characters inside
 scripts do not confuse the tree builder.
+
+Tag names, attribute names and attribute values are interned as they are
+scanned, so the many parses of one page template share their strings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from sys import intern
 from typing import Iterator
 
 from repro.dom.element import RAW_TEXT_ELEMENTS
@@ -143,7 +147,7 @@ class _Tokenizer:
         pos = name_start
         while pos < self._length and (text[pos].isalnum() or text[pos] in "-_:"):
             pos += 1
-        name = text[name_start:pos].lower()
+        name = intern(text[name_start:pos].lower())
         if not name:
             return None
         attributes, pos, self_closing = self._consume_attributes(pos)
@@ -173,7 +177,7 @@ class _Tokenizer:
             name_start = pos
             while pos < self._length and text[pos] not in "=/> \t\r\n":
                 pos += 1
-            attr_name = text[name_start:pos].lower()
+            attr_name = intern(text[name_start:pos].lower())
             while pos < self._length and text[pos].isspace():
                 pos += 1
             value = ""
@@ -199,7 +203,7 @@ class _Tokenizer:
                         pos += 1
                     value = text[value_start:pos]
             if attr_name:
-                attributes[attr_name] = decode_entities(value)
+                attributes[attr_name] = intern(decode_entities(value))
         return attributes, pos, self_closing
 
     # -- raw text ----------------------------------------------------------------------

@@ -27,6 +27,7 @@ into a script error.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import sys
@@ -40,6 +41,33 @@ from . import ast_nodes as ast
 from .errors import BudgetExceeded, RuntimeScriptError, ScriptError
 from .host_members import CALL, GET, JSON, MATH, SET, SET_PREFIX, TABLES
 from .parser import parse_script
+
+
+def _arity(func: Callable, *, bound: bool = False) -> tuple[int, int]:
+    """``(required, maximum)`` positional arguments ``func`` takes from a script.
+
+    ``bound`` discounts the ``self`` parameter of an unbound method; a
+    ``*args`` parameter makes the maximum unbounded.  A callable without
+    Python code (a builtin) takes whatever it is given.
+    """
+    if isinstance(func, MethodType):
+        func, bound = func.__func__, True
+    code = getattr(func, "__code__", None)
+    if code is None:
+        return 0, sys.maxsize
+    maximum = code.co_argcount - bound
+    required = maximum - len(func.__defaults__ or ())
+    if code.co_flags & inspect.CO_VARARGS:
+        maximum = sys.maxsize
+    return max(required, 0), maximum
+
+
+def _fit_arguments(args, required: int, maximum: int) -> tuple:
+    """``args`` padded with ``undefined`` up to ``required`` and cut to ``maximum``."""
+    missing = required - len(args)
+    if missing > 0:
+        return (*args, *([None] * missing))
+    return tuple(args[:maximum])
 
 
 class HostObject:
@@ -57,10 +85,17 @@ class HostObject:
     read_noun = write_noun = ""
     #: ``(kind, member name)`` -> handler, resolved once per class.
     handlers: dict[tuple[str, str], Callable] = {}
+    #: Method name -> its handler's ``(required, maximum)`` script arity.
+    arities: dict[str, tuple[int, int]] = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls.handlers = {(m.kind, m.name): getattr(cls, m.handler) for m in TABLES.get(cls.host_name, ())}
+        cls.arities = {
+            name: _arity(handler, bound=True)
+            for (kind, name), handler in cls.handlers.items()
+            if kind == CALL
+        }
 
     def js_get(self, name: str):
         """Read a member; a method reads as a :class:`NativeFunction`."""
@@ -69,7 +104,7 @@ class HostObject:
             return getter(self)
         method = self.handlers.get((CALL, name))
         if method is not None:
-            return NativeFunction(MethodType(method, self), name)
+            return NativeFunction(MethodType(method, self), name, self.arities[name])
         raise RuntimeScriptError(f"{self.read_noun or self.host_name} has no property {name!r}")
 
     def js_set(self, name: str, value) -> None:
@@ -88,6 +123,9 @@ class HostObject:
         """Invoke a method: a declared one directly, otherwise the read value."""
         method = self.handlers.get((CALL, name))
         if method is not None:
+            required, maximum = self.arities[name]
+            if not required <= len(args) <= maximum:
+                args = _fit_arguments(args, required, maximum)
             return method(self, *args)
         member = self.js_get(name)
         if callable(member):
@@ -100,13 +138,25 @@ class HostObject:
 
 
 class NativeFunction:
-    """A Python callable exposed as a script function."""
+    """A Python callable exposed as a script function.
 
-    def __init__(self, func: Callable, name: str = "native") -> None:
+    A call adapts the script's arguments to the callable's arity the way
+    JavaScript does: a missing argument is ``undefined`` (``None``, or the
+    parameter's default) and an extra one is dropped.  The arity is read
+    from the callable's code when the function is built, unless the caller
+    already knows it.
+    """
+
+    __slots__ = ("_func", "name", "_required", "_maximum")
+
+    def __init__(self, func: Callable, name: str = "native", arity: tuple[int, int] | None = None) -> None:
         self._func = func
         self.name = name
+        self._required, self._maximum = arity if arity is not None else _arity(func)
 
     def __call__(self, *args):
+        if not self._required <= len(args) <= self._maximum:
+            args = _fit_arguments(args, self._required, self._maximum)
         return self._func(*args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -271,6 +321,12 @@ class Interpreter:
 
     def _tick(self, line: int = 0) -> None:
         self._steps += 1
+        if self._steps > self.max_steps:
+            raise BudgetExceeded("script exceeded its execution budget", line)
+
+    def _charge(self, steps: int, line: int) -> None:
+        """Spend ``steps`` of the budget up front, before the work they pay for."""
+        self._steps += steps
         if self._steps > self.max_steps:
             raise BudgetExceeded("script exceeded its execution budget", line)
 
@@ -458,7 +514,7 @@ class Interpreter:
         if isinstance(target, ast.MemberAccess):
             obj = self._evaluate(target.target, env)
             name = self._member_name(target, env)
-            _set_member(obj, name, value, target.line)
+            _set_member(obj, name, value, target.line, self._charge)
             return value
         raise RuntimeScriptError("invalid assignment target", node.line)
 
@@ -521,8 +577,13 @@ def _get_member(target, name: str, line: int):
     raise RuntimeScriptError(f"cannot read property {name!r} of {_typeof(target)}", line)
 
 
-def _set_member(target, name: str, value, line: int) -> None:
-    """Write member ``name`` of any script value."""
+def _set_member(target, name: str, value, line: int, charge: Callable[[int, int], None]) -> None:
+    """Write member ``name`` of any script value.
+
+    A write past an array's end fills the gap with ``undefined``; ``charge``
+    bills one budget step per filled slot before the array grows, so a
+    script cannot allocate more slots than its budget allows.
+    """
     if isinstance(target, HostObject):
         target.js_set(name, value)
         return
@@ -536,9 +597,14 @@ def _set_member(target, name: str, value, line: int) -> None:
             index = -1
         if index < 0:
             raise RuntimeScriptError(f"invalid array index {name!r}", line)
-        while len(target) <= index:
-            target.append(None)
-        target[index] = value
+        gap = index - len(target)
+        if gap > 0:
+            charge(gap, line)
+            target.extend([None] * gap)
+        if index == len(target):
+            target.append(value)
+        else:
+            target[index] = value
         return
     if target is None:
         raise RuntimeScriptError(f"cannot set property {name!r} of null", line)
@@ -765,10 +831,11 @@ def _standard_library() -> dict[str, Any]:
     """
     return {
         "parseInt": NativeFunction(_parse_int, "parseInt"),
-        "parseFloat": NativeFunction(lambda value: _to_number(value), "parseFloat"),
-        "String": NativeFunction(_to_string, "String"),
+        # Defaults give the no-argument results: ``undefined`` is not ``null``.
+        "parseFloat": NativeFunction(lambda value=math.nan: _to_number(value), "parseFloat"),
+        "String": NativeFunction(lambda value="": _to_string(value), "String"),
         "Number": NativeFunction(_to_number, "Number"),
-        "isNaN": NativeFunction(lambda value: _to_number(value) != _to_number(value), "isNaN"),
+        "isNaN": NativeFunction(lambda value=math.nan: _to_number(value) != _to_number(value), "isNaN"),
         "Math": _MathHost(),
         "JSON": _JsonHost(),
         "undefined": None,
@@ -869,5 +936,6 @@ def _plain(value):
         if value == int(value):
             return int(value)
     if isinstance(value, HostObject):
-        return str(value)
+        # A host object has no own enumerable data; never leak its repr.
+        return {}
     return value

@@ -19,6 +19,7 @@ _BAD_WEBAPP = '''\
 import pickle
 import time
 
+from repro.dom.element import Element
 from repro.scripting.interpreter import HostObject
 
 
@@ -48,6 +49,10 @@ class WidgetCache:
 class WidgetBinding(HostObject):
     def js_get(self, name):  # bypasses the member table
         return getattr(self, name)
+
+
+class WidgetElement(Element):  # a DOM node without __slots__
+    pass
 '''
 
 
@@ -141,3 +146,42 @@ def test_host_members_rule_flags_only_host_subclasses(tmp_path):
     )
     violations = lint_paths([target])
     assert [(v.rule, v.line) for v in violations] == [("host-members", 3), ("host-members", 6)]
+
+
+def test_dom_slots_rule_resolves_bases_through_imports(tmp_path):
+    target = tmp_path / "nodes.py"
+    target.write_text(
+        "from repro.dom import node as dom_node\n"
+        "from repro.scripting import ast_nodes as ast\n"
+        "from repro.scripting.ast_nodes import Node\n"
+        "class Slotted(dom_node.Node):\n"
+        "    __slots__ = ('extra',)\n"
+        "class Loose(dom_node.Node):\n"
+        "    pass\n"
+        "class LooseChild(Slotted):\n"
+        "    pass\n"
+        "class Statement(ast.Node):\n"
+        "    pass\n"
+        "class Expression(Node):\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    violations = lint_paths([target])
+    assert [(v.rule, v.line) for v in violations] == [("dom-slots", 6), ("dom-slots", 8)]
+
+
+def test_dom_slots_rule_follows_relative_imports_inside_the_dom_package(tmp_path):
+    package = tmp_path / "repro" / "dom"
+    package.mkdir(parents=True)
+    target = package / "widget.py"
+    target.write_text(
+        "from .node import TextNode\n"
+        "from ..scripting.ast_nodes import Node\n"
+        "class Marker(TextNode):\n"
+        "    pass\n"
+        "class Script(Node):\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    violations = lint_paths([target])
+    assert [(v.rule, v.line) for v in violations] == [("dom-slots", 3)]

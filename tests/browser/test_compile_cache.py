@@ -22,6 +22,7 @@ from repro.core.config import PageConfiguration, ResourcePolicy
 from repro.core.rings import RingSet
 from repro.dom.document import Document
 from repro.dom.node import Node
+from repro.html.parser import TreeBuilder
 from repro.html.serializer import serialize
 from repro.http.messages import HttpRequest, HttpResponse
 from repro.http.network import Network
@@ -369,20 +370,100 @@ class TestOneEntryPerSource:
 
 class TestTemplateRenderStats:
     def test_render_stats_are_computed_once_per_template(self):
-        cache = TemplateCache()
-        template = cache.entry(ESCUDO_BODY, PAGE_URL)
+        caches = CompileCaches.build()
+        cache = caches.templates
         with mock.patch(
             "repro.browser.compile_cache.Renderer.render",
             autospec=True,
             side_effect=Renderer.render,
         ) as render:
+            template = cache.entry(ESCUDO_BODY, PAGE_URL)
+            for model in ("escudo", "sop"):
+                load_page(ESCUDO_BODY, PAGE_URL, options=LoaderOptions(model=model), caches=caches)
             first = cache.render_stats(template)
             second = cache.render_stats(template)
+        # One render, at parse time: neither variant nor any page re-renders.
         assert render.call_count == 1
         assert first == second == template.rendering
         # Every caller gets its own copy of the template's one slot.
         assert first is not second and first is not template.rendering
         assert first == load_page(ESCUDO_BODY, PAGE_URL).rendering
+
+
+class TestOneTreePerVariant:
+    def test_every_warm_template_holds_one_labelled_tree_per_variant(self):
+        from repro.attacks.harness import APP_KEYS
+        from repro.scenarios.runner import ScenarioRunner
+
+        runner = ScenarioRunner()
+        runner.warm_for(APP_KEYS)
+        templates = list(runner.caches.templates._entries.values())  # noqa: SLF001
+        assert templates
+        for template in templates:
+            # The parse was labelled in place: no unlabelled tree is left.
+            assert template.claim_parse() is None
+            trees = [tree for tree, _stats in template.variants.values()]
+            assert trees and len({id(tree) for tree in trees}) == len(trees)
+            for tree in trees:
+                assert all(el.security_context is not None for el in tree.elements())
+
+    def test_a_second_variant_reparses_and_serves_cold_pages(self):
+        caches = CompileCaches.build()
+        models = ("escudo", "sop", "escudo", "sop")
+        with mock.patch(
+            "repro.browser.compile_cache.TreeBuilder.build",
+            autospec=True,
+            side_effect=TreeBuilder.build,
+        ) as builds:
+            pages = [
+                load_page(ESCUDO_BODY, PAGE_URL, options=LoaderOptions(model=model), caches=caches)
+                for model in models
+            ]
+        # The miss parses once and the sop variant re-parses once; the
+        # repeats of either model are served from their variant's tree.
+        assert builds.call_count == 2
+        assert caches.templates.misses == 1 and caches.templates.hits == 3
+        template = caches.templates.entry(ESCUDO_BODY, PAGE_URL)
+        assert len(template.variants) == 2
+        for model, page in zip(models, pages):
+            cold = load_page(ESCUDO_BODY, PAGE_URL, options=LoaderOptions(model=model))
+            assert serialize(page.document) == serialize(cold.document)
+            assert page.ring_histogram() == cold.ring_histogram()
+            assert page.labeling.__dict__ == cold.labeling.__dict__
+            assert page.escudo_enabled == cold.escudo_enabled
+
+    def test_warm_cache_retains_at_most_one_tree_per_variant(self):
+        """The template cache's retained heap after a full warm-up.
+
+        Each template keeps its labelled variants and nothing else, built
+        from slotted nodes with interned names; a template that also kept
+        its unlabelled parse and dict-backed nodes retains about twice the
+        ceiling.
+        """
+        import tracemalloc
+
+        from repro.attacks.harness import APP_KEYS
+        from repro.scenarios.runner import ScenarioRunner
+
+        tracemalloc.start()
+        try:
+            runner = ScenarioRunner()
+            runner.warm_for(APP_KEYS)
+            templates = runner.caches.templates
+            gc.collect()
+            with_cache = tracemalloc.get_traced_memory()[0]
+            for template in templates._entries.values():  # noqa: SLF001
+                template.release()
+            templates._entries.clear()  # noqa: SLF001
+            gc.collect()
+            retained = with_cache - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < retained < CACHE_RETAINED_CEILING
+
+
+#: Bytes the warm template cache may retain (tracemalloc, every app warmed).
+CACHE_RETAINED_CEILING = 200_000
 
 
 class TestTemplateCacheBounds:
@@ -397,25 +478,28 @@ class TestTemplateCacheBounds:
         with pytest.raises(ValueError):
             TemplateCache(0)
 
-    def test_eviction_releases_the_pristine_trees(self):
-        options = LoaderOptions(model="escudo")
+    def test_eviction_releases_every_cached_tree(self):
         caches = CompileCaches(templates=TemplateCache(maxsize=2), scripts=ScriptCache())
-        served = load_page(ESCUDO_BODY, PAGE_URL, options=options, caches=caches)
+        served = load_page(ESCUDO_BODY, PAGE_URL, options=LoaderOptions(model="escudo"), caches=caches)
+        load_page(ESCUDO_BODY, PAGE_URL, options=LoaderOptions(model="sop"), caches=caches)
         template = caches.templates.entry(ESCUDO_BODY, PAGE_URL)
-        ((labeled, _stats),) = template.variants.values()
-        pristine_ref, labeled_ref = weakref.ref(template.document), weakref.ref(labeled)
-        del template, labeled
+        # An entry parsed but never labelled still holds its parse.
+        pending = caches.templates.entry("<html><body><p>pending</p></body></html>", PAGE_URL)
+        tree_refs = [weakref.ref(tree) for tree, _stats in template.variants.values()]
+        assert len(tree_refs) == 2
+        tree_refs.append(weakref.ref(pending._pending))  # noqa: SLF001
+        del template, pending
         collecting = gc.isenabled()
         gc.disable()
         try:
             for i in range(2):
                 caches.templates.entry(f"<html><body><p>{i}</p></body></html>", PAGE_URL)
-            assert pristine_ref() is None
-            assert labeled_ref() is None
+            assert [ref() for ref in tree_refs] == [None, None, None]
         finally:
             if collecting:
                 gc.enable()
 
+        options = LoaderOptions(model="escudo")
         # A page served before the eviction is an independent tree.
         cold = load_page(ESCUDO_BODY, PAGE_URL, options=options)
         document = served.document

@@ -206,6 +206,26 @@ class TestWindowBindings:
         assert loaded.page.document.get_element_by_id("written") is not None
 
 
+class TestHostValuesInScripts:
+    def test_an_element_binding_serialises_as_an_empty_object(self, loaded_scripted_page):
+        browser, loaded = loaded_scripted_page
+        run = browser.run_script(
+            loaded, "JSON.stringify([document.getElementById('banner'), document]);", ring=1
+        )
+        assert run.result.value == "[{},{}]"
+
+    def test_dom_methods_fit_their_arity(self, loaded_scripted_page):
+        browser, loaded = loaded_scripted_page
+        run = browser.run_script(
+            loaded,
+            "var b = document.getElementById('banner', 'extra');"
+            "b.getAttribute() + ':' + document.getElementById();",
+            ring=1,
+        )
+        assert run.succeeded
+        assert run.result.value == "null:null"
+
+
 class TestScriptFaultIsolation:
     def test_script_errors_do_not_break_the_page_load(self):
         body = (

@@ -149,3 +149,45 @@ class TestQueriesAndCategories:
         assert Element("style").is_raw_text
         assert not Element("p").is_raw_text
         assert "img" in VOID_ELEMENTS and "script" in RAW_TEXT_ELEMENTS
+
+
+class TestCompactNodes:
+    """Cached page templates keep thousands of nodes alive for a whole run."""
+
+    def test_nodes_carry_no_instance_dict(self):
+        from repro.dom.document import Document
+        from repro.dom.node import CommentNode, TextNode
+
+        for node in (Element("div"), TextNode("t"), CommentNode("c"), Document()):
+            assert not hasattr(node, "__dict__")
+            with pytest.raises(AttributeError):
+                node.stray = 1
+
+    def test_names_and_values_are_shared_across_parses(self):
+        from repro.html.parser import parse_document
+
+        # Built at run time so no string in it is a compile-time constant.
+        nonce = "".join(["feed", "face", "0123"])
+        markup = (
+            f'<html><body><div ring="2" r="2" nonce="{nonce}"><p class="c">x</p>'
+            f'</div nonce="{nonce}"></body></html>'
+        )
+        first, second = parse_document(markup), parse_document(markup)
+        first_elements, second_elements = list(first.elements()), list(second.elements())
+        assert [el.tag_name for el in first_elements] == ["html", "body", "div", "p"]
+        for a, b in zip(first_elements, second_elements, strict=True):
+            assert a is not b
+            assert a.tag_name is b.tag_name
+            pairs = zip(a._attributes.items(), b._attributes.items(), strict=True)  # noqa: SLF001
+            for (name_a, value_a), (name_b, value_b) in pairs:
+                assert name_a is name_b and value_a is value_b
+
+    def test_script_created_elements_share_the_parsed_names(self):
+        from repro.html.parser import parse_document
+
+        parsed = parse_document('<div class="note"></div>').get_elements_by_tag_name("div")[0]
+        created = Element("".join(["D", "IV"]), {"".join(["CL", "ASS"]): "".join(["no", "te"])})
+        assert created.tag_name is parsed.tag_name
+        ((name, value),) = created.attributes.items()
+        ((parsed_name, parsed_value),) = parsed.attributes.items()
+        assert name is parsed_name and value is parsed_value

@@ -263,6 +263,27 @@ class TestErrorsAndBudget:
         assert result.steps > 10
         assert not result.failed
 
+    def test_array_growth_is_charged_to_the_budget(self):
+        result = run("var a = []; a[200000] = 1; a.length;", max_steps=50)
+        assert isinstance(result.error, BudgetExceeded)
+        # Writes at or inside the end cost nothing extra; holes cost a step each.
+        dense = run("var a = []; a[0] = 1; a[1] = 2; a[0] = 3; a.length;")
+        sparse = run("var a = []; a[0] = 1; a[11] = 2; a[0] = 3; a.length;")
+        assert dense.value == 2 and sparse.value == 12
+        assert sparse.steps - dense.steps == 10
+
+    def test_a_far_array_write_allocates_nothing(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            result = run("var a = []; a[3000000] = 1;")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(result.error, BudgetExceeded)
+        assert peak < 1_000_000
+
     def test_empty_and_counting_loops_hit_budget(self):
         assert isinstance(run("for (;;) { }", max_steps=2_000).error, BudgetExceeded)
         result = run("var n = 0; while (true) { n = n + 1; }", max_steps=3_000)
@@ -342,6 +363,17 @@ JAVASCRIPT_VALUES = [
     ("-7 % 3;", -1.0),
     ("JSON.stringify({a: [1, 2]});", '{"a":[1,2]}'),
     ("Math.round(2.5);", 3.0),
+    # Arguments fit the builtin's arity: extras are dropped, missing ones are undefined.
+    ("Math.floor(1, 2);", 1.0),
+    ('"abc".slice();', "abc"),
+    ("parseFloat();", math.nan),
+    ("String();", ""),
+    ("isNaN();", True),
+    ('"abc".charAt();', "a"),
+    ("[3, 4].indexOf();", -1.0),
+    # A host object serialises as an empty object, never as its repr.
+    ("JSON.stringify([Math]);", "[{}]"),
+    ("JSON.stringify({m: Math, j: JSON});", '{"m":{},"j":{}}'),
 ]
 
 #: The operands the seeded test combines: finite, non-finite, non-numeric.
@@ -361,6 +393,8 @@ TEMPLATES = [
     "var list = []; list[{a}] = {b}; list;",
     '"abcdef".charAt({a});', '"abcdef".slice({a}, {b});', '"abcdef".substring({a});',
     "[1, 2, 3].slice({a}, {b});",
+    "Math.floor({a}, {b});", "Math.pow({a});", "parseInt();", "Number();",
+    '"abcdef".replace({a});', '"abcdef".indexOf();', "[1, 2].join({a}, {b});",
 ]
 
 

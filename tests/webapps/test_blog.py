@@ -62,6 +62,15 @@ class TestFigure3Structure:
         assert loaded.page.document.get_element_by_id("blog-banner").text_content != "Owned"
         assert loaded.page.denied_accesses() >= 1
 
+    def test_a_comment_calling_a_builtin_with_extra_arguments_loads(self, blog):
+        blog.add_comment(1, "reader", "<script>Math.floor(1, 2);</script>hi")
+        loaded = browser_for(blog).load(f"{blog.origin}/post?id=1")
+        comment_runs = [
+            run for run in loaded.page.script_runs if run.principal.ring == Ring(COMMENT_RING)
+        ]
+        assert len(comment_runs) == 1
+        assert comment_runs[0].succeeded and comment_runs[0].result.value == 1.0
+
     def test_same_attack_succeeds_under_the_same_origin_policy(self, blog):
         blog.add_comment(
             1,
