@@ -12,23 +12,29 @@ the scenario runner, across whole scenarios):
   always runs with a recording validator and produces the identical tree
   either way (an unmatched terminator is ignored in both modes), so one
   entry serves both pipelines and the loader replays or withholds the
-  mismatch records per page.  The render statistics come from the parse
-  itself (layout does not read labels), and each labelled variant (per
-  configuration fingerprint) is one tree, so a warm load skips tokenising,
-  tree construction, labelling *and* layout.  The first variant labels the
-  miss's parse in place; a later variant of the same body re-parses the
-  body and keeps that tree, so an entry holds exactly one tree per variant
-  and no unlabelled copy.  The cached trees are never handed out -- every
-  consumer gets an aliasing-free clone, so page mutations cannot poison the
-  cache or leak into sibling loads.  Each clone carries a
-  :class:`~repro.dom.document.LoadManifest`: its own node list plus the tag,
-  id and parent indexes it shares with its variant tree, so the load-time
-  queries (scripts, subresources, ``getElementById``) are computed once per
-  variant and never re-walk a served page.  Evicting a template releases
-  every variant tree (:meth:`~repro.dom.document.Document.release`), so an
-  evicted entry is freed by reference counting at once instead of waiting,
-  as a cyclic DOM tree, for a full collection; clones already served are
-  independent trees and are never touched.
+  mismatch records per page.  The scenario runner gives the ESCUDO and
+  same-origin columns of one application the same nonce seed, so both
+  columns fetch byte-identical bodies and share one entry.  The render
+  statistics come from the parse itself (layout does not read labels), and
+  each labelled variant (per configuration fingerprint) is one tree, so a
+  warm load skips tokenising, tree construction, labelling *and* layout.
+  The first variant labels the miss's parse in place; a later variant of
+  the same body clones an existing variant's tree, clears its labels and
+  labels the clone, so a body is parsed once whatever its variants, and an
+  entry holds exactly one tree per variant and no unlabelled copy.  The
+  cache's bound counts trees (variants plus parses not yet labelled), not
+  bodies, so an entry serving two variants costs two slots.  The cached
+  trees are never handed out -- every consumer gets an aliasing-free
+  clone, so page mutations cannot poison the cache or leak into sibling
+  loads.  Each clone carries a :class:`~repro.dom.document.LoadManifest`:
+  its own node list plus the tag, id and parent indexes it shares with its
+  variant tree, so the load-time queries (scripts, subresources,
+  ``getElementById``) are computed once per variant and never re-walk a
+  served page.  Evicting a template releases every variant tree
+  (:meth:`~repro.dom.document.Document.release`), so an evicted entry is
+  freed by reference counting at once instead of waiting, as a cyclic DOM
+  tree, for a full collection; clones already served are independent trees
+  and are never touched.
 * :class:`~repro.scripting.cache.ScriptCache` -- one entry per script
   source digest holding its parsed program and its static analysis report,
   the report built on first use from the entry's own program.
@@ -49,14 +55,14 @@ from repro.core.config import PageConfiguration
 from repro.core.nonce import NonceMismatch, NonceValidator
 from repro.core.origin import Origin
 from repro.dom.document import Document
+from repro.dom.element import Element
 from repro.html.parser import TreeBuilder
-from repro.html.tokenizer import tokenize
 from repro.scripting.cache import ScriptCache
 
 from .labeler import LabelingStats, PageLabeler, document_uses_escudo
 from .renderer import Renderer, RenderStats
 
-#: Default number of distinct page templates retained.
+#: Default number of trees retained (labelled variants plus unlabelled parses).
 DEFAULT_TEMPLATE_CACHE_SIZE = 256
 
 
@@ -103,14 +109,17 @@ class CachedTemplate:
         document, self._pending = self._pending, None
         return document
 
-    def release(self) -> None:
-        """Release every tree the entry holds (eviction)."""
+    def release(self) -> int:
+        """Release every tree the entry holds (eviction); return how many."""
+        trees = len(self.variants)
         document = self.claim_parse()
         if document is not None:
             document.release()
+            trees += 1
         for labeled, _stats in self.variants.values():
             labeled.release()
         self.variants.clear()
+        return trees
 
     def make_validator(self, *, replay: bool) -> NonceValidator:
         """A fresh per-page validator.
@@ -128,21 +137,35 @@ class CachedTemplate:
         return validator
 
 
-def _parse(body: str, url: str) -> TreeBuilder:
-    """Parse ``body`` with a recording validator (the cache's one parse mode)."""
-    builder = TreeBuilder(url=url, nonce_validator=NonceValidator())
-    builder.build(tokenize(body))
-    return builder
+def _unlabelled_clone(document: Document) -> Document:
+    """A clone of ``document`` with every element's security context cleared.
+
+    The labeller assigns a context only to an element that has none, so a
+    clone of a labelled tree must be cleared before it takes new labels.
+    Labelling never changes the tree, so the result equals a fresh parse.
+    """
+    clone = document.clone()
+    for node in clone._load_manifest().nodes:
+        if isinstance(node, Element):
+            node._security_context = None
+    return clone
 
 
 class TemplateCache:
-    """Bounded LRU of :class:`CachedTemplate` keyed by body digest."""
+    """LRU of :class:`CachedTemplate` keyed by body digest, bounded in trees.
+
+    ``maxsize`` bounds the trees held: every labelled variant and every
+    parse still waiting for its first variant counts one.  Adding a tree
+    evicts least recently used entries, whole, until the bound holds.
+    """
 
     def __init__(self, maxsize: int = DEFAULT_TEMPLATE_CACHE_SIZE) -> None:
         if maxsize <= 0:
             raise ValueError("template cache maxsize must be positive")
         self.maxsize = maxsize
         self._entries: "OrderedDict[tuple, CachedTemplate]" = OrderedDict()
+        #: Trees held by every entry together (never more than ``maxsize``).
+        self.trees = 0
         self.hits = 0
         self.misses = 0
 
@@ -166,8 +189,8 @@ class TemplateCache:
             entries.move_to_end(key)
             return cached
         self.misses += 1
-        builder = _parse(body, url)
-        document = builder.document
+        builder = TreeBuilder(url=url, nonce_validator=NonceValidator())
+        document = builder.build(body)
         _, rendering = Renderer().render(document)
         cached = CachedTemplate(
             url,
@@ -179,16 +202,15 @@ class TemplateCache:
             ),
             rendering=rendering,
         )
-        if len(entries) >= self.maxsize:
-            entries.popitem(last=False)[1].release()
         entries[key] = cached
+        self.trees += 1
+        self._evict()
         return cached
 
     def labeled_tree(
         self,
         template: CachedTemplate,
         *,
-        body: str,
         origin: Origin,
         configuration: PageConfiguration,
         escudo_enabled: bool,
@@ -196,10 +218,11 @@ class TemplateCache:
     ) -> tuple[Document, LabelingStats]:
         """A labelled clone of ``template`` plus its labelling statistics.
 
-        The labelling pass runs once per distinct configuration fingerprint:
-        the first variant labels the miss's parse in place, and a later one
-        re-parses ``body`` (the body the template was looked up by) and
-        labels that tree.  Every page load gets a fresh clone of the variant
+        ``template`` is the entry :meth:`entry` just returned.  The labelling
+        pass runs once per distinct configuration fingerprint: the first
+        variant labels the miss's parse in place, and a later one labels an
+        unlabelled clone of an existing variant's tree (a clone costs a
+        fraction of a parse).  Every page load gets a fresh clone of the variant
         tree (security contexts are frozen values, so clones share them
         safely) and a fresh copy of the stats.  Labelling never changes the
         tree's shape, so the variant and all its clones share one manifest
@@ -211,7 +234,8 @@ class TemplateCache:
         if variant is None:
             labeled = template.claim_parse()
             if labeled is None:
-                labeled = _parse(body, template.url).document
+                labeled = _unlabelled_clone(next(iter(template.variants.values()))[0])
+                self.trees += 1
             labeler = PageLabeler(
                 origin,
                 configuration,
@@ -222,7 +246,17 @@ class TemplateCache:
             variant = (labeled, stats)
             template.variants[variant_key] = variant
         labeled, stats = variant
-        return labeled.clone(), _copy_labeling_stats(stats)
+        served = labeled.clone()
+        # A new variant may push the cache past its bound; the clone is
+        # taken first because the eviction may release this very entry.
+        self._evict()
+        return served, _copy_labeling_stats(stats)
+
+    def _evict(self) -> None:
+        """Release least recently used entries until the tree bound holds."""
+        entries = self._entries
+        while self.trees > self.maxsize:
+            self.trees -= entries.popitem(last=False)[1].release()
 
     def render_stats(self, template: CachedTemplate) -> RenderStats:
         """A copy of ``template``'s render statistics (default viewport).
@@ -263,6 +297,7 @@ class TemplateCache:
             "misses": self.misses,
             "hit_rate": self.hit_rate,
             "size": len(self._entries),
+            "trees": self.trees,
             "maxsize": self.maxsize,
         }
 

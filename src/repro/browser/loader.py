@@ -18,7 +18,6 @@ from repro.core.nonce import NonceValidator
 from repro.core.policy import EscudoPolicy, Policy
 from repro.core.sop import SameOriginPolicy
 from repro.html.parser import TreeBuilder
-from repro.html.tokenizer import tokenize
 from repro.http.url import Url
 
 from .compile_cache import CompileCaches
@@ -148,7 +147,7 @@ def _compile_cold(body: str, page_url: Url, config: PageConfiguration, opts: Loa
         url=str(page_url),
         nonce_validator=validator if opts.escudo_bookkeeping else None,
     )
-    document = builder.build(tokenize(body))
+    document = builder.build(body)
 
     # 2. Decide whether the page is ESCUDO-enabled (headers OR AC tags).
     escudo_enabled = bool(opts.escudo_bookkeeping) and (
@@ -195,7 +194,6 @@ def _compile_cached(
         config = _upgraded_for_ac_tags(config)
     document, labeling_stats = caches.templates.labeled_tree(
         template,
-        body=body,
         origin=page_url.origin,
         configuration=config,
         escudo_enabled=escudo_enabled,

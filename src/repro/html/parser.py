@@ -1,6 +1,6 @@
 """HTML tree builder.
 
-Turns the token stream from :mod:`repro.html.tokenizer` into a
+Turns the scan of :mod:`repro.html.tokenizer` into a
 :class:`~repro.dom.document.Document`.  Two pieces of ESCUDO-specific
 behaviour live here because they *must* happen during tree construction:
 
@@ -25,30 +25,19 @@ benchmark time them independently.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.core.nonce import NONCE_ATTRIBUTE, NonceValidator
 from repro.dom.document import Document
 from repro.dom.element import Element, VOID_ELEMENTS
 from repro.dom.node import CommentNode, Node, TextNode
 
-from .tokenizer import (
-    CommentToken,
-    DoctypeToken,
-    EndTagToken,
-    RawTextToken,
-    StartTagToken,
-    TextToken,
-    Token,
-    tokenize,
-)
+from .tokenizer import COMMENT, DOCTYPE, END, START, scan
 
 #: Tags that implicitly close an open element with the same name.
 _SELF_NESTING_CLOSERS = frozenset({"p", "li", "option", "tr", "td", "th"})
 
 
 class TreeBuilder:
-    """Stateful builder consuming tokens and growing a document tree."""
+    """Stateful builder consuming the scan of one markup string."""
 
     def __init__(
         self,
@@ -62,63 +51,64 @@ class TreeBuilder:
 
     # -- public API -----------------------------------------------------------------
 
-    def build(self, tokens: Iterable[Token]) -> Document:
-        """Consume every token and return the finished document."""
-        for token in tokens:
-            self._process(token)
-        return self.document
+    def build(self, markup: str) -> Document:
+        """Parse ``markup`` into the builder's document and return it.
+
+        Nodes are created without their constructors and linked straight
+        into their parent's child list: a freshly created node has no
+        parent to detach from and no subtree to re-own, the scanner has
+        already lower-cased and interned every name, and the document has
+        no load manifest to invalidate until the parse is over.
+        """
+        document = self.document
+        stack = self._stack
+        new = object.__new__
+        for kind, value, attributes in scan(markup):
+            if kind == END:
+                self._handle_end_tag(value, attributes)
+                continue
+            if kind == DOCTYPE:
+                document.doctype = value
+                continue
+            if kind >= START:
+                if value in _SELF_NESTING_CLOSERS and stack and stack[-1].tag_name == value:
+                    stack.pop()
+                node = new(Element)
+                node.tag_name = value
+                node._attributes = attributes
+                node._security_context = None
+            else:
+                node = new(CommentNode if kind == COMMENT else TextNode)
+                node.data = value
+            parent: Node = stack[-1] if stack else document
+            node.parent = parent
+            node.children = []
+            node.owner_document = document
+            parent.children.append(node)
+            if kind == START and value not in VOID_ELEMENTS:
+                stack.append(node)
+        return document
 
     @property
     def ignored_end_tags(self) -> int:
         """Number of end tags dropped by nonce validation (attack attempts)."""
         return self._ignored_end_tags
 
-    # -- token handling ----------------------------------------------------------------
+    # -- end tags -------------------------------------------------------------------
 
-    def _current(self) -> Node:
-        return self._stack[-1] if self._stack else self.document
-
-    def _process(self, token: Token) -> None:
-        if isinstance(token, DoctypeToken):
-            self.document.doctype = token.data
-        elif isinstance(token, CommentToken):
-            self._current().append_child(CommentNode(token.data))
-        elif isinstance(token, (TextToken, RawTextToken)):
-            if token.data:
-                self._current().append_child(TextNode(token.data))
-        elif isinstance(token, StartTagToken):
-            self._handle_start_tag(token)
-        elif isinstance(token, EndTagToken):
-            self._handle_end_tag(token)
-
-    def _handle_start_tag(self, token: StartTagToken) -> None:
-        name = token.name
-        if name in _SELF_NESTING_CLOSERS and self._stack and self._stack[-1].tag_name == name:
-            self._stack.pop()
-        element = Element(name, token.attributes)
-        element.owner_document = self.document
-        self._current().append_child(element)
-        if token.self_closing or name in VOID_ELEMENTS:
-            return
-        self._stack.append(element)
-
-    def _handle_end_tag(self, token: EndTagToken) -> None:
-        name = token.name
-        if not self._stack:
-            return
+    def _handle_end_tag(self, name: str, attributes: dict[str, str]) -> None:
+        stack = self._stack
         # Find the nearest open element with this tag name.
-        index = None
-        for i in range(len(self._stack) - 1, -1, -1):
-            if self._stack[i].tag_name == name:
-                index = i
+        for index in range(len(stack) - 1, -1, -1):
+            if stack[index].tag_name == name:
                 break
-        if index is None:
+        else:
             return  # Stray end tag: ignored.
 
-        candidate = self._stack[index]
+        candidate = stack[index]
         if name == "div":
             opening_nonce = candidate.get_attribute(NONCE_ATTRIBUTE)
-            closing_nonce = token.attributes.get(NONCE_ATTRIBUTE)
+            closing_nonce = attributes.get(NONCE_ATTRIBUTE)
             if not self._nonce_ok(opening_nonce, closing_nonce, candidate):
                 # The terminator does not legitimately close this AC tag.
                 # Per the paper it is ignored outright, so injected content
@@ -126,7 +116,7 @@ class TreeBuilder:
                 self._ignored_end_tags += 1
                 return
         # Close the candidate (and anything opened after it).
-        del self._stack[index:]
+        del stack[index:]
 
     def _nonce_ok(self, opening: str | None, closing: str | None, element: Element) -> bool:
         if opening is None:
@@ -150,7 +140,7 @@ def parse_document(
 ) -> Document:
     """Parse a full HTML document."""
     builder = TreeBuilder(url=url, nonce_validator=nonce_validator)
-    return builder.build(tokenize(markup))
+    return builder.build(markup)
 
 
 def parse_document_with_stats(
@@ -160,7 +150,7 @@ def parse_document_with_stats(
 ) -> tuple[Document, TreeBuilder]:
     """Parse a document and also return the builder (for its counters)."""
     builder = TreeBuilder(url=url, nonce_validator=nonce_validator)
-    document = builder.build(tokenize(markup))
+    document = builder.build(markup)
     return document, builder
 
 
@@ -177,18 +167,16 @@ def parse_fragment(
     """
     builder = TreeBuilder(url=owner.url if owner is not None else "about:blank",
                           nonce_validator=nonce_validator)
-    document = builder.build(tokenize(markup))
+    document = builder.build(markup)
     children = list(document.children)
     for child in children:
         document.remove_child(child)
         if owner is not None:
-            _reown(child, owner)
+            # Iterative: a deeply nested fragment must not exhaust the
+            # interpreter's recursion limit.
+            child.owner_document = owner
+            for node in child.descendants():
+                node.owner_document = owner
     # The emptied scratch document still owns itself; cut that cycle too.
     document.release()
     return children
-
-
-def _reown(node: Node, owner: Document) -> None:
-    node.owner_document = owner
-    for child in node.children:
-        _reown(child, owner)

@@ -1,23 +1,38 @@
-"""HTML tokenizer.
+"""HTML scanner.
 
-Turns markup text into a stream of tokens: start tags (with attributes and a
-self-closing flag), end tags (which, unusually, may carry attributes --
-ESCUDO's markup randomisation puts a ``nonce`` attribute on closing ``div``
-tags), text runs, comments and doctypes.
+Turns markup text into a stream of scan items: start tags (with attributes
+and a self-closing flag), end tags (which, unusually, may carry attributes
+-- ESCUDO's markup randomisation puts a ``nonce`` attribute on closing
+``div`` tags), text runs, comments and doctypes.
 
-The tokenizer is lenient in the way browsers are: malformed constructs
+The scanner is lenient in the way browsers are: malformed constructs
 degrade to text rather than raising, and attribute values may be unquoted,
 single-quoted or double-quoted.  Raw-text elements (``script``, ``style``,
-``title``, ``textarea``) switch the tokenizer into a mode that swallows
-everything up to the matching end tag, so markup-looking characters inside
-scripts do not confuse the tree builder.
+``title``, ``textarea``) switch the scanner into a mode that swallows
+everything up to the matching end tag (found ASCII-case-insensitively in
+the original text), so markup-looking characters inside scripts do not
+confuse the tree builder.
 
-Tag names, attribute names and attribute values are interned as they are
-scanned, so the many parses of one page template share their strings.
+Tags are matched by compiled patterns rather than character loops.  A
+well-formed tag -- an ASCII-letter name, attributes separated by spaces,
+tabs or line breaks, each value quoted or unquoted up to a separator -- is
+matched whole by one pattern.  Anything else (a non-ASCII name, attributes
+run together, an unterminated quote, a stray ``/``) goes through a
+per-attribute step pattern that applies the same lenient rules one
+attribute at a time, so both routes read every tag the same way.
+
+:func:`scan` yields plain tuples, which
+:meth:`~repro.html.parser.TreeBuilder.build` consumes directly;
+:func:`tokenize` wraps the same scan in :class:`Token` objects for callers
+that want them.  Tag names, attribute names and attribute values are
+lower-cased (names) and interned as they are scanned, so the many parses of
+one page template share their strings and the tree builder can store them
+as they are.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from sys import intern
 from typing import Iterator
@@ -25,6 +40,141 @@ from typing import Iterator
 from repro.dom.element import RAW_TEXT_ELEMENTS
 
 from .entities import decode_entities
+
+#: Scan item kinds: the first field of every tuple :func:`scan` yields.
+#: ``(TEXT | RAW_TEXT | COMMENT | DOCTYPE, data, None)`` and
+#: ``(START | SELF_CLOSING | END, name, attributes)``.
+TEXT, RAW_TEXT, COMMENT, DOCTYPE, START, SELF_CLOSING, END = range(7)
+
+# A whole well-formed tag.  Every name and unquoted value this pattern
+# takes is followed by a separator the step pattern also ends it at, so a
+# tag this pattern matches reads the same as the step route would read it.
+_TAG = re.compile(
+    r"<(/?)([A-Za-z][\w:-]*)"
+    r"((?:[ \t\r\n]+[^\s\"'<=/>]+"
+    r"(?:[ \t\r\n]*=[ \t\r\n]*(?:\"[^\"]*\"|'[^']*'|[^\s\"'<=>`]+))?)*)"
+    r"[ \t\r\n]*(/?)>"
+)
+# One attribute of a tag that ``_TAG`` matched; the value keeps its quotes.
+_TAG_ATTRIBUTE = re.compile(
+    r"[ \t\r\n]+([^\s\"'<=/>]+)"
+    r"(?:[ \t\r\n]*=[ \t\r\n]*(\"[^\"]*\"|'[^']*'|[^\s\"'<=>`]+))?"
+)
+# The lenient route: a tag name (any letters or digits, ``-``, ``_``,
+# ``:``), then one step per attribute.  A step skips whitespace and reads
+# the tag's end (``>``), a ``/`` (``/>`` ends a self-closing tag), or one
+# attribute: a name up to ``=``, ``/``, ``>`` or a space, tab or line
+# break, and an optional value -- quoted up to the closing quote (or the end
+# of the text), else up to ``>`` or a space, tab or line break.
+_NAME = re.compile(r"[\w:-]*")
+_ATTRIBUTE_STEP = re.compile(
+    r"\s*(?:(>)|(/)(>)?|([^=/> \t\r\n]*)\s*"
+    r"(?:=\s*(?:\"([^\"]*)\"?|'([^']*)'?|([^> \t\r\n]*)))?)"
+)
+#: Where each raw-text element's content ends.
+_RAW_TEXT_END = {name: re.compile("</" + name, re.I | re.A) for name in RAW_TEXT_ELEMENTS}
+
+
+def scan(markup: str) -> Iterator[tuple]:
+    """Yield the scan items of ``markup`` in document order."""
+    text = markup
+    length = len(text)
+    find = text.find
+    match_tag = _TAG.match
+    find_attributes = _TAG_ATTRIBUTE.findall
+    pos = 0
+    while pos < length:
+        lt = find("<", pos)
+        if lt == -1:
+            yield TEXT, decode_entities(text[pos:]), None
+            return
+        if lt > pos:
+            yield TEXT, decode_entities(text[pos:lt]), None
+            pos = lt
+        match = match_tag(text, pos)
+        if match is not None:
+            end_tag, name, attribute_text, slash = match.groups()
+            name = intern(name.lower())
+            attributes: dict[str, str] = {}
+            if attribute_text:
+                # An absent value reads as "": a present one is quoted or
+                # non-empty.
+                for spelling, value in find_attributes(attribute_text):
+                    if value[:1] in ("\"", "'"):
+                        value = value[1:-1]
+                    attributes[intern(spelling.lower())] = intern(decode_entities(value))
+            pos = match.end()
+            if end_tag:
+                yield END, name, attributes
+                continue
+            if slash:
+                yield SELF_CLOSING, name, attributes
+                continue
+            item = (START, name, attributes)
+        else:
+            item, pos = _scan_markup(text, pos)
+            if item is None:
+                # Lone '<' that does not open anything: emit as text.
+                yield TEXT, "<", None
+                pos += 1
+                continue
+        yield item
+        if item[0] == START and item[1] in RAW_TEXT_ELEMENTS:
+            found = _RAW_TEXT_END[item[1]].search(text, pos)
+            end = length if found is None else found.start()
+            if end > pos:
+                yield RAW_TEXT, text[pos:end], None
+                pos = end
+
+
+def _scan_markup(text: str, pos: int) -> tuple[tuple | None, int]:
+    """The construct at ``text[pos] == "<"`` that ``_TAG`` did not match.
+
+    Returns the scan item and the position after it, or ``None`` and
+    ``pos`` when the ``<`` opens nothing.
+    """
+    if text.startswith("<!--", pos):
+        end = text.find("-->", pos + 4)
+        if end == -1:
+            return (COMMENT, text[pos + 4 :], None), len(text)
+        return (COMMENT, text[pos + 4 : end], None), end + 3
+    if text.startswith("<!", pos):
+        end = text.find(">", pos + 2)
+        if end == -1:
+            return (DOCTYPE, text[pos + 2 :].strip(), None), len(text)
+        return (DOCTYPE, text[pos + 2 : end].strip(), None), end + 1
+    if text.startswith("</", pos):
+        return _scan_tag(text, pos, pos + 2, END)
+    if text[pos + 1 : pos + 2].isalpha():
+        return _scan_tag(text, pos, pos + 1, START)
+    return None, pos
+
+
+def _scan_tag(text: str, pos: int, name_start: int, kind: int) -> tuple[tuple | None, int]:
+    """A tag through the per-attribute step pattern."""
+    name_end = _NAME.match(text, name_start).end()
+    if name_end == name_start:
+        return None, pos
+    name = intern(text[name_start:name_end].lower())
+    attributes: dict[str, str] = {}
+    step = _ATTRIBUTE_STEP.match
+    length = len(text)
+    pos = name_end
+    while pos < length:
+        match = step(text, pos)
+        pos = match.end()
+        close, slash, slash_close, attribute, double, single, unquoted = match.groups()
+        if close or slash_close:
+            if slash_close and kind == START:
+                kind = SELF_CLOSING
+            break
+        if attribute:
+            value = double if double is not None else single if single is not None else unquoted
+            attributes[intern(attribute.lower())] = intern(decode_entities(value or ""))
+    return (kind, name, attributes), pos
+
+
+# -- token objects ---------------------------------------------------------------------
 
 
 @dataclass
@@ -78,149 +228,16 @@ class DoctypeToken(Token):
 
 
 def tokenize(markup: str) -> Iterator[Token]:
-    """Yield tokens for ``markup``."""
-    return _Tokenizer(markup).tokens()
-
-
-class _Tokenizer:
-    """Single-pass scanner over the markup string."""
-
-    def __init__(self, markup: str) -> None:
-        self._text = markup
-        self._pos = 0
-        self._length = len(markup)
-        # Lazily lowered copy for raw-text end-tag searches: lowering the
-        # whole document once beats re-lowering it per <script>/<title>.
-        self._lowered: str | None = None
-
-    def tokens(self) -> Iterator[Token]:
-        while self._pos < self._length:
-            lt = self._text.find("<", self._pos)
-            if lt == -1:
-                yield TextToken(decode_entities(self._text[self._pos :]))
-                break
-            if lt > self._pos:
-                yield TextToken(decode_entities(self._text[self._pos : lt]))
-                self._pos = lt
-            token = self._consume_markup()
-            if token is None:
-                # Lone '<' that does not open anything: emit as text.
-                yield TextToken("<")
-                self._pos += 1
-                continue
-            yield token
-            if isinstance(token, StartTagToken) and not token.self_closing \
-                    and token.name in RAW_TEXT_ELEMENTS:
-                raw = self._consume_raw_text(token.name)
-                if raw is not None:
-                    yield raw
-
-    # -- markup constructs ---------------------------------------------------------
-
-    def _consume_markup(self) -> Token | None:
-        text = self._text
-        pos = self._pos
-        if text.startswith("<!--", pos):
-            end = text.find("-->", pos + 4)
-            if end == -1:
-                data = text[pos + 4 :]
-                self._pos = self._length
-            else:
-                data = text[pos + 4 : end]
-                self._pos = end + 3
-            return CommentToken(data)
-        if text.startswith("<!", pos):
-            end = text.find(">", pos + 2)
-            if end == -1:
-                self._pos = self._length
-                return DoctypeToken(text[pos + 2 :].strip())
-            self._pos = end + 1
-            return DoctypeToken(text[pos + 2 : end].strip())
-        if text.startswith("</", pos):
-            return self._consume_tag(pos + 2, end_tag=True)
-        if pos + 1 < self._length and (text[pos + 1].isalpha()):
-            return self._consume_tag(pos + 1, end_tag=False)
-        return None
-
-    def _consume_tag(self, name_start: int, *, end_tag: bool) -> Token | None:
-        text = self._text
-        pos = name_start
-        while pos < self._length and (text[pos].isalnum() or text[pos] in "-_:"):
-            pos += 1
-        name = intern(text[name_start:pos].lower())
-        if not name:
-            return None
-        attributes, pos, self_closing = self._consume_attributes(pos)
-        self._pos = pos
-        if end_tag:
-            return EndTagToken(name=name, attributes=attributes)
-        return StartTagToken(name=name, attributes=attributes, self_closing=self_closing)
-
-    def _consume_attributes(self, pos: int) -> tuple[dict[str, str], int, bool]:
-        text = self._text
-        attributes: dict[str, str] = {}
-        self_closing = False
-        while pos < self._length:
-            while pos < self._length and text[pos].isspace():
-                pos += 1
-            if pos >= self._length:
-                break
-            ch = text[pos]
-            if ch == ">":
-                pos += 1
-                return attributes, pos, self_closing
-            if ch == "/":
-                pos += 1
-                if pos < self._length and text[pos] == ">":
-                    return attributes, pos + 1, True
-                continue
-            name_start = pos
-            while pos < self._length and text[pos] not in "=/> \t\r\n":
-                pos += 1
-            attr_name = intern(text[name_start:pos].lower())
-            while pos < self._length and text[pos].isspace():
-                pos += 1
-            value = ""
-            if pos < self._length and text[pos] == "=":
-                pos += 1
-                while pos < self._length and text[pos].isspace():
-                    pos += 1
-                if pos < self._length and text[pos] in "\"'":
-                    quote = text[pos]
-                    pos += 1
-                    # find() scans the quoted value at C speed; attribute
-                    # values (nonces, ids, rings) are the long spans here.
-                    close = text.find(quote, pos)
-                    if close == -1:
-                        value = text[pos:]
-                        pos = self._length
-                    else:
-                        value = text[pos:close]
-                        pos = close + 1
-                else:
-                    value_start = pos
-                    while pos < self._length and text[pos] not in "> \t\r\n":
-                        pos += 1
-                    value = text[value_start:pos]
-            if attr_name:
-                attributes[attr_name] = intern(decode_entities(value))
-        return attributes, pos, self_closing
-
-    # -- raw text ----------------------------------------------------------------------
-
-    def _consume_raw_text(self, tag_name: str) -> RawTextToken | None:
-        """Swallow content up to (not including) ``</tag_name``."""
-        lowered = self._lowered
-        if lowered is None:
-            lowered = self._lowered = self._text.lower()
-        marker = f"</{tag_name}"
-        end = lowered.find(marker, self._pos)
-        if end == -1:
-            data = self._text[self._pos :]
-            self._pos = self._length
+    """Yield :class:`Token` objects for ``markup`` (a view of :func:`scan`)."""
+    for kind, value, attributes in scan(markup):
+        if kind == START:
+            yield StartTagToken(value, attributes)
+        elif kind == SELF_CLOSING:
+            yield StartTagToken(value, attributes, self_closing=True)
+        elif kind == END:
+            yield EndTagToken(value, attributes)
         else:
-            data = self._text[self._pos : end]
-            self._pos = end
-        if data == "":
-            return None
-        return RawTextToken(data)
+            yield _DATA_TOKENS[kind](value)
+
+
+_DATA_TOKENS = {TEXT: TextToken, RAW_TEXT: RawTextToken, COMMENT: CommentToken, DOCTYPE: DoctypeToken}

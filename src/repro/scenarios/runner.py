@@ -178,12 +178,16 @@ class ScenarioRunner:
         The worker-deterministic nonce seed makes unchanged pages
         byte-identical across responses (template-cache hits); the response
         cache then memoises side-effect-free GETs per state generation on
-        top of it.  The seed embeds the runner's random secret so nonce
-        sequences stay unpredictable to attack payloads.
+        top of it.  The seed is one per application, not per column: the
+        ESCUDO and same-origin columns both run the ESCUDO application, so
+        they fetch byte-identical bodies and share one template entry (one
+        parse, one labelled variant per model).  The seed embeds the
+        runner's random secret so nonce sequences stay unpredictable to
+        attack payloads.
         """
         kwargs: dict = {"storage": self.storage}
         if self.caches is not None:
-            kwargs["nonce_seed"] = f"scenario:{self._nonce_secret}:{app_key}:{spec.name}"
+            kwargs["nonce_seed"] = f"scenario:{self._nonce_secret}:{app_key}"
             kwargs["response_cache"] = True
         return kwargs
 

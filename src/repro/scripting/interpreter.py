@@ -30,6 +30,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -820,6 +821,17 @@ def _parse_int(value, radix=None) -> float:
     return sign * result if digits else math.nan
 
 
+#: JavaScript's StrDecimalLiteral: what ``parseFloat`` reads a prefix of.
+_DECIMAL_PREFIX = re.compile(r"[+-]?(?:Infinity|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)", re.ASCII)
+
+
+def _parse_float(value=math.nan) -> float:
+    """``parseFloat``: the longest decimal or ``Infinity`` prefix after
+    leading whitespace, NaN when there is none."""
+    match = _DECIMAL_PREFIX.match(_to_string(value).lstrip())
+    return float(match.group()) if match else math.nan
+
+
 @cache
 def _standard_library() -> dict[str, Any]:
     """Globals available to every script regardless of the host environment.
@@ -832,7 +844,7 @@ def _standard_library() -> dict[str, Any]:
     return {
         "parseInt": NativeFunction(_parse_int, "parseInt"),
         # Defaults give the no-argument results: ``undefined`` is not ``null``.
-        "parseFloat": NativeFunction(lambda value=math.nan: _to_number(value), "parseFloat"),
+        "parseFloat": NativeFunction(_parse_float, "parseFloat"),
         "String": NativeFunction(lambda value="": _to_string(value), "String"),
         "Number": NativeFunction(_to_number, "Number"),
         "isNaN": NativeFunction(lambda value=math.nan: _to_number(value) != _to_number(value), "isNaN"),

@@ -407,7 +407,7 @@ class TestOneTreePerVariant:
             for tree in trees:
                 assert all(el.security_context is not None for el in tree.elements())
 
-    def test_a_second_variant_reparses_and_serves_cold_pages(self):
+    def test_a_second_variant_clones_and_serves_cold_pages(self):
         caches = CompileCaches.build()
         models = ("escudo", "sop", "escudo", "sop")
         with mock.patch(
@@ -419,9 +419,10 @@ class TestOneTreePerVariant:
                 load_page(ESCUDO_BODY, PAGE_URL, options=LoaderOptions(model=model), caches=caches)
                 for model in models
             ]
-        # The miss parses once and the sop variant re-parses once; the
-        # repeats of either model are served from their variant's tree.
-        assert builds.call_count == 2
+        # The miss parses once; the sop variant labels a clone of the
+        # escudo variant's tree, and the repeats of either model are served
+        # from their variant's tree.
+        assert builds.call_count == 1
         assert caches.templates.misses == 1 and caches.templates.hits == 3
         template = caches.templates.entry(ESCUDO_BODY, PAGE_URL)
         assert len(template.variants) == 2
@@ -431,6 +432,34 @@ class TestOneTreePerVariant:
             assert page.ring_histogram() == cold.ring_histogram()
             assert page.labeling.__dict__ == cold.labeling.__dict__
             assert page.escudo_enabled == cold.escudo_enabled
+            elements = list(page.document.elements())
+            cold_elements = list(cold.document.elements())
+            assert len(elements) == len(cold_elements)
+            for element, cold_element in zip(elements, cold_elements):
+                assert element.security_context == cold_element.security_context
+
+    def test_warm_for_shares_one_entry_between_the_escudo_and_sop_columns(self):
+        from repro.attacks.harness import APP_KEYS
+        from repro.scenarios.runner import ScenarioRunner
+
+        runner = ScenarioRunner()
+        with mock.patch(
+            "repro.browser.compile_cache.TreeBuilder.build",
+            autospec=True,
+            side_effect=TreeBuilder.build,
+        ) as builds:
+            runner.warm_for(APP_KEYS)
+        templates = runner.caches.templates
+        # Per app: one body both model columns share, and the ``none``
+        # column's own body.
+        assert builds.call_count == templates.misses == 2 * len(APP_KEYS)
+        shared = [t for t in templates._entries.values() if len(t.variants) == 2]  # noqa: SLF001
+        assert len(shared) == len(APP_KEYS)
+        for template in shared:
+            assert {escudo for (_fingerprint, escudo, _scoping) in template.variants} == {
+                True,
+                False,
+            }
 
     def test_warm_cache_retains_at_most_one_tree_per_variant(self):
         """The template cache's retained heap after a full warm-up.
@@ -478,8 +507,25 @@ class TestTemplateCacheBounds:
         with pytest.raises(ValueError):
             TemplateCache(0)
 
+    @pytest.mark.parametrize("maxsize", [1, 2, 3, 5])
+    def test_the_cache_never_holds_more_than_maxsize_trees(self, maxsize):
+        caches = CompileCaches(templates=TemplateCache(maxsize=maxsize), scripts=ScriptCache())
+        templates = caches.templates
+        bodies = [ESCUDO_BODY, SPLIT_BODY] + [
+            f"<html><body><p>{i}</p></body></html>" for i in range(3)
+        ]
+        for _ in range(2):
+            for body in bodies:
+                for model in ("escudo", "sop"):
+                    load_page(body, PAGE_URL, options=LoaderOptions(model=model), caches=caches)
+                    held = sum(
+                        len(t.variants) + (t._pending is not None)  # noqa: SLF001
+                        for t in templates._entries.values()  # noqa: SLF001
+                    )
+                    assert held == templates.trees <= maxsize
+
     def test_eviction_releases_every_cached_tree(self):
-        caches = CompileCaches(templates=TemplateCache(maxsize=2), scripts=ScriptCache())
+        caches = CompileCaches(templates=TemplateCache(maxsize=3), scripts=ScriptCache())
         served = load_page(ESCUDO_BODY, PAGE_URL, options=LoaderOptions(model="escudo"), caches=caches)
         load_page(ESCUDO_BODY, PAGE_URL, options=LoaderOptions(model="sop"), caches=caches)
         template = caches.templates.entry(ESCUDO_BODY, PAGE_URL)
@@ -488,13 +534,17 @@ class TestTemplateCacheBounds:
         tree_refs = [weakref.ref(tree) for tree, _stats in template.variants.values()]
         assert len(tree_refs) == 2
         tree_refs.append(weakref.ref(pending._pending))  # noqa: SLF001
+        assert caches.templates.trees == 3
         del template, pending
         collecting = gc.isenabled()
         gc.disable()
         try:
-            for i in range(2):
+            # The first new tree evicts the two-variant entry, the third
+            # one the pending parse.
+            for i in range(3):
                 caches.templates.entry(f"<html><body><p>{i}</p></body></html>", PAGE_URL)
             assert [ref() for ref in tree_refs] == [None, None, None]
+            assert caches.templates.trees == 3
         finally:
             if collecting:
                 gc.enable()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.acl import Acl
@@ -11,6 +13,19 @@ from repro.core.origin import Origin
 from repro.core.rings import Ring
 from repro.http.messages import HttpResponse
 from repro.http.network import Network
+
+# ``HYPOTHESIS_PROFILE=ci`` raises the example budget of every property that
+# does not fix its own -- the parser-versus-reference properties of
+# ``tests/html`` -- for CI's dedicated parser step; the tier-1 run keeps
+# Hypothesis's default budget.  CI's scenario-fuzz step runs without
+# hypothesis installed, so the profile is registered only when it is.
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    settings.register_profile("ci", max_examples=2000)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -191,3 +191,17 @@ class TestCompactNodes:
         ((name, value),) = created.attributes.items()
         ((parsed_name, parsed_value),) = parsed.attributes.items()
         assert name is parsed_name and value is parsed_value
+
+    def test_parsing_a_page_makes_no_element_constructor_calls(self):
+        from unittest import mock
+
+        from repro.html.parser import parse_document, parse_fragment
+
+        markup = '<html><BODY><div RING="1" class="c"><p>x<br/></p></div></BODY></html>'
+        with mock.patch.object(Element, "__init__", autospec=True) as constructor:
+            document = parse_document(markup)
+            fragment = parse_fragment("<SPAN ID='s'>y</SPAN>", owner=document)
+        assert constructor.call_count == 0
+        assert [el.tag_name for el in document.elements()] == ["html", "body", "div", "p", "br"]
+        assert document.get_elements_by_tag_name("div")[0].attributes == {"ring": "1", "class": "c"}
+        assert fragment[0].tag_name == "span" and fragment[0].attributes == {"id": "s"}

@@ -50,6 +50,12 @@ class TestTreeShapes:
         doc = parse_document("<div><p>never closed")
         assert doc.get_elements_by_tag_name("p")[0].text_content == "never closed"
 
+    def test_raw_text_ends_after_text_that_lower_cases_longer(self):
+        doc = parse_document("<textarea>İİ</textarea><p id=a>x</p>")
+        textarea = doc.get_elements_by_tag_name("textarea")[0]
+        assert textarea.text_content == "İİ"
+        assert doc.get_element_by_id("a").parent is doc
+
     def test_comments_preserved(self):
         doc = parse_document("<div><!-- note --></div>")
         div = doc.get_elements_by_tag_name("div")[0]
@@ -128,6 +134,11 @@ class TestFragments:
         doc = parse_document("<body></body>", url="http://app.example.com/")
         nodes = parse_fragment("<span>x</span>", owner=doc)
         assert nodes[0].owner_document is doc
+
+    def test_deeply_nested_fragment_is_owned_without_recursion(self):
+        doc = parse_document("<body></body>")
+        (root,) = parse_fragment("<b>" * 3000 + "x", owner=doc)
+        assert all(node.owner_document is doc for node in (root, *root.descendants()))
 
     def test_fragment_with_text_only(self):
         nodes = parse_fragment("just text")

@@ -116,6 +116,20 @@ class TestRawText:
         tokens = tokens_of("<script>var x = 1;")
         assert isinstance(tokens[-1], RawTextToken)
 
+    def test_end_tag_found_after_text_that_lower_cases_longer(self):
+        # "İ".lower() is two code points: searching a lower-cased copy of the
+        # markup found the end tag at a drifted offset in the original.
+        tokens = tokens_of("<textarea>İİ</textarea><p id=a>x</p>")
+        assert isinstance(tokens[1], RawTextToken) and tokens[1].data == "İİ"
+        assert isinstance(tokens[2], EndTagToken) and tokens[2].name == "textarea"
+        assert isinstance(tokens[3], StartTagToken) and tokens[3].attributes == {"id": "a"}
+
+    def test_end_tag_is_matched_case_insensitively(self):
+        tokens = tokens_of("<script>x</ScRiPt><p>y</p>")
+        assert [type(t).__name__ for t in tokens] == [
+            "StartTagToken", "RawTextToken", "EndTagToken", "StartTagToken", "TextToken", "EndTagToken"
+        ]
+
     def test_entities_not_decoded_in_raw_text(self):
         raw = [t for t in tokens_of("<script>a &amp;&amp; b</script>") if isinstance(t, RawTextToken)]
         assert raw[0].data == "a &amp;&amp; b"

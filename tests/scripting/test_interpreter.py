@@ -398,8 +398,28 @@ TEMPLATES = [
 ]
 
 
+#: ``parseFloat`` reads the longest decimal prefix, as JavaScript does.
+PARSE_FLOAT_VALUES = [
+    ('"3px"', 3.0),
+    ('" 2.5e1x"', 25.0),
+    ("null", math.nan),
+    ('"-.5"', -0.5),
+    ('"Infinityx"', math.inf),
+    ('".e1"', math.nan),
+    ('"abc"', math.nan),
+]
+
+
 class TestJavaScriptNumberSemantics:
     """Script content cannot crash the engine: builtins return JavaScript's values."""
+
+    @pytest.mark.parametrize(("argument", "expected"), PARSE_FLOAT_VALUES, ids=[a for a, _ in PARSE_FLOAT_VALUES])
+    def test_parse_float_reads_a_prefix(self, argument, expected):
+        value = value_of(f"parseFloat({argument});")
+        if math.isnan(expected):
+            assert math.isnan(value)
+        else:
+            assert value == expected
 
     @pytest.mark.parametrize(("source", "expected"), JAVASCRIPT_VALUES, ids=[s for s, _ in JAVASCRIPT_VALUES])
     def test_javascript_value(self, source, expected):
