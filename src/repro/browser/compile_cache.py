@@ -70,7 +70,6 @@ class CachedTemplate:
     """One parsed response body plus its derived, reusable artifacts."""
 
     __slots__ = (
-        "url",
         "uses_escudo",
         "ignored_end_tags",
         "mismatches",
@@ -81,7 +80,6 @@ class CachedTemplate:
 
     def __init__(
         self,
-        url: str,
         document: Document,
         *,
         uses_escudo: bool,
@@ -89,7 +87,6 @@ class CachedTemplate:
         mismatches: tuple[tuple[str | None, str | None, str], ...],
         rendering: RenderStats,
     ) -> None:
-        self.url = url
         self.uses_escudo = uses_escudo
         self.ignored_end_tags = ignored_end_tags
         #: Nonce mismatches recorded during the parse, replayed into a fresh
@@ -193,7 +190,6 @@ class TemplateCache:
         document = builder.build(body)
         _, rendering = Renderer().render(document)
         cached = CachedTemplate(
-            url,
             document,
             uses_escudo=document_uses_escudo(document),
             ignored_end_tags=builder.ignored_end_tags,
