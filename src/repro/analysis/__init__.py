@@ -1,25 +1,6 @@
-"""Static-analysis tier: mediation-flow screening + repo-invariant linting.
+"""Repo-invariant linting.
 
-Two independent layers share this package:
-
-- :mod:`repro.analysis.soundness` -- the runtime side of the script
-  analyzer (:mod:`repro.scripting.analysis`): a :class:`StaticScreen`
-  attributes every reference-monitor decision to the script that caused it
-  and checks the soundness contract *dynamic accesses ⊆ static prediction*
-  per script digest.
-- :mod:`repro.analysis.repolint` -- a Python-``ast`` linter that turns the
-  repo's dynamic invariants (touch-state honesty, cache ``reset_counters``,
-  determinism, pickle confinement) into static CI gates.
+:mod:`repro.analysis.repolint` is a Python-``ast`` linter that turns the
+repo's dynamic invariants (touch-state honesty, cache ``reset_counters``,
+determinism, pickle confinement) into static CI gates.
 """
-
-from .soundness import (
-    SoundnessViolation,
-    StaticScreen,
-    classify_decision,
-)
-
-__all__ = [
-    "SoundnessViolation",
-    "StaticScreen",
-    "classify_decision",
-]

@@ -175,7 +175,6 @@ def build_environment(
     escudo_app: bool = True,
     app_kwargs: dict | None = None,
     caches=None,
-    static_screen=None,
 ) -> AttackEnvironment:
     """Create a fresh network, application, attacker site and victim browser.
 
@@ -183,16 +182,14 @@ def build_environment(
     :class:`~repro.browser.compile_cache.CompileCaches` stack the victim
     browser reuses (the scenario runner shares one per worker); the
     environment itself -- application state, network, cookie jars -- stays
-    share-nothing either way.  ``static_screen`` attaches a soundness screen
-    (:class:`~repro.analysis.soundness.StaticScreen`) to the victim browser
-    so every mediation decision is attributed to its causing script.
+    share-nothing either way.
     """
     app = make_application(app_key, escudo_enabled=escudo_app, **(app_kwargs or {}))
     attacker = AttackerSite()
     network = Network()
     network.register(app.origin, app)
     network.register(attacker.origin, attacker)
-    browser = Browser(network, model=model, caches=caches, static_screen=static_screen)
+    browser = Browser(network, model=model, caches=caches)
     return AttackEnvironment(model=model, network=network, app=app, attacker=attacker, browser=browser)
 
 

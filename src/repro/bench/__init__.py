@@ -1,10 +1,5 @@
 """Benchmark support: Figure-4 workloads, timing loops and report formatting."""
 
-from .analysis_bench import (
-    ANALYSIS_RESULTS_NAME,
-    format_analysis_report,
-    measure_analysis,
-)
 from .compile_cache_bench import (
     COMPILE_CACHE_RESULTS_NAME,
     SEED_SCENARIOS_NAME,
@@ -61,7 +56,6 @@ from .workloads import (
 )
 
 __all__ = [
-    "ANALYSIS_RESULTS_NAME",
     "COMPILE_CACHE_RESULTS_NAME",
     "EVENT_LOOP_RESULTS_NAME",
     "MEDIATION_SPEC",
@@ -80,7 +74,6 @@ __all__ = [
     "average_overhead",
     "build_mediation_requests",
     "build_workload",
-    "format_analysis_report",
     "format_compile_cache_report",
     "format_defense_matrix",
     "format_event_loop_report",
@@ -91,7 +84,6 @@ __all__ = [
     "format_storage_report",
     "format_table",
     "measure_all",
-    "measure_analysis",
     "measure_compile_cache",
     "measure_event_loop",
     "measure_mediation",

@@ -79,7 +79,6 @@ class Browser:
         enforce_scoping: bool = True,
         interleave_seed: int | None = None,
         caches: CompileCaches | None = None,
-        static_screen=None,
     ) -> None:
         if model not in ("escudo", "sop", "same-origin"):
             raise ValueError(f"unknown protection model {model!r}")
@@ -99,11 +98,6 @@ class Browser:
         # may share one stack; warm loads are observably identical to cold
         # ones.
         self.caches = caches
-        # Optional StaticScreen (repro.analysis.soundness): every loaded
-        # page's monitor reports its decisions to the screen, and every
-        # executed script is statically analyzed, so the soundness oracle
-        # can compare predictions against the live audit stream.
-        self.static_screen = static_screen
         self.cookie_jar = CookieJar()
         self.history = BrowserHistory()
         self.loaded: list[LoadedPage] = []
@@ -169,14 +163,11 @@ class Browser:
             # of the armed-but-empty passivity/overhead contract.
             page.event_loop.task_interceptor = self._xhr_task_interceptor
 
-        if self.static_screen is not None:
-            page.monitor.observer = self.static_screen.record
         runtime = ScriptRuntime(
             self,
             page,
             max_steps=self.max_script_steps,
             scripts=self.caches.scripts if self.caches is not None else None,
-            screen=self.static_screen,
         )
         events = UiEventLayer(page, runtime)
         loaded = LoadedPage(page=page, runtime=runtime, events=events, response=response)

@@ -36,8 +36,7 @@ the scenario runner, across whole scenarios):
   tree, for a full collection; clones already served are independent trees
   and are never touched.
 * :class:`~repro.scripting.cache.ScriptCache` -- one entry per script
-  source digest holding its parsed program and its static analysis report,
-  the report built on first use from the entry's own program.
+  source digest holding its parsed program (or its front-end error).
 
 Nothing here caches a mediation verdict: every page gets its own reference
 monitor, and the policy decides every access.  :class:`CompileCaches` holds
@@ -323,11 +322,7 @@ class CompileCaches:
         return cls(templates=TemplateCache(), scripts=ScriptCache())
 
     def as_dict(self) -> dict[str, object]:
-        """Effectiveness counters of every layer (for benchmark reports).
-
-        ``scripts`` and ``reports`` are the script cache's front-end and
-        report lookups.
-        """
+        """Effectiveness counters of every layer (for benchmark reports)."""
         return {
             "templates": self.templates.as_dict(),
             **self.scripts.as_dict(),

@@ -107,27 +107,35 @@ class PageLabeler:
           (bound = ring 0), because the scoping rule constrains *nested*
           scopes, not siblings of unlabelled content.
         """
-        default = self.page_default_context()
-        for child in document.children:
-            if isinstance(child, Element):
-                self._label(child, default, Ring(0))
-        return self.stats
-
-    def _label(self, element: Element, scope: SecurityContext, bound: Ring) -> None:
-        context = scope
-        child_bound = bound
-        if self.escudo_enabled and element.is_ac_tag:
-            context = self._scope_for_ac_tag(element, bound)
-            child_bound = context.ring
-            self.stats.ac_tags += 1
-        # Every element in a scope shares the scope's (immutable) context
-        # object: the ring mapping is per-scope, and sharing keeps the
-        # labelling pass cheap (Figure 4 measures exactly this bookkeeping).
-        if element.security_context is None:
-            element.assign_security_context(context)
-        self.stats.note(context.ring.level)
-        for child in element.element_children():
-            self._label(child, context, child_bound)
+        stats = self.stats
+        escudo = self.escudo_enabled
+        # A pre-order walk over a stack of child iterators (document order),
+        # so arbitrarily deep content labels without exhausting Python's
+        # recursion limit.
+        stack = [(iter(document.children), self.page_default_context(), Ring(0))]
+        while stack:
+            nodes, scope, bound = stack[-1]
+            for element in nodes:
+                if not isinstance(element, Element):
+                    continue
+                context = scope
+                child_bound = bound
+                if escudo and element.is_ac_tag:
+                    context = self._scope_for_ac_tag(element, bound)
+                    child_bound = context.ring
+                    stats.ac_tags += 1
+                # Every element in a scope shares the scope's (immutable) context
+                # object: the ring mapping is per-scope, and sharing keeps the
+                # labelling pass cheap (Figure 4 measures exactly this bookkeeping).
+                if element.security_context is None:
+                    element.assign_security_context(context)
+                stats.note(context.ring.level)
+                if element.children:
+                    stack.append((iter(element.children), context, child_bound))
+                    break
+            else:
+                stack.pop()
+        return stats
 
     def _scope_for_ac_tag(self, element: Element, bound: Ring) -> SecurityContext:
         label = extract_ac_label(element.attributes, self.rings)

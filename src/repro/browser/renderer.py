@@ -70,7 +70,13 @@ class LayoutBox:
 
     def box_count(self) -> int:
         """Total number of boxes in this subtree (including this one)."""
-        return 1 + sum(child.box_count() for child in self.children)
+        count = 0
+        stack = [self]
+        while stack:
+            box = stack.pop()
+            count += 1
+            stack.extend(box.children)
+        return count
 
 
 @dataclass
@@ -96,9 +102,7 @@ class Renderer:
         root_element = document.document_element
         root_box = LayoutBox(element_tag="viewport", width=self.viewport_width, is_block=True)
         if root_element is not None:
-            child_box = self._build_box(root_element, stats)
-            if child_box is not None:
-                root_box.children.append(child_box)
+            self._build_boxes(root_element, root_box, stats)
         height = self._layout(root_box, 0.0, 0.0, self.viewport_width)
         root_box.height = height
         stats.document_height = height
@@ -107,7 +111,32 @@ class Renderer:
 
     # -- box construction -----------------------------------------------------------
 
-    def _build_box(self, node: Node, stats: RenderStats) -> LayoutBox | None:
+    def _build_boxes(self, root: Node, parent: LayoutBox, stats: RenderStats) -> None:
+        """Append the box tree of ``root`` (if it renders) to ``parent``'s children.
+
+        An explicit pre-order walk over a stack of child iterators, so deep
+        content builds without exhausting Python's recursion limit.
+        """
+        box_for = self._box_for
+        box = box_for(root, stats)
+        if box is None:
+            return
+        parent.children.append(box)
+        stack = [(iter(root.children), box)]
+        while stack:
+            nodes, parent = stack[-1]
+            for node in nodes:
+                box = box_for(node, stats)
+                if box is not None:
+                    parent.children.append(box)
+                    if node.children:
+                        stack.append((iter(node.children), box))
+                        break
+            else:
+                stack.pop()
+
+    def _box_for(self, node: Node, stats: RenderStats) -> LayoutBox | None:
+        """The box of one node (its children not included), or ``None``."""
         if node.node_type is NodeType.TEXT:
             assert isinstance(node, TextNode)
             text = node.data.strip()
@@ -126,58 +155,93 @@ class Renderer:
         if node.tag_name in NON_RENDERED:
             stats.skipped_elements += 1
             return None
-        box = LayoutBox(element_tag=node.tag_name, is_block=node.tag_name in BLOCK_ELEMENTS)
-        for child in node.children:
-            child_box = self._build_box(child, stats)
-            if child_box is not None:
-                box.children.append(child_box)
-        return box
+        return LayoutBox(element_tag=node.tag_name, is_block=node.tag_name in BLOCK_ELEMENTS)
 
     # -- layout ------------------------------------------------------------------------
 
-    def _layout(self, box: LayoutBox, x: float, y: float, available_width: float) -> float:
-        """Flow layout: returns the height consumed by ``box``."""
-        box.x = x
-        box.y = y
-        box.width = available_width if box.is_block else min(available_width, box.text_width)
-        if not box.children:
-            if box.element_tag == "#text":
-                # Wrap the text run into as many lines as the width requires.
-                usable = max(available_width, CHAR_WIDTH)
-                lines = max(1, -(-int(box.text_width) // int(usable)))
-                box.height = lines * LINE_HEIGHT
-            else:
-                box.height = LINE_HEIGHT if not box.is_block else 0.0
-            return box.height
+    def _layout(self, root: LayoutBox, x: float, y: float, available_width: float) -> float:
+        """Flow layout of ``root``'s subtree: returns the height ``root`` consumes.
 
-        cursor_y = y
-        cursor_x = x
-        line_height = 0.0
-        total_height = 0.0
-        for child in box.children:
-            if child.is_block:
-                if line_height:
-                    cursor_y += line_height
-                    total_height += line_height
-                    line_height = 0.0
-                    cursor_x = x
-                consumed = self._layout(child, x, cursor_y, available_width)
-                cursor_y += consumed
-                total_height += consumed
+        Iterative: the flow state of every open box (one whose children are
+        still being placed) waits on an explicit stack, so deep content lays
+        out without exhausting Python's recursion limit.  Leaves are placed
+        in line.
+        """
+        if not root.children:
+            return _place_leaf(root, x, y, available_width)
+        _place(root, x, y, available_width)
+        stack = []
+        # The flow state of the innermost open box.
+        box, children, left, width = root, iter(root.children), x, available_width
+        cursor_x, cursor_y, line_height, total_height = x, y, 0.0, 0.0
+        while True:
+            for child in children:
+                if child.is_block:
+                    if line_height:
+                        cursor_y += line_height
+                        total_height += line_height
+                        line_height = 0.0
+                        cursor_x = left
+                    child_x, child_width = left, width
+                else:
+                    advance = max(child.text_width, CHAR_WIDTH)
+                    if cursor_x + advance > left + width and cursor_x > left:
+                        cursor_y += max(line_height, LINE_HEIGHT)
+                        total_height += max(line_height, LINE_HEIGHT)
+                        cursor_x = left
+                        line_height = 0.0
+                    child_x, child_width = cursor_x, width - (cursor_x - left)
+                if child.children:
+                    # Open the child; its parent resumes once it is closed.
+                    _place(child, child_x, cursor_y, child_width)
+                    stack.append((box, children, left, width, cursor_x, cursor_y, line_height, total_height))
+                    box, children, left, width = child, iter(child.children), child_x, child_width
+                    cursor_x, line_height, total_height = child_x, 0.0, 0.0
+                    break
+                consumed = _place_leaf(child, child_x, cursor_y, child_width)
+                if child.is_block:
+                    cursor_y += consumed
+                    total_height += consumed
+                else:
+                    cursor_x += advance
+                    line_height = max(line_height, consumed)
             else:
-                child_width = max(child.text_width, CHAR_WIDTH)
-                if cursor_x + child_width > x + available_width and cursor_x > x:
-                    cursor_y += max(line_height, LINE_HEIGHT)
-                    total_height += max(line_height, LINE_HEIGHT)
-                    cursor_x = x
-                    line_height = 0.0
-                consumed = self._layout(child, cursor_x, cursor_y, available_width - (cursor_x - x))
-                cursor_x += child_width
-                line_height = max(line_height, consumed)
-        if line_height:
-            total_height += line_height
-        box.height = total_height
-        return total_height
+                # Every child is placed: close the box and resume its parent.
+                if line_height:
+                    total_height += line_height
+                box.height = consumed = total_height
+                if not stack:
+                    return consumed
+                child = box
+                box, children, left, width, cursor_x, cursor_y, line_height, total_height = stack.pop()
+                if child.is_block:
+                    cursor_y += consumed
+                    total_height += consumed
+                else:
+                    cursor_x += max(child.text_width, CHAR_WIDTH)
+                    line_height = max(line_height, consumed)
+
+
+def _place(box: LayoutBox, x: float, y: float, available_width: float) -> None:
+    """Position a box and set its width (its height follows from its children)."""
+    box.x = x
+    box.y = y
+    box.width = available_width if box.is_block else min(available_width, box.text_width)
+
+
+def _place_leaf(box: LayoutBox, x: float, y: float, available_width: float) -> float:
+    """Place a box without children; returns its height."""
+    box.x = x
+    box.y = y
+    box.width = available_width if box.is_block else min(available_width, box.text_width)
+    if box.element_tag == "#text":
+        # Wrap the text run into as many lines as the width requires.
+        usable = max(available_width, CHAR_WIDTH)
+        lines = max(1, -(-int(box.text_width) // int(usable)))
+        box.height = lines * LINE_HEIGHT
+    else:
+        box.height = LINE_HEIGHT if not box.is_block else 0.0
+    return box.height
 
 
 def render_document(document: Document, viewport_width: float = DEFAULT_VIEWPORT_WIDTH) -> RenderStats:

@@ -37,7 +37,6 @@ which lets reference counting free a closed page.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -392,11 +391,6 @@ class _PrincipalEnvironment:
         #: clearTimeout may cancel (cross-principal cancellation would be an
         #: unmediated interference channel).
         self.own_timers: set[int] = set()
-        #: Digest of the source this environment executes; set by the
-        #: runtime's entry points when a static screen is attached so every
-        #: monitor decision -- including ones from deferred timers,
-        #: listeners and async XHR completions -- lands on the right script.
-        self.digest: str | None = None
         self._install_globals()
         runtime.environments.append(self)
 
@@ -415,7 +409,6 @@ class _PrincipalEnvironment:
                     self.page,
                     self.principal,
                     invoke=self.invoke,
-                    scope=self.mediation_scope,
                 ),
                 "XMLHttpRequest",
             ),
@@ -429,17 +422,6 @@ class _PrincipalEnvironment:
         """
         self.interpreter.globals.values.clear()
         self.document_binding = self.window = None
-
-    def mediation_scope(self):
-        """Context manager attributing monitor decisions to this script.
-
-        Returns a no-op when no static screen is attached, so the unscreened
-        hot path stays allocation-free apart from one ``nullcontext``.
-        """
-        screen = self.runtime.screen
-        if screen is None or self.digest is None:
-            return nullcontext()
-        return screen.attribute(self.digest)
 
     # -- listeners & callbacks ---------------------------------------------------------------
 
@@ -470,14 +452,12 @@ class _PrincipalEnvironment:
     def invoke(self, callback, args: list):
         """Invoke a script function (or native callable) in this environment.
 
-        Runs inside :meth:`mediation_scope` because this is how *deferred*
-        work re-enters the engine -- timer callbacks, event listeners and
-        XHR completion handlers all fire through here, long after the
-        originating script's top-level execution returned.
+        This is how *deferred* work re-enters the engine: timer callbacks,
+        event listeners and XHR completion handlers all fire through here,
+        long after the originating script's top-level execution returned.
         """
         try:
-            with self.mediation_scope():
-                return self.interpreter.call_function(callback, args)
+            return self.interpreter.call_function(callback, args)
         except Exception as error:  # noqa: BLE001 - script faults must not kill the browser
             self.runtime.observations.console.append(f"[script error] {error}")
             return None
@@ -493,7 +473,6 @@ class ScriptRuntime:
         *,
         max_steps: int = 500_000,
         scripts: ScriptCache | None = None,
-        screen=None,
     ) -> None:
         self.browser = browser
         self.page = page
@@ -502,10 +481,6 @@ class ScriptRuntime:
         #: source (re-loaded pages, replayed handlers, re-armed timers) skip
         #: lexing and parsing entirely.
         self.scripts = scripts
-        #: Optional :class:`~repro.analysis.soundness.StaticScreen` -- when
-        #: set, every executed source is statically analyzed (memoised) and
-        #: every monitor decision is attributed to the causing script.
-        self.screen = screen
         self.observations = RuntimeObservations()
         # Resolved once per runtime: every principal's DOM mediator shares the
         # same API object context, and building it per script execution costs
@@ -532,9 +507,7 @@ class ScriptRuntime:
     def execute(self, source: str, principal: SecurityContext, *, description: str = "inline script") -> ScriptRun:
         """Execute one script under ``principal`` and record the run."""
         environment = _PrincipalEnvironment(self, principal)
-        self._screen_source(environment, source)
-        with environment.mediation_scope():
-            result = self._run_source(environment.interpreter, source)
+        result = self._run_source(environment.interpreter, source)
         run = ScriptRun(description=description, principal=principal, result=result)
         self.page.script_runs.append(run)
         return run
@@ -544,18 +517,10 @@ class ScriptRuntime:
         """Execute an inline event handler with ``event`` bound."""
         environment = _PrincipalEnvironment(self, principal)
         environment.interpreter.globals.define("event", event_payload)
-        self._screen_source(environment, source)
-        with environment.mediation_scope():
-            result = self._run_source(environment.interpreter, source)
+        result = self._run_source(environment.interpreter, source)
         run = ScriptRun(description=description, principal=principal, result=result)
         self.page.script_runs.append(run)
         return run
-
-    def _screen_source(self, environment: "_PrincipalEnvironment", source: str) -> None:
-        """Analyze ``source`` (memoised) and bind its digest for attribution."""
-        if self.screen is None:
-            return
-        environment.digest = self.screen.observe_script(source)
 
     def close(self) -> None:
         """Close every environment this runtime built (page teardown)."""

@@ -59,18 +59,11 @@ class XmlHttpRequest(HostObject):
         principal: SecurityContext,
         *,
         invoke: Callable[[object, list], object] | None = None,
-        scope: Callable[[], object] | None = None,
     ) -> None:
         self._browser = browser
         self._page = page
         self._principal = principal
         self._invoke = invoke
-        #: Zero-arg factory returning a context manager (the owning
-        #: environment's ``mediation_scope``).  Completion runs inside it so
-        #: the USE check and cookie sweep of an *async* request -- which
-        #: fire from the event loop, far from any script frame -- are still
-        #: attributed to the script that sent it.
-        self._scope = scope
         self._method = "GET"
         self._url_text: str | None = None
         self._async = False
@@ -245,13 +238,6 @@ class XmlHttpRequest(HostObject):
                 plan.stats.note_suppressed()
             return
         self._delivered_generation = generation
-        if self._scope is not None:
-            with self._scope():
-                self._complete_inner(body)
-        else:
-            self._complete_inner(body)
-
-    def _complete_inner(self, body: str) -> None:
         self._pending = None
 
         # Mediation: the principal must be allowed to *use* the XHR API

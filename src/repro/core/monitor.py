@@ -184,10 +184,6 @@ class ReferenceMonitor:
         self.strict = strict
         self.stats = MonitorStats()
         self.audit = AuditLog(audit_capacity)
-        #: Optional per-decision tap (``callable(AccessDecision)``) invoked
-        #: after stats/audit bookkeeping.  The static-analysis screen uses
-        #: it to attribute every mediation to the script being executed.
-        self.observer = None
 
     # -- main entry points --------------------------------------------------------
 
@@ -331,8 +327,6 @@ class ReferenceMonitor:
     def _record(self, decision: AccessDecision) -> None:
         self.stats.record(decision)
         self.audit.append(decision)
-        if self.observer is not None:
-            self.observer(decision)
         if self.strict and decision.denied:
             raise AccessDenied(decision)
 

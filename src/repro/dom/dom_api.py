@@ -158,25 +158,26 @@ class DomApi:
             parent_context = SecurityContext.for_page_default(
                 self.principal.origin, _default_rings(), f"<{parent.tag_name}>"
             )
-        self._label_recursive(element, parent_context)
-
-    def _label_recursive(self, element: Element, parent_context: SecurityContext) -> None:
-        label = extract_ac_label(element.attributes)
-        ring = effective_ring(label.declared_ring, parent_context.ring)
-        # Dynamically created principals are additionally bounded by their
-        # creator: a ring-3 script cannot mint a ring-1 script even inside a
-        # ring-1 container it somehow got write access to.
-        ring = ring.restricted_to(self.principal.ring)
-        context = SecurityContext(
-            origin=parent_context.origin,
-            ring=ring,
-            acl=label.acl if label.acl is not None else parent_context.acl,
-            label=f"dynamic <{element.tag_name}>",
-        )
-        if element.security_context is None:
-            element.assign_security_context(context)
-        for child in element.element_children():
-            self._label_recursive(child, context)
+        # An explicit stack, so arbitrarily deep markup labels without
+        # exhausting Python's recursion limit.
+        stack = [(element, parent_context)]
+        while stack:
+            element, parent_context = stack.pop()
+            label = extract_ac_label(element.attributes)
+            ring = effective_ring(label.declared_ring, parent_context.ring)
+            # Dynamically created principals are additionally bounded by their
+            # creator: a ring-3 script cannot mint a ring-1 script even inside a
+            # ring-1 container it somehow got write access to.
+            ring = ring.restricted_to(self.principal.ring)
+            context = SecurityContext(
+                origin=parent_context.origin,
+                ring=ring,
+                acl=label.acl if label.acl is not None else parent_context.acl,
+                label=f"dynamic <{element.tag_name}>",
+            )
+            if element.security_context is None:
+                element.assign_security_context(context)
+            stack.extend((child, context) for child in reversed(element.element_children()))
 
 
 @cache

@@ -26,55 +26,63 @@ def serialize(node: Node, *, indent: bool = False) -> str:
             pieces.append(f"<!{node.doctype}>")
             if indent:
                 pieces.append("\n")
-        for child in node.children:
-            _serialize_node(child, pieces, 0, indent)
+        _serialize_nodes(node.children, pieces, indent)
     else:
-        _serialize_node(node, pieces, 0, indent)
+        _serialize_nodes((node,), pieces, indent)
     return "".join(pieces)
 
 
 def serialize_children(node: Node, *, indent: bool = False) -> str:
     """Serialise only the children of ``node`` (the ``innerHTML`` view)."""
     pieces: list[str] = []
-    for child in node.children:
-        _serialize_node(child, pieces, 0, indent)
+    _serialize_nodes(node.children, pieces, indent)
     return "".join(pieces)
 
 
-def _serialize_node(node: Node, pieces: list[str], depth: int, indent: bool) -> None:
-    pad = "  " * depth if indent else ""
+def _serialize_nodes(nodes, pieces: list[str], indent: bool) -> None:
+    """Append the markup of ``nodes`` and their subtrees to ``pieces``.
+
+    Iterative, over a stack of child iterators each with the closing tag
+    its parent still owes, so arbitrarily deep content serialises without
+    exhausting Python's recursion limit.
+    """
     newline = "\n" if indent else ""
-    if isinstance(node, TextNode):
-        parent = node.parent
-        if isinstance(parent, Element) and parent.tag_name in RAW_TEXT_ELEMENTS:
-            text = node.data
+    stack = [(iter(nodes), 0, "")]
+    while stack:
+        children, depth, closing = stack[-1]
+        pad = "  " * depth if indent else ""
+        for node in children:
+            if isinstance(node, TextNode):
+                parent = node.parent
+                if isinstance(parent, Element) and parent.tag_name in RAW_TEXT_ELEMENTS:
+                    text = node.data
+                else:
+                    text = escape_text(node.data)
+                if indent:
+                    stripped = text.strip()
+                    if stripped:
+                        pieces.append(f"{pad}{stripped}{newline}")
+                else:
+                    pieces.append(text)
+            elif isinstance(node, CommentNode):
+                pieces.append(f"{pad}<!--{node.data}-->{newline}")
+            elif isinstance(node, Element):
+                attrs = _serialize_attributes(node)
+                pieces.append(f"{pad}<{node.tag_name}{attrs}>{newline}")
+                if node.tag_name in VOID_ELEMENTS and not node.children:
+                    continue
+                end_tag = f"{pad}</{node.tag_name}>{newline}"
+                if node.children:
+                    stack.append((iter(node.children), depth + 1, end_tag))
+                    break
+                pieces.append(end_tag)
+            else:
+                # Unknown node types (e.g. a Document nested oddly) serialise their children.
+                stack.append((iter(node.children), depth, ""))
+                break
         else:
-            text = escape_text(node.data)
-        if indent:
-            stripped = text.strip()
-            if not stripped:
-                return
-            pieces.append(f"{pad}{stripped}{newline}")
-        else:
-            pieces.append(text)
-        return
-    if isinstance(node, CommentNode):
-        pieces.append(f"{pad}<!--{node.data}-->{newline}")
-        return
-    if isinstance(node, Element):
-        attrs = _serialize_attributes(node)
-        open_tag = f"<{node.tag_name}{attrs}>"
-        if node.tag_name in VOID_ELEMENTS and not node.children:
-            pieces.append(f"{pad}{open_tag}{newline}")
-            return
-        pieces.append(f"{pad}{open_tag}{newline}")
-        for child in node.children:
-            _serialize_node(child, pieces, depth + 1, indent)
-        pieces.append(f"{pad}</{node.tag_name}>{newline}")
-        return
-    # Unknown node types (e.g. a Document nested oddly) serialise their children.
-    for child in node.children:
-        _serialize_node(child, pieces, depth, indent)
+            stack.pop()
+            pieces.append(closing)
 
 
 def _serialize_attributes(element: Element) -> str:

@@ -122,7 +122,6 @@ class ScenarioRunner:
         *,
         compile_caches: bool = True,
         storage: str = "dict",
-        static_screen: bool = False,
         faults: "FaultConfig | dict | None" = None,
     ) -> None:
         self.specs = resolve_models(models)
@@ -133,18 +132,6 @@ class ScenarioRunner:
         #: suite: both backends produce byte-identical digests.
         self.storage = storage
         self.caches: CompileCaches | None = CompileCaches.build() if compile_caches else None
-        #: Optional soundness screen: when enabled every browser the runner
-        #: builds analyzes each executed script (memoised in the cache
-        #: stack's script cache) and attributes monitor decisions to it, so
-        #: ``self.screen.verify()`` checks the static-vs-dynamic contract
-        #: over everything this runner executed.
-        if static_screen:
-            from repro.analysis.soundness import StaticScreen
-
-            scripts = self.caches.scripts if self.caches is not None else None
-            self.screen: "StaticScreen | None" = StaticScreen(scripts)
-        else:
-            self.screen = None
         #: Applications whose index pages already pre-warmed the stack.
         self._warmed_apps: set[str] = set()
         #: Random per-runner component of the markup-randomisation seeds:
@@ -246,7 +233,6 @@ class ScenarioRunner:
                 escudo_app=spec.escudo_app,
                 app_kwargs=self._app_kwargs(scenario.app_key, spec),
                 caches=self.caches,
-                static_screen=self.screen,
             )
             with env:
                 return self._drive(scenario, spec, attack, env)
@@ -332,7 +318,6 @@ class ScenarioRunner:
                 model=browser_model,
                 interleave_seed=scenario.interleave or None,
                 caches=self.caches,
-                static_screen=self.screen,
             )
             env.browsers[step.actor] = browser
         origin = env.app.origin

@@ -1,12 +1,5 @@
 """MiniScript: the reproduction's JavaScript-like scripting substrate."""
 
-from .analysis import (
-    ALL_SINKS,
-    ScriptReport,
-    analyze_program,
-    analyze_source,
-    script_digest,
-)
 from .cache import DEFAULT_SCRIPT_CACHE_SIZE, ScriptCache
 from .errors import BudgetExceeded, LexError, ParseError, RuntimeScriptError, ScriptError
 from .interpreter import (
@@ -22,7 +15,6 @@ from .lexer import ScriptToken, TokenType, tokenize_script
 from .parser import parse_script
 
 __all__ = [
-    "ALL_SINKS",
     "BudgetExceeded",
     "DEFAULT_SCRIPT_CACHE_SIZE",
     "Environment",
@@ -37,12 +29,8 @@ __all__ = [
     "ScriptCache",
     "ScriptError",
     "ScriptFunction",
-    "ScriptReport",
     "ScriptToken",
     "TokenType",
-    "analyze_program",
-    "analyze_source",
     "parse_script",
-    "script_digest",
     "tokenize_script",
 ]

@@ -3,18 +3,11 @@
 The scenario engine executes the same script sources over and over -- every
 page load of an application re-runs its head scripts, every replayed attack
 re-injects the same payload, every timer re-registers the same callbacks --
-so everything derived from a source is memoised on the SHA-256 of its text.
+so the front-end result of a source is memoised on the SHA-256 of its text.
 
-:class:`ScriptCache` is one bounded LRU.  Each entry holds the two results
-a source can need, each filled the first time it is asked for:
-
-* the front-end result -- a parsed :class:`~repro.scripting.ast_nodes.Program`
-  or the memoised :class:`ScriptError` (the interpreter runs it);
-* the :class:`~repro.scripting.analysis.ScriptReport` -- what the static
-  analyzer proves about the source (the soundness screen reads it).
-
-The report is built from the entry's own program, so a source is lexed and
-parsed at most once per entry whichever result is asked for first.
+:class:`ScriptCache` is one bounded LRU.  Each entry holds the front-end
+result -- a parsed :class:`~repro.scripting.ast_nodes.Program` or the
+memoised :class:`ScriptError` -- filled the first time it is asked for.
 Sharing one program between executions -- and between principals -- is
 safe because all execution state lives in
 :class:`~repro.scripting.interpreter.Environment` chains, never on the
@@ -22,10 +15,8 @@ nodes.  A hit on a memoised error raises a fresh copy (see
 :func:`_fresh_error`), so callers cannot tell a hit from a cold parse, and
 a replayed broken payload costs one digest.
 
-The hit/miss counters are kept per result, under the names
-:meth:`repro.browser.compile_cache.CompileCaches.as_dict` reports:
-``scripts`` counts front-end lookups (direct, or made to build a report)
-and ``reports`` report lookups.
+The hit/miss counters are reported under the ``scripts`` key of
+:meth:`repro.browser.compile_cache.CompileCaches.as_dict`.
 :meth:`~ScriptCache.reset_counters` restarts them while keeping the entries
 warm.  Each worker process warms its own cache.
 """
@@ -36,7 +27,6 @@ import hashlib
 from collections import OrderedDict
 
 from . import ast_nodes as ast
-from .analysis import ScriptReport, analyze_program, error_report
 from .errors import ScriptError
 from .parser import parse_script
 
@@ -44,7 +34,7 @@ from .parser import parse_script
 DEFAULT_SCRIPT_CACHE_SIZE = 512
 
 #: The per-result counters, named as the compile-cache stack reports them.
-TIERS = ("scripts", "reports")
+TIERS = ("scripts",)
 
 
 def _fresh_error(error: ScriptError) -> ScriptError:
@@ -60,30 +50,14 @@ def _fresh_error(error: ScriptError) -> ScriptError:
     return copy
 
 
-class _Entry:
-    """Everything derived from one source; each slot is filled on first use."""
-
-    __slots__ = ("digest", "program", "report")
-
-    def __init__(self, digest: str) -> None:
-        self.digest = digest
-        self.program: "ast.Program | ScriptError | None" = None
-        self.report: ScriptReport | None = None
-
-
 class ScriptCache:
-    """Bounded LRU of per-source compile results keyed by source digest."""
+    """Bounded LRU of per-source front-end results keyed by source digest."""
 
     def __init__(self, maxsize: int = DEFAULT_SCRIPT_CACHE_SIZE) -> None:
         if maxsize <= 0:
             raise ValueError("script cache maxsize must be positive")
         self.maxsize = maxsize
-        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
-        #: The last source digested and its digest.  A screened execution
-        #: asks for the report and then the program of the same string object;
-        #: the second lookup reuses the digest instead of re-hashing.
-        self._last_source: str | None = None
-        self._last_digest = ""
+        self._entries: "OrderedDict[str, ast.Program | ScriptError]" = OrderedDict()
         self.hits = dict.fromkeys(TIERS, 0)
         self.misses = dict.fromkeys(TIERS, 0)
 
@@ -95,58 +69,21 @@ class ScriptCache:
         Raises exactly what :func:`~repro.scripting.parser.parse_script`
         raises for the same source.
         """
-        return self._program(self._entry(source), source)
-
-    def report_for(self, source: str) -> ScriptReport:
-        """Analyze ``source``, serving repeats from the cache.
-
-        Never raises: a source the front end rejects gets a report with
-        ``error`` set and an empty sink set, which is exact -- a script that
-        does not parse executes nothing.
-        """
-        entry = self._entry(source)
-        report = entry.report
-        if report is None:
-            self.misses["reports"] += 1
-            try:
-                program = self._program(entry, source)
-            except ScriptError as error:
-                report = error_report(entry.digest, error)
-            else:
-                report = analyze_program(program, digest=entry.digest)
-            entry.report = report
-        else:
-            self.hits["reports"] += 1
-        return report
-
-    def _entry(self, source: str) -> _Entry:
-        if source is self._last_source:
-            digest = self._last_digest
-        else:
-            digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-            self._last_source, self._last_digest = source, digest
+        digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
         entries = self._entries
-        entry = entries.get(digest)
-        if entry is None:
-            if len(entries) >= self.maxsize:
-                entries.popitem(last=False)
-            entry = entries[digest] = _Entry(digest)
-        else:
-            entries.move_to_end(digest)
-        return entry
-
-    def _program(self, entry: _Entry, source: str) -> ast.Program:
-        program = entry.program
+        program = entries.get(digest)
         if program is None:
             self.misses["scripts"] += 1
+            if len(entries) >= self.maxsize:
+                entries.popitem(last=False)
             try:
-                program = parse_script(source)
+                program = entries[digest] = parse_script(source)
             except ScriptError as error:
-                entry.program = error
+                entries[digest] = error
                 raise
-            entry.program = program
             return program
         self.hits["scripts"] += 1
+        entries.move_to_end(digest)
         if isinstance(program, ScriptError):
             raise _fresh_error(program)
         return program
@@ -164,7 +101,7 @@ class ScriptCache:
         self.misses = dict.fromkeys(TIERS, 0)
 
     def as_dict(self) -> dict[str, dict[str, object]]:
-        """Counters per result (``scripts``/``reports``) for reports."""
+        """Counters under the ``scripts`` key, for reports."""
         size = len(self._entries)
         payload = {}
         for tier in TIERS:

@@ -14,7 +14,6 @@ RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 #: The artifacts written through ``write_json_report``.  ``BENCH_mediation.json``
 #: has its own writer in ``benchmarks/bench_fig4_overhead.py`` (unsorted keys).
 ARTIFACTS = (
-    "BENCH_analysis.json",
     "BENCH_compile_cache.json",
     "BENCH_event_loop.json",
     "BENCH_faults.json",

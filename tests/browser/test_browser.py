@@ -360,3 +360,31 @@ class TestHostileScriptContent:
         comment_runs = [run for run in loaded.page.script_runs if run.principal.ring == Ring(COMMENT_RING)]
         assert len(comment_runs) == 1
         assert comment_runs[0].succeeded
+
+    def test_content_nested_5000_deep_loads_and_a_script_reads_it(self):
+        # Every load-time walker (labeller, box builder, layout) and the
+        # innerHTML serialiser must handle nesting past the recursion limit.
+        browser, loaded = _load_legacy_page("<html><body>" + "<b>" * DEEP + "x</body></html>")
+        run = browser.run_script(loaded, "document.body.innerHTML;")
+        assert run.succeeded, run.result.error
+        assert run.result.value == "<b>" * DEEP + "x" + "</b>" * DEEP
+
+    def test_a_script_writing_5000_deep_markup_labels_every_new_element(self):
+        browser, loaded = _load_legacy_page("<html><body><div id='top'>x</div></body></html>")
+        run = browser.run_script(loaded, f"document.getElementById('top').innerHTML = '{'<i>' * DEEP}y';")
+        assert run.succeeded, run.result.error
+        created = loaded.page.document.get_elements_by_tag_name("i")
+        assert len(created) == DEEP
+        assert all(element.security_context is not None for element in created)
+
+
+#: A nesting depth well past Python's default recursion limit.
+DEEP = 5000
+
+
+def _load_legacy_page(body: str):
+    server = ForumServer(body, escudo=False)
+    network = Network()
+    network.register(ORIGIN_TEXT, server)
+    browser = Browser(network)
+    return browser, browser.load(f"{ORIGIN_TEXT}/deep")

@@ -9,7 +9,6 @@ and the response memo's session/state keying.
 from __future__ import annotations
 
 import gc
-import hashlib
 import weakref
 from unittest import mock
 
@@ -278,8 +277,7 @@ class TestCachedErrorsAreFresh:
         cache = ScriptCache()
         with pytest.raises(ParseError):
             cache.parse(self.BROKEN)
-        entry = next(iter(cache._entries.values()))  # noqa: SLF001
-        memoised = entry.program
+        memoised = next(iter(cache._entries.values()))  # noqa: SLF001
         frames_before = _traceback_depth(memoised)
         for _ in range(5):
             with pytest.raises(ParseError):
@@ -299,73 +297,23 @@ def _traceback_depth(error: BaseException) -> int:
 class TestOneEntryPerSource:
     SOURCE = "var c = document.cookie; c;"
 
-    def test_program_and_report_share_one_entry(self):
-        cache = ScriptCache()
-        program = cache.parse(self.SOURCE)
-        report = cache.report_for(self.SOURCE)
-        assert len(cache) == 1
-        assert cache.parse(self.SOURCE) is program
-        assert cache.report_for(self.SOURCE) is report
-        assert report.digest == hashlib.sha256(self.SOURCE.encode("utf-8")).hexdigest()
-        # The report was built from the one parsed program.
-        assert cache.misses["scripts"] == 1
-
     def test_reset_counters_keeps_entries(self):
         cache = ScriptCache()
         cache.parse(self.SOURCE)
         cache.reset_counters()
-        assert cache.hits == cache.misses == {"scripts": 0, "reports": 0}
+        assert cache.hits == cache.misses == {"scripts": 0}
         cache.parse(self.SOURCE)
         assert cache.hits["scripts"] == 1 and cache.misses["scripts"] == 0
 
     def test_stack_reports_every_result_under_its_own_key(self):
         caches = CompileCaches.build()
         caches.scripts.parse(self.SOURCE)
-        caches.scripts.report_for(self.SOURCE)
+        caches.scripts.parse(self.SOURCE)
         payload = caches.as_dict()
-        assert set(payload) == {"templates", "scripts", "code", "reports", "decisions"}
-        # The report was analysed from the program the parse cached.
+        assert set(payload) == {"templates", "scripts", "code", "decisions"}
         assert (payload["scripts"]["hits"], payload["scripts"]["misses"]) == (1, 1)
-        assert (payload["reports"]["hits"], payload["reports"]["misses"]) == (0, 1)
         # perfbench still reads a ``code`` block; nothing counts into it.
         assert payload["code"] == {"hits": 0, "misses": 0}
-
-    def test_screened_warm_execution_digests_its_source_once(self):
-        from repro.analysis.soundness import StaticScreen
-        from repro.browser.browser import Browser
-
-        caches = CompileCaches.build()
-        network = Network()
-        network.register(ORIGIN, _CountingApp())
-        browser = Browser(
-            network,
-            model="escudo",
-            caches=caches,
-            static_screen=StaticScreen(caches.scripts),
-        )
-        loaded = browser.load(f"{ORIGIN}/")
-        browser.run_script(loaded, self.SOURCE)  # fills program and report
-        # An equal but distinct string, so the digest cannot be reused by
-        # object identity from the cold run.
-        warm_source = self.SOURCE[:1] + self.SOURCE[1:]
-        assert warm_source is not self.SOURCE
-
-        payload = self.SOURCE.encode("utf-8")
-        real_sha256 = hashlib.sha256
-        digests = []
-
-        def counting_sha256(data=b"", *args, **kwargs):
-            if data == payload:
-                digests.append(data)
-            return real_sha256(data, *args, **kwargs)
-
-        caches.scripts.reset_counters()
-        with mock.patch("hashlib.sha256", counting_sha256):
-            run = browser.run_script(loaded, warm_source)
-        assert run.succeeded
-        assert len(digests) == 1
-        assert caches.scripts.hits == {"scripts": 1, "reports": 1}
-        assert caches.scripts.misses == {"scripts": 0, "reports": 0}
 
 
 class TestTemplateRenderStats:

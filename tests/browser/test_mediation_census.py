@@ -22,15 +22,30 @@ from __future__ import annotations
 import pytest
 
 import repro.browser  # noqa: F401 - defines every browser host class
-from repro.analysis.soundness import classify_decision
 from repro.browser.browser import Browser
 from repro.core.acl import Acl
 from repro.core.config import PageConfiguration, ResourcePolicy
+from repro.core.decision import AccessDecision, Operation
 from repro.core.rings import Ring, RingSet
 from repro.html.serializer import serialize
 from repro.http.messages import HttpResponse
 from repro.http.network import Network
-from repro.scripting.host_members import CALL, GET, MEMBERS, SET, SET_PREFIX, TABLES, Member
+from repro.scripting.host_members import (
+    CALL,
+    COOKIE_READ,
+    COOKIE_USE,
+    COOKIE_WRITE,
+    DOM_READ,
+    DOM_USE,
+    DOM_WRITE,
+    GET,
+    MEMBERS,
+    SET,
+    SET_PREFIX,
+    TABLES,
+    XHR_USE,
+    Member,
+)
 from repro.scripting.interpreter import HostObject
 
 ORIGIN = "http://census.example.com"
@@ -132,6 +147,37 @@ def _key(member: Member) -> tuple[str, str, str]:
 
 
 MEDIATED = [member for member in MEMBERS if member.sinks]
+
+
+def classify_decision(decision: AccessDecision) -> str | None:
+    """The sink category of a monitor decision, from its operation and label.
+
+    The mediation layer labels its targets ``cookie:<name>`` (cookie jar
+    entries), ``XMLHttpRequest (native-api)`` / ``DOM API (native-api)``
+    (native API use checks) and ``<tag> ...`` (elements, including tamper
+    denials labelled with the bare ``<tag>``).  Any other label is outside
+    the script-reachable surface and classifies as ``None``, which no entry
+    declares, so a new mediation path fails the census.
+    """
+    label = decision.object_label
+    operation = decision.operation
+    if label.startswith("cookie:"):
+        if operation is Operation.READ:
+            return COOKIE_READ
+        if operation is Operation.WRITE:
+            return COOKIE_WRITE
+        return COOKIE_USE
+    if label == "XMLHttpRequest (native-api)":
+        return XHR_USE
+    if label == "DOM API (native-api)":
+        return DOM_USE
+    if label.startswith("<"):
+        if operation is Operation.READ:
+            return DOM_READ
+        if operation is Operation.WRITE:
+            return DOM_WRITE
+        return DOM_USE
+    return None
 
 
 def _host_classes() -> list[type]:

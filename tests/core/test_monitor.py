@@ -186,15 +186,14 @@ class TestMonitorFollowsPolicy:
         assert boolean.stats.total == len(boolean.audit) == len(principals) * len(objects)
         assert boolean.stats.denied == full.stats.denied
 
-    def test_observer_sees_every_repeated_request(self, origin):
+    def test_audit_records_every_repeated_request(self, origin):
         monitor = ReferenceMonitor()
-        seen = []
-        monitor.observer = seen.append
         principal = make_context(origin, 1)
         target = make_context(origin, 3)
         for _ in range(3):
             monitor.authorize(principal, target, "read")
         monitor.authorize_all(principal, [target, target], "read")
+        seen = list(monitor.audit)
         assert len(seen) == 5
         assert all(decision.allowed for decision in seen)
 

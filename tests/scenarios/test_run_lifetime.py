@@ -50,7 +50,6 @@ SETUPS = {
     "vm-dict": {},
     "walker-sqlite": {"storage": "sqlite"},
     "faults": {"faults": FaultConfig.uniform(seed=7, rate=0.2)},
-    "static-screen": {"static_screen": True},
 }
 
 
