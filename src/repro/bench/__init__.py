@@ -6,18 +6,6 @@ from .compile_cache_bench import (
     format_compile_cache_report,
     measure_compile_cache,
 )
-from .event_loop_bench import (
-    EVENT_LOOP_RESULTS_NAME,
-    format_event_loop_report,
-    measure_event_loop,
-)
-from .parallel_bench import (
-    PARALLEL_RESULTS_NAME,
-    SCHEDULING_EFFICIENCY_FLOOR,
-    format_parallel_report,
-    measure_parallel_scenarios,
-    scheduling_efficiency,
-)
 from .storage_bench import (
     STORAGE_RESULTS_NAME,
     format_storage_report,
@@ -41,7 +29,6 @@ from .timing import (
     measure_page_mediation,
     measure_workload,
     parse_and_render,
-    time_callable,
 )
 from .workloads import (
     MEDIATION_SPEC,
@@ -52,18 +39,14 @@ from .workloads import (
     all_workloads,
     build_mediation_requests,
     build_workload,
-    workload_by_name,
 )
 
 __all__ = [
     "COMPILE_CACHE_RESULTS_NAME",
-    "EVENT_LOOP_RESULTS_NAME",
     "MEDIATION_SPEC",
     "MediationSample",
     "MediationSpec",
     "OverheadRow",
-    "PARALLEL_RESULTS_NAME",
-    "SCHEDULING_EFFICIENCY_FLOOR",
     "SCENARIOS",
     "SEED_SCENARIOS_NAME",
     "STORAGE_RESULTS_NAME",
@@ -76,24 +59,17 @@ __all__ = [
     "build_workload",
     "format_compile_cache_report",
     "format_defense_matrix",
-    "format_event_loop_report",
     "format_figure4",
     "format_mediation_report",
-    "format_parallel_report",
     "format_policy_table",
     "format_storage_report",
     "format_table",
     "measure_all",
     "measure_compile_cache",
-    "measure_event_loop",
     "measure_mediation",
     "measure_page_mediation",
-    "measure_parallel_scenarios",
-    "scheduling_efficiency",
     "measure_storage",
     "measure_workload",
     "parse_and_render",
-    "time_callable",
-    "workload_by_name",
     "write_json_report",
 ]

@@ -48,18 +48,18 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], *, ti
 def format_figure4(rows: list[OverheadRow]) -> str:
     """The Figure-4 style table: per-scenario times and relative overhead.
 
-    The time columns show the per-variant *minimum* (best-of-N), which is
-    also what the overhead percentage is computed from -- on a shared
-    machine the mean is dominated by scheduler noise, while the minimum
-    estimates the work each pipeline actually performs.
+    The time columns show each variant's median over N loads.  The overhead
+    is the median of the N per-pair ratios (each pair is one baseline load
+    and the ESCUDO load right after it), so it is close to, but not exactly,
+    the ratio of the two time columns.
     """
     table_rows = [
         (
             row.scenario,
             row.elements,
             row.ac_tags,
-            f"{row.without_escudo.minimum_ms:.3f}",
-            f"{row.with_escudo.minimum_ms:.3f}",
+            f"{row.without_escudo.median_ms:.3f}",
+            f"{row.with_escudo.median_ms:.3f}",
             f"{row.overhead_percent:+.2f}%",
             f"{row.mediations_per_second:,.0f}",
         )
@@ -68,9 +68,9 @@ def format_figure4(rows: list[OverheadRow]) -> str:
     repetitions = rows[0].without_escudo.repetitions if rows else 0
     table = format_table(
         ("scenario", "elements", "AC tags",
-         f"without ESCUDO (ms, best of {repetitions})",
-         f"with ESCUDO (ms, best of {repetitions})",
-         "overhead", "mediations/s"),
+         f"without ESCUDO (ms, median of {repetitions})",
+         f"with ESCUDO (ms, median of {repetitions})",
+         "overhead (median pair)", "mediations/s"),
         table_rows,
         title="Figure 4: parse + render time per scenario",
     )

@@ -2,7 +2,7 @@
 
 ``pytest-benchmark`` drives the statistically careful measurements in
 ``benchmarks/``; the helpers here provide the plain loops used to print the
-Figure-4 style table (per-scenario means with and without ESCUDO and the
+Figure-4 style table (per-scenario medians with and without ESCUDO and the
 relative overhead), both from the benchmark harness and from the
 ``examples/overhead_fig4.py`` script.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.browser.loader import LoaderOptions, load_page
 from repro.core.monitor import ReferenceMonitor
@@ -26,7 +25,7 @@ class TimingSample:
 
     mean_ms: float
     stdev_ms: float
-    minimum_ms: float
+    median_ms: float
     repetitions: int
 
     @classmethod
@@ -35,7 +34,7 @@ class TimingSample:
         return cls(
             mean_ms=statistics.fmean(millis),
             stdev_ms=statistics.pstdev(millis) if len(millis) > 1 else 0.0,
-            minimum_ms=min(millis),
+            median_ms=statistics.median(millis),
             repetitions=len(millis),
         )
 
@@ -54,29 +53,21 @@ class OverheadRow:
     mediations: int = 0
     #: Throughput of that sweep through the reference monitor.
     mediations_per_second: float = 0.0
+    #: ESCUDO time over baseline time for each interleaved pair of loads.
+    pair_ratios: tuple[float, ...] = ()
 
     @property
     def overhead_percent(self) -> float:
         """Relative slowdown of the ESCUDO pipeline over the baseline.
 
-        Computed from the per-variant *minimum* times: on shared machines the
-        mean is dominated by scheduler noise, while the minimum estimates the
-        actual work each pipeline performs (the quantity Figure 4 compares).
+        The median of the per-pair ratios: the two loads of a pair run back
+        to back, so machine load that slows one slows both, and the median
+        keeps one lucky or unlucky pair from moving the figure.  A row
+        without pairs reads 0.
         """
-        baseline = self.without_escudo.minimum_ms
-        if baseline <= 0:
+        if not self.pair_ratios:
             return 0.0
-        return (self.with_escudo.minimum_ms - baseline) / baseline * 100.0
-
-
-def time_callable(fn: Callable[[], object], repetitions: int) -> TimingSample:
-    """Run ``fn`` ``repetitions`` times and summarise the wall-clock cost."""
-    durations: list[float] = []
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        fn()
-        durations.append(time.perf_counter() - start)
-    return TimingSample.from_durations(durations)
+        return (statistics.median(self.pair_ratios) - 1.0) * 100.0
 
 
 def parse_and_render(workload: Workload, *, escudo: bool):
@@ -97,36 +88,44 @@ def parse_and_render(workload: Workload, *, escudo: bool):
     return load_page(workload.escudo_html, workload.url, configuration=None, options=options)
 
 
+def _timed_load(workload: Workload, *, escudo: bool) -> float:
+    """Seconds one load takes; the page is closed and freed after the clock stops."""
+    start = time.perf_counter()
+    page = parse_and_render(workload, escudo=escudo)
+    duration = time.perf_counter() - start
+    page.close()
+    return duration
+
+
 def measure_workload(workload: Workload, *, repetitions: int = 30) -> OverheadRow:
     """Measure one scenario with and without ESCUDO (Figure 4's comparison).
 
     The two variants are timed *interleaved* (baseline, ESCUDO, baseline,
     ESCUDO, ...) rather than in two separate blocks, so slow drift in machine
-    load affects both variants equally instead of biasing whichever block ran
-    during the busy period.
+    load affects both loads of a pair equally; the overhead is the median of
+    the pairs' ratios.
     """
     baseline_durations: list[float] = []
     escudo_durations: list[float] = []
     for _ in range(repetitions):
-        start = time.perf_counter()
-        parse_and_render(workload, escudo=False)
-        baseline_durations.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        parse_and_render(workload, escudo=True)
-        escudo_durations.append(time.perf_counter() - start)
-    without = TimingSample.from_durations(baseline_durations)
-    with_escudo = TimingSample.from_durations(escudo_durations)
+        baseline_durations.append(_timed_load(workload, escudo=False))
+        escudo_durations.append(_timed_load(workload, escudo=True))
     sample_page = parse_and_render(workload, escudo=True)
     mediations, rate = measure_page_mediation(sample_page)
-    return OverheadRow(
+    row = OverheadRow(
         scenario=workload.name,
-        without_escudo=without,
-        with_escudo=with_escudo,
+        without_escudo=TimingSample.from_durations(baseline_durations),
+        with_escudo=TimingSample.from_durations(escudo_durations),
         elements=sample_page.document.count_elements(),
         ac_tags=sample_page.labeling.ac_tags,
         mediations=mediations,
         mediations_per_second=rate,
+        pair_ratios=tuple(
+            escudo / baseline for baseline, escudo in zip(baseline_durations, escudo_durations)
+        ),
     )
+    sample_page.close()
+    return row
 
 
 def measure_page_mediation(page, *, passes: int = 3) -> tuple[int, float]:

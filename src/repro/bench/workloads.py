@@ -178,14 +178,6 @@ def all_workloads(*, nonce_seed: int = 42) -> list[Workload]:
     return [build_workload(spec, nonce_seed=nonce_seed) for spec in SCENARIOS]
 
 
-def workload_by_name(name: str) -> Workload:
-    """Look a scenario up by name (``S1`` .. ``S8`` prefixes accepted)."""
-    for spec in SCENARIOS:
-        if spec.name == name or spec.name.startswith(name):
-            return build_workload(spec)
-    raise KeyError(f"unknown scenario {name!r}")
-
-
 # -- mediation-throughput workload ------------------------------------------------------
 #
 # The Figure-4 pages measure the *whole* load pipeline; the mediation workload

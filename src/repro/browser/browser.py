@@ -74,7 +74,6 @@ class Browser:
         network: Network,
         *,
         model: str = "escudo",
-        fetch_subresources: bool = True,
         max_script_steps: int = 500_000,
         enforce_scoping: bool = True,
         interleave_seed: int | None = None,
@@ -84,7 +83,6 @@ class Browser:
             raise ValueError(f"unknown protection model {model!r}")
         self.network = network
         self.model = "sop" if model in ("sop", "same-origin") else "escudo"
-        self.fetch_subresources = fetch_subresources
         self.max_script_steps = max_script_steps
         # Disabling the scoping rule is exclusively for the ablation
         # benchmark; the real model always enforces it.
@@ -173,8 +171,7 @@ class Browser:
         loaded = LoadedPage(page=page, runtime=runtime, events=events, response=response)
         self.loaded.append(loaded)
 
-        if self.fetch_subresources:
-            loaded.subresource_requests = self._fetch_subresources(page)
+        loaded.subresource_requests = self._fetch_subresources(page)
         runtime.run_document_scripts()
         # Settle the load's time-zero horizon: immediate tasks (zero-delay
         # timers, synchronously-drained dispatches) complete before load()

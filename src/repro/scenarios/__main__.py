@@ -249,8 +249,8 @@ def main(argv=None) -> int:
         print(result.summary())
 
     if args.bench_out:
-        # The bench layer's one JSON writer, so the CLI and
-        # benchmarks/bench_scenarios.py emit an identical artifact.
+        # The bench layer's one JSON writer, so the committed artifact's
+        # bytes are reproducible.
         from repro.bench.reporting import write_json_report
 
         path = write_json_report(result.as_dict(), Path(args.bench_out))

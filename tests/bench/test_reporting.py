@@ -15,9 +15,7 @@ RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 #: has its own writer in ``benchmarks/bench_fig4_overhead.py`` (unsorted keys).
 ARTIFACTS = (
     "BENCH_compile_cache.json",
-    "BENCH_event_loop.json",
     "BENCH_faults.json",
-    "BENCH_parallel_scenarios.json",
     "BENCH_scenarios.json",
     "BENCH_storage.json",
 )

@@ -9,24 +9,15 @@ from repro.bench.timing import (
     measure_all,
     measure_workload,
     parse_and_render,
-    time_callable,
 )
 from repro.bench.workloads import SCENARIOS, build_workload
 
 
 class TestTimingPrimitives:
-    def test_time_callable_counts_repetitions(self):
-        calls = []
-        sample = time_callable(lambda: calls.append(1), repetitions=5)
-        assert len(calls) == 5
-        assert sample.repetitions == 5
-        assert sample.mean_ms >= 0.0
-        assert sample.minimum_ms <= sample.mean_ms
-
     def test_timing_sample_statistics(self):
-        sample = TimingSample.from_durations([0.001, 0.002, 0.003])
-        assert abs(sample.mean_ms - 2.0) < 1e-9
-        assert sample.minimum_ms == 1.0
+        sample = TimingSample.from_durations([0.001, 0.002, 0.006])
+        assert abs(sample.mean_ms - 3.0) < 1e-9
+        assert sample.median_ms == 2.0
         assert sample.repetitions == 3
 
     def test_single_duration_has_zero_stdev(self):
@@ -48,6 +39,7 @@ class TestOverheadMeasurement:
         assert row.elements > 0
         assert row.ac_tags == SCENARIOS[0].ac_tags
         assert row.with_escudo.repetitions == 3
+        assert len(row.pair_ratios) == 3
         assert isinstance(row.overhead_percent, float)
 
     def test_measure_all_and_average(self):
@@ -57,11 +49,22 @@ class TestOverheadMeasurement:
         assert average_overhead([]) == 0.0
 
     def test_zero_baseline_does_not_divide_by_zero(self):
-        sample = TimingSample(mean_ms=0.0, stdev_ms=0.0, minimum_ms=0.0, repetitions=1)
+        sample = TimingSample(mean_ms=0.0, stdev_ms=0.0, median_ms=0.0, repetitions=1)
         from repro.bench.timing import OverheadRow
 
         row = OverheadRow(scenario="x", without_escudo=sample, with_escudo=sample, elements=1, ac_tags=0)
         assert row.overhead_percent == 0.0
+
+    def test_overhead_is_the_median_pair_ratio(self):
+        from repro.bench.timing import OverheadRow
+
+        sample = TimingSample(mean_ms=1.0, stdev_ms=0.0, median_ms=1.0, repetitions=3)
+        row = OverheadRow(
+            scenario="x", without_escudo=sample, with_escudo=sample, elements=1, ac_tags=0,
+            pair_ratios=(1.1, 3.0, 1.2),
+        )
+        # One outlying pair (3.0) does not move the median.
+        assert abs(row.overhead_percent - 20.0) < 1e-9
 
 
 class TestReportFormatting:

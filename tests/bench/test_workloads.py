@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.workloads import SCENARIOS, all_workloads, build_workload, workload_by_name
+from repro.bench.workloads import SCENARIOS, all_workloads, build_workload
 from repro.browser.loader import LoaderOptions, load_page
 from repro.core.rings import Ring
 
@@ -23,12 +23,6 @@ class TestScenarioSweep:
         first, last = build_workload(SCENARIOS[0]), build_workload(SCENARIOS[-1])
         assert len(last.escudo_html) > len(first.escudo_html)
         assert SCENARIOS[-1].ac_tags > SCENARIOS[0].ac_tags
-
-    def test_lookup_by_name_and_prefix(self):
-        assert workload_by_name("S3-static-large").name == "S3-static-large"
-        assert workload_by_name("S5").name == "S5-many-scripts"
-        with pytest.raises(KeyError):
-            workload_by_name("S99")
 
 
 class TestVariantEquivalence:

@@ -40,10 +40,11 @@ class TestNavigation:
         assert cookie.ring == Ring(1), "cookie labelled from X-Escudo-Cookie-Policy"
         assert len(browser.history) == 1
 
-    @pytest.mark.parametrize(("path", "hops"), [("/viewtopic?t=1", 1), ("/go", 2)])
-    def test_load_stores_and_parses_each_response_once(self, forum_network, path, hops):
+    # Responses per load: the navigation hops plus the page's one ``<img>`` fetch.
+    @pytest.mark.parametrize(("path", "responses"), [("/viewtopic?t=1", 2), ("/go", 3)])
+    def test_load_stores_and_parses_each_response_once(self, forum_network, path, responses):
         network, _ = forum_network
-        browser = Browser(network, fetch_subresources=False)
+        browser = Browser(network)
         store = mock.patch.object(
             CookieJar, "store_from_response", autospec=True, side_effect=CookieJar.store_from_response
         )
@@ -55,8 +56,8 @@ class TestNavigation:
         )
         with store as stored, parse as parsed:
             browser.load(f"{ORIGIN_TEXT}{path}")
-        assert stored.call_count == hops
-        assert parsed.call_count == hops
+        assert stored.call_count == responses
+        assert parsed.call_count == responses
         cookie = browser.cookie_jar.get(ORIGIN, "sid")
         assert cookie is not None and cookie.value == "victim-session"
         assert cookie.ring == Ring(1), "cookie labelled from X-Escudo-Cookie-Policy"
@@ -81,13 +82,6 @@ class TestNavigation:
         logo_requests = [r for r in server.requests if r.url.path == "/logo.png"]
         assert len(logo_requests) == 1
         assert "img" in logo_requests[0].initiator
-
-    def test_subresource_fetching_can_be_disabled(self, forum_network, forum_url):
-        network, server = forum_network
-        browser = Browser(network, fetch_subresources=False)
-        loaded = browser.load(forum_url)
-        assert loaded.subresource_requests == []
-        assert all(request.url.path != "/logo.png" for request in server.requests)
 
 
 class TestCookieAttachment:

@@ -301,7 +301,8 @@ class TestSuiteFacade:
         assert result.ok, result.summary()
         assert len(result.verdicts) == 8
         assert result.benign_count + result.attack_count == 8
-        assert result.mediations > 0
+        assert result.attack_count > 0, "the fixed seed must exercise attack injection"
+        assert result.mediations > 0, "scenario execution must be mediated"
         assert result.scenarios_per_second > 0
         payload = result.as_dict()
         assert payload["ok"] is True
