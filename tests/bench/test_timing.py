@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
+from repro.bench import timing
 from repro.bench.reporting import format_defense_matrix, format_figure4, format_policy_table, format_table
 from repro.bench.timing import (
     TimingSample,
@@ -11,6 +14,7 @@ from repro.bench.timing import (
     parse_and_render,
 )
 from repro.bench.workloads import SCENARIOS, build_workload
+from repro.browser.page import Page
 
 
 class TestTimingPrimitives:
@@ -41,6 +45,28 @@ class TestOverheadMeasurement:
         assert row.with_escudo.repetitions == 3
         assert len(row.pair_ratios) == 3
         assert isinstance(row.overhead_percent, float)
+
+    def test_measure_workload_closes_every_page_it_builds(self):
+        close = mock.patch.object(Page, "close", autospec=True, side_effect=Page.close)
+        with close as closed:
+            measure_workload(build_workload(SCENARIOS[0]), repetitions=3)
+        # Two timed loads per pair, plus the one page the mediation sweep reads.
+        assert closed.call_count == 2 * 3 + 1
+
+    def test_measure_workload_pairs_interleaved_loads(self):
+        calls: list[bool] = []
+
+        def fake_load(workload, *, escudo):
+            calls.append(escudo)
+            pair = (len(calls) - 1) // 2
+            return 0.002 * (pair + 1) if escudo else 0.001 * (pair + 1)
+
+        with mock.patch.object(timing, "_timed_load", side_effect=fake_load):
+            row = measure_workload(build_workload(SCENARIOS[0]), repetitions=4)
+        assert calls == [False, True] * 4
+        # Each pair is one baseline load and the ESCUDO load right after it.
+        assert row.pair_ratios == (2.0, 2.0, 2.0, 2.0)
+        assert abs(row.overhead_percent - 100.0) < 1e-9
 
     def test_measure_all_and_average(self):
         rows = measure_all([build_workload(spec) for spec in SCENARIOS[:2]], repetitions=2)

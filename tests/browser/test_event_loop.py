@@ -25,6 +25,7 @@ from repro.browser.event_loop import (
     XHR_COMPLETION_LATENCY_MS,
 )
 from repro.core.config import ResourcePolicy
+from repro.core.decision import Operation
 
 from .conftest import ForumServer
 
@@ -40,6 +41,15 @@ class TestSchedulingOrder:
         # The opt-in trace records executed labels in order (what the
         # determinism comparisons read).
         assert loop.trace == ["a", "b", "c"]
+
+    def test_drain_runs_each_posted_task_exactly_once(self):
+        loop = EventLoop()
+        ran: list[int] = []
+        for index in range(500):
+            loop.post(lambda index=index: ran.append(index))
+        assert loop.drain() == 500
+        assert ran == list(range(500))
+        assert loop.drain() == 0
 
     def test_trace_is_off_by_default(self):
         loop = EventLoop()
@@ -141,6 +151,30 @@ class TestTimers:
         # Host code cancelling its own task (XHR abort) still works.
         other = loop.post(lambda: fired.append("again"), delay=1.0, kind="xhr")
         assert loop.cancel(other.task_id) is True
+
+    def test_deferred_timers_each_mediate_exactly_once(self, loaded_forum):
+        _, _, loaded = loaded_forum
+        page = loaded.page
+        document = page.document
+        principal = page.principal_context_for(document.get_element_by_id("message-1"))
+        targets = [
+            page.principal_context_for(document.get_element_by_id("banner")),
+            page.principal_context_for(document.get_element_by_id("message-1")),
+        ]
+        decisions: list[bool] = []
+        before = page.monitor.stats.total
+        for index in range(40):
+            target = targets[index % len(targets)]
+            page.event_loop.set_timeout(
+                lambda target=target: decisions.append(
+                    page.monitor.allows(principal, target, Operation.READ)
+                ),
+                float(index % 7),
+            )
+        assert page.monitor.stats.total == before, "no timer may fire inline"
+        assert page.event_loop.drain() == 40
+        assert len(decisions) == 40
+        assert page.monitor.stats.total - before == 40
 
     def test_budget_allows_exactly_the_budgeted_number_of_tasks(self):
         loop = EventLoop(task_budget=3)

@@ -68,6 +68,18 @@ class TestSuiteRuns:
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 2
 
+    def test_json_report_carries_the_scheduling_efficiency_inputs(self, capsys):
+        # CI's scheduling-efficiency gate reads exactly these fields.
+        rc = main(["--seed", "42", "--count", "4", "--workers", "2", "--no-corpus", "--json"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["workers"] == 2
+        assert payload["duration_s"] > 0
+        assert len(payload["shards"]) == 2
+        busy = sum(shard["duration_s"] for shard in payload["shards"])
+        assert busy > 0
+        assert busy / (payload["workers"] * payload["duration_s"]) > 0
+
     def test_default_run_writes_no_bench_artifact(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         rc = main(["--seed", "42", "--count", "2", "--no-corpus"])
