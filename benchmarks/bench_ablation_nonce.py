@@ -1,6 +1,6 @@
 """Ablation: markup randomisation (nonces) against node-splitting.
 
-DESIGN.md calls out the per-AC-tag nonce as a load-bearing design choice: it
+The per-AC-tag nonce is a load-bearing design choice: it
 is what stops injected ``</div>`` terminators from splitting out of their
 scope.  The ablation runs the node-splitting attack against the phpBB
 miniature twice -- with markup randomisation on (the real system) and with

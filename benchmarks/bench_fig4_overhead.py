@@ -12,26 +12,12 @@ flat (low double digits at worst in this pure-Python pipeline) as pages grow.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
-from repro.bench import (
-    MEDIATION_SPEC,
-    all_workloads,
-    average_overhead,
-    format_figure4,
-    format_mediation_report,
-    measure_all,
-    measure_mediation,
-)
+from repro.bench import all_workloads, average_overhead, format_figure4, measure_all
 from repro.bench.timing import parse_and_render
 
 WORKLOADS = all_workloads()
-
-#: JSON artifact with the mediation-pipeline numbers (per-access throughput).
-MEDIATION_ARTIFACT = Path(__file__).parent / "results" / "BENCH_mediation.json"
 
 
 @pytest.mark.parametrize("workload", WORKLOADS, ids=[w.name for w in WORKLOADS])
@@ -62,26 +48,6 @@ def test_fig4_summary_table(benchmark, report_writer):
     # the Lobo browser, so the same per-tag bookkeeping is relatively more
     # visible; anything wildly larger indicates a regression.
     assert overhead < 60.0, f"average ESCUDO overhead unexpectedly high: {overhead:.1f}%"
-    # Every scenario must actually have exercised ESCUDO bookkeeping, and the
-    # mediation columns must reflect real mediated sweeps over each page.
+    # Every scenario must actually have exercised ESCUDO bookkeeping.
     assert all(row.ac_tags > 0 for row in rows)
-    assert all(row.mediations > 0 for row in rows)
 
-
-def test_mediation_throughput(report_writer):
-    """Mediation pipeline: the per-access cost of the reference monitor.
-
-    A repeated-access workload (>=10k authorizations over 96 distinct request
-    keys -- the shape of traversal sweeps and event dispatch), every request
-    decided by the policy.  Writes the ``BENCH_mediation.json`` artifact.
-    """
-    sample = measure_mediation(MEDIATION_SPEC)
-    report_writer("mediation_throughput", format_mediation_report(sample))
-    MEDIATION_ARTIFACT.parent.mkdir(exist_ok=True)
-    MEDIATION_ARTIFACT.write_text(json.dumps(sample.as_dict(), indent=2) + "\n", encoding="utf-8")
-
-    assert sample.spec.total_requests >= 10_000
-    assert sample.total == sample.spec.total_requests
-    # The stream deliberately mixes allow and deny verdicts.
-    assert sample.allowed > 0 and sample.denied > 0
-    assert sample.mediations_per_second > 0

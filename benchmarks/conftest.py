@@ -3,7 +3,7 @@
 Every benchmark regenerates one of the paper's tables or figures.  Besides
 the timing numbers collected by ``pytest-benchmark``, each benchmark writes
 the regenerated table to ``benchmarks/results/<name>.txt`` so the data
-survives pytest's output capture and can be pasted into ``EXPERIMENTS.md``.
+survives pytest's output capture and can be diffed against the committed copy.
 """
 
 from __future__ import annotations

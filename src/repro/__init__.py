@@ -1,6 +1,6 @@
 """ESCUDO reproduction: a fine-grained protection model for web browsers.
 
-The package layout mirrors the system inventory in ``DESIGN.md``:
+The package layout:
 
 * :mod:`repro.core` -- the ESCUDO model itself (rings, ACLs, policy,
   reference monitor) plus the same-origin-policy baseline;
@@ -8,7 +8,8 @@ The package layout mirrors the system inventory in ``DESIGN.md``:
   :mod:`repro.http`, :mod:`repro.browser` -- the browser substrates;
 * :mod:`repro.webapps` -- the server-side framework and the phpBB /
   PHP-Calendar / blog case studies;
-* :mod:`repro.attacks` -- the XSS / CSRF / node-splitting attack corpus;
+* :mod:`repro.attacks` -- the XSS / CSRF / node-splitting /
+  privilege-escalation / TOCTOU attack corpus;
 * :mod:`repro.scenarios` -- the differential scenario engine (randomized
   multi-user sessions under a policy matrix, with a parity oracle);
 * :mod:`repro.bench` -- workload generators and reporting for the

@@ -14,38 +14,28 @@ from .storage_bench import (
 from .reporting import (
     format_defense_matrix,
     format_figure4,
-    format_mediation_report,
     format_policy_table,
     format_table,
     write_json_report,
 )
 from .timing import (
-    MediationSample,
     OverheadRow,
     TimingSample,
     average_overhead,
     measure_all,
-    measure_mediation,
-    measure_page_mediation,
     measure_workload,
     parse_and_render,
 )
 from .workloads import (
-    MEDIATION_SPEC,
     SCENARIOS,
-    MediationSpec,
     ScenarioSpec,
     Workload,
     all_workloads,
-    build_mediation_requests,
     build_workload,
 )
 
 __all__ = [
     "COMPILE_CACHE_RESULTS_NAME",
-    "MEDIATION_SPEC",
-    "MediationSample",
-    "MediationSpec",
     "OverheadRow",
     "SCENARIOS",
     "SEED_SCENARIOS_NAME",
@@ -55,19 +45,15 @@ __all__ = [
     "Workload",
     "all_workloads",
     "average_overhead",
-    "build_mediation_requests",
     "build_workload",
     "format_compile_cache_report",
     "format_defense_matrix",
     "format_figure4",
-    "format_mediation_report",
     "format_policy_table",
     "format_storage_report",
     "format_table",
     "measure_all",
     "measure_compile_cache",
-    "measure_mediation",
-    "measure_page_mediation",
     "measure_storage",
     "measure_workload",
     "parse_and_render",

@@ -13,13 +13,11 @@ Three measurements land in ``benchmarks/results/BENCH_faults.json``:
   idle (zero-rate sites short-circuit before touching any counter); the
   artifact gates that claim at ``OVERHEAD_GATE_PERCENT``.
 
-:func:`write_faults_report` is the artifact's single producer -- the
-``python -m repro.faults`` CLI and ``benchmarks/bench_faults.py`` both
-write through here.
+:func:`build_faults_report` assembles the artifact and its one verdict;
+``python -m repro.faults --bench-out PATH`` is its single producer.
 """
 
 from __future__ import annotations
-
 
 from repro.faults.plan import FaultConfig
 from repro.scenarios.engine import run_suite
@@ -111,11 +109,23 @@ def build_faults_report(
     throughput: list[dict],
     overhead: dict,
 ) -> dict:
-    """Assemble the full ``BENCH_faults.json`` payload."""
+    """Assemble the full ``BENCH_faults.json`` payload.
+
+    ``ok`` is the one verdict: the chaos matrix held its properties *and*
+    injected at least one fault (a matrix that injects none proves
+    nothing), every throughput-vs-rate suite passed, the armed-but-empty
+    plane was passive, and the disabled-plane overhead stayed under its
+    gate.
+    """
+    injected = sum(chaos.get("faults", {}).get("injected", {}).values())
     return {
         "schema": FAULTS_SCHEMA,
         "ok": bool(
-            chaos.get("ok") and passivity.get("ok") and overhead.get("ok")
+            chaos.get("ok")
+            and injected > 0
+            and all(point.get("ok") for point in throughput)
+            and passivity.get("ok")
+            and overhead.get("ok")
         ),
         "chaos": chaos,
         "passivity": passivity,

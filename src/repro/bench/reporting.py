@@ -1,8 +1,7 @@
 """Plain-text reporting for the benchmark harness.
 
 Every benchmark prints the table or series it regenerates in a format close
-to the paper's, so ``pytest benchmarks/ --benchmark-only`` output doubles as
-the data source for ``EXPERIMENTS.md``.
+to the paper's, and writes the same text under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .timing import MediationSample, OverheadRow, average_overhead
+from .timing import OverheadRow, average_overhead
 
 
 def write_json_report(payload: dict, path: Path | str) -> Path:
@@ -61,7 +60,6 @@ def format_figure4(rows: list[OverheadRow]) -> str:
             f"{row.without_escudo.median_ms:.3f}",
             f"{row.with_escudo.median_ms:.3f}",
             f"{row.overhead_percent:+.2f}%",
-            f"{row.mediations_per_second:,.0f}",
         )
         for row in rows
     ]
@@ -70,32 +68,11 @@ def format_figure4(rows: list[OverheadRow]) -> str:
         ("scenario", "elements", "AC tags",
          f"without ESCUDO (ms, median of {repetitions})",
          f"with ESCUDO (ms, median of {repetitions})",
-         "overhead (median pair)", "mediations/s"),
+         "overhead (median pair)"),
         table_rows,
         title="Figure 4: parse + render time per scenario",
     )
     return table + f"\naverage overhead: {average_overhead(rows):+.2f}% (paper: ~5.09%)"
-
-
-def format_mediation_report(sample: MediationSample) -> str:
-    """The mediation-pipeline summary: per-access cost of the monitor."""
-    return format_table(
-        ("mediations", "time (ms)", "mediations/s", "allowed", "denied"),
-        [
-            (
-                sample.total,
-                f"{sample.duration_s * 1000.0:.1f}",
-                f"{sample.mediations_per_second:,.0f}",
-                sample.allowed,
-                sample.denied,
-            )
-        ],
-        title=(
-            f"Mediation throughput ({sample.spec.name}: "
-            f"{sample.spec.total_requests} authorizations, "
-            f"{sample.spec.distinct_keys} distinct keys)"
-        ),
-    )
 
 
 def format_defense_matrix(results_by_model: dict[str, list]) -> str:

@@ -14,9 +14,8 @@ import time
 from dataclasses import dataclass
 
 from repro.browser.loader import LoaderOptions, load_page
-from repro.core.monitor import ReferenceMonitor
 
-from .workloads import MEDIATION_SPEC, MediationSpec, Workload, build_mediation_requests
+from .workloads import Workload
 
 
 @dataclass
@@ -48,11 +47,6 @@ class OverheadRow:
     with_escudo: TimingSample
     elements: int
     ac_tags: int
-    #: Mediated accesses performed by the page's read sweep (see
-    #: :func:`measure_page_mediation`).
-    mediations: int = 0
-    #: Throughput of that sweep through the reference monitor.
-    mediations_per_second: float = 0.0
     #: ESCUDO time over baseline time for each interleaved pair of loads.
     pair_ratios: tuple[float, ...] = ()
 
@@ -111,49 +105,18 @@ def measure_workload(workload: Workload, *, repetitions: int = 30) -> OverheadRo
         baseline_durations.append(_timed_load(workload, escudo=False))
         escudo_durations.append(_timed_load(workload, escudo=True))
     sample_page = parse_and_render(workload, escudo=True)
-    mediations, rate = measure_page_mediation(sample_page)
     row = OverheadRow(
         scenario=workload.name,
         without_escudo=TimingSample.from_durations(baseline_durations),
         with_escudo=TimingSample.from_durations(escudo_durations),
         elements=sample_page.document.count_elements(),
         ac_tags=sample_page.labeling.ac_tags,
-        mediations=mediations,
-        mediations_per_second=rate,
         pair_ratios=tuple(
             escudo / baseline for baseline, escudo in zip(baseline_durations, escudo_durations)
         ),
     )
     sample_page.close()
     return row
-
-
-def measure_page_mediation(page, *, passes: int = 3) -> tuple[int, float]:
-    """Exercise the mediated DOM read sweep on a loaded page.
-
-    Loading alone performs no authorizations (labelling is not an access);
-    the mediation figures of the Figure-4 table come from the access pattern
-    scripts actually exhibit -- repeated ``read`` sweeps over every element
-    -- driven through the DOM mediator's batch sweep.  Returns the number of
-    mediated accesses and their throughput (mediations/second).
-    """
-    from repro.core.decision import Operation
-    from repro.dom.dom_api import DomApi
-
-    body = page.document.body
-    principal = (
-        page.principal_context_for(body) if body is not None else page.browser_principal()
-    )
-    api = DomApi(page.monitor, principal)
-    elements = list(page.document.elements())
-    before_total = page.monitor.stats.total
-    start = time.perf_counter()
-    for _ in range(passes):
-        api.authorize_sweep(elements, Operation.READ)
-    duration = time.perf_counter() - start
-    mediations = page.monitor.stats.total - before_total
-    rate = mediations / duration if duration > 0 else 0.0
-    return mediations, rate
 
 
 def measure_all(workloads: list[Workload], *, repetitions: int = 30) -> list[OverheadRow]:
@@ -166,60 +129,3 @@ def average_overhead(rows: list[OverheadRow]) -> float:
     if not rows:
         return 0.0
     return statistics.fmean(row.overhead_percent for row in rows)
-
-
-# -- mediation throughput ------------------------------------------------------------------
-
-
-@dataclass
-class MediationSample:
-    """Reference-monitor throughput over one mediation request stream."""
-
-    spec: MediationSpec
-    total: int
-    duration_s: float
-    allowed: int
-    denied: int
-
-    @property
-    def mediations_per_second(self) -> float:
-        """Authorizations mediated per second."""
-        return self.total / self.duration_s if self.duration_s > 0 else 0.0
-
-    def as_dict(self) -> dict[str, object]:
-        """Serialise for the ``BENCH_mediation.json`` artifact."""
-        return {
-            "workload": self.spec.name,
-            "total_requests": self.spec.total_requests,
-            "distinct_keys": self.spec.distinct_keys,
-            "total": self.total,
-            "duration_s": self.duration_s,
-            "mediations_per_second": self.mediations_per_second,
-            "allowed": self.allowed,
-            "denied": self.denied,
-        }
-
-
-def measure_mediation(spec: MediationSpec = MEDIATION_SPEC) -> MediationSample:
-    """Measure the per-access cost of mediation: the policy decides every request.
-
-    One untimed pass over the stream warms the interpreter and CPU caches;
-    the timed pass then mediates the same stream on a fresh monitor.
-    """
-    requests = build_mediation_requests(spec)
-    warmup = ReferenceMonitor()
-    for principal, target, operation in requests:
-        warmup.authorize(principal, target, operation)
-    monitor = ReferenceMonitor()
-    authorize = monitor.authorize
-    start = time.perf_counter()
-    for principal, target, operation in requests:
-        authorize(principal, target, operation)
-    duration = time.perf_counter() - start
-    return MediationSample(
-        spec=spec,
-        total=monitor.stats.total,
-        duration_s=duration,
-        allowed=monitor.stats.allowed,
-        denied=monitor.stats.denied,
-    )

@@ -21,10 +21,7 @@ from dataclasses import dataclass
 
 from repro.core.acl import Acl
 from repro.core.config import PageConfiguration, ResourcePolicy
-from repro.core.context import SecurityContext
-from repro.core.decision import Operation
 from repro.core.nonce import NonceGenerator
-from repro.core.origin import Origin
 from repro.core.rings import Ring, RingSet
 from repro.webapps.templates import EscudoPageTemplate
 
@@ -176,74 +173,3 @@ def _build_page(spec: ScenarioSpec, *, escudo: bool, nonce_seed: int) -> str:
 def all_workloads(*, nonce_seed: int = 42) -> list[Workload]:
     """The eight Figure-4 workloads."""
     return [build_workload(spec, nonce_seed=nonce_seed) for spec in SCENARIOS]
-
-
-# -- mediation-throughput workload ------------------------------------------------------
-#
-# The Figure-4 pages measure the *whole* load pipeline; the mediation workload
-# isolates the reference monitor itself.  It models what the browser actually
-# does on a busy page -- repeated accesses by a handful of script principals
-# over a bounded set of object contexts (traversal sweeps, event dispatch,
-# cookie attachment hit the same contexts again and again).
-
-
-@dataclass(frozen=True)
-class MediationSpec:
-    """Shape of a repeated-access mediation workload."""
-
-    name: str = "repeated-access"
-    principal_rings: tuple[int, ...] = (0, 1, 2, 3)
-    distinct_targets: int = 8
-    operations: tuple[Operation, ...] = (Operation.READ, Operation.WRITE, Operation.USE)
-    total_requests: int = 12_000
-
-    @property
-    def distinct_keys(self) -> int:
-        """Number of distinct ``(principal, target, operation)`` triples."""
-        return len(self.principal_rings) * self.distinct_targets * len(self.operations)
-
-
-#: Default spec: 96 distinct request keys cycled to 12k authorizations, the
-#: shape of a page whose scripts keep sweeping the same labelled regions.
-MEDIATION_SPEC = MediationSpec()
-
-#: One request the monitor mediates: ``(principal, target, operation)``.
-MediationRequest = tuple[SecurityContext, SecurityContext, Operation]
-
-
-def build_mediation_requests(
-    spec: MediationSpec = MEDIATION_SPEC,
-    *,
-    origin_text: str = "http://bench.example.com",
-) -> list[MediationRequest]:
-    """Generate the deterministic request stream for one mediation workload.
-
-    Principals sweep the rings; targets alternate ring assignments and ACLs so
-    the stream contains a realistic mix of allow and deny verdicts (both
-    outcomes must stay cheap).  The distinct triples are tiled round-robin up
-    to ``total_requests``, mimicking repeated traversal sweeps over a page.
-    """
-    origin = Origin.parse(origin_text)
-    principals = [
-        SecurityContext(
-            origin=origin, ring=Ring(ring), acl=Acl.uniform(ring), label=f"principal-r{ring}"
-        )
-        for ring in spec.principal_rings
-    ]
-    targets = [
-        SecurityContext(
-            origin=origin,
-            ring=Ring(index % 4),
-            acl=Acl.uniform(min(3, index % 4 + index % 2)),
-            label=f"object-{index}",
-        )
-        for index in range(spec.distinct_targets)
-    ]
-    distinct: list[MediationRequest] = [
-        (principal, target, operation)
-        for principal in principals
-        for target in targets
-        for operation in spec.operations
-    ]
-    repeats = spec.total_requests // len(distinct) + 1
-    return (distinct * repeats)[: spec.total_requests]

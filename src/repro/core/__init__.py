@@ -22,7 +22,7 @@ from .config import (
     is_ac_tag,
     parse_policy_header,
 )
-from .context import ContextTracker, SecurityContext
+from .context import SecurityContext
 from .decision import AccessDecision, Operation, Rule, RuleOutcome, Verdict
 from .errors import (
     AccessDenied,
@@ -30,7 +30,6 @@ from .errors import (
     EscudoError,
     NonceError,
     RingRangeError,
-    ScopingViolation,
     TamperingError,
     UnknownOperationError,
 )
@@ -56,14 +55,7 @@ from .principal import (
     event_handler_attributes,
 )
 from .rings import DEFAULT_RING_COUNT, MOST_PRIVILEGED, Ring, RingSet, as_ring
-from .scoping import (
-    ScopingViolationReport,
-    audit_tree,
-    clamp_chain,
-    effective_ring,
-    is_violation,
-    require_within_scope,
-)
+from .scoping import effective_ring, is_violation
 from .sop import SameOriginPolicy, escudo_collapses_to_sop
 
 __all__ = [
@@ -88,7 +80,6 @@ __all__ = [
     "AcTagLabel",
     "AuditLog",
     "ConfigurationError",
-    "ContextTracker",
     "EscudoError",
     "EscudoPolicy",
     "MonitorStats",
@@ -113,16 +104,12 @@ __all__ = [
     "Rule",
     "RuleOutcome",
     "SameOriginPolicy",
-    "ScopingViolation",
-    "ScopingViolationReport",
     "SecurityContext",
     "TamperingError",
     "UnknownOperationError",
     "Verdict",
     "as_ring",
-    "audit_tree",
     "browser_state_object",
-    "clamp_chain",
     "classify_tag",
     "effective_ring",
     "escudo_collapses_to_sop",
@@ -135,5 +122,4 @@ __all__ = [
     "is_violation",
     "parse_acl_attributes",
     "parse_policy_header",
-    "require_within_scope",
 ]

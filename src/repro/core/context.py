@@ -7,19 +7,19 @@ configuration exactly once -- during parsing -- and is never exposed to
 scripts afterwards.
 
 This module defines :class:`SecurityContext`, the immutable value the
-reference monitor consumes, and :class:`ContextTracker`, the bookkeeping
-structure the browser uses to associate contexts with live entities without
-storing them anywhere a script could reach (mirroring the paper's "tracking
-the security contexts" implementation component).
+reference monitor consumes.  The browser tracks contexts on the entities
+themselves, out of scripts' reach:
+:meth:`~repro.dom.element.Element.assign_security_context` assigns an
+element's context once and refuses a re-assignment without browser
+authority (the paper's "tracking the security contexts" implementation
+component).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Hashable, Iterator, MutableMapping
 
 from .acl import Acl
-from .errors import TamperingError
 from .origin import Origin
 from .rings import Ring, RingSet, as_ring
 
@@ -91,57 +91,3 @@ class SecurityContext:
     def __str__(self) -> str:
         return f"{self.label}@{self.origin} [{self.ring}, acl {self.acl}]"
 
-
-class ContextTracker:
-    """Associates security contexts with live browser entities.
-
-    The tracker is keyed by object identity (``id()`` of the tracked entity
-    by default, or any hashable key the caller supplies).  It is deliberately
-    *not* reachable from the scripting environment: scripts interact with DOM
-    wrappers and built-ins that consult the tracker internally, so the
-    configuration can never be modified after the initial assignment --
-    attempts to re-assign raise :class:`~repro.core.errors.TamperingError`
-    unless the caller explicitly asserts browser authority.
-    """
-
-    def __init__(self) -> None:
-        self._contexts: MutableMapping[Hashable, SecurityContext] = {}
-
-    def assign(self, key: Hashable, context: SecurityContext, *, browser_authority: bool = False) -> None:
-        """Record the context for ``key``.
-
-        Re-assignment is refused (ring mapping happens exactly once) unless
-        ``browser_authority`` is set, which only browser-internal code paths
-        use (e.g. when a page is reloaded and its entities are rebuilt).
-        """
-        if key in self._contexts and not browser_authority:
-            raise TamperingError(
-                f"security context for {self._contexts[key].label!r} is already assigned; "
-                "ESCUDO performs ring mapping exactly once"
-            )
-        self._contexts[key] = context
-
-    def lookup(self, key: Hashable) -> SecurityContext | None:
-        """Return the context for ``key``, or ``None`` if untracked."""
-        return self._contexts.get(key)
-
-    def require(self, key: Hashable) -> SecurityContext:
-        """Return the context for ``key``, raising ``KeyError`` if untracked."""
-        return self._contexts[key]
-
-    def forget(self, key: Hashable) -> None:
-        """Drop the context for ``key`` (used when entities are destroyed)."""
-        self._contexts.pop(key, None)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._contexts
-
-    def __len__(self) -> int:
-        return len(self._contexts)
-
-    def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._contexts)
-
-    def clear(self) -> None:
-        """Forget every tracked context (page teardown)."""
-        self._contexts.clear()

@@ -55,15 +55,6 @@ class NonceError(EscudoError):
     """
 
 
-class ScopingViolation(EscudoError):
-    """An element attempted to claim more privilege than its enclosing scope.
-
-    The scoping rule clamps such labels silently during enforcement, but the
-    strict auditing API reports violations with this exception so that web
-    application developers can detect misconfigured templates.
-    """
-
-
 class TamperingError(EscudoError):
     """A principal attempted to modify ESCUDO configuration state at runtime.
 

@@ -19,10 +19,9 @@ Mediation is a short pipeline::
 
 The policy decides every access; no verdict is remembered between calls, so
 a relabel (ACL, ring or nonce change) or a policy swap takes effect on the
-very next request.  :meth:`ReferenceMonitor.authorize_all` mediates sweeps
-(cookie attachment, event propagation paths, DOM traversals): the principal
-is coerced once, each *distinct* target context is decided once per call,
-and every target records its own decision.
+very next request.  :meth:`ReferenceMonitor.authorize_all` mediates a sweep
+(cookie attachment, ``document.cookie`` reads): the principal is coerced
+once, and the policy decides and records every target on its own.
 """
 
 from __future__ import annotations
@@ -248,25 +247,20 @@ class ReferenceMonitor:
     ) -> list[AccessDecision]:
         """Mediate the same operation by one principal over many targets.
 
-        The principal's context and label are coerced exactly once, and the
-        policy decides each *distinct* target context (and label) once per
-        call.  Every target still records its own decision, preserving
-        complete mediation of the sweep.
+        The principal's context and label are coerced exactly once; the
+        policy decides every target, and each target records its own
+        decision, preserving complete mediation of the sweep.
         """
         op = operation if isinstance(operation, Operation) else Operation.from_text(operation)
         principal_ctx = _coerce_context(principal)
         principal_lbl = _label_with_context(principal, principal_ctx, principal_label)
 
         decisions: list[AccessDecision] = []
-        batch_memo: dict[tuple[SecurityContext, str], AccessDecision] = {}
         for target in targets:
             target_ctx = _coerce_context(target)
-            target_lbl = _label_with_context(target, target_ctx, "")
-            memo_key = (target_ctx, target_lbl)
-            decision = batch_memo.get(memo_key)
-            if decision is None:
-                decision = self._evaluate(principal_ctx, target_ctx, op, principal_lbl, target_lbl)
-                batch_memo[memo_key] = decision
+            decision = self._evaluate(
+                principal_ctx, target_ctx, op, principal_lbl, _label_with_context(target, target_ctx, "")
+            )
             self._record(decision)
             decisions.append(decision)
         return decisions

@@ -8,17 +8,13 @@ AC tags that *claim* a lower ring number) is effectively at ring ``n`` or
 less privileged.  The rule applies both to statically parsed markup and to
 elements added dynamically through the DOM API.
 
-This module provides the pure clamping arithmetic plus a strict auditing
-helper that reports violations (useful for application developers validating
-their templates) without changing enforcement behaviour.
+This module provides the pure clamping arithmetic; the page labeller
+(:class:`~repro.browser.labeler.PageLabeler`) and the DOM API's labelling of
+created content apply it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
-
-from .errors import ScopingViolation
 from .rings import Ring, as_ring
 
 
@@ -42,93 +38,3 @@ def is_violation(declared: Ring | int | None, enclosing: Ring | int) -> bool:
         return False
     return as_ring(declared).is_more_privileged_than(as_ring(enclosing))
 
-
-@dataclass(frozen=True)
-class ScopingViolationReport:
-    """One detected attempt to exceed the enclosing scope's privilege."""
-
-    path: str
-    declared: Ring
-    enclosing: Ring
-    clamped_to: Ring
-
-    def __str__(self) -> str:
-        return (
-            f"{self.path}: declared ring {self.declared.level} exceeds enclosing "
-            f"ring {self.enclosing.level}; clamped to ring {self.clamped_to.level}"
-        )
-
-
-@runtime_checkable
-class LabeledScope(Protocol):
-    """Minimal tree shape the auditing walker understands.
-
-    DOM elements satisfy this protocol; so do the lightweight fixtures used
-    in unit tests.  ``declared_ring`` is the ring the node's markup asked for
-    (``None`` when unlabelled) and ``children`` yields nested scopes.
-    """
-
-    @property
-    def declared_ring(self) -> Ring | None:  # pragma: no cover - protocol
-        ...
-
-    @property
-    def scope_path(self) -> str:  # pragma: no cover - protocol
-        ...
-
-    def child_scopes(self) -> Sequence["LabeledScope"]:  # pragma: no cover - protocol
-        ...
-
-
-def audit_tree(root: LabeledScope, page_ring: Ring | int) -> list[ScopingViolationReport]:
-    """Walk a labelled tree and report every scoping violation.
-
-    Enforcement never needs this (clamping happens inline during labelling);
-    it exists so application developers and the ablation benchmarks can see
-    where templates over-claim privilege.
-    """
-    reports: list[ScopingViolationReport] = []
-    _audit(root, as_ring(page_ring), reports)
-    return reports
-
-
-def _audit(node: LabeledScope, enclosing: Ring, reports: list[ScopingViolationReport]) -> None:
-    declared = node.declared_ring
-    clamped = effective_ring(declared, enclosing)
-    if declared is not None and is_violation(declared, enclosing):
-        reports.append(
-            ScopingViolationReport(
-                path=node.scope_path,
-                declared=as_ring(declared),
-                enclosing=enclosing,
-                clamped_to=clamped,
-            )
-        )
-    for child in node.child_scopes():
-        _audit(child, clamped, reports)
-
-
-def require_within_scope(declared: Ring | int | None, enclosing: Ring | int, *, path: str = "") -> Ring:
-    """Strict variant of :func:`effective_ring` that raises on violations.
-
-    Server-side template tooling uses this to reject misconfigured templates
-    before they ever reach a browser.
-    """
-    if is_violation(declared, enclosing):
-        raise ScopingViolation(
-            f"{path or 'scope'}: ring {as_ring(declared).level} is more privileged than "
-            f"enclosing ring {as_ring(enclosing).level}"
-        )
-    return effective_ring(declared, enclosing)
-
-
-def clamp_chain(declared_labels: Iterable[Ring | int | None], page_ring: Ring | int) -> Iterator[Ring]:
-    """Yield effective rings for a chain of nested scopes, outermost first.
-
-    Convenience used in tests and in the labelling engine: each element of
-    ``declared_labels`` is the ring declared at that nesting depth.
-    """
-    current = as_ring(page_ring)
-    for declared in declared_labels:
-        current = effective_ring(declared, current)
-        yield current

@@ -114,22 +114,6 @@ class DomApi:
             return False
         return self.monitor.authorize(self.principal, self._decision_target(element), operation).allowed
 
-    def authorize_sweep(self, elements: list[Element], operation: Operation) -> list[bool]:
-        """Batch-mediate one operation over many elements.
-
-        A sweep is one DOM API call, so the ``use`` check runs once; the
-        per-element checks go through the monitor's batch path, which
-        coerces the principal once and decides each distinct context once.
-        Every element still gets its own recorded decision.
-        """
-        if not elements:
-            return []
-        if not self._use_api_allowed():
-            return [False] * len(elements)
-        targets = [self._decision_target(element) for element in elements]
-        decisions = self.monitor.authorize_all(self.principal, targets, operation)
-        return [decision.allowed for decision in decisions]
-
     def record_tamper_attempt(self, element: Element, attribute: str, *, operation: Operation) -> None:
         """Log an attempt to touch ESCUDO configuration attributes."""
         self.monitor.deny_tampering(

@@ -17,7 +17,7 @@ storing the context on the element does not expose it to tampering.
 from __future__ import annotations
 
 from sys import intern
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional
 
 from repro.core.config import RING_ATTRIBUTE, extract_ac_label, is_ac_tag
 from repro.core.context import SecurityContext
@@ -146,7 +146,7 @@ class Element(Node):
 
     @property
     def scope_path(self) -> str:
-        """Human-readable path used in scoping-violation reports."""
+        """Human-readable path used in nonce-mismatch reports."""
         parts: list[str] = []
         node: Node | None = self
         while node is not None and isinstance(node, Element):
@@ -158,10 +158,6 @@ class Element(Node):
             parts.append(descriptor)
             node = node.parent
         return "/".join(reversed(parts))
-
-    def child_scopes(self) -> Sequence["Element"]:
-        """Child elements (satisfies the :class:`LabeledScope` protocol)."""
-        return [child for child in self.children if isinstance(child, Element)]
 
     # -- principal classification --------------------------------------------------------
 

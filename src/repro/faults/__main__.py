@@ -11,11 +11,12 @@ Examples::
     python -m repro.faults --count 6 --schedules 2 --overhead-repeats 1
 
 The report file is written only when ``--bench-out PATH`` names one.
-Exit status is non-zero when any property fails: an attack succeeding
-under escudo with faults armed (fail-open), a benign scenario missing its
-fault-free digest with retries on (divergence), a non-identical
+Exit status is 1 when any property fails: an attack succeeding under
+escudo with faults armed (fail-open), a benign scenario missing its
+fault-free digest with retries on (divergence), a matrix that injected no
+fault, a throughput-vs-rate point whose suite failed, a non-identical
 armed-but-empty parity report (passivity), or the disabled-plane overhead
-breaching its gate.
+breaching its gate.  An out-of-range argument is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -83,7 +84,18 @@ def _parse_args(argv) -> argparse.Namespace:
         help="write the fault report JSON to PATH (default: no file)",
     )
     parser.add_argument("--json", action="store_true", help="print the report as JSON")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.count < 1:
+        parser.error("--count must be at least 1")
+    if args.schedules < 1:
+        parser.error("--schedules must be at least 1")
+    if args.overhead_repeats < 1:
+        parser.error("--overhead-repeats must be at least 1")
+    if not 0.0 < args.rate <= 1.0:
+        parser.error("--rate must be in (0, 1]")
+    if not 0.0 <= args.attack_ratio <= 1.0:
+        parser.error("--attack-ratio must be in [0, 1]")
+    return args
 
 
 def main(argv=None) -> int:

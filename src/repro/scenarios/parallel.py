@@ -91,20 +91,13 @@ def default_steal_chunk(count: int, shards: int) -> int:
     return max(1, min(MAX_AUTO_STEAL_CHUNK, -(-count // (shards * 4))))
 
 
-def resolve_mp_context(name: str | None) -> str:
-    """The pinned start method: an explicit ``name``, else fork-if-available.
+def resolve_mp_context() -> str:
+    """The pinned start method: ``fork`` where available, else ``spawn``.
 
     The *platform default* is deliberately never used -- it has changed
     across Python releases (``fork`` -> ``forkserver``/``spawn``), and how
     workers start must not silently flip with an interpreter upgrade.
     """
-    if name:
-        if name not in multiprocessing.get_all_start_methods():
-            raise ValueError(
-                f"start method {name!r} unavailable on this platform; "
-                f"known: {multiprocessing.get_all_start_methods()}"
-            )
-        return name
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
@@ -498,7 +491,6 @@ def run_suite_parallel(
     compile_caches: bool = True,
     storage: str = "dict",
     steal_chunk: int | None = None,
-    mp_context: str | None = None,
     faults=None,
     crash_schedule: Iterable[int] | None = None,
 ) -> ParallelSuiteResult:
@@ -516,8 +508,8 @@ def run_suite_parallel(
     effective worker the same worker loop runs in-process over the same
     chunks; no process is started.
     ``compile_caches=False`` disables the cache stack entirely.
-    ``mp_context`` pins the multiprocessing start method (default: ``fork``
-    where available, else ``spawn``; see :func:`resolve_mp_context`).
+    Workers start with ``fork`` where available, else ``spawn`` (see
+    :func:`resolve_mp_context`).
 
     ``faults`` (a :class:`~repro.faults.plan.FaultConfig` or its dict form)
     arms the fault-injection plane inside every worker; its ``worker`` rate
@@ -586,7 +578,7 @@ def run_suite_parallel(
         while not messages.empty():
             fold(messages.get())
     else:
-        result.mp_start_method = resolve_mp_context(mp_context)
+        result.mp_start_method = resolve_mp_context()
         ctx = multiprocessing.get_context(result.mp_start_method)
         task_queue = ctx.Queue()
         result_queue = ctx.Queue()

@@ -48,7 +48,7 @@ class TestMarkupRandomisationDefence:
         assert injected_script_ring(env) == 3
 
     def test_without_nonces_the_attack_escapes_its_scope(self):
-        """The ablation DESIGN.md calls out: nonces are the load-bearing defence."""
+        """The nonce ablation: nonces are the load-bearing defence."""
         env, attack = run_against_phpbb(markup_randomization=False)
         assert attack.succeeded(env)
         assert env.loaded.page.ignored_end_tags == 0

@@ -11,8 +11,8 @@ from repro.bench.reporting import write_json_report
 
 RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
-#: The artifacts written through ``write_json_report``.  ``BENCH_mediation.json``
-#: has its own writer in ``benchmarks/bench_fig4_overhead.py`` (unsorted keys).
+#: The artifacts written through ``write_json_report``: every committed
+#: ``BENCH_*.json`` except the pinned ``BENCH_scenarios_seed.json`` baseline.
 ARTIFACTS = (
     "BENCH_compile_cache.json",
     "BENCH_faults.json",

@@ -1,12 +1,11 @@
-"""Tests for security contexts, the context tracker, and the Table-1 taxonomy."""
+"""Tests for security contexts and the Table-1 taxonomy."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.acl import Acl
-from repro.core.context import ContextTracker, SecurityContext
-from repro.core.errors import TamperingError
+from repro.core.context import SecurityContext
 from repro.core.objects import (
     BROWSER_STATE_OBJECTS,
     NATIVE_APIS,
@@ -52,40 +51,6 @@ class TestSecurityContext:
 
     def test_str_mentions_ring_and_origin(self, origin):
         assert "ring 2" in str(make_context(origin, 2))
-
-
-class TestContextTracker:
-    def test_assign_and_lookup(self, origin):
-        tracker = ContextTracker()
-        tracker.assign("cookie:sid", make_context(origin, 1))
-        assert tracker.lookup("cookie:sid").ring == Ring(1)
-        assert "cookie:sid" in tracker
-        assert len(tracker) == 1
-
-    def test_reassignment_is_tampering(self, origin):
-        tracker = ContextTracker()
-        tracker.assign("k", make_context(origin, 1))
-        with pytest.raises(TamperingError):
-            tracker.assign("k", make_context(origin, 0))
-
-    def test_browser_authority_may_reassign(self, origin):
-        tracker = ContextTracker()
-        tracker.assign("k", make_context(origin, 1))
-        tracker.assign("k", make_context(origin, 2), browser_authority=True)
-        assert tracker.lookup("k").ring == Ring(2)
-
-    def test_require_raises_for_unknown(self):
-        with pytest.raises(KeyError):
-            ContextTracker().require("missing")
-
-    def test_forget_and_clear(self, origin):
-        tracker = ContextTracker()
-        tracker.assign("a", make_context(origin, 1))
-        tracker.assign("b", make_context(origin, 2))
-        tracker.forget("a")
-        assert tracker.lookup("a") is None
-        tracker.clear()
-        assert len(tracker) == 0
 
 
 class TestPrincipals:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from unittest import mock
 
 import pytest
 
@@ -214,17 +213,6 @@ class TestMonitorFollowsPolicy:
 
 
 class TestBatchAuthorize:
-    def test_authorize_all_decides_each_distinct_context_once(self, origin):
-        policy = EscudoPolicy()
-        monitor = ReferenceMonitor(policy)
-        target = make_context(origin, 3, label="shared")
-        with mock.patch.object(policy, "evaluate", wraps=policy.evaluate) as evaluate:
-            decisions = monitor.authorize_all(make_context(origin, 1), [target] * 50, "read")
-        assert len(decisions) == 50
-        assert all(d.allowed for d in decisions)
-        assert monitor.stats.total == 50  # complete mediation of the sweep
-        assert evaluate.call_count == 1  # one policy evaluation for 50 targets
-
     def test_authorize_all_mixed_verdicts_match_single_calls(self, origin):
         batch_monitor = ReferenceMonitor()
         single_monitor = ReferenceMonitor()

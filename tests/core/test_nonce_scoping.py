@@ -4,16 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import NonceError, ScopingViolation
+from repro.core.errors import NonceError
 from repro.core.nonce import NonceGenerator, NonceValidator
 from repro.core.rings import Ring
-from repro.core.scoping import (
-    audit_tree,
-    clamp_chain,
-    effective_ring,
-    is_violation,
-    require_within_scope,
-)
+from repro.core.scoping import effective_ring, is_violation
 
 
 class TestNonceGenerator:
@@ -89,53 +83,3 @@ class TestScopingRule:
         assert is_violation(Ring(0), Ring(2))
         assert not is_violation(Ring(2), Ring(2))
         assert not is_violation(None, Ring(1))
-
-    def test_require_within_scope_raises_on_violation(self):
-        with pytest.raises(ScopingViolation):
-            require_within_scope(Ring(0), Ring(3), path="body/div")
-
-    def test_require_within_scope_returns_effective_ring(self):
-        assert require_within_scope(Ring(3), Ring(1)) == Ring(3)
-
-    def test_clamp_chain(self):
-        chain = list(clamp_chain([Ring(1), Ring(0), None, Ring(3)], Ring(1)))
-        assert chain == [Ring(1), Ring(1), Ring(1), Ring(3)]
-
-
-class _FakeScope:
-    """Minimal LabeledScope implementation for audit_tree tests."""
-
-    def __init__(self, declared, children=(), path="scope"):
-        self._declared = Ring(declared) if declared is not None else None
-        self._children = list(children)
-        self._path = path
-
-    @property
-    def declared_ring(self):
-        return self._declared
-
-    @property
-    def scope_path(self):
-        return self._path
-
-    def child_scopes(self):
-        return self._children
-
-
-class TestAuditTree:
-    def test_reports_nested_violation(self):
-        tree = _FakeScope(2, [_FakeScope(0, path="outer/inner")], path="outer")
-        reports = audit_tree(tree, Ring(0))
-        assert len(reports) == 1
-        assert reports[0].path == "outer/inner"
-        assert reports[0].clamped_to == Ring(2)
-
-    def test_clean_tree_reports_nothing(self):
-        tree = _FakeScope(1, [_FakeScope(2), _FakeScope(3, [_FakeScope(None)])])
-        assert audit_tree(tree, Ring(0)) == []
-
-    def test_violations_propagate_clamped_bound(self):
-        # inner claims 0 under a clamped-to-3 parent: still a violation.
-        tree = _FakeScope(3, [_FakeScope(1, [_FakeScope(0, path="deep")], path="mid")])
-        reports = audit_tree(tree, Ring(0))
-        assert {r.path for r in reports} == {"mid", "deep"}

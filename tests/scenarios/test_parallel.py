@@ -21,6 +21,7 @@ from repro.scenarios import (
     ScenarioGenerator,
     default_steal_chunk,
     load_corpus,
+    parallel,
     resolve_mp_context,
     run_suite,
     run_suite_parallel,
@@ -63,10 +64,7 @@ class TestStealScheduling:
 
     def test_resolve_mp_context_pins_an_available_method(self):
         available = multiprocessing.get_all_start_methods()
-        assert resolve_mp_context(None) in available
-        assert resolve_mp_context("spawn") == "spawn"  # spawn exists everywhere
-        with pytest.raises(ValueError, match="unavailable"):
-            resolve_mp_context("no-such-start-method")
+        assert resolve_mp_context() == ("fork" if "fork" in available else "spawn")
 
 
 class TestSerialParallelParity:
@@ -227,20 +225,20 @@ class TestWorkStealing:
         assert len(result.shard_stats) == 3
         assert result.as_dict()["workers"] == 3
 
-    def test_spawn_context_parity(self):
-        """Pinning spawn must reproduce the serial report (no fork-only state).
+    def test_spawn_context_parity(self, monkeypatch):
+        """Starting workers with spawn must reproduce the serial report.
 
         Under spawn the worker re-imports the package from scratch and
         builds its runner from the plain-data config alone, so this
         regresses any fork-only assumption.
         """
         serial = run_suite(seed=SEED, count=6, attack_ratio=ATTACK_RATIO)
+        monkeypatch.setattr(parallel, "resolve_mp_context", lambda: "spawn")
         sharded = run_suite_parallel(
             seed=SEED,
             count=6,
             attack_ratio=ATTACK_RATIO,
             workers=2,
-            mp_context="spawn",
             persist_failures=False,
         )
         assert sharded.mp_start_method == "spawn"
