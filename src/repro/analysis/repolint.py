@@ -1,8 +1,8 @@
 """Repo-invariant linter: static CI gates for the invariants tests enforce.
 
 PRs 5-8 added *dynamic* checks for a family of repo invariants -- caches
-must be able to restart their telemetry, webapp mutations must advance the
-state generation so response memos invalidate, scenario runs must be
+must be able to restart their telemetry, webapp mutations must go through
+storage so response memos invalidate, scenario runs must be
 deterministic, nothing may deserialize with pickle.  This module turns them into *static* rules over the Python
 AST so CI rejects a violating diff before any scenario runs.
 
@@ -10,11 +10,13 @@ Rule catalogue (ids are what suppressions name):
 
 ``webapps-touch-state``
     Every POST route handler in ``repro.webapps`` must (transitively, via
-    module-local ``self.*`` calls) either advance the content generation
-    (storage mutators ``insert``/``update``/``delete``/``bump``) or mutate
-    the session tier (``login``/``logout``/``sessions.create``/
-    ``sessions.destroy``).  A mutator that does neither
-    serves stale memoised responses.
+    module-local ``self.*`` calls) write through a storage mutator
+    (``STORAGE_MUTATORS``), ``login``/``logout``, ``sessions.create``/
+    ``destroy`` or ``Session.set``, all of which move the storage write
+    digest.  A mutator that writes none serves stale memoised responses.
+``webapps-get-read-only``
+    No GET route handler may reach any of those writes: a memo hit skips
+    the handler, so the run's state would depend on the memo's warmth.
 ``cache-reset-counters``
     Every class named ``*Cache`` must define ``reset_counters`` -- zeroing
     the hit/miss telemetry while keeping entries warm is how benchmarks
@@ -69,10 +71,10 @@ NONDETERMINISTIC_CALLS = {
     ("datetime", "utcnow"),
 }
 
-#: Attribute names on ``self.storage`` that advance the content version.
-STORAGE_MUTATORS = {"insert", "update", "delete", "bump", "seed"}
+#: Attribute names on ``self.storage`` that write (and move the write digest).
+STORAGE_MUTATORS = {"create_table", "insert", "insert_many", "update", "delete", "seed"}
 
-#: Attribute names on ``self.sessions`` that advance the session version.
+#: Attribute names on ``self.sessions`` that write the session table.
 SESSION_MUTATORS = {"create", "destroy"}
 
 #: ``self.<name>(...)`` calls that count as state mutation directly.
@@ -121,41 +123,38 @@ class WebappsTouchStateRule(Rule):
     """POST handlers must mutate state through a tracked channel."""
 
     rule_id = "webapps-touch-state"
+    http_method = "POST"
+
+    def message(self, handler: str, write: ast.Call | None) -> str:
+        """The violation for ``handler`` reaching ``write``, or "" when none."""
+        if write is not None:
+            return ""
+        return (f"POST handler {handler} never calls login()/logout(), Session.set "
+                "or a storage/session mutator -- memoised responses will go stale")
 
     def check(self, tree: ast.Module, path: Path) -> list[Violation]:
         if "webapps" not in path.parts:
             return []
         violations: list[Violation] = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                violations.extend(self._check_class(node, path))
-        return violations
-
-    def _check_class(self, class_def: ast.ClassDef, path: Path) -> list[Violation]:
-        methods: dict[str, ast.FunctionDef] = {
-            item.name: item
-            for item in class_def.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        post_handlers = self._post_handlers(class_def)
-        violations: list[Violation] = []
-        for handler_name in sorted(post_handlers):
-            method = methods.get(handler_name)
-            if method is None:
+        for class_def in ast.walk(tree):
+            if not isinstance(class_def, ast.ClassDef):
                 continue
-            if not self._mutates(method, methods, seen=set()):
-                violations.append(
-                    self._violation(
-                        path,
-                        method,
-                        f"POST handler {class_def.name}.{handler_name} never calls "
-                        "login()/logout() or a storage/session mutator "
-                        "-- memoised responses will go stale",
-                    )
-                )
+            methods: dict[str, ast.FunctionDef] = {
+                item.name: item
+                for item in class_def.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+            for handler_name in sorted(self._handlers(class_def)):
+                method = methods.get(handler_name)
+                if method is None:
+                    continue
+                write = self._first_write(method, methods, seen=set())
+                message = self.message(f"{class_def.name}.{handler_name}", write)
+                if message:
+                    violations.append(self._violation(path, method, message))
         return violations
 
-    def _post_handlers(self, class_def: ast.ClassDef) -> set[str]:
+    def _handlers(self, class_def: ast.ClassDef) -> set[str]:
         handlers: set[str] = set()
         for node in ast.walk(class_def):
             if not (isinstance(node, ast.Call) and len(node.args) >= 3):
@@ -164,37 +163,54 @@ class WebappsTouchStateRule(Rule):
             if chain != ("route",):
                 continue
             method_arg = node.args[0]
-            if not (isinstance(method_arg, ast.Constant) and method_arg.value == "POST"):
+            if not (isinstance(method_arg, ast.Constant) and method_arg.value == self.http_method):
                 continue
             handler_chain = _self_attr_chain(node.args[2])
             if handler_chain is not None and len(handler_chain) == 1:
                 handlers.add(handler_chain[0])
         return handlers
 
-    def _mutates(self, method: ast.FunctionDef, methods, seen: set[str]) -> bool:
+    def _first_write(self, method: ast.FunctionDef, methods, seen: set[str]) -> ast.Call | None:
         for node in ast.walk(method):
             if not isinstance(node, ast.Call):
                 continue
+            dotted = _dotted(node.func) or ""
+            if dotted == "session.set" or dotted.endswith(".session.set"):
+                return node
             chain = _self_attr_chain(node.func)
             if chain is None:
                 continue
             if len(chain) == 1:
                 name = chain[0]
                 if name in SELF_MUTATORS:
-                    return True
+                    return node
                 # Recurse through module-local helpers (``self._insert(...)``).
                 helper = methods.get(name)
                 if helper is not None and name not in seen:
                     seen.add(name)
-                    if self._mutates(helper, methods, seen):
-                        return True
+                    write = self._first_write(helper, methods, seen)
+                    if write is not None:
+                        return write
             elif len(chain) == 2:
                 root, leaf = chain
                 if root == "storage" and leaf in STORAGE_MUTATORS:
-                    return True
+                    return node
                 if root == "sessions" and leaf in SESSION_MUTATORS:
-                    return True
-        return False
+                    return node
+        return None
+
+
+class WebappsGetReadOnlyRule(WebappsTouchStateRule):
+    """GET handlers must not write: a memo hit skips them."""
+
+    rule_id = "webapps-get-read-only"
+    http_method = "GET"
+
+    def message(self, handler: str, write: ast.Call | None) -> str:
+        if write is None:
+            return ""
+        return (f"GET handler {handler} writes state ({ast.unparse(write.func)} at line "
+                f"{write.lineno}) -- a memo hit would skip the write")
 
 
 class CacheResetCountersRule(Rule):
@@ -481,6 +497,7 @@ class DomSlotsRule(Rule):
 #: Default rule set, in report order.
 ALL_RULES: tuple[Rule, ...] = (
     WebappsTouchStateRule(),
+    WebappsGetReadOnlyRule(),
     CacheResetCountersRule(),
     DeterminismRule(),
     NoBareExceptRule(),

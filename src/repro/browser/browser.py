@@ -368,6 +368,9 @@ class Browser:
         if fields:
             data.update(fields)
 
+        if method == "GET":
+            # As in HTML, the fields replace the action's query; no body.
+            target, data = target.with_params(data), {}
         principal = page.browser_principal() if as_user else page.principal_context_for(form)
         return self.issue_request(
             page=page,

@@ -44,7 +44,7 @@ from repro.attacks.harness import Attack, AttackEnvironment, AttackResult, build
 from repro.browser.browser import Browser, LoadedPage
 from repro.browser.compile_cache import CompileCaches
 from repro.faults.plan import FaultConfig, FaultPlan
-from repro.webapps.framework import snapshot_digest
+from repro.webapps.framework import ResponseMemo, snapshot_digest
 
 from .generator import attack_by_name
 from .model import TAB_ACTIONS, ModelSpec, Scenario, Step, resolve_models
@@ -132,6 +132,7 @@ class ScenarioRunner:
         #: suite: both backends produce byte-identical digests.
         self.storage = storage
         self.caches: CompileCaches | None = CompileCaches.build() if compile_caches else None
+        self.response_memo: ResponseMemo | None = ResponseMemo() if compile_caches else None
         #: Applications whose index pages already pre-warmed the stack.
         self._warmed_apps: set[str] = set()
         #: Random per-runner component of the markup-randomisation seeds:
@@ -163,9 +164,10 @@ class ScenarioRunner:
         """Application construction flags for one matrix column.
 
         The worker-deterministic nonce seed makes unchanged pages
-        byte-identical across responses (template-cache hits); the response
-        cache then memoises side-effect-free GETs per state generation on
-        top of it.  The seed is one per application, not per column: the
+        byte-identical across responses (template-cache hits); the runner's
+        one response memo, shared by every application it builds (columns,
+        scenarios and warm-up alike), serves side-effect-free GETs.  The
+        seed is one per application, not per column: the
         ESCUDO and same-origin columns both run the ESCUDO application, so
         they fetch byte-identical bodies and share one template entry (one
         parse, one labelled variant per model).  The seed embeds the
@@ -175,7 +177,7 @@ class ScenarioRunner:
         kwargs: dict = {"storage": self.storage}
         if self.caches is not None:
             kwargs["nonce_seed"] = f"scenario:{self._nonce_secret}:{app_key}"
-            kwargs["response_cache"] = True
+            kwargs["response_cache"] = self.response_memo
         return kwargs
 
     def _warm_start(self, app_key: str) -> None:

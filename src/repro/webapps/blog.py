@@ -131,6 +131,10 @@ class Blog(WebApplication):
         if not self.storage.count("blog_posts"):
             self._seed_content()
 
+    def memo_identity(self) -> tuple:
+        """The framework's identity plus the ad script every page embeds."""
+        return (*super().memo_identity(), self.ad_script)
+
     # -- configuration -------------------------------------------------------------------------
 
     def escudo_configuration(self) -> PageConfiguration:

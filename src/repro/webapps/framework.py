@@ -23,10 +23,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.config import PageConfiguration
+from repro.http.headers import Headers
 from repro.http.messages import HttpRequest, HttpResponse
 
 from .sessions import Session, SessionStore
-from .storage import CONTENT_SCOPE, StorageBackend, StorageUnavailable, make_backend
+from .storage import StorageBackend, StorageUnavailable, make_backend
 from repro.html.entities import escape_text
 
 
@@ -72,16 +73,31 @@ def snapshot_digest(snapshot: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _copy_response(response: HttpResponse) -> HttpResponse:
-    """Independent copy of a response (fresh header map, shared body string)."""
-    from repro.http.headers import Headers
+class ResponseMemo:
+    """A GET-response memo applications share; past ``MAXSIZE`` the oldest goes."""
 
-    return HttpResponse(
-        status=response.status,
-        headers=Headers(response.headers),
-        body=response.body,
-        content_type=response.content_type,
-    )
+    #: Pages average about 0.9 KB, so a full memo holds about 1 MB of bodies.
+    MAXSIZE = 1024
+    __slots__ = ("entries",)
+
+    def __init__(self) -> None:
+        self.entries: dict[tuple, tuple] = {}
+
+    def get(self, key: tuple) -> HttpResponse | None:
+        """A fresh response rebuilt from the entry under ``key``, or ``None``."""
+        entry = self.entries.get(key)
+        if entry is None:
+            return None
+        status, headers, body, content_type = entry
+        return HttpResponse(status=status, headers=Headers(headers), body=body,
+                            content_type=content_type)
+
+    def put(self, key: tuple, response: HttpResponse) -> None:
+        """Store ``response`` as an immutable tuple, out of its caller's reach."""
+        if len(self.entries) >= self.MAXSIZE:
+            del self.entries[next(iter(self.entries))]
+        self.entries[key] = (response.status, tuple(response.headers), response.body,
+                             response.content_type)
 
 
 @dataclass
@@ -110,7 +126,7 @@ class WebApplication:
         csrf_protection: bool = False,
         markup_randomization: bool = True,
         nonce_seed: str | int | None = None,
-        response_cache: bool = False,
+        response_cache: "bool | ResponseMemo" = False,
         storage: "StorageBackend | str | None" = None,
     ) -> None:
         self.origin = origin
@@ -119,12 +135,12 @@ class WebApplication:
         self.csrf_protection = csrf_protection
         self.markup_randomization = markup_randomization
         self.nonce_seed = nonce_seed
-        # Opt-in GET response memo (the scenario runner's warm-start path).
-        # Only sound with a deterministic nonce_seed: with random nonces two
-        # renders of the same page legitimately differ, and serving a memo
-        # would *change* observable bodies rather than just skipping work.
-        self.response_cache_enabled = response_cache and nonce_seed is not None
-        self._response_cache: dict[tuple, HttpResponse] = {}
+        # GET response memo: ``True`` makes a private one, a ResponseMemo is
+        # shared.  Only sound with a deterministic nonce_seed: random nonces
+        # make two renders of one page differ, and a memo would change bodies.
+        if not isinstance(response_cache, ResponseMemo):
+            response_cache = ResponseMemo() if response_cache else None
+        self.response_memo = response_cache if nonce_seed is not None else None
         self._escudo_header_cache: tuple[tuple[str, str], ...] | None = None
         # Storage backend: the in-memory dict tier by default, SQLite (WAL)
         # via ``storage="sqlite"`` / ``"sqlite:PATH"`` / an instance (so an
@@ -134,6 +150,7 @@ class WebApplication:
         self.sessions = SessionStore(seed=f"{origin}-sessions", backend=self.storage)
         self._routes: list[Route] = []
         self.register_routes()
+        self._memo_identity = self.memo_identity()
 
     # -- subclass API ---------------------------------------------------------------------
 
@@ -155,47 +172,43 @@ class WebApplication:
         self._routes.append(Route(method=method.upper(), path=path, handler=handler,
                                   requires_login=requires_login))
 
+    def memo_identity(self) -> tuple:
+        """Every constructor input that shapes a response, read once at the
+        end of ``__init__`` (subclasses with more, like the blog's ad script,
+        set it before and extend this)."""
+        return (
+            type(self), self.origin, self.escudo_enabled, self.input_validation,
+            self.csrf_protection, self.markup_randomization, self.nonce_seed, self.storage.kind,
+        )
+
     def handle_request(self, request: HttpRequest) -> HttpResponse:
         """Entry point called by the network fabric.
 
-        With the (opt-in) response cache on, side-effect-free requests --
-        ``GET``s, which by this framework's routing convention never mutate
-        state -- are memoised per ``(path+query, session, state
-        generation)``.  Any state mutation (all of which happen in ``POST``
-        handlers and bump a generation counter) changes the key, so a memo
-        can never outlive the state it rendered.  Responses that set cookies
-        are never memoised, and every hit is served as a copy so callers
-        cannot poison the cache.
+        With a response memo, ``GET``s (whose handlers never write) are
+        memoised per ``(memo_identity(), storage write digest, path+query,
+        resolved session)``: apps with the same inputs and writes share
+        entries, and every write moves the key.  A GET with a form body or a
+        response setting cookies is never memoised; hits are served as copies.
         """
         session = self.sessions.get(request.cookies.get(self.session_cookie_name))
-        if not self.response_cache_enabled or request.method != "GET":
+        memo = self.response_memo
+        if memo is None or request.method != "GET" or request.form or request.body:
             return self._handle_uncached(request, session)
-        # The key is the *resolved* session (an unknown or destroyed cookie
-        # keys like an anonymous request), that session's data version (a
-        # handler rendering session data must never see a pre-write memo),
-        # its creation epoch, and the content generation.  The epoch -- the
-        # store version at creation, which session destruction also bumps --
-        # keeps a destroyed-then-recreated session that reuses an identifier
-        # (a reset counter over a shared backend) from ever aliasing its
-        # predecessor's memos.  Other users' logins and writes touch none of
-        # these, so their churn cannot evict unrelated memos.
+        # An unknown or destroyed session cookie keys like an anonymous GET.
         key = (
+            self._memo_identity,
+            self.storage.write_digest(),
             request.url.path_and_query,
             session.session_id if session is not None else None,
-            session.version if session is not None else 0,
-            session.epoch if session is not None else 0,
-            self._state_generation,
         )
-        cached = self._response_cache.get(key)
+        cached = memo.get(key)
         if cached is not None:
-            return _copy_response(cached)
+            return cached
         response = self._handle_uncached(request, session)
         # 5xx responses only arise from injected faults; memoising one
         # would keep serving the outage after the fault window passed.
         if not response.set_cookie_values and response.status < 500:
-            if len(self._response_cache) >= 256:
-                self._response_cache.clear()
-            self._response_cache[key] = _copy_response(response)
+            memo.put(key, response)
         return response
 
     def _handle_uncached(self, request: HttpRequest, session: Session | None) -> HttpResponse:
@@ -214,8 +227,8 @@ class WebApplication:
             except StorageUnavailable as error:
                 # Graceful degradation: a transient storage fault becomes a
                 # clean 503 instead of a traceback escaping the fabric.  Any
-                # writes the handler completed before the fault already
-                # bumped their version scopes, so no memo can go stale.
+                # writes the handler completed before the fault are already
+                # in the write digest, so no memo can go stale.
                 response = HttpResponse(
                     status=503,
                     body=f"<html><body><h1>503</h1><p>{error}</p></body></html>",
@@ -298,15 +311,6 @@ class WebApplication:
         """Application-specific state; subclasses override."""
         return {}
 
-    @property
-    def _state_generation(self) -> int:
-        """The content-version counter (a row version in the SQLite tier).
-
-        Every write to a content table bumps it automatically in the storage
-        backend, so a mutator cannot forget to invalidate the response memo.
-        """
-        return self.storage.version(CONTENT_SCOPE)
-
     def state_digest(self) -> str:
         """SHA-256 over the canonical JSON encoding of :meth:`snapshot_state`."""
         return snapshot_digest(self.snapshot_state())
@@ -314,8 +318,8 @@ class WebApplication:
     # -- teardown -----------------------------------------------------------------------------------
 
     def close(self) -> None:
-        """Close the sessions and the storage backend, drop the GET memo
-        and the routes.
+        """Close the sessions and the storage backend, drop the routes and
+        the GET memo (uncleared: other applications may share it).
 
         The route table holds bound-method handlers, so the application
         sits in a reference cycle until this drops it.  The application
@@ -323,7 +327,7 @@ class WebApplication:
         """
         self.sessions.close()
         self.storage.close()
-        self._response_cache.clear()
+        self.response_memo = None
         self._routes.clear()
 
     # -- misc ---------------------------------------------------------------------------------------

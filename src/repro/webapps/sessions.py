@@ -8,14 +8,11 @@ the session *identifier* travels in a cookie the application labels with a
 ring.
 
 Sessions live in the application's storage backend (``sessions`` table,
-modeled on phpBB's session table): each row carries the per-session
-``version`` column (bumped on every data write) and an ``epoch`` column --
-the store-wide version counter at creation time.  The epoch makes a
-destroyed-then-recreated session that happens to reuse an identifier
-distinguishable from its predecessor: destruction bumps the store version,
-so the recreated session's epoch always differs, and the framework's
-GET-response memo (which keys on ``(id, version, epoch)``) can never serve
-the old session's page body to the new one.
+modeled on phpBB's session table), so every create, destroy and data write
+is a backend write and moves the write digest the framework's GET-response
+memo keys on.  A destroyed-then-recreated session that happens to reuse an
+identifier therefore never sees its predecessor's memoised pages: the
+destroy and the re-insert are both in the digest.
 """
 
 from __future__ import annotations
@@ -25,16 +22,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .storage import SESSION_SCOPE, StorageBackend, TableSpec
+from .storage import DictBackend, StorageBackend, TableSpec
 
 #: The session table (modeled on phpBB's ``phpbb_sessions``): an
-#: auto-increment surrogate key, the cookie-visible identifier, the user,
-#: the JSON data blob, and the two row-version columns the response memo
-#: keys on; cookie lookups and per-user listings probe the two indexes.
+#: auto-increment surrogate key, the cookie-visible identifier, the user and
+#: the JSON data blob; cookie lookups and per-user listings probe the indexes.
 SESSIONS_TABLE = TableSpec(
     name="sessions",
-    columns=("id", "session_id", "username", "data", "version", "epoch"),
-    scope=SESSION_SCOPE,
+    columns=("id", "session_id", "username", "data"),
     indexes=("session_id", "username"),
 )
 
@@ -46,13 +41,6 @@ class Session:
     session_id: str
     username: str
     data: dict[str, Any] = field(default_factory=dict)
-    #: Bumped on every :meth:`set`: response memos key on it so a handler
-    #: that renders session data can never be served a pre-write body.
-    version: int = 0
-    #: Store version at creation time.  Monotonic across create *and*
-    #: destroy, so a recreated session reusing an identifier never shares
-    #: its predecessor's ``(id, version, epoch)`` memo key.
-    epoch: int = 0
     #: Owning store (write-through persistence for :meth:`set`).
     _store: Any = field(default=None, repr=False, compare=False)
     #: Surrogate key of this session's row in the backend.
@@ -63,11 +51,11 @@ class Session:
         return self.data.get(key, default)
 
     def set(self, key: str, value) -> None:
-        """Store a value in the session (write-through to the backend)."""
-        self.data[key] = value
-        self.version += 1
+        """Store a value in the session, writing the backend first: if that
+        fails, the session keeps the data its row (and the write digest) holds."""
         if self._store is not None:
-            self._store._persist(self)
+            self._store._persist(self._row_id, {**self.data, key: value})
+        self.data[key] = value
 
 
 class SessionStore:
@@ -87,50 +75,26 @@ class SessionStore:
     """
 
     def __init__(self, seed: str = "session-store", backend: StorageBackend | None = None) -> None:
-        from .storage import DictBackend
-
         self._seed = seed
         self._backend = backend if backend is not None else DictBackend()
         self._backend.create_table(SESSIONS_TABLE)
         self._live: dict[str, Session] = {}
 
-    @property
-    def version(self) -> int:
-        """Monotonic mutation counter over the session table.
-
-        Bumped whenever the table changes -- create, **destroy**, and every
-        session-data write.  The application's GET-response memo keys on it
-        through each session's ``epoch``, so logout invalidates exactly like
-        login and data writes do.
-        """
-        return self._backend.version(SESSION_SCOPE)
-
     def create(self, username: str) -> Session:
         """Create a session for ``username`` and return it."""
         row_id = self._backend.insert(
-            "sessions",
-            {"session_id": "", "username": username, "data": "{}", "version": 0, "epoch": 0},
+            "sessions", {"session_id": "", "username": username, "data": "{}"}
         )
         session_id = hashlib.sha256(f"{self._seed}:{username}:{row_id}".encode()).hexdigest()[:24]
-        epoch = self._backend.version(SESSION_SCOPE)
-        self._backend.update("sessions", row_id, session_id=session_id, epoch=epoch)
-        session = Session(session_id=session_id, username=username, epoch=epoch,
-                          _store=self, _row_id=row_id)
+        self._backend.update("sessions", row_id, session_id=session_id)
+        session = Session(session_id=session_id, username=username, _store=self, _row_id=row_id)
         self._live[session_id] = session
         return session
 
-    def _persist(self, session: Session) -> None:
-        """Write a session's data and version columns through to the backend.
-
-        This is the data-write notification path: the backend bumps the
-        session scope, so the store version -- and through it every memo
-        key -- reflects the write.
-        """
+    def _persist(self, row_id: int, data: dict) -> None:
+        """Write a session's data blob through to the backend."""
         self._backend.update(
-            "sessions",
-            session._row_id,
-            data=json.dumps(session.data, sort_keys=True, default=str),
-            version=session.version,
+            "sessions", row_id, data=json.dumps(data, sort_keys=True, default=str)
         )
 
     def _materialise(self, row: dict) -> Session:
@@ -139,8 +103,6 @@ class SessionStore:
             session_id=row["session_id"],
             username=row["username"],
             data=json.loads(row["data"] or "{}"),
-            version=row["version"] or 0,
-            epoch=row["epoch"] or 0,
             _store=self,
             _row_id=row["id"],
         )
@@ -158,7 +120,7 @@ class SessionStore:
         return self._materialise(rows[0]) if rows else None
 
     def destroy(self, session_id: str) -> None:
-        """Log a session out (bumps the store version like any table write)."""
+        """Log a session out (a backend delete, like any table write)."""
         session = self.get(session_id)
         if session is None:
             return

@@ -2,10 +2,10 @@
 
 * :class:`StorageBackend` -- the interface: named tables of integer-keyed
   rows, batched inserts for bulk seeding, equality lookups on the primary
-  key or a **declared index**, and **version scopes** (the row-version
-  counters the framework's GET-response memo keys on).
-  Every write bumps its table's scope, so a mutator can no longer forget
-  to invalidate -- the storage layer owns invalidation.
+  key or a **declared index**, and a **write digest** (what the
+  framework's GET-response memo keys on).  Every successful write appends
+  its change to the backend's history, so a mutator can never forget to
+  invalidate -- the storage layer owns invalidation.
 * :class:`DictBackend` -- in memory (the default); each declared index is
   a value -> row-ids bucket map kept in step by every write.
 * :class:`SqliteBackend` -- SQLite, WAL mode when file-backed; each
@@ -22,28 +22,26 @@ Parity contract: both backends implement identical semantics -- auto-
 increment ids that are never reused (phpBB's ``AUTO_INCREMENT``; the
 SQLite side uses ``AUTOINCREMENT`` so ids survive deletes and reopens),
 rows returned in primary-key order, the same ``KeyError`` for an unknown
-or unindexed filter column, and the same version-scope counters -- so an
-application's :meth:`~repro.webapps.framework.WebApplication.
+or unindexed filter column, and equal write digests for equal writes -- so
+an application's :meth:`~repro.webapps.framework.WebApplication.
 state_digest` is byte-identical on either backend.  The differential suite
 in ``tests/scenarios/test_storage_backends.py`` and the state-machine test
 in ``tests/webapps/test_storage_parity.py`` lock this in.
+
+The write digest names a state by the writes that built it, as build
+systems key "constructive traces" (Mokhov et al., "Build Systems à la
+Carte", ICFP 2018), so backends fed the same writes share memoised pages.
 """
 
 from __future__ import annotations
 
+import hashlib
+import marshal
+import os
 import sqlite3
 from dataclasses import dataclass
 
 from repro.faults.plan import SITE_STORAGE as _SITE_STORAGE
-
-#: Version scope fed by content-table writes (topics, posts, events...).
-#: The framework's ``_state_generation`` reads this scope.
-CONTENT_SCOPE = "content"
-
-#: Version scope fed by session-table writes (create/destroy/data writes).
-#: ``SessionStore.version`` reads this scope.
-SESSION_SCOPE = "sessions"
-
 
 class StorageUnavailable(RuntimeError):
     """Transient storage failure surfaced to the application tier.
@@ -64,14 +62,13 @@ class StorageUnavailable(RuntimeError):
 class TableSpec:
     """Declared shape of one logical table.
 
-    ``columns`` lists every column, the integer primary key first; ``scope``
-    names the version counter writes to this table bump; ``indexes`` names
-    the value columns lookups may filter on (besides the primary key).
+    ``columns`` lists every column, the integer primary key first;
+    ``indexes`` names the value columns lookups may filter on (besides the
+    primary key).
     """
 
     name: str
     columns: tuple[str, ...]
-    scope: str = CONTENT_SCOPE
     indexes: tuple[str, ...] = ()
 
     @property
@@ -107,13 +104,24 @@ class TableSpec:
         return column, value
 
 
+def _values(spec: TableSpec, row: dict) -> tuple:
+    """The value columns of one inserted row, in declaration order."""
+    return tuple([row.get(column) for column in spec.value_columns])
+
+
+def _batch(spec: TableSpec, rows: list[dict]) -> tuple:
+    """Every column of an ``insert_many`` batch, explicit ids included."""
+    return tuple([tuple([row.get(column) for column in spec.columns]) for row in rows])
+
+
 class StorageBackend:
     """Interface shared by the dict and SQLite backends.
 
     Rows are plain ``dict``s of column name to ``str``/``int``/``float``/
     ``None`` values (callers JSON-encode anything richer, as the session
     store does for its data blob).  Reads return copies -- mutating a
-    returned row never changes stored state.
+    returned row never changes stored state.  Every successful write
+    queues ``(op, table, row id, values)`` in ``_writes`` (:meth:`_record`).
     """
 
     #: Short name used in CLI flags, benchmarks and reports.
@@ -123,6 +131,30 @@ class StorageBackend:
         self._specs: dict[str, TableSpec] = {}
         #: Armed by the scenario runner; ``None`` disables the write gate.
         self.fault_plan = None
+        #: Changes not yet folded into the digest.
+        self._writes: list[tuple] = []
+        self._hasher = hashlib.blake2b(digest_size=16)
+
+    def write_digest(self) -> bytes:
+        """16-byte BLAKE2b of every write since the history started; pending changes
+        fold only here, each marshalled (format 0 encodes values, not identity)."""
+        if self._writes:
+            self._hasher.update(b"".join([marshal.dumps(change, 0) for change in self._writes]))
+            self._writes.clear()
+        return self._hasher.digest()
+
+    def _record(self, *change) -> None:
+        """Queue one change; 256 pending fold at once, so a backend whose
+        digest nobody reads keeps a bounded queue."""
+        self._writes.append(change)
+        if len(self._writes) >= 256:
+            self.write_digest()
+
+    def forget_history(self) -> None:
+        """Restart the write digest from a unique value: no recorded writes
+        describe a database opened over rows or an instance handed in."""
+        self._writes.clear()
+        self._hasher = hashlib.blake2b(os.urandom(16), digest_size=16)
 
     def _write_gate(self, table: str) -> None:
         """Fault-plane checkpoint at the top of every mutator.
@@ -160,6 +192,7 @@ class StorageBackend:
             return
         self._specs[spec.name] = spec
         self._ensure_table(spec)
+        self._record("create_table", spec.name, None, (spec.columns, spec.indexes))
 
     def spec(self, table: str) -> TableSpec:
         spec = self._specs.get(table)
@@ -173,7 +206,7 @@ class StorageBackend:
         raise NotImplementedError
 
     def insert(self, table: str, row: dict) -> int:
-        """Insert one row, returning its assigned id (bumps the scope).
+        """Insert one row, returning its assigned id.
 
         An explicit id may be supplied in ``row``; omitted ids are assigned
         by a monotonic, never-reused auto-increment counter.
@@ -181,7 +214,12 @@ class StorageBackend:
         raise NotImplementedError
 
     def insert_many(self, table: str, rows) -> int:
-        """Batched insert for bulk seeding: one scope bump for all rows."""
+        """Batched insert for bulk seeding, recorded as one change.
+
+        The change is recorded before any row is stored, so a batch that
+        fails part-way (a duplicate id) still moves the digest, and folded
+        at once, so its rows never wait in the queue.
+        """
         raise NotImplementedError
 
     def get(self, table: str, row_id: int) -> dict | None:
@@ -200,23 +238,15 @@ class StorageBackend:
         raise NotImplementedError
 
     def update(self, table: str, row_id: int, **fields) -> bool:
-        """Update columns of one row; True (and a scope bump) if it existed."""
+        """Update columns of one row; True (and a recorded change) if it existed."""
         raise NotImplementedError
 
     def delete(self, table: str, row_id: int) -> bool:
-        """Delete one row; True (and a scope bump) if it existed."""
+        """Delete one row; True (and a recorded change) if it existed."""
         raise NotImplementedError
 
     def count(self, table: str, **equals) -> int:
         """Number of rows, or of rows matching one indexed ``column=value``."""
-        raise NotImplementedError
-
-    def version(self, scope: str) -> int:
-        """Current value of a version-scope counter (0 before any write)."""
-        raise NotImplementedError
-
-    def bump(self, scope: str) -> int:
-        """Advance a version scope (every successful write calls this)."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -240,7 +270,6 @@ class DictBackend(StorageBackend):
         #: Monotonic next-id per table -- never reused, even after deletes,
         #: matching SQLite ``AUTOINCREMENT``.
         self._next_id: dict[str, int] = {}
-        self._versions: dict[str, int] = {}
 
     def _ensure_table(self, spec: TableSpec) -> None:
         self._tables[spec.name] = {}
@@ -284,19 +313,19 @@ class DictBackend(StorageBackend):
         self._write_gate(table)
         spec = self.spec(table)
         row_id = self._store_row(spec, row)
-        self.bump(spec.scope)
+        self._record("insert", table, row_id, _values(spec, row))
         return row_id
 
     def insert_many(self, table: str, rows) -> int:
         self._write_gate(table)
         spec = self.spec(table)
-        inserted = 0
+        rows = list(rows)
+        if rows:
+            self._record("insert_many", table, None, _batch(spec, rows))
+            self.write_digest()
         for row in rows:
             self._store_row(spec, row)
-            inserted += 1
-        if inserted:
-            self.bump(spec.scope)
-        return inserted
+        return len(rows)
 
     def get(self, table: str, row_id: int) -> dict | None:
         row = self._tables[self.spec(table).name].get(row_id)
@@ -323,7 +352,7 @@ class DictBackend(StorageBackend):
         row.update(fields)
         for column in moved:
             self._indexes[spec.name][column].setdefault(row[column], set()).add(row_id)
-        self.bump(spec.scope)
+        self._record("update", table, row_id, tuple(fields.items()))
         return True
 
     def delete(self, table: str, row_id: int) -> bool:
@@ -333,7 +362,7 @@ class DictBackend(StorageBackend):
         if row is None:
             return False
         self._unindex(spec.name, row_id, row, spec.indexes)
-        self.bump(spec.scope)
+        self._record("delete", table, row_id, None)
         return True
 
     def count(self, table: str, **equals) -> int:
@@ -342,22 +371,14 @@ class DictBackend(StorageBackend):
             return len(self._tables[spec.name])
         return len(self._matching_ids(spec, equals))
 
-    def version(self, scope: str) -> int:
-        return self._versions.get(scope, 0)
-
-    def bump(self, scope: str) -> int:
-        value = self._versions.get(scope, 0) + 1
-        self._versions[scope] = value
-        return value
-
 
 class SqliteBackend(StorageBackend):
     """SQLite-backed storage (WAL journal mode when file-backed).
 
     One connection per backend instance, owned exclusively by its
-    application -- version counters are therefore mirrored in memory and
-    written through, so the hot-path reads (GET memo keys) never touch the
-    database.
+    application.  The write digest lives in memory, so the hot-path reads
+    (GET memo keys) never touch the database.  A file database that
+    already holds tables starts its digest from a unique value.
     """
 
     kind = "sqlite"
@@ -372,14 +393,8 @@ class SqliteBackend(StorageBackend):
             # :memory:); NORMAL sync is the standard WAL pairing.
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS row_versions (scope TEXT PRIMARY KEY, version INTEGER NOT NULL)"
-        )
-        self._conn.commit()
-        self._versions: dict[str, int] = {
-            row["scope"]: row["version"]
-            for row in self._conn.execute("SELECT scope, version FROM row_versions")
-        }
+            if self._conn.execute("SELECT 1 FROM sqlite_master LIMIT 1").fetchone():
+                self.forget_history()
 
     def _ensure_table(self, spec: TableSpec) -> None:
         columns = ", ".join(
@@ -393,11 +408,11 @@ class SqliteBackend(StorageBackend):
             )
         self._conn.commit()
 
-    def _insert_sql(self, spec: TableSpec, with_id: bool) -> tuple[str, tuple[str, ...]]:
+    def _insert_sql(self, spec: TableSpec, with_id: bool) -> str:
         columns = spec.columns if with_id else spec.value_columns
         placeholders = ", ".join("?" for _ in columns)
         quoted = ", ".join(f'"{column}"' for column in columns)
-        return f"INSERT INTO {spec.name} ({quoted}) VALUES ({placeholders})", columns
+        return f"INSERT INTO {spec.name} ({quoted}) VALUES ({placeholders})"
 
     @staticmethod
     def _where(spec: TableSpec, equals: dict) -> tuple[str, tuple]:
@@ -409,15 +424,18 @@ class SqliteBackend(StorageBackend):
     def insert(self, table: str, row: dict) -> int:
         self._write_gate(table)
         spec = self.spec(table)
-        sql, columns = self._insert_sql(spec, spec.id_column in row and row[spec.id_column] is not None)
+        values = _values(spec, row)
+        explicit = row.get(spec.id_column)
+        params = values if explicit is None else (explicit, *values)
         try:
-            cursor = self._conn.execute(sql, tuple(row.get(column) for column in columns))
+            cursor = self._conn.execute(self._insert_sql(spec, explicit is not None), params)
         except sqlite3.IntegrityError as error:
             self._conn.rollback()
-            raise ValueError(f"duplicate id {row[spec.id_column]} in table {table!r}") from error
+            raise ValueError(f"duplicate id {explicit} in table {table!r}") from error
         self._conn.commit()
-        self.bump(spec.scope)
-        return int(cursor.lastrowid)
+        row_id = int(cursor.lastrowid)
+        self._record("insert", table, row_id, values)
+        return row_id
 
     def insert_many(self, table: str, rows) -> int:
         self._write_gate(table)
@@ -425,13 +443,14 @@ class SqliteBackend(StorageBackend):
         rows = list(rows)
         if not rows:
             return 0
-        with_id = spec.id_column in rows[0] and rows[0][spec.id_column] is not None
-        sql, columns = self._insert_sql(spec, with_id)
+        with_id = rows[0].get(spec.id_column) is not None
+        batch = _batch(spec, rows)
+        self._record("insert_many", table, None, batch)
+        self.write_digest()
         self._conn.executemany(
-            sql, (tuple(row.get(column) for column in columns) for row in rows)
+            self._insert_sql(spec, with_id), batch if with_id else (values[1:] for values in batch)
         )
         self._conn.commit()
-        self.bump(spec.scope)
         return len(rows)
 
     def get(self, table: str, row_id: int) -> dict | None:
@@ -468,7 +487,7 @@ class SqliteBackend(StorageBackend):
         self._conn.commit()
         if cursor.rowcount <= 0:
             return False
-        self.bump(spec.scope)
+        self._record("update", table, row_id, tuple(fields.items()))
         return True
 
     def delete(self, table: str, row_id: int) -> bool:
@@ -480,27 +499,13 @@ class SqliteBackend(StorageBackend):
         self._conn.commit()
         if cursor.rowcount <= 0:
             return False
-        self.bump(spec.scope)
+        self._record("delete", table, row_id, None)
         return True
 
     def count(self, table: str, **equals) -> int:
         spec = self.spec(table)
         where, params = self._where(spec, equals) if equals else ("", ())
         return self._conn.execute(f"SELECT COUNT(*) FROM {spec.name}{where}", params).fetchone()[0]
-
-    def version(self, scope: str) -> int:
-        return self._versions.get(scope, 0)
-
-    def bump(self, scope: str) -> int:
-        value = self._versions.get(scope, 0) + 1
-        self._versions[scope] = value
-        self._conn.execute(
-            "INSERT INTO row_versions (scope, version) VALUES (?, ?) "
-            "ON CONFLICT(scope) DO UPDATE SET version = excluded.version",
-            (scope, value),
-        )
-        self._conn.commit()
-        return value
 
     def close(self) -> None:
         self._conn.close()
@@ -516,9 +521,12 @@ def make_backend(storage: "StorageBackend | str | None") -> StorageBackend:
     ``None``/``"dict"`` build the in-memory default; ``"sqlite"`` an
     in-memory SQLite database; ``"sqlite:PATH"`` a file-backed (WAL)
     database at ``PATH``.  An existing instance passes through, so an
-    application can be attached to a pre-seeded database.
+    application can be attached to a pre-seeded database; its write digest
+    restarts from a unique value, since the caller may have written to it
+    directly.
     """
     if isinstance(storage, StorageBackend):
+        storage.forget_history()
         return storage
     if storage is None or storage == "dict":
         return DictBackend()

@@ -26,9 +26,14 @@ from repro.scripting.interpreter import HostObject
 class Widget:
     def register(self):
         self.route("POST", "/widget", self.create_widget)
+        self.route("GET", "/widget", self.show_widget)
 
     def create_widget(self, request):
         return "ok"  # mutates nothing: missing storage/session write
+
+    def show_widget(self, request):
+        self.storage.update("widgets", 1, views=2)  # a GET that writes
+        return "ok"
 
 
 class WidgetCache:
@@ -185,3 +190,55 @@ def test_dom_slots_rule_follows_relative_imports_inside_the_dom_package(tmp_path
     )
     violations = lint_paths([target])
     assert [(v.rule, v.line) for v in violations] == [("dom-slots", 3)]
+
+
+def _webapp(tmp_path, source: str) -> Path:
+    webapps = tmp_path / "webapps"
+    webapps.mkdir()
+    target = webapps / "app.py"
+    target.write_text(source, encoding="utf-8")
+    return target
+
+
+def test_get_read_only_rule_follows_helpers_and_session_writes(tmp_path):
+    target = _webapp(
+        tmp_path,
+        "class App:\n"
+        "    def register_routes(self):\n"
+        "        self.route('GET', '/a', self.page_a)\n"
+        "        self.route('GET', '/b', self.page_b)\n"
+        "        self.route('GET', '/c', self.page_c)\n"
+        "        self.route('POST', '/d', self.do_d)\n"
+        "    def page_a(self, context):\n"
+        "        return self._count_visit()\n"
+        "    def _count_visit(self):\n"
+        "        self.storage.insert_many('visits', [])\n"
+        "    def page_b(self, context):\n"
+        "        context.session.set('seen', True)\n"
+        "    def page_c(self, context):\n"
+        "        context.response.headers.set('X-Read', 'only')\n"
+        "        return self.storage.select('visits', who='x')\n"
+        "    def do_d(self, context):\n"
+        "        context.session.set('note', 'written')\n",
+    )
+    violations = lint_paths([target])
+    # page_a writes through a helper, page_b writes session data; page_c
+    # only reads, and a POST handler that writes session data complies.
+    assert [(v.rule, v.line) for v in violations] == [
+        ("webapps-get-read-only", 7),
+        ("webapps-get-read-only", 11),
+    ]
+    assert "self.storage.insert_many at line 10" in str(violations[0])
+
+
+def test_get_read_only_rule_applies_only_under_webapps(tmp_path):
+    target = tmp_path / "app.py"
+    target.write_text(
+        "class App:\n"
+        "    def register_routes(self):\n"
+        "        self.route('GET', '/', self.index)\n"
+        "    def index(self, context):\n"
+        "        self.login(context, 'eve', None)\n",
+        encoding="utf-8",
+    )
+    assert lint_paths([target]) == []

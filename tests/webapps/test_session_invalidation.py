@@ -4,8 +4,9 @@ The bug class this file pins down: a memoised GET response outliving the
 session state it rendered.  Logout must never serve a memoised logged-in
 page, a session-data write must never be masked by a pre-write memo, and a
 destroyed-then-recreated session that happens to reuse an identifier must
-never alias its predecessor's cache entries.  All of it on both storage
-backends.
+never alias its predecessor's cache entries.  Every one of these is a
+storage write, so the storage write digest in the memo key is what
+guarantees it.  All of it on both storage backends.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 from repro.http.messages import HttpRequest, HttpResponse
 from repro.webapps.framework import RequestContext, WebApplication
 from repro.webapps.sessions import SessionStore
-from repro.webapps.storage import BACKEND_KINDS, SESSION_SCOPE, make_backend
+from repro.webapps.storage import BACKEND_KINDS, StorageUnavailable, make_backend
 
 ORIGIN = "http://memo.example.com"
 
@@ -76,16 +77,16 @@ def app(request) -> MemoApp:
 
 
 class TestLogoutInvalidation:
-    def test_destroy_bumps_store_version(self, app):
+    def test_destroy_changes_the_write_digest(self, app):
         sid = login(app)
-        before = app.sessions.version
+        before = app.storage.write_digest()
         app.sessions.destroy(sid)
-        assert app.sessions.version == before + 1
+        assert app.storage.write_digest() != before
 
-    def test_destroying_unknown_session_bumps_nothing(self, app):
-        before = app.sessions.version
+    def test_destroying_unknown_session_leaves_the_write_digest(self, app):
+        before = app.storage.write_digest()
         app.sessions.destroy("not-a-session")
-        assert app.sessions.version == before
+        assert app.storage.write_digest() == before
 
     def test_logout_never_serves_the_memoised_logged_in_page(self, app):
         sid = login(app)
@@ -109,63 +110,67 @@ class TestSessionDataWrites:
         after = app.handle_request(request("GET", "/me", sid=sid))
         assert "alice:updated" in after.body
 
-    def test_data_write_invalidates_the_state_digest(self, app):
+    def test_data_write_moves_the_write_digest_not_the_snapshot(self, app):
         sid = login(app)
         session = app.sessions.get(sid)
-        digest = app.state_digest()
+        state, writes = app.state_digest(), app.storage.write_digest()
         session.set("note", "x")
-        assert app.sessions.version > 0
-        # The digest token includes the session-scope version, so the write
-        # is visible even though the snapshot content itself is unchanged.
-        assert app.state_digest() == app.state_digest()
+        # Session data is not part of the oracle's snapshot, but it is a
+        # storage write, so the memo key moves.
+        assert app.state_digest() == state
+        assert app.storage.write_digest() != writes
 
     def test_write_through_persists_to_the_backend(self, app):
         sid = login(app)
         app.sessions.get(sid).set("note", "durable")
         row = app.storage.select("sessions", session_id=sid)[0]
         assert '"note": "durable"' in row["data"]
-        assert row["version"] == 1
+
+    def test_failed_write_leaves_the_session_data(self, app, monkeypatch):
+        sid = login(app)
+        session = app.sessions.get(sid)
+        session.set("note", "kept")
+
+        def unavailable(*args, **kwargs):
+            raise StorageUnavailable("busy", "sessions")
+
+        monkeypatch.setattr(app.storage, "update", unavailable)
+        with pytest.raises(StorageUnavailable):
+            session.set("note", "lost")
+        # The page must not render data the write digest does not cover.
+        assert session.get("note") == "kept"
 
 
-class TestEpochDefense:
+class TestRecreatedSessionDefense:
     """A recreated session reusing an id must not alias its predecessor."""
 
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
-    def test_recreated_session_gets_a_fresh_epoch(self, kind):
+    def test_recreated_session_gets_a_fresh_write_digest(self, kind):
         backend = make_backend(kind)
-        store = SessionStore(seed="epoch-test", backend=backend)
+        store = SessionStore(seed="recreate-test", backend=backend)
         first = store.create("alice")
-        sid, old_key = first.session_id, (first.session_id, first.version, first.epoch)
+        sid, old_digest = first.session_id, backend.write_digest()
         store.destroy(sid)
 
         # Simulate an id collision (e.g. a reset counter over a shared
         # database): the same identifier lands in the table again.  The
-        # epoch column -- the store version at creation, which the destroy
-        # above also bumped -- keeps the memo keys apart.
-        backend.insert(
-            "sessions",
-            {"session_id": sid, "username": "alice", "data": "{}",
-             "version": first.version, "epoch": backend.version(SESSION_SCOPE)},
-        )
+        # destroy and the re-insert are both writes, so the digest -- and
+        # with it every memo key -- differs from the predecessor's.
+        backend.insert("sessions", {"session_id": sid, "username": "alice", "data": "{}"})
         twin = store.get(sid)
         assert twin is not first
-        assert twin.epoch > first.epoch
-        assert (twin.session_id, twin.version, twin.epoch) != old_key
+        assert twin.session_id == sid
+        assert backend.write_digest() != old_digest
         backend.close()
 
-    def test_memo_is_not_shared_across_epochs(self, app):
+    def test_memo_is_not_shared_with_a_recreated_session(self, app):
         sid = login(app)
-        first = app.sessions.get(sid)
         cached = app.handle_request(request("GET", "/me", sid=sid))
         assert "alice" in cached.body
         app.sessions.destroy(sid)
-        app.storage.insert(
-            "sessions",
-            {"session_id": sid, "username": "mallory", "data": "{}",
-             "version": first.version, "epoch": app.storage.version(SESSION_SCOPE)},
-        )
+        app.storage.insert("sessions", {"session_id": sid, "username": "mallory", "data": "{}"})
         served = app.handle_request(request("GET", "/me", sid=sid))
-        assert "alice" not in served.body, "epoch must fence off the old memo"
+        assert "alice" not in served.body, "the write digest must fence off the old memo"
         assert "mallory" in served.body
 
 
@@ -184,7 +189,5 @@ class TestStoreMaterialisation:
         assert loaded is not created
         assert loaded.username == "alice"
         assert loaded.get("note") == "kept"
-        assert loaded.version == created.version
-        assert loaded.epoch == created.epoch
         assert fresh.get(created.session_id) is loaded  # cached per store
         backend.close()

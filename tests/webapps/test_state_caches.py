@@ -4,8 +4,8 @@ The differential oracle digests application state once per run, so the
 digest must follow every state mutation.  Every mutator of every built-in
 application is exercised here: a digest that missed a mutation would let
 the oracle compare stale state and mask a real divergence.  The GET memo
-keys on the content generation and the session versions, so a mutator
-that forgot to advance them would serve a stale page.
+keys on the storage write digest, so a write that escaped it would serve a
+stale page; the memo tests count route-handler calls to see what it served.
 """
 
 from __future__ import annotations
@@ -87,14 +87,16 @@ class TestDigestMemo:
 
 class TestResponseCache:
     def test_disabled_by_default_and_without_nonce_seed(self):
-        assert PhpBB().response_cache_enabled is False
-        assert PhpBB(response_cache=True).response_cache_enabled is False
-        assert PhpBB(response_cache=True, nonce_seed="s").response_cache_enabled is True
+        assert PhpBB().response_memo is None
+        assert PhpBB(response_cache=True).response_memo is None
+        assert PhpBB(response_cache=True, nonce_seed="s").response_memo is not None
 
-    def test_repeat_gets_are_served_identically_without_reexecution(self):
+    def test_repeat_gets_are_served_identically_without_reexecution(self, count_calls):
+        calls = count_calls(PhpBB, "index")
         app = PhpBB(nonce_seed="seed", response_cache=True)
         first = _get(app, "/")
         second = _get(app, "/")
+        assert calls == ["index"], "the repeat must be served from the memo"
         assert second.body == first.body
         assert second.headers.to_dict() == first.headers.to_dict()
         assert second is not first  # served as a copy, never the cached object
@@ -119,21 +121,20 @@ class TestResponseCache:
         after_logout = _get(app, "/", sid=session.session_id).body
         assert "alice" not in after_logout
 
-    def test_session_data_write_invalidates_memo_and_digest(self):
-        """``Session.set`` must be visible to every cache key (version bump)."""
+    def test_session_data_write_invalidates_memo_and_digest(self, count_calls):
+        """``Session.set`` must be visible to every memo key (a storage write)."""
+        calls = count_calls(PhpBB, "index")
         app = PhpBB(nonce_seed="seed", response_cache=True)
         session = app.sessions.create("alice")
         _get(app, "/", sid=session.session_id)  # populate the memo
-        digest_before = app.state_digest()
-        store_version = app.sessions.version
-        session.set("prefs", {"theme": "dark"})
-        assert session.version == 1
-        assert app.sessions.version == store_version + 1
-        # The memo key embeds the session version, so the pre-write entry is
-        # unreachable: the next GET renders fresh (a new memo entry appears).
-        entries_before = set(app._response_cache)
         _get(app, "/", sid=session.session_id)
-        assert set(app._response_cache) != entries_before
+        assert len(calls) == 1
+        digest_before = app.state_digest()
+        session.set("prefs", {"theme": "dark"})
+        # The memo key embeds the write digest, so the pre-write entry is
+        # unreachable: the next GET runs the handler again.
+        _get(app, "/", sid=session.session_id)
+        assert len(calls) == 2
         # Equal: session data is not part of the visible snapshot.
         assert app.state_digest() == digest_before
 

@@ -1,7 +1,7 @@
-"""The storage backends: CRUD parity, version scopes, SQLite durability.
+"""The storage backends: CRUD parity, write digests, SQLite durability.
 
 The dict and SQLite backends must be observationally identical -- same ids,
-same row ordering, same version-scope counters -- because the scenario
+same row ordering, same write digests for the same writes -- because the scenario
 oracle's digests are computed over views of these tables and must be
 byte-identical under ``--backend sqlite``.  Every behavioural test here is
 therefore parametrised over both implementations.
@@ -16,8 +16,6 @@ from repro.webapps.phpbb import PhpBB
 from repro.webapps.phpcalendar import PhpCalendar
 from repro.webapps.storage import (
     BACKEND_KINDS,
-    CONTENT_SCOPE,
-    SESSION_SCOPE,
     DictBackend,
     SqliteBackend,
     StorageBackend,
@@ -26,7 +24,7 @@ from repro.webapps.storage import (
 )
 
 SPEC = TableSpec("posts", ("post_id", "subject", "body"), indexes=("subject",))
-OTHER = TableSpec("visits", ("visit_id", "who"), scope=SESSION_SCOPE)
+OTHER = TableSpec("visits", ("visit_id", "who"))
 
 
 @pytest.fixture(params=BACKEND_KINDS)
@@ -135,43 +133,79 @@ class TestSchema:
         assert backend.select("posts", subject="s") == [backend.get("posts", 3)]
 
 
-class TestVersionScopes:
-    def test_every_write_bumps_its_scope(self, backend):
-        assert backend.version(CONTENT_SCOPE) == 0
+class TestWriteDigest:
+    def test_every_write_changes_the_digest(self, backend):
+        seen = [backend.write_digest()]
         row_id = backend.insert("posts", {"subject": "s", "body": ""})
-        after_insert = backend.version(CONTENT_SCOPE)
-        assert after_insert == 1
+        seen.append(backend.write_digest())
         backend.update("posts", row_id, body="b")
+        seen.append(backend.write_digest())
         backend.delete("posts", row_id)
-        assert backend.version(CONTENT_SCOPE) == after_insert + 2
+        seen.append(backend.write_digest())
+        assert len(set(seen)) == 4
+        assert all(len(digest) == 16 for digest in seen)
 
-    def test_missed_writes_do_not_bump(self, backend):
+    def test_missed_writes_leave_the_digest(self, backend):
+        before = backend.write_digest()
         backend.update("posts", 999, body="x")
         backend.delete("posts", 999)
-        assert backend.version(CONTENT_SCOPE) == 0
+        assert backend.insert_many("posts", []) == 0
+        assert backend.write_digest() == before
 
-    def test_insert_many_is_one_bump(self, backend):
+    def test_insert_many_is_one_change(self, backend):
+        before = backend.write_digest()
         n = backend.insert_many(
             "posts", [{"subject": f"s{i}", "body": ""} for i in range(50)]
         )
         assert n == 50
         assert backend.count("posts") == 50
-        assert backend.version(CONTENT_SCOPE) == 1
-        assert backend.insert_many("posts", []) == 0
-        assert backend.version(CONTENT_SCOPE) == 1
+        assert backend._writes == [], "a batch is folded when written"
+        assert backend.write_digest() != before
 
-    def test_scopes_are_independent(self, backend):
-        backend.create_table(OTHER)
-        backend.insert("posts", {"subject": "s", "body": ""})
-        assert backend.version(SESSION_SCOPE) == 0
-        backend.insert("visits", {"who": "alice"})
-        assert backend.version(SESSION_SCOPE) == 1
-        assert backend.version(CONTENT_SCOPE) == 1
+    def test_an_unread_digest_keeps_a_bounded_queue(self, backend):
+        reader = make_backend(backend.kind)
+        reader.create_table(SPEC)
+        for n in range(300):
+            for target in (backend, reader):
+                target.insert("posts", {"subject": f"s{n}", "body": ""})
+            reader.write_digest()
+            assert len(backend._writes) < 256
+        assert backend.write_digest() == reader.write_digest()
+        reader.close()
 
-    def test_manual_bump_advances_the_scope(self, backend):
-        assert backend.bump(CONTENT_SCOPE) == 1
-        assert backend.bump(CONTENT_SCOPE) == 2
-        assert backend.version(CONTENT_SCOPE) == 2
+    def test_equal_writes_give_equal_digests_on_both_backends(self):
+        def drive(backend, *, read_between: bool):
+            for spec in (SPEC, OTHER):
+                backend.create_table(spec)
+            row_id = backend.insert("posts", {"subject": "s", "body": "b"})
+            if read_between:
+                backend.write_digest()
+            backend.insert("visits", {"who": "alice"})
+            backend.update("posts", row_id, body="edited")
+            if read_between:
+                backend.write_digest()
+            backend.insert_many("posts", [{"subject": "t", "body": ""}])
+            backend.delete("visits", 1)
+            digest = backend.write_digest()
+            backend.close()
+            return digest
+
+        digests = {
+            drive(make_backend(kind), read_between=read_between)
+            for kind in BACKEND_KINDS
+            for read_between in (False, True)
+        }
+        assert len(digests) == 1, "the digest depends only on the writes"
+
+    def test_fresh_backends_start_from_one_fixed_value(self):
+        on_dict, on_sql = DictBackend(), SqliteBackend()
+        assert on_dict.write_digest() == on_sql.write_digest()
+        on_sql.close()
+
+    def test_a_passed_in_instance_starts_from_a_unique_value(self):
+        fresh = DictBackend().write_digest()
+        first, second = make_backend(DictBackend()), make_backend(DictBackend())
+        assert len({fresh, first.write_digest(), second.write_digest()}) == 3
 
 
 class TestSqliteDurability:
@@ -181,22 +215,28 @@ class TestSqliteDurability:
         assert mode == "wal"
         db.close()
 
-    def test_rows_versions_and_id_counter_survive_reopen(self, tmp_path):
+    def test_rows_and_id_counter_survive_reopen(self, tmp_path):
         path = str(tmp_path / "app.db")
         db = SqliteBackend(path)
+        assert db.write_digest() == DictBackend().write_digest(), "a new file starts empty"
         db.create_table(SPEC)
         db.insert("posts", {"subject": "kept", "body": "b"})
         doomed = db.insert("posts", {"subject": "doomed", "body": ""})
         db.delete("posts", doomed)
-        version = db.version(CONTENT_SCOPE)
+        digest = db.write_digest()
         db.close()
 
         reopened = SqliteBackend(path)
         reopened.create_table(SPEC)
         assert [row["subject"] for row in reopened.all("posts")] == ["kept"]
-        assert reopened.version(CONTENT_SCOPE) == version
+        # The reopened rows are not described by this backend's writes, so
+        # its digest starts from a value no other backend reports.
+        assert reopened.write_digest() not in (digest, DictBackend().write_digest())
         assert reopened.insert("posts", {"subject": "new", "body": ""}) == doomed + 1
         reopened.close()
+        again = SqliteBackend(path)
+        assert again.write_digest() != reopened.write_digest()
+        again.close()
 
     def test_application_reopen_does_not_reseed(self, tmp_path):
         path = str(tmp_path / "forum.db")

@@ -6,7 +6,8 @@ inserts, ``insert_many`` batches, updates that move a row between index
 buckets, and deletes -- and the invariant compares what both backends
 return from ``all``/``select``/``count``/``get`` afterwards.  Rows must come
 back in primary-key order and be equal on both sides; an index bucket must
-hold exactly the rows a full scan would filter to.
+hold exactly the rows a full scan would filter to.  Both backends must also
+report the same write digest after every step, rejected writes included.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, multiple, rule
 
-from repro.webapps.storage import CONTENT_SCOPE, DictBackend, SqliteBackend, TableSpec
+from repro.webapps.storage import DictBackend, SqliteBackend, TableSpec
 
 SPEC = TableSpec("items", ("item_id", "bucket", "label"), indexes=("bucket",))
 BUCKETS = ("a", "b", "c", None)
@@ -89,7 +90,10 @@ class BackendParity(RuleBasedStateMachine):
             assert self._both("count", "items", bucket=bucket) == len(matches)
         for row in rows:
             assert self._both("select", "items", item_id=row["item_id"]) == [row]
-        self._both("version", CONTENT_SCOPE)
+
+    @invariant()
+    def backends_report_the_same_write_digest(self):
+        self._both("write_digest")
 
     def teardown(self) -> None:
         for backend in self.backends:

@@ -1,7 +1,8 @@
 """State-invalidation audit: every POST action keeps the digest honest.
 
-Invalidation is structural: every backend write bumps a version scope,
-so no handler has to remember to invalidate anything.  This property test
+Invalidation is structural: every backend write appends to the storage
+write digest the GET memo keys on, so no handler has to remember to
+invalidate anything.  This property test
 locks the invariant in: for **every registered POST route** of every built-in application, on
 **both backends**, the cached ``state_digest()`` must equal a digest
 recomputed from scratch after the action -- whether or not the action
