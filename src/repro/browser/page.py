@@ -61,6 +61,11 @@ class Page:
     script_runs: list[ScriptRun] = field(default_factory=list)
     #: Per-page task scheduler: timers, queued XHR completions, dispatches.
     event_loop: EventLoop = field(default_factory=EventLoop)
+    #: Resolved principal contexts, keyed by (element context, tag, kind).
+    _principals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: API name -> (the policy it was resolved from, its context).
+    _api_contexts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _browser_principal: SecurityContext | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- identity ----------------------------------------------------------------------
 
@@ -82,13 +87,19 @@ class Page:
         The element's own labelled context is the principal context -- that
         is the essence of the model: a script (or ``img``/``form``/...) has
         exactly the privileges of the ring its enclosing scope gave it.
+        The result is a pure function of the element's context, tag and
+        ``kind``, so the page resolves each distinct triple once.
         """
         context = element.security_context
         if context is not None:
-            descriptor = f"<{element.tag_name}>"
-            if kind is not None:
-                descriptor += f" {kind.value}"
-            return context.with_label(descriptor)
+            key = (context, element.tag_name, kind)
+            principal = self._principals.get(key)
+            if principal is None:
+                descriptor = f"<{element.tag_name}>"
+                if kind is not None:
+                    descriptor += f" {kind.value}"
+                principal = self._principals[key] = context.with_label(descriptor)
+            return principal
         # Elements created outside the labelling pass without a context fall
         # back to the page's least-privileged default.
         from .labeler import PageLabeler
@@ -98,7 +109,9 @@ class Page:
 
     def browser_principal(self) -> SecurityContext:
         """Trusted principal for actions the browser performs for the user."""
-        return SecurityContext.for_infrastructure(self.origin, "browser/user").with_ring(0)
+        if self._browser_principal is None:
+            self._browser_principal = SecurityContext.for_infrastructure(self.origin, "browser/user")
+        return self._browser_principal
 
     # -- native API objects --------------------------------------------------------------------
 
@@ -109,12 +122,19 @@ class Page:
         otherwise.
         """
         policy = self.configuration.api_policy(api_name)
-        return SecurityContext(
+        resolved = self._api_contexts.get(api_name)
+        # Policies are canonical, so an unchanged policy is the same object
+        # and a relabel (``set_api_policy`` or a direct write) is a new one.
+        if resolved is not None and resolved[0] is policy:
+            return resolved[1]
+        context = SecurityContext(
             origin=self.origin,
             ring=policy.ring,
             acl=policy.acl,
             label=f"native-api:{api_name}",
         )
+        self._api_contexts[api_name] = (policy, context)
+        return context
 
     def set_api_policy(self, api_name: str, policy) -> None:
         """Relabel a native API object mid-session (a server-pushed update).

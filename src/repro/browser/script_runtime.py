@@ -375,6 +375,11 @@ class RuntimeObservations:
         return [target for _, target in self.navigations]
 
 
+#: The Window members a script also reads as globals (``alert``, ``document``
+#: ...); each environment resolves one on its first lookup.
+_WINDOW_GLOBAL_NAMES = frozenset(member.name for member in WINDOW_GLOBALS)
+
+
 class _PrincipalEnvironment:
     """Everything one principal's script execution needs."""
 
@@ -382,7 +387,7 @@ class _PrincipalEnvironment:
         self.runtime = runtime
         self.page = runtime.page
         self.principal = principal
-        self.interpreter = Interpreter(max_steps=runtime.max_steps)
+        self.interpreter = Interpreter(max_steps=runtime.max_steps, resolve_global=self._window_global)
         self.dom_api = DomApi(self.page.monitor, principal, api_object=runtime.dom_api_object)
         self.document_binding = DocumentBinding(self)
         self.console_binding = ConsoleBinding(runtime.observations.console)
@@ -398,8 +403,6 @@ class _PrincipalEnvironment:
 
     def _install_globals(self) -> None:
         interpreter = self.interpreter
-        for member in WINDOW_GLOBALS:
-            interpreter.globals.define(member.name, self.window.js_get(member.name))
         interpreter.globals.define("window", self.window)
         interpreter.globals.define(
             "XMLHttpRequest",
@@ -414,13 +417,21 @@ class _PrincipalEnvironment:
             ),
         )
 
+    def _window_global(self, name: str):
+        """A Window member read as a global, resolved on its first lookup."""
+        if name not in _WINDOW_GLOBAL_NAMES:
+            raise KeyError(name)
+        return self.window.js_get(name)
+
     def close(self) -> None:
         """Drop the globals and the bindings.
 
         Each of them links back to this environment (bound methods, the
-        bindings' ``_runtime``), so they form its reference cycles.
+        bindings' ``_runtime``, the globals' resolver), so they form its
+        reference cycles.
         """
         self.interpreter.globals.values.clear()
+        self.interpreter.globals.resolver = None
         self.document_binding = self.window = None
 
     # -- listeners & callbacks ---------------------------------------------------------------

@@ -44,7 +44,7 @@ from .objects import (
     browser_state_object,
 )
 from .origin import Origin
-from .policy import AccessRequest, EscudoPolicy, Policy, evaluate_matrix, explain
+from .policy import EscudoPolicy, Policy, evaluate_matrix, explain
 from .principal import (
     HTTP_REQUEST_ISSUING_TAGS,
     SCRIPT_INVOKING_TAGS,
@@ -75,7 +75,6 @@ __all__ = [
     "UI_EVENT_ATTRIBUTES",
     "AccessDecision",
     "AccessDenied",
-    "AccessRequest",
     "Acl",
     "AcTagLabel",
     "AuditLog",

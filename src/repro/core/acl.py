@@ -15,24 +15,66 @@ evaluated independently and an over-permissive ACL is simply ineffective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Mapping
 
 from .decision import Operation
 from .errors import ConfigurationError
 from .rings import MOST_PRIVILEGED, Ring, RingSet, as_ring
 
+_RING_ZERO = Ring(MOST_PRIVILEGED)
 
-@dataclass(frozen=True)
+#: The canonical ACL of every ``(read, write, use)`` level triple built so far.
+_ACLS: dict[tuple[int, int, int], "Acl"] = {}
+
+
 class Acl:
     """Immutable (read, write, use) permission triple.
 
     Each field holds the outermost ring allowed to perform that operation.
+
+    ACLs are canonical like :class:`~repro.core.rings.Ring`: building a
+    triple that already exists returns the existing instance
+    (``Acl.uniform(1) is Acl.uniform(1)``), so equality is identity and the
+    hash is computed once.
     """
 
-    read: Ring = Ring(MOST_PRIVILEGED)
-    write: Ring = Ring(MOST_PRIVILEGED)
-    use: Ring = Ring(MOST_PRIVILEGED)
+    __slots__ = ("read", "write", "use", "_hash")
+
+    read: Ring
+    write: Ring
+    use: Ring
+
+    def __new__(cls, read: Ring | int = _RING_ZERO, write: Ring | int = _RING_ZERO,
+                use: Ring | int = _RING_ZERO) -> "Acl":
+        if type(read) is not Ring or type(write) is not Ring or type(use) is not Ring:
+            read, write, use = as_ring(read), as_ring(write), as_ring(use)
+        key = (read.level, write.level, use.level)
+        acl = _ACLS.get(key)
+        if acl is None:
+            acl = object.__new__(cls)
+            object.__setattr__(acl, "read", read)
+            object.__setattr__(acl, "write", write)
+            object.__setattr__(acl, "use", use)
+            # The value a frozen dataclass over the three rings would hash to.
+            object.__setattr__(acl, "_hash", hash((read, write, use)))
+            _ACLS[key] = acl
+        return acl
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Acl, (self.read, self.write, self.use)
+
+    def __repr__(self) -> str:
+        return f"Acl(read={self.read!r}, write={self.write!r}, use={self.use!r})"
 
     # -- construction ---------------------------------------------------------
 
@@ -45,7 +87,7 @@ class Acl:
     def uniform(cls, ring: Ring | int) -> "Acl":
         """An ACL allowing the same outermost ring for all three operations."""
         r = as_ring(ring)
-        return cls(read=r, write=r, use=r)
+        return cls(r, r, r)
 
     @classmethod
     def of(cls, read: Ring | int | None = None, write: Ring | int | None = None,

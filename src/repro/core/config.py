@@ -24,7 +24,7 @@ Applying those values to a live DOM tree is the job of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache
 from typing import Mapping
 
@@ -143,12 +143,47 @@ def is_ac_tag(tag_name: str, attributes: Mapping[str, str]) -> bool:
     return False
 
 
-@dataclass(frozen=True)
 class ResourcePolicy:
-    """Ring and ACL assigned to a non-DOM resource (cookie or native API)."""
+    """Ring and ACL assigned to a non-DOM resource (cookie or native API).
+
+    Canonical like :class:`~repro.core.rings.Ring` and
+    :class:`~repro.core.acl.Acl`: one instance per ``(ring, acl)`` pair, so
+    ``ResourcePolicy.ring_zero()`` is shared and a relabel to an equal
+    policy is the same object.
+    """
+
+    __slots__ = ("ring", "acl", "_hash")
 
     ring: Ring
     acl: Acl
+
+    def __new__(cls, ring: Ring, acl: Acl) -> "ResourcePolicy":
+        key = (ring, acl)
+        policy = _POLICIES.get(key)
+        if policy is None:
+            if type(ring) is not Ring or type(acl) is not Acl:
+                raise ConfigurationError(f"a resource policy needs a Ring and an Acl, got {ring!r}, {acl!r}")
+            policy = object.__new__(cls)
+            object.__setattr__(policy, "ring", ring)
+            object.__setattr__(policy, "acl", acl)
+            object.__setattr__(policy, "_hash", hash(key))
+            _POLICIES[key] = policy
+        return policy
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return ResourcePolicy, (self.ring, self.acl)
+
+    def __repr__(self) -> str:
+        return f"ResourcePolicy(ring={self.ring!r}, acl={self.acl!r})"
 
     @classmethod
     def ring_zero(cls) -> "ResourcePolicy":
@@ -160,6 +195,13 @@ class ResourcePolicy:
         """Ring ``ring`` with an ACL allowing the same outermost ring."""
         r = Ring(ring) if not isinstance(ring, Ring) else ring
         return cls(ring=r, acl=Acl.uniform(r))
+
+
+#: The canonical policy of every ``(ring, acl)`` pair built so far.
+_POLICIES: dict[tuple[Ring, Acl], ResourcePolicy] = {}
+
+#: The fail-safe default every unconfigured cookie and native API gets.
+_RING_ZERO_POLICY = ResourcePolicy.ring_zero()
 
 
 @dataclass
@@ -182,11 +224,11 @@ class PageConfiguration:
 
     def cookie_policy(self, name: str) -> ResourcePolicy:
         """Policy for cookie ``name``; defaults to ring 0 per the paper."""
-        return self.cookie_policies.get(name, ResourcePolicy.ring_zero())
+        return self.cookie_policies.get(name, _RING_ZERO_POLICY)
 
     def api_policy(self, name: str) -> ResourcePolicy:
         """Policy for native API ``name``; defaults to ring 0 per the paper."""
-        return self.api_policies.get(name, ResourcePolicy.ring_zero())
+        return self.api_policies.get(name, _RING_ZERO_POLICY)
 
     # -- constructors ------------------------------------------------------------
 

@@ -17,7 +17,7 @@ component).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .acl import Acl
 from .origin import Origin
@@ -45,32 +45,46 @@ class SecurityContext:
         Marks contexts synthesised by the browser itself (browser chrome,
         internal state).  Trusted contexts bypass the origin rule when the
         *browser* -- not page content -- performs maintenance work.
+
+    The hash and the display text are computed on first use and kept (pages
+    memoise contexts in dicts).  Neither is pickled; a copy recomputes both.
     """
 
     origin: Origin
     ring: Ring
-    acl: Acl = field(default_factory=Acl.default)
+    acl: Acl = Acl()
     label: str = "anonymous"
     trusted: bool = False
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.origin, self.ring, self.acl, self.label, self.trusted))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __reduce__(self):
+        return SecurityContext, (self.origin, self.ring, self.acl, self.label, self.trusted)
 
     # -- derivation -------------------------------------------------------------
 
     def with_ring(self, ring: Ring | int) -> "SecurityContext":
         """Copy of this context with a different ring."""
-        return replace(self, ring=as_ring(ring))
+        return SecurityContext(self.origin, as_ring(ring), self.acl, self.label, self.trusted)
 
     def with_acl(self, acl: Acl) -> "SecurityContext":
         """Copy of this context with a different ACL."""
-        return replace(self, acl=acl)
+        return SecurityContext(self.origin, self.ring, acl, self.label, self.trusted)
 
     def with_label(self, label: str) -> "SecurityContext":
         """Copy of this context with a different display label."""
-        return replace(self, label=label)
+        return SecurityContext(self.origin, self.ring, self.acl, label, self.trusted)
 
     def restricted_to(self, outer_ring: Ring | int) -> "SecurityContext":
         """Apply the scoping rule: never exceed the privilege of ``outer_ring``."""
-        limit = as_ring(outer_ring)
-        return replace(self, ring=self.ring.restricted_to(limit))
+        ring = self.ring.restricted_to(as_ring(outer_ring))
+        return SecurityContext(self.origin, ring, self.acl, self.label, self.trusted)
 
     # -- convenience -------------------------------------------------------------
 
@@ -89,5 +103,10 @@ class SecurityContext:
         return cls(origin=origin, ring=Ring(0), acl=Acl.uniform(0), label=label)
 
     def __str__(self) -> str:
-        return f"{self.label}@{self.origin} [{self.ring}, acl {self.acl}]"
+        try:
+            return self._text
+        except AttributeError:
+            text = f"{self.label}@{self.origin} [{self.ring}, acl {self.acl}]"
+            object.__setattr__(self, "_text", text)
+            return text
 

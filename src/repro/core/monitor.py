@@ -15,10 +15,15 @@ benchmarks compare the two models on identical workloads.
 
 Mediation is a short pipeline::
 
-    principal -> coerce contexts -> policy rules -> decision -> stats + audit
+    principal, target -> contexts -> policy rules -> decision -> stats + audit
 
-The policy decides every access; no verdict is remembered between calls, so
-a relabel (ACL, ring or nonce change) or a policy swap takes effect on the
+The monitor hands the two security contexts straight to the policy, which
+runs every enabled rule and builds the access's decision record.  The values
+involved are canonical or computed once: rings, ACLs and resource policies
+are shared instances, origins and contexts keep their hash and text, and
+each rule returns an interned outcome keyed by its inputs.  No verdict is
+cached: every access reaches the policy, which decides it afresh, so a
+relabel (ACL, ring or nonce change) or a policy swap takes effect on the
 very next request.  :meth:`ReferenceMonitor.authorize_all` mediates a sweep
 (cookie attachment, ``document.cookie`` reads): the principal is coerced
 once, and the policy decides and records every target on its own.
@@ -33,7 +38,7 @@ from typing import Iterable
 from .context import SecurityContext
 from .decision import AccessDecision, Operation, Rule, RuleOutcome, Verdict
 from .errors import AccessDenied
-from .policy import AccessRequest, EscudoPolicy, Policy
+from .policy import EscudoPolicy, Policy
 
 
 @dataclass
@@ -202,15 +207,19 @@ class ReferenceMonitor:
         handles, :class:`Principal` / :class:`ProtectedObject` wrappers).
         """
         op = operation if isinstance(operation, Operation) else Operation.from_text(operation)
-        principal_ctx = _coerce_context(principal)
-        target_ctx = _coerce_context(target)
-        decision = self._evaluate(
-            principal_ctx,
-            target_ctx,
-            op,
-            _label_with_context(principal, principal_ctx, principal_label),
-            _label_with_context(target, target_ctx, object_label),
-        )
+        if type(principal) is SecurityContext:
+            principal_ctx = principal
+            principal_label = principal_label or principal.label
+        else:
+            principal_ctx = _coerce_context(principal)
+            principal_label = _label_with_context(principal, principal_ctx, principal_label)
+        if type(target) is SecurityContext:
+            target_ctx = target
+            object_label = object_label or target.label
+        else:
+            target_ctx = _coerce_context(target)
+            object_label = _label_with_context(target, target_ctx, object_label)
+        decision = self.policy.evaluate(principal_ctx, target_ctx, op, principal_label, object_label)
         self._record(decision)
         return decision
 
@@ -255,35 +264,14 @@ class ReferenceMonitor:
         principal_ctx = _coerce_context(principal)
         principal_lbl = _label_with_context(principal, principal_ctx, principal_label)
 
+        evaluate = self.policy.evaluate
         decisions: list[AccessDecision] = []
         for target in targets:
             target_ctx = _coerce_context(target)
-            decision = self._evaluate(
-                principal_ctx, target_ctx, op, principal_lbl, _label_with_context(target, target_ctx, "")
-            )
+            decision = evaluate(principal_ctx, target_ctx, op, principal_lbl, _label_with_context(target, target_ctx, ""))
             self._record(decision)
             decisions.append(decision)
         return decisions
-
-    # -- decision pipeline ---------------------------------------------------------
-
-    def _evaluate(
-        self,
-        principal_ctx: SecurityContext,
-        target_ctx: SecurityContext,
-        operation: Operation,
-        principal_label: str,
-        object_label: str,
-    ) -> AccessDecision:
-        """Run the policy rules on fully-coerced inputs."""
-        request = AccessRequest(
-            principal=principal_ctx,
-            target=target_ctx,
-            operation=operation,
-            principal_label=principal_label,
-            object_label=object_label,
-        )
-        return self.policy.evaluate(request)
 
     # -- special denials ------------------------------------------------------------
 

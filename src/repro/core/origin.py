@@ -29,7 +29,12 @@ DEFAULT_PORTS = {
 
 @dataclass(frozen=True)
 class Origin:
-    """An immutable ``(protocol, domain, port)`` triple."""
+    """An immutable ``(protocol, domain, port)`` triple.
+
+    The hash and the ``scheme://host[:port]`` text are computed once, when
+    the origin is built: the origin rule hashes and prints origins on every
+    mediated access.  Neither is pickled; a copy recomputes both.
+    """
 
     scheme: str
     host: str
@@ -42,8 +47,21 @@ class Origin:
             raise ConfigurationError("origin host must not be empty")
         if not isinstance(self.port, int) or isinstance(self.port, bool) or self.port <= 0:
             raise ConfigurationError(f"origin port must be a positive int, got {self.port!r}")
-        object.__setattr__(self, "scheme", self.scheme.lower())
-        object.__setattr__(self, "host", self.host.lower())
+        scheme, host = self.scheme.lower(), self.host.lower()
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "_hash", hash((scheme, host, self.port)))
+        if DEFAULT_PORTS.get(scheme) == self.port:
+            text = f"{scheme}://{host}"
+        else:
+            text = f"{scheme}://{host}:{self.port}"
+        object.__setattr__(self, "_text", text)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Origin, (self.scheme, self.host, self.port)
 
     # -- construction ---------------------------------------------------------
 
@@ -93,10 +111,7 @@ class Origin:
 
     def url_prefix(self) -> str:
         """Canonical ``scheme://host[:port]`` prefix for building URLs."""
-        default = DEFAULT_PORTS.get(self.scheme)
-        if default == self.port:
-            return f"{self.scheme}://{self.host}"
-        return f"{self.scheme}://{self.host}:{self.port}"
+        return self._text
 
     def __str__(self) -> str:
-        return self.url_prefix()
+        return self._text

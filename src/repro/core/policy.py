@@ -17,9 +17,9 @@ enforcement model in an otherwise identical browser:
 * :class:`repro.core.sop.SameOriginPolicy` -- the legacy baseline (origin
   rule only), defined in its own module.
 
-Policies are pure functions over security contexts: they do not mutate any
-state, which makes them easy to property-test (see
-``tests/core/test_policy_properties.py``).
+Policies are pure functions over security contexts: apart from interning
+the immutable rule outcomes they share, they keep no state, which makes them
+easy to property-test (see ``tests/core/test_policy_properties.py``).
 """
 
 from __future__ import annotations
@@ -35,30 +35,7 @@ from .decision import (
     RuleOutcome,
     Verdict,
 )
-
-
-@dataclass(frozen=True)
-class AccessRequest:
-    """A fully described access request ``<P ▷ O>``.
-
-    The request captures the *contexts* of the principal and object rather
-    than the live entities, so that policies stay decoupled from the
-    substrate types (DOM elements, cookies, API handles).
-    """
-
-    principal: SecurityContext
-    target: SecurityContext
-    operation: Operation
-    principal_label: str = ""
-    object_label: str = ""
-
-    def describe_principal(self) -> str:
-        """Label used for the principal in decisions."""
-        return self.principal_label or self.principal.label
-
-    def describe_object(self) -> str:
-        """Label used for the object in decisions."""
-        return self.object_label or self.target.label
+from .origin import Origin
 
 
 class Policy:
@@ -67,8 +44,21 @@ class Policy:
     #: Short machine-readable name recorded in every decision.
     name: str = "abstract"
 
-    def evaluate(self, request: AccessRequest) -> AccessDecision:
-        """Evaluate one access request and return a decision."""
+    def evaluate(
+        self,
+        principal: SecurityContext,
+        target: SecurityContext,
+        operation: Operation,
+        principal_label: str,
+        object_label: str,
+    ) -> AccessDecision:
+        """Decide one access ``<P ▷ O>`` and return its decision record.
+
+        The policy sees the *contexts* of the principal and object rather
+        than the live entities, so it stays decoupled from the substrate
+        types (DOM elements, cookies, API handles); the labels only name the
+        two sides in the record.
+        """
         raise NotImplementedError
 
     # Convenience wrapper used pervasively in tests and examples.
@@ -83,14 +73,9 @@ class Policy:
     ) -> AccessDecision:
         """Evaluate an access described by raw contexts and an operation name."""
         op = operation if isinstance(operation, Operation) else Operation.from_text(operation)
-        request = AccessRequest(
-            principal=principal,
-            target=target,
-            operation=op,
-            principal_label=principal_label,
-            object_label=object_label,
+        return self.evaluate(
+            principal, target, op, principal_label or principal.label, object_label or target.label
         )
-        return self.evaluate(request)
 
 
 @dataclass
@@ -110,58 +95,95 @@ class EscudoPolicy(Policy):
     enforce_acl_rule: bool = True
     name: str = field(default="escudo")
 
-    def evaluate(self, request: AccessRequest) -> AccessDecision:
-        outcomes: list[RuleOutcome] = []
-        principal = request.principal
-        target = request.target
-
+    def evaluate(
+        self,
+        principal: SecurityContext,
+        target: SecurityContext,
+        operation: Operation,
+        principal_label: str,
+        object_label: str,
+    ) -> AccessDecision:
+        outcomes: tuple[RuleOutcome, ...] = ()
         if self.enforce_origin_rule:
-            outcomes.append(_origin_outcome(principal, target))
+            outcomes += (origin_outcome(principal, target),)
         if self.enforce_ring_rule:
-            outcomes.append(_ring_outcome(principal, target))
+            outcomes += (_ring_outcome(principal, target),)
         if self.enforce_acl_rule:
-            outcomes.append(_acl_outcome(principal, target, request.operation))
+            outcomes += (_acl_outcome(principal, target, operation),)
 
-        verdict = Verdict.ALLOW if all(o.passed for o in outcomes) else Verdict.DENY
-        return AccessDecision(
-            verdict=verdict,
-            operation=request.operation,
-            principal_label=request.describe_principal(),
-            object_label=request.describe_object(),
-            outcomes=tuple(outcomes),
-            policy=self.name,
-        )
+        verdict = Verdict.ALLOW
+        for outcome in outcomes:
+            if not outcome.passed:
+                verdict = Verdict.DENY
+                break
+        return AccessDecision(verdict, operation, principal_label, object_label, outcomes, self.name)
 
 
-def _origin_outcome(principal: SecurityContext, target: SecurityContext) -> RuleOutcome:
-    """Evaluate the origin rule.
+# -- rule outcomes ---------------------------------------------------------------------------
+#
+# Each rule's outcome is a pure function of a few immutable inputs (two
+# origins, two ring levels, an ACL and an operation), so equal inputs share
+# one interned RuleOutcome instead of formatting its detail text again.  The
+# tables hold rule records, not decisions: every access still runs every
+# enabled rule, and the policy builds its own AccessDecision for it.
+
+#: Entries kept per outcome table; a full table starts over.
+OUTCOME_TABLE_SIZE = 4096
+
+_TRUSTED_ORIGIN_OUTCOME = RuleOutcome(Rule.ORIGIN, True, "browser-internal principal")
+_ORIGIN_OUTCOMES: dict[tuple[Origin, Origin], RuleOutcome] = {}
+_RING_OUTCOMES: dict[tuple[int, int], RuleOutcome] = {}
+_ACL_OUTCOMES: dict[tuple, RuleOutcome] = {}
+
+
+def _intern(table: dict, key, outcome: RuleOutcome) -> RuleOutcome:
+    if len(table) >= OUTCOME_TABLE_SIZE:
+        table.clear()
+    table[key] = outcome
+    return outcome
+
+
+def origin_outcome(principal: SecurityContext, target: SecurityContext) -> RuleOutcome:
+    """Evaluate the origin rule (shared by ESCUDO and the SOP baseline).
 
     Browser-internal (trusted) principals are exempt: the browser itself must
     be able to maintain its own state regardless of which page is loaded.
     Page content never gets a trusted context.
     """
     if principal.trusted:
-        return RuleOutcome(Rule.ORIGIN, True, "browser-internal principal")
-    same = principal.origin.same_origin_as(target.origin)
-    detail = f"{principal.origin} vs {target.origin}"
-    return RuleOutcome(Rule.ORIGIN, same, detail)
+        return _TRUSTED_ORIGIN_OUTCOME
+    key = (principal.origin, target.origin)
+    outcome = _ORIGIN_OUTCOMES.get(key)
+    if outcome is None:
+        same = principal.origin.same_origin_as(target.origin)
+        outcome = _intern(
+            _ORIGIN_OUTCOMES, key, RuleOutcome(Rule.ORIGIN, same, f"{principal.origin} vs {target.origin}")
+        )
+    return outcome
 
 
 def _ring_outcome(principal: SecurityContext, target: SecurityContext) -> RuleOutcome:
     """Evaluate the ring rule: ``R(P) <= R(O)``."""
-    passed = principal.ring.is_at_least_as_privileged_as(target.ring)
-    detail = f"R(P)={principal.ring.level} R(O)={target.ring.level}"
-    return RuleOutcome(Rule.RING, passed, detail)
+    key = (principal.ring.level, target.ring.level)
+    outcome = _RING_OUTCOMES.get(key)
+    if outcome is None:
+        held, needed = key
+        outcome = _intern(_RING_OUTCOMES, key, RuleOutcome(Rule.RING, held <= needed, f"R(P)={held} R(O)={needed}"))
+    return outcome
 
 
 def _acl_outcome(
     principal: SecurityContext, target: SecurityContext, operation: Operation
 ) -> RuleOutcome:
     """Evaluate the ACL rule: ``R(P) <= acl(O, op)``."""
-    limit = target.acl.limit_for(operation)
-    passed = principal.ring.is_at_least_as_privileged_as(limit)
-    detail = f"R(P)={principal.ring.level} acl({operation.value})={limit.level}"
-    return RuleOutcome(Rule.ACL, passed, detail)
+    key = (principal.ring.level, target.acl, operation)
+    outcome = _ACL_OUTCOMES.get(key)
+    if outcome is None:
+        held = key[0]
+        limit = target.acl.limit_for(operation).level
+        detail = f"R(P)={held} acl({operation.value})={limit}"
+        outcome = _intern(_ACL_OUTCOMES, key, RuleOutcome(Rule.ACL, held <= limit, detail))
+    return outcome
 
 
 def explain(decision: AccessDecision) -> str:

@@ -19,7 +19,7 @@ This module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Iterator
 
 from .errors import ConfigurationError, RingRangeError
@@ -31,7 +31,6 @@ DEFAULT_RING_COUNT = 4
 MOST_PRIVILEGED = 0
 
 
-@dataclass(frozen=True, order=False)
 class Ring:
     """A single protection-ring label.
 
@@ -42,15 +41,33 @@ class Ring:
 
     The natural integer ordering is still exposed (``Ring(1) < Ring(2)``)
     and means "numerically smaller", i.e. *more privileged*.
+
+    Rings are canonical (hash-consed): ``Ring(2) is Ring(2)``.  The first
+    construction of a level validates it and keeps the instance; every later
+    one returns that instance, so equality is identity and the hash is
+    computed once.  Copies and pickles rebuild through the constructor and
+    land on the canonical instance of their process.
     """
+
+    __slots__ = ("level", "_hash")
 
     level: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.level, int) or isinstance(self.level, bool):
-            raise ConfigurationError(f"ring level must be an int, got {self.level!r}")
-        if self.level < 0:
-            raise ConfigurationError(f"ring level must be non-negative, got {self.level}")
+    def __new__(cls, level: int) -> "Ring":
+        ring = _RINGS.get(level) if type(level) is int else None
+        return ring if ring is not None else _intern_ring(level)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Ring, (self.level,)
 
     # -- privilege ordering -------------------------------------------------
 
@@ -108,6 +125,27 @@ class Ring:
         return f"Ring({self.level})"
 
 
+#: The canonical ring of every level built so far, keyed by level.
+_RINGS: dict[int, Ring] = {}
+
+
+def _intern_ring(level) -> Ring:
+    """Validate ``level`` and return its canonical ring, building it once."""
+    if not isinstance(level, int) or isinstance(level, bool):
+        raise ConfigurationError(f"ring level must be an int, got {level!r}")
+    if level < 0:
+        raise ConfigurationError(f"ring level must be non-negative, got {level}")
+    level = int(level)
+    ring = _RINGS.get(level)
+    if ring is None:
+        ring = object.__new__(Ring)
+        object.__setattr__(ring, "level", level)
+        # The value a frozen dataclass over ``level`` would hash to.
+        object.__setattr__(ring, "_hash", hash((level,)))
+        _RINGS[level] = ring
+    return ring
+
+
 def _level_of(value: "Ring | int") -> int:
     """Return the integer level of a ``Ring`` or plain integer."""
     if isinstance(value, Ring):
@@ -121,9 +159,9 @@ def _level_of(value: "Ring | int") -> int:
 
 def as_ring(value: "Ring | int") -> Ring:
     """Coerce an integer or ``Ring`` into a ``Ring`` instance."""
-    if isinstance(value, Ring):
+    if type(value) is Ring:
         return value
-    return Ring(_level_of(value))
+    return Ring(value)
 
 
 class RingSet:

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .context import SecurityContext
-from .decision import AccessDecision, Rule, RuleOutcome, Verdict
-from .policy import AccessRequest, Policy
+from .decision import AccessDecision, Operation, Verdict
+from .policy import Policy, origin_outcome
 
 
 @dataclass
@@ -28,25 +28,17 @@ class SameOriginPolicy(Policy):
 
     name: str = field(default="same-origin")
 
-    def evaluate(self, request: AccessRequest) -> AccessDecision:
-        outcome = _origin_only_outcome(request.principal, request.target)
+    def evaluate(
+        self,
+        principal: SecurityContext,
+        target: SecurityContext,
+        operation: Operation,
+        principal_label: str,
+        object_label: str,
+    ) -> AccessDecision:
+        outcome = origin_outcome(principal, target)
         verdict = Verdict.ALLOW if outcome.passed else Verdict.DENY
-        return AccessDecision(
-            verdict=verdict,
-            operation=request.operation,
-            principal_label=request.describe_principal(),
-            object_label=request.describe_object(),
-            outcomes=(outcome,),
-            policy=self.name,
-        )
-
-
-def _origin_only_outcome(principal: SecurityContext, target: SecurityContext) -> RuleOutcome:
-    """Evaluate the lone SOP rule, with the browser-internal exemption."""
-    if principal.trusted:
-        return RuleOutcome(Rule.ORIGIN, True, "browser-internal principal")
-    same = principal.origin.same_origin_as(target.origin)
-    return RuleOutcome(Rule.ORIGIN, same, f"{principal.origin} vs {target.origin}")
+        return AccessDecision(verdict, operation, principal_label, object_label, (outcome,), self.name)
 
 
 def escudo_collapses_to_sop(decision_escudo: AccessDecision, decision_sop: AccessDecision) -> bool:

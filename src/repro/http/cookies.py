@@ -15,7 +15,8 @@ security context so the monitor can be consulted directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from repro.core.acl import Acl
@@ -37,20 +38,24 @@ class Cookie:
     path: str = "/"
     secure: bool = False
     http_only: bool = False
-    ring: Ring = field(default_factory=lambda: Ring(0))
-    acl: Acl = field(default_factory=lambda: Acl.uniform(0))
+    ring: Ring = Ring(0)
+    acl: Acl = Acl.uniform(0)
 
-    @property
+    @cached_property
     def security_context(self) -> SecurityContext:
-        """Context the reference monitor evaluates for this cookie."""
+        """Context the reference monitor evaluates for this cookie (built once).
+
+        Every derived cookie (:meth:`with_policy`, :meth:`with_value`) is a
+        new instance and builds its own.
+        """
         return SecurityContext(
             origin=self.origin,
             ring=self.ring,
             acl=self.acl,
-            label=f"cookie:{self.name}",
+            label=self.label,
         )
 
-    @property
+    @cached_property
     def label(self) -> str:
         """Display label used in access decisions."""
         return f"cookie:{self.name}"
@@ -127,9 +132,8 @@ def authorized_cookies(
 
     Cookie attachment (``use``) and ``document.cookie`` reads sweep the whole
     jar for an origin on every request, so they go through the monitor's
-    batch path: the principal is coerced once and cookies sharing a security
-    context are decided once.  Every cookie still gets its own recorded
-    decision (complete mediation of the sweep is preserved).
+    batch path: the principal is coerced once, and the policy decides every
+    cookie and records its own decision (complete mediation of the sweep).
     """
     if not cookies:
         return []

@@ -27,6 +27,17 @@ class Headers:
             for name, value in initial:
                 self.add(name, value)
 
+    @classmethod
+    def from_pairs(cls, pairs: "Iterable[tuple[str, str]]") -> "Headers":
+        """Headers holding ``pairs`` as they are, with no per-pair coercion.
+
+        For pairs that already came out of a :class:`Headers` (a stored
+        copy), whose names and values are strings by construction.
+        """
+        headers = cls()
+        headers._items = list(pairs)
+        return headers
+
     # -- mutation ---------------------------------------------------------------
 
     def add(self, name: str, value: str) -> None:

@@ -11,10 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import PageConfiguration
+from repro.core.config import API_POLICY_HEADER, COOKIE_POLICY_HEADER, RINGS_HEADER, PageConfiguration
 
 from .headers import Headers
 from .url import Url, encode_query
+
+#: Lower-cased ESCUDO header name -> its argument slot in
+#: ``PageConfiguration.from_header_values``.
+_ESCUDO_HEADER_SLOTS = {
+    RINGS_HEADER.lower(): 0,
+    COOKIE_POLICY_HEADER.lower(): 1,
+    API_POLICY_HEADER.lower(): 2,
+}
 
 
 #: Minimal set of reason phrases used by the synthetic servers.
@@ -188,14 +196,13 @@ class HttpResponse:
         ``escudo_enabled=False`` (the body may still enable ESCUDO through AC
         tags; the loader handles that).
         """
-        from repro.core.config import API_POLICY_HEADER, COOKIE_POLICY_HEADER, RINGS_HEADER
-
-        headers = self.headers
-        return PageConfiguration.from_header_values(
-            headers.get(RINGS_HEADER),
-            headers.get(COOKIE_POLICY_HEADER),
-            headers.get(API_POLICY_HEADER),
-        )
+        values: list[str | None] = [None, None, None]
+        for name, value in self.headers:
+            slot = _ESCUDO_HEADER_SLOTS.get(name.lower())
+            # The first value of each header wins, as in ``Headers.get``.
+            if slot is not None and values[slot] is None:
+                values[slot] = value
+        return PageConfiguration.from_header_values(*values)
 
     # -- misc --------------------------------------------------------------------------
 

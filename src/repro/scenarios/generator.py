@@ -44,6 +44,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.attacks.harness import APP_KEYS, Attack, registered_attacks
 
@@ -84,16 +87,23 @@ def parse_replay_token(token: str) -> tuple[str, int, bool]:
     return seed_text, int(index_text), forced_benign
 
 
-def attack_corpus() -> dict[str, Attack]:
-    """The injectable attack corpus, keyed by attack name."""
-    return {attack.name: attack for attack in registered_attacks()}
+@cache
+def _corpus() -> tuple[Mapping[str, Attack], tuple[str, ...]]:
+    """The corpus, built once per process, and its names in sorted order."""
+    corpus = {attack.name: attack for attack in registered_attacks()}
+    return MappingProxyType(corpus), tuple(sorted(corpus))
+
+
+def attack_corpus() -> Mapping[str, Attack]:
+    """The injectable attack corpus, keyed by attack name (read-only, shared)."""
+    return _corpus()[0]
 
 
 def attack_by_name(name: str) -> Attack:
     """Look one attack up (KeyError with the known names on a miss)."""
-    corpus = attack_corpus()
+    corpus, names = _corpus()
     if name not in corpus:
-        raise KeyError(f"unknown attack {name!r}; known: {sorted(corpus)}")
+        raise KeyError(f"unknown attack {name!r}; known: {list(names)}")
     return corpus[name]
 
 
@@ -187,8 +197,8 @@ class ScenarioGenerator:
         )
 
     def _attack_scenario(self, rng: random.Random, index: int) -> Scenario:
-        corpus = attack_corpus()
-        attack = corpus[rng.choice(sorted(corpus))]
+        corpus, names = _corpus()
+        attack = corpus[rng.choice(names)]
         victim = Actor(name="victim", role=ROLE_VICTIM)
         attacker = Actor(name="mallory", role=ROLE_ATTACKER)
         bystanders = [

@@ -205,8 +205,7 @@ class ScenarioRunner:
 
     def run(self, scenario: Scenario) -> dict[str, ScenarioRun]:
         """Run ``scenario`` under every model of the matrix."""
-        # Resolve the injected attack once for the whole matrix (the corpus
-        # lookup rebuilds every attack definition).
+        # Resolve the injected attack once for the whole matrix.
         attack = attack_by_name(scenario.attack_name) if scenario.attack_name else None
         return {spec.name: self._run_with(scenario, spec, attack) for spec in self.specs}
 

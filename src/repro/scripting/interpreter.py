@@ -222,12 +222,18 @@ class Environment:
 
     def lookup(self, name: str):
         """Resolve a name, walking outward; raises for unknown names."""
-        env: Optional[Environment] = self
-        while env is not None:
+        env: Environment = self
+        while True:
             value = env.values.get(name, _UNBOUND)
             if value is not _UNBOUND:
                 return value
-            env = env.parent
+            parent = env.parent
+            if parent is None:
+                return env.resolve(name)
+            env = parent
+
+    def resolve(self, name: str):
+        """The value of ``name`` when no scope binds it; the root scope asks here."""
         raise RuntimeScriptError(f"{name!r} is not defined")
 
     def assign(self, name: str, value) -> None:
@@ -243,6 +249,33 @@ class Environment:
         while root.parent is not None:
             root = root.parent
         root.values[name] = value
+
+
+class GlobalEnvironment(Environment):
+    """The root scope, with an optional resolver for host globals.
+
+    ``resolver(name)`` returns the value of a global the host installs
+    lazily, or raises ``KeyError``.  A resolved value is bound like any
+    other global, so it is resolved at most once, and a script's own
+    declaration or assignment of the name shadows it as before.
+    """
+
+    __slots__ = ("resolver",)
+
+    def __init__(self, resolver: Callable[[str], Any] | None = None) -> None:
+        super().__init__()
+        self.resolver = resolver
+
+    def resolve(self, name: str):
+        if self.resolver is not None:
+            try:
+                value = self.resolver(name)
+            except KeyError:
+                pass
+            else:
+                self.values[name] = value
+                return value
+        return super().resolve(name)
 
 
 @dataclass
@@ -276,8 +309,14 @@ class _ContinueSignal(Exception):
 class Interpreter:
     """Executes MiniScript programs against a set of global host bindings."""
 
-    def __init__(self, globals_map: dict[str, Any] | None = None, *, max_steps: int = 500_000) -> None:
-        self.globals = Environment()
+    def __init__(
+        self,
+        globals_map: dict[str, Any] | None = None,
+        *,
+        max_steps: int = 500_000,
+        resolve_global: Callable[[str], Any] | None = None,
+    ) -> None:
+        self.globals = GlobalEnvironment(resolve_global)
         self.max_steps = max_steps
         self._steps = 0
         # One bulk update: the standard library is a shared immutable-valued
@@ -356,107 +395,120 @@ class Interpreter:
 
     def _execute_node(self, node: ast.Node, env: Environment):
         self._tick(node.line)
-        if isinstance(node, ast.ExpressionStatement):
-            return self._evaluate(node.expression, env)
-        if isinstance(node, ast.VarDeclaration):
-            value = self._evaluate(node.initializer, env) if node.initializer is not None else None
-            env.define(node.name, value)
-            return None
-        if isinstance(node, ast.FunctionDeclaration):
-            env.define(node.name, ScriptFunction(declaration=node, closure=env))
-            return None
-        if isinstance(node, ast.Return):
-            raise _ReturnSignal(self._evaluate(node.value, env) if node.value is not None else None)
-        if isinstance(node, ast.If):
-            if _truthy(self._evaluate(node.test, env)):
-                return self._execute(node.consequent, env)
-            if node.alternate is not None:
-                return self._execute(node.alternate, env)
-            return None
-        if isinstance(node, ast.While):
-            while _truthy(self._evaluate(node.test, env)):
-                self._tick(node.line)
-                try:
-                    self._execute(node.body, env)
-                except _BreakSignal:
-                    break
-                except _ContinueSignal:
-                    continue
-            return None
-        if isinstance(node, ast.For):
-            loop_env = Environment(env)
-            if node.init is not None:
-                self._execute(node.init, loop_env)
-            while node.test is None or _truthy(self._evaluate(node.test, loop_env)):
-                self._tick(node.line)
-                try:
-                    self._execute(node.body, loop_env)
-                except _BreakSignal:
-                    break
-                except _ContinueSignal:
-                    pass
-                if node.update is not None:
-                    self._evaluate(node.update, loop_env)
-            return None
-        if isinstance(node, ast.Block):
-            block_env = Environment(env)
-            result = None
-            for statement in node.statements:
-                result = self._execute(statement, block_env)
-            return result
-        if isinstance(node, ast.Break):
-            raise _BreakSignal()
-        if isinstance(node, ast.Continue):
-            raise _ContinueSignal()
-        # Expressions used in statement position (e.g. inside for-init).
-        return self._evaluate(node, env)
+        handler = _STATEMENT_HANDLERS.get(type(node))
+        if handler is None:
+            # Expressions used in statement position (e.g. inside for-init).
+            return self._evaluate(node, env)
+        return handler(self, node, env)
+
+    def _expression_statement(self, node: ast.ExpressionStatement, env: Environment):
+        return self._evaluate(node.expression, env)
+
+    def _var_declaration(self, node: ast.VarDeclaration, env: Environment):
+        value = self._evaluate(node.initializer, env) if node.initializer is not None else None
+        env.define(node.name, value)
+        return None
+
+    def _function_declaration(self, node: ast.FunctionDeclaration, env: Environment):
+        env.define(node.name, ScriptFunction(declaration=node, closure=env))
+        return None
+
+    def _return(self, node: ast.Return, env: Environment):
+        raise _ReturnSignal(self._evaluate(node.value, env) if node.value is not None else None)
+
+    def _if(self, node: ast.If, env: Environment):
+        if _truthy(self._evaluate(node.test, env)):
+            return self._execute(node.consequent, env)
+        if node.alternate is not None:
+            return self._execute(node.alternate, env)
+        return None
+
+    def _while(self, node: ast.While, env: Environment):
+        while _truthy(self._evaluate(node.test, env)):
+            self._tick(node.line)
+            try:
+                self._execute(node.body, env)
+            except _BreakSignal:
+                break
+            except _ContinueSignal:
+                continue
+        return None
+
+    def _for(self, node: ast.For, env: Environment):
+        loop_env = Environment(env)
+        if node.init is not None:
+            self._execute(node.init, loop_env)
+        while node.test is None or _truthy(self._evaluate(node.test, loop_env)):
+            self._tick(node.line)
+            try:
+                self._execute(node.body, loop_env)
+            except _BreakSignal:
+                break
+            except _ContinueSignal:
+                pass
+            if node.update is not None:
+                self._evaluate(node.update, loop_env)
+        return None
+
+    def _block(self, node: ast.Block, env: Environment):
+        block_env = Environment(env)
+        result = None
+        for statement in node.statements:
+            result = self._execute(statement, block_env)
+        return result
+
+    def _break(self, node: ast.Break, env: Environment):
+        raise _BreakSignal()
+
+    def _continue(self, node: ast.Continue, env: Environment):
+        raise _ContinueSignal()
 
     # -- evaluation ----------------------------------------------------------------------
 
     def _evaluate_node(self, node: ast.Node, env: Environment):
         self._tick(node.line)
-        if isinstance(node, ast.NumberLiteral):
-            return node.value
-        if isinstance(node, ast.StringLiteral):
-            return node.value
-        if isinstance(node, ast.BooleanLiteral):
-            return node.value
-        if isinstance(node, ast.NullLiteral):
-            return None
-        if isinstance(node, ast.Identifier):
-            return env.lookup(node.name)
-        if isinstance(node, ast.ArrayLiteral):
-            return [self._evaluate(element, env) for element in node.elements]
-        if isinstance(node, ast.ObjectLiteral):
-            return {key: self._evaluate(value, env) for key, value in node.entries}
-        if isinstance(node, ast.FunctionExpression):
-            return ScriptFunction(declaration=node, closure=env)
-        if isinstance(node, ast.Unary):
-            return self._unary(node, env)
-        if isinstance(node, ast.Binary):
-            return self._binary(node, env)
-        if isinstance(node, ast.Conditional):
-            if _truthy(self._evaluate(node.test, env)):
-                return self._evaluate(node.consequent, env)
-            return self._evaluate(node.alternate, env)
-        if isinstance(node, ast.Assignment):
-            return self._assign(node, env)
-        if isinstance(node, ast.MemberAccess):
-            target = self._evaluate(node.target, env)
-            return _get_member(target, self._member_name(node, env), node.line)
-        if isinstance(node, ast.Call):
-            return self._call(node, env)
-        if isinstance(node, ast.NewExpression):
-            constructor = env.lookup(node.constructor)
-            args = [self._evaluate(argument, env) for argument in node.arguments]
-            if isinstance(constructor, NativeConstructor):
-                return constructor.construct(args)
-            if isinstance(constructor, ScriptFunction):
-                instance: dict[str, Any] = {}
-                self._invoke_script_function(constructor, args, this_value=instance)
-                return instance
-            raise RuntimeScriptError(f"{node.constructor} is not constructible", node.line)
-        raise RuntimeScriptError(f"cannot evaluate {type(node).__name__}", getattr(node, "line", 0))
+        handler = _EXPRESSION_HANDLERS.get(type(node))
+        if handler is None:
+            raise RuntimeScriptError(f"cannot evaluate {type(node).__name__}", getattr(node, "line", 0))
+        return handler(self, node, env)
+
+    def _literal(self, node: ast.NumberLiteral | ast.StringLiteral | ast.BooleanLiteral, env: Environment):
+        return node.value
+
+    def _null(self, node: ast.NullLiteral, env: Environment):
+        return None
+
+    def _identifier(self, node: ast.Identifier, env: Environment):
+        return env.lookup(node.name)
+
+    def _array_literal(self, node: ast.ArrayLiteral, env: Environment):
+        return [self._evaluate(element, env) for element in node.elements]
+
+    def _object_literal(self, node: ast.ObjectLiteral, env: Environment):
+        return {key: self._evaluate(value, env) for key, value in node.entries}
+
+    def _function_expression(self, node: ast.FunctionExpression, env: Environment):
+        return ScriptFunction(declaration=node, closure=env)
+
+    def _conditional(self, node: ast.Conditional, env: Environment):
+        if _truthy(self._evaluate(node.test, env)):
+            return self._evaluate(node.consequent, env)
+        return self._evaluate(node.alternate, env)
+
+    def _member_access(self, node: ast.MemberAccess, env: Environment):
+        target = self._evaluate(node.target, env)
+        return _get_member(target, self._member_name(node, env), node.line)
+
+    def _new(self, node: ast.NewExpression, env: Environment):
+        constructor = env.lookup(node.constructor)
+        args = [self._evaluate(argument, env) for argument in node.arguments]
+        if isinstance(constructor, NativeConstructor):
+            return constructor.construct(args)
+        if isinstance(constructor, ScriptFunction):
+            instance: dict[str, Any] = {}
+            self._invoke_script_function(constructor, args, this_value=instance)
+            return instance
+        raise RuntimeScriptError(f"{node.constructor} is not constructible", node.line)
 
     def _member_name(self, node: ast.MemberAccess, env: Environment) -> str:
         if node.computed:
@@ -555,6 +607,41 @@ class Interpreter:
         except _ReturnSignal as signal:
             return signal.value
         return None
+
+
+#: The statement walk's handlers, by exact node type; any other node is an
+#: expression in statement position and is evaluated.
+_STATEMENT_HANDLERS: dict[type, Callable[[Interpreter, Any, Environment], Any]] = {
+    ast.ExpressionStatement: Interpreter._expression_statement,
+    ast.VarDeclaration: Interpreter._var_declaration,
+    ast.FunctionDeclaration: Interpreter._function_declaration,
+    ast.Return: Interpreter._return,
+    ast.If: Interpreter._if,
+    ast.While: Interpreter._while,
+    ast.For: Interpreter._for,
+    ast.Block: Interpreter._block,
+    ast.Break: Interpreter._break,
+    ast.Continue: Interpreter._continue,
+}
+
+#: The expression walk's handlers, by exact node type.
+_EXPRESSION_HANDLERS: dict[type, Callable[[Interpreter, Any, Environment], Any]] = {
+    ast.NumberLiteral: Interpreter._literal,
+    ast.StringLiteral: Interpreter._literal,
+    ast.BooleanLiteral: Interpreter._literal,
+    ast.NullLiteral: Interpreter._null,
+    ast.Identifier: Interpreter._identifier,
+    ast.ArrayLiteral: Interpreter._array_literal,
+    ast.ObjectLiteral: Interpreter._object_literal,
+    ast.FunctionExpression: Interpreter._function_expression,
+    ast.Unary: Interpreter._unary,
+    ast.Binary: Interpreter._binary,
+    ast.Conditional: Interpreter._conditional,
+    ast.Assignment: Interpreter._assign,
+    ast.MemberAccess: Interpreter._member_access,
+    ast.Call: Interpreter._call,
+    ast.NewExpression: Interpreter._new,
+}
 
 
 # -- member protocol ---------------------------------------------------------------------------

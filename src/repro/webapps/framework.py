@@ -89,7 +89,7 @@ class ResponseMemo:
         if entry is None:
             return None
         status, headers, body, content_type = entry
-        return HttpResponse(status=status, headers=Headers(headers), body=body,
+        return HttpResponse(status=status, headers=Headers.from_pairs(headers), body=body,
                             content_type=content_type)
 
     def put(self, key: tuple, response: HttpResponse) -> None:

@@ -443,13 +443,20 @@ class SqliteBackend(StorageBackend):
         rows = list(rows)
         if not rows:
             return 0
-        with_id = rows[0].get(spec.id_column) is not None
         batch = _batch(spec, rows)
         self._record("insert_many", table, None, batch)
         self.write_digest()
-        self._conn.executemany(
-            self._insert_sql(spec, with_id), batch if with_id else (values[1:] for values in batch)
-        )
+        # Every row names its id column: an explicit id, or NULL, for which
+        # AUTOINCREMENT assigns the next id -- so a batch mixing the two
+        # stores the ids the dict backend gives it, row by row.
+        stored_before = self._conn.total_changes
+        try:
+            self._conn.executemany(self._insert_sql(spec, True), batch)
+        except sqlite3.IntegrityError as error:
+            # Keep the rows before the duplicate, as the dict backend does.
+            self._conn.commit()
+            duplicate = batch[self._conn.total_changes - stored_before][0]
+            raise ValueError(f"duplicate id {duplicate} in table {spec.name!r}") from error
         self._conn.commit()
         return len(rows)
 

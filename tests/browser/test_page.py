@@ -7,6 +7,8 @@ import weakref
 
 from repro.browser.loader import load_page
 from repro.browser.script_runtime import ScriptRuntime
+from repro.core.config import ResourcePolicy
+from repro.core.principal import PrincipalKind
 from repro.core.rings import Ring
 
 from .conftest import FORUM_BODY, forum_configuration
@@ -62,6 +64,51 @@ class TestNativeApiContexts:
         assert loaded.dom_api_context() is None
         loaded.configuration.api_policies["DOM API"] = loaded.configuration.api_policies["XMLHttpRequest"]
         assert loaded.dom_api_context().ring == Ring(1)
+
+
+class TestResolvedContexts:
+    """A page resolves each principal and API context once per distinct input,
+    and its resolutions never serve another page or origin."""
+
+    def test_each_principal_is_resolved_once(self):
+        loaded = page()
+        message = loaded.document.get_element_by_id("message-1")
+        first = loaded.principal_context_for(message)
+        assert loaded.principal_context_for(message) is first
+        assert loaded.principal_context_for(message, kind=PrincipalKind.SCRIPT) is not first
+        assert loaded.principal_context_for(message, kind=PrincipalKind.SCRIPT).label == "<div> script-invoking"
+        assert loaded.browser_principal() is loaded.browser_principal()
+        assert loaded.api_context("XMLHttpRequest") is loaded.api_context("XMLHttpRequest")
+
+    def test_resolutions_never_serve_another_page_or_origin(self):
+        pages = [page(), load_page(FORUM_BODY, "http://mirror.example.org/t", configuration=forum_configuration())]
+        for loaded in pages:
+            message = loaded.document.get_element_by_id("message-1")
+            for context in (
+                loaded.principal_context_for(message),
+                loaded.browser_principal(),
+                loaded.api_context("XMLHttpRequest"),
+            ):
+                assert context.origin == loaded.origin
+        first, second = pages
+        assert first.origin != second.origin
+        assert first.principal_context_for(first.document.get_element_by_id("message-1")) is not (
+            second.principal_context_for(second.document.get_element_by_id("message-1"))
+        )
+        assert first.browser_principal() != second.browser_principal()
+        assert first.api_context("XMLHttpRequest") != second.api_context("XMLHttpRequest")
+
+    def test_a_relabelled_api_resolves_again(self):
+        loaded = page()
+        before = loaded.api_context("XMLHttpRequest")
+        loaded.set_api_policy("XMLHttpRequest", ResourcePolicy.uniform(1))
+        assert loaded.api_context("XMLHttpRequest") is before  # an equal policy is the same object
+        loaded.set_api_policy("XMLHttpRequest", ResourcePolicy.uniform(0))
+        assert loaded.api_context("XMLHttpRequest").ring == Ring(0)
+        loaded.configuration.api_policies["XMLHttpRequest"] = ResourcePolicy.uniform(2)
+        assert loaded.api_context("XMLHttpRequest").ring == Ring(2)
+        del loaded.configuration.api_policies["XMLHttpRequest"]
+        assert loaded.api_context("XMLHttpRequest").ring == Ring(0)
 
 
 class TestListeners:

@@ -121,6 +121,28 @@ class TestWindowBindings:
         assert "again" in observations.alerts
         assert "logged twice" in observations.console
 
+    def test_window_globals_resolve_on_first_lookup(self, loaded_scripted_page, monkeypatch):
+        from repro.browser import script_runtime
+
+        browser, loaded = loaded_scripted_page
+        reads = []
+        js_get = script_runtime.WindowBinding.js_get
+
+        def counting(self, name):
+            reads.append(name)
+            return js_get(self, name)
+
+        monkeypatch.setattr(script_runtime.WindowBinding, "js_get", counting)
+        run = browser.run_script(loaded, "1 + 1;", ring=1)
+        assert run.succeeded and reads == []
+        run = browser.run_script(
+            loaded, "alert('a'); alert('b'); typeof document + (document == window.document);", ring=1
+        )
+        assert run.result.value == "objecttrue"
+        assert reads == ["alert", "document", "document"]
+        run = browser.run_script(loaded, "var alert = 5; alert + 1;", ring=1)
+        assert run.result.value == 6.0
+
     def test_location_reads_reflect_the_page_url(self, loaded_scripted_page):
         browser, loaded = loaded_scripted_page
         run = browser.run_script(loaded, "location.host + location.pathname;", ring=1)

@@ -16,8 +16,9 @@ from repro.http.network import Network
 
 # ``HYPOTHESIS_PROFILE=ci`` raises the example budget of every property that
 # does not fix its own -- the parser-versus-reference properties of
-# ``tests/html`` -- for CI's dedicated parser step; the tier-1 run keeps
-# Hypothesis's default budget.  CI's scenario-fuzz step runs without
+# ``tests/html`` and the dict-vs-SQLite state machine of
+# ``tests/webapps/test_storage_parity.py`` -- for CI's dedicated parser and
+# storage steps; the tier-1 run keeps Hypothesis's default budget.  CI's scenario-fuzz step runs without
 # hypothesis installed, so the profile is registered only when it is.
 try:
     from hypothesis import settings

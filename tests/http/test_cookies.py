@@ -27,6 +27,15 @@ class TestCookieValue:
         assert context.acl == Acl.uniform(1)
         assert "sid" in context.label
 
+    def test_security_context_is_built_once_per_cookie(self):
+        cookie = Cookie(name="sid", value="abc", origin=FORUM, ring=Ring(1), acl=Acl.uniform(1))
+        assert cookie.security_context is cookie.security_context
+        relabelled = cookie.with_policy(ResourcePolicy.uniform(2))
+        assert relabelled.security_context.ring == Ring(2)
+        assert cookie.security_context.ring == Ring(1)
+        assert cookie.with_value("def").security_context is not cookie.security_context
+        assert cookie.with_value("def").security_context == cookie.security_context
+
     def test_with_policy_relabels_without_changing_value(self):
         cookie = Cookie(name="sid", value="abc", origin=FORUM)
         relabelled = cookie.with_policy(ResourcePolicy.uniform(2))

@@ -93,3 +93,12 @@ class TestHeadersQueries:
 
     def test_equality_with_non_headers_is_not_implemented(self):
         assert (Headers() == {"A": "1"}) is False
+
+
+def test_from_pairs_keeps_the_stored_pairs():
+    original = Headers([("Set-Cookie", "a=1"), ("X-Escudo-Rings", "3"), ("set-cookie", "b=2")])
+    copied = Headers.from_pairs(tuple(original))
+    assert copied == original
+    assert copied.items() == original.items()
+    copied.add("X-Extra", "1")
+    assert "X-Extra" not in original

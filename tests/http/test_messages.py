@@ -125,6 +125,18 @@ class TestEscudoHeaderRoundTrip:
         # Unconfigured resources fall back to the ring-0 default.
         assert recovered.cookie_policy("other").ring == Ring(0)
 
+    def test_first_value_of_each_header_wins_in_any_case(self):
+        response = HttpResponse.html("x")
+        response.headers.add("x-escudo-rings", "2")
+        response.headers.add("X-Escudo-Rings", "5")
+        response.headers.add("X-ESCUDO-API-POLICY", "XMLHttpRequest; ring=1")
+        response.headers.add("X-Escudo-Api-Policy", "XMLHttpRequest; ring=2")
+        recovered = response.escudo_configuration()
+        assert recovered.escudo_enabled
+        assert recovered.rings.highest_level == 2
+        assert recovered.api_policy("XMLHttpRequest").ring == Ring(1)
+        assert recovered.cookie_policies == {}
+
     def test_response_without_escudo_headers_reports_disabled(self):
         recovered = HttpResponse.html("x").escudo_configuration()
         assert recovered.escudo_enabled is False

@@ -65,6 +65,20 @@ class TestAttackCorpus:
         with pytest.raises(KeyError):
             attack_by_name("phpbb-teapot")
 
+    def test_the_corpus_is_built_once_and_read_only(self, monkeypatch):
+        import repro.attacks.harness
+
+        corpus = attack_corpus()
+        monkeypatch.setattr(repro.attacks.harness, "registered_attacks", lambda: pytest.fail("rebuilt"))
+        generator = ScenarioGenerator(seed=7, attack_ratio=1.0)
+        for index in range(5):
+            scenario = generator.scenario(index)
+            assert attack_by_name(scenario.attack_name) is corpus[scenario.attack_name]
+        assert attack_corpus() is corpus
+        with pytest.raises(TypeError):
+            corpus["extra"] = corpus["phpbb-csrf-img"]
+
+
 
 class TestGeneratedShape:
     def test_benign_scenarios_avoid_attack_sentinels(self):

@@ -228,6 +228,58 @@ class TestHostInterop:
         assert result.failed
 
 
+#: ``(source, value, steps, error line)``: the walker's step budget and
+#: error-line stamping, pinned as the isinstance-ladder walker charged them.
+PINNED_RUNS = [
+    ("var total = 0; for (var i = 0; i < 10; i = i + 1) { if (i % 2 == 0) { continue; } "
+     "total = total + i; } total;", 25.0, 195, None),
+    ("function f(n) { if (n < 2) { return n; } return f(n - 1) + f(n - 2); } f(8);", 21.0, 838, None),
+    ("var xs = [1, 2, 3]; var o = {a: 1}; var k = 0; while (true) { k = k + 1; if (k > 5) { break; } } "
+     "xs.length + o.a + k;", 10.0, 93, None),
+    ("var s = 'ab'; s.toUpperCase() + typeof missing + (1 < 2 ? 'y' : 'n');", "ABundefinedy", 14, None),
+    ("var a = 1;\nvar b = a.foo.bar;", None, 6, 2),
+    ("var q = new Thing();", None, 2, 1),
+]
+
+
+@pytest.mark.parametrize("source, value, steps, line", PINNED_RUNS)
+def test_step_counts_and_error_lines_are_pinned(source, value, steps, line):
+    result = run(source)
+    assert (result.value, result.steps) == (value, steps)
+    assert (result.error.line if result.failed else None) == line
+
+
+def test_budget_exhaustion_is_pinned():
+    result = run("while (true) { var x = 1; }", max_steps=50)
+    assert (result.steps, result.error.line, str(result.error)) == (
+        51, 1, "script exceeded its execution budget (line 1)"
+    )
+
+
+class TestLazyGlobals:
+    def test_a_resolved_global_is_bound_once(self):
+        asked = []
+
+        def resolve(name):
+            asked.append(name)
+            if name != "greeting":
+                raise KeyError(name)
+            return "hi"
+
+        interpreter = Interpreter(resolve_global=resolve)
+        assert interpreter.run("greeting + greeting;").value == "hihi"
+        assert interpreter.run("greeting;").value == "hi"
+        assert asked == ["greeting"]
+        result = interpreter.run("nothing;")
+        assert result.failed and "not defined" in str(result.error)
+        assert asked == ["greeting", "nothing"]
+
+    def test_a_script_binding_shadows_an_unresolved_global(self):
+        interpreter = Interpreter(resolve_global=lambda name: "host")
+        assert interpreter.run("greeting = 'script'; greeting;").value == "script"
+        assert interpreter.run("typeof other;").value == "string"
+
+
 class TestErrorsAndBudget:
     def test_unknown_identifier(self):
         result = run("missing_variable + 1;")

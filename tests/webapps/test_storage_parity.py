@@ -2,8 +2,8 @@
 
 Every step applies the same operation to a :class:`DictBackend` and a
 :class:`SqliteBackend` -- inserts with explicit ids out of order, auto-id
-inserts, ``insert_many`` batches, updates that move a row between index
-buckets, and deletes -- and the invariant compares what both backends
+inserts, ``insert_many`` batches mixing auto and explicit ids, updates that
+move a row between index buckets, and deletes -- and the invariant compares what both backends
 return from ``all``/``select``/``count``/``get`` afterwards.  Rows must come
 back in primary-key order and be equal on both sides; an index bucket must
 hold exactly the rows a full scan would filter to.  Both backends must also
@@ -60,11 +60,24 @@ class BackendParity(RuleBasedStateMachine):
         self.live.add(item_id)
         return item_id
 
-    @rule(target=ids, batch=st.lists(st.tuples(bucket_values, labels), max_size=4))
+    @rule(
+        target=ids,
+        batch=st.lists(st.tuples(st.none() | st.integers(1, 60), bucket_values, labels), max_size=4),
+    )
     def insert_many(self, batch):
+        """A batch mixing auto and explicit ids; a duplicate id fails on both."""
         before = {row["item_id"] for row in self.backends[0].all("items")}
-        rows = [{"bucket": bucket, "label": label} for bucket, label in batch]
-        assert self._both("insert_many", "items", rows) == len(rows)
+        rows = [
+            {"bucket": bucket, "label": label} | ({} if item_id is None else {"item_id": item_id})
+            for item_id, bucket, label in batch
+        ]
+        outcomes = []
+        for backend in self.backends:
+            try:
+                outcomes.append(backend.insert_many("items", rows))
+            except ValueError as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1], f"insert_many({rows}): dict {outcomes[0]!r} != sqlite {outcomes[1]!r}"
         added = sorted({row["item_id"] for row in self.backends[0].all("items")} - before)
         self.live.update(added)
         return multiple(*added)
@@ -100,9 +113,9 @@ class BackendParity(RuleBasedStateMachine):
             backend.close()
 
 
-BackendParity.TestCase.settings = settings(
-    max_examples=60, stateful_step_count=25, deadline=None, derandomize=True
-)
+# The example budget comes from the active profile: Hypothesis's default in
+# tier-1, 2,000 under ``HYPOTHESIS_PROFILE=ci`` (CI's storage job).
+BackendParity.TestCase.settings = settings(stateful_step_count=25, deadline=None, derandomize=True)
 TestBackendParity = BackendParity.TestCase
 
 
@@ -114,4 +127,35 @@ def test_explicit_ids_out_of_order_come_back_sorted():
         backend.insert("items", {"item_id": 5, "bucket": "a", "label": ""})
         assert [row["item_id"] for row in backend.all("items")] == [5, 10]
         assert [row["item_id"] for row in backend.select("items", bucket="a")] == [5, 10]
+        backend.close()
+
+
+def test_a_mixed_batch_stores_the_same_ids_on_both_backends():
+    """An auto-id row, then an explicit one: SQLite once took the batch's
+    id mode from its first row and stored ids [1, 2] where the dict backend
+    stored [1, 10], under equal write digests."""
+    rows = [{"label": "a"}, {"item_id": 10, "label": "b"}]
+    stored, digests = [], []
+    for backend in (DictBackend(), SqliteBackend()):
+        backend.create_table(SPEC)
+        backend.insert_many("items", rows)
+        stored.append([(row["item_id"], row["label"]) for row in backend.all("items")])
+        digests.append(backend.write_digest())
+        backend.close()
+    assert stored == [[(1, "a"), (10, "b")]] * 2
+    assert digests[0] == digests[1]
+
+
+def test_a_batch_failing_on_a_duplicate_keeps_the_same_rows_on_both_backends():
+    rows = [{"label": "a"}, {"item_id": 1, "label": "b"}, {"label": "c"}]
+    for backend in (DictBackend(), SqliteBackend()):
+        backend.create_table(SPEC)
+        try:
+            backend.insert_many("items", rows)
+        except ValueError as error:
+            assert str(error) == "duplicate id 1 in table 'items'"
+        else:
+            raise AssertionError(f"{backend.kind} accepted duplicate id 1")
+        assert [(row["item_id"], row["label"]) for row in backend.all("items")] == [(1, "a")]
+        assert backend.insert("items", {"label": "d"}) == 2
         backend.close()
