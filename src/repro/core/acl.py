@@ -15,9 +15,9 @@ evaluated independently and an over-permissive ACL is simply ineffective.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from typing import Mapping
 
+from .canonical import Canonical, make
 from .decision import Operation
 from .errors import ConfigurationError
 from .rings import MOST_PRIVILEGED, Ring, RingSet, as_ring
@@ -28,18 +28,16 @@ _RING_ZERO = Ring(MOST_PRIVILEGED)
 _ACLS: dict[tuple[int, int, int], "Acl"] = {}
 
 
-class Acl:
+class Acl(Canonical):
     """Immutable (read, write, use) permission triple.
 
     Each field holds the outermost ring allowed to perform that operation.
-
-    ACLs are canonical like :class:`~repro.core.rings.Ring`: building a
-    triple that already exists returns the existing instance
-    (``Acl.uniform(1) is Acl.uniform(1)``), so equality is identity and the
-    hash is computed once.
+    ACLs are canonical (:mod:`repro.core.canonical`): building a triple that
+    already exists returns the existing instance, so
+    ``Acl.uniform(1) is Acl.uniform(1)``.
     """
 
-    __slots__ = ("read", "write", "use", "_hash")
+    __slots__ = ("read", "write", "use")
 
     read: Ring
     write: Ring
@@ -52,23 +50,8 @@ class Acl:
         key = (read.level, write.level, use.level)
         acl = _ACLS.get(key)
         if acl is None:
-            acl = object.__new__(cls)
-            object.__setattr__(acl, "read", read)
-            object.__setattr__(acl, "write", write)
-            object.__setattr__(acl, "use", use)
-            # The value a frozen dataclass over the three rings would hash to.
-            object.__setattr__(acl, "_hash", hash((read, write, use)))
-            _ACLS[key] = acl
+            acl = _ACLS[key] = make(cls, {"read": read, "write": write, "use": use})
         return acl
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return Acl, (self.read, self.write, self.use)

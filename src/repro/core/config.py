@@ -24,11 +24,12 @@ Applying those values to a live DOM tree is the job of
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
 
 from .acl import ACL_ATTRIBUTES, Acl, parse_acl_attributes
+from .canonical import Canonical, make
 from .errors import ConfigurationError
 from .nonce import NONCE_ATTRIBUTE
 from .rings import DEFAULT_RING_COUNT, Ring, RingSet
@@ -143,41 +144,26 @@ def is_ac_tag(tag_name: str, attributes: Mapping[str, str]) -> bool:
     return False
 
 
-class ResourcePolicy:
+class ResourcePolicy(Canonical):
     """Ring and ACL assigned to a non-DOM resource (cookie or native API).
 
-    Canonical like :class:`~repro.core.rings.Ring` and
-    :class:`~repro.core.acl.Acl`: one instance per ``(ring, acl)`` pair, so
-    ``ResourcePolicy.ring_zero()`` is shared and a relabel to an equal
-    policy is the same object.
+    Canonical (:mod:`repro.core.canonical`): one instance per ``(ring,
+    acl)`` pair, so ``ResourcePolicy.ring_zero()`` is shared and a relabel
+    to an equal policy is the same object.
     """
 
-    __slots__ = ("ring", "acl", "_hash")
+    __slots__ = ("ring", "acl")
 
     ring: Ring
     acl: Acl
 
     def __new__(cls, ring: Ring, acl: Acl) -> "ResourcePolicy":
-        key = (ring, acl)
-        policy = _POLICIES.get(key)
+        policy = _POLICIES.get((ring, acl))
         if policy is None:
             if type(ring) is not Ring or type(acl) is not Acl:
                 raise ConfigurationError(f"a resource policy needs a Ring and an Acl, got {ring!r}, {acl!r}")
-            policy = object.__new__(cls)
-            object.__setattr__(policy, "ring", ring)
-            object.__setattr__(policy, "acl", acl)
-            object.__setattr__(policy, "_hash", hash(key))
-            _POLICIES[key] = policy
+            policy = _POLICIES[ring, acl] = make(cls, {"ring": ring, "acl": acl})
         return policy
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return ResourcePolicy, (self.ring, self.acl)

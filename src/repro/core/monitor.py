@@ -268,7 +268,8 @@ class ReferenceMonitor:
         decisions: list[AccessDecision] = []
         for target in targets:
             target_ctx = _coerce_context(target)
-            decision = evaluate(principal_ctx, target_ctx, op, principal_lbl, _label_with_context(target, target_ctx, ""))
+            object_label = _label_with_context(target, target_ctx, "")
+            decision = evaluate(principal_ctx, target_ctx, op, principal_lbl, object_label)
             self._record(decision)
             decisions.append(decision)
         return decisions

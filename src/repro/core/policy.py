@@ -124,11 +124,12 @@ class EscudoPolicy(Policy):
 # Each rule's outcome is a pure function of a few immutable inputs (two
 # origins, two ring levels, an ACL and an operation), so equal inputs share
 # one interned RuleOutcome instead of formatting its detail text again.  The
-# tables hold rule records, not decisions: every access still runs every
-# enabled rule, and the policy builds its own AccessDecision for it.
+# tables hold rule records, not decisions: every access still goes through
+# each enabled rule with its own inputs, and the policy derives the verdict
+# and builds an AccessDecision for every access.
 
 #: Entries kept per outcome table; a full table starts over.
-OUTCOME_TABLE_SIZE = 4096
+_OUTCOME_TABLE_SIZE = 4096
 
 _TRUSTED_ORIGIN_OUTCOME = RuleOutcome(Rule.ORIGIN, True, "browser-internal principal")
 _ORIGIN_OUTCOMES: dict[tuple[Origin, Origin], RuleOutcome] = {}
@@ -137,7 +138,7 @@ _ACL_OUTCOMES: dict[tuple, RuleOutcome] = {}
 
 
 def _intern(table: dict, key, outcome: RuleOutcome) -> RuleOutcome:
-    if len(table) >= OUTCOME_TABLE_SIZE:
+    if len(table) >= _OUTCOME_TABLE_SIZE:
         table.clear()
     table[key] = outcome
     return outcome

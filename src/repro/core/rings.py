@@ -19,9 +19,9 @@ This module provides:
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from typing import Iterable, Iterator
 
+from .canonical import Canonical, make
 from .errors import ConfigurationError, RingRangeError
 
 #: Number of rings used throughout the paper's examples (rings 0..3).
@@ -31,7 +31,7 @@ DEFAULT_RING_COUNT = 4
 MOST_PRIVILEGED = 0
 
 
-class Ring:
+class Ring(Canonical):
     """A single protection-ring label.
 
     ``Ring`` is a thin, immutable wrapper around the integer label.  It
@@ -42,29 +42,18 @@ class Ring:
     The natural integer ordering is still exposed (``Ring(1) < Ring(2)``)
     and means "numerically smaller", i.e. *more privileged*.
 
-    Rings are canonical (hash-consed): ``Ring(2) is Ring(2)``.  The first
-    construction of a level validates it and keeps the instance; every later
-    one returns that instance, so equality is identity and the hash is
-    computed once.  Copies and pickles rebuild through the constructor and
-    land on the canonical instance of their process.
+    Rings are canonical (:mod:`repro.core.canonical`): ``Ring(2) is
+    Ring(2)``.  The first construction of a level validates it; every later
+    one returns the same instance.
     """
 
-    __slots__ = ("level", "_hash")
+    __slots__ = ("level",)
 
     level: int
 
     def __new__(cls, level: int) -> "Ring":
         ring = _RINGS.get(level) if type(level) is int else None
         return ring if ring is not None else _intern_ring(level)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return Ring, (self.level,)
@@ -138,11 +127,7 @@ def _intern_ring(level) -> Ring:
     level = int(level)
     ring = _RINGS.get(level)
     if ring is None:
-        ring = object.__new__(Ring)
-        object.__setattr__(ring, "level", level)
-        # The value a frozen dataclass over ``level`` would hash to.
-        object.__setattr__(ring, "_hash", hash((level,)))
-        _RINGS[level] = ring
+        ring = _RINGS[level] = make(Ring, {"level": level})
     return ring
 
 
