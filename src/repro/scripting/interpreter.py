@@ -378,7 +378,16 @@ class Interpreter:
         leave an already-stamped error untouched.
         """
         try:
-            return self._execute_node(node, env)
+            # One budget step per statement (``_tick``, inlined: this is the
+            # walker's hottest path).
+            self._steps += 1
+            if self._steps > self.max_steps:
+                raise BudgetExceeded("script exceeded its execution budget", node.line)
+            handler = _STATEMENT_HANDLERS.get(type(node))
+            if handler is None:
+                # Expressions used in statement position (e.g. inside for-init).
+                return self._evaluate(node, env)
+            return handler(self, node, env)
         except ScriptError as error:
             if error.line is None and getattr(node, "line", 0):
                 error.line = node.line
@@ -387,19 +396,17 @@ class Interpreter:
     def _evaluate(self, node: ast.Node, env: Environment):
         """Evaluate one expression, stamping raised errors with its line."""
         try:
-            return self._evaluate_node(node, env)
+            self._steps += 1
+            if self._steps > self.max_steps:
+                raise BudgetExceeded("script exceeded its execution budget", node.line)
+            handler = _EXPRESSION_HANDLERS.get(type(node))
+            if handler is None:
+                raise RuntimeScriptError(f"cannot evaluate {type(node).__name__}", getattr(node, "line", 0))
+            return handler(self, node, env)
         except ScriptError as error:
             if error.line is None and getattr(node, "line", 0):
                 error.line = node.line
             raise
-
-    def _execute_node(self, node: ast.Node, env: Environment):
-        self._tick(node.line)
-        handler = _STATEMENT_HANDLERS.get(type(node))
-        if handler is None:
-            # Expressions used in statement position (e.g. inside for-init).
-            return self._evaluate(node, env)
-        return handler(self, node, env)
 
     def _expression_statement(self, node: ast.ExpressionStatement, env: Environment):
         return self._evaluate(node.expression, env)
@@ -464,13 +471,6 @@ class Interpreter:
         raise _ContinueSignal()
 
     # -- evaluation ----------------------------------------------------------------------
-
-    def _evaluate_node(self, node: ast.Node, env: Environment):
-        self._tick(node.line)
-        handler = _EXPRESSION_HANDLERS.get(type(node))
-        if handler is None:
-            raise RuntimeScriptError(f"cannot evaluate {type(node).__name__}", getattr(node, "line", 0))
-        return handler(self, node, env)
 
     def _literal(self, node: ast.NumberLiteral | ast.StringLiteral | ast.BooleanLiteral, env: Environment):
         return node.value
