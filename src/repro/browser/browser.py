@@ -28,6 +28,7 @@ from repro.core.context import SecurityContext
 from repro.core.decision import Operation
 from repro.core.origin import Origin
 from repro.core.rings import Ring
+from repro.dom.element import Element
 from repro.faults.plan import NETWORK_RETRY_ATTEMPTS, SITE_NETWORK, SITE_XHR
 from repro.http.cookies import Cookie, CookieJar, authorized_cookies, format_cookie_header
 from repro.http.headers import Headers
@@ -356,15 +357,22 @@ class Browser:
         action = form.get_attribute("action") or str(page.url)
         target = page.url.resolve(action)
 
+        # One walk over the form; a textarea's text wins over an input's
+        # value under a shared name.
         data: dict[str, str] = {}
-        for input_element in form.get_elements_by_tag_name("input"):
-            name = input_element.get_attribute("name")
-            if name:
-                data[name] = input_element.get_attribute("value") or ""
-        for textarea in form.get_elements_by_tag_name("textarea"):
-            name = textarea.get_attribute("name")
-            if name:
-                data[name] = textarea.text_content
+        texts: dict[str, str] = {}
+        for node in form.descendants():
+            if isinstance(node, Element):
+                tag = node.tag_name
+                if tag == "input":
+                    name = node.get_attribute("name")
+                    if name:
+                        data[name] = node.get_attribute("value") or ""
+                elif tag == "textarea":
+                    name = node.get_attribute("name")
+                    if name:
+                        texts[name] = node.text_content
+        data.update(texts)
         if fields:
             data.update(fields)
 

@@ -9,7 +9,10 @@ The lookups are served from a lazy :class:`LoadManifest`: one walk lists
 the tree's nodes, and :meth:`Document.clone` hands every copy its own node
 list plus the original's shared shape indexes, so a page served from the
 template cache answers its load-time queries (scripts, subresources, ids)
-without walking the DOM.
+without walking the DOM.  A mutation drops the manifest, except a
+text-for-text swap (``textContent`` on an element holding one text node),
+which puts the new text node in the old one's slot and keeps the shape: a
+page whose script updates a counter still finds its forms without a walk.
 
 A document's tree is one big reference cycle (every node points back at
 its ``parent`` and ``owner_document``), so only the cyclic garbage
@@ -42,9 +45,10 @@ class TreeShape:
 
     Every clone of a document shares its shape.  Each index is computed on
     first use from the node list of whichever sharer asks first: a document
-    holds the shape only while its tree is unmutated (any mutation drops
-    the manifest), so every holder gets the same answer.  Once computed, an
-    index is never mutated.
+    holds the shape only while its tree keeps that shape (every mutation
+    drops the manifest, except a text-for-text swap, which moves no node
+    and changes no element), so every holder gets the same answer.  Once
+    computed, an index is never mutated.
     """
 
     __slots__ = ("parents", "by_tag", "by_id")
@@ -127,7 +131,9 @@ class Document(Node):
         self.doctype: str | None = None
         # Lazy load manifest, served to the id and tag-name queries.
         # Structural mutations and ``id`` attribute writes drop it through
-        # ``Node._note_tree_change``, so it can never serve a stale element.
+        # ``Node._note_tree_change``, so it can never serve a stale element;
+        # a text-for-text swap updates its node list in place instead
+        # (``Node.replace_children``).
         self._manifest: LoadManifest | None = None
 
     # -- cloning -------------------------------------------------------------------

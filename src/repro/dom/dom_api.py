@@ -39,6 +39,7 @@ from repro.core.config import extract_ac_label
 from repro.core.context import SecurityContext
 from repro.core.decision import Operation
 from repro.core.monitor import ReferenceMonitor
+from repro.core.origin import Origin
 from repro.core.rings import RingSet
 from repro.core.scoping import effective_ring
 
@@ -58,19 +59,11 @@ class DomApi:
         self.monitor = monitor
         self.principal = principal
         self.api_object = api_object
-        # Mediation memos: the decision-bearing context for an element is a
-        # pure function of its tag name and security context, so display
-        # labels (and fail-safe defaults for unlabelled elements) are built
-        # once per distinct (tag, context) pair instead of per access --
-        # rebuilding those f-strings per access costs more than the
-        # mediation itself on the hot path.
-        self._labeled_contexts: dict[tuple[str, SecurityContext], SecurityContext] = {}
-        self._fallback_contexts: dict[str, SecurityContext] = {}
 
     # -- mediation helpers ----------------------------------------------------------
 
     def _context_of(self, element: Element) -> SecurityContext:
-        """The element's context, or the memoised fail-safe default.
+        """The element's context, or the interned fail-safe default.
 
         Unlabelled elements only exist before labelling finishes; they get
         the fail-safe default (least privilege, ring-0 ACL).
@@ -78,23 +71,20 @@ class DomApi:
         context = element.security_context
         if context is not None:
             return context
-        tag = element.tag_name
-        context = self._fallback_contexts.get(tag)
+        key = (element.tag_name, self.principal.origin)
+        context = _FALLBACK_CONTEXTS.get(key)
         if context is None:
-            context = SecurityContext.for_page_default(
-                origin=self.principal.origin, rings=_default_rings(), label=f"<{tag}>"
-            )
-            self._fallback_contexts[tag] = context
+            default = SecurityContext.for_page_default(origin=key[1], rings=_default_rings(), label=f"<{key[0]}>")
+            context = _intern(_FALLBACK_CONTEXTS, key, default)
         return context
 
     def _decision_target(self, element: Element) -> SecurityContext:
         """The element's context carrying its decision display label."""
         context = self._context_of(element)
         key = (element.tag_name, context)
-        labeled = self._labeled_contexts.get(key)
+        labeled = _LABELED_CONTEXTS.get(key)
         if labeled is None:
-            labeled = context.with_label(f"<{element.tag_name}> {context.label}")
-            self._labeled_contexts[key] = labeled
+            labeled = _intern(_LABELED_CONTEXTS, key, context.with_label(f"<{key[0]}> {context.label}"))
         return labeled
 
     def _use_api_allowed(self) -> bool:
@@ -162,6 +152,28 @@ class DomApi:
             if element.security_context is None:
                 element.assign_security_context(context)
             stack.extend((child, context) for child in reversed(element.element_children()))
+
+
+# -- decision contexts ------------------------------------------------------------------
+#
+# The context a decision names for an element is a pure function of the
+# element's tag and security context (or, for an unlabelled element, of its
+# tag and the principal's origin), so every page and every script shares one
+# instance per distinct input instead of formatting its label again.  The
+# tables hold contexts, not verdicts: every access still goes to the policy.
+
+#: Entries kept per context table; a full table starts over.
+_CONTEXT_TABLE_SIZE = 4096
+
+_LABELED_CONTEXTS: dict[tuple[str, SecurityContext], SecurityContext] = {}
+_FALLBACK_CONTEXTS: dict[tuple[str, Origin], SecurityContext] = {}
+
+
+def _intern(table: dict, key, context: SecurityContext) -> SecurityContext:
+    if len(table) >= _CONTEXT_TABLE_SIZE:
+        table.clear()
+    table[key] = context
+    return context
 
 
 @cache

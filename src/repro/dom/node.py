@@ -48,13 +48,15 @@ class Node:
 
         This is the manifest's single invalidation point: structural
         mutations and ``id`` attribute writes call it, and the next
-        manifest query rebuilds the index in one walk.  ``owner_document``
-        is authoritative for attached nodes (adoption re-owns whole
-        subtrees, see :meth:`_adopt`), so invalidation is one attribute
-        check -- which matters because the parser appends through this
-        hook.  Mutations on a detached subtree conservatively invalidate the
-        owning document too -- harmless over-invalidation, and free while
-        the manifest is unbuilt.
+        manifest query rebuilds the index in one walk.  The one mutation
+        that keeps the manifest is a text-for-text swap (see
+        :meth:`replace_children`), which updates it in place instead.
+        ``owner_document`` is authoritative for attached nodes (adoption
+        re-owns whole subtrees, see :meth:`_adopt`), so invalidation is one
+        attribute check -- which matters because the parser appends through
+        this hook.  Mutations on a detached subtree conservatively
+        invalidate the owning document too -- harmless over-invalidation,
+        and free while the manifest is unbuilt.
         """
         owner = self.owner_document
         if owner is not None and owner._manifest is not None:  # type: ignore[attr-defined]
@@ -115,11 +117,48 @@ class Node:
             self.parent.remove_child(self)
 
     def replace_children(self, new_children: list["Node"]) -> None:
-        """Drop every existing child and adopt ``new_children`` in order."""
-        for child in list(self.children):
+        """Drop every existing child and adopt ``new_children`` in order.
+
+        Replacing a single text child with a single detached text node (a
+        ``textContent`` write, or an ``innerHTML`` write of plain text)
+        moves no element, so it keeps the owning document's load manifest
+        (see :meth:`_swap_text`).
+        """
+        children = self.children
+        if (
+            len(children) == 1
+            and len(new_children) == 1
+            and children[0].node_type is NodeType.TEXT
+            and new_children[0].node_type is NodeType.TEXT
+            and new_children[0].parent is None
+        ):
+            self._swap_text(new_children[0])
+            return
+        for child in list(children):
             self.remove_child(child)
         for child in new_children:
             self.append_child(child)
+
+    def _swap_text(self, new: "Node") -> None:
+        """Put the detached text node ``new`` in place of the only child.
+
+        The new node takes the old one's slot in the owning document's
+        manifest node list; positions, parents and the element indexes
+        stay as they were.
+        """
+        old = self.children[0]
+        owner = self.owner_document
+        manifest = owner._manifest if owner is not None else None  # type: ignore[attr-defined]
+        if manifest is not None:
+            nodes = manifest.nodes
+            try:
+                nodes[nodes.index(old)] = new
+            except ValueError:
+                pass  # a detached subtree: the manifest never listed it
+        old.parent = None
+        new.parent = self
+        new.owner_document = owner
+        self.children[0] = new
 
     def _is_ancestor(self, candidate: "Node") -> bool:
         node = self.parent

@@ -87,6 +87,13 @@ def parse_set_cookie(value: str, origin: Origin) -> Cookie:
     (``X-Escudo-Cookie-Policy``); by default cookies land in ring 0 per the
     paper's fail-safe default.
     """
+    name, cookie_value, path, secure, http_only = _set_cookie_fields(value)
+    return Cookie(name=name, value=cookie_value, origin=origin, path=path, secure=secure,
+                  http_only=http_only)
+
+
+def _set_cookie_fields(value: str) -> tuple[str, str, str, bool, bool]:
+    """``(name, value, path, secure, http_only)`` of one ``Set-Cookie`` value."""
     parts = [part.strip() for part in value.split(";")]
     name, _, cookie_value = parts[0].partition("=")
     path = "/"
@@ -107,14 +114,7 @@ def parse_set_cookie(value: str, origin: Origin) -> Cookie:
             secure = True
         elif key == "httponly":
             http_only = True
-    return Cookie(
-        name=name.strip(),
-        value=cookie_value.strip(),
-        origin=origin,
-        path=path,
-        secure=secure,
-        http_only=http_only,
-    )
+    return name.strip(), cookie_value.strip(), path, secure, http_only
 
 
 def format_cookie_header(cookies: Iterable[Cookie]) -> str:
@@ -142,16 +142,23 @@ def authorized_cookies(
 
 
 class CookieJar:
-    """Per-browser cookie storage, keyed by origin and cookie name."""
+    """Per-browser cookie storage, keyed by origin, then by cookie name.
+
+    A request reads only its own origin's bucket, so its cost does not grow
+    with the cookies other origins have set.
+    """
 
     def __init__(self) -> None:
-        self._cookies: dict[tuple[Origin, str], Cookie] = {}
+        self._cookies: dict[Origin, dict[str, Cookie]] = {}
 
     # -- mutation ---------------------------------------------------------------
 
     def set(self, cookie: Cookie) -> None:
         """Store (or overwrite) a cookie."""
-        self._cookies[(cookie.origin, cookie.name)] = cookie
+        bucket = self._cookies.get(cookie.origin)
+        if bucket is None:
+            bucket = self._cookies[cookie.origin] = {}
+        bucket[cookie.name] = cookie
 
     def store_from_response(
         self,
@@ -163,20 +170,29 @@ class CookieJar:
 
         When the response carried an ESCUDO cookie policy, each cookie is
         labelled with its configured ring/ACL; otherwise it keeps the ring-0
-        default.  Returns the stored cookies (post-labelling).
+        default.  Each cookie is built once, already labelled.  Returns the
+        stored cookies.
         """
+        labelled = configuration is not None and configuration.escudo_enabled
         stored: list[Cookie] = []
         for raw in set_cookie_values:
-            cookie = parse_set_cookie(raw, origin)
-            if configuration is not None and configuration.escudo_enabled:
-                cookie = cookie.with_policy(configuration.cookie_policy(cookie.name))
+            name, value, path, secure, http_only = _set_cookie_fields(raw)
+            if labelled:
+                policy = configuration.cookie_policy(name)  # type: ignore[union-attr]
+                cookie = Cookie(name, value, origin, path, secure, http_only, policy.ring, policy.acl)
+            else:
+                cookie = Cookie(name, value, origin, path, secure, http_only)
             self.set(cookie)
             stored.append(cookie)
         return stored
 
     def delete(self, origin: Origin, name: str) -> None:
         """Remove a cookie if present."""
-        self._cookies.pop((origin, name), None)
+        bucket = self._cookies.get(origin)
+        if bucket is not None:
+            bucket.pop(name, None)
+            if not bucket:
+                del self._cookies[origin]
 
     def clear(self) -> None:
         """Remove every cookie (fresh browser profile)."""
@@ -186,7 +202,8 @@ class CookieJar:
 
     def get(self, origin: Origin, name: str) -> Cookie | None:
         """Look up one cookie by origin and name."""
-        return self._cookies.get((origin, name))
+        bucket = self._cookies.get(origin)
+        return bucket.get(name) if bucket is not None else None
 
     def cookies_for(self, origin: Origin, path: str = "/", *, secure_channel: bool | None = None) -> list[Cookie]:
         """Cookies eligible for a request to ``origin`` at ``path``.
@@ -195,28 +212,28 @@ class CookieJar:
         requests when provided; when ``None`` the scheme of the origin is
         used.
         """
+        bucket = self._cookies.get(origin)
+        if not bucket:
+            return []
         https = secure_channel if secure_channel is not None else origin.scheme == "https"
-        eligible = []
-        for (cookie_origin, _), cookie in self._cookies.items():
-            if cookie_origin != origin:
-                continue
-            if cookie.secure and not https:
-                continue
-            if not cookie.matches_path(path):
-                continue
-            eligible.append(cookie)
-        eligible.sort(key=lambda c: c.name)
-        return eligible
+        return [
+            cookie
+            for _, cookie in sorted(bucket.items())
+            if (https or not cookie.secure) and cookie.matches_path(path)
+        ]
 
     def all_cookies(self) -> list[Cookie]:
         """Every stored cookie."""
-        return list(self._cookies.values())
+        return list(self)
 
     def __len__(self) -> int:
-        return len(self._cookies)
+        return sum(map(len, self._cookies.values()))
 
     def __iter__(self) -> Iterator[Cookie]:
-        return iter(self._cookies.values())
+        for bucket in self._cookies.values():
+            yield from bucket.values()
 
     def __contains__(self, key: tuple[Origin, str]) -> bool:
-        return key in self._cookies
+        origin, name = key
+        bucket = self._cookies.get(origin)
+        return bucket is not None and name in bucket

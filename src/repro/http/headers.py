@@ -44,6 +44,14 @@ class Headers:
         """Append a header, keeping any existing headers with the same name."""
         self._items.append((str(name), str(value)))
 
+    def extend(self, pairs: "Iterable[tuple[str, str]]") -> None:
+        """Append ``pairs`` as they are, keeping existing same-named headers.
+
+        For pre-rendered string pairs (no per-pair coercion), like
+        :meth:`from_pairs`.
+        """
+        self._items.extend(pairs)
+
     def set(self, name: str, value: str) -> None:
         """Replace all headers called ``name`` with a single value."""
         self.remove(name)

@@ -66,6 +66,9 @@ class RequestContext:
 
 Handler = Callable[[RequestContext], HttpResponse]
 
+#: Application class -> its rendered ESCUDO header lines (see ``decorate``).
+_ESCUDO_HEADER_LINES: dict[type, tuple[tuple[str, str], ...]] = {}
+
 
 def snapshot_digest(snapshot: dict) -> str:
     """SHA-256 over the canonical JSON encoding of a state snapshot."""
@@ -141,7 +144,6 @@ class WebApplication:
         if not isinstance(response_cache, ResponseMemo):
             response_cache = ResponseMemo() if response_cache else None
         self.response_memo = response_cache if nonce_seed is not None else None
-        self._escudo_header_cache: tuple[tuple[str, str], ...] | None = None
         # Storage backend: the in-memory dict tier by default, SQLite (WAL)
         # via ``storage="sqlite"`` / ``"sqlite:PATH"`` / an instance (so an
         # application can be attached to a pre-seeded database).  Sessions
@@ -161,7 +163,8 @@ class WebApplication:
         """The application's ESCUDO configuration (headers side).
 
         Subclasses override to label their cookies and native APIs; the base
-        returns an empty (but enabled) configuration.
+        returns an empty (but enabled) configuration.  It must depend on the
+        class alone: :meth:`decorate` renders it once per class.
         """
         return PageConfiguration()
 
@@ -237,20 +240,21 @@ class WebApplication:
         return self.decorate(HttpResponse.not_found(f"no route for {request.method} {request.url.path}"), context)
 
     def decorate(self, response: HttpResponse, context: RequestContext) -> HttpResponse:
-        """Attach the ESCUDO headers (when enabled) to every response.
+        """Attach the ESCUDO headers (when enabled) to every HTML response.
 
-        The header lines are rendered once per application instance: the
-        built-in applications derive their configuration from class-level
+        The header lines are rendered once per application class, on first
+        use: every application derives its configuration from class-level
         constants (the paper's Tables 3 and 5), so re-building and
-        re-formatting it per response was pure overhead on every request.
+        re-formatting it per instance or per response would be pure
+        overhead.  Handlers never emit these headers themselves, so the
+        lines are appended in one step.
         """
         if self.escudo_enabled and response.content_type.startswith("text/html"):
-            headers = self._escudo_header_cache
-            if headers is None:
-                headers = tuple(self.escudo_configuration().to_headers().items())
-                self._escudo_header_cache = headers
-            for name, value in headers:
-                response.headers.set(name, value)
+            cls = type(self)
+            lines = _ESCUDO_HEADER_LINES.get(cls)
+            if lines is None:
+                lines = _ESCUDO_HEADER_LINES[cls] = tuple(self.escudo_configuration().to_headers().items())
+            response.headers.extend(lines)
         return response
 
     # -- sessions --------------------------------------------------------------------------------

@@ -162,6 +162,24 @@ class TestFormsAndLinks:
         # The form lives in the ring-1 chrome scope, so it may use the cookie.
         assert posting.cookies.get("sid") == "victim-session"
 
+    def test_submit_form_collects_nested_fields_and_a_textarea_wins_a_shared_name(self, forum_url):
+        body = (
+            '<html><body><form id="f" method="POST" action="/posting">'
+            '<textarea name="message">typed</textarea>'
+            '<div><input name="mode" value="reply"><input name="message" value="hidden"></div>'
+            '<input name="topic" value="7"><input value="unnamed">'
+            '<textarea name="note">first</textarea><textarea name="note">second</textarea>'
+            "</form></body></html>"
+        )
+        server = ForumServer(body)
+        network = Network()
+        network.register(ORIGIN_TEXT, server)
+        browser = Browser(network)
+        browser.submit_form(browser.load(forum_url), "f", as_user=True)
+        posting = [r for r in server.requests if r.url.path == "/posting"][-1]
+        assert posting.form == {"mode": "reply", "message": "typed", "topic": "7", "note": "second"}
+        assert list(posting.form) == ["mode", "message", "topic", "note"]
+
     def test_submit_missing_form_raises(self, forum_network, forum_url):
         network, _ = forum_network
         browser = Browser(network)

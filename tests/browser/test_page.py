@@ -145,6 +145,31 @@ class TestListeners:
         assert loaded.dispatcher.listeners_for(banner, "click") == []
 
 
+class TestTextWrites:
+    def test_a_text_content_write_keeps_the_manifest_and_close_frees_the_new_node(self):
+        loaded = page()
+        document = loaded.document
+        manifest = document._load_manifest()
+        status = document.get_element_by_id("status")
+        runtime = ScriptRuntime(None, loaded)
+        runtime.execute('document.getElementById("status").textContent = "busy";', loaded.browser_principal())
+        runtime.close()
+        del runtime
+        assert document._manifest is manifest
+        written = weakref.ref(status.children[0])
+        assert written().data == "busy" and written() in manifest.nodes
+        del status, manifest, document
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            loaded.close()
+            del loaded
+            assert written() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+
 class TestSummaries:
     def test_ring_histogram_covers_every_element(self):
         loaded = page()

@@ -18,6 +18,8 @@ from repro.core.decision import Operation
 from repro.core.monitor import ReferenceMonitor
 from repro.core.origin import Origin
 from repro.core.rings import Ring
+from repro.dom import dom_api
+from repro.dom.dom_api import DomApi
 from repro.html.parser import parse_document
 from repro.http.url import Url
 
@@ -241,3 +243,34 @@ class TestDocumentQueries:
         assert run(page, 3, "document.getElementById('banner')"
                             ".addEventListener('click', function (event) { })") is False
         assert page.dispatcher.listeners_for(element(page, "banner"), "click") == []
+
+
+class TestDecisionContexts:
+    def test_every_api_shares_one_labelled_context_and_still_decides_each_access(self):
+        first, second = labelled_page(), labelled_page()
+        banner = element(first, "banner")
+        pages = [first, first, second, second]
+        apis = [DomApi(page.monitor, make_context(ring, label=f"p{ring}")) for page, ring in zip(pages, (1, 3, 1, 3))]
+        targets = [api._decision_target(element(page, "banner")) for api, page in zip(apis, pages)]
+        assert all(target is targets[0] for target in targets)
+        assert targets[0].label == "<h1> h1" and targets[0].ring == banner.security_context.ring
+        assert [api.authorize(banner, Operation.READ) for api in apis[:2]] == [True, False]
+        assert first.monitor.stats.total == 2
+
+    def test_unlabelled_elements_share_a_fallback_per_tag_and_origin(self):
+        page = labelled_page()
+        home = DomApi(page.monitor, make_context(1))
+        away = DomApi(page.monitor, make_context(1, origin=OTHER_ORIGIN))
+        orphans = [page.document.create_element("span") for _ in range(2)]
+        assert home._context_of(orphans[0]) is home._context_of(orphans[1])
+        assert away._context_of(orphans[0]).origin == OTHER_ORIGIN
+        assert home._decision_target(orphans[0]).label == "<span> <span>"
+
+    def test_the_tables_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(dom_api, "_CONTEXT_TABLE_SIZE", 2)
+        monkeypatch.setattr(dom_api, "_LABELED_CONTEXTS", {})
+        page = labelled_page()
+        api = DomApi(page.monitor, make_context(1))
+        for element_id in ("chrome", "banner", "posts", "post-1", "body-1"):
+            api._decision_target(element(page, element_id))
+            assert len(dom_api._LABELED_CONTEXTS) <= 2

@@ -198,3 +198,76 @@ class TestStoreFromResponse:
         jar.store_from_response(FORUM, ["a=1"])
         jar.store_from_response(FORUM, ["b=2"])
         assert {c.name for c in jar.cookies_for(FORUM)} == {"a", "b"}
+
+    def test_a_stored_cookie_equals_the_parsed_cookie_relabelled(self):
+        escudo = PageConfiguration()
+        escudo.cookie_policies["sid"] = ResourcePolicy(ring=Ring(1), acl=Acl(read=Ring(1), write=Ring(2), use=Ring(1)))
+        legacy = PageConfiguration.legacy()
+        legacy.cookie_policies["sid"] = ResourcePolicy.uniform(2)
+        raw = ["sid=abc; Path=/forum; Secure; HttpOnly", " theme = dark ; path=nope"]
+        for configuration in (escudo, legacy, None):
+            stored = CookieJar().store_from_response(SECURE, raw, configuration)
+            expected = [parse_set_cookie(value, SECURE) for value in raw]
+            if configuration is not None and configuration.escudo_enabled:
+                expected = [c.with_policy(configuration.cookie_policy(c.name)) for c in expected]
+            assert stored == expected
+            assert [(c.ring, c.acl) for c in stored] == [(c.ring, c.acl) for c in expected]
+        assert stored[0].ring == Ring(0)
+
+
+def _scan(jar: CookieJar, origin: Origin, path: str) -> list[Cookie]:
+    """The jar's former full scan: every cookie of ``origin``, in name order."""
+    https = origin.scheme == "https"
+    eligible = [c for c in jar if c.origin == origin and (https or not c.secure) and c.matches_path(path)]
+    return sorted(eligible, key=lambda c: c.name)
+
+
+class TestJarBuckets:
+    ORIGINS = [Origin.parse(f"{scheme}://site{n}.example.com") for n in range(25) for scheme in ("http", "https")]
+
+    def full_jar(self) -> CookieJar:
+        jar = CookieJar()
+        for n, origin in enumerate(self.ORIGINS):
+            for name in ("z", "sid", "a", f"c{n}"):
+                path = "/admin" if name == "a" else "/"
+                jar.set(Cookie(name=name, value=str(n), origin=origin, path=path, secure=name == "z"))
+        return jar
+
+    def test_fifty_origins_answer_as_the_full_scan_did(self):
+        jar = self.full_jar()
+        assert len(jar) == 200 and len(jar.all_cookies()) == 200
+        for origin in self.ORIGINS:
+            for path in ("/", "/admin/panel"):
+                assert jar.cookies_for(Origin.parse(str(origin)), path) == _scan(jar, origin, path)
+        assert jar.cookies_for(Origin.parse("http://unknown.example.com")) == []
+
+    def test_a_request_compares_no_other_origin(self, monkeypatch):
+        jar = self.full_jar()
+        compared = []
+        equal = Origin.__eq__
+
+        def counting(self, other):
+            compared.append((self, other))
+            return equal(self, other)
+
+        monkeypatch.setattr(Origin, "__eq__", counting)
+        target = Origin.parse("https://site7.example.com")
+        cookies = jar.cookies_for(target, "/admin/x")
+        assert [c.name for c in cookies] == ["a", "c15", "sid", "z"]
+        monkeypatch.undo()
+        # At most the bucket lookup's one comparison of two equal origins.
+        assert len(compared) <= 1
+        assert all(a == b for a, b in compared)
+
+    def test_membership_iteration_and_deletion(self):
+        jar = self.full_jar()
+        first = self.ORIGINS[0]
+        assert (first, "sid") in jar and (first, "nope") not in jar
+        assert (Origin.parse("http://unknown.example.com"), "sid") not in jar
+        for name in ("z", "sid", "a", "c0"):
+            jar.delete(first, name)
+        jar.delete(first, "sid")
+        assert len(jar) == 196 and jar.cookies_for(first) == [] and jar.get(first, "sid") is None
+        assert [c.origin for c in jar][:4] == [self.ORIGINS[1]] * 4
+        jar.clear()
+        assert len(jar) == 0 and list(jar) == []

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
-from repro.core.config import COOKIE_POLICY_HEADER, RINGS_HEADER
+import hashlib
+import json
+from collections import Counter
+
+from repro.core.config import COOKIE_POLICY_HEADER, RINGS_HEADER, PageConfiguration, ResourcePolicy
+from repro.core.rings import RingSet
 from repro.http.messages import HttpRequest, HttpResponse
+from repro.scenarios import run_suite
 from repro.webapps.framework import RequestContext, WebApplication
 from repro.webapps.sessions import SessionStore
 
@@ -120,6 +126,55 @@ class TestEscudoHeaders:
         response = app.handle_request(request("GET", "/"))
         assert RINGS_HEADER not in response.headers
         assert COOKIE_POLICY_HEADER not in response.headers
+
+    def test_the_header_lines_are_rendered_once_per_class(self):
+        class CountingApp(MiniApp):
+            rendered = 0
+
+            def escudo_configuration(self) -> PageConfiguration:
+                CountingApp.rendered += 1
+                return super().escudo_configuration()
+
+        for _ in range(3):
+            app = CountingApp(ORIGIN)
+            app.handle_request(request("GET", "/"))
+            app.handle_request(request("GET", "/missing"))
+        assert CountingApp.rendered == 1
+
+    def test_a_subclass_overriding_the_configuration_gets_its_own_lines(self):
+        class RingOneApp(MiniApp):
+            def escudo_configuration(self) -> PageConfiguration:
+                config = PageConfiguration(rings=RingSet(1))
+                config.cookie_policies["mini_sid"] = ResourcePolicy.uniform(1)
+                return config
+
+        base = MiniApp(ORIGIN).handle_request(request("GET", "/"))
+        sub = RingOneApp(ORIGIN).handle_request(request("GET", "/"))
+        again = MiniApp(ORIGIN).handle_request(request("GET", "/"))
+        assert list(sub.headers) == [(RINGS_HEADER, "1"), (COOKIE_POLICY_HEADER, "mini_sid; ring=1; r=1; w=1; x=1")]
+        rendered = list(MiniApp(ORIGIN).escudo_configuration().to_headers().items())
+        assert list(base.headers) == list(again.headers) == rendered
+        assert list(base.headers) != list(sub.headers)
+
+    def test_every_suite_response_carries_the_same_header_pairs(self, monkeypatch):
+        # SHA-256 over (app, method, path, status, header pairs) of every
+        # response the three applications send in run_suite(seed=42,
+        # count=30), pinned from the per-response Headers.set rendering.
+        digest, sent = hashlib.sha256(), Counter()
+        handle = WebApplication.handle_request
+
+        def recording(self, incoming):
+            response = handle(self, incoming)
+            name = type(self).__name__
+            line = [name, incoming.method, incoming.url.path, response.status, list(response.headers)]
+            digest.update(json.dumps(line).encode() + b"\n")
+            sent[name] += 1
+            return response
+
+        monkeypatch.setattr(WebApplication, "handle_request", recording)
+        run_suite(seed=42, count=30)
+        assert sent == {"Blog": 183, "PhpBB": 357, "PhpCalendar": 211}
+        assert digest.hexdigest() == "1d459d22bcd6422e3d044c870e95e6a2c5e4aa3159d6b88c7fdb8e139b3d9b47"
 
 
 class TestFirstLineDefences:

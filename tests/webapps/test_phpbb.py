@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.browser.browser import Browser
+from repro.core.context import SecurityContext
 from repro.core.rings import Ring
 from repro.http.messages import HttpRequest
 from repro.http.network import Network
@@ -106,6 +107,28 @@ class TestForumBehaviour:
             index, "new-topic-form", {"subject": "From the browser", "message": "posted via form"}, as_user=True
         )
         assert any(topic.title == "From the browser" for topic in forum.state.topics)
+
+    def test_a_second_logged_in_index_load_relabels_nothing_for_the_badge(self, browser_on_forum, monkeypatch):
+        browser, forum = browser_on_forum
+        browser.submit_form(load(browser, forum, "/"), "login-form", {"username": "alice"}, as_user=True)
+        first = load(browser, forum, "/")
+        badge_context = first.page.document.get_element_by_id("unread-count").security_context
+        labels = []
+        with_label = SecurityContext.with_label
+
+        def recording(self, label):
+            labels.append(label)
+            return with_label(self, label)
+
+        monkeypatch.setattr(SecurityContext, "with_label", recording)
+        second = load(browser, forum, "/")
+        badge = second.page.document.get_element_by_id("unread-count")
+        assert badge.text_content.isdigit()
+        assert badge.security_context == badge_context
+        assert f"<span> {badge_context.label}" not in labels
+        # The write still reached the policy: the poller's decision on the badge is logged.
+        badge_label = f"<span> {badge_context.label}"
+        assert any(decision.object_label == badge_label for decision in second.page.monitor.audit.entries)
 
     def test_private_messages_require_login(self, forum):
         response = forum.handle_request(HttpRequest(method="GET", url=f"{forum.origin}/privmsg"))
