@@ -159,7 +159,7 @@ class TestEscudoHeaders:
     def test_every_suite_response_carries_the_same_header_pairs(self, monkeypatch):
         # SHA-256 over (app, method, path, status, header pairs) of every
         # response the three applications send in run_suite(seed=42,
-        # count=30), pinned from the per-response Headers.set rendering.
+        # count=30): any change to a header's text or position shows.
         digest, sent = hashlib.sha256(), Counter()
         handle = WebApplication.handle_request
 
