@@ -37,7 +37,7 @@ def _measure_requirements():
             (
                 name,
                 verdict(principal, first_event.security_context, Operation.WRITE),
-                verdict(principal, cookie, Operation.READ),
+                verdict(principal, cookie.security_context, Operation.READ),
                 verdict(principal, xhr, Operation.USE),
             )
         )

@@ -51,7 +51,7 @@ def print_table4_measured() -> None:
     rows = []
     for name, principal in principals.items():
         can_modify = page.monitor.authorize(principal, event_body.security_context, Operation.WRITE).allowed
-        can_cookie = page.monitor.authorize(principal, cookie, Operation.READ).allowed
+        can_cookie = page.monitor.authorize(principal, cookie.security_context, Operation.READ).allowed
         can_xhr = page.monitor.authorize(principal, xhr_context, Operation.USE).allowed
         rows.append((name, "Yes" if can_modify else "No",
                      "Yes" if can_cookie else "No", "Yes" if can_xhr else "No"))

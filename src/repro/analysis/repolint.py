@@ -27,8 +27,9 @@ Rule catalogue (ids are what suppressions name):
     scenario replay and the parallel-executor parity oracle require
     virtual-clock time and seeded randomness only.
 ``no-bare-except``
-    ``except:`` swallows ``BudgetExceeded`` and ``AccessDenied`` signals
-    the engine relies on; name the exception type.
+    ``except:`` swallows the script engine's ``BudgetExceeded`` signal
+    along with ``KeyboardInterrupt`` and ``SystemExit``; name the
+    exception type.
 ``pickle-confinement``
     No module may import ``pickle`` (``PICKLE_ALLOWED`` is empty): it is an
     eval-equivalent deserialization surface, and everything that crosses a

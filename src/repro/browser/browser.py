@@ -477,7 +477,7 @@ class Browser:
         value = rest.split(";", 1)[0].strip()
         existing = self.cookie_jar.get(page.origin, name)
         if existing is not None:
-            if not page.monitor.allows(principal, existing, Operation.WRITE):
+            if not page.monitor.authorize(principal, existing.security_context, Operation.WRITE).allowed:
                 return False
             self.cookie_jar.set(existing.with_value(value))
             return True
@@ -490,7 +490,7 @@ class Browser:
             ring=ring,
             acl=Acl.uniform(ring),
         )
-        if not page.monitor.allows(principal, new_cookie, Operation.WRITE):
+        if not page.monitor.authorize(principal, new_cookie.security_context, Operation.WRITE).allowed:
             return False
         self.cookie_jar.set(new_cookie)
         return True
@@ -504,7 +504,7 @@ class Browser:
         same origin can read it.
         """
         state = self.history.protected_objects(page.origin)["history"]
-        if not page.monitor.allows(principal, state, Operation.READ, object_label="history"):
+        if not page.monitor.authorize(principal, state, Operation.READ).allowed:
             return None
         return [str(entry.url) for entry in self.history.entries]
 

@@ -4,7 +4,7 @@ The paper mandatorily assigns internal browser state to ring 0 -- scripts
 cannot read or manipulate it unless the application put them in ring 0,
 which closes the history-sniffing attacks cited in the paper.  The state
 itself is ordinary bookkeeping; the *objects* exposed for mediation are
-built with :func:`repro.core.objects.browser_state_object`.
+ring-0 security contexts labelled with the object's name.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.context import SecurityContext
-from repro.core.objects import ProtectedObject, browser_state_object
 from repro.core.origin import Origin
 from repro.http.url import Url
 
@@ -86,10 +85,10 @@ class BrowserHistory:
 
     # -- mediation objects ------------------------------------------------------------------
 
-    def protected_objects(self, origin: Origin) -> dict[str, ProtectedObject]:
-        """Ring-0 browser-state objects for mediation against ``origin``'s page."""
-        base = SecurityContext.for_infrastructure(origin, "browser state")
-        return {
-            "history": browser_state_object(base, "history"),
-            "visited-links": browser_state_object(base, "visited-links"),
-        }
+    def protected_objects(self, origin: Origin) -> dict[str, SecurityContext]:
+        """Ring-0 browser-state contexts for mediation against ``origin``'s page.
+
+        Browser state is mandatorily ring 0 and not configurable by the
+        application; each context is labelled with its object's name.
+        """
+        return {name: SecurityContext.for_infrastructure(origin, name) for name in ("history", "visited-links")}

@@ -241,15 +241,14 @@ class XmlHttpRequest(HostObject):
         self._pending = None
 
         # Mediation: the principal must be allowed to *use* the XHR API
-        # object, decided against the API's policy at completion time.  The
-        # boolean predicate is fully recorded like authorize().
+        # object, decided against the API's policy at completion time.
         api_context = self._page.api_context("XMLHttpRequest")
-        if not self._page.monitor.allows(
+        if not self._page.monitor.authorize(
             self._principal,
             api_context,
             Operation.USE,
             object_label="XMLHttpRequest (native-api)",
-        ):
+        ).allowed:
             self.denied = True
             self.status = 0.0
             self.response_text = ""

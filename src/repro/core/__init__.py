@@ -25,7 +25,6 @@ from .config import (
 from .context import SecurityContext
 from .decision import AccessDecision, Operation, Rule, RuleOutcome, Verdict
 from .errors import (
-    AccessDenied,
     ConfigurationError,
     EscudoError,
     NonceError,
@@ -39,9 +38,6 @@ from .objects import (
     BROWSER_STATE_OBJECTS,
     NATIVE_APIS,
     ObjectKind,
-    Protected,
-    ProtectedObject,
-    browser_state_object,
 )
 from .origin import Origin
 from .policy import EscudoPolicy, Policy, evaluate_matrix, explain
@@ -49,7 +45,6 @@ from .principal import (
     HTTP_REQUEST_ISSUING_TAGS,
     SCRIPT_INVOKING_TAGS,
     UI_EVENT_ATTRIBUTES,
-    Principal,
     PrincipalKind,
     classify_tag,
     event_handler_attributes,
@@ -74,7 +69,6 @@ __all__ = [
     "SCRIPT_INVOKING_TAGS",
     "UI_EVENT_ATTRIBUTES",
     "AccessDecision",
-    "AccessDenied",
     "Acl",
     "AcTagLabel",
     "AuditLog",
@@ -91,10 +85,7 @@ __all__ = [
     "Origin",
     "PageConfiguration",
     "Policy",
-    "Principal",
     "PrincipalKind",
-    "Protected",
-    "ProtectedObject",
     "ReferenceMonitor",
     "ResourcePolicy",
     "Ring",
@@ -108,7 +99,6 @@ __all__ = [
     "UnknownOperationError",
     "Verdict",
     "as_ring",
-    "browser_state_object",
     "classify_tag",
     "effective_ring",
     "escudo_collapses_to_sop",

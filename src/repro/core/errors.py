@@ -2,9 +2,8 @@
 
 All exceptions raised by :mod:`repro.core` derive from :class:`EscudoError`
 so that callers can catch the whole family with a single ``except`` clause.
-Enforcement denials are *not* exceptions by default -- the reference monitor
-returns :class:`repro.core.decision.AccessDecision` objects -- but a strict
-mode is available in which denials raise :class:`AccessDenied`.
+Enforcement denials are *not* exceptions: the reference monitor returns
+:class:`repro.core.decision.AccessDecision` objects.
 """
 
 from __future__ import annotations
@@ -15,33 +14,21 @@ class EscudoError(Exception):
 
 
 class ConfigurationError(EscudoError):
-    """An ESCUDO configuration (AC tag, HTTP header, policy table) is invalid.
+    """An ESCUDO configuration value is invalid.
 
-    Raised for malformed ring attributes, ACL entries that name unknown
-    operations, negative ring numbers, or cookie/API header syntax errors
-    when the parser runs in strict mode.  In lenient mode (the default for
-    browser-facing parsing, mirroring the fail-safe-defaults guideline of the
-    paper) malformed values fall back to safe defaults instead of raising.
+    Raised when a value is built directly from invalid parts: an origin or
+    URL without a scheme or host, an out-of-range ring, an ACL naming an
+    unknown operation, a resource policy without a ring and ACL, or a
+    resource name that cannot be rendered in a header.  The browser-facing
+    parsers (:func:`~repro.core.config.parse_policy_header`,
+    :func:`~repro.core.config.extract_ac_label`) are lenient only: following
+    the paper's fail-safe-defaults guideline, malformed header or tag values
+    fall back to safe defaults instead of raising.
     """
 
 
 class RingRangeError(ConfigurationError):
     """A ring label lies outside the page's configured ring range."""
-
-
-class AccessDenied(EscudoError):
-    """An access request was denied by the reference monitor (strict mode).
-
-    Attributes
-    ----------
-    decision:
-        The :class:`repro.core.decision.AccessDecision` describing which rule
-        failed and why.
-    """
-
-    def __init__(self, decision) -> None:
-        super().__init__(str(decision))
-        self.decision = decision
 
 
 class NonceError(EscudoError):

@@ -15,7 +15,7 @@ benchmarks compare the two models on identical workloads.
 
 Mediation is a short pipeline::
 
-    principal, target -> contexts -> policy rules -> decision -> stats + audit
+    principal, target contexts -> policy rules -> decision -> stats + audit
 
 The monitor hands the two security contexts straight to the policy, which
 runs every enabled rule and builds the access's decision record.  The values
@@ -25,7 +25,7 @@ each rule returns an interned outcome keyed by its inputs.  No verdict is
 cached: every access reaches the policy, which decides it afresh, so a
 relabel (ACL, ring or nonce change) or a policy swap takes effect on the
 very next request.  :meth:`ReferenceMonitor.authorize_all` mediates a sweep
-(cookie attachment, ``document.cookie`` reads): the principal is coerced
+(cookie attachment, ``document.cookie`` reads): the principal is checked
 once, and the policy decides and records every target on its own.
 """
 
@@ -37,7 +37,6 @@ from typing import Iterable
 
 from .context import SecurityContext
 from .decision import AccessDecision, Operation, Rule, RuleOutcome, Verdict
-from .errors import AccessDenied
 from .policy import EscudoPolicy, Policy
 
 
@@ -117,48 +116,19 @@ class AuditLog:
         return iter(self._entries)
 
 
-def _coerce_context(entity) -> SecurityContext:
-    """Accept a ``SecurityContext`` or anything exposing one.
-
-    Supports the :class:`~repro.core.objects.Protected` protocol
-    (``security_context`` property), the ``context`` attribute used by
-    :class:`~repro.core.principal.Principal` / ``ProtectedObject``, and raw
-    contexts.  Raising ``TypeError`` for anything else keeps misuse loud.
-    """
-    if isinstance(entity, SecurityContext):
-        return entity
-    context = getattr(entity, "security_context", None)
-    if isinstance(context, SecurityContext):
-        return context
-    context = getattr(entity, "context", None)
-    if isinstance(context, SecurityContext):
-        return context
-    raise TypeError(f"{entity!r} does not carry a security context")
-
-
-def _label_of(entity, explicit: str) -> str:
-    """Best-effort display label for an entity."""
-    if explicit:
-        return explicit
-    label = getattr(entity, "label", None)
-    if isinstance(label, str) and label:
-        return label
-    context = _coerce_context(entity)
-    return context.label
-
-
-def _label_with_context(entity, context: SecurityContext, explicit: str) -> str:
-    """Like :func:`_label_of` but reuses an already-coerced context."""
-    if explicit:
-        return explicit
-    label = getattr(entity, "label", None)
-    if isinstance(label, str) and label:
-        return label
-    return context.label
+def _not_a_context(entity) -> TypeError:
+    return TypeError(f"the monitor mediates SecurityContext values, not {type(entity).__name__}")
 
 
 class ReferenceMonitor:
     """Single enforcement point for all principal → object interactions.
+
+    Every entry point takes the two :class:`SecurityContext` values of an
+    access ``<P ▷ O>`` and an :class:`Operation`; callers holding a richer
+    substrate value (a cookie, an element) pass its context.  Anything else
+    as principal or target raises ``TypeError`` rather than being decided.
+    Denials are returned as decisions, never raised: the browser substrate
+    turns them into silent no-ops or script-visible ``null``.
 
     Parameters
     ----------
@@ -166,26 +136,13 @@ class ReferenceMonitor:
         The protection model to enforce.  Defaults to the full ESCUDO policy.
         Swapping it later (``monitor.policy = other``) takes effect on the
         next request.
-    strict:
-        When true, denials raise :class:`~repro.core.errors.AccessDenied`
-        instead of only returning a denying decision.  The browser substrate
-        runs in non-strict mode (denied operations become silent no-ops or
-        script exceptions, mirroring how the prototype neutralises attacks);
-        strict mode is handy in unit tests.
     audit_capacity:
         Size of the in-memory audit log.
     """
 
-    def __init__(
-        self,
-        policy: Policy | None = None,
-        *,
-        strict: bool = False,
-        audit_capacity: int = 10_000,
-    ) -> None:
+    def __init__(self, policy: Policy | None = None, *, audit_capacity: int = 10_000) -> None:
         #: The protection model currently enforced.
         self.policy: Policy = policy if policy is not None else EscudoPolicy()
-        self.strict = strict
         self.stats = MonitorStats()
         self.audit = AuditLog(audit_capacity)
 
@@ -193,83 +150,51 @@ class ReferenceMonitor:
 
     def authorize(
         self,
-        principal,
-        target,
-        operation: Operation | str,
+        principal: SecurityContext,
+        target: SecurityContext,
+        operation: Operation,
         *,
         principal_label: str = "",
         object_label: str = "",
     ) -> AccessDecision:
         """Mediate one access request and return the decision.
 
-        ``principal`` and ``target`` may be raw :class:`SecurityContext`
-        values or any objects exposing one (DOM elements, cookies, API
-        handles, :class:`Principal` / :class:`ProtectedObject` wrappers).
+        Each side is named in the record by the explicit label if given,
+        else by its context's label.
         """
-        op = operation if isinstance(operation, Operation) else Operation.from_text(operation)
-        if type(principal) is SecurityContext:
-            principal_ctx = principal
-            principal_label = principal_label or principal.label
-        else:
-            principal_ctx = _coerce_context(principal)
-            principal_label = _label_with_context(principal, principal_ctx, principal_label)
-        if type(target) is SecurityContext:
-            target_ctx = target
-            object_label = object_label or target.label
-        else:
-            target_ctx = _coerce_context(target)
-            object_label = _label_with_context(target, target_ctx, object_label)
-        decision = self.policy.evaluate(principal_ctx, target_ctx, op, principal_label, object_label)
+        if type(principal) is not SecurityContext:
+            raise _not_a_context(principal)
+        if type(target) is not SecurityContext:
+            raise _not_a_context(target)
+        decision = self.policy.evaluate(
+            principal, target, operation, principal_label or principal.label, object_label or target.label
+        )
         self._record(decision)
         return decision
 
-    def allows(
-        self,
-        principal,
-        target,
-        operation: Operation | str,
-        *,
-        principal_label: str = "",
-        object_label: str = "",
-    ) -> bool:
-        """Boolean form of :meth:`authorize`.
-
-        Identical bookkeeping (the access is still recorded in stats and
-        audit); only the return type differs, for call sites that branch on
-        allow/deny.
-        """
-        return self.authorize(
-            principal,
-            target,
-            operation,
-            principal_label=principal_label,
-            object_label=object_label,
-        ).allowed
-
     def authorize_all(
         self,
-        principal,
-        targets: Iterable,
-        operation: Operation | str,
+        principal: SecurityContext,
+        targets: Iterable[SecurityContext],
+        operation: Operation,
         *,
         principal_label: str = "",
     ) -> list[AccessDecision]:
         """Mediate the same operation by one principal over many targets.
 
-        The principal's context and label are coerced exactly once; the
-        policy decides every target, and each target records its own
-        decision, preserving complete mediation of the sweep.
+        The principal is checked and labelled once; the policy decides every
+        target, and each target records its own decision, preserving
+        complete mediation of the sweep.
         """
-        op = operation if isinstance(operation, Operation) else Operation.from_text(operation)
-        principal_ctx = _coerce_context(principal)
-        principal_lbl = _label_with_context(principal, principal_ctx, principal_label)
-
+        if type(principal) is not SecurityContext:
+            raise _not_a_context(principal)
+        principal_label = principal_label or principal.label
         evaluate = self.policy.evaluate
         decisions: list[AccessDecision] = []
         for target in targets:
-            target_ctx = _coerce_context(target)
-            object_label = _label_with_context(target, target_ctx, "")
-            decision = evaluate(principal_ctx, target_ctx, op, principal_lbl, object_label)
+            if type(target) is not SecurityContext:
+                raise _not_a_context(target)
+            decision = evaluate(principal, target, operation, principal_label, target.label)
             self._record(decision)
             decisions.append(decision)
         return decisions
@@ -278,9 +203,9 @@ class ReferenceMonitor:
 
     def deny_tampering(
         self,
-        principal,
-        target,
-        operation: Operation | str = Operation.WRITE,
+        principal: SecurityContext,
+        target: SecurityContext,
+        operation: Operation = Operation.WRITE,
         *,
         reason: str = "ESCUDO configuration attributes are not writable from content",
         principal_label: str = "",
@@ -293,12 +218,15 @@ class ReferenceMonitor:
         it is categorically refused (Section 5, "a principal increasing
         privilege"), and the reason string is call-site specific.
         """
-        op = operation if isinstance(operation, Operation) else Operation.from_text(operation)
+        if type(principal) is not SecurityContext:
+            raise _not_a_context(principal)
+        if type(target) is not SecurityContext:
+            raise _not_a_context(target)
         decision = AccessDecision(
             verdict=Verdict.DENY,
-            operation=op,
-            principal_label=_label_of(principal, principal_label),
-            object_label=_label_of(target, object_label),
+            operation=operation,
+            principal_label=principal_label or principal.label,
+            object_label=object_label or target.label,
             outcomes=(RuleOutcome(Rule.TAMPER, False, reason),),
             policy=self.policy.name,
         )
@@ -310,8 +238,6 @@ class ReferenceMonitor:
     def _record(self, decision: AccessDecision) -> None:
         self.stats.record(decision)
         self.audit.append(decision)
-        if self.strict and decision.denied:
-            raise AccessDenied(decision)
 
     def reset(self) -> None:
         """Clear statistics and the audit log (new page load)."""

@@ -1,4 +1,4 @@
-"""Protected objects: the resources access control guards.
+"""Objects: the resources access control guards.
 
 Table 1 of the paper lists the objects inside the web browser:
 
@@ -7,19 +7,15 @@ Table 1 of the paper lists the objects inside the web browser:
 * **native code APIs** exposed to scripts (``XMLHttpRequest``, the DOM API),
 * **browser state** (history, visited-link information).
 
-This module defines the :class:`ProtectedObject` wrapper the reference
-monitor consumes, the :class:`ObjectKind` taxonomy, and a small protocol so
-richer substrate types (DOM elements, cookie-jar entries, API handles) can be
-passed to the monitor directly as long as they expose a security context.
+This module holds the :class:`ObjectKind` taxonomy only: an object reaches
+the reference monitor as its :class:`~repro.core.context.SecurityContext`
+(a DOM element's or cookie's ``security_context``, a page's API context, the
+ring-0 browser-state contexts of :mod:`repro.browser.history`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
-
-from .context import SecurityContext
 
 
 class ObjectKind(str, enum.Enum):
@@ -39,74 +35,6 @@ NATIVE_APIS = ("XMLHttpRequest", "DOM API")
 
 #: Browser-state objects, mandatorily assigned to ring 0 and not configurable.
 BROWSER_STATE_OBJECTS = ("history", "visited-links", "cache")
-
-
-@runtime_checkable
-class Protected(Protocol):
-    """Anything carrying a security context can be a target of mediation.
-
-    DOM elements, cookies and API handles in the substrate packages satisfy
-    this protocol, so the monitor does not force callers to wrap everything
-    in :class:`ProtectedObject`.
-    """
-
-    @property
-    def security_context(self) -> SecurityContext:  # pragma: no cover - protocol
-        ...
-
-
-@dataclass(frozen=True)
-class ProtectedObject:
-    """A protected resource with its kind and security context."""
-
-    kind: ObjectKind
-    context: SecurityContext
-    description: str = ""
-    configurable: bool = True
-
-    @property
-    def security_context(self) -> SecurityContext:
-        """The object's security context (satisfies :class:`Protected`)."""
-        return self.context
-
-    @property
-    def label(self) -> str:
-        """Display label used in access decisions."""
-        base = self.description or self.context.label
-        return f"{base} ({self.kind.value})"
-
-    @property
-    def ring(self):
-        """The object's protection ring."""
-        return self.context.ring
-
-    @property
-    def origin(self):
-        """The object's origin."""
-        return self.context.origin
-
-    @property
-    def acl(self):
-        """The object's ACL."""
-        return self.context.acl
-
-    def __str__(self) -> str:
-        return self.label
-
-
-def browser_state_object(context: SecurityContext, name: str) -> ProtectedObject:
-    """Build a browser-state object.
-
-    Browser state is *mandatorily* assigned to ring 0 and is not configurable
-    by the application, so the supplied context's ring is ignored in favour
-    of the most privileged ring.
-    """
-    return ProtectedObject(
-        kind=ObjectKind.BROWSER_STATE,
-        context=context.with_ring(0).with_label(name),
-        description=name,
-        configurable=False,
-    )
 
 
 def taxonomy() -> dict[str, dict[str, object]]:

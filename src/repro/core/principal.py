@@ -14,16 +14,16 @@ Table 1 of the paper classifies the principals a web application can control:
   regenerates Table 1 can print the full picture.
 
 The browser itself also acts (fetching pages, writing history); such actions
-use a :data:`PrincipalKind.BROWSER` principal with a trusted context.
+use a trusted context (:data:`PrincipalKind.BROWSER` names that class).
+
+This module holds the classification only: an acting principal reaches the
+reference monitor as its :class:`~repro.core.context.SecurityContext`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Mapping
-
-from .context import SecurityContext
 
 
 class PrincipalKind(str, enum.Enum):
@@ -65,40 +65,6 @@ UI_EVENT_ATTRIBUTES = frozenset(
         "onkeyup",
     }
 )
-
-
-@dataclass(frozen=True)
-class Principal:
-    """An acting entity with its security context.
-
-    ``Principal`` instances are created by the browser when a principal is
-    *instantiated* -- when a script starts executing, when an ``img`` tag is
-    parsed and its fetch is about to be issued, when an event handler fires.
-    The security context is captured at creation and is immutable.
-    """
-
-    kind: PrincipalKind
-    context: SecurityContext
-    description: str = ""
-
-    @property
-    def label(self) -> str:
-        """Display label used in access decisions."""
-        base = self.description or self.context.label
-        return f"{base} ({self.kind.value})"
-
-    @property
-    def ring(self):
-        """The principal's protection ring (shortcut for ``context.ring``)."""
-        return self.context.ring
-
-    @property
-    def origin(self):
-        """The principal's origin (shortcut for ``context.origin``)."""
-        return self.context.origin
-
-    def __str__(self) -> str:
-        return self.label
 
 
 def classify_tag(tag_name: str) -> PrincipalKind | None:

@@ -108,8 +108,7 @@ class DomApi:
         """Log an attempt to touch ESCUDO configuration attributes."""
         self.monitor.deny_tampering(
             self.principal,
-            element.security_context
-            or SecurityContext.for_page_default(self.principal.origin, _default_rings(), f"<{element.tag_name}>"),
+            self._context_of(element),
             operation,
             reason=f"attribute {attribute!r} holds ESCUDO configuration",
             object_label=f"<{element.tag_name}>",

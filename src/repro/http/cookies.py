@@ -132,12 +132,12 @@ def authorized_cookies(
 
     Cookie attachment (``use``) and ``document.cookie`` reads sweep the whole
     jar for an origin on every request, so they go through the monitor's
-    batch path: the principal is coerced once, and the policy decides every
-    cookie and records its own decision (complete mediation of the sweep).
+    batch path over the cookies' contexts: the policy decides every cookie
+    and records its own decision (complete mediation of the sweep).
     """
     if not cookies:
         return []
-    decisions = monitor.authorize_all(principal, cookies, operation)
+    decisions = monitor.authorize_all(principal, [cookie.security_context for cookie in cookies], operation)
     return [cookie for cookie, decision in zip(cookies, decisions) if decision.allowed]
 
 

@@ -332,8 +332,14 @@ class TestBrowserState:
         loaded = browser.load(forum_url)
         ring0 = loaded.page.browser_principal().with_label("trusted script")
         ring1 = loaded.page.principal_context_for(loaded.page.document.get_element_by_id("banner"))
+        monitor = loaded.page.monitor
+        before = monitor.stats.total
         assert browser.history_for_script(loaded.page, ring0) == [str(loaded.page.url)]
         assert browser.history_for_script(loaded.page, ring1) is None
+        # Each call records exactly one decision on the ring-0 history context.
+        assert monitor.stats.total == before + 2
+        recorded = [(decision.object_label, decision.allowed) for decision in monitor.audit.entries[-2:]]
+        assert recorded == [("history", True), ("history", False)]
 
 
 class TestAdhocScripts:

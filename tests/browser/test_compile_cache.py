@@ -18,6 +18,7 @@ from repro.browser.compile_cache import CompileCaches, TemplateCache
 from repro.browser.loader import LoaderOptions, load_page
 from repro.browser.renderer import Renderer
 from repro.core.config import PageConfiguration, ResourcePolicy
+from repro.core.decision import Operation
 from repro.core.rings import RingSet
 from repro.dom.document import Document
 from repro.dom.node import Node
@@ -153,9 +154,9 @@ class TestPerPageMediation:
             chrome = page.document.get_element_by_id("chrome")
             content = page.document.get_element_by_id("content")
             verdicts.append(
-                page.monitor.allows(
-                    page.principal_context_for(content), page.principal_context_for(chrome), "read"
-                )
+                page.monitor.authorize(
+                    page.principal_context_for(content), page.principal_context_for(chrome), Operation.READ
+                ).allowed
             )
         assert verdicts[0] == verdicts[1]
         for page in pages:
@@ -170,9 +171,9 @@ class TestPerPageMediation:
             page = load_page(ESCUDO_BODY, PAGE_URL, options=options, caches=caches)
             chrome = page.document.get_element_by_id("chrome")
             content = page.document.get_element_by_id("content")
-            verdicts[model] = page.monitor.allows(
-                page.principal_context_for(content), page.principal_context_for(chrome), "write"
-            )
+            verdicts[model] = page.monitor.authorize(
+                page.principal_context_for(content), page.principal_context_for(chrome), Operation.WRITE
+            ).allowed
         assert caches.templates.hits == 1  # one template served both models
         assert verdicts == {"escudo": False, "sop": True}
 
@@ -194,9 +195,9 @@ class TestPerPageMediation:
 
         def may_use_xhr(page):
             content = page.document.get_element_by_id("content")
-            return page.monitor.allows(
-                page.principal_context_for(content), page.api_context("XMLHttpRequest"), "use"
-            )
+            return page.monitor.authorize(
+                page.principal_context_for(content), page.api_context("XMLHttpRequest"), Operation.USE
+            ).allowed
 
         assert [may_use_xhr(page) for page in pages] == [True, True]
         pages[0].set_api_policy("XMLHttpRequest", ResourcePolicy.uniform(1))

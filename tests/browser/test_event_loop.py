@@ -167,7 +167,7 @@ class TestTimers:
             target = targets[index % len(targets)]
             page.event_loop.set_timeout(
                 lambda target=target: decisions.append(
-                    page.monitor.allows(principal, target, Operation.READ)
+                    page.monitor.authorize(principal, target, Operation.READ).allowed
                 ),
                 float(index % 7),
             )

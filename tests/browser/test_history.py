@@ -75,7 +75,7 @@ class TestRingZeroMandate:
         objects = history.protected_objects(ORIGIN)
         assert set(objects) == {"history", "visited-links"}
         for protected in objects.values():
-            assert protected.context.ring == Ring(0)
+            assert protected.ring == Ring(0)
 
     def test_only_ring_zero_same_origin_principals_may_read(self):
         history = BrowserHistory()

@@ -8,6 +8,7 @@ import weakref
 from repro.browser.loader import load_page
 from repro.browser.script_runtime import ScriptRuntime
 from repro.core.config import ResourcePolicy
+from repro.core.decision import Operation
 from repro.core.principal import PrincipalKind
 from repro.core.rings import Ring
 
@@ -183,7 +184,7 @@ class TestSummaries:
         assert loaded.denied_accesses() == 0
         weak = loaded.principal_context_for(loaded.document.get_element_by_id("message-1"))
         chrome = loaded.document.get_element_by_id("banner").security_context
-        loaded.monitor.authorize(weak, chrome, "write")
+        loaded.monitor.authorize(weak, chrome, Operation.WRITE)
         assert loaded.denied_accesses() == 1
 
     def test_summary_keys(self):

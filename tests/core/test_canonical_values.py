@@ -180,10 +180,10 @@ class TestDecisionPath:
     def test_a_relabel_takes_effect_on_the_next_access(self):
         monitor = ReferenceMonitor()
         principal = context(1)
-        assert monitor.allows(principal, context(2, Acl.of(1, 1, 2)), Operation.WRITE)
-        assert not monitor.allows(principal, context(2, Acl.of(1, 0, 2)), Operation.WRITE)
+        assert monitor.authorize(principal, context(2, Acl.of(1, 1, 2)), Operation.WRITE).allowed
+        assert monitor.authorize(principal, context(2, Acl.of(1, 0, 2)), Operation.WRITE).denied
         monitor.policy = SameOriginPolicy()
-        assert monitor.allows(principal, context(2, Acl.of(1, 0, 2)), Operation.WRITE)
+        assert monitor.authorize(principal, context(2, Acl.of(1, 0, 2)), Operation.WRITE).allowed
         assert monitor.audit.entries[-1].policy == "same-origin"
 
     def test_the_access_request_type_is_gone(self):

@@ -4,21 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.browser.history import BrowserHistory
 from repro.core.acl import Acl
 from repro.core.context import SecurityContext
 from repro.core.objects import (
     BROWSER_STATE_OBJECTS,
     NATIVE_APIS,
     ObjectKind,
-    Protected,
-    ProtectedObject,
-    browser_state_object,
 )
 from repro.core.objects import taxonomy as object_taxonomy
 from repro.core.origin import Origin
 from repro.core.principal import (
     HTTP_REQUEST_ISSUING_TAGS,
-    Principal,
     PrincipalKind,
     classify_tag,
     event_handler_attributes,
@@ -78,16 +75,6 @@ class TestPrincipals:
         assert not PrincipalKind.PLUGIN.controllable
         assert PrincipalKind.SCRIPT.controllable
 
-    def test_principal_label_includes_kind(self, origin):
-        principal = Principal(
-            kind=PrincipalKind.UI_EVENT_HANDLER,
-            context=make_context(origin, 2),
-            description="onclick handler",
-        )
-        assert "onclick handler" in principal.label
-        assert principal.ring == Ring(2)
-        assert principal.origin == origin
-
     def test_principal_taxonomy_covers_all_kinds_except_browser(self):
         taxonomy = principal_taxonomy()
         assert set(taxonomy) == {
@@ -99,17 +86,13 @@ class TestPrincipals:
 
 
 class TestObjects:
-    def test_protected_object_exposes_context(self, origin):
-        obj = ProtectedObject(kind=ObjectKind.COOKIE, context=make_context(origin, 1), description="sid")
-        assert obj.security_context.ring == Ring(1)
-        assert isinstance(obj, Protected)
-        assert "cookie" in obj.label
-
     def test_browser_state_is_forced_to_ring_zero(self, origin):
-        obj = browser_state_object(make_context(origin, 3), "history")
-        assert obj.ring == Ring(0)
-        assert not obj.configurable
-        assert obj.kind is ObjectKind.BROWSER_STATE
+        assert object_taxonomy()[ObjectKind.BROWSER_STATE.value]["configurable"] is False
+        for name, context in BrowserHistory().protected_objects(origin).items():
+            assert name in BROWSER_STATE_OBJECTS
+            assert context.label == name
+            assert context.ring == Ring(0)
+            assert context.acl == Acl.uniform(0)
 
     def test_native_api_and_state_constants(self):
         assert "XMLHttpRequest" in NATIVE_APIS

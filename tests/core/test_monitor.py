@@ -7,21 +7,20 @@ import random
 import pytest
 
 from repro.core.acl import Acl
-from repro.core.context import SecurityContext
 from repro.core.decision import Operation, Rule
-from repro.core.errors import AccessDenied
 from repro.core.monitor import AuditLog, ReferenceMonitor
-from repro.core.objects import ObjectKind, ProtectedObject
 from repro.core.policy import EscudoPolicy
-from repro.core.principal import Principal, PrincipalKind
+from repro.core.rings import Ring
 from repro.core.sop import SameOriginPolicy
+from repro.dom.element import Element
+from repro.http.cookies import Cookie
 from tests.conftest import make_context
 
 
 class TestAuthorize:
     def test_allows_and_records(self, origin):
         monitor = ReferenceMonitor()
-        decision = monitor.authorize(make_context(origin, 1), make_context(origin, 3), "read")
+        decision = monitor.authorize(make_context(origin, 1), make_context(origin, 3), Operation.READ)
         assert decision.allowed
         assert monitor.stats.total == 1
         assert monitor.stats.allowed == 1
@@ -29,78 +28,61 @@ class TestAuthorize:
 
     def test_denies_and_attributes_rule(self, origin):
         monitor = ReferenceMonitor()
-        decision = monitor.authorize(make_context(origin, 3), make_context(origin, 1), "write")
+        decision = monitor.authorize(make_context(origin, 3), make_context(origin, 1), Operation.WRITE)
         assert decision.denied
         assert monitor.stats.denied == 1
         assert monitor.stats.denied_by_rule["ring-rule"] == 1
 
-    def test_accepts_principal_and_protected_object_wrappers(self, origin):
-        monitor = ReferenceMonitor()
-        principal = Principal(kind=PrincipalKind.SCRIPT, context=make_context(origin, 1))
-        target = ProtectedObject(kind=ObjectKind.COOKIE, context=make_context(origin, 1))
-        decision = monitor.authorize(principal, target, Operation.READ)
-        assert decision.allowed
-        assert "script-invoking" in decision.principal_label
-
-    def test_accepts_objects_exposing_security_context_property(self, origin):
-        class CookieLike:
-            label = "cookie:sid"
-
-            @property
-            def security_context(self):
-                return make_context(origin, 1, label="cookie:sid")
-
-        monitor = ReferenceMonitor()
-        assert monitor.authorize(make_context(origin, 0), CookieLike(), "use").allowed
-
-    def test_rejects_entities_without_context(self):
-        monitor = ReferenceMonitor()
-        with pytest.raises(TypeError):
-            monitor.authorize("not a context", "also not", "read")
-
-    def test_operation_accepts_string_names(self, origin):
-        monitor = ReferenceMonitor()
-        decision = monitor.authorize(make_context(origin, 0), make_context(origin, 0), "x")
-        assert decision.operation is Operation.USE
-
     def test_authorize_all_covers_every_target(self, origin):
         monitor = ReferenceMonitor()
         targets = [make_context(origin, ring) for ring in (1, 2, 3)]
-        decisions = monitor.authorize_all(make_context(origin, 2), targets, "read")
+        decisions = monitor.authorize_all(make_context(origin, 2), targets, Operation.READ)
         assert [d.allowed for d in decisions] == [False, True, True]
 
 
-class TestStrictMode:
-    def test_strict_mode_raises_on_denial(self, origin):
-        monitor = ReferenceMonitor(strict=True)
-        with pytest.raises(AccessDenied) as excinfo:
-            monitor.authorize(make_context(origin, 3), make_context(origin, 0), "read")
-        assert excinfo.value.decision.denied
+def _cookie(origin):
+    # Carries origin, ring, acl and label like a context: the policy would
+    # decide it silently if the monitor did not check the type.
+    return Cookie(name="sid", value="1", origin=origin, ring=Ring(1), acl=Acl.uniform(1))
 
-    def test_strict_mode_still_returns_allowed_decisions(self, origin):
-        monitor = ReferenceMonitor(strict=True)
-        assert monitor.authorize(make_context(origin, 0), make_context(origin, 3), "read").allowed
 
-    def test_strict_mode_raises_on_repeated_denial(self, origin):
-        monitor = ReferenceMonitor(strict=True)
-        principal = make_context(origin, 3)
-        target = make_context(origin, 0)
-        for _ in range(2):
-            with pytest.raises(AccessDenied):
-                monitor.authorize(principal, target, "read")
-        assert monitor.stats.denied == 2
+def _element(origin):
+    element = Element("div")
+    element.assign_security_context(make_context(origin, 1))
+    return element
 
-    def test_strict_authorize_all_raises_at_the_first_denial(self, origin):
-        monitor = ReferenceMonitor(strict=True)
-        targets = [make_context(origin, 3), make_context(origin, 0), make_context(origin, 3)]
-        with pytest.raises(AccessDenied) as excinfo:
-            monitor.authorize_all(make_context(origin, 2), targets, "read")
-        assert excinfo.value.decision.denied
-        # The allow before the denial and the denial itself are recorded;
-        # the sweep stops there.
-        assert monitor.stats.allowed == 1
-        assert monitor.stats.denied == 1
-        assert len(monitor.audit) == 2
+
+def _text(origin):
+    return "a string"
+
+
+_ENTRY_POINTS = {
+    "authorize": lambda monitor, principal, target: monitor.authorize(principal, target, Operation.READ),
+    "authorize_all": lambda monitor, principal, target: monitor.authorize_all(principal, [target], Operation.READ),
+    "deny_tampering": lambda monitor, principal, target: monitor.deny_tampering(principal, target),
+}
+
+
+class TestOnlyContextsAreMediated:
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    @pytest.mark.parametrize("build", [_cookie, _element, _text], ids=["cookie", "element", "str"])
+    @pytest.mark.parametrize("side", ["principal", "target"])
+    def test_a_non_context_raises_type_error(self, entry, build, side, origin):
+        monitor = ReferenceMonitor()
+        context = make_context(origin, 1)
+        other = build(origin)
+        principal, target = (other, context) if side == "principal" else (context, other)
+        with pytest.raises(TypeError, match=type(other).__name__):
+            _ENTRY_POINTS[entry](monitor, principal, target)
+        assert monitor.stats.total == len(monitor.audit) == 0
+
+    def test_a_sweep_raises_at_its_first_non_context_target(self, origin):
+        monitor = ReferenceMonitor()
+        cookie = _cookie(origin)
+        with pytest.raises(TypeError):
+            monitor.authorize_all(make_context(origin, 1), [cookie.security_context, cookie], Operation.READ)
+        # The context ahead of the cookie was decided and recorded.
+        assert monitor.stats.total == len(monitor.audit) == 1
 
 
 class TestTamperDenials:
@@ -115,7 +97,7 @@ class TestTamperDenials:
 class TestMonitorBookkeeping:
     def test_reset_clears_stats_and_audit(self, origin):
         monitor = ReferenceMonitor()
-        monitor.authorize(make_context(origin, 0), make_context(origin, 0), "read")
+        monitor.authorize(make_context(origin, 0), make_context(origin, 0), Operation.READ)
         monitor.reset()
         assert monitor.stats.total == 0
         assert len(monitor.audit) == 0
@@ -129,13 +111,13 @@ class TestAuditLog:
     def test_capacity_evicts_oldest(self, origin):
         monitor = ReferenceMonitor(audit_capacity=3)
         for ring in (0, 1, 2, 3):
-            monitor.authorize(make_context(origin, 0), make_context(origin, ring), "read")
+            monitor.authorize(make_context(origin, 0), make_context(origin, ring), Operation.READ)
         assert len(monitor.audit) == 3
 
     def test_denials_filter(self, origin):
         monitor = ReferenceMonitor()
-        monitor.authorize(make_context(origin, 0), make_context(origin, 3), "read")
-        monitor.authorize(make_context(origin, 3), make_context(origin, 0), "read")
+        monitor.authorize(make_context(origin, 0), make_context(origin, 3), Operation.READ)
+        monitor.authorize(make_context(origin, 3), make_context(origin, 0), Operation.READ)
         assert len(monitor.audit.denials()) == 1
 
     def test_invalid_capacity_rejected(self):
@@ -174,24 +156,13 @@ class TestMonitorFollowsPolicy:
                         assert decision.object_label == expected.object_label
         assert monitor.stats.total == len(monitor.audit) == 2 * 5 * 4 * len(Operation)
 
-    def test_allows_is_authorize_as_a_bool_and_records_the_access(self, origin, other_origin):
-        boolean = ReferenceMonitor()
-        full = ReferenceMonitor()
-        principals, objects = _matrix(origin, other_origin)
-        for principal in principals:
-            for target in objects:
-                allowed = boolean.allows(principal, target, "write")
-                assert allowed is full.authorize(principal, target, "write").allowed
-        assert boolean.stats.total == len(boolean.audit) == len(principals) * len(objects)
-        assert boolean.stats.denied == full.stats.denied
-
     def test_audit_records_every_repeated_request(self, origin):
         monitor = ReferenceMonitor()
         principal = make_context(origin, 1)
         target = make_context(origin, 3)
         for _ in range(3):
-            monitor.authorize(principal, target, "read")
-        monitor.authorize_all(principal, [target, target], "read")
+            monitor.authorize(principal, target, Operation.READ)
+        monitor.authorize_all(principal, [target, target], Operation.READ)
         seen = list(monitor.audit)
         assert len(seen) == 5
         assert all(decision.allowed for decision in seen)
@@ -201,12 +172,12 @@ class TestMonitorFollowsPolicy:
         monitor = ReferenceMonitor(policy)
         principal = make_context(origin, 3)
         target = make_context(origin, 1)
-        before = monitor.authorize(principal, target, "write")
+        before = monitor.authorize(principal, target, Operation.WRITE)
         monitor.reset()
         assert monitor.stats.total == 0
         assert len(monitor.audit) == 0
         assert monitor.policy is policy
-        after = monitor.authorize(principal, target, "write")
+        after = monitor.authorize(principal, target, Operation.WRITE)
         assert after.verdict is before.verdict
         assert after.policy == "same-origin"
         assert monitor.stats.total == 1
@@ -218,8 +189,8 @@ class TestBatchAuthorize:
         single_monitor = ReferenceMonitor()
         principal = make_context(origin, 2)
         targets = [make_context(origin, ring, label=f"t{ring}") for ring in (0, 1, 2, 3)] * 3
-        batch = batch_monitor.authorize_all(principal, targets, "write")
-        singles = [single_monitor.authorize(principal, t, "write") for t in targets]
+        batch = batch_monitor.authorize_all(principal, targets, Operation.WRITE)
+        singles = [single_monitor.authorize(principal, t, Operation.WRITE) for t in targets]
         assert [d.verdict for d in batch] == [d.verdict for d in singles]
         assert [d.object_label for d in batch] == [d.object_label for d in singles]
         # One recorded decision per target, exactly as the per-target calls.
@@ -230,9 +201,9 @@ class TestBatchAuthorize:
         monitor = ReferenceMonitor()
         principal = make_context(origin, 3)
         targets = [make_context(origin, 1)] * 3
-        assert all(d.denied for d in monitor.authorize_all(principal, targets, "read"))
+        assert all(d.denied for d in monitor.authorize_all(principal, targets, Operation.READ))
         monitor.policy = SameOriginPolicy()
-        swapped = monitor.authorize_all(principal, targets, "read")
+        swapped = monitor.authorize_all(principal, targets, Operation.READ)
         assert all(d.allowed and d.policy == "same-origin" for d in swapped)
 
     def test_authorize_all_decides_a_relabelled_target_on_its_own(self, origin):
@@ -240,7 +211,7 @@ class TestBatchAuthorize:
         principal = make_context(origin, 2)
         target = make_context(origin, 3, label="object")
         promoted = target.with_ring(0).with_acl(Acl.uniform(0))
-        decisions = monitor.authorize_all(principal, [target, promoted, target], "read")
+        decisions = monitor.authorize_all(principal, [target, promoted, target], Operation.READ)
         assert [d.allowed for d in decisions] == [True, False, True]
 
 
@@ -251,9 +222,9 @@ class TestPrivilegeChanges:
         monitor = ReferenceMonitor()
         principal = make_context(origin, 3)
         target = make_context(origin, 1)
-        assert monitor.authorize(principal, target, "read").denied  # ring rule
+        assert monitor.authorize(principal, target, Operation.READ).denied  # ring rule
         monitor.policy = SameOriginPolicy()
-        decision = monitor.authorize(principal, target, "read")
+        decision = monitor.authorize(principal, target, Operation.READ)
         assert decision.allowed  # SOP has no ring rule
         assert decision.policy == "same-origin"
 
@@ -264,47 +235,47 @@ class TestPrivilegeChanges:
         monitor = ReferenceMonitor(full)
         principal = make_context(origin, 3)
         target = make_context(origin, 0)
-        assert monitor.authorize(principal, target, "read").denied
+        assert monitor.authorize(principal, target, Operation.READ).denied
         monitor.policy = no_ring
-        assert monitor.authorize(principal, target, "read").allowed
+        assert monitor.authorize(principal, target, Operation.READ).allowed
         monitor.policy = full
-        assert monitor.authorize(principal, target, "read").denied
+        assert monitor.authorize(principal, target, Operation.READ).denied
 
     def test_ring_relabel_changes_verdict(self, origin):
         monitor = ReferenceMonitor()
         principal = make_context(origin, 2)
         target = make_context(origin, 3, label="object")
-        assert monitor.authorize(principal, target, "read").allowed
+        assert monitor.authorize(principal, target, Operation.READ).allowed
         promoted = target.with_ring(0)  # object promoted above the principal
-        assert monitor.authorize(principal, promoted, "read").denied
+        assert monitor.authorize(principal, promoted, Operation.READ).denied
 
     def test_privilege_downgrade_denies_next_call(self, origin):
         monitor = ReferenceMonitor()
         principal = make_context(origin, 2)
         target = make_context(origin, 3, label="object")
-        assert monitor.authorize(principal, target, "use").allowed
+        assert monitor.authorize(principal, target, Operation.USE).allowed
         tightened = target.with_acl(Acl.uniform(0))
-        assert monitor.authorize(principal, tightened, "use").denied
-        assert monitor.authorize(principal, target, "use").allowed
+        assert monitor.authorize(principal, tightened, Operation.USE).denied
+        assert monitor.authorize(principal, target, Operation.USE).allowed
 
     def test_acl_relabel_changes_verdict(self, origin):
         monitor = ReferenceMonitor()
         principal = make_context(origin, 2)
         open_target = make_context(origin, 2, read=2, write=2, use=2, label="obj")
-        assert monitor.authorize(principal, open_target, "write").allowed
+        assert monitor.authorize(principal, open_target, Operation.WRITE).allowed
         closed = open_target.with_acl(Acl.uniform(1))
-        assert monitor.authorize(principal, closed, "write").denied
+        assert monitor.authorize(principal, closed, Operation.WRITE).denied
 
     def test_monitors_with_different_policies_decide_independently(self, origin):
         escudo = ReferenceMonitor(EscudoPolicy())
         sop = ReferenceMonitor(SameOriginPolicy())
         principal = make_context(origin, 3)
         target = make_context(origin, 1)
-        assert escudo.authorize(principal, target, "write").denied  # ring rule
-        decision = sop.authorize(principal, target, "write")
+        assert escudo.authorize(principal, target, Operation.WRITE).denied  # ring rule
+        decision = sop.authorize(principal, target, Operation.WRITE)
         assert decision.allowed  # SOP has no ring rule
         assert decision.policy == "same-origin"
-        assert escudo.authorize(principal, target, "write").denied
+        assert escudo.authorize(principal, target, Operation.WRITE).denied
 
     def test_ablation_variants_sharing_a_name_decide_independently(self, origin):
         full = ReferenceMonitor(EscudoPolicy())
@@ -312,8 +283,8 @@ class TestPrivilegeChanges:
         principal = make_context(origin, 3)
         target = make_context(origin, 0)
         for _ in range(2):
-            assert full.authorize(principal, target, "read").denied
-            assert no_rules.authorize(principal, target, "read").allowed
+            assert full.authorize(principal, target, Operation.READ).denied
+            assert no_rules.authorize(principal, target, Operation.READ).allowed
 
 
 class TestScenarioChurn:
@@ -349,11 +320,11 @@ class TestScenarioChurn:
         principal = make_context(origin, 2, label="chrome-script")
         cookie_ctx = make_context(origin, 3, label="session-cookie")
         for _ in range(4):
-            assert monitor.authorize(principal, cookie_ctx, "use").allowed
+            assert monitor.authorize(principal, cookie_ctx, Operation.USE).allowed
             # The server relabels the cookie above the principal, as a
             # response's X-Escudo-Cookie-Policy can...
             cookie_ctx = cookie_ctx.with_ring(1).with_acl(Acl.uniform(1))
-            assert monitor.authorize(principal, cookie_ctx, "use").denied
+            assert monitor.authorize(principal, cookie_ctx, Operation.USE).denied
             # ...and the relabel back down restores access.
             cookie_ctx = cookie_ctx.with_ring(3).with_acl(Acl.uniform(3))
 
