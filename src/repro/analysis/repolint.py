@@ -45,6 +45,13 @@ Rule catalogue (ids are what suppressions name):
     ``__dict__`` again.  Bases are resolved through the module's imports, so
     other classes that happen to be called ``Node`` (the script AST's) are
     out of scope.
+``canonical-urls``
+    No ``Url(...)`` or ``Origin(...)`` construction outside
+    ``repro/http/url.py`` and ``repro/core/origin.py``: everything else
+    goes through ``Url.parse`` / ``resolve`` / ``with_params`` and
+    ``Origin.parse`` / ``of`` (or ``Url.origin``), which hand out the
+    shared instances a page's sub-requests reuse.  A direct construction
+    rebuilds what the page already holds.
 
 Suppression: append ``# repolint: allow[<rule-id>]`` to the flagged line.
 
@@ -495,6 +502,33 @@ class DomSlotsRule(Rule):
         return violations
 
 
+#: The value types only their own modules construct, and those modules.
+CANONICAL_URL_TYPES = frozenset({"Url", "Origin"})
+CANONICAL_URL_MODULES = ("repro/http/url.py", "repro/core/origin.py")
+
+
+class CanonicalUrlsRule(Rule):
+    """URLs and origins are built only where they are shared."""
+
+    rule_id = "canonical-urls"
+
+    def check(self, tree: ast.Module, path: Path) -> list[Violation]:
+        if path.as_posix().endswith(CANONICAL_URL_MODULES):
+            return []
+        violations: list[Violation] = []
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            dotted = _dotted(node.func) or ""
+            name = dotted.rpartition(".")[2]
+            if name in CANONICAL_URL_TYPES:
+                violations.append(
+                    self._violation(path, node, f"{dotted}(...) builds a fresh {name}: use {name}.parse "
+                                    "(or Url.resolve / with_params, Origin.of) for the shared instance")
+                )
+        return violations
+
+
 #: Default rule set, in report order.
 ALL_RULES: tuple[Rule, ...] = (
     WebappsTouchStateRule(),
@@ -506,6 +540,7 @@ ALL_RULES: tuple[Rule, ...] = (
     BoundedRetryRule(),
     HostMembersRule(),
     DomSlotsRule(),
+    CanonicalUrlsRule(),
 )
 
 

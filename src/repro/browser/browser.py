@@ -279,7 +279,7 @@ class Browser:
             url=url,
             form=form or {},
             body=body,
-            headers=Headers(headers) if headers is not None else Headers(),
+            headers=Headers(headers) if headers else Headers(),
             initiator=initiator_label,
             initiator_page=str(page.url),
         )
@@ -295,8 +295,12 @@ class Browser:
             request.attach_cookie_header(header)
 
         response = self._dispatch(request)
-        configuration = response.escudo_configuration()
-        self.cookie_jar.store_from_response(url.origin, response.set_cookie_values, configuration)
+        # The response's ESCUDO headers only label the cookies it sets (a
+        # sub-request never configures a page), so a response that sets
+        # none needs no configuration.
+        set_cookie_values = response.set_cookie_values
+        if set_cookie_values:
+            self.cookie_jar.store_from_response(url.origin, set_cookie_values, response.escudo_configuration())
         return response
 
     # -- subresources ------------------------------------------------------------------------

@@ -381,47 +381,54 @@ _WINDOW_GLOBAL_NAMES = frozenset(member.name for member in WINDOW_GLOBALS)
 
 
 class _PrincipalEnvironment:
-    """Everything one principal's script execution needs."""
+    """Everything one principal's script execution needs.
+
+    Only the interpreter is built up front.  The host globals are bound on
+    their first lookup, through the interpreter's global resolver: the
+    first Window global (``window``, ``document``, ``alert`` ...) builds the
+    DOM mediator and the window, document and console bindings, and
+    ``XMLHttpRequest`` builds its constructor, so a script that reads no
+    host global builds none of them.
+    """
 
     def __init__(self, runtime: "ScriptRuntime", principal: SecurityContext) -> None:
         self.runtime = runtime
         self.page = runtime.page
         self.principal = principal
-        self.interpreter = Interpreter(max_steps=runtime.max_steps, resolve_global=self._window_global)
-        self.dom_api = DomApi(self.page.monitor, principal, api_object=runtime.dom_api_object)
-        self.document_binding = DocumentBinding(self)
-        self.console_binding = ConsoleBinding(runtime.observations.console)
-        self.window = WindowBinding(self)
+        self.interpreter = Interpreter(max_steps=runtime.max_steps, resolve_global=self._global)
+        self.dom_api: DomApi | None = None
+        self.document_binding: DocumentBinding | None = None
+        self.console_binding: ConsoleBinding | None = None
+        self.window: WindowBinding | None = None
         #: Timer ids this environment registered -- the only ones its
         #: clearTimeout may cancel (cross-principal cancellation would be an
         #: unmediated interference channel).
         self.own_timers: set[int] = set()
-        self._install_globals()
         runtime.environments.append(self)
 
     # -- environment ------------------------------------------------------------------
 
-    def _install_globals(self) -> None:
-        interpreter = self.interpreter
-        interpreter.globals.define("window", self.window)
-        interpreter.globals.define(
-            "XMLHttpRequest",
-            NativeConstructor(
-                lambda *args: XmlHttpRequest(
-                    self.runtime.browser,
-                    self.page,
-                    self.principal,
-                    invoke=self.invoke,
-                ),
-                "XMLHttpRequest",
-            ),
-        )
-
-    def _window_global(self, name: str):
-        """A Window member read as a global, resolved on its first lookup."""
-        if name not in _WINDOW_GLOBAL_NAMES:
+    def _global(self, name: str):
+        """A host global, resolved on its first lookup."""
+        if name == "XMLHttpRequest":
+            return NativeConstructor(self._new_xhr, "XMLHttpRequest")
+        if name != "window" and name not in _WINDOW_GLOBAL_NAMES:
             raise KeyError(name)
-        return self.window.js_get(name)
+        window = self.window
+        if window is None:
+            window = self._bind_window()
+        return window if name == "window" else window.js_get(name)
+
+    def _bind_window(self) -> "WindowBinding":
+        """Build the DOM mediator and the bindings a Window global reaches."""
+        self.dom_api = DomApi(self.page.monitor, self.principal, api_object=self.runtime.dom_api_object)
+        self.document_binding = DocumentBinding(self)
+        self.console_binding = ConsoleBinding(self.runtime.observations.console)
+        self.window = WindowBinding(self)
+        return self.window
+
+    def _new_xhr(self, *_args) -> XmlHttpRequest:
+        return XmlHttpRequest(self.runtime.browser, self.page, self.principal, invoke=self.invoke)
 
     def close(self) -> None:
         """Drop the globals and the bindings.

@@ -67,8 +67,14 @@ class XmlHttpRequest(HostObject):
         self._method = "GET"
         self._url_text: str | None = None
         self._async = False
-        self._request_headers = Headers()
-        self._response_headers = Headers()
+        #: Built by ``open()``: the completion task's label and the
+        #: request's initiator label.
+        self._task_label = ""
+        self._initiator_label = ""
+        # No header map until a script sets a request header or a response
+        # is delivered (most XHRs do neither before they are read).
+        self._request_headers: Headers | None = None
+        self._response_headers: Headers | None = None
         self._pending: ScheduledTask | None = None
         self.status = 0.0
         self.response_text = ""
@@ -112,13 +118,18 @@ class XmlHttpRequest(HostObject):
         self._method = str(method).upper()
         self._url_text = str(url)
         self._async = bool(async_flag)
+        self._task_label = f"xhr:{self._method} {self._url_text}"
+        self._initiator_label = f"xhr:{self._principal.label}"
         self.ready_state = 1.0
 
     def _set_request_header(self, name, value) -> None:
+        if self._request_headers is None:
+            self._request_headers = Headers()
         self._request_headers.set(str(name), str(value))
 
     def _get_response_header(self, name) -> str | None:
-        return self._response_headers.get(str(name))
+        headers = self._response_headers
+        return headers.get(str(name)) if headers is not None else None
 
     def _abort(self) -> None:
         """``abort()``: cancel any queued completion and reset the object.
@@ -184,7 +195,7 @@ class XmlHttpRequest(HostObject):
             lambda: self._complete(payload, generation),
             delay=XHR_COMPLETION_LATENCY_MS if self._async else 0.0,
             kind="xhr",
-            label=f"xhr:{self._method} {self._url_text}",
+            label=self._task_label,
         )
         self._pending = task
         return task
@@ -264,7 +275,7 @@ class XmlHttpRequest(HostObject):
             url=target,
             body=body,
             headers=self._request_headers,
-            initiator_label=f"xhr:{self._principal.label}",
+            initiator_label=self._initiator_label,
         )
         self.status = float(response.status)
         self.response_text = response.body
@@ -283,8 +294,8 @@ class XmlHttpRequest(HostObject):
         """
         self._cancel_pending()
         if clear_request_headers:
-            self._request_headers = Headers()
-        self._response_headers = Headers()
+            self._request_headers = None
+        self._response_headers = None
         self.status = 0.0
         self.response_text = ""
         self.denied = False

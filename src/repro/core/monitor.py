@@ -120,13 +120,19 @@ def _not_a_context(entity) -> TypeError:
     return TypeError(f"the monitor mediates SecurityContext values, not {type(entity).__name__}")
 
 
+def _not_an_operation(operation) -> TypeError:
+    return TypeError(f"the monitor mediates Operation members, not {type(operation).__name__} {operation!r}")
+
+
 class ReferenceMonitor:
     """Single enforcement point for all principal → object interactions.
 
     Every entry point takes the two :class:`SecurityContext` values of an
     access ``<P ▷ O>`` and an :class:`Operation`; callers holding a richer
     substrate value (a cookie, an element) pass its context.  Anything else
-    as principal or target raises ``TypeError`` rather than being decided.
+    as principal or target, or an operation that is not an
+    :class:`Operation` member (a name such as ``"read"`` included), raises
+    ``TypeError`` before anything is recorded, under every policy.
     Denials are returned as decisions, never raised: the browser substrate
     turns them into silent no-ops or script-visible ``null``.
 
@@ -166,6 +172,8 @@ class ReferenceMonitor:
             raise _not_a_context(principal)
         if type(target) is not SecurityContext:
             raise _not_a_context(target)
+        if type(operation) is not Operation:
+            raise _not_an_operation(operation)
         decision = self.policy.evaluate(
             principal, target, operation, principal_label or principal.label, object_label or target.label
         )
@@ -188,6 +196,8 @@ class ReferenceMonitor:
         """
         if type(principal) is not SecurityContext:
             raise _not_a_context(principal)
+        if type(operation) is not Operation:
+            raise _not_an_operation(operation)
         principal_label = principal_label or principal.label
         evaluate = self.policy.evaluate
         decisions: list[AccessDecision] = []
@@ -222,6 +232,8 @@ class ReferenceMonitor:
             raise _not_a_context(principal)
         if type(target) is not SecurityContext:
             raise _not_a_context(target)
+        if type(operation) is not Operation:
+            raise _not_an_operation(operation)
         decision = AccessDecision(
             verdict=Verdict.DENY,
             operation=operation,

@@ -9,6 +9,12 @@ from URL strings.
 Default ports follow the usual scheme conventions (http → 80, https → 443) so
 that ``http://example.com`` and ``http://example.com:80`` compare equal, as
 real browsers treat them.
+
+Origins are shared: :meth:`Origin.parse`, :meth:`Origin.of` and
+``Url.origin`` hand out the one instance per ``(scheme, host, port)`` held
+in a bounded module table (hash-consing, as :mod:`repro.core.canonical`
+does for rings and ACLs).  The table starts over when full, so equality
+stays by value; sharing only saves the rebuild.
 """
 
 from __future__ import annotations
@@ -26,10 +32,21 @@ DEFAULT_PORTS = {
     "ftp": 21,
 }
 
+#: Entries kept in the origin table; a full table starts over.
+_ORIGIN_TABLE_SIZE = 4096
+
+#: ``(scheme, host, port)`` as given, and lower-cased -> the shared origin.
+_ORIGINS: dict[tuple[str, str, int], "Origin"] = {}
+
 
 @dataclass(frozen=True)
 class Origin:
     """An immutable ``(protocol, domain, port)`` triple.
+
+    Build origins with :meth:`parse` or :meth:`of` (or read ``Url.origin``):
+    they return the shared instance for the triple, so a page, its
+    sub-requests and its cookies hold one origin object.  Equality is by
+    value; a directly constructed origin equals the shared one.
 
     The hash and the ``scheme://host[:port]`` text are computed once, when
     the origin is built: the origin rule hashes and prints origins on every
@@ -67,10 +84,11 @@ class Origin:
 
     @classmethod
     def parse(cls, url: str) -> "Origin":
-        """Parse the origin out of an absolute URL.
+        """The shared origin of an absolute URL.
 
         Only the scheme, host and port are considered; the path, query and
-        fragment are irrelevant to the origin.  Raises
+        fragment are irrelevant to the origin, and the result is the
+        instance ``Url.parse(url).origin`` returns.  Raises
         :class:`~repro.core.errors.ConfigurationError` for URLs without a
         scheme or host.
         """
@@ -94,14 +112,14 @@ class Origin:
                 raise ConfigurationError(f"URL {url!r} has a malformed port") from exc
         else:
             port = DEFAULT_PORTS.get(scheme, 80)
-        return cls(scheme=scheme, host=host, port=port)
+        return _shared_origin(scheme, host, port)
 
     @classmethod
     def of(cls, scheme: str, host: str, port: int | None = None) -> "Origin":
-        """Build an origin, defaulting the port from the scheme."""
+        """The shared origin for the triple, defaulting the port from the scheme."""
         if port is None:
             port = DEFAULT_PORTS.get(scheme.lower(), 80)
-        return cls(scheme=scheme, host=host, port=port)
+        return _shared_origin(scheme, host, port)
 
     # -- queries ---------------------------------------------------------------
 
@@ -115,3 +133,22 @@ class Origin:
 
     def __str__(self) -> str:
         return self._text
+
+
+def _shared_origin(scheme: str, host: str, port: int) -> Origin:
+    """The one :class:`Origin` for ``(scheme, host, port)``, built on a miss.
+
+    Scheme and host compare case-insensitively; a triple that is not a
+    valid origin raises exactly as the constructor does.
+    """
+    key = (scheme, host, port)
+    origin = _ORIGINS.get(key)
+    if origin is not None and type(port) is int:
+        return origin
+    origin = Origin(scheme=scheme, host=host, port=port)
+    lowered = (origin.scheme, origin.host, port)
+    origin = _ORIGINS.get(lowered, origin)
+    if len(_ORIGINS) >= _ORIGIN_TABLE_SIZE - 1:
+        _ORIGINS.clear()
+    _ORIGINS[lowered] = _ORIGINS[key] = origin
+    return origin

@@ -7,13 +7,15 @@ when pages link to ``"post.php?id=3"`` style URLs).
 
 The :class:`Url` type exposes its :class:`~repro.core.origin.Origin`, which
 is what both the same-origin policy baseline and ESCUDO's origin rule
-compare.
+compare.  URLs are shared like origins: :meth:`Url.parse` serves one
+instance per text, and :meth:`Url.resolve` one per reference against a
+given base, so a page's sub-requests reuse the values it already derived.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from repro.core.errors import ConfigurationError
 from repro.core.origin import DEFAULT_PORTS, Origin
@@ -83,9 +85,19 @@ def encode_query(params: dict[str, str]) -> str:
     return "&".join(f"{_quote(str(k))}={_quote(str(v))}" for k, v in params.items())
 
 
+#: Resolved references kept per base :class:`Url`; a full memo starts over.
+_RESOLVE_MEMO_SIZE = 16
+
+
 @dataclass(frozen=True)
 class Url:
-    """An absolute URL decomposed into its components."""
+    """An absolute URL decomposed into its components.
+
+    Equality and hashing are by the six fields.  Everything derived from
+    them -- the origin, the request target, the text and the URLs resolved
+    against this one -- is computed on first use and kept on the instance;
+    copies and pickles carry only the fields.
+    """
 
     scheme: str
     host: str
@@ -102,17 +114,21 @@ class Url:
         if not self.path.startswith("/"):
             object.__setattr__(self, "path", "/" + self.path)
 
+    def __reduce__(self):
+        return Url, (self.scheme, self.host, self.port, self.path, self.query, self.fragment)
+
     # -- construction ---------------------------------------------------------
 
     @classmethod
     def parse(cls, text: "str | Url") -> "Url":
-        """Parse an absolute URL string (memoised).
+        """Parse an absolute URL string into its shared instance.
 
         An already-parsed :class:`Url` is returned as-is -- callers holding
         one never pay a stringify/re-parse round-trip.  String parses are
         served from a bounded LRU: the browser substrate parses the same
         handful of application URLs on every page load, XHR and cookie
-        check, and ``Url`` is frozen, so sharing instances is safe.
+        check, so a page's URL is one instance, and with it the origin and
+        resolved references it has already derived.
         """
         if isinstance(text, Url):
             return text
@@ -149,33 +165,41 @@ class Url:
 
     # -- properties -------------------------------------------------------------
 
-    @property
+    @cached_property
     def origin(self) -> Origin:
-        """The URL's web origin (scheme, host, port).
+        """The URL's web origin (scheme, host, port): the shared instance.
 
-        Computed once per instance: origin comparisons run on every policy
-        check, and memoised ``parse`` shares instances, so the cached value
-        amortises across every consumer of the same URL.  (The cache slot is
-        set via ``object.__setattr__`` because the dataclass is frozen; it
-        is not a field, so equality and hashing are unaffected.)
+        Read once per URL through :meth:`Origin.of`, so every URL of a site
+        -- a page, its pollers, forms and redirects -- reports the same
+        :class:`Origin` object, and the origin rule's tables compare it by
+        identity first.
         """
-        origin = getattr(self, "_origin", None)
-        if origin is None:
-            origin = Origin(scheme=self.scheme, host=self.host, port=self.port)
-            object.__setattr__(self, "_origin", origin)
-        return origin
+        return Origin.of(self.scheme, self.host, self.port)
 
     @property
     def params(self) -> dict[str, str]:
         """Query parameters as a dict."""
         return _parse_query(self.query)
 
-    @property
+    @cached_property
     def path_and_query(self) -> str:
         """Path plus query string (the request target sent to the server)."""
         if self.query:
             return f"{self.path}?{self.query}"
         return self.path
+
+    @cached_property
+    def _text(self) -> str:
+        default = DEFAULT_PORTS.get(self.scheme)
+        host = self.host if default == self.port else f"{self.host}:{self.port}"
+        text = f"{self.scheme}://{host}{self.path_and_query}"
+        if self.fragment:
+            text += f"#{self.fragment}"
+        return text
+
+    @cached_property
+    def _resolved(self) -> dict[str, "Url"]:
+        return {}
 
     # -- derivation --------------------------------------------------------------
 
@@ -196,7 +220,25 @@ class Url:
         Handles absolute URLs, scheme-relative (``//host/...``), absolute
         paths (``/x/y``), relative paths (``y``, ``../y``), bare query
         strings (``?a=1``) and bare fragments (``#top``).
+
+        Served from a small memo on this instance: a page resolves the same
+        poller, form and subresource references on every load, and its URL
+        is shared through :meth:`parse`, so a repeated reference returns
+        the same :class:`Url` (with its origin already read).
         """
+        memo = self._resolved
+        url = memo.get(reference)
+        if url is None:
+            url = self._resolve(reference)
+            if url is self:
+                return url
+            if len(memo) >= _RESOLVE_MEMO_SIZE:
+                memo.clear()
+            memo[reference] = url
+        return url
+
+    def _resolve(self, reference: str) -> "Url":
+        """The unmemoised resolver (the memo's fill path)."""
         ref = reference.strip()
         if not ref:
             return self
@@ -222,14 +264,7 @@ class Url:
         return Url(self.scheme, self.host, self.port, path, query, fragment)
 
     def __str__(self) -> str:
-        default = DEFAULT_PORTS.get(self.scheme)
-        host = self.host if default == self.port else f"{self.host}:{self.port}"
-        text = f"{self.scheme}://{host}{self.path}"
-        if self.query:
-            text += f"?{self.query}"
-        if self.fragment:
-            text += f"#{self.fragment}"
-        return text
+        return self._text
 
 
 @lru_cache(maxsize=4096)

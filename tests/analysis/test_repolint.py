@@ -19,6 +19,7 @@ _BAD_WEBAPP = '''\
 import pickle
 import time
 
+from repro.core.origin import Origin
 from repro.dom.element import Element
 from repro.scripting.interpreter import HostObject
 
@@ -58,6 +59,10 @@ class WidgetBinding(HostObject):
 
 class WidgetElement(Element):  # a DOM node without __slots__
     pass
+
+
+def widget_origin():
+    return Origin("http", "widget.example", 80)  # bypasses the shared origins
 '''
 
 
@@ -241,4 +246,36 @@ def test_get_read_only_rule_applies_only_under_webapps(tmp_path):
         "        self.login(context, 'eve', None)\n",
         encoding="utf-8",
     )
+    assert lint_paths([target]) == []
+
+
+def test_canonical_urls_rule_flags_direct_constructions_only(tmp_path):
+    target = tmp_path / "links.py"
+    target.write_text(
+        "from repro.http import url as url_module\n"
+        "from repro.http.url import Url\n"
+        "from repro.core.origin import Origin\n"
+        "page = Url.parse('http://a.example/')\n"
+        "fresh = Url('http', 'a.example', 80)\n"
+        "also = url_module.Url(scheme='http', host='a.example', port=80)\n"
+        "shared = Origin.of('http', 'a.example')\n"
+        "built = Origin('http', 'a.example', 80)\n"
+        "poller = page.resolve('/api/unread').with_params({'x': '1'})\n",
+        encoding="utf-8",
+    )
+    violations = lint_paths([target])
+    assert [(v.rule, v.line) for v in violations] == [
+        ("canonical-urls", 5),
+        ("canonical-urls", 6),
+        ("canonical-urls", 8),
+    ]
+    assert "Origin.parse" in str(violations[2])
+
+
+@pytest.mark.parametrize("module", ["http/url.py", "core/origin.py"])
+def test_canonical_urls_rule_exempts_the_two_defining_modules(tmp_path, module):
+    target = tmp_path / "repro" / module
+    target.parent.mkdir(parents=True)
+    target.write_text("value = Url('http', 'a.example', 80) or Origin('http', 'a.example', 80)\n",
+                      encoding="utf-8")
     assert lint_paths([target]) == []

@@ -85,6 +85,31 @@ class TestOnlyContextsAreMediated:
         assert monitor.stats.total == len(monitor.audit) == 1
 
 
+_OPERATION_ENTRY_POINTS = {
+    "authorize": lambda monitor, context, operation: monitor.authorize(context, context, operation),
+    "authorize_all": lambda monitor, context, operation: monitor.authorize_all(context, [context, context], operation),
+    "deny_tampering": lambda monitor, context, operation: monitor.deny_tampering(context, context, operation),
+}
+
+
+class TestOnlyOperationsAreMediated:
+    @pytest.mark.parametrize("entry", sorted(_OPERATION_ENTRY_POINTS))
+    @pytest.mark.parametrize("policy", [EscudoPolicy, SameOriginPolicy], ids=["escudo", "sop"])
+    @pytest.mark.parametrize("operation", ["read", "use", 1, None], ids=["read", "use", "int", "none"])
+    def test_a_non_operation_raises_type_error_before_recording(self, entry, policy, operation, origin):
+        monitor = ReferenceMonitor(policy())
+        with pytest.raises(TypeError, match="Operation"):
+            _OPERATION_ENTRY_POINTS[entry](monitor, make_context(origin, 1), operation)
+        assert monitor.stats.total == len(monitor.audit) == 0
+
+    @pytest.mark.parametrize("entry", sorted(_OPERATION_ENTRY_POINTS))
+    @pytest.mark.parametrize("policy", [EscudoPolicy, SameOriginPolicy], ids=["escudo", "sop"])
+    def test_an_operation_member_is_decided(self, entry, policy, origin):
+        monitor = ReferenceMonitor(policy())
+        _OPERATION_ENTRY_POINTS[entry](monitor, make_context(origin, 1), Operation.READ)
+        assert monitor.stats.total == len(monitor.audit) >= 1
+
+
 class TestTamperDenials:
     def test_deny_tampering_records_tamper_rule(self, origin):
         monitor = ReferenceMonitor()
